@@ -11,10 +11,13 @@
    Threading model (per site):
    - an accept thread takes incoming connections;
    - one reader thread per connection reassembles frames, decodes
-     messages, and handles them under the site's state lock;
-   - one writer thread per outbound connection drains a send queue, so
-     a handler never blocks on a peer's socket (no send/receive
-     deadlock);
+     messages, and handles everything one read delivered under a single
+     hold of the site's state lock;
+   - frames sent under the lock are only queued; the thread releasing
+     the lock writes them, once per destination and without blocking,
+     so a handler never blocks on a peer's socket (no send/receive
+     deadlock).  Each outbound connection's writer thread wakes only to
+     finish a write its socket refused;
    - [submit_query] (called by the embedding client on the originating
      site) seeds the query through the admission gate and returns a
      handle; a per-query drainer thread processes the working set in
@@ -42,90 +45,245 @@ let src = Logs.Src.create "hf.net" ~doc:"HyperFile TCP transport"
 
 module Log = (val Logs.src_log src : Logs.LOG)
 
-(* --- outbound connections: queue + writer thread --- *)
+(* --- outbound connections: buffered frames, written on lock release --- *)
+
+(* A frame sent under the site lock is appended to its destination
+   connection's [pending] buffer, and the thread that releases the lock
+   ([locked]) writes each connection it dirtied, once, without blocking
+   ([conn_flush]).  No thread wakes per frame, and no socket write
+   happens while the site lock or a connection lock is held.  One
+   thread at a time owns a socket ([writing]); the owner takes
+   [pending] again before letting go, so frames reach the wire in the
+   order they were queued.  The connection's writer thread sleeps until
+   a write stalls (EAGAIN: the peer stopped reading), then finishes it
+   as the socket drains. *)
 
 type out_conn = {
-  fd : Unix.file_descr;
-  queue : string Queue.t; [@hf.guarded_by "conn_locked"]
-  queue_mutex : Mutex.t;
-  queue_cond : Condition.t;
-  closing : bool ref; [@hf.guarded_by "conn_locked"]
-  broken : bool ref; [@hf.guarded_by "conn_locked"]
-      (* the writer thread hit a socket error: frames queued here are
-         lost, and the connection must be replaced before this peer can
-         be written to again *)
+  fd : Unix.file_descr; (* non-blocking *)
+  conn_mutex : Mutex.t;
+  conn_cond : Condition.t;
+  mutable pending : Bytes.t; [@hf.guarded_by "conn_locked"]
+  mutable pending_len : int; [@hf.guarded_by "conn_locked"]
+      (* framed bytes [0, pending_len) of [pending], queued in send
+         order and not yet taken by a writer *)
+  mutable spare : Bytes.t; [@hf.guarded_by "conn_locked"]
+      (* the other buffer: an owner takes [pending] by swapping it for
+         this one and hands it back once written, so a flush allocates
+         nothing *)
+  mutable writing : bool; [@hf.guarded_by "conn_locked"]
+      (* a thread owns the socket and writes it outside every lock *)
+  mutable stalled : (Bytes.t * int * int) option; [@hf.guarded_by "conn_locked"]
+      (* (buffer, off, len): the rest of a chunk the socket refused, set
+         while the writer thread owns the socket and kept current as
+         the socket drains *)
+  mutable closing : bool; [@hf.guarded_by "conn_locked"]
+  mutable broken : bool; [@hf.guarded_by "conn_locked"]
+      (* a write failed: frames queued here are lost, and the connection
+         must be replaced before this peer can be written to again *)
+  mutable fd_closed : bool; [@hf.guarded_by "conn_locked"]
   mutable writer : Thread.t option;
 }
 
 let conn_locked conn f =
-  Mutex.lock conn.queue_mutex;
-  Fun.protect ~finally:(fun () -> Mutex.unlock conn.queue_mutex) f
+  Mutex.lock conn.conn_mutex;
+  Fun.protect ~finally:(fun () -> Mutex.unlock conn.conn_mutex) f
 
+let buffer_size = 4096
+
+(* Append one framed message, doubling the buffer when it is full. *)
+let enqueue conn frame =
+  let n = String.length frame in
+  let len = conn.pending_len + n in
+  if len > Bytes.length conn.pending then begin
+    let grown = Bytes.create (Int.max len (2 * Bytes.length conn.pending)) in
+    Bytes.blit conn.pending 0 grown 0 conn.pending_len;
+    conn.pending <- grown
+  end;
+  Bytes.blit_string frame 0 conn.pending conn.pending_len n;
+  conn.pending_len <- len
+[@@hf.requires_lock "conn_locked"]
+
+(* Take everything queued: the caller owns the returned buffer until
+   it hands it back with [give_back]. *)
+let take_pending conn =
+  if conn.pending_len = 0 then None
+  else begin
+    let chunk = (conn.pending, conn.pending_len) in
+    conn.pending <- conn.spare;
+    conn.pending_len <- 0;
+    conn.spare <- Bytes.empty;
+    Some chunk
+  end
+[@@hf.requires_lock "conn_locked"]
+
+(* A buffer a burst grew past 64 KiB is dropped rather than kept at
+   its high-water mark. *)
+let give_back conn buf =
+  conn.spare <- (if Bytes.length buf > 65536 then Bytes.create buffer_size else buf)
+[@@hf.requires_lock "conn_locked"]
+
+(* A retired connection's socket is closed by whoever holds it last:
+   never under a writing owner's feet. *)
+let close_if_idle conn =
+  if conn.closing && (not conn.writing) && not conn.fd_closed then begin
+    conn.fd_closed <- true;
+    try Unix.close conn.fd with Unix.Unix_error _ -> ()
+  end
+[@@hf.requires_lock "conn_locked"]
+
+let release conn =
+  conn.writing <- false;
+  close_if_idle conn
+[@@hf.requires_lock "conn_locked"]
+
+(* A write failed, or a retired connection's peer stopped reading: what
+   is still queued is lost (with reliability on, retransmission
+   re-delivers it over a fresh connection). *)
+let abandon conn =
+  conn.broken <- true;
+  conn.stalled <- None;
+  conn.pending_len <- 0;
+  release conn
+[@@hf.requires_lock "conn_locked"]
+
+(* Non-blocking write of [buf] from [off] up to [len]: the offset
+   reached when the socket takes no more. *)
+let write_some fd buf off len =
+  match Unix.write fd buf off (len - off) with
+  | n -> off + n
+  | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> off
+
+(* The owner's loop: write [buf] from [off] up to [len], then each
+   chunk [pending] gathered meanwhile, until nothing is left (ownership
+   released: [None]) or the socket refuses the rest ([Some (buf, off,
+   len)], still owned). *)
+let rec pump conn buf off len =
+  match write_some conn.fd buf off len with
+  | exception Unix.Unix_error _ ->
+    conn_locked conn (fun () -> abandon conn);
+    None
+  | off when off < len -> Some (buf, off, len)
+  | _ -> (
+      match
+        conn_locked conn (fun () ->
+            conn.stalled <- None;
+            give_back conn buf;
+            let next = take_pending conn in
+            if Option.is_none next then release conn;
+            next)
+      with
+      | None -> None
+      | Some (buf, len) -> pump conn buf 0 len)
+
+(* Write what [conn] has queued without blocking.  Run by the thread
+   that released the site lock, holding no lock; a socket that refuses
+   the rest hands it, with ownership, to the writer thread. *)
+let conn_flush conn =
+  match
+    conn_locked conn (fun () ->
+        if conn.writing || conn.broken || conn.fd_closed then None
+        else begin
+          let chunk = take_pending conn in
+          if Option.is_some chunk then conn.writing <- true;
+          chunk
+        end)
+  with
+  | None -> ()
+  | Some (buf, len) -> (
+      match pump conn buf 0 len with
+      | None -> ()
+      | Some rest ->
+        conn_locked conn (fun () ->
+            (* a retired connection's writer may already have exited *)
+            if conn.closing then abandon conn
+            else begin
+              conn.stalled <- Some rest;
+              Condition.signal conn.conn_cond
+            end))
+
+(* Wait, at most 50 ms, until [fd] takes more bytes. *)
+let writable fd =
+  match Unix.select [] [ fd ] [] 0.05 with
+  | _, ready, _ -> ready <> []
+  | exception Unix.Unix_error _ ->
+    Thread.delay 0.05;
+    false
+
+(* Sleep until a write stalls, then finish it as the socket drains,
+   keeping [stalled] current so the backlog stays visible.  A retired
+   connection whose peer makes no progress for one poll gives up, so
+   [shutdown] never waits on a peer that stopped reading. *)
 let writer_loop conn () =
-  let rec next () =
-    let item =
+  let rec idle () =
+    match
       conn_locked conn (fun () ->
-          while Queue.is_empty conn.queue && not !(conn.closing) do
-            Condition.wait conn.queue_cond conn.queue_mutex
+          while Option.is_none conn.stalled && not conn.closing do
+            Condition.wait conn.conn_cond conn.conn_mutex
           done;
-          if Queue.is_empty conn.queue then None else Some (Queue.pop conn.queue))
-    in
-    match item with
-    | None -> () (* closing *)
-    | Some frame -> (
-        match
-          let bytes = Bytes.of_string frame in
-          let rec write_all off =
-            if off < Bytes.length bytes then
-              let n = Unix.write conn.fd bytes off (Bytes.length bytes - off) in
-              write_all (off + n)
-          in
-          write_all 0
-        with
-        | () -> next ()
-        | exception Unix.Unix_error _ ->
-          (* peer gone; drop remaining output and mark the connection so
-             the next send replaces it (and, with reliability on, the
-             retransmit path re-delivers what this queue lost) *)
-          conn_locked conn (fun () -> conn.broken := true))
+          conn.stalled)
+    with
+    | None -> () (* retired *)
+    | Some (buf, off, len) -> retry buf off len
+  and retry buf off len =
+    if (not (writable conn.fd)) && conn_locked conn (fun () -> conn.closing) then
+      conn_locked conn (fun () -> abandon conn)
+    else
+      match pump conn buf off len with
+      | None -> idle ()
+      | Some ((buf, off, len) as rest) ->
+        conn_locked conn (fun () -> conn.stalled <- Some rest);
+        retry buf off len
   in
-  next ()
+  idle ()
 
 let open_out_conn addr =
   let fd = Unix.socket PF_INET SOCK_STREAM 0 in
-  Unix.connect fd addr;
+  (match Unix.connect fd addr with
+   | () -> ()
+   | exception e ->
+     (try Unix.close fd with Unix.Unix_error _ -> ());
+     raise e);
   Unix.setsockopt fd TCP_NODELAY true;
+  Unix.set_nonblock fd;
   let conn =
     {
       fd;
-      queue = Queue.create ();
-      queue_mutex = Mutex.create ();
-      queue_cond = Condition.create ();
-      closing = ref false;
-      broken = ref false;
+      conn_mutex = Mutex.create ();
+      conn_cond = Condition.create ();
+      pending = Bytes.create buffer_size;
+      pending_len = 0;
+      spare = Bytes.create buffer_size;
+      writing = false;
+      stalled = None;
+      closing = false;
+      broken = false;
+      fd_closed = false;
       writer = None;
     }
   in
   conn.writer <- Some (Thread.create (writer_loop conn) ());
   conn
 
-let conn_send conn frame =
+(* Bytes queued for the peer that the socket has not taken yet. *)
+let conn_backlog conn =
   conn_locked conn (fun () ->
-      Queue.push frame conn.queue;
-      Condition.signal conn.queue_cond)
+      conn.pending_len
+      + match conn.stalled with Some (_, off, len) -> len - off | None -> 0)
 
-(* A writer thread that refuses to die (blocked in a signal handler,
-   say) should not make shutdown raise: the join failure is counted in
-   [join_errors] — surfaced as hf.net.join_errors — and the socket is
-   closed regardless. *)
+(* Retire a connection from outside every lock: write what is queued,
+   then stop the writer thread and close the socket.  A writer thread
+   that refuses to die (blocked in a signal handler, say) should not make
+   shutdown raise: the join failure is counted in [join_errors] —
+   surfaced as hf.net.join_errors — and the socket is closed regardless. *)
 let conn_close ~join_errors conn =
+  conn_flush conn;
   conn_locked conn (fun () ->
-      conn.closing := true;
-      Condition.signal conn.queue_cond);
+      conn.closing <- true;
+      Condition.signal conn.conn_cond);
   (match conn.writer with
   | Some thread -> ( try Thread.join thread with _ -> Atomic.incr join_errors)
   | None -> ());
-  try Unix.close conn.fd with Unix.Unix_error _ -> ()
+  conn_locked conn (fun () -> close_if_idle conn)
 
 (* --- execution mode (doc/execution_modes.md) --- *)
 
@@ -225,6 +383,9 @@ type t = {
   address : Unix.sockaddr;
   mutable peers : Unix.sockaddr array; (* index = site id *)
   conns : (int, out_conn) Hashtbl.t; [@hf.guarded_by "locked"]
+  mutable dirty : out_conn list; [@hf.guarded_by "locked"]
+      (* connections given frames during the current lock hold: the
+         thread that releases the lock writes them *)
   lock : Mutex.t; (* guards contexts, store access during queries, conns *)
   done_cond : Condition.t; (* signalled when a local query terminates *)
   contexts : (Message.query_id, context) Hashtbl.t; [@hf.guarded_by "locked"]
@@ -241,7 +402,10 @@ type t = {
   mutable ticker : Thread.t option;
       (* the reliability ticker, joinable on its own: shutdown quiesces
          it before tearing connections down *)
-  mutable threads : Thread.t list; [@hf.guarded_by "locked"]
+  mutable acceptors : Thread.t list;
+      (* the accept and monitor threads, joined by [shutdown] once their
+         listeners are shut down; reader and drainer threads end on
+         their own and are not kept *)
   mutable dead_writers : Thread.t list; [@hf.guarded_by "locked"]
       (* writer threads of connections discarded while the site lock was
          held ([conn_discard]): Thread.join can block, so shutdown joins
@@ -323,24 +487,46 @@ type t = {
 
 let locate oid = Hf_data.Oid.birth_site oid
 
+let take_dirty t =
+  let dirty = t.dirty in
+  t.dirty <- [];
+  dirty
+[@@hf.requires_lock "locked"]
+
+(* The site's critical section.  Frames sent inside it are only
+   queued; on the way out the releasing thread writes every connection
+   they dirtied, after unlocking, so one lock hold costs at most one
+   write per destination. *)
 let locked t f =
   Mutex.lock t.lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
+  Fun.protect
+    ~finally:(fun () ->
+      let dirty = take_dirty t in
+      Mutex.unlock t.lock;
+      List.iter conn_flush dirty)
+    f
 
-(* Retire a broken connection without joining its writer (R7 fix): the
-   caller holds the site lock, and a writer stuck on a dead peer's
-   socket would stall every thread that needs the lock if we joined it
-   here.  The writer is told to stop and its thread parked in
+(* Queue one frame on [conn] for the releasing thread to write. *)
+let conn_send t conn payload =
+  conn_locked conn (fun () -> enqueue conn (Hf_proto.Frame.frame payload));
+  if not (List.memq conn t.dirty) then t.dirty <- conn :: t.dirty
+[@@hf.requires_lock "locked"]
+
+(* Retire a connection without joining its writer (R7 fix): the caller
+   holds the site lock, and joining would stall every thread that needs
+   it.  The writer is told to stop and its thread parked in
    [dead_writers]; [shutdown] joins the parked threads once the lock is
-   released.  Closing the fd fails any in-flight write immediately. *)
+   released.  The socket closes now, or when its current writer lets
+   go; frames still queued on it are dropped. *)
 let conn_discard t conn =
   conn_locked conn (fun () ->
-      conn.closing := true;
-      Condition.signal conn.queue_cond);
+      conn.closing <- true;
+      conn.pending_len <- 0;
+      Condition.signal conn.conn_cond;
+      close_if_idle conn);
   (match conn.writer with
   | Some thread -> t.dead_writers <- thread :: t.dead_writers
-  | None -> ());
-  (try Unix.close conn.fd with Unix.Unix_error _ -> ())
+  | None -> ())
 [@@hf.requires_lock "locked"]
 
 (* --- stats snapshots on the wire (DESIGN.md §4i) --- *)
@@ -407,9 +593,9 @@ let link_for t dst =
    encoding.  [seq] is the reliability sequence number (0 when
    unsequenced — reliability off, or a standalone [Link_ack]); the
    cumulative ack for the reverse direction is peeked immediately
-   before the frame leaves, so every outgoing envelope carries the
-   freshest ack.  A connection whose writer died is replaced here —
-   with reliability on, whatever its queue lost is retransmitted. *)
+   before the frame is queued, so every outgoing envelope carries the
+   freshest ack.  A connection whose last write failed is replaced
+   here — with reliability on, whatever it lost is retransmitted. *)
 let transmit_raw t ?(span = 0) ~seq ~dst message =
   let reopen () =
     match
@@ -428,7 +614,7 @@ let transmit_raw t ?(span = 0) ~seq ~dst message =
   let conn =
     match Hashtbl.find_opt t.conns dst with
     | Some conn ->
-      if conn_locked conn (fun () -> !(conn.broken)) then begin
+      if conn_locked conn (fun () -> conn.broken) then begin
         (* [conn_discard], not [conn_close]: we hold the site lock, and
            joining a writer that may be wedged on a dead socket would
            block every other thread at [locked] (hfcheck R7). *)
@@ -472,7 +658,7 @@ let transmit_raw t ?(span = 0) ~seq ~dst message =
         | None -> ())
     | None -> ());
     Hf_obs.Histogram.observe t.sent_frame_bytes (float_of_int (String.length payload));
-    conn_send conn (Hf_proto.Frame.frame payload)
+    conn_send t conn payload
 [@@hf.requires_lock "locked"]
 
 (* --- query contexts --- *)
@@ -1347,300 +1533,313 @@ let report_stats t ~dst ~token =
    handler — a retransmitted duplicate dies here, never re-evaluating
    work or re-depositing credit.
 
-   Work arms no longer drain under the handler's lock hold: they bank
-   the items and return the touched contexts, and the drain runs after
-   the lock is released, in bounded slices ([process_to_drain]) — this
-   is what lets queries from several origins make progress on one site
-   concurrently.  Work for a tombstoned (already closed) query dies
-   here: its credit is dead by construction — the originator only
-   closes after the detector converged. *)
-let handle_message t ?(span = 0) ?rel message =
-  (* actions that must run after the lock is released (stats replies:
-     snapshotting the registry re-takes the lock) *)
-  let after = ref [] in
-  let to_drain =
-    locked t (fun () ->
-      t.messages_received <- t.messages_received + 1;
-      Hf_obs.Tracer.finish t.tracer span;
-      let fresh =
-        match ((rel : Hf_proto.Codec.rel option), t.reliability) with
-        | None, _ | _, None -> true
-        | Some { src = peer; seq; ack }, Some _ -> (
-          let link = link_for t peer in
-          let now = Unix.gettimeofday () in
-          List.iter
-            (fun latency -> Hf_obs.Histogram.observe t.ack_latency latency)
-            (Hf_proto.Reliable.on_ack link ~now ack);
-          seq = 0
-          ||
-          match Hf_proto.Reliable.receive link ~now ~seq with
-          | `Fresh -> true
-          | `Duplicate ->
-            t.dup_drops <- t.dup_drops + 1;
-            Log.debug (fun m -> m "site %d: duplicate seq %d from %d dropped" t.id seq peer);
-            false)
+   Work arms do not drain under the handler's lock hold: they bank the
+   items and return the touched contexts, and [handle_read] drains them
+   after the lock is released, in bounded slices ([process_to_drain]) —
+   this is what lets queries from several origins make progress on one
+   site concurrently.  Work for a tombstoned (already closed) query
+   dies here: its credit is dead by construction — the originator only
+   closes after the detector converged.  A [Stats_pull] lands in
+   [pulls], answered once the lock is released. *)
+let handle_message t ~pulls ~span ?rel message =
+  t.messages_received <- t.messages_received + 1;
+  Hf_obs.Tracer.finish t.tracer span;
+  let fresh =
+    match ((rel : Hf_proto.Codec.rel option), t.reliability) with
+    | None, _ | _, None -> true
+    | Some { src = peer; seq; ack }, Some _ -> (
+      let link = link_for t peer in
+      let now = Unix.gettimeofday () in
+      List.iter
+        (fun latency -> Hf_obs.Histogram.observe t.ack_latency latency)
+        (Hf_proto.Reliable.on_ack link ~now ack);
+      seq = 0
+      ||
+      match Hf_proto.Reliable.receive link ~now ~seq with
+      | `Fresh -> true
+      | `Duplicate ->
+        t.dup_drops <- t.dup_drops + 1;
+        Log.debug (fun m -> m "site %d: duplicate seq %d from %d dropped" t.id seq peer);
+        false)
+  in
+  if not fresh then []
+  else
+  match (message : Message.t) with
+  | Message.Deref_request { query; body; oid; start; iters; credit } ->
+    if Hashtbl.mem t.closed query then []
+    else begin
+      let ctx =
+        match Hashtbl.find_opt t.contexts query with
+        | Some ctx -> ctx
+        | None -> new_context t ~cause:span ~query ~origin:query.Message.originator body
       in
-      if not fresh then []
-      else
-      match (message : Message.t) with
-      | Message.Deref_request { query; body; oid; start; iters; credit } ->
-        if Hashtbl.mem t.closed query then []
+      ctx.held <- Credit.add ctx.held (Credit.of_atoms credit);
+      Hf_util.Deque.push_back ctx.work (Hf_engine.Work_item.make ~oid ~start ~iters);
+      [ (query, ctx) ]
+    end
+  | Message.Work_batch groups ->
+    List.filter_map
+      (fun { Message.query; body; items; credit } ->
+        if Hashtbl.mem t.closed query then None
         else begin
           let ctx =
             match Hashtbl.find_opt t.contexts query with
             | Some ctx -> ctx
-            | None -> new_context t ~cause:span ~query ~origin:query.Message.originator body
+            | None ->
+              new_context t ~cause:span ~query ~origin:query.Message.originator body
           in
           ctx.held <- Credit.add ctx.held (Credit.of_atoms credit);
-          Hf_util.Deque.push_back ctx.work (Hf_engine.Work_item.make ~oid ~start ~iters);
-          [ (query, ctx) ]
-        end
-      | Message.Work_batch groups ->
-        List.filter_map
-          (fun { Message.query; body; items; credit } ->
-            if Hashtbl.mem t.closed query then None
-            else begin
-              let ctx =
-                match Hashtbl.find_opt t.contexts query with
-                | Some ctx -> ctx
-                | None ->
-                  new_context t ~cause:span ~query ~origin:query.Message.originator body
-              in
-              ctx.held <- Credit.add ctx.held (Credit.of_atoms credit);
-              List.iter
-                (fun ({ oid; start; iters } : Message.batch_item) ->
-                  Hf_util.Deque.push_back ctx.work
-                    (Hf_engine.Work_item.make ~oid ~start ~iters))
-                items;
-              Some (query, ctx)
-            end)
-          groups
-      | Message.Result { query; payload; bindings; credit } ->
-        (match Hashtbl.find_opt t.contexts query with
-         | None -> () (* unknown/forgotten/closed query *)
-         | Some ctx ->
-           (match payload with
-            | Message.Items items ->
-              List.iter
-                (fun oid ->
-                  if not (Hf_data.Oid.Set.mem oid ctx.final_set) then begin
-                    ctx.final_set <- Hf_data.Oid.Set.add oid ctx.final_set;
-                    ctx.final_results <- oid :: ctx.final_results
-                  end)
-                items
-            | Message.Count _ -> ());
-           merge_bindings ctx.final_bindings bindings;
-           credit_recovered t query ctx (Credit.of_atoms credit));
-        []
-      | Message.Credit_return { query; credit } ->
-        (match Hashtbl.find_opt t.contexts query with
-         | None -> ()
-         | Some ctx -> credit_recovered t query ctx (Credit.of_atoms credit));
-        []
-      | Message.Link_ack -> [] (* transport-level: the ack value rode in the envelope *)
-      | Message.Site_unreachable { query; dead } ->
-        (match Hashtbl.find_opt t.contexts query with
-         | None -> ()
-         | Some ctx -> note_unreachable ctx dead);
-        []
-      | Message.Cache_validate { query; src = peer } ->
-        (* Report our store version; piggyback the Bloom summary unless
-           this peer was already told this version's. *)
-        let version = Hf_data.Store.version t.store in
-        let summary =
-          match t.cache_config with
-          | None -> None (* not participating: version-only reply *)
-          | Some cfg ->
-            let bloom =
-              match t.summary_memo with
-              | Some (v, bloom) when v = version -> bloom
-              | Some _ | None ->
-                let bloom = Hf_index.Remote_cache.summary_of_store cfg t.store in
-                t.summary_memo <- Some (version, bloom);
-                t.summary_epoch <- t.summary_epoch + 1;
-                bloom
-            in
-            if
-              match Hashtbl.find_opt t.summary_told peer with
-              | Some v -> v = version
-              | None -> false
-            then None
-            else begin
-              Hashtbl.replace t.summary_told peer version;
-              Some (Hf_index.Bloom.to_string bloom)
-            end
+          List.iter
+            (fun ({ oid; start; iters } : Message.batch_item) ->
+              Hf_util.Deque.push_back ctx.work
+                (Hf_engine.Work_item.make ~oid ~start ~iters))
+            items;
+          Some (query, ctx)
+        end)
+      groups
+  | Message.Result { query; payload; bindings; credit } ->
+    (match Hashtbl.find_opt t.contexts query with
+     | None -> () (* unknown/forgotten/closed query *)
+     | Some ctx ->
+       (match payload with
+        | Message.Items items ->
+          List.iter
+            (fun oid ->
+              if not (Hf_data.Oid.Set.mem oid ctx.final_set) then begin
+                ctx.final_set <- Hf_data.Oid.Set.add oid ctx.final_set;
+                ctx.final_results <- oid :: ctx.final_results
+              end)
+            items
+        | Message.Count _ -> ());
+       merge_bindings ctx.final_bindings bindings;
+       credit_recovered t query ctx (Credit.of_atoms credit));
+    []
+  | Message.Credit_return { query; credit } ->
+    (match Hashtbl.find_opt t.contexts query with
+     | None -> ()
+     | Some ctx -> credit_recovered t query ctx (Credit.of_atoms credit));
+    []
+  | Message.Link_ack -> [] (* transport-level: the ack value rode in the envelope *)
+  | Message.Site_unreachable { query; dead } ->
+    (match Hashtbl.find_opt t.contexts query with
+     | None -> ()
+     | Some ctx -> note_unreachable ctx dead);
+    []
+  | Message.Cache_validate { query; src = peer } ->
+    (* Report our store version; piggyback the Bloom summary unless
+       this peer was already told this version's. *)
+    let version = Hf_data.Store.version t.store in
+    let summary =
+      match t.cache_config with
+      | None -> None (* not participating: version-only reply *)
+      | Some cfg ->
+        let bloom =
+          match t.summary_memo with
+          | Some (v, bloom) when v = version -> bloom
+          | Some _ | None ->
+            let bloom = Hf_index.Remote_cache.summary_of_store cfg t.store in
+            t.summary_memo <- Some (version, bloom);
+            t.summary_epoch <- t.summary_epoch + 1;
+            bloom
         in
-        send t ~dst:peer
-          (Message.Cache_version
-             { query; site = t.id; version; epoch = t.summary_epoch; summary });
-        []
-      | Message.Cache_version { query; site = peer; version; epoch; summary } ->
-        (* An epoch regression means the peer restarted: its old
-           lineage's summary (and Bloofi leaf) must go wholesale —
-           keeping either could wrongly prune against the new store.
-           Cached per-object verdicts are keyed by store version only,
-           and the new lineage's version can collide with the old
-           one's, so they go too. *)
-        (match Hashtbl.find_opt t.peer_epochs peer with
-         | Some e when epoch < e ->
-           Hashtbl.remove t.summaries peer;
-           Option.iter (fun tree -> Hf_index.Bloofi.remove tree ~site:peer) t.bloofi;
-           Option.iter
-             (fun cache -> Hf_index.Remote_cache.drop_dst cache ~dst:peer)
-             t.cache
-         | Some _ | None -> ());
-        Hashtbl.replace t.peer_epochs peer epoch;
-        (match summary with
-         | Some raw -> (
-             match Hf_index.Bloom.of_string raw with
-             | Some bloom ->
-               Hashtbl.replace t.summaries peer (version, bloom);
-               Option.iter
-                 (fun tree -> Hf_index.Bloofi.insert tree ~site:peer bloom)
-                 t.bloofi
-             | None -> () (* malformed summary: no pruning, still correct *))
-         | None -> (
-             (* No summary aboard means "you already have it"; if ours
-                is for another version, drop it — a stale summary must
-                never prune at the new version. *)
-             match Hashtbl.find_opt t.summaries peer with
-             | Some (v, _) when v <> version ->
-               Hashtbl.remove t.summaries peer;
-               Option.iter (fun tree -> Hf_index.Bloofi.remove tree ~site:peer) t.bloofi
-             | Some _ | None -> ()));
-        (match Hashtbl.find_opt t.contexts query with
-         | None -> ()
-         | Some ctx ->
-           Hashtbl.replace ctx.validated peer version;
-           release_parked t query ctx ~dst:peer (Some version));
-        []
-      | Message.Cache_answers { query; src = peer; version; answers } ->
-        (* Opportunistic fill at the originator: install the remote's
-           verdicts, keyed by the answering site. *)
-        (match (t.cache, Hashtbl.find_opt t.contexts query) with
-         | Some cache, Some ctx ->
-           t.cache_fills <- t.cache_fills + List.length answers;
-           List.iter
-             (fun ({ oid; start; iters; passed } : Message.cache_answer) ->
-               let key =
-                 Hf_index.Remote_cache.entry_key ~dst:peer ~plan:ctx.plan ~start ~iters
-                   ~oid
-               in
-               Hf_index.Remote_cache.put cache ~now:(Unix.gettimeofday ()) ~key ~version
-                 ~passed)
-             answers
-         | (Some _ | None), _ -> ());
-        []
-      | Message.Query_done { query; _ } ->
-        (* The originator closed the query (terminated or cancelled):
-           drop our share of its state.  A context whose origin is this
-           site is never evicted here — only the local handle closes
-           those. *)
-        (match Hashtbl.find_opt t.contexts query with
-         | Some ctx when ctx.origin <> t.id -> evict_context t query ctx
-         | Some _ -> ()
-         | None -> mark_closed t query);
-        []
-      | Message.Stats_pull { src = peer; token } ->
-        after :=
-          ((fun () -> report_stats t ~dst:peer ~token)
-           [@hf.allow
-             "blocking-under-lock -- deferred thunk: handle_message runs \
-              the [after] actions only once the lock is released, so the \
-              re-acquisition inside report_stats never nests"])
-          :: !after;
-        []
-      | Message.Stats_report { src = peer; token; stats } ->
-        Hashtbl.replace t.peer_stats peer (snapshot_of_stats stats);
-        (* tokens only ratchet up: a periodic push (token 0) arriving
-           between a fresh report and its waiter's check must not make
-           the pull look unanswered again *)
-        let prev = Option.value ~default:0 (Hashtbl.find_opt t.peer_stats_token peer) in
-        if token > prev then Hashtbl.replace t.peer_stats_token peer token;
-        Condition.broadcast t.stats_cond;
-        []
-      | Message.Scatter { query; body; roots; credit } ->
-        if Hashtbl.mem t.closed query then []
+        if
+          match Hashtbl.find_opt t.summary_told peer with
+          | Some v -> v = version
+          | None -> false
+        then None
         else begin
-          let ctx =
-            match Hashtbl.find_opt t.contexts query with
-            | Some ctx -> ctx
-            | None -> new_context t ~cause:span ~query ~origin:query.Message.originator body
-          in
-          let gave = Credit.of_atoms credit in
-          (* Evaluate the whole speculation domain here and now — pure
-             CPU under the lock, like a drain slice's evaluation — and
-             answer with one gather.  The scatter's credit share rides
-             straight back on it; classic work concurrently in flight
-             for this query (a fallback chain re-entering this site)
-             keeps its own credit and drains through the normal tail. *)
+          Hashtbl.replace t.summary_told peer version;
+          Some (Hf_index.Bloom.to_string bloom)
+        end
+    in
+    send t ~dst:peer
+      (Message.Cache_version
+         { query; site = t.id; version; epoch = t.summary_epoch; summary });
+    []
+  | Message.Cache_version { query; site = peer; version; epoch; summary } ->
+    (* An epoch regression means the peer restarted: its old
+       lineage's summary (and Bloofi leaf) must go wholesale —
+       keeping either could wrongly prune against the new store.
+       Cached per-object verdicts are keyed by store version only,
+       and the new lineage's version can collide with the old
+       one's, so they go too. *)
+    (match Hashtbl.find_opt t.peer_epochs peer with
+     | Some e when epoch < e ->
+       Hashtbl.remove t.summaries peer;
+       Option.iter (fun tree -> Hf_index.Bloofi.remove tree ~site:peer) t.bloofi;
+       Option.iter
+         (fun cache -> Hf_index.Remote_cache.drop_dst cache ~dst:peer)
+         t.cache
+     | Some _ | None -> ());
+    Hashtbl.replace t.peer_epochs peer epoch;
+    (match summary with
+     | Some raw -> (
+         match Hf_index.Bloom.of_string raw with
+         | Some bloom ->
+           Hashtbl.replace t.summaries peer (version, bloom);
+           Option.iter
+             (fun tree -> Hf_index.Bloofi.insert tree ~site:peer bloom)
+             t.bloofi
+         | None -> () (* malformed summary: no pruning, still correct *))
+     | None -> (
+         (* No summary aboard means "you already have it"; if ours
+            is for another version, drop it — a stale summary must
+            never prune at the new version. *)
+         match Hashtbl.find_opt t.summaries peer with
+         | Some (v, _) when v <> version ->
+           Hashtbl.remove t.summaries peer;
+           Option.iter (fun tree -> Hf_index.Bloofi.remove tree ~site:peer) t.bloofi
+         | Some _ | None -> ()));
+    (match Hashtbl.find_opt t.contexts query with
+     | None -> ()
+     | Some ctx ->
+       Hashtbl.replace ctx.validated peer version;
+       release_parked t query ctx ~dst:peer (Some version));
+    []
+  | Message.Cache_answers { query; src = peer; version; answers } ->
+    (* Opportunistic fill at the originator: install the remote's
+       verdicts, keyed by the answering site. *)
+    (match (t.cache, Hashtbl.find_opt t.contexts query) with
+     | Some cache, Some ctx ->
+       t.cache_fills <- t.cache_fills + List.length answers;
+       List.iter
+         (fun ({ oid; start; iters; passed } : Message.cache_answer) ->
+           let key =
+             Hf_index.Remote_cache.entry_key ~dst:peer ~plan:ctx.plan ~start ~iters
+               ~oid
+           in
+           Hf_index.Remote_cache.put cache ~now:(Unix.gettimeofday ()) ~key ~version
+             ~passed)
+         answers
+     | (Some _ | None), _ -> ());
+    []
+  | Message.Query_done { query; _ } ->
+    (* The originator closed the query (terminated or cancelled):
+       drop our share of its state.  A context whose origin is this
+       site is never evicted here — only the local handle closes
+       those. *)
+    (match Hashtbl.find_opt t.contexts query with
+     | Some ctx when ctx.origin <> t.id -> evict_context t query ctx
+     | Some _ -> ()
+     | None -> mark_closed t query);
+    []
+  | Message.Stats_pull { src = peer; token } ->
+    (* answered by [handle_read] once the lock is released: snapshotting
+       the registry re-takes it *)
+    pulls := (peer, token) :: !pulls;
+    []
+  | Message.Stats_report { src = peer; token; stats } ->
+    Hashtbl.replace t.peer_stats peer (snapshot_of_stats stats);
+    (* tokens only ratchet up: a periodic push (token 0) arriving
+       between a fresh report and its waiter's check must not make
+       the pull look unanswered again *)
+    let prev = Option.value ~default:0 (Hashtbl.find_opt t.peer_stats_token peer) in
+    if token > prev then Hashtbl.replace t.peer_stats_token peer token;
+    Condition.broadcast t.stats_cond;
+    []
+  | Message.Scatter { query; body; roots; credit } ->
+    if Hashtbl.mem t.closed query then []
+    else begin
+      let ctx =
+        match Hashtbl.find_opt t.contexts query with
+        | Some ctx -> ctx
+        | None -> new_context t ~cause:span ~query ~origin:query.Message.originator body
+      in
+      let gave = Credit.of_atoms credit in
+      (* Evaluate the whole speculation domain here and now — pure
+         CPU under the lock, like a drain slice's evaluation — and
+         answer with one gather.  The scatter's credit share rides
+         straight back on it; classic work concurrently in flight
+         for this query (a fallback chain re-entering this site)
+         keeps its own credit and drains through the normal tail. *)
+      let engine_nodes =
+        Hf_engine.Scatter.eval_site ~plan:ctx.plan
+          ~find:(Hf_data.Store.find t.store)
+          ~oids:(Hf_data.Store.oids t.store) ~roots ~stats:ctx.stats
+      in
+      let nodes =
+        List.map
+          (fun (n : Hf_engine.Scatter.node) ->
+            {
+              Message.oid = n.oid;
+              start = n.start;
+              passed = n.passed;
+              visited = n.visited;
+              spawns = n.spawns;
+              bindings = n.bindings;
+            })
+          engine_nodes
+      in
+      let gspan =
+        Hf_obs.Tracer.start t.tracer ~parent:ctx.span
+          ~query:(Fmt.str "%a" Message.pp_query_id query)
+          ~site:t.id ~phase:Hf_obs.Span.Scatter
+          (Fmt.str "gather->%d" ctx.origin)
+      in
+      Hf_obs.Tracer.set_detail t.tracer gspan
+        (Fmt.str "%d node(s)" (List.length nodes));
+      send t ~span:gspan ~dst:ctx.origin
+        (Message.Gather_result
+           { query; src = t.id; nodes; credit = Credit.atoms gave });
+      []
+    end
+  | Message.Gather_result { query; src = peer; nodes; credit } ->
+    (match Hashtbl.find_opt t.contexts query with
+     | None -> () (* closed/cancelled: dead credit, like a late Result *)
+     | Some ctx ->
+       t.gather_messages <- t.gather_messages + 1;
+       t.gather_nodes <- t.gather_nodes + List.length nodes;
+       (match ctx.scatter with
+        | None -> ()
+        | Some st ->
           let engine_nodes =
-            Hf_engine.Scatter.eval_site ~plan:ctx.plan
-              ~find:(Hf_data.Store.find t.store)
-              ~oids:(Hf_data.Store.oids t.store) ~roots ~stats:ctx.stats
-          in
-          let nodes =
             List.map
-              (fun (n : Hf_engine.Scatter.node) ->
+              (fun (n : Message.gather_node) ->
                 {
-                  Message.oid = n.oid;
+                  Hf_engine.Scatter.oid = n.oid;
                   start = n.start;
                   passed = n.passed;
                   visited = n.visited;
                   spawns = n.spawns;
                   bindings = n.bindings;
                 })
-              engine_nodes
+              nodes
           in
-          let gspan =
-            Hf_obs.Tracer.start t.tracer ~parent:ctx.span
-              ~query:(Fmt.str "%a" Message.pp_query_id query)
-              ~site:t.id ~phase:Hf_obs.Span.Scatter
-              (Fmt.str "gather->%d" ctx.origin)
+          let outcome =
+            Hf_engine.Scatter.Stitch.add_gather st ~site:peer engine_nodes
           in
-          Hf_obs.Tracer.set_detail t.tracer gspan
-            (Fmt.str "%d node(s)" (List.length nodes));
-          send t ~span:gspan ~dst:ctx.origin
-            (Message.Gather_result
-               { query; src = t.id; nodes; credit = Credit.atoms gave });
-          []
-        end
-      | Message.Gather_result { query; src = peer; nodes; credit } ->
-        (match Hashtbl.find_opt t.contexts query with
-         | None -> () (* closed/cancelled: dead credit, like a late Result *)
-         | Some ctx ->
-           t.gather_messages <- t.gather_messages + 1;
-           t.gather_nodes <- t.gather_nodes + List.length nodes;
-           (match ctx.scatter with
-            | None -> ()
-            | Some st ->
-              let engine_nodes =
-                List.map
-                  (fun (n : Message.gather_node) ->
-                    {
-                      Hf_engine.Scatter.oid = n.oid;
-                      start = n.start;
-                      passed = n.passed;
-                      visited = n.visited;
-                      spawns = n.spawns;
-                      bindings = n.bindings;
-                    })
-                  nodes
-              in
-              let outcome =
-                Hf_engine.Scatter.Stitch.add_gather st ~site:peer engine_nodes
-              in
-              (* fallback credit splits happen inside, BEFORE the
-                 gather's credit is deposited below *)
-              apply_scatter_outcome t query ctx outcome);
-           credit_recovered t query ctx (Credit.of_atoms credit);
-           (match Hashtbl.find_opt t.contexts query with
-            | None -> () (* the deposit terminated and evicted the query *)
-            | Some ctx -> finish_drain t query ctx));
-        [])
+          (* fallback credit splits happen inside, BEFORE the
+             gather's credit is deposited below *)
+          apply_scatter_outcome t query ctx outcome);
+       credit_recovered t query ctx (Credit.of_atoms credit);
+       (match Hashtbl.find_opt t.contexts query with
+        | None -> () (* the deposit terminated and evicted the query *)
+        | Some ctx -> finish_drain t query ctx));
+    []
+[@@hf.requires_lock "locked"]
+
+(* Everything decoded from one read is handled under one site-lock
+   hold, and each query context the batch touched then drains once, so
+   its credit and results go home in one [Credit_return]/[Result]
+   rather than one per frame.  Sound under the paper's §4: a site may
+   return all the credit it holds in one message, which is what a
+   [Work_batch] of the same items already does. *)
+let handle_read t messages =
+  let pulls = ref [] in
+  let touched =
+    locked t (fun () ->
+        List.fold_left
+          (fun touched (message, span, rel) ->
+            List.fold_left
+              (fun touched ((_, ctx) as entry) ->
+                if List.exists (fun (_, seen) -> seen == ctx) touched then touched
+                else entry :: touched)
+              touched
+              (handle_message t ~pulls ~span ?rel message))
+          [] messages)
   in
-  List.iter (fun act -> act ()) !after;
-  List.iter (fun (query, ctx) -> process_to_drain t query ctx) to_drain
+  List.iter (fun (dst, token) -> report_stats t ~dst ~token) (List.rev !pulls);
+  List.iter (fun (query, ctx) -> process_to_drain t query ctx) (List.rev touched)
 
 (* Fire every due link deadline: standalone acks whose piggyback window
    expired, retransmissions, and retry-cap give-ups.  Driven by the
@@ -1681,18 +1880,21 @@ let poke_links t =
 let reader_loop t fd () =
   let decoder = Hf_proto.Frame.Decoder.create () in
   let chunk = Bytes.create 8192 in
+  let decode payload =
+    match Hf_proto.Codec.decode_enveloped payload with
+    | Ok decoded -> Some decoded
+    | Error err ->
+      Log.warn (fun m -> m "site %d: undecodable message dropped: %s" t.id err);
+      None
+  in
   let rec loop () =
     match Unix.read fd chunk 0 (Bytes.length chunk) with
     | 0 -> ()
     | n ->
-      Hf_proto.Frame.Decoder.feed decoder (Bytes.sub_string chunk 0 n);
-      List.iter
-        (fun payload ->
-          match Hf_proto.Codec.decode_enveloped payload with
-          | Ok (message, span, rel) -> handle_message t ~span ?rel message
-          | Error err ->
-            Log.warn (fun m -> m "site %d: undecodable message dropped: %s" t.id err))
-        (Hf_proto.Frame.Decoder.drain decoder);
+      Hf_proto.Frame.Decoder.feed_bytes decoder chunk 0 n;
+      (match List.filter_map decode (Hf_proto.Frame.Decoder.drain decoder) with
+       | [] -> ()
+       | messages -> handle_read t messages);
       loop ()
     | exception Unix.Unix_error _ -> ()
   in
@@ -1704,7 +1906,7 @@ let accept_loop t () =
     match Unix.accept t.listener with
     | fd, _ ->
       Unix.setsockopt fd TCP_NODELAY true;
-      locked t (fun () -> t.threads <- Thread.create (reader_loop t fd) () :: t.threads);
+      ignore (Thread.create (reader_loop t fd) ());
       loop ()
     | exception Unix.Unix_error _ -> () (* listener closed: shutting down *)
   in
@@ -1745,6 +1947,7 @@ let create ~site ?(batch = Hf_proto.Batch.unbatched) ?reliability ?cache
       address;
       peers = [||];
       conns = Hashtbl.create 8;
+      dirty = [];
       lock = Mutex.create ();
       done_cond = Condition.create ();
       contexts = Hashtbl.create 8;
@@ -1755,7 +1958,7 @@ let create ~site ?(batch = Hf_proto.Batch.unbatched) ?reliability ?cache
       closed_order = Queue.create ();
       running = true;
       ticker = None;
-      threads = [];
+      acceptors = [];
       dead_writers = [];
       join_errors = Atomic.make 0;
       tracer;
@@ -1865,7 +2068,8 @@ let create ~site ?(batch = Hf_proto.Batch.unbatched) ?reliability ?cache
   Hf_obs.Registry.register_counter registry "hf.net.contexts_live" (fun () ->
       locked t (fun () -> Hashtbl.length t.contexts));
   (* Live gauges over previously-dark state (DESIGN.md §4i): the
-     reliable links' unacked window and owed acks, the admission gate's
+     reliable links' unacked window and owed acks, the bytes queued for
+     peers whose sockets have not taken them yet, the admission gate's
      fairness picture, and the answer cache's occupancy.  All of it is
      owned by the site lock, so every read goes through [locked]. *)
   Hf_obs.Registry.register_gauge registry "hf.net.link_in_flight" (fun () ->
@@ -1880,6 +2084,9 @@ let create ~site ?(batch = Hf_proto.Batch.unbatched) ?reliability ?cache
             (Hashtbl.fold
                (fun _ link acc -> if Hf_proto.Reliable.ack_owed link then acc + 1 else acc)
                t.links 0)));
+  Hf_obs.Registry.register_gauge registry "hf.net.out_queued_bytes" (fun () ->
+      locked t (fun () ->
+          float_of_int (Hashtbl.fold (fun _ conn acc -> acc + conn_backlog conn) t.conns 0)));
   Hf_obs.Registry.register_gauge registry "hf.net.sched_tenants" (fun () ->
       locked t (fun () -> float_of_int (Sched.waiting_tenants t.gate)));
   Hf_obs.Registry.register_gauge registry "hf.net.cache_entries" (fun () ->
@@ -1888,13 +2095,11 @@ let create ~site ?(batch = Hf_proto.Batch.unbatched) ?reliability ?cache
           | None -> 0.0
           | Some cache -> float_of_int (Hf_index.Remote_cache.length cache)));
   Hf_obs.Tracer.register tracer registry ~prefix:"hf.net";
-  (* Cons, not assign: the accept loop may already have registered a
-     reader thread by the time this runs. *)
-  locked t (fun () -> t.threads <- Thread.create (accept_loop t) () :: t.threads);
+  t.acceptors <- [ Thread.create (accept_loop t) () ];
   (* Reliability ticker: drives the retransmit / delayed-ack / give-up
-     deadlines of every peer link.  Kept out of the anonymous [threads]
-     list so [shutdown] can join it FIRST — it transmits on the
-     outbound connections, which must not be torn down under it. *)
+     deadlines of every peer link.  Kept apart from [acceptors] so
+     [shutdown] can join it FIRST — it transmits on the outbound
+     connections, which must not be torn down under it. *)
   (match reliability with
    | None -> ()
    | Some cfg ->
@@ -1964,7 +2169,7 @@ let create ~site ?(batch = Hf_proto.Batch.unbatched) ?reliability ?cache
        in
        loop ()
      in
-     locked t (fun () -> t.threads <- Thread.create monitor_loop () :: t.threads));
+     t.acceptors <- Thread.create monitor_loop () :: t.acceptors);
   t
 
 let address t = t.address
@@ -2005,10 +2210,10 @@ let shutdown t =
        (satellite S2): it periodically takes the site lock and
        transmits on the outbound connections, so closing them first
        races a retransmit against the writer join — the poke either
-       lands on a closing queue (frame silently dropped after the
-       writer exited) or reopens a connection to a peer that is itself
-       mid-shutdown.  [running] is already false, so the join returns
-       within one ticker period. *)
+       lands on a retired connection (frame silently dropped) or
+       reopens a connection to a peer that is itself mid-shutdown.
+       [running] is already false, so the join returns within one
+       ticker period. *)
     (match t.ticker with
      | Some thread ->
        (try Thread.join thread with _ -> Atomic.incr t.join_errors);
@@ -2035,6 +2240,10 @@ let shutdown t =
        blocked accept with EINVAL and refuses subsequent connects. *)
     (try Unix.shutdown t.listener SHUTDOWN_ALL with Unix.Unix_error _ -> ());
     (try Unix.close t.listener with Unix.Unix_error _ -> ());
+    List.iter
+      (fun thread -> try Thread.join thread with _ -> Atomic.incr t.join_errors)
+      t.acceptors;
+    t.acceptors <- [];
     (* Snapshot under the lock, tear down outside it: [conn_close]
        joins each writer thread, and a join under the site lock would
        block every thread still draining (hfcheck R7).  Nothing new
@@ -2156,15 +2365,14 @@ let submit_query (t : t) program initial =
              ~query:(Fmt.str "%a" Message.pp_query_id query)
              ~site:t.id ~phase:Hf_obs.Span.Wait ~start:(trace_now -. wait)
              ~finish:trace_now "admission-wait");
-        let drainer =
-          match scatter_sites with
-          | Some sites ->
-            ctx.ran_mode <- Hf_query.Plan.Scatter;
-            Thread.create (fun () -> scatter_seed t query ctx ~sites initial) ()
-          | None ->
-            Thread.create (fun () -> process_to_drain ~seeds:initial t query ctx) ()
-        in
-        t.threads <- drainer :: t.threads
+        (* the drainer is not kept: it ends when the query's working
+           set is drained, and holding its handle would retain memory
+           per query for the site's lifetime *)
+        match scatter_sites with
+        | Some sites ->
+          ctx.ran_mode <- Hf_query.Plan.Scatter;
+          ignore (Thread.create (fun () -> scatter_seed t query ctx ~sites initial) ())
+        | None -> ignore (Thread.create (fun () -> process_to_drain ~seeds:initial t query ctx) ())
       in
       (match Sched.admit t.gate ~tenant:t.id { p_query = query; p_seed = seed } with
        | Sched.Run -> seed ()

@@ -265,4 +265,6 @@ val profile : t -> handle -> outcome -> Hf_obs.Profile.t
 val shutdown : t -> unit
 (** Quiesce the reliability and stats tickers, then close the
     monitoring listener, the protocol listener and all connections;
-    idempotent. *)
+    idempotent.  Frames still queued for a peer that has stopped
+    reading are dropped rather than waited for, so shutdown does not
+    hang on a stalled socket. *)

@@ -18,16 +18,39 @@ let frame payload =
   Bytes.to_string header ^ payload
 
 module Decoder = struct
-  type t = { mutable pending : string }
+  (* Bytes [start, stop) of [buf] are buffered.  A frame is cut from the
+     front by advancing [start], so draining k frames from one chunk
+     copies each payload once instead of re-copying the remainder k
+     times; live bytes move to the front only when a feed does not fit
+     behind them. *)
+  type t = { mutable buf : Bytes.t; mutable start : int; mutable stop : int }
 
-  let create () = { pending = "" }
+  let initial_size = 4096
 
-  let feed t chunk = t.pending <- t.pending ^ chunk
+  let create () = { buf = Bytes.create initial_size; start = 0; stop = 0 }
+
+  let feed_bytes t chunk off len =
+    if t.stop + len > Bytes.length t.buf then begin
+      let live = t.stop - t.start in
+      let size = ref (Bytes.length t.buf) in
+      while live + len > !size do
+        size := 2 * !size
+      done;
+      let buf = if !size > Bytes.length t.buf then Bytes.create !size else t.buf in
+      Bytes.blit t.buf t.start buf 0 live;
+      t.buf <- buf;
+      t.start <- 0;
+      t.stop <- live
+    end;
+    Bytes.blit chunk off t.buf t.stop len;
+    t.stop <- t.stop + len
+
+  let feed t chunk = feed_bytes t (Bytes.unsafe_of_string chunk) 0 (String.length chunk)
 
   let header_length t =
-    if String.length t.pending < 4 then None
+    if t.stop - t.start < 4 then None
     else begin
-      let byte i = Char.code t.pending.[i] in
+      let byte i = Bytes.get_uint8 t.buf (t.start + i) in
       let len = (byte 0 lsl 24) lor (byte 1 lsl 16) lor (byte 2 lsl 8) lor byte 3 in
       if len > max_frame_size then raise (Frame_error "incoming frame too large");
       Some len
@@ -37,10 +60,16 @@ module Decoder = struct
     match header_length t with
     | None -> None
     | Some len ->
-      if String.length t.pending < 4 + len then None
+      if t.stop - t.start < 4 + len then None
       else begin
-        let payload = String.sub t.pending 4 len in
-        t.pending <- String.sub t.pending (4 + len) (String.length t.pending - 4 - len);
+        let payload = Bytes.sub_string t.buf (t.start + 4) len in
+        t.start <- t.start + 4 + len;
+        if t.start = t.stop then begin
+          (* empty: rewind, and drop a buffer a large frame grew *)
+          t.start <- 0;
+          t.stop <- 0;
+          if Bytes.length t.buf > 16 * initial_size then t.buf <- Bytes.create initial_size
+        end;
         Some payload
       end
 
@@ -49,5 +78,5 @@ module Decoder = struct
     | None -> []
     | Some payload -> payload :: drain t
 
-  let buffered_bytes t = String.length t.pending
+  let buffered_bytes t = t.stop - t.start
 end

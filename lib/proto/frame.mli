@@ -17,6 +17,9 @@ module Decoder : sig
 
   val feed : t -> string -> unit
 
+  val feed_bytes : t -> Bytes.t -> int -> int -> unit
+  (** [feed_bytes t buf off len] feeds that slice of [buf] (copied in). *)
+
   val next : t -> string option
   (** Next complete frame payload, if buffered. Raises [Frame_error] on
       an oversized header. *)

@@ -204,9 +204,11 @@ let test_batched_matches_local_engine () =
         (Oid.Set.equal outcome.Tcp.result_set local.Hf_engine.Local.result_set))
 
 (* Random end-to-end property: arbitrary placements, graphs and
-   queries over real sockets must match the local engine. *)
-let prop_tcp_matches_local =
-  QCheck2.Test.make ~name:"TCP = local engine on random datasets" ~count:15 QCheck2.Gen.int
+   queries over real sockets must match the local engine.  With
+   reliability on, a read's merged credit returns ride alongside acks,
+   retransmissions and the duplicates they cause. *)
+let prop_tcp_matches_local ?reliability name =
+  QCheck2.Test.make ~name ~count:15 QCheck2.Gen.int
     (fun seed ->
       let prng = Hf_util.Prng.create seed in
       let n_sites = 2 + Hf_util.Prng.next_int prng 2 in
@@ -229,7 +231,7 @@ let prop_tcp_matches_local =
         else parse_program "[ (Pointer, \"R\", ?X) ^^X ]^3 (Keyword, \"hot\", ?)"
       in
       let start = Hf_util.Prng.next_int prng n in
-      with_sites n_sites (fun sites ->
+      with_sites ?reliability n_sites (fun sites ->
           let oids =
             Array.init n (fun i -> Store.fresh_oid (Tcp.store sites.(placement.(i))))
           in
@@ -246,6 +248,309 @@ let prop_tcp_matches_local =
           let local = Hf_engine.Local.run_store ~store program [ oids.(start) ] in
           outcome.Tcp.terminated
           && Oid.Set.equal outcome.Tcp.result_set local.Hf_engine.Local.result_set))
+
+(* --- the frame path: batched writes and reads --- *)
+
+module Codec = Hf_proto.Codec
+module Frame = Hf_proto.Frame
+module Message = Hf_proto.Message
+module Credit = Hf_termination.Credit
+
+(* A loopback listener standing in for a site the test drives by hand.
+   [rcvbuf] shrinks the receive buffer its accepted sockets inherit, so
+   a peer that stops reading fills up after a few kilobytes. *)
+let fake_site ?rcvbuf () =
+  let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.setsockopt sock Unix.SO_REUSEADDR true;
+  Option.iter (Unix.setsockopt_int sock Unix.SO_RCVBUF) rcvbuf;
+  Unix.bind sock (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+  Unix.listen sock 4;
+  sock
+
+let accept_within ?(seconds = 5.0) listener =
+  match Unix.select [ listener ] [] [] seconds with
+  | [], _, _ -> Alcotest.fail "the site never connected"
+  | _ -> fst (Unix.accept listener)
+
+(* Every frame that arrives on [fd] until it has been quiet for
+   [quiet] seconds, decoded. *)
+let read_messages ?(quiet = 0.3) fd =
+  let decoder = Frame.Decoder.create () in
+  let chunk = Bytes.create 65536 in
+  let rec go () =
+    match Unix.select [ fd ] [] [] quiet with
+    | [], _, _ -> ()
+    | _ ->
+      let n = Unix.read fd chunk 0 (Bytes.length chunk) in
+      if n > 0 then begin
+        Frame.Decoder.feed_bytes decoder chunk 0 n;
+        go ()
+      end
+  in
+  go ();
+  List.map Codec.decode_exn (Frame.Decoder.drain decoder)
+
+(* [f ()] must return within [seconds]: a call that blocks on a stuck
+   socket fails the test instead of hanging it. *)
+let within ~seconds what f =
+  let result = ref None in
+  let (_ : Thread.t) = Thread.create (fun () -> result := Some (f ())) () in
+  let deadline = Unix.gettimeofday () +. seconds in
+  let rec wait () =
+    match !result with
+    | Some r -> r
+    | None ->
+      if Unix.gettimeofday () > deadline then
+        Alcotest.failf "%s did not return within %.0f s" what seconds;
+      Thread.delay 0.01;
+      wait ()
+  in
+  wait ()
+
+(* k Deref_requests for one query, written to a site in a single
+   write(2), are handled in one read: the site drains the query's
+   context once and sends its originator exactly one Credit_return
+   carrying the sum of the k shares. *)
+let test_one_credit_return_per_read () =
+  let origin = fake_site () in
+  let site = Tcp.create ~site:1 () in
+  Fun.protect
+    ~finally:(fun () ->
+      Tcp.shutdown site;
+      Unix.close origin)
+    (fun () ->
+      Tcp.set_peers site [| Unix.getsockname origin; Tcp.address site |];
+      let k = 5 in
+      let store = Tcp.store site in
+      let oids =
+        List.init k (fun _ ->
+            let oid = Store.fresh_oid store in
+            Store.insert store (Hf_data.Hobject.of_tuples oid [ Tuple.keyword "cold" ]);
+            oid)
+      in
+      (* no object passes, so credit goes home alone, not on a Result *)
+      let program = parse_program "(Keyword, \"hot\", ?)" in
+      let plan = Hf_engine.Plan.make program in
+      let rec split credit n =
+        if n = 0 then []
+        else
+          let keep, gave = Credit.split credit in
+          gave :: split keep (n - 1)
+      in
+      let shares = split Credit.one k in
+      let query = { Message.originator = 0; serial = 7 } in
+      let frames =
+        List.map2
+          (fun oid credit ->
+            let wi = Hf_engine.Work_item.initial plan oid in
+            Frame.frame
+              (Codec.encode
+                 (Message.Deref_request
+                    {
+                      query;
+                      body = program;
+                      oid;
+                      start = Hf_engine.Work_item.start wi;
+                      iters = Hf_engine.Work_item.iters wi;
+                      credit = Credit.atoms credit;
+                    })))
+          oids shares
+      in
+      let sender = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+      Fun.protect
+        ~finally:(fun () -> Unix.close sender)
+        (fun () ->
+          Unix.connect sender (Tcp.address site);
+          let bytes = String.concat "" frames in
+          check_int "one write" (String.length bytes)
+            (Unix.write_substring sender bytes 0 (String.length bytes));
+          let back = accept_within origin in
+          Fun.protect
+            ~finally:(fun () -> Unix.close back)
+            (fun () ->
+              match read_messages back with
+              | [ Message.Credit_return { query = q; credit } ] ->
+                check_bool "for the query" true (Message.equal_query_id q query);
+                check_bool "carries the sum of the shares" true
+                  (Credit.equal (Credit.of_atoms credit)
+                     (List.fold_left Credit.add Credit.zero shares))
+              | messages ->
+                Alcotest.failf "expected one Credit_return, got %d message(s): %a"
+                  (List.length messages)
+                  Fmt.(list ~sep:comma Message.pp)
+                  messages)))
+
+(* Bytes site [site] has queued for peers whose sockets have not taken
+   them yet. *)
+let queued_bytes site =
+  match Hf_obs.Registry.find (Tcp.registry site) "hf.net.out_queued_bytes" with
+  | Some (Hf_obs.Registry.Gauge read) -> int_of_float (read ())
+  | Some _ | None -> Alcotest.fail "hf.net.out_queued_bytes gauge missing"
+
+let eventually ?(seconds = 10.0) what pred =
+  let deadline = Unix.gettimeofday () +. seconds in
+  let rec go () =
+    if not (pred ()) then begin
+      if Unix.gettimeofday () > deadline then Alcotest.failf "timed out waiting: %s" what;
+      Thread.delay 0.01;
+      go ()
+    end
+  in
+  go ()
+
+(* The keyword the stall tests select on.  Every work frame carries the
+   query body, so at 128 KiB a few dozen frames overrun any socket
+   buffer, while the oracle still runs the same program. *)
+let big_keyword = String.make 131_072 'k'
+
+(* [fan] leaves in [leaf_store], every other one carrying [keyword],
+   and a root in [root_store] pointing at each; returns the root. *)
+let load_fan ~root_store ~leaf_store ~keyword fan =
+  let leaves =
+    List.init fan (fun i ->
+        let oid = Store.fresh_oid leaf_store in
+        Store.insert leaf_store
+          (Hf_data.Hobject.of_tuples oid
+             (if i mod 2 = 0 then [ Tuple.keyword keyword ] else [ Tuple.number ~key:"id" i ]));
+        oid)
+  in
+  let root = Store.fresh_oid root_store in
+  Store.insert root_store
+    (Hf_data.Hobject.of_tuples root (List.map (fun leaf -> Tuple.pointer ~key:"R" leaf) leaves));
+  root
+
+let fan_program keyword =
+  parse_program (Printf.sprintf "(Pointer, \"R\", ?X) ^^X (Keyword, \"%s\", ?)" keyword)
+
+let oracle stores program initial =
+  let store = Store.create ~site:0 in
+  List.iter (fun s -> Store.iter s (Store.insert store)) stores;
+  (Hf_engine.Local.run_store ~store program initial).Hf_engine.Local.result_set
+
+(* Site 1 stops reading (a proxy in front of it holds its socket
+   unread).  Site 0's frames for it must queue in site 0's buffers
+   while site 0's lock stays free: registry reads and a query through
+   site 2 complete.  Once the proxy reads again, every frame reaches
+   site 1 in send order (reliable sequence numbers 1, 2, 3, ... with no
+   gap), and the stalled query returns the oracle's answer. *)
+let test_stalled_peer () =
+  let slow_acks =
+    (* no retransmission during the stall, so the sequence check is exact *)
+    {
+      Hf_proto.Reliable.ack_timeout = 30.0;
+      backoff = 2.0;
+      max_timeout = 60.0;
+      max_retries = 3;
+      ack_delay = 0.01;
+    }
+  in
+  let sites = Array.init 3 (fun site -> Tcp.create ~site ~reliability:slow_acks ()) in
+  let proxy = fake_site ~rcvbuf:4096 () in
+  let addresses = Array.map Tcp.address sites in
+  Tcp.set_peers sites.(0) [| addresses.(0); Unix.getsockname proxy; addresses.(2) |];
+  Tcp.set_peers sites.(1) addresses;
+  Tcp.set_peers sites.(2) addresses;
+  let release = Atomic.make false in
+  let seqs = ref [] in
+  let forwarder =
+    Thread.create
+      (fun () ->
+        match Unix.accept proxy with
+        | exception Unix.Unix_error _ -> () (* the test gave up first *)
+        | from_site0, _ ->
+          while not (Atomic.get release) do
+            Thread.delay 0.01
+          done;
+          let to_site1 = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+          Unix.connect to_site1 addresses.(1);
+          let decoder = Frame.Decoder.create () in
+          let chunk = Bytes.create 65536 in
+          let rec pipe () =
+            let n = Unix.read from_site0 chunk 0 (Bytes.length chunk) in
+            if n > 0 then begin
+              let (_ : int) = Unix.write to_site1 chunk 0 n in
+              Frame.Decoder.feed_bytes decoder chunk 0 n;
+              List.iter
+                (fun payload ->
+                  match Codec.decode_enveloped payload with
+                  | Ok (_, _, Some { Codec.seq; _ }) when seq > 0 -> seqs := seq :: !seqs
+                  | Ok _ -> ()
+                  | Error err -> failwith err)
+                (Frame.Decoder.drain decoder);
+              pipe ()
+            end
+          in
+          (try pipe () with Unix.Unix_error _ -> ());
+          Unix.close to_site1;
+          Unix.close from_site0)
+      ()
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Atomic.set release true;
+      Array.iter Tcp.shutdown sites;
+      (* wakes the forwarder if site 0 never connected *)
+      (try Unix.shutdown proxy Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ());
+      Thread.join forwarder;
+      Unix.close proxy)
+    (fun () ->
+      let program = fan_program big_keyword in
+      let stalled_root =
+        load_fan ~root_store:(Tcp.store sites.(0)) ~leaf_store:(Tcp.store sites.(1))
+          ~keyword:big_keyword 48
+      in
+      let free_root =
+        load_fan ~root_store:(Tcp.store sites.(0)) ~leaf_store:(Tcp.store sites.(2))
+          ~keyword:"hot" 6
+      in
+      let stores = Array.to_list (Array.map Tcp.store sites) in
+      let stalled = Tcp.submit_query sites.(0) program [ stalled_root ] in
+      eventually "site 0 queues frames for the stalled peer" (fun () ->
+          queued_bytes sites.(0) > 0);
+      let free =
+        within ~seconds:10.0 "a query through site 2" (fun () ->
+            Tcp.run_query ~timeout:10.0 sites.(0) (fan_program "hot") [ free_root ])
+      in
+      check_bool "the other query completes" true (free.Tcp.status = Tcp.Complete);
+      check_bool "with the oracle's answer" true
+        (Oid.Set.equal free.Tcp.result_set (oracle stores (fan_program "hot") [ free_root ]));
+      let still =
+        within ~seconds:10.0 "await on the stalled query" (fun () ->
+            Tcp.await ~timeout:0.1 sites.(0) stalled)
+      in
+      check_bool "the stalled query is still waiting" true (still.Tcp.status = Tcp.Timed_out);
+      check_bool "its frames are still queued" true
+        (within ~seconds:10.0 "a registry read" (fun () -> queued_bytes sites.(0)) > 0);
+      Atomic.set release true;
+      let outcome = Tcp.await ~timeout:30.0 sites.(0) stalled in
+      check_bool "the stalled query completes" true (outcome.Tcp.status = Tcp.Complete);
+      check_bool "with the oracle's answer" true
+        (Oid.Set.equal outcome.Tcp.result_set (oracle stores program [ stalled_root ]));
+      check_int "half the fan passes" 24 (Oid.Set.cardinal outcome.Tcp.result_set);
+      eventually "the backlog drains" (fun () -> queued_bytes sites.(0) = 0);
+      let seqs = List.rev !seqs in
+      check_bool "at least one frame per remote item" true (List.length seqs >= 48);
+      check_bool "frames arrived in send order, none missing" true
+        (seqs = List.init (List.length seqs) (fun i -> i + 1)))
+
+(* [shutdown] while a peer has stopped reading returns promptly: the
+   writer thread gives up on the stalled socket instead of blocking the
+   join. *)
+let test_shutdown_during_stall () =
+  let site = Tcp.create ~site:0 () in
+  let peer = fake_site ~rcvbuf:4096 () in
+  Tcp.set_peers site [| Tcp.address site; Unix.getsockname peer |];
+  let leaves = Store.create ~site:1 in
+  let root = load_fan ~root_store:(Tcp.store site) ~leaf_store:leaves ~keyword:big_keyword 48 in
+  let (_ : Tcp.handle) = Tcp.submit_query site (fan_program big_keyword) [ root ] in
+  let held = accept_within peer in
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.close held;
+      Unix.close peer)
+    (fun () ->
+      eventually "frames queue for the stalled peer" (fun () -> queued_bytes site > 0);
+      within ~seconds:5.0 "shutdown" (fun () -> Tcp.shutdown site))
 
 let test_many_queries_stress () =
   with_sites 3 (fun sites ->
@@ -431,7 +736,20 @@ let () =
           Alcotest.test_case "batched ring matches local engine" `Quick
             test_batched_matches_local_engine;
           Alcotest.test_case "repeated queries" `Quick test_many_queries_stress;
-          QCheck_alcotest.to_alcotest prop_tcp_matches_local;
+          QCheck_alcotest.to_alcotest
+            (prop_tcp_matches_local "TCP = local engine on random datasets");
+          QCheck_alcotest.to_alcotest
+            (prop_tcp_matches_local ~reliability:fast_reliability
+               "TCP = local engine on random datasets, reliability on");
+        ] );
+      ( "frame path",
+        [
+          Alcotest.test_case "one credit return per read" `Quick
+            test_one_credit_return_per_read;
+          Alcotest.test_case "stalled peer: frames queue, lock stays free" `Quick
+            test_stalled_peer;
+          Alcotest.test_case "shutdown during a stall does not hang" `Quick
+            test_shutdown_during_stall;
         ] );
       ( "observability",
         [
