@@ -3,10 +3,10 @@
    This is the paper's Section 3.2 protocol on actual sockets — the same
    wire messages ([Hf_proto.Message], binary codec, length framing) that
    the simulator accounts for, exchanged between OS processes or threads.
-   Every site runs the identical algorithm: per-query contexts, local
-   engine processing, query shipping on remote dereferences, results
-   flowing straight to the originator, weighted-message termination with
-   credit piggybacked on result messages.
+   Every site runs the identical algorithm ([Hf_server.Site], shared
+   with the simulator): per-query contexts, query shipping on remote
+   dereferences, results flowing straight to the originator,
+   weighted-message termination with credit piggybacked on results.
 
    Threading model (per site):
    - an accept thread takes incoming connections;
@@ -40,6 +40,7 @@
 module Message = Hf_proto.Message
 module Credit = Hf_termination.Credit
 module Sched = Hf_server.Sched
+module Site = Hf_server.Site
 
 let src = Logs.Src.create "hf.net" ~doc:"HyperFile TCP transport"
 
@@ -287,62 +288,30 @@ let conn_close ~join_errors conn =
 
 (* --- execution mode (doc/execution_modes.md) --- *)
 
-type exec_mode =
-  | Exec_ship (* classic query shipping only; no planner runs *)
-  | Exec_scatter (* scatter-gather whenever the program is eligible *)
-  | Exec_auto (* per-query cost-based choice ([Hf_query.Plan]) *)
+type exec_mode = Site.exec_mode = Exec_ship | Exec_scatter | Exec_auto
 
 (* --- per-query state --- *)
 
 (* Every mutable part of a context is owned by the site lock: handlers
    and [run_query] only touch contexts inside [locked]. *)
 type context = {
-  plan : Hf_engine.Plan.t;
-  origin : int;
-  span : int; (* this site's evaluation span for the query *)
-  marks : Hf_engine.Mark_table.t;
-  work : Hf_engine.Work_item.t Hf_util.Deque.t; [@hf.guarded_by "locked"]
-  stats : Hf_engine.Stats.t;
+  core : Hf_engine.Work_item.t Site.ctx; [@hf.guarded_by "locked"]
+      (* the shared per-query state.  [core.active] is the reentrancy
+         depth of [process_to_drain]: a give-up that fires mid-drain
+         must not run the credit-return tail under the outer drain's
+         feet.  [core.buffered] counts items in some live
+         [process_to_drain] batcher.  The credit-return tail waits for
+         both, and for parked items and open gathers, so it runs only
+         once every remote-bound item is on the wire (or served
+         locally). *)
   mutable held : Credit.t; [@hf.guarded_by "locked"]
       (* weighted-termination credit at this site *)
-  mutable result_buffer : Hf_data.Oid.t list; [@hf.guarded_by "locked"]
-  bindings : (string, Hf_data.Value.t list) Hashtbl.t; [@hf.guarded_by "locked"]
-  mutable local_result_set : Hf_data.Oid.Set.t; [@hf.guarded_by "locked"]
   (* origin-side only *)
   mutable recovered : Credit.t; [@hf.guarded_by "locked"]
-  mutable final_results : Hf_data.Oid.t list; [@hf.guarded_by "locked"] (* newest first *)
-  mutable final_set : Hf_data.Oid.Set.t; [@hf.guarded_by "locked"]
-  final_bindings : (string, Hf_data.Value.t list) Hashtbl.t; [@hf.guarded_by "locked"]
   mutable terminated : bool; [@hf.guarded_by "locked"]
   mutable unreachable : int list; [@hf.guarded_by "locked"]
       (* origin-side: sites whose retry budget was exhausted while this
          query ran — the answer is partial with respect to them *)
-  (* Cache layer (DESIGN.md §4g): items headed for an unvalidated
-     destination wait in [parked], their credit unsplit, until the
-     Cache_version reply (or a give-up) resolves them; the credit-return
-     tail is gated on all of [parked_count], [out_pending] and
-     [draining] so it runs only once every remote-bound item is on the
-     wire (or served locally). *)
-  validated : (int, int) Hashtbl.t; [@hf.guarded_by "locked"]
-      (* dst -> store version vouched for this query *)
-  validating : (int, unit) Hashtbl.t; [@hf.guarded_by "locked"]
-  parked : (int, Hf_engine.Work_item.t list) Hashtbl.t; [@hf.guarded_by "locked"]
-      (* dst -> items awaiting validation, newest first *)
-  mutable parked_count : int; [@hf.guarded_by "locked"]
-  mutable out_pending : int; [@hf.guarded_by "locked"]
-      (* items buffered in some live [process_to_drain] batcher *)
-  mutable draining : int; [@hf.guarded_by "locked"]
-      (* reentrancy depth of [process_to_drain]: a give-up that fires
-         mid-drain must not run the credit-return tail under the outer
-         drain's feet *)
-  mutable answers : (Hf_engine.Work_item.t * bool) list; [@hf.guarded_by "locked"]
-      (* cacheable verdicts computed here for the originator's cache,
-         newest first; flushed (credit-free) with the drain tail *)
-  mutable answers_version : int; [@hf.guarded_by "locked"]
-  mutable scatter : Hf_engine.Scatter.Stitch.t option; [@hf.guarded_by "locked"]
-      (* origin-side: live stitch while a scatter round is outstanding;
-         gates the credit-return tail until every gather (or a give-up
-         verdict for its site) has landed *)
   mutable ran_mode : Hf_query.Plan.mode; [@hf.guarded_by "locked"]
       (* which execution mode actually ran (origin-side) *)
   mutable decision : Hf_query.Plan.decision option; [@hf.guarded_by "locked"]
@@ -429,25 +398,11 @@ type t = {
   mutable dup_drops : int; [@hf.guarded_by "locked"]
   mutable acks_sent : int; [@hf.guarded_by "locked"]
   mutable give_ups : int; [@hf.guarded_by "locked"]
-  (* cache layer (None = ships every item, the seed protocol) *)
-  cache_config : Hf_index.Remote_cache.config option;
-  cache : Hf_index.Remote_cache.t option; [@hf.guarded_by "locked"]
-  mutable summary_memo : (int * Hf_index.Bloom.t) option; [@hf.guarded_by "locked"]
-      (* this site's own Bloom tuple summary, memoized per store version *)
-  summary_told : (int, int) Hashtbl.t; [@hf.guarded_by "locked"]
-      (* peer -> store version whose summary we last sent them *)
-  summaries : (int, int * Hf_index.Bloom.t) Hashtbl.t; [@hf.guarded_by "locked"]
-      (* peer -> (version, summary) learned from Cache_version replies *)
-  mutable summary_epoch : int; [@hf.guarded_by "locked"]
-      (* monotonic count of this site's summary recomputes; rides every
-         Cache_version reply so peers can spot a restarted lineage *)
-  peer_epochs : (int, int) Hashtbl.t; [@hf.guarded_by "locked"]
-      (* peer -> last summary epoch seen from it; a regression drops
-         everything learned from the peer, Bloofi leaf included *)
-  bloofi : Hf_index.Bloofi.t option; [@hf.guarded_by "locked"]
-      (* Bloofi tree over learned peer summaries ([None] = disabled:
-         the planner falls back to the flat per-peer scan) *)
-  bloofi_depth : Hf_obs.Histogram.t; (* deepest level per planner descent *)
+  proto : Site.t; [@hf.guarded_by "locked"]
+      (* the protocol state shared with the simulator: the answer cache
+         and Bloom summary channel (off = ships every item, the seed
+         protocol), the Bloofi tree over learned summaries (off = the
+         planner's flat per-peer scan), and the locality memo *)
   mutable cache_hits : int; [@hf.guarded_by "locked"]
   mutable cache_misses : int; [@hf.guarded_by "locked"]
   mutable cache_prunes : int; [@hf.guarded_by "locked"]
@@ -462,9 +417,6 @@ type t = {
   mutable scatter_fallbacks : int; [@hf.guarded_by "locked"]
   mutable planner_scatter : int; [@hf.guarded_by "locked"]
   mutable planner_ship : int; [@hf.guarded_by "locked"]
-  mutable locality_memo : (int * float) option; [@hf.guarded_by "locked"]
-      (* (store version, fraction of this store's pointer tuples that
-         stay on-site) — the planner's locality signal *)
   (* cluster-wide stats scraping and monitoring (DESIGN.md §4i) *)
   mutable stats_token : int; [@hf.guarded_by "locked"]
       (* last Stats_pull token issued by this site; replies carrying an
@@ -486,6 +438,13 @@ type t = {
 }
 
 let locate oid = Hf_data.Oid.birth_site oid
+
+let qname query = Fmt.str "%a" Message.pp_query_id query
+
+(* A span for [query] at this site, under its evaluation span. *)
+let ctx_span t ctx query phase name =
+  Hf_obs.Tracer.start t.tracer ~parent:ctx.core.span ~query:(qname query) ~site:t.id ~phase name
+[@@hf.requires_lock "locked"]
 
 let take_dirty t =
   let dirty = t.dirty in
@@ -665,39 +624,18 @@ let transmit_raw t ?(span = 0) ~seq ~dst message =
 
 (* [cause] parents this site's evaluation span on the span of the work
    message that introduced the query here (0: no known cause). *)
-let new_context t ?(cause = 0) ~query ~origin program =
+let new_context t ?(cause = 0) ~query program =
   let span =
     Hf_obs.Tracer.start t.tracer ~parent:cause
-      ~query:(Fmt.str "%a" Message.pp_query_id query)
-      ~site:t.id ~phase:Hf_obs.Span.Eval "site-eval"
+      ~query:(qname query) ~site:t.id ~phase:Hf_obs.Span.Eval "site-eval"
   in
   let ctx =
     {
-      plan = Hf_engine.Plan.make program;
-      origin;
-      span;
-      marks = Hf_engine.Mark_table.create ();
-      work = Hf_util.Deque.create ();
-      stats = Hf_engine.Stats.create ();
+      core = Site.context ~query ~span program;
       held = Credit.zero;
-      result_buffer = [];
-      bindings = Hashtbl.create 4;
-      local_result_set = Hf_data.Oid.Set.empty;
       recovered = Credit.zero;
-      final_results = [];
-      final_set = Hf_data.Oid.Set.empty;
-      final_bindings = Hashtbl.create 4;
       terminated = false;
       unreachable = [];
-      validated = Hashtbl.create 4;
-      validating = Hashtbl.create 4;
-      parked = Hashtbl.create 4;
-      parked_count = 0;
-      out_pending = 0;
-      draining = 0;
-      answers = [];
-      answers_version = 0;
-      scatter = None;
       ran_mode = Hf_query.Plan.Ship;
       decision = None;
       msgs_sent = 0;
@@ -746,11 +684,10 @@ let evict_context t query (ctx : context) =
       query no longer needs the termination detector to converge, so \
       its residual credit is deliberately destroyed"]);
   ctx.held <- Credit.zero;
-  Hf_obs.Tracer.finish t.tracer ctx.span;
-  Hf_util.Deque.clear ctx.work;
-  Hashtbl.reset ctx.parked;
-  ctx.parked_count <- 0;
-  Hashtbl.reset ctx.validating;
+  Hf_obs.Tracer.finish t.tracer ctx.core.span;
+  Hf_util.Deque.clear ctx.core.work;
+  Site.drop_parked ctx.core;
+  Hashtbl.reset ctx.core.validating;
   Hashtbl.remove t.contexts query;
   mark_closed t query
 [@@hf.requires_lock "locked"]
@@ -764,13 +701,6 @@ let release_slot t (ctx : context) =
     match Sched.release t.gate with Some job -> job.p_seed () | None -> ()
   end
 [@@hf.requires_lock "locked"]
-
-let merge_bindings table extra =
-  List.iter
-    (fun (target, values) ->
-      let existing = match Hashtbl.find_opt table target with None -> [] | Some v -> v in
-      Hashtbl.replace table target (existing @ values))
-    extra
 
 let note_unreachable ctx dead =
   if not (List.mem dead ctx.unreachable) then ctx.unreachable <- dead :: ctx.unreachable
@@ -848,12 +778,9 @@ and give_up_message t ~dst message =
        answer a classic loss at that site produces), so the reclaim
        below can run the credit tail without the stitch holding it
        open forever. *)
-    (match Hashtbl.find_opt t.contexts query with
-     | None -> ()
-     | Some ctx -> (
-         match ctx.scatter with
-         | None -> ()
-         | Some st -> ignore (Hf_engine.Scatter.Stitch.site_dead st ~site:dst)));
+    Option.iter
+      (fun ctx -> Site.gather_lost ctx.core ~site:dst)
+      (Hashtbl.find_opt t.contexts query);
     reclaim query credit;
     (match Hashtbl.find_opt t.contexts query with
      | None -> () (* the reclaim terminated and evicted the query *)
@@ -873,88 +800,41 @@ and give_up_message t ~dst message =
 
 (* --- the cache layer (DESIGN.md §4g) --- *)
 
-(* Apply a verdict obtained without shipping (cache hit): the result
-   bookkeeping the remote's Result message would have caused, minus the
-   wire. *)
-and apply_cached_verdict t ctx wi passed =
-  if passed then begin
-    let oid = Hf_engine.Work_item.oid wi in
-    if not (Hf_data.Oid.Set.mem oid ctx.local_result_set) then begin
-      ctx.local_result_set <- Hf_data.Oid.Set.add oid ctx.local_result_set;
-      if t.id = ctx.origin then begin
-        if not (Hf_data.Oid.Set.mem oid ctx.final_set) then begin
-          ctx.final_set <- Hf_data.Oid.Set.add oid ctx.final_set;
-          ctx.final_results <- oid :: ctx.final_results
-        end
-      end
-      else ctx.result_buffer <- oid :: ctx.result_buffer
-    end
-  end
-[@@hf.requires_lock "locked"]
-
-(* Resolve one item against a destination whose store version has been
-   vouched for this query: prune and hit keep the item off the wire —
-   before its credit is ever split — and a miss lands in [acc] for
-   shipping. *)
-and resolve_item t ctx ~dst ~version wi acc =
-  let start = Hf_engine.Work_item.start wi in
-  let iters = Hf_engine.Work_item.iters wi in
-  let probes = Hf_index.Remote_cache.prune_probes ctx.plan ~start ~iters in
-  let pruned =
-    probes <> []
-    && (match Hashtbl.find_opt t.summaries dst with
-        | Some (v, summary) when v = version ->
-          Hf_index.Remote_cache.summary_misses summary probes
-        | Some _ | None -> false)
-  in
-  if pruned then begin
+(* Count [Site]'s routing verdict for an item bound for [dst]; [true]
+   iff the item must still ship.  A hit's verdict is already in the
+   results — the bookkeeping the remote's Result would have caused,
+   minus the wire. *)
+and ships t query ~dst (route : Site.route) =
+  match route with
+  | Site.Ship -> true
+  | Site.Pruned ->
     t.cache_prunes <- t.cache_prunes + 1;
-    acc
-  end
-  else
-    match t.cache with
-    | Some cache when Hf_index.Remote_cache.cacheable ctx.plan ~start ~iters -> (
-        let key =
-          Hf_index.Remote_cache.entry_key ~dst ~plan:ctx.plan ~start ~iters
-            ~oid:(Hf_engine.Work_item.oid wi)
-        in
-        match
-          Hf_index.Remote_cache.lookup cache ~now:(Unix.gettimeofday ()) ~key ~version
-        with
-        | Hf_index.Remote_cache.Hit passed ->
-          t.cache_hits <- t.cache_hits + 1;
-          apply_cached_verdict t ctx wi passed;
-          acc
-        | Hf_index.Remote_cache.Invalidated ->
-          t.cache_invalidations <- t.cache_invalidations + 1;
-          t.cache_misses <- t.cache_misses + 1;
-          wi :: acc
-        | Hf_index.Remote_cache.Absent ->
-          t.cache_misses <- t.cache_misses + 1;
-          wi :: acc)
-    | Some _ | None -> wi :: acc
+    false
+  | Site.Hit _ ->
+    t.cache_hits <- t.cache_hits + 1;
+    false
+  | Site.Miss { invalidated } ->
+    if invalidated then t.cache_invalidations <- t.cache_invalidations + 1;
+    t.cache_misses <- t.cache_misses + 1;
+    true
+  | Site.Parked -> false
+  | Site.Validate ->
+    t.cache_validations <- t.cache_validations + 1;
+    send t ~dst (Message.Cache_validate { query; src = t.id });
+    false
 [@@hf.requires_lock "locked"]
 
 (* Un-park every item waiting on [dst].  [Some version]: resolve each
    against the vouched version.  [None] (the validation round trip gave
    up): ship them all the plain way.  Ends with the drain tail, which
-   the [draining] guard suppresses when a give-up fired mid-drain. *)
+   the [core.active] guard suppresses when a give-up fired mid-drain. *)
 and release_parked t query ctx ~dst version =
-  Hashtbl.remove ctx.validating dst;
-  (match Hashtbl.find_opt ctx.parked dst with
-   | None -> ()
-   | Some waiting ->
-     Hashtbl.remove ctx.parked dst;
-     let items = List.rev waiting in
-     ctx.parked_count <- ctx.parked_count - List.length items;
-     let misses =
-       match version with
-       | None -> items
-       | Some version ->
-         List.rev
-           (List.fold_left (fun acc wi -> resolve_item t ctx ~dst ~version wi acc) [] items)
-     in
-     send_work_batch t query ctx ~dst misses);
+  let misses =
+    List.filter_map
+      (fun (wi, route) -> if ships t query ~dst route then Some wi else None)
+      (Site.release t.proto ctx.core ~dst ~version)
+  in
+  send_work_batch t query ctx ~dst misses;
   finish_drain t query ctx
 [@@hf.requires_lock "locked"]
 
@@ -963,33 +843,14 @@ and release_parked t query ctx ~dst version =
    Cache_validate round trip on first contact with the destination. *)
 and route_remote t query ctx ~out wi =
   let dst = locate (Hf_engine.Work_item.oid wi) in
-  let push wi =
-    ctx.out_pending <- ctx.out_pending + 1;
+  if ships t query ~dst (Site.route t.proto ctx.core ~dst wi) then begin
+    ctx.core.buffered <- ctx.core.buffered + 1;
     match Hf_proto.Batch.push out ~dst wi with
     | None -> ()
     | Some items ->
-      ctx.out_pending <- ctx.out_pending - List.length items;
+      ctx.core.buffered <- ctx.core.buffered - List.length items;
       send_work_batch t query ctx ~dst items
-  in
-  match t.cache with
-  | None -> push wi
-  | Some _ -> (
-      match Hashtbl.find_opt ctx.validated dst with
-      | Some version -> (
-          match resolve_item t ctx ~dst ~version wi [] with
-          | [] -> () (* pruned, or served from the cache *)
-          | misses -> List.iter push misses)
-      | None ->
-        let waiting =
-          match Hashtbl.find_opt ctx.parked dst with Some l -> l | None -> []
-        in
-        Hashtbl.replace ctx.parked dst (wi :: waiting);
-        ctx.parked_count <- ctx.parked_count + 1;
-        if not (Hashtbl.mem ctx.validating dst) then begin
-          Hashtbl.replace ctx.validating dst ();
-          t.cache_validations <- t.cache_validations + 1;
-          send t ~dst (Message.Cache_validate { query; src = t.id })
-        end)
+  end
 [@@hf.requires_lock "locked"]
 
 (* Ship a batch of work items to [dst], splitting the sender's credit
@@ -1002,14 +863,9 @@ and send_work_batch t query ctx ~dst items =
   | items ->
     let keep, gave = Credit.split ctx.held in
     ctx.held <- keep;
-    let body = Hf_engine.Plan.program ctx.plan in
+    let body = Hf_engine.Plan.program ctx.core.plan in
     let credit = Credit.atoms gave in
-    let span =
-      Hf_obs.Tracer.start t.tracer ~parent:ctx.span
-        ~query:(Fmt.str "%a" Message.pp_query_id query)
-        ~site:t.id ~phase:Hf_obs.Span.Ship
-        (Fmt.str "work->%d" dst)
-    in
+    let span = ctx_span t ctx query Hf_obs.Span.Ship (Fmt.str "work->%d" dst) in
     Hf_obs.Tracer.set_detail t.tracer span (Fmt.str "%d item(s)" (List.length items));
     (match items with
      | [ wi ] ->
@@ -1044,76 +900,53 @@ and send_work_batch t query ctx ~dst items =
             ]))
 [@@hf.requires_lock "locked"]
 
-(* Apply a stitch outcome at the originator (scatter-gather mode):
-   newly activated passing nodes join the final results, their bindings
-   merge, and chains that escaped the scattered site set re-enter the
-   classic pipeline — cache layer, batcher, credit split — as ordinary
-   remote work.  Ordering matters for credit safety: the fallback ships
-   split their share from the origin's held credit HERE, before the
-   caller deposits whatever credit the gather carried, so the detector
-   can never converge while stitched chains still owe work. *)
-and apply_scatter_outcome t query ctx (outcome : Hf_engine.Scatter.Stitch.outcome) =
+(* Stitch in [src]'s gather at the originator (scatter-gather mode):
+   chains that escaped the scattered site set re-enter the classic
+   pipeline — cache layer, batcher, credit split — as ordinary remote
+   work.  Ordering matters for credit safety: the fallback ships split
+   their share from the origin's held credit HERE, before the caller
+   deposits whatever credit the gather carried, so the detector can
+   never converge while stitched chains still owe work. *)
+and stitch_gather t query ctx ~src nodes =
+  let fallback = Site.gather t.proto ctx.core ~site:src nodes in
+  t.scatter_fallbacks <- t.scatter_fallbacks + List.length fallback;
+  route_now t query ctx fallback
+[@@hf.requires_lock "locked"]
+
+(* Ship everything [out] still buffers. *)
+and flush_out t query ctx out =
   List.iter
-    (fun oid ->
-      if not (Hf_data.Oid.Set.mem oid ctx.local_result_set) then begin
-        ctx.local_result_set <- Hf_data.Oid.Set.add oid ctx.local_result_set;
-        if not (Hf_data.Oid.Set.mem oid ctx.final_set) then begin
-          ctx.final_set <- Hf_data.Oid.Set.add oid ctx.final_set;
-          ctx.final_results <- oid :: ctx.final_results
-        end
-      end)
-    outcome.passed;
-  merge_bindings ctx.final_bindings outcome.bindings;
-  t.scatter_fallbacks <- t.scatter_fallbacks + List.length outcome.fallback;
-  if outcome.fallback <> [] then begin
-    let out = Hf_proto.Batch.create t.batch_policy in
-    List.iter (fun wi -> route_remote t query ctx ~out wi) outcome.fallback;
-    List.iter
-      (fun (dst, items) ->
-        ctx.out_pending <- ctx.out_pending - List.length items;
-        send_work_batch t query ctx ~dst items)
-      (Hf_proto.Batch.flush_all out)
-  end
+    (fun (dst, items) ->
+      ctx.core.buffered <- ctx.core.buffered - List.length items;
+      send_work_batch t query ctx ~dst items)
+    (Hf_proto.Batch.flush_all out)
+[@@hf.requires_lock "locked"]
+
+(* Route [items] through a batcher of their own and ship them at once. *)
+and route_now t query ctx items =
+  let out = Hf_proto.Batch.create t.batch_policy in
+  List.iter (route_remote t query ctx ~out) items;
+  flush_out t query ctx out
 [@@hf.requires_lock "locked"]
 
 (* The credit-return tail: ship buffered results (credit riding along)
    to the originator, or at the originator recover the held credit.
-   Gated — it must not run while a [process_to_drain] is still active
-   ([draining]), while items sit in a live batcher ([out_pending]) or
-   wait on a validation round trip ([parked_count]): credit would go
-   home before those items' share was split off, and the originator
-   would see termination with work outstanding. *)
+   Gated on [Site.ready] — it must not run while a [process_to_drain]
+   is still active, while items sit in a live batcher or wait on a
+   validation round trip: credit would go home before those items'
+   share was split off, and the originator would see termination with
+   work outstanding. *)
 and finish_drain t query ctx =
-  if
-    ctx.draining = 0 && ctx.parked_count = 0 && ctx.out_pending = 0
-    && Hf_util.Deque.is_empty ctx.work
-    && (match ctx.scatter with
-        | None -> true
-        | Some st -> Hf_engine.Scatter.Stitch.outstanding st = 0)
-  then begin
+  if Site.ready ctx.core then begin
     (* Opportunistic cache fill first: verdicts computed here flow to
        the originator's cache.  Credit-free — a drop costs future hits,
        never correctness. *)
-    (if t.id <> ctx.origin && ctx.answers <> [] then begin
-       let answers =
-         List.rev_map
-           (fun (wi, passed) : Message.cache_answer ->
-             {
-               oid = Hf_engine.Work_item.oid wi;
-               start = Hf_engine.Work_item.start wi;
-               iters = Hf_engine.Work_item.iters wi;
-               passed;
-             })
-           ctx.answers
-       in
-       let version = ctx.answers_version in
-       ctx.answers <- [];
-       send t ~dst:ctx.origin (Message.Cache_answers { query; src = t.id; version; answers })
-     end);
-    if t.id = ctx.origin then begin
-      merge_bindings ctx.final_bindings
-        (Hashtbl.fold (fun k v acc -> (k, v) :: acc) ctx.bindings []);
-      Hashtbl.reset ctx.bindings;
+    (match Site.take_answers t.proto ctx.core with
+     | Some (version, answers) ->
+       send t ~dst:ctx.core.origin (Message.Cache_answers { query; src = t.id; version; answers })
+     | None -> ());
+    if t.id = ctx.core.origin then begin
+      Site.publish_bindings ctx.core;
       if not (Credit.is_zero ctx.held) then begin
         let credit = ctx.held in
         ctx.held <- Credit.zero;
@@ -1123,30 +956,17 @@ and finish_drain t query ctx =
     else begin
       let credit = ctx.held in
       ctx.held <- Credit.zero;
-      let items = List.rev ctx.result_buffer in
-      let bindings = Hashtbl.fold (fun k v acc -> (k, v) :: acc) ctx.bindings [] in
-      ctx.result_buffer <- [];
-      Hashtbl.reset ctx.bindings;
+      let items, bindings = Site.take_results ctx.core in
       if items <> [] || bindings <> [] then begin
-        let span =
-          Hf_obs.Tracer.start t.tracer ~parent:ctx.span
-            ~query:(Fmt.str "%a" Message.pp_query_id query)
-            ~site:t.id ~phase:Hf_obs.Span.Ship
-            (Fmt.str "result->%d" ctx.origin)
-        in
+        let span = ctx_span t ctx query Hf_obs.Span.Ship (Fmt.str "result->%d" ctx.core.origin) in
         Hf_obs.Tracer.set_detail t.tracer span (Fmt.str "%d item(s)" (List.length items));
-        send t ~span ~dst:ctx.origin
+        send t ~span ~dst:ctx.core.origin
           (Message.Result
              { query; payload = Message.Items items; bindings; credit = Credit.atoms credit })
       end
       else if not (Credit.is_zero credit) then begin
-        let span =
-          Hf_obs.Tracer.start t.tracer ~parent:ctx.span
-            ~query:(Fmt.str "%a" Message.pp_query_id query)
-            ~site:t.id ~phase:Hf_obs.Span.Credit
-            (Fmt.str "credit->%d" ctx.origin)
-        in
-        send t ~span ~dst:ctx.origin
+        let span = ctx_span t ctx query Hf_obs.Span.Credit (Fmt.str "credit->%d" ctx.core.origin) in
+        send t ~span ~dst:ctx.core.origin
           (Message.Credit_return { query; credit = Credit.atoms credit })
       end
     end
@@ -1165,55 +985,22 @@ and finish_drain t query ctx =
    this site's credit goes back, so termination is never starved. *)
 and drain_slice t query ctx ~out ~budget =
   let rec step n =
-    if n = 0 then not (Hf_util.Deque.is_empty ctx.work)
+    if n = 0 then not (Hf_util.Deque.is_empty ctx.core.work)
     else
-      match Hf_util.Deque.pop_front ctx.work with
+      match Hf_util.Deque.pop_front ctx.core.work with
       | None -> false
       | Some item ->
-        let emit ~target values =
-          let existing =
-            match Hashtbl.find_opt ctx.bindings target with None -> [] | Some v -> v
-          in
-          Hashtbl.replace ctx.bindings target (existing @ values)
-        in
-        let { Hf_engine.Eval.spawned; passed; skipped } =
-          Hf_engine.Eval.run_object ~plan:ctx.plan ~find:(Hf_data.Store.find t.store)
-            ~marks:ctx.marks ~stats:ctx.stats ~emit item
-        in
+        let { Hf_engine.Eval.spawned; passed; skipped } = Site.eval t.proto ctx.core item in
         List.iter
           (fun wi ->
             let target_site = locate (Hf_engine.Work_item.oid wi) in
-            if target_site = t.id then Hf_util.Deque.push_back ctx.work wi
+            if target_site = t.id then Hf_util.Deque.push_back ctx.core.work wi
             else route_remote t query ctx ~out wi)
           spawned;
-        (* Record the verdict for the originator's cache: items that ran
-           for real (not mark-skipped) at a non-origin site, whose
-           reachable suffix is store-state-only (cacheable). *)
-        (if
-           Option.is_some t.cache
-           && (not skipped)
-           && t.id <> ctx.origin
-           && Hf_index.Remote_cache.cacheable ctx.plan
-                ~start:(Hf_engine.Work_item.start item)
-                ~iters:(Hf_engine.Work_item.iters item)
-         then begin
-           let v = Hf_data.Store.version t.store in
-           if ctx.answers <> [] && ctx.answers_version <> v then ctx.answers <- [];
-           ctx.answers_version <- v;
-           ctx.answers <- (item, passed) :: ctx.answers
-         end);
-        (if passed then
-           let oid = Hf_engine.Work_item.oid item in
-           if not (Hf_data.Oid.Set.mem oid ctx.local_result_set) then begin
-             ctx.local_result_set <- Hf_data.Oid.Set.add oid ctx.local_result_set;
-             if t.id = ctx.origin then begin
-               if not (Hf_data.Oid.Set.mem oid ctx.final_set) then begin
-                 ctx.final_set <- Hf_data.Oid.Set.add oid ctx.final_set;
-                 ctx.final_results <- oid :: ctx.final_results
-               end
-             end
-             else ctx.result_buffer <- oid :: ctx.result_buffer
-           end);
+        (* Every item that ran here is offered to the originator's
+           cache, spawned locally or not. *)
+        Site.record_answer t.proto ctx.core item ~passed ~skipped;
+        if passed then Site.add_result t.proto ctx.core (Hf_engine.Work_item.oid item);
         step (n - 1)
   in
   step budget
@@ -1273,16 +1060,16 @@ let drain_slice_budget = 64
 
    Reentrancy: several threads may drain the same context — items are
    popped under the lock, so each is processed once, and the
-   [ctx.draining] depth keeps the credit tail gated until the last
+   [ctx.core.active] depth keeps the credit tail gated until the last
    drainer's flush is out. *)
 let process_to_drain ?(seeds = []) t query ctx =
   let out = Hf_proto.Batch.create t.batch_policy in
   locked t (fun () ->
-      ctx.draining <- ctx.draining + 1;
+      ctx.core.active <- ctx.core.active + 1;
       List.iter
         (fun oid ->
-          let wi = Hf_engine.Work_item.initial ctx.plan oid in
-          if locate oid = t.id then Hf_util.Deque.push_back ctx.work wi
+          let wi = Hf_engine.Work_item.initial ctx.core.plan oid in
+          if locate oid = t.id then Hf_util.Deque.push_back ctx.core.work wi
           else route_remote t query ctx ~out wi)
         seeds);
   let rec loop () =
@@ -1299,139 +1086,34 @@ let process_to_drain ?(seeds = []) t query ctx =
   loop ();
   locked t (fun () ->
       (* drained: flush buffered work before any credit goes back *)
-      List.iter
-        (fun (dst, items) ->
-          ctx.out_pending <- ctx.out_pending - List.length items;
-          send_work_batch t query ctx ~dst items)
-        (Hf_proto.Batch.flush_all out);
-      ctx.draining <- ctx.draining - 1;
+      flush_out t query ctx out;
+      ctx.core.active <- ctx.core.active - 1;
       finish_drain t query ctx)
 
 (* --- the execution-mode planner (doc/execution_modes.md) --- *)
 
-(* Locality signal: the fraction of this store's pointer tuples whose
-   target lives on-site, memoized per store version. *)
-let p_local_of t =
-  let version = Hf_data.Store.version t.store in
-  match t.locality_memo with
-  | Some (v, p) when v = version -> p
-  | Some _ | None ->
-    let total = ref 0 and local = ref 0 in
-    Hf_data.Store.iter t.store (fun obj ->
-        List.iter
-          (fun target ->
-            incr total;
-            if locate target = t.id then incr local)
-          (Hf_data.Hobject.pointers obj));
-    let p =
-      if !total = 0 then 1.0 else float_of_int !local /. float_of_int !total
-    in
-    t.locality_memo <- Some (version, p);
-    p
-[@@hf.requires_lock "locked"]
-
 (* Price both modes from what this site can see without going to the
-   wire: seed placement from oid birth sites, per-peer hints from the
-   Bloom summaries learned via [Cache_version] replies (the
-   Swamidass–Baldi entry estimate standing in for remote store stats),
-   and nominal loopback unit costs.  The planner only needs ratios —
-   a network round costs orders of magnitude more than evaluating one
-   node — so the crossover lands where rounds, not bytes, dominate,
-   matching the simulator's calibrated model. *)
+   wire: learned Bloom summaries only (the Swamidass–Baldi entry
+   estimate standing in for remote store stats), and nominal loopback
+   unit costs.  The planner only needs ratios — a network round costs
+   orders of magnitude more than evaluating one node — so the crossover
+   lands where rounds, not bytes, dominate, matching the simulator's
+   calibrated model. *)
 let plan_decision t program initial =
-  let plan = Hf_engine.Plan.make program in
-  let zeros = Array.make (Hf_engine.Plan.iter_count plan) 0 in
-  let landing = Hf_query.Plan.landing_pcs program in
-  let seed_sites =
-    List.fold_left
-      (fun acc oid ->
-        let s = locate oid in
-        match List.assoc_opt s acc with
-        | Some n -> (s, n + 1) :: List.remove_assoc s acc
-        | None -> (s, 1) :: acc)
-      [] initial
-  in
-  let landing_groups =
-    List.map
-      (fun pc -> Hf_index.Remote_cache.prune_probes plan ~start:pc ~iters:zeros)
-      landing
-  in
-  let start_probes = Hf_index.Remote_cache.prune_probes plan ~start:0 ~iters:zeros in
-  let flat_may bloom =
-    landing_groups = []
-    || List.exists
-         (fun probes ->
-           probes = [] || not (Hf_index.Remote_cache.summary_misses bloom probes))
-         landing_groups
-  in
-  (* One Bloofi descent replaces the flat per-peer landing probes when
-     the tree is on and holds anything; leaves are the same learned
-     filters, so the verdicts are identical — only the probe cost (and
-     the [decision.index] stats) differ. *)
-  let index_probe =
-    match t.bloofi with
-    | None -> None
-    | Some tree when Hf_index.Bloofi.cardinal tree = 0 -> None
-    | Some tree ->
-      let r = Hf_index.Bloofi.probe tree landing_groups in
-      Hf_obs.Histogram.observe t.bloofi_depth (float_of_int r.depth);
-      let may = Hashtbl.create 16 in
-      List.iter (fun s -> Hashtbl.replace may s ()) r.sites;
-      let stats =
-        {
-          Hf_query.Plan.indexed = Hf_index.Bloofi.cardinal tree;
-          touched = r.touched;
-          depth = r.depth;
-          pruned = Hf_index.Bloofi.cardinal tree - List.length r.sites;
-        }
-      in
-      Some (tree, may, stats)
-  in
-  let hints = ref [] in
-  Array.iteri
-    (fun peer _ ->
-      if peer <> t.id then begin
-        let hint =
-          match Hashtbl.find_opt t.summaries peer with
-          | None ->
-            { Hf_query.Plan.site = peer; objects = None; may_match = None;
-              seed_may_match = None }
-          | Some (_, bloom) ->
-            let may_match =
-              match index_probe with
-              | Some (tree, may, _) when Hf_index.Bloofi.mem tree ~site:peer ->
-                Hashtbl.mem may peer
-              | Some _ | None -> flat_may bloom
-            in
-            let seed_may_match =
-              start_probes = []
-              || not (Hf_index.Remote_cache.summary_misses bloom start_probes)
-            in
-            {
-              Hf_query.Plan.site = peer;
-              objects = Some (Hf_index.Bloom.estimate_entries bloom);
-              may_match = Some may_match;
-              seed_may_match = Some seed_may_match;
-            }
-        in
-        hints := hint :: !hints
-      end)
-    t.peers;
-  let item_bytes = 13 + 4 + (4 * Hf_engine.Plan.iter_count plan) in
-  let costs =
-    {
-      Hf_query.Plan.transit = 5e-4;
-      header_bytes = 32;
-      item_bytes;
-      node_bytes = 32;
-      eval_s = 2e-6;
-      byte_s = 1e-8;
-      p_local = p_local_of t;
-    }
-  in
-  Hf_query.Plan.decide ~program ~origin:t.id ~seed_sites ~hints:(List.rev !hints)
-    ?index:(Option.map (fun (_, _, stats) -> stats) index_probe)
-    ~costs ()
+  Site.decide t.proto ~n_sites:(Array.length t.peers)
+    ~summary:(fun peer -> Option.map snd (Site.learned t.proto ~peer))
+    ~objects:(fun _ summary -> Option.map Hf_index.Bloom.estimate_entries summary)
+    ~costs:(fun ~item_bytes ~p_local ->
+      {
+        Hf_query.Plan.transit = 5e-4;
+        header_bytes = 32;
+        item_bytes;
+        node_bytes = 32;
+        eval_s = 2e-6;
+        byte_s = 1e-8;
+        p_local;
+      })
+    program initial
 [@@hf.requires_lock "locked"]
 
 (* The planner's verdict for a query, without running it — [hfql :plan]
@@ -1446,70 +1128,26 @@ let explain t program initial = locked t (fun () -> plan_decision t program init
    home while stitched chains may still become fallback work. *)
 let scatter_seed t query ctx ~sites initial =
   locked t (fun () ->
-      let member = Hashtbl.create 8 in
-      List.iter (fun s -> Hashtbl.replace member s ()) (t.id :: sites);
-      let roots = Hashtbl.create 8 in
-      let stray = ref [] in
-      List.iter
-        (fun oid ->
-          let s = locate oid in
-          if Hashtbl.mem member s then
-            Hashtbl.replace roots s
-              (oid
-              ::
-              (match Hashtbl.find_opt roots s with Some l -> l | None -> []))
-          else stray := oid :: !stray)
-        initial;
-      let roots_of s =
-        match Hashtbl.find_opt roots s with Some l -> List.rev l | None -> []
-      in
-      let stitch =
-        Hf_engine.Scatter.Stitch.create ~plan:ctx.plan ~locate
-          ~sites:(t.id :: sites)
-          ~roots:(List.map (fun s -> (s, roots_of s)) (t.id :: sites))
-      in
-      ctx.scatter <- Some stitch;
-      let body = Hf_engine.Plan.program ctx.plan in
+      let roots_of, stray = Site.scatter_seed t.proto ctx.core ~sites initial in
+      let body = Hf_engine.Plan.program ctx.core.plan in
       List.iter
         (fun dst ->
           let keep, gave = Credit.split ctx.held in
           ctx.held <- keep;
           t.scatter_messages <- t.scatter_messages + 1;
-          let span =
-            Hf_obs.Tracer.start t.tracer ~parent:ctx.span
-              ~query:(Fmt.str "%a" Message.pp_query_id query)
-              ~site:t.id ~phase:Hf_obs.Span.Scatter
-              (Fmt.str "scatter->%d" dst)
-          in
+          let span = ctx_span t ctx query Hf_obs.Span.Scatter (Fmt.str "scatter->%d" dst) in
           Hf_obs.Tracer.set_detail t.tracer span
             (Fmt.str "%d root(s)" (List.length (roots_of dst)));
           send t ~span ~dst
             (Message.Scatter
                { query; body; roots = roots_of dst; credit = Credit.atoms gave }))
         sites;
-      let nodes =
-        Hf_engine.Scatter.eval_site ~plan:ctx.plan
-          ~find:(Hf_data.Store.find t.store)
-          ~oids:(Hf_data.Store.oids t.store) ~roots:(roots_of t.id)
-          ~stats:ctx.stats
-      in
-      let outcome = Hf_engine.Scatter.Stitch.add_gather stitch ~site:t.id nodes in
-      apply_scatter_outcome t query ctx outcome;
+      let nodes = Site.eval_domain t.proto ctx.core ~roots:(roots_of t.id) in
+      stitch_gather t query ctx ~src:t.id nodes;
       (* Stray seeds — oids located outside origin ∪ predicted, possible
          only if prediction raced a relocation — ship classically, same
          contract as an escaped chain. *)
-      (if !stray <> [] then begin
-         let out = Hf_proto.Batch.create t.batch_policy in
-         List.iter
-           (fun oid ->
-             route_remote t query ctx ~out (Hf_engine.Work_item.initial ctx.plan oid))
-           (List.rev !stray);
-         List.iter
-           (fun (dst, items) ->
-             ctx.out_pending <- ctx.out_pending - List.length items;
-             send_work_batch t query ctx ~dst items)
-           (Hf_proto.Batch.flush_all out)
-       end);
+      route_now t query ctx (List.map (Hf_engine.Work_item.initial ctx.core.plan) stray);
       finish_drain t query ctx)
 
 (* Answer a [Stats_pull]: snapshot our registry and ship it back.  The
@@ -1522,6 +1160,16 @@ let report_stats t ~dst ~token =
   locked t (fun () -> send t ~dst (Message.Stats_report { src = t.id; token; stats }))
 
 (* --- incoming messages --- *)
+
+(* The context that takes a work message's items, unless the query is
+   already closed here. *)
+let work_context t ~span query body =
+  if Hashtbl.mem t.closed query then None
+  else
+    match Hashtbl.find_opt t.contexts query with
+    | Some _ as found -> found
+    | None -> Some (new_context t ~cause:span ~query body)
+[@@hf.requires_lock "locked"]
 
 (* [span] is the sender's shipping span carried on the wire (0 when the
    sender traced nothing): it is closed here — arrival time — and new
@@ -1565,53 +1213,34 @@ let handle_message t ~pulls ~span ?rel message =
   if not fresh then []
   else
   match (message : Message.t) with
-  | Message.Deref_request { query; body; oid; start; iters; credit } ->
-    if Hashtbl.mem t.closed query then []
-    else begin
-      let ctx =
-        match Hashtbl.find_opt t.contexts query with
-        | Some ctx -> ctx
-        | None -> new_context t ~cause:span ~query ~origin:query.Message.originator body
-      in
+  | Message.Deref_request { query; body; oid; start; iters; credit } -> (
+    match work_context t ~span query body with
+    | None -> []
+    | Some ctx ->
       ctx.held <- Credit.add ctx.held (Credit.of_atoms credit);
-      Hf_util.Deque.push_back ctx.work (Hf_engine.Work_item.make ~oid ~start ~iters);
-      [ (query, ctx) ]
-    end
+      Hf_util.Deque.push_back ctx.core.work (Hf_engine.Work_item.make ~oid ~start ~iters);
+      [ (query, ctx) ])
   | Message.Work_batch groups ->
     List.filter_map
       (fun { Message.query; body; items; credit } ->
-        if Hashtbl.mem t.closed query then None
-        else begin
-          let ctx =
-            match Hashtbl.find_opt t.contexts query with
-            | Some ctx -> ctx
-            | None ->
-              new_context t ~cause:span ~query ~origin:query.Message.originator body
-          in
+        match work_context t ~span query body with
+        | None -> None
+        | Some ctx ->
           ctx.held <- Credit.add ctx.held (Credit.of_atoms credit);
           List.iter
             (fun ({ oid; start; iters } : Message.batch_item) ->
-              Hf_util.Deque.push_back ctx.work
-                (Hf_engine.Work_item.make ~oid ~start ~iters))
+              Hf_util.Deque.push_back ctx.core.work (Hf_engine.Work_item.make ~oid ~start ~iters))
             items;
-          Some (query, ctx)
-        end)
+          Some (query, ctx))
       groups
   | Message.Result { query; payload; bindings; credit } ->
     (match Hashtbl.find_opt t.contexts query with
      | None -> () (* unknown/forgotten/closed query *)
      | Some ctx ->
        (match payload with
-        | Message.Items items ->
-          List.iter
-            (fun oid ->
-              if not (Hf_data.Oid.Set.mem oid ctx.final_set) then begin
-                ctx.final_set <- Hf_data.Oid.Set.add oid ctx.final_set;
-                ctx.final_results <- oid :: ctx.final_results
-              end)
-            items
+        | Message.Items items -> List.iter (Site.add_final ctx.core.final) items
         | Message.Count _ -> ());
-       merge_bindings ctx.final_bindings bindings;
+       Site.merge_bindings ctx.core.final.bindings bindings;
        credit_recovered t query ctx (Credit.of_atoms credit));
     []
   | Message.Credit_return { query; credit } ->
@@ -1628,90 +1257,36 @@ let handle_message t ~pulls ~span ?rel message =
   | Message.Cache_validate { query; src = peer } ->
     (* Report our store version; piggyback the Bloom summary unless
        this peer was already told this version's. *)
-    let version = Hf_data.Store.version t.store in
-    let summary =
-      match t.cache_config with
-      | None -> None (* not participating: version-only reply *)
-      | Some cfg ->
-        let bloom =
-          match t.summary_memo with
-          | Some (v, bloom) when v = version -> bloom
-          | Some _ | None ->
-            let bloom = Hf_index.Remote_cache.summary_of_store cfg t.store in
-            t.summary_memo <- Some (version, bloom);
-            t.summary_epoch <- t.summary_epoch + 1;
-            bloom
-        in
-        if
-          match Hashtbl.find_opt t.summary_told peer with
-          | Some v -> v = version
-          | None -> false
-        then None
-        else begin
-          Hashtbl.replace t.summary_told peer version;
-          Some (Hf_index.Bloom.to_string bloom)
-        end
-    in
+    let version, summary = Site.validate_reply t.proto ~peer in
     send t ~dst:peer
       (Message.Cache_version
-         { query; site = t.id; version; epoch = t.summary_epoch; summary });
+         {
+           query;
+           site = t.id;
+           version;
+           epoch = Site.epoch t.proto;
+           summary = Option.map Hf_index.Bloom.to_string summary;
+         });
     []
   | Message.Cache_version { query; site = peer; version; epoch; summary } ->
-    (* An epoch regression means the peer restarted: its old
-       lineage's summary (and Bloofi leaf) must go wholesale —
-       keeping either could wrongly prune against the new store.
-       Cached per-object verdicts are keyed by store version only,
-       and the new lineage's version can collide with the old
-       one's, so they go too. *)
-    (match Hashtbl.find_opt t.peer_epochs peer with
-     | Some e when epoch < e ->
-       Hashtbl.remove t.summaries peer;
-       Option.iter (fun tree -> Hf_index.Bloofi.remove tree ~site:peer) t.bloofi;
-       Option.iter
-         (fun cache -> Hf_index.Remote_cache.drop_dst cache ~dst:peer)
-         t.cache
-     | Some _ | None -> ());
-    Hashtbl.replace t.peer_epochs peer epoch;
-    (match summary with
-     | Some raw -> (
-         match Hf_index.Bloom.of_string raw with
-         | Some bloom ->
-           Hashtbl.replace t.summaries peer (version, bloom);
-           Option.iter
-             (fun tree -> Hf_index.Bloofi.insert tree ~site:peer bloom)
-             t.bloofi
-         | None -> () (* malformed summary: no pruning, still correct *))
-     | None -> (
-         (* No summary aboard means "you already have it"; if ours
-            is for another version, drop it — a stale summary must
-            never prune at the new version. *)
-         match Hashtbl.find_opt t.summaries peer with
-         | Some (v, _) when v <> version ->
-           Hashtbl.remove t.summaries peer;
-           Option.iter (fun tree -> Hf_index.Bloofi.remove tree ~site:peer) t.bloofi
-         | Some _ | None -> ()));
+    Site.learn t.proto ~peer ~version ~epoch
+      (match summary with
+       | None -> Site.Told
+       | Some raw -> (
+           match Hf_index.Bloom.of_string raw with
+           | Some bloom -> Site.Fresh bloom
+           | None -> Site.Garbled));
     (match Hashtbl.find_opt t.contexts query with
      | None -> ()
-     | Some ctx ->
-       Hashtbl.replace ctx.validated peer version;
-       release_parked t query ctx ~dst:peer (Some version));
+     | Some ctx -> release_parked t query ctx ~dst:peer (Some version));
     []
   | Message.Cache_answers { query; src = peer; version; answers } ->
     (* Opportunistic fill at the originator: install the remote's
        verdicts, keyed by the answering site. *)
-    (match (t.cache, Hashtbl.find_opt t.contexts query) with
-     | Some cache, Some ctx ->
-       t.cache_fills <- t.cache_fills + List.length answers;
-       List.iter
-         (fun ({ oid; start; iters; passed } : Message.cache_answer) ->
-           let key =
-             Hf_index.Remote_cache.entry_key ~dst:peer ~plan:ctx.plan ~start ~iters
-               ~oid
-           in
-           Hf_index.Remote_cache.put cache ~now:(Unix.gettimeofday ()) ~key ~version
-             ~passed)
-         answers
-     | (Some _ | None), _ -> ());
+    (match Hashtbl.find_opt t.contexts query with
+     | Some ctx ->
+       t.cache_fills <- t.cache_fills + Site.fill t.proto ctx.core ~src:peer ~version answers
+     | None -> ());
     []
   | Message.Query_done { query; _ } ->
     (* The originator closed the query (terminated or cancelled):
@@ -1719,7 +1294,7 @@ let handle_message t ~pulls ~span ?rel message =
        site is never evicted here — only the local handle closes
        those. *)
     (match Hashtbl.find_opt t.contexts query with
-     | Some ctx when ctx.origin <> t.id -> evict_context t query ctx
+     | Some ctx when ctx.core.origin <> t.id -> evict_context t query ctx
      | Some _ -> ()
      | None -> mark_closed t query);
     []
@@ -1737,26 +1312,17 @@ let handle_message t ~pulls ~span ?rel message =
     if token > prev then Hashtbl.replace t.peer_stats_token peer token;
     Condition.broadcast t.stats_cond;
     []
-  | Message.Scatter { query; body; roots; credit } ->
-    if Hashtbl.mem t.closed query then []
-    else begin
-      let ctx =
-        match Hashtbl.find_opt t.contexts query with
-        | Some ctx -> ctx
-        | None -> new_context t ~cause:span ~query ~origin:query.Message.originator body
-      in
-      let gave = Credit.of_atoms credit in
+  | Message.Scatter { query; body; roots; credit } -> (
+    match work_context t ~span query body with
+    | None -> []
+    | Some ctx ->
       (* Evaluate the whole speculation domain here and now — pure
          CPU under the lock, like a drain slice's evaluation — and
          answer with one gather.  The scatter's credit share rides
          straight back on it; classic work concurrently in flight
          for this query (a fallback chain re-entering this site)
          keeps its own credit and drains through the normal tail. *)
-      let engine_nodes =
-        Hf_engine.Scatter.eval_site ~plan:ctx.plan
-          ~find:(Hf_data.Store.find t.store)
-          ~oids:(Hf_data.Store.oids t.store) ~roots ~stats:ctx.stats
-      in
+      let engine_nodes = Site.eval_domain t.proto ctx.core ~roots in
       let nodes =
         List.map
           (fun (n : Hf_engine.Scatter.node) ->
@@ -1770,47 +1336,32 @@ let handle_message t ~pulls ~span ?rel message =
             })
           engine_nodes
       in
-      let gspan =
-        Hf_obs.Tracer.start t.tracer ~parent:ctx.span
-          ~query:(Fmt.str "%a" Message.pp_query_id query)
-          ~site:t.id ~phase:Hf_obs.Span.Scatter
-          (Fmt.str "gather->%d" ctx.origin)
-      in
-      Hf_obs.Tracer.set_detail t.tracer gspan
-        (Fmt.str "%d node(s)" (List.length nodes));
-      send t ~span:gspan ~dst:ctx.origin
+      let gspan = ctx_span t ctx query Hf_obs.Span.Scatter (Fmt.str "gather->%d" ctx.core.origin) in
+      Hf_obs.Tracer.set_detail t.tracer gspan (Fmt.str "%d node(s)" (List.length nodes));
+      send t ~span:gspan ~dst:ctx.core.origin
         (Message.Gather_result
-           { query; src = t.id; nodes; credit = Credit.atoms gave });
-      []
-    end
+           { query; src = t.id; nodes; credit = Credit.atoms (Credit.of_atoms credit) });
+      [])
   | Message.Gather_result { query; src = peer; nodes; credit } ->
     (match Hashtbl.find_opt t.contexts query with
      | None -> () (* closed/cancelled: dead credit, like a late Result *)
      | Some ctx ->
        t.gather_messages <- t.gather_messages + 1;
        t.gather_nodes <- t.gather_nodes + List.length nodes;
-       (match ctx.scatter with
-        | None -> ()
-        | Some st ->
-          let engine_nodes =
-            List.map
-              (fun (n : Message.gather_node) ->
-                {
-                  Hf_engine.Scatter.oid = n.oid;
-                  start = n.start;
-                  passed = n.passed;
-                  visited = n.visited;
-                  spawns = n.spawns;
-                  bindings = n.bindings;
-                })
-              nodes
-          in
-          let outcome =
-            Hf_engine.Scatter.Stitch.add_gather st ~site:peer engine_nodes
-          in
-          (* fallback credit splits happen inside, BEFORE the
-             gather's credit is deposited below *)
-          apply_scatter_outcome t query ctx outcome);
+       (* fallback credit splits happen inside, BEFORE the gather's
+          credit is deposited below *)
+       stitch_gather t query ctx ~src:peer
+         (List.map
+            (fun (n : Message.gather_node) ->
+              {
+                Hf_engine.Scatter.oid = n.oid;
+                start = n.start;
+                passed = n.passed;
+                visited = n.visited;
+                spawns = n.spawns;
+                bindings = n.bindings;
+              })
+            nodes);
        credit_recovered t query ctx (Credit.of_atoms credit);
        (match Hashtbl.find_opt t.contexts query with
         | None -> () (* the deposit terminated and evicted the query *)
@@ -1877,12 +1428,48 @@ let poke_links t =
 
 (* --- reader / accept threads --- *)
 
+(* Every site id a peer supplies — the envelope's sender, each query's
+   originator, and the [src]/[site]/[dead] fields — indexes [t.peers]
+   somewhere downstream (a reply, a credit return, an ack).  A frame
+   naming a site outside the cluster is garbage. *)
+let known t site = site >= 0 && site < Array.length t.peers
+
+let rec groups_known t = function
+  | [] -> true
+  | (g : Message.batch_group) :: rest -> known t g.query.originator && groups_known t rest
+
+let names_known_sites t (message : Message.t) (rel : Hf_proto.Codec.rel option) =
+  (match rel with Some { src; _ } -> known t src | None -> true)
+  &&
+  match message with
+  | Message.Deref_request { query; _ }
+  | Message.Result { query; _ }
+  | Message.Credit_return { query; _ }
+  | Message.Scatter { query; _ } ->
+    known t query.originator
+  | Message.Work_batch groups -> groups_known t groups
+  | Message.Site_unreachable { query; dead } -> known t query.originator && known t dead
+  | Message.Cache_validate { query; src }
+  | Message.Cache_answers { query; src; _ }
+  | Message.Query_done { query; src }
+  | Message.Gather_result { query; src; _ } ->
+    known t query.originator && known t src
+  | Message.Cache_version { query; site; _ } -> known t query.originator && known t site
+  | Message.Stats_pull { src; _ } | Message.Stats_report { src; _ } -> known t src
+  | Message.Link_ack -> true
+
 let reader_loop t fd () =
   let decoder = Hf_proto.Frame.Decoder.create () in
   let chunk = Bytes.create 8192 in
   let decode payload =
     match Hf_proto.Codec.decode_enveloped payload with
-    | Ok decoded -> Some decoded
+    | Ok ((message, _, rel) as decoded) ->
+      if names_known_sites t message rel then Some decoded
+      else begin
+        Log.warn (fun m ->
+            m "site %d: message naming an unknown site dropped: %a" t.id Message.pp message);
+        None
+      end
     | Error err ->
       Log.warn (fun m -> m "site %d: undecodable message dropped: %s" t.id err);
       None
@@ -1936,10 +1523,11 @@ let create ~site ?(batch = Hf_proto.Batch.unbatched) ?reliability ?cache
   let ack_latency = Hf_obs.Registry.histogram registry "hf.net.ack_latency_s" in
   let admission_wait = Hf_obs.Registry.histogram registry "hf.net.admission_wait_s" in
   let bloofi_depth = Hf_obs.Registry.histogram registry "hf.index.bloofi_descent_depth" in
+  let store = Hf_data.Store.create ~site in
   let t =
     {
       id = site;
-      store = Hf_data.Store.create ~site;
+      store;
       batch_policy = batch;
       reliability;
       links = Hashtbl.create 8;
@@ -1973,15 +1561,9 @@ let create ~site ?(batch = Hf_proto.Batch.unbatched) ?reliability ?cache
       dup_drops = 0;
       acks_sent = 0;
       give_ups = 0;
-      cache_config = cache;
-      cache = Option.map Hf_index.Remote_cache.create cache;
-      summary_memo = None;
-      summary_told = Hashtbl.create 4;
-      summaries = Hashtbl.create 4;
-      summary_epoch = 0;
-      peer_epochs = Hashtbl.create 4;
-      bloofi = (if bloofi then Some (Hf_index.Bloofi.create ()) else None);
-      bloofi_depth;
+      proto =
+        Site.create ~id:site ~store ~locate ~clock:Unix.gettimeofday ~cache ~serve_hits:true
+          ~bloofi ~bloofi_depth;
       cache_hits = 0;
       cache_misses = 0;
       cache_prunes = 0;
@@ -1995,7 +1577,6 @@ let create ~site ?(batch = Hf_proto.Batch.unbatched) ?reliability ?cache
       scatter_fallbacks = 0;
       planner_scatter = 0;
       planner_ship = 0;
-      locality_memo = None;
       stats_token = 0;
       peer_stats = Hashtbl.create 8;
       peer_stats_token = Hashtbl.create 8;
@@ -2046,21 +1627,15 @@ let create ~site ?(batch = Hf_proto.Batch.unbatched) ?reliability ?cache
       locked t (fun () -> t.planner_scatter));
   Hf_obs.Registry.register_counter registry "hf.net.planner_ship" (fun () ->
       locked t (fun () -> t.planner_ship));
+  let bloofi_count f =
+    locked t (fun () -> match Site.bloofi t.proto with None -> 0 | Some tree -> f tree)
+  in
   Hf_obs.Registry.register_counter registry "hf.index.bloofi_probes" (fun () ->
-      locked t (fun () ->
-          match t.bloofi with
-          | None -> 0
-          | Some tree -> Hf_index.Bloofi.probes_run tree));
+      bloofi_count Hf_index.Bloofi.probes_run);
   Hf_obs.Registry.register_counter registry "hf.index.bloofi_pruned_sites" (fun () ->
-      locked t (fun () ->
-          match t.bloofi with
-          | None -> 0
-          | Some tree -> Hf_index.Bloofi.pruned_total tree));
+      bloofi_count Hf_index.Bloofi.pruned_total);
   Hf_obs.Registry.register_counter registry "hf.index.bloofi_rebuilds" (fun () ->
-      locked t (fun () ->
-          match t.bloofi with
-          | None -> 0
-          | Some tree -> Hf_index.Bloofi.rebuilds tree));
+      bloofi_count Hf_index.Bloofi.rebuilds);
   Hf_obs.Registry.register_counter registry "hf.net.queries_running" (fun () ->
       locked t (fun () -> Sched.running t.gate));
   Hf_obs.Registry.register_counter registry "hf.net.queries_queued" (fun () ->
@@ -2091,7 +1666,7 @@ let create ~site ?(batch = Hf_proto.Batch.unbatched) ?reliability ?cache
       locked t (fun () -> float_of_int (Sched.waiting_tenants t.gate)));
   Hf_obs.Registry.register_gauge registry "hf.net.cache_entries" (fun () ->
       locked t (fun () ->
-          match t.cache with
+          match Site.cache t.proto with
           | None -> 0.0
           | Some cache -> float_of_int (Hf_index.Remote_cache.length cache)));
   Hf_obs.Tracer.register tracer registry ~prefix:"hf.net";
@@ -2309,36 +1884,18 @@ let submit_query (t : t) program initial =
       let query = { Message.originator = t.id; serial = t.next_serial } in
       t.next_serial <- t.next_serial + 1;
       let root_span =
-        Hf_obs.Tracer.start t.tracer
-          ~query:(Fmt.str "%a" Message.pp_query_id query)
-          ~site:t.id ~phase:Hf_obs.Span.Query "query"
+        Hf_obs.Tracer.start t.tracer ~query:(qname query) ~site:t.id ~phase:Hf_obs.Span.Query
+          "query"
       in
-      let ctx = new_context t ~cause:root_span ~query ~origin:t.id program in
+      let ctx = new_context t ~cause:root_span ~query program in
       (* Mode selection (doc/execution_modes.md): [Exec_ship] is the
          byte-identical legacy path — no planner runs at all.  This
          engine is always per-site-marks, ship-items, so eligibility
          plus a non-empty predicted set is all scatter needs. *)
-      let decision =
-        match t.exec with
-        | Exec_ship -> None
-        | Exec_scatter | Exec_auto -> Some (plan_decision t program initial)
+      let decision, scatter_sites =
+        Site.select t.exec ~scatter_ok:true (fun () -> plan_decision t program initial)
       in
       ctx.decision <- decision;
-      let scatter_sites =
-        match (t.exec, decision) with
-        | Exec_ship, _ | _, None -> None
-        | Exec_scatter, Some d ->
-          if d.Hf_query.Plan.eligible && d.Hf_query.Plan.predicted <> [] then
-            Some d.Hf_query.Plan.predicted
-          else None
-        | Exec_auto, Some d ->
-          if
-            d.Hf_query.Plan.eligible
-            && d.Hf_query.Plan.predicted <> []
-            && Hf_query.Plan.equal_mode d.Hf_query.Plan.chosen Hf_query.Plan.Scatter
-          then Some d.Hf_query.Plan.predicted
-          else None
-      in
       (match decision with
        | None -> ()
        | Some _ ->
@@ -2362,8 +1919,7 @@ let submit_query (t : t) program initial =
         let trace_now = Hf_obs.Tracer.now t.tracer in
         ignore
           (Hf_obs.Tracer.complete t.tracer ~parent:root_span
-             ~query:(Fmt.str "%a" Message.pp_query_id query)
-             ~site:t.id ~phase:Hf_obs.Span.Wait ~start:(trace_now -. wait)
+             ~query:(qname query) ~site:t.id ~phase:Hf_obs.Span.Wait ~start:(trace_now -. wait)
              ~finish:trace_now "admission-wait");
         (* the drainer is not kept: it ends when the query's working
            set is drained, and holding its handle would retain memory
@@ -2379,7 +1935,7 @@ let submit_query (t : t) program initial =
        | Sched.Queued -> ()
        | Sched.Rejected ->
          Hashtbl.remove t.contexts query;
-         Hf_obs.Tracer.finish ~detail:"rejected" t.tracer ctx.span;
+         Hf_obs.Tracer.finish ~detail:"rejected" t.tracer ctx.core.span;
          Hf_obs.Tracer.finish ~detail:"rejected" t.tracer root_span;
          failwith
            (Fmt.str "Tcp_site.submit_query: admission queue full at site %d (%a)" t.id
@@ -2418,12 +1974,12 @@ let await ?(timeout = 10.0) (t : t) (handle : handle) =
           else Partial (List.sort_uniq compare ctx.unreachable)
         in
         {
-          results = List.rev ctx.final_results;
-          result_set = ctx.final_set;
+          results = List.rev ctx.core.final.results;
+          result_set = ctx.core.final.set;
           bindings =
             Hashtbl.fold
               (fun target values acc -> (target, values) :: acc)
-              ctx.final_bindings []
+              ctx.core.final.bindings []
             |> List.sort (fun (a, _) (b, _) -> String.compare a b);
           terminated = ctx.terminated;
           status;
@@ -2572,7 +2128,7 @@ let known_peer_stats t =
    clock).  Sites sharing one tracer (tests, the demo cluster) get the
    full cross-site picture; separate processes each see their half. *)
 let profile (t : t) (handle : handle) (outcome : outcome) =
-  let query = Fmt.str "%a" Message.pp_query_id handle.h_query in
+  let query = qname handle.h_query in
   Hf_obs.Profile.of_spans ~query
     ~scalars:
       [

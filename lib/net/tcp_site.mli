@@ -19,7 +19,7 @@
 
 type t
 
-type exec_mode =
+type exec_mode = Hf_server.Site.exec_mode =
   | Exec_ship  (** classic query shipping only; no planner runs. *)
   | Exec_scatter
       (** scatter-gather whenever the program is eligible (no [.\[n\]]

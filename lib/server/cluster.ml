@@ -1,8 +1,8 @@
 (* The distributed HyperFile server (paper, Section 3.2), running on the
    discrete-event simulator.
 
-   Every site runs the identical algorithm: it keeps a context per query
-   (Q.id, Q.originator, Q.body, mark table, working set, result buffer)
+   Every site runs the identical algorithm, whose decisions live in
+   [Site] (shared with the socket engine): it keeps a context per query
    and processes work items with the local engine.  When a dereference
    reaches an object stored at another site, the query — not the object —
    is shipped there: a work message carrying (Q.id, Q.originator, Q.body,
@@ -45,15 +45,8 @@ type mark_scope =
   | Local_marks (* the paper's choice: per-site tables, duplicate messages possible *)
   | Global_marks (* ablation: an oracle global table suppresses duplicate sends *)
 
-type exec_mode =
-  | Exec_ship (* the paper's protocol: work items follow the pointer chain *)
-  | Exec_scatter
-      (* force single-round scatter-gather whenever the program is
-         eligible (no finite iterators); ineligible queries ship *)
-  | Exec_auto
-      (* cost-based: [Hf_query.Plan.decide] picks the cheaper mode per
-         query from seed placement, learned Bloom summaries and the
-         origin store's locality (doc/execution_modes.md) *)
+(* Execution-mode selection, shared with the socket engine (see [Site]). *)
+type exec_mode = Site.exec_mode = Exec_ship | Exec_scatter | Exec_auto
 
 type config = {
   costs : Hf_sim.Costs.t;
@@ -144,39 +137,15 @@ type outcome = {
 module Make (D : Hf_termination.Detector.S) = struct
   type work_source = Seeded | From_network
 
+  (* The shared per-query site state, plus this engine's detector.
+     [core.active] counts items popped from W whose task has not
+     completed; [core.buffered] counts items in the site's outgoing
+     batcher.  Its evaluation span parents on the work message that
+     first reached the site (or the query root at the originator); its
+     mark table is shared across sites under Global_marks. *)
   type context = {
-    query : Hf_proto.Message.query_id;
-    plan : Hf_engine.Plan.t;
-    origin : int;
-    span : int;
-        (* this site's evaluation span for the query; parented on the
-           work message that first reached the site (or the query root
-           at the originator) *)
-    marks : Hf_engine.Mark_table.t; (* shared across sites under Global_marks *)
-    work : (Hf_engine.Work_item.t * work_source) Hf_util.Deque.t;
+    core : (Hf_engine.Work_item.t * work_source) Site.ctx;
     detector : D.t;
-    stats : Hf_engine.Stats.t;
-    bindings : (string, Hf_data.Value.t list) Hashtbl.t; (* emission buffer *)
-    mutable result_buffer : Oid.t list; (* pending shipment, newest first *)
-    mutable local_result_set : Oid.Set.t; (* all results found at this site *)
-    mutable in_flight : int; (* items popped from W whose task has not completed *)
-    (* Cache layer (config.cache): per-destination validation state.
-       Items headed for an unvalidated destination wait in [parked] —
-       their credit unsplit, so [parked_count] must hold the drain
-       condition open — until a [Cache_version] reply (or a give-up)
-       resolves them. *)
-    validated : (int, int) Hashtbl.t; (* dst -> store version vouched this query *)
-    validating : (int, unit) Hashtbl.t; (* dst with a Cache_validate in flight *)
-    parked : (int, Hf_engine.Work_item.t list) Hashtbl.t; (* dst -> items, newest first *)
-    mutable parked_count : int;
-    mutable answers : (Hf_engine.Work_item.t * bool) list;
-        (* cacheable verdicts computed here for the originator's cache,
-           newest first; flushed (credit-free) at drain *)
-    mutable answers_version : int; (* store version the answers were computed at *)
-    mutable scatter : Hf_engine.Scatter.Stitch.t option;
-        (* scatter-gather merge state; [Some _] only at the originator
-           of a query running in scatter mode.  The drain condition
-           stays open while gathers are outstanding. *)
   }
 
   type open_query = {
@@ -185,9 +154,7 @@ module Make (D : Hf_termination.Detector.S) = struct
     start_time : float;
     span : int; (* root span: submit to detected termination *)
     metrics : Metrics.t;
-    mutable final_results : Oid.t list; (* newest first *)
-    mutable final_set : Oid.Set.t;
-    final_bindings : (string, Hf_data.Value.t list) Hashtbl.t;
+    final : Site.final; (* shared with the originator's context *)
     mutable counts : (int * int) list;
     mutable terminated : bool;
     mutable unreachable_sites : int list;
@@ -273,7 +240,7 @@ module Make (D : Hf_termination.Detector.S) = struct
         query : Hf_proto.Message.query_id;
         src : int;
         version : int; (* the answering site's store version *)
-        answers : (Hf_engine.Work_item.t * bool) list;
+        answers : Hf_proto.Message.cache_answer list;
         span : int;
       }
         (* opportunistic fill: verdicts this site computed, shipped to
@@ -313,6 +280,7 @@ module Make (D : Hf_termination.Detector.S) = struct
   type site = {
     id : int;
     store : Hf_data.Store.t;
+    proto : Site.t; (* the protocol state shared with the socket engine *)
     contexts : (Hf_proto.Message.query_id, context) Hashtbl.t;
     retained : (Hf_proto.Message.query_id, Oid.Set.t) Hashtbl.t;
         (* local result portions of terminated queries, kept (until
@@ -326,43 +294,13 @@ module Make (D : Hf_termination.Detector.S) = struct
     outgoing : (Hf_proto.Message.query_id * Hf_engine.Work_item.t) Hf_proto.Batch.t;
         (* per-destination buffer of remote work awaiting shipment;
            shared by every query on the site so concurrent traffic to
-           the same destination coalesces *)
-    out_pending : (Hf_proto.Message.query_id, int) Hashtbl.t;
-        (* buffered-item count per query: a context must not drain while
-           it still owns buffered items, or the detector would see its
-           work as finished before the items' credit was split *)
+           the same destination coalesces.  A context must not drain
+           while it still owns buffered items ([core.buffered]), or the
+           detector would see its work as finished before the items'
+           credit was split. *)
     links : link array;
         (* per-peer reliable-delivery state (index = peer site id);
            dormant unless [config.reliability] is set *)
-    cache : Hf_index.Remote_cache.t option;
-        (* remote-answer cache ([Some _] iff [config.cache] is set);
-           filled only at query originators, consulted on every ship *)
-    mutable summary_memo : (int * Hf_index.Bloom.t) option;
-        (* this site's own Bloom tuple summary, memoized per store
-           version; rebuilt lazily when a Cache_validate arrives after
-           a version bump *)
-    summary_told : (int, int) Hashtbl.t;
-        (* peer -> store version whose summary we last sent them, so
-           repeat validations skip the summary bytes *)
-    summaries : (int, int * Hf_index.Bloom.t) Hashtbl.t;
-        (* peer -> (version, summary) learned from Cache_version
-           replies; prune checks require the validated version *)
-    mutable summary_epoch : int;
-        (* monotonic count of summary recomputes at this site; rides
-           every Cache_version reply so receivers can spot a restarted
-           lineage (an epoch regression) and drop what they learned *)
-    peer_epochs : (int, int) Hashtbl.t;
-        (* peer -> last summary epoch seen from it *)
-    bloofi : Hf_index.Bloofi.t;
-        (* this origin's Bloofi tree over peer summaries (config.bloofi);
-           leaves track [summaries] plus the lazy [summary_for] fallback *)
-    bloofi_src : (int, Hf_index.Bloom.t) Hashtbl.t;
-        (* peer -> the exact filter currently installed as its leaf, so
-           maintenance can skip physically-unchanged summaries *)
-    mutable locality_memo : (int * float) option;
-        (* (store version, fraction of this store's pointer tuples that
-           stay on-site) — the planner's honest locality signal,
-           rebuilt lazily on version bumps *)
   }
 
   type t = {
@@ -380,9 +318,6 @@ module Make (D : Hf_termination.Detector.S) = struct
            the serial CPU starts it — the queueing half of response
            time, previously dark (DESIGN.md §4i) *)
     admission_wait : Hf_obs.Histogram.t; (* submit-to-seed gate wait, virtual s *)
-    bloofi_depth : Hf_obs.Histogram.t;
-        (* deepest level reached per Bloofi planner descent — sublinear
-           probe cost made visible (hf.index.bloofi_descent_depth) *)
     mutable standalone_acks : int; (* acks that found no reverse traffic to ride *)
     mutable total_retransmits : int;
     mutable total_dup_drops : int;
@@ -407,32 +342,6 @@ module Make (D : Hf_termination.Detector.S) = struct
     let rel_config =
       Option.value config.reliability ~default:Hf_proto.Reliable.default
     in
-    let sites =
-      Array.init n_sites (fun id ->
-          {
-            id;
-            store = Hf_data.Store.create ~site:id;
-            contexts = Hashtbl.create 8;
-            retained = Hashtbl.create 8;
-            tasks = Sched.Rr.create ();
-            busy = false;
-            alive = true;
-            outgoing = Hf_proto.Batch.create config.batch;
-            out_pending = Hashtbl.create 4;
-            links =
-              Array.init n_sites (fun _ ->
-                  { rel = Hf_proto.Reliable.create rel_config; armed = None });
-            cache = Option.map Hf_index.Remote_cache.create config.cache;
-            summary_memo = None;
-            summary_told = Hashtbl.create 4;
-            summaries = Hashtbl.create 4;
-            summary_epoch = 0;
-            peer_epochs = Hashtbl.create 4;
-            bloofi = Hf_index.Bloofi.create ();
-            bloofi_src = Hashtbl.create 4;
-            locality_memo = None;
-          })
-    in
     let locate = match locate with Some f -> f | None -> Oid.birth_site in
     let sim = Hf_sim.Sim.create () in
     (* Spans are stamped in virtual time so trace durations line up
@@ -444,6 +353,31 @@ module Make (D : Hf_termination.Detector.S) = struct
     let queue_wait = Hf_obs.Registry.histogram registry "hf.server.queue_wait_s" in
     let admission_wait = Hf_obs.Registry.histogram registry "hf.server.admission_wait_s" in
     let bloofi_depth = Hf_obs.Registry.histogram registry "hf.index.bloofi_descent_depth" in
+    let sites =
+      Array.init n_sites (fun id ->
+          let store = Hf_data.Store.create ~site:id in
+          {
+            id;
+            store;
+            (* Counting modes attribute results to the site that found
+               them, so a cache hit there is never served locally. *)
+            proto =
+              Site.create ~id ~store ~locate
+                ~clock:(fun () -> Hf_sim.Sim.now sim)
+                ~cache:config.cache
+                ~serve_hits:(config.result_mode = Ship_items)
+                ~bloofi:config.bloofi ~bloofi_depth;
+            contexts = Hashtbl.create 8;
+            retained = Hashtbl.create 8;
+            tasks = Sched.Rr.create ();
+            busy = false;
+            alive = true;
+            outgoing = Hf_proto.Batch.create config.batch;
+            links =
+              Array.init n_sites (fun _ ->
+                  { rel = Hf_proto.Reliable.create rel_config; armed = None });
+          })
+    in
     let t =
       {
         sim;
@@ -457,7 +391,6 @@ module Make (D : Hf_termination.Detector.S) = struct
         ack_latency;
         queue_wait;
         admission_wait;
-        bloofi_depth;
         standalone_acks = 0;
         total_retransmits = 0;
         total_dup_drops = 0;
@@ -475,18 +408,18 @@ module Make (D : Hf_termination.Detector.S) = struct
         t.total_dup_drops);
     (* Bloofi planner-index counters, summed across origins (each site
        maintains its own tree over what it learned about its peers). *)
+    let bloofi_sum f =
+      Array.fold_left
+        (fun acc site ->
+          match Site.bloofi site.proto with None -> acc | Some tree -> acc + f tree)
+        0 t.sites
+    in
     Hf_obs.Registry.register_counter registry "hf.index.bloofi_probes" (fun () ->
-        Array.fold_left
-          (fun acc site -> acc + Hf_index.Bloofi.probes_run site.bloofi)
-          0 t.sites);
+        bloofi_sum Hf_index.Bloofi.probes_run);
     Hf_obs.Registry.register_counter registry "hf.index.bloofi_pruned_sites" (fun () ->
-        Array.fold_left
-          (fun acc site -> acc + Hf_index.Bloofi.pruned_total site.bloofi)
-          0 t.sites);
+        bloofi_sum Hf_index.Bloofi.pruned_total);
     Hf_obs.Registry.register_counter registry "hf.index.bloofi_rebuilds" (fun () ->
-        Array.fold_left
-          (fun acc site -> acc + Hf_index.Bloofi.rebuilds site.bloofi)
-          0 t.sites);
+        bloofi_sum Hf_index.Bloofi.rebuilds);
     (* Live gauges over the scheduler's previously-dark state
        (DESIGN.md §4i): run-queue depth and tenancy, admission gate
        occupancy, context and cache population.  The sim is
@@ -512,7 +445,7 @@ module Make (D : Hf_termination.Detector.S) = struct
         float_of_int
           (Array.fold_left
              (fun acc site ->
-               match site.cache with
+               match Site.cache site.proto with
                | None -> acc
                | Some cache -> acc + Hf_index.Remote_cache.length cache)
              0 t.sites));
@@ -534,6 +467,11 @@ module Make (D : Hf_termination.Detector.S) = struct
   let kill_site t site = t.sites.(site).alive <- false
 
   let revive_site t site = t.sites.(site).alive <- true
+
+  (* A point event on [site]'s timeline for [query]. *)
+  let instant t ~parent query site ?detail phase name =
+    let query = qname query in
+    ignore (Hf_obs.Tracer.instant t.tracer ~parent ~query ~site:site.id ?detail ~phase name)
 
   let record t site kind detail =
     match t.trace with
@@ -596,6 +534,12 @@ module Make (D : Hf_termination.Detector.S) = struct
     | Some oq when not oq.cancelled -> Some oq
     | Some _ | None -> None
 
+  (* Update [query]'s metrics, while it is open. *)
+  let with_metrics t query f = match find_open t query with Some oq -> f oq.metrics | None -> ()
+
+  (* Charge [cost] seconds of [site]'s CPU to [query]. *)
+  let charge t query site cost = with_metrics t query (fun m -> Metrics.add_busy m site cost)
+
   (* [cause] is the span id of the work message (or other event) that
      first brought the query to this site; the fresh context's
      evaluation span parents on it, falling back to the query root. *)
@@ -623,7 +567,7 @@ module Make (D : Hf_termination.Detector.S) = struct
             | Global_marks -> (
                 (* share the originator's table *)
                 match Hashtbl.find_opt t.sites.(query.originator).contexts query with
-                | Some origin_ctx -> origin_ctx.marks
+                | Some origin_ctx -> origin_ctx.core.marks
                 | None -> Hf_engine.Mark_table.create ())
           in
           let parent = if cause <> 0 then cause else oq.span in
@@ -631,28 +575,12 @@ module Make (D : Hf_termination.Detector.S) = struct
             Hf_obs.Tracer.start t.tracer ~parent ~query:(qname query) ~site:site.id
               ~phase:Hf_obs.Span.Eval "site-eval"
           in
+          let final = if site.id = query.originator then Some oq.final else None in
           let ctx =
             {
-              query;
-              plan = Hf_engine.Plan.make oq.program;
-              origin = query.originator;
-              span;
-              marks;
-              work = Hf_util.Deque.create ();
+              core = Site.context ~marks ?final ~query ~span oq.program;
               detector =
                 D.create ~n_sites:(n_sites t) ~origin:query.originator ~self:site.id;
-              stats = Hf_engine.Stats.create ();
-              bindings = Hashtbl.create 4;
-              result_buffer = [];
-              local_result_set = Oid.Set.empty;
-              in_flight = 0;
-              validated = Hashtbl.create 4;
-              validating = Hashtbl.create 4;
-              parked = Hashtbl.create 4;
-              parked_count = 0;
-              answers = [];
-              answers_version = 0;
-              scatter = None;
             }
           in
           Hashtbl.replace site.contexts query ctx;
@@ -663,17 +591,27 @@ module Make (D : Hf_termination.Detector.S) = struct
       (fun acc site ->
         match Hashtbl.find_opt site.contexts query with
         | None -> acc
-        | Some ctx -> Hf_engine.Stats.merge acc ctx.stats)
+        | Some ctx -> Hf_engine.Stats.merge acc ctx.core.stats)
       (Hf_engine.Stats.create ()) t.sites
 
-  (* --- result handling at the originator --- *)
+  (* [site]'s portion of query [from]'s results.  [from] normally
+     terminated long ago, so its context was evicted and the portion
+     lives in [retained]. *)
+  let portion site from =
+    match Hashtbl.find_opt site.contexts from with
+    | Some prev -> Oid.Set.elements prev.core.local_result_set
+    | None -> (
+        match Hashtbl.find_opt site.retained from with
+        | Some set -> Oid.Set.elements set
+        | None -> [])
 
-  let merge_bindings table extra =
-    List.iter
-      (fun (target, values) ->
-        let existing = match Hashtbl.find_opt table target with None -> [] | Some v -> v in
-        Hashtbl.replace table target (existing @ values))
-      extra
+  (* Nodes in a scattered site's speculation domain: its roots plus
+     every local object at every landing index. *)
+  let domain_size site ctx roots =
+    let landing = Hf_query.Plan.landing_pcs (Hf_engine.Plan.program ctx.core.plan) in
+    List.length roots + (List.length (Hf_data.Store.oids site.store) * List.length landing)
+
+  (* --- result handling at the originator --- *)
 
   (* Free an admission slot; if a submission was queued behind the cap
      it takes over the slot and its seeding thunk runs now. *)
@@ -695,7 +633,7 @@ module Make (D : Hf_termination.Detector.S) = struct
     let stats = merged_stats t oq.id in
     let origin_local =
       match Hashtbl.find_opt t.sites.(oq.id.originator).contexts oq.id with
-      | Some ctx -> Oid.Set.cardinal ctx.local_result_set
+      | Some ctx -> Oid.Set.cardinal ctx.core.local_result_set
       | None -> 0
     in
     oq.captured <- Some (stats, origin_local);
@@ -703,10 +641,9 @@ module Make (D : Hf_termination.Detector.S) = struct
       (fun site ->
         match Hashtbl.find_opt site.contexts oq.id with
         | Some ctx ->
-          Hf_obs.Tracer.finish t.tracer ctx.span;
-          Hashtbl.replace site.retained oq.id ctx.local_result_set;
-          Hashtbl.remove site.contexts oq.id;
-          Hashtbl.remove site.out_pending oq.id
+          Hf_obs.Tracer.finish t.tracer ctx.core.span;
+          Hashtbl.replace site.retained oq.id ctx.core.local_result_set;
+          Hashtbl.remove site.contexts oq.id
         | None -> ())
       t.sites;
     Hf_obs.Tracer.finish t.tracer oq.span;
@@ -758,14 +695,6 @@ module Make (D : Hf_termination.Detector.S) = struct
     end
 
   (* --- outgoing-batch bookkeeping --- *)
-
-  let pending_for site query =
-    match Hashtbl.find_opt site.out_pending query with Some n -> n | None -> 0
-
-  let adjust_pending site query delta =
-    let n = pending_for site query + delta in
-    if n <= 0 then Hashtbl.remove site.out_pending query
-    else Hashtbl.replace site.out_pending query n
 
   (* Group a flushed (query, item) run by query, preserving
      first-appearance order, so each query's header ships once. *)
@@ -831,9 +760,10 @@ module Make (D : Hf_termination.Detector.S) = struct
     let groups =
       group_entries entries
       |> List.filter_map (fun (query, items) ->
-             adjust_pending site query (-List.length items);
              match context_of t site query with
-             | Some ctx -> Some (ctx, items, D.on_send_work ctx.detector ~dst)
+             | Some ctx ->
+               ctx.core.buffered <- ctx.core.buffered - List.length items;
+               Some (ctx, items, D.on_send_work ctx.detector ~dst)
              | None -> None)
     in
     (dst, groups)
@@ -845,31 +775,24 @@ module Make (D : Hf_termination.Detector.S) = struct
     | [] -> ()
     | (ctx0, _, _) :: _ ->
       let total = batch_total groups in
-      let oq0 = find_open t ctx0.query in
-      (match oq0 with
-       | Some oq ->
-         oq.metrics.Metrics.work_messages <- oq.metrics.Metrics.work_messages + 1;
-         if total >= 2 then
-           oq.metrics.Metrics.work_batches <- oq.metrics.Metrics.work_batches + 1
-       | None -> ());
+      let oq0 = find_open t ctx0.core.query in
+      with_metrics t ctx0.core.query (fun m ->
+          m.Metrics.work_messages <- m.Metrics.work_messages + 1;
+          if total >= 2 then m.Metrics.work_batches <- m.Metrics.work_batches + 1);
       List.iter
         (fun (ctx, items, _) ->
-          match find_open t ctx.query with
-          | Some oq ->
-            let program = Hf_engine.Plan.program ctx.plan in
-            oq.metrics.Metrics.work_items <-
-              oq.metrics.Metrics.work_items + List.length items;
-            oq.metrics.Metrics.work_bytes <-
-              oq.metrics.Metrics.work_bytes + batch_group_bytes program items;
-            oq.metrics.Metrics.batch_bytes_saved <-
-              oq.metrics.Metrics.batch_bytes_saved
-              + ((List.length items - 1) * batch_header_bytes program)
-          | None -> ())
+          with_metrics t ctx.core.query (fun m ->
+              let program = Hf_engine.Plan.program ctx.core.plan in
+              m.Metrics.work_items <- m.Metrics.work_items + List.length items;
+              m.Metrics.work_bytes <- m.Metrics.work_bytes + batch_group_bytes program items;
+              m.Metrics.batch_bytes_saved <-
+                m.Metrics.batch_bytes_saved
+                + ((List.length items - 1) * batch_header_bytes program)))
         groups;
       record t site.id "work-send" (Fmt.str "%d item(s) to %d" total dst);
       Hf_obs.Histogram.observe t.work_batch_items (float_of_int total);
       let span =
-        Hf_obs.Tracer.start t.tracer ~parent:ctx0.span ~query:(qname ctx0.query)
+        Hf_obs.Tracer.start t.tracer ~parent:ctx0.core.span ~query:(qname ctx0.core.query)
           ~site:site.id ~phase:Hf_obs.Span.Ship
           (Fmt.str "work->%d" dst)
       in
@@ -878,11 +801,10 @@ module Make (D : Hf_termination.Detector.S) = struct
         ~transit:(Hf_sim.Costs.batch_transit t.config.costs ~items:total)
         ~dst
         (Work
-           { groups = List.map (fun (ctx, items, tag) -> (ctx.query, items, tag)) groups;
+           { groups = List.map (fun (ctx, items, tag) -> (ctx.core.query, items, tag)) groups;
              src = site.id;
              span;
            })
-        (fun dsite message -> handle_message t dsite message)
 
   (* Ship every buffered batch; runs when the site's task queue empties
      and is a no-op with nothing buffered.  Each flush is charged as a
@@ -891,26 +813,7 @@ module Make (D : Hf_termination.Detector.S) = struct
   and flush_idle t site =
     if Hf_proto.Batch.pending site.outgoing > 0 then
       List.iter
-        (fun (dst, entries) ->
-          match prepare_batch t site ~dst entries with
-          | _, [] -> ()
-          | (dst, ((ctx0, _, _) :: _ as groups)) as prepared ->
-            enqueue t site ~tenant:ctx0.origin (fun () ->
-                let cost =
-                  Hf_sim.Costs.batch_send t.config.costs ~items:(batch_total groups)
-                in
-                (match find_open t ctx0.query with
-                 | Some oq -> Metrics.add_busy oq.metrics site.id cost
-                 | None -> ());
-                ignore
-                  (Hf_obs.Tracer.instant t.tracer ~parent:ctx0.span
-                     ~detail:(Fmt.str "%d item(s)" (batch_total groups))
-                     ~query:(qname ctx0.query) ~site:site.id ~phase:Hf_obs.Span.Flush
-                     (Fmt.str "flush->%d" dst));
-                ( cost,
-                  fun () ->
-                    send_prepared t site prepared;
-                    List.iter (fun (ctx, _, _) -> maybe_drain t site ctx) groups )))
+        (fun (dst, entries) -> ship_resolved ~flush:true t site (prepare_batch t site ~dst entries))
         (Hf_proto.Batch.flush_all site.outgoing)
 
   (* [span] (when non-zero) is the shipping span opened by the sender;
@@ -925,32 +828,12 @@ module Make (D : Hf_termination.Detector.S) = struct
      receiver-side dedup — so a drop only costs a retransmission, and a
      peer that never acks is eventually declared unreachable and its
      messages' credit reclaimed ([abandon]). *)
-  and deliver t ~src ~oq ~label ?(span = 0) ~transit ~dst message handler =
+  and deliver t ~src ~oq ~label ?(span = 0) ~transit ~dst message =
     match t.config.reliability with
     | None ->
-      let dropped =
-        t.config.loss > 0.0 && Hf_util.Prng.next_float t.jitter_prng < t.config.loss
-      in
-      if dropped then begin
-        (match (oq : open_query option) with
-         | Some oq ->
-           oq.metrics.Metrics.dropped_messages <- oq.metrics.Metrics.dropped_messages + 1
-         | None -> ());
-        record t src "drop" (Fmt.str "%s to %d" label dst);
-        Hf_obs.Tracer.finish ~detail:"dropped" t.tracer span
-      end
-      else begin
-        let transit =
-          if t.config.jitter <= 0.0 then transit
-          else transit +. (Hf_util.Prng.next_float t.jitter_prng *. t.config.jitter)
-        in
-        Hf_sim.Sim.schedule t.sim ~delay:transit (fun () ->
-            Hf_obs.Tracer.finish t.tracer span;
-            let site = t.sites.(dst) in
-            if site.alive then
-              enqueue t site ~tenant:(tenant_of_message message) (fun () ->
-                  handler site message))
-      end
+      carry t ~src ~oq ~label ~span ~transit ~dst (fun site ->
+          enqueue t site ~tenant:(tenant_of_message message) (fun () ->
+              handle_message t site message))
     | Some _ ->
       let link = t.sites.(src).links.(dst) in
       if Hf_proto.Reliable.unreachable link.rel then begin
@@ -979,13 +862,41 @@ module Make (D : Hf_termination.Detector.S) = struct
      most once per sequence number. *)
   and transmit t ~src ~dst ?(span = 0) ~label ~transit ~seq ~oq message =
     let ack = Hf_proto.Reliable.take_ack t.sites.(src).links.(dst).rel in
-    let dropped =
-      t.config.loss > 0.0 && Hf_util.Prng.next_float t.jitter_prng < t.config.loss
-    in
-    if dropped then begin
+    carry t ~src ~oq ~label ~span ~transit ~dst (fun dsite ->
+        let dlink = dsite.links.(src) in
+        let now = Hf_sim.Sim.now t.sim in
+        List.iter
+          (fun latency -> Hf_obs.Histogram.observe t.ack_latency latency)
+          (Hf_proto.Reliable.on_ack dlink.rel ~now ack);
+        let fresh =
+          if seq = 0 then true
+          else
+            match Hf_proto.Reliable.receive dlink.rel ~now ~seq with
+            | `Fresh -> true
+            | `Duplicate ->
+              t.total_dup_drops <- t.total_dup_drops + 1;
+              (match Option.bind (message_query message) (find_open t) with
+               | Some oq -> oq.metrics.Metrics.dup_drops <- oq.metrics.Metrics.dup_drops + 1
+               | None -> ());
+              record t dst "dup-drop" (Fmt.str "%s seq=%d from %d" label seq src);
+              false
+        in
+        if seq > 0 then arm_link t ~site:dst ~peer:src;
+        if fresh then
+          match message with
+          | Ack _ -> () (* transport-level: consumed by on_ack above *)
+          | _ ->
+            enqueue t dsite ~tenant:(tenant_of_message message) (fun () ->
+                handle_message t dsite message))
+
+  (* The network between two sites: draw the loss dice, then the jitter,
+     and hand the message to [arrive] at its live destination once the
+     transit has passed.  The sender's span closes on arrival, or at
+     once, tagged "dropped". *)
+  and carry t ~src ~oq ~label ~span ~transit ~dst arrive =
+    if t.config.loss > 0.0 && Hf_util.Prng.next_float t.jitter_prng < t.config.loss then begin
       (match (oq : open_query option) with
-       | Some oq ->
-         oq.metrics.Metrics.dropped_messages <- oq.metrics.Metrics.dropped_messages + 1
+       | Some oq -> oq.metrics.Metrics.dropped_messages <- oq.metrics.Metrics.dropped_messages + 1
        | None -> ());
       record t src "drop" (Fmt.str "%s to %d" label dst);
       Hf_obs.Tracer.finish ~detail:"dropped" t.tracer span
@@ -997,35 +908,8 @@ module Make (D : Hf_termination.Detector.S) = struct
       in
       Hf_sim.Sim.schedule t.sim ~delay:transit (fun () ->
           Hf_obs.Tracer.finish t.tracer span;
-          let dsite = t.sites.(dst) in
-          if dsite.alive then begin
-            let dlink = dsite.links.(src) in
-            let now = Hf_sim.Sim.now t.sim in
-            List.iter
-              (fun latency -> Hf_obs.Histogram.observe t.ack_latency latency)
-              (Hf_proto.Reliable.on_ack dlink.rel ~now ack);
-            let fresh =
-              if seq = 0 then true
-              else
-                match Hf_proto.Reliable.receive dlink.rel ~now ~seq with
-                | `Fresh -> true
-                | `Duplicate ->
-                  t.total_dup_drops <- t.total_dup_drops + 1;
-                  (match Option.bind (message_query message) (find_open t) with
-                   | Some oq ->
-                     oq.metrics.Metrics.dup_drops <- oq.metrics.Metrics.dup_drops + 1
-                   | None -> ());
-                  record t dst "dup-drop" (Fmt.str "%s seq=%d from %d" label seq src);
-                  false
-            in
-            if seq > 0 then arm_link t ~site:dst ~peer:src;
-            if fresh then
-              match message with
-              | Ack _ -> () (* transport-level: consumed by on_ack above *)
-              | _ ->
-                enqueue t dsite ~tenant:(tenant_of_message message) (fun () ->
-                    handle_message t dsite message)
-          end)
+          let site = t.sites.(dst) in
+          if site.alive then arrive site)
     end
 
   (* Schedule a poll event for the link's next deadline, unless one is
@@ -1060,10 +944,9 @@ module Make (D : Hf_termination.Detector.S) = struct
               (fun (seq, (sh : shipment)) ->
                 let oq = Option.bind (message_query sh.msg) (find_open t) in
                 t.total_retransmits <- t.total_retransmits + 1;
-                (match oq with
-                 | Some oq ->
-                   oq.metrics.Metrics.retransmits <- oq.metrics.Metrics.retransmits + 1
-                 | None -> ());
+                Option.iter
+                  (fun oq -> oq.metrics.Metrics.retransmits <- oq.metrics.Metrics.retransmits + 1)
+                  oq;
                 record t site "retransmit" (Fmt.str "%s seq=%d to %d" sh.label seq peer);
                 let span =
                   match oq with
@@ -1102,9 +985,9 @@ module Make (D : Hf_termination.Detector.S) = struct
      matters only when the destination — the originator — is itself
      gone, and then there is no one left to tell. *)
   and abandon t ~src ~dst (sh : shipment) =
-    (match Option.bind (message_query sh.msg) (find_open t) with
-     | Some oq -> oq.metrics.Metrics.give_ups <- oq.metrics.Metrics.give_ups + 1
-     | None -> ());
+    Option.iter
+      (fun query -> with_metrics t query (fun m -> m.Metrics.give_ups <- m.Metrics.give_ups + 1))
+      (message_query sh.msg);
     record t src "give-up" (Fmt.str "%s to %d" sh.label dst);
     let site = t.sites.(src) in
     let reclaim query tag =
@@ -1131,12 +1014,9 @@ module Make (D : Hf_termination.Detector.S) = struct
         reclaim query tag;
         match context_of t site query with
         | None -> ()
-        | Some ctx -> (
-            match ctx.scatter with
-            | None -> ()
-            | Some stitch ->
-              ignore (Hf_engine.Scatter.Stitch.site_dead stitch ~site:dst);
-              maybe_drain t site ctx))
+        | Some ctx ->
+          Site.gather_lost ctx.core ~site:dst;
+          maybe_drain t site ctx)
     | Cache_validate { query; _ } -> (
         (* The validation round trip died: un-park the waiting items and
            ship them the plain way — those sends fail fast against the
@@ -1144,7 +1024,7 @@ module Make (D : Hf_termination.Detector.S) = struct
         match context_of t site query with
         | None -> ()
         | Some ctx ->
-          release_parked t site ctx ~dst (fun wi acc -> push_remote t site ctx wi acc))
+          release_parked t site ctx ~dst ~version:None)
     | Results _ | Control _ | Unreachable _ | Ack _ | Cache_version _ | Cache_answers _
     | Gather _ ->
       (* a gather toward a dead originator has no one left to tell,
@@ -1161,188 +1041,114 @@ module Make (D : Hf_termination.Detector.S) = struct
           ~transit:t.config.costs.control_transit
           ~dst:query.Hf_proto.Message.originator
           (Unreachable { query; dead; src; span = 0 })
-          (fun dsite message -> handle_message t dsite message)
 
   and send_control t ~src ctx (dst, payload) =
-    let oq = find_open t ctx.query in
-    let site = t.sites.(src) in
-    enqueue t site ~tenant:ctx.origin (fun () ->
+    send_control_plane t t.sites.(src) ~tenant:ctx.core.origin ~oq:(find_open t ctx.core.query)
+      ~parent:ctx.core.span ~query:ctx.core.query ~phase:Hf_obs.Span.Credit ~label:"control"
+      ~detail:(Fmt.str "%a" D.pp_control payload)
+      ~note:(Fmt.str "to %d: %a" dst D.pp_control payload)
+      ~dst
+      (fun span -> Control { query = ctx.core.query; payload; src; span })
+
+  (* A control-plane message: one [control_send] task on [site]'s CPU,
+     then a [control_transit] hop to [dst] under a span named after
+     [label]; [make] builds the message around that span. *)
+  and send_control_plane t site ~tenant ~oq ~parent ~query ~phase ~label ?detail ~note ~dst make =
+    enqueue t site ~tenant (fun () ->
         (match oq with
          | Some oq ->
            oq.metrics.Metrics.control_messages <- oq.metrics.Metrics.control_messages + 1;
-           Metrics.add_busy oq.metrics src t.config.costs.control_send
+           Metrics.add_busy oq.metrics site.id t.config.costs.control_send
          | None -> ());
-        record t src "control-send" (Fmt.str "to %d: %a" dst D.pp_control payload);
+        record t site.id (label ^ "-send") note;
         ( t.config.costs.control_send,
           fun () ->
             let span =
-              Hf_obs.Tracer.start t.tracer ~parent:ctx.span ~query:(qname ctx.query)
-                ~site:src ~phase:Hf_obs.Span.Credit
-                (Fmt.str "control->%d" dst)
+              Hf_obs.Tracer.start t.tracer ~parent ~query:(qname query) ~site:site.id ~phase
+                (Fmt.str "%s->%d" label dst)
             in
-            Hf_obs.Tracer.set_detail t.tracer span (Fmt.str "%a" D.pp_control payload);
-            deliver t ~src ~oq ~label:"control" ~span
-              ~transit:t.config.costs.control_transit ~dst
-              (Control { query = ctx.query; payload; src; span })
-              (fun dsite message -> handle_message t dsite message) ))
+            Option.iter (Hf_obs.Tracer.set_detail t.tracer span) detail;
+            deliver t ~src:site.id ~oq ~label ~span ~transit:t.config.costs.control_transit ~dst
+              (make span) ))
 
   (* --- the cache layer (config.cache, DESIGN.md §4g) --- *)
 
   (* The plain path: count the item against the batcher and push it;
      a push that reaches the K threshold hands back the buffer, which
      the caller turns into a prepared batch. *)
-  and push_remote t site ctx wi acc =
-    let dst = t.locate (Hf_engine.Work_item.oid wi) in
-    adjust_pending site ctx.query 1;
-    match Hf_proto.Batch.push site.outgoing ~dst (ctx.query, wi) with
+  and push_remote t site ctx ~dst wi acc =
+    ctx.core.buffered <- ctx.core.buffered + 1;
+    match Hf_proto.Batch.push site.outgoing ~dst (ctx.core.query, wi) with
     | None -> acc
     | Some entries -> prepare_batch t site ~dst entries :: acc
 
-  (* Apply a verdict obtained without shipping (cache hit): exactly the
-     result bookkeeping [process_one] would have received back from the
-     remote site, minus the network. *)
-  and apply_verdict t site ctx wi passed =
-    if passed then begin
-      let oid = Hf_engine.Work_item.oid wi in
-      if not (Oid.Set.mem oid ctx.local_result_set) then begin
-        ctx.local_result_set <- Oid.Set.add oid ctx.local_result_set;
-        if site.id = ctx.origin then (
-          match find_open t ctx.query with
-          | Some oq ->
-            if not (Oid.Set.mem oid oq.final_set) then begin
-              oq.final_set <- Oid.Set.add oid oq.final_set;
-              oq.final_results <- oid :: oq.final_results
-            end
-          | None -> ())
-        else ctx.result_buffer <- oid :: ctx.result_buffer
-      end
-    end
-
-  (* Resolve one remote-bound item against a destination whose store
-     version has been vouched for this query.  Order matters for
-     credit safety: prune and hit happen before the item ever reaches
-     the batcher, so their credit is never split. *)
-  and resolve_item t site ctx ~dst ~version wi acc =
-    let start = Hf_engine.Work_item.start wi in
-    let iters = Hf_engine.Work_item.iters wi in
-    let oq = find_open t ctx.query in
-    let bump f = match oq with Some oq -> f oq.metrics | None -> () in
-    let cache_note name =
-      ignore
-        (Hf_obs.Tracer.instant t.tracer ~parent:ctx.span ~query:(qname ctx.query)
-           ~site:site.id ~phase:Hf_obs.Span.Cache
-           ~detail:(Fmt.str "dst=%d v=%d" dst version)
-           name)
+  (* Act on [Site]'s routing verdict for one item bound for [dst]:
+     count it, and push whatever must still ship.  A hit's verdict is
+     already in the results — exactly what the remote's reply would
+     have brought, minus the network. *)
+  and settle t site ctx ~dst wi acc (route : Site.route) =
+    let note name =
+      let version = Option.value (Hashtbl.find_opt ctx.core.validated dst) ~default:0 in
+      record t site.id name (Fmt.str "ship to %d skipped (%s)" dst (qname ctx.core.query));
+      instant t ~parent:ctx.core.span ctx.core.query site
+        ~detail:(Fmt.str "dst=%d v=%d" dst version)
+        Hf_obs.Span.Cache name
     in
-    let probes = Hf_index.Remote_cache.prune_probes ctx.plan ~start ~iters in
-    let pruned =
-      probes <> []
-      && (match Hashtbl.find_opt site.summaries dst with
-          | Some (v, summary) when v = version ->
-            Hf_index.Remote_cache.summary_misses summary probes
-          | Some _ | None -> false)
-    in
-    if pruned then begin
+    let bump = with_metrics t ctx.core.query in
+    match route with
+    | Site.Ship -> push_remote t site ctx ~dst wi acc
+    | Site.Pruned ->
       (* The destination's summary proves the item's first filter cannot
          match there: no spawns, no results, no bindings — dropping it
          is indistinguishable from shipping it, and cheaper. *)
       bump (fun m -> m.Metrics.cache_prunes <- m.Metrics.cache_prunes + 1);
-      record t site.id "cache-prune" (Fmt.str "ship to %d skipped (%s)" dst (qname ctx.query));
-      cache_note "cache-prune";
+      note "cache-prune";
       acc
-    end
-    else if Hf_index.Remote_cache.cacheable ctx.plan ~start ~iters then begin
-      match site.cache with
-      | None -> push_remote t site ctx wi acc
-      | Some cache -> (
-          let key =
-            Hf_index.Remote_cache.entry_key ~dst ~plan:ctx.plan ~start ~iters
-              ~oid:(Hf_engine.Work_item.oid wi)
-          in
-          match
-            Hf_index.Remote_cache.lookup cache ~now:(Hf_sim.Sim.now t.sim) ~key ~version
-          with
-          | Hf_index.Remote_cache.Hit passed when t.config.result_mode = Ship_items ->
-            bump (fun m -> m.Metrics.cache_hits <- m.Metrics.cache_hits + 1);
-            record t site.id "cache-hit" (Fmt.str "ship to %d skipped (%s)" dst (qname ctx.query));
-            cache_note "cache-hit";
-            apply_verdict t site ctx wi passed;
-            acc
-          | Hf_index.Remote_cache.Hit _ ->
-            (* Counting modes attribute results to the site that found
-               them; serving locally would shift the attribution, so
-               ship anyway. *)
-            push_remote t site ctx wi acc
-          | Hf_index.Remote_cache.Invalidated ->
-            bump (fun m ->
-                m.Metrics.cache_invalidations <- m.Metrics.cache_invalidations + 1;
-                m.Metrics.cache_misses <- m.Metrics.cache_misses + 1);
-            push_remote t site ctx wi acc
-          | Hf_index.Remote_cache.Absent ->
-            bump (fun m -> m.Metrics.cache_misses <- m.Metrics.cache_misses + 1);
-            push_remote t site ctx wi acc)
-    end
-    else push_remote t site ctx wi acc
+    | Site.Hit _ ->
+      bump (fun m -> m.Metrics.cache_hits <- m.Metrics.cache_hits + 1);
+      note "cache-hit";
+      acc
+    | Site.Miss { invalidated } ->
+      bump (fun m ->
+          if invalidated then
+            m.Metrics.cache_invalidations <- m.Metrics.cache_invalidations + 1;
+          m.Metrics.cache_misses <- m.Metrics.cache_misses + 1);
+      push_remote t site ctx ~dst wi acc
+    | Site.Parked -> acc
+    | Site.Validate ->
+      send_cache_validate t site ctx ~dst;
+      acc
 
   (* Route one remote-bound item.  With caching off this is the plain
      batcher push; with it on, the first item for a destination parks
      the traffic behind a Cache_validate round trip, and items for a
      validated destination resolve (prune / hit / miss) immediately. *)
   and route_remote t site ctx wi acc =
-    match site.cache with
-    | None -> push_remote t site ctx wi acc
-    | Some _ -> (
-        let dst = t.locate (Hf_engine.Work_item.oid wi) in
-        match Hashtbl.find_opt ctx.validated dst with
-        | Some version -> resolve_item t site ctx ~dst ~version wi acc
-        | None ->
-          let waiting =
-            match Hashtbl.find_opt ctx.parked dst with Some l -> l | None -> []
-          in
-          Hashtbl.replace ctx.parked dst (wi :: waiting);
-          ctx.parked_count <- ctx.parked_count + 1;
-          if not (Hashtbl.mem ctx.validating dst) then begin
-            Hashtbl.replace ctx.validating dst ();
-            send_cache_validate t site ctx ~dst
-          end;
-          acc)
+    let dst = t.locate (Hf_engine.Work_item.oid wi) in
+    settle t site ctx ~dst wi acc (Site.route site.proto ctx.core ~dst wi)
 
   and send_cache_validate t site ctx ~dst =
-    let oq = find_open t ctx.query in
-    (match oq with
-     | Some oq ->
-       oq.metrics.Metrics.cache_validations <- oq.metrics.Metrics.cache_validations + 1
-     | None -> ());
-    enqueue t site ~tenant:ctx.origin (fun () ->
-        (match oq with
-         | Some oq ->
-           oq.metrics.Metrics.control_messages <- oq.metrics.Metrics.control_messages + 1;
-           Metrics.add_busy oq.metrics site.id t.config.costs.control_send
-         | None -> ());
-        record t site.id "cache-validate-send" (Fmt.str "to %d" dst);
-        ( t.config.costs.control_send,
-          fun () ->
-            let span =
-              Hf_obs.Tracer.start t.tracer ~parent:ctx.span ~query:(qname ctx.query)
-                ~site:site.id ~phase:Hf_obs.Span.Cache
-                (Fmt.str "cache-validate->%d" dst)
-            in
-            deliver t ~src:site.id ~oq ~label:"cache-validate" ~span
-              ~transit:t.config.costs.control_transit ~dst
-              (Cache_validate { query = ctx.query; src = site.id; span })
-              (fun dsite message -> handle_message t dsite message) ))
+    with_metrics t ctx.core.query (fun m ->
+        m.Metrics.cache_validations <- m.Metrics.cache_validations + 1);
+    send_control_plane t site ~tenant:ctx.core.origin ~oq:(find_open t ctx.core.query)
+      ~parent:ctx.core.span ~query:ctx.core.query ~phase:Hf_obs.Span.Cache ~label:"cache-validate"
+      ~note:(Fmt.str "to %d" dst) ~dst
+      (fun span -> Cache_validate { query = ctx.core.query; src = site.id; span })
 
-  (* Charge and ship a batch prepared outside [process_one]'s task (the
-     parked-item resolution paths), mirroring [flush_idle]'s send task. *)
-  and ship_resolved t site prepared =
+  (* Charge and ship a batch prepared outside [process_one]'s task: an
+     idle-time flush ([flush], traced as such) or a parked-item
+     resolution. *)
+  and ship_resolved ?(flush = false) t site prepared =
     match prepared with
     | _, [] -> ()
-    | _, ((ctx0, _, _) :: _ as groups) ->
-      enqueue t site ~tenant:ctx0.origin (fun () ->
+    | dst, ((ctx0, _, _) :: _ as groups) ->
+      enqueue t site ~tenant:ctx0.core.origin (fun () ->
           let cost = Hf_sim.Costs.batch_send t.config.costs ~items:(batch_total groups) in
-          (match find_open t ctx0.query with
-           | Some oq -> Metrics.add_busy oq.metrics site.id cost
-           | None -> ());
+          charge t ctx0.core.query site.id cost;
+          if flush then
+            instant t ~parent:ctx0.core.span ctx0.core.query site
+              ~detail:(Fmt.str "%d item(s)" (batch_total groups))
+              Hf_obs.Span.Flush (Fmt.str "flush->%d" dst);
           ( cost,
             fun () ->
               send_prepared t site prepared;
@@ -1351,115 +1157,68 @@ module Make (D : Hf_termination.Detector.S) = struct
   (* Unpark every item waiting on [dst] and hand each to [resolve]; the
      no-op task at the end forces a pump cycle so pushes that stayed
      under the flush threshold still ship via [flush_idle]. *)
-  and release_parked t site ctx ~dst resolve =
-    Hashtbl.remove ctx.validating dst;
-    match Hashtbl.find_opt ctx.parked dst with
-    | None -> maybe_drain t site ctx
-    | Some waiting ->
-      Hashtbl.remove ctx.parked dst;
-      let items = List.rev waiting in
-      ctx.parked_count <- ctx.parked_count - List.length items;
-      let flushed = List.fold_left (fun acc wi -> resolve wi acc) [] items in
-      List.iter (ship_resolved t site) flushed;
-      enqueue t site ~tenant:ctx.origin (fun () -> (0.0, fun () -> ()));
-      maybe_drain t site ctx
-
-  (* Apply a stitch outcome at the originator: newly activated passing
-     nodes join the final results, their bindings merge, and chains
-     that escaped the scattered site set re-enter the classic pipeline
-     — cache layer, batcher, credit split — as ordinary remote work.
-     Credit safety: the fallback ships (or parks, holding the drain
-     open) happen here, before the caller deposits any credit the
-     gather carried, so the detector can never converge while stitched
-     chains still owe work. *)
-  and apply_scatter_outcome t site ctx (outcome : Hf_engine.Scatter.Stitch.outcome) =
-    let oq = find_open t ctx.query in
-    List.iter
-      (fun oid ->
-        if not (Oid.Set.mem oid ctx.local_result_set) then begin
-          ctx.local_result_set <- Oid.Set.add oid ctx.local_result_set;
-          match oq with
-          | Some oq ->
-            if not (Oid.Set.mem oid oq.final_set) then begin
-              oq.final_set <- Oid.Set.add oid oq.final_set;
-              oq.final_results <- oid :: oq.final_results
-            end
-          | None -> ()
-        end)
-      outcome.passed;
-    (match oq with
-     | Some oq ->
-       merge_bindings oq.final_bindings outcome.bindings;
-       oq.metrics.Metrics.scatter_fallbacks <-
-         oq.metrics.Metrics.scatter_fallbacks + List.length outcome.fallback
-     | None -> ());
-    if outcome.fallback <> [] then begin
+  and release_parked t site ctx ~dst ~version =
+    match Site.release site.proto ctx.core ~dst ~version with
+    | [] -> maybe_drain t site ctx
+    | released ->
       let flushed =
-        List.rev
-          (List.fold_left
-             (fun acc wi -> route_remote t site ctx wi acc)
-             [] outcome.fallback)
+        List.fold_left (fun acc (wi, route) -> settle t site ctx ~dst wi acc route) [] released
       in
       List.iter (ship_resolved t site) flushed;
+      enqueue t site ~tenant:ctx.core.origin (fun () -> (0.0, fun () -> ()));
+      maybe_drain t site ctx
+
+  (* Stitch in [src]'s gather at the originator.  Chains that escaped
+     the scattered site set re-enter the classic pipeline — cache layer,
+     batcher, credit split — as ordinary remote work.  Credit safety:
+     the fallback ships (or parks, holding the drain open) happen here,
+     before the caller deposits any credit the gather carried, so the
+     detector can never converge while stitched chains still owe
+     work. *)
+  and stitch_gather t site ctx ~src nodes =
+    let fallback = Site.gather site.proto ctx.core ~site:src nodes in
+    with_metrics t ctx.core.query (fun m ->
+        m.Metrics.scatter_fallbacks <- m.Metrics.scatter_fallbacks + List.length fallback);
+    if fallback <> [] then begin
+      let flushed, _ = route_all t site ctx fallback in
+      List.iter (ship_resolved t site) flushed;
       (* force a pump cycle so under-threshold pushes still flush *)
-      enqueue t site ~tenant:ctx.origin (fun () -> (0.0, fun () -> ()))
+      enqueue t site ~tenant:ctx.core.origin (fun () -> (0.0, fun () -> ()))
     end
 
   (* Ship buffered results (and piggybacked controls) to the originator;
      or, with nothing buffered, send the detector's drain controls
      standalone. *)
   and drain t site ctx =
-    record t site.id "drain" (Fmt.str "%a" Hf_proto.Message.pp_query_id ctx.query);
-    ignore
-      (Hf_obs.Tracer.instant t.tracer ~parent:ctx.span ~query:(qname ctx.query)
-         ~site:site.id ~phase:Hf_obs.Span.Drain "drain");
+    record t site.id "drain" (Fmt.str "%a" Hf_proto.Message.pp_query_id ctx.core.query);
+    instant t ~parent:ctx.core.span ctx.core.query site Hf_obs.Span.Drain "drain";
     let controls, terminated = D.on_drain ctx.detector in
-    let oq = find_open t ctx.query in
+    let oq = find_open t ctx.core.query in
     (match oq with Some oq when terminated -> finish_query t oq | Some _ | None -> ());
     (* Opportunistic cache fill: ship the verdicts this site computed to
        the originator's cache.  Credit-free — a drop costs future hits,
        never correctness. *)
-    if site.cache <> None && site.id <> ctx.origin && ctx.answers <> [] then begin
-      let answers = List.rev ctx.answers in
-      let version = ctx.answers_version in
-      ctx.answers <- [];
-      enqueue t site ~tenant:ctx.origin (fun () ->
-          (match oq with
-           | Some oq ->
-             oq.metrics.Metrics.control_messages <- oq.metrics.Metrics.control_messages + 1;
-             Metrics.add_busy oq.metrics site.id t.config.costs.control_send
-           | None -> ());
-          record t site.id "cache-answers-send"
-            (Fmt.str "%d verdict(s) to %d" (List.length answers) ctx.origin);
-          ( t.config.costs.control_send,
-            fun () ->
-              let span =
-                Hf_obs.Tracer.start t.tracer ~parent:ctx.span ~query:(qname ctx.query)
-                  ~site:site.id ~phase:Hf_obs.Span.Cache
-                  (Fmt.str "cache-answers->%d" ctx.origin)
-              in
-              Hf_obs.Tracer.set_detail t.tracer span
-                (Fmt.str "%d verdict(s) v=%d" (List.length answers) version);
-              deliver t ~src:site.id ~oq ~label:"cache-answers" ~span
-                ~transit:t.config.costs.control_transit ~dst:ctx.origin
-                (Cache_answers { query = ctx.query; src = site.id; version; answers; span })
-                (fun dsite message -> handle_message t dsite message) ))
-    end;
-    if site.id = ctx.origin then
+    (match Site.take_answers site.proto ctx.core with
+     | None -> ()
+     | Some (version, answers) ->
+       send_control_plane t site ~tenant:ctx.core.origin ~oq ~parent:ctx.core.span
+         ~query:ctx.core.query ~phase:Hf_obs.Span.Cache ~label:"cache-answers"
+         ~detail:(Fmt.str "%d verdict(s) v=%d" (List.length answers) version)
+         ~note:(Fmt.str "%d verdict(s) to %d" (List.length answers) ctx.core.origin)
+         ~dst:ctx.core.origin
+         (fun span ->
+           Cache_answers { query = ctx.core.query; src = site.id; version; answers; span }));
+    if site.id = ctx.core.origin then
       (* Originator: results are already final; controls go out directly. *)
       List.iter (send_control t ~src:site.id ctx) controls
     else begin
-      let has_results = ctx.result_buffer <> [] || Hashtbl.length ctx.bindings > 0 in
-      if not has_results then List.iter (send_control t ~src:site.id ctx) controls
+      let items, bindings = Site.take_results ctx.core in
+      if items = [] && bindings = [] then List.iter (send_control t ~src:site.id ctx) controls
       else begin
         let to_origin, elsewhere =
-          List.partition (fun (dst, _) -> dst = ctx.origin) controls
+          List.partition (fun (dst, _) -> dst = ctx.core.origin) controls
         in
         List.iter (send_control t ~src:site.id ctx) elsewhere;
-        let items = List.rev ctx.result_buffer in
-        let bindings =
-          Hashtbl.fold (fun target values acc -> (target, values) :: acc) ctx.bindings []
-        in
         let payload =
           match t.config.result_mode with
           | Ship_items -> Hf_proto.Message.Items items
@@ -1469,9 +1228,7 @@ module Make (D : Hf_termination.Detector.S) = struct
               Hf_proto.Message.Count (List.length items)
             else Hf_proto.Message.Items items
         in
-        ctx.result_buffer <- [];
-        Hashtbl.reset ctx.bindings;
-        enqueue t site ~tenant:ctx.origin (fun () ->
+        enqueue t site ~tenant:ctx.core.origin (fun () ->
             (match oq with
              | Some oq ->
                Metrics.add_busy oq.metrics site.id t.config.costs.result_msg_send;
@@ -1487,59 +1244,37 @@ module Make (D : Hf_termination.Detector.S) = struct
                 | Hf_proto.Message.Count _ -> ())
              | None -> ());
             record t site.id "result-send"
-              (Fmt.str "%d items to %d" (List.length items) ctx.origin);
+              (Fmt.str "%d items to %d" (List.length items) ctx.core.origin);
             ( t.config.costs.result_msg_send,
               fun () ->
                 let span =
-                  Hf_obs.Tracer.start t.tracer ~parent:ctx.span ~query:(qname ctx.query)
+                  Hf_obs.Tracer.start t.tracer ~parent:ctx.core.span ~query:(qname ctx.core.query)
                     ~site:site.id ~phase:Hf_obs.Span.Ship
-                    (Fmt.str "result->%d" ctx.origin)
+                    (Fmt.str "result->%d" ctx.core.origin)
                 in
                 Hf_obs.Tracer.set_detail t.tracer span
                   (Fmt.str "%d item(s)" (List.length items));
                 deliver t ~src:site.id ~oq ~label:"result" ~span
-                  ~transit:t.config.costs.result_msg_transit ~dst:ctx.origin
-                  (Results { query = ctx.query; payload; bindings; piggybacked = to_origin;
-                             src = site.id; span })
-                  (fun dsite message -> handle_message t dsite message) ))
+                  ~transit:t.config.costs.result_msg_transit ~dst:ctx.core.origin
+                  (Results { query = ctx.core.query; payload; bindings; piggybacked = to_origin;
+                             src = site.id; span }) ))
       end
     end
 
   (* --- processing one work item --- *)
 
-  and maybe_drain t site ctx =
-    if
-      Hf_util.Deque.is_empty ctx.work
-      && ctx.in_flight = 0
-      && pending_for site ctx.query = 0
-      && ctx.parked_count = 0
-      && (match ctx.scatter with
-          | None -> true
-          | Some stitch -> Hf_engine.Scatter.Stitch.outstanding stitch = 0)
-    then drain t site ctx
+  and maybe_drain t site ctx = if Site.ready ctx.core then drain t site ctx
 
   and process_one t site ctx () =
-    match Hf_util.Deque.pop_front ctx.work with
+    match Hf_util.Deque.pop_front ctx.core.work with
     | None -> (0.0, fun () -> ())
     | Some (item, source) ->
-      ctx.in_flight <- ctx.in_flight + 1;
-      let emit ~target values =
-        let existing =
-          match Hashtbl.find_opt ctx.bindings target with None -> [] | Some v -> v
-        in
-        Hashtbl.replace ctx.bindings target (existing @ values)
-      in
-      let { Hf_engine.Eval.spawned; passed; skipped } =
-        Hf_engine.Eval.run_object ~plan:ctx.plan ~find:(Hf_data.Store.find site.store)
-          ~marks:ctx.marks ~stats:ctx.stats ~emit item
-      in
-      let oq = find_open t ctx.query in
-      (if skipped && source = From_network then
-         match oq with
-         | Some oq ->
-           oq.metrics.Metrics.duplicate_work_messages <-
-             oq.metrics.Metrics.duplicate_work_messages + 1
-         | None -> ());
+      ctx.core.active <- ctx.core.active + 1;
+      let { Hf_engine.Eval.spawned; passed; skipped } = Site.eval site.proto ctx.core item in
+      let oq = find_open t ctx.core.query in
+      if skipped && source = From_network then
+        with_metrics t ctx.core.query (fun m ->
+            m.Metrics.duplicate_work_messages <- m.Metrics.duplicate_work_messages + 1);
       let local, remote =
         List.partition (fun wi -> t.locate (Hf_engine.Work_item.oid wi) = site.id) spawned
       in
@@ -1552,13 +1287,13 @@ module Make (D : Hf_termination.Detector.S) = struct
           List.filter
             (fun wi ->
               not
-                (Hf_engine.Mark_table.mem ctx.marks (Hf_engine.Work_item.oid wi)
+                (Hf_engine.Mark_table.mem ctx.core.marks (Hf_engine.Work_item.oid wi)
                    (Hf_engine.Work_item.start wi)
                    ~iters:(Hf_engine.Work_item.iters wi)))
             remote
       in
       let is_new_result =
-        passed && not (Oid.Set.mem (Hf_engine.Work_item.oid item) ctx.local_result_set)
+        passed && not (Oid.Set.mem (Hf_engine.Work_item.oid item) ctx.core.local_result_set)
       in
       let costs = t.config.costs in
       (* Remote spawns go through the cache layer and then the per-site
@@ -1566,81 +1301,55 @@ module Make (D : Hf_termination.Detector.S) = struct
          whole buffer for that destination, which this task then ships
          (its send CPU is part of this task's duration, as the per-item
          sends were). *)
-      let flushed =
-        List.rev
-          (List.fold_left (fun acc wi -> route_remote t site ctx wi acc) [] remote)
-      in
+      let flushed, send_cost = route_all t site ctx remote in
       let duration =
         (if skipped then costs.skip else costs.process)
-        +. List.fold_left
-             (fun acc (_, groups) ->
-               acc +. Hf_sim.Costs.batch_send costs ~items:(batch_total groups))
-             0.0 flushed
-        +. (if is_new_result && site.id = ctx.origin then costs.result_add else 0.0)
+        +. send_cost
+        +. (if is_new_result && site.id = ctx.core.origin then costs.result_add else 0.0)
       in
       (match oq with Some oq -> Metrics.add_busy oq.metrics site.id duration | None -> ());
       let complete () =
-        ctx.in_flight <- ctx.in_flight - 1;
-        (* Record the verdict for the originator's cache: only items
-           that arrived over the network (so the originator keyed a
-           ship to this site), ran for real (not mark-skipped), and
-           whose reachable suffix is store-state-only (cacheable). *)
-        (if
-           site.cache <> None
-           && source = From_network
-           && (not skipped)
-           && site.id <> ctx.origin
-           && Hf_index.Remote_cache.cacheable ctx.plan
-                ~start:(Hf_engine.Work_item.start item)
-                ~iters:(Hf_engine.Work_item.iters item)
-         then begin
-           let v = Hf_data.Store.version site.store in
-           if ctx.answers <> [] && ctx.answers_version <> v then ctx.answers <- [];
-           ctx.answers_version <- v;
-           ctx.answers <- (item, passed) :: ctx.answers
-         end);
+        ctx.core.active <- ctx.core.active - 1;
+        (* Only items that arrived over the network are recorded for the
+           originator's cache: the originator keyed a ship to this site
+           for them. *)
+        if source = From_network then Site.record_answer site.proto ctx.core item ~passed ~skipped;
         List.iter
           (fun wi ->
-            Hf_util.Deque.push_back ctx.work (wi, Seeded);
-            enqueue t site ~tenant:ctx.origin (process_one t site ctx))
+            Hf_util.Deque.push_back ctx.core.work (wi, Seeded);
+            enqueue t site ~tenant:ctx.core.origin (process_one t site ctx))
           local;
         List.iter (send_prepared t site) flushed;
-        if is_new_result then begin
-          let oid = Hf_engine.Work_item.oid item in
-          ctx.local_result_set <- Oid.Set.add oid ctx.local_result_set;
-          if site.id = ctx.origin then (
-            match oq with
-            | Some oq ->
-              if not (Oid.Set.mem oid oq.final_set) then begin
-                oq.final_set <- Oid.Set.add oid oq.final_set;
-                oq.final_results <- oid :: oq.final_results
-              end
-            | None -> ())
-          else ctx.result_buffer <- oid :: ctx.result_buffer
-        end;
+        if is_new_result then Site.add_result site.proto ctx.core (Hf_engine.Work_item.oid item);
         (* At the originator, emitted bindings are final immediately. *)
-        if site.id = ctx.origin then begin
-          match oq with
-          | Some oq ->
-            let extra =
-              Hashtbl.fold (fun target values acc -> (target, values) :: acc) ctx.bindings []
-            in
-            Hashtbl.reset ctx.bindings;
-            merge_bindings oq.final_bindings extra
-          | None -> ()
-        end;
-        maybe_drain t site ctx;
-        (* A flush triggered here may have shipped items other queries
-           had buffered; their drain condition can now hold too. *)
-        List.iter
-          (fun (_, groups) ->
-            List.iter
-              (fun ((gctx : context), _, _) ->
-                if gctx != ctx then maybe_drain t site gctx)
-              groups)
-          flushed
+        if site.id = ctx.core.origin && Option.is_some oq then Site.publish_bindings ctx.core;
+        drain_after t site ctx flushed
       in
       (duration, complete)
+
+  (* Route remote-bound items in order: the batches their pushes filled,
+     and what shipping those costs the routing task. *)
+  and route_all t site ctx items =
+    let flushed =
+      List.rev (List.fold_left (fun acc wi -> route_remote t site ctx wi acc) [] items)
+    in
+    ( flushed,
+      List.fold_left
+        (fun acc (_, groups) ->
+          acc +. Hf_sim.Costs.batch_send t.config.costs ~items:(batch_total groups))
+        0.0 flushed )
+
+  (* After shipping [flushed] for [ctx], its drain condition may hold —
+     and so may that of every other query whose buffered items a flush
+     carried. *)
+  and drain_after t site ctx flushed =
+    maybe_drain t site ctx;
+    List.iter
+      (fun (_, groups) ->
+        List.iter
+          (fun ((gctx : context), _, _) -> if gctx != ctx then maybe_drain t site gctx)
+          groups)
+      flushed
 
   (* --- incoming messages --- *)
 
@@ -1661,10 +1370,8 @@ module Make (D : Hf_termination.Detector.S) = struct
               match context_of t ~cause:span site query with
               | Some ctx ->
                 if existed then
-                  ignore
-                    (Hf_obs.Tracer.instant t.tracer ~parent:span ~query:(qname query)
-                       ~site:site.id ~phase:Hf_obs.Span.Recv
-                       (Fmt.str "work-recv x%d" (List.length items)));
+                  instant t ~parent:span query site Hf_obs.Span.Recv
+                    (Fmt.str "work-recv x%d" (List.length items));
                 Some (ctx, items, tag)
               | None -> None)
             groups
@@ -1675,9 +1382,7 @@ module Make (D : Hf_termination.Detector.S) = struct
           let total = batch_total resolved in
           let duration = Hf_sim.Costs.batch_recv costs ~items:total in
           record t site.id "work-recv" (Fmt.str "%d item(s)" total);
-          (match find_open t ctx0.query with
-           | Some oq -> Metrics.add_busy oq.metrics site.id duration
-           | None -> ());
+          charge t ctx0.core.query site.id duration;
           ( duration,
             fun () ->
               List.iter
@@ -1686,8 +1391,8 @@ module Make (D : Hf_termination.Detector.S) = struct
                   List.iter (send_control t ~src:site.id ctx) controls;
                   List.iter
                     (fun item ->
-                      Hf_util.Deque.push_back ctx.work (item, From_network);
-                      enqueue t site ~tenant:ctx.origin (process_one t site ctx))
+                      Hf_util.Deque.push_back ctx.core.work (item, From_network);
+                      enqueue t site ~tenant:ctx.core.origin (process_one t site ctx))
                     items)
                 resolved ))
     | Results { query; payload; bindings; piggybacked; src; span } -> (
@@ -1697,7 +1402,7 @@ module Make (D : Hf_termination.Detector.S) = struct
           let new_items =
             match payload with
             | Hf_proto.Message.Items items ->
-              List.filter (fun oid -> not (Oid.Set.mem oid oq.final_set)) items
+              List.filter (fun oid -> not (Oid.Set.mem oid oq.final.set)) items
             | Hf_proto.Message.Count _ -> []
           in
           let duration =
@@ -1711,18 +1416,12 @@ module Make (D : Hf_termination.Detector.S) = struct
           in
           Metrics.add_busy oq.metrics site.id duration;
           record t site.id "result-recv" (Fmt.str "%d new items" (List.length new_items));
-          ignore
-            (Hf_obs.Tracer.instant t.tracer ~parent:span ~query:(qname query)
-               ~site:site.id ~phase:Hf_obs.Span.Recv
-               (Fmt.str "result-recv x%d" (List.length new_items)));
+          instant t ~parent:span query site Hf_obs.Span.Recv
+            (Fmt.str "result-recv x%d" (List.length new_items));
           ( duration,
             fun () ->
-              List.iter
-                (fun oid ->
-                  oq.final_set <- Oid.Set.add oid oq.final_set;
-                  oq.final_results <- oid :: oq.final_results)
-                new_items;
-              merge_bindings oq.final_bindings bindings;
+              List.iter (Site.add_final oq.final) new_items;
+              Site.merge_bindings oq.final.bindings bindings;
               (match payload with
                | Hf_proto.Message.Count n ->
                  let prev = List.assoc_opt src oq.counts in
@@ -1742,9 +1441,7 @@ module Make (D : Hf_termination.Detector.S) = struct
         match context_of t ~cause:span site query with
         | None -> (0.0, fun () -> ())
         | Some ctx ->
-          (match find_open t query with
-           | Some oq -> Metrics.add_busy oq.metrics site.id costs.control_recv
-           | None -> ());
+          charge t query site.id costs.control_recv;
           record t site.id "control-recv" (Fmt.str "%a" D.pp_control payload);
           ( costs.control_recv,
             fun () ->
@@ -1761,21 +1458,12 @@ module Make (D : Hf_termination.Detector.S) = struct
             fun () ->
               let controls = D.on_recv_work ctx.detector ~src tag in
               List.iter (send_control t ~src:site.id ctx) controls;
-              let seeds =
-                (* [from] normally terminated long ago, so its context
-                   was evicted and the portion lives in [retained]. *)
-                match Hashtbl.find_opt site.contexts from with
-                | Some prev -> Oid.Set.elements prev.local_result_set
-                | None -> (
-                    match Hashtbl.find_opt site.retained from with
-                    | Some set -> Oid.Set.elements set
-                    | None -> [])
-              in
+              let seeds = portion site from in
               List.iter
                 (fun oid ->
-                  Hf_util.Deque.push_back ctx.work
-                    (Hf_engine.Work_item.initial ctx.plan oid, From_network);
-                  enqueue t site ~tenant:ctx.origin (process_one t site ctx))
+                  Hf_util.Deque.push_back ctx.core.work
+                    (Hf_engine.Work_item.initial ctx.core.plan oid, From_network);
+                  enqueue t site ~tenant:ctx.core.origin (process_one t site ctx))
                 seeds;
               maybe_drain t site ctx ))
     | Ack _ ->
@@ -1788,132 +1476,44 @@ module Make (D : Hf_termination.Detector.S) = struct
           Metrics.add_busy oq.metrics site.id costs.control_recv;
           (costs.control_recv, fun () -> mark_unreachable t oq dead))
     | Cache_validate { query; src; span } ->
-      (match find_open t query with
-       | Some oq -> Metrics.add_busy oq.metrics site.id costs.control_recv
-       | None -> ());
+      charge t query site.id costs.control_recv;
       record t site.id "cache-validate-recv" (Fmt.str "from %d" src);
       ( costs.control_recv,
         fun () ->
-          let version = Hf_data.Store.version site.store in
-          let summary =
-            match t.config.cache with
-            | None -> None
-            | Some cfg ->
-              let bloom =
-                match site.summary_memo with
-                | Some (v, bloom) when v = version -> bloom
-                | Some _ | None ->
-                  let bloom = Hf_index.Remote_cache.summary_of_store cfg site.store in
-                  site.summary_memo <- Some (version, bloom);
-                  site.summary_epoch <- site.summary_epoch + 1;
-                  bloom
-              in
-              if
-                match Hashtbl.find_opt site.summary_told src with
-                | Some v -> v = version
-                | None -> false
-              then None (* the asker already holds this version's summary *)
-              else begin
-                Hashtbl.replace site.summary_told src version;
-                Some bloom
-              end
-          in
-          let oq = find_open t query in
-          enqueue t site ~tenant:query.originator (fun () ->
-              (match oq with
-               | Some oq ->
-                 oq.metrics.Metrics.control_messages <-
-                   oq.metrics.Metrics.control_messages + 1;
-                 Metrics.add_busy oq.metrics site.id t.config.costs.control_send
-               | None -> ());
-              record t site.id "cache-version-send"
-                (Fmt.str "v=%d to %d%s" version src
-                   (if Option.is_none summary then "" else " +summary"));
-              ( t.config.costs.control_send,
-                fun () ->
-                  let rspan =
-                    Hf_obs.Tracer.start t.tracer ~parent:span ~query:(qname query)
-                      ~site:site.id ~phase:Hf_obs.Span.Cache
-                      (Fmt.str "cache-version->%d" src)
-                  in
-                  deliver t ~src:site.id ~oq ~label:"cache-version" ~span:rspan
-                    ~transit:t.config.costs.control_transit ~dst:src
-                    (Cache_version
-                       { query; site = site.id; version; epoch = site.summary_epoch;
-                         summary; src = site.id; span = rspan })
-                    (fun dsite message -> handle_message t dsite message) )) )
+          let version, summary = Site.validate_reply site.proto ~peer:src in
+          send_control_plane t site ~tenant:query.originator ~oq:(find_open t query)
+            ~parent:span ~query ~phase:Hf_obs.Span.Cache ~label:"cache-version"
+            ~note:
+              (Fmt.str "v=%d to %d%s" version src
+                 (if Option.is_none summary then "" else " +summary"))
+            ~dst:src
+            (fun rspan ->
+              Cache_version
+                { query; site = site.id; version; epoch = Site.epoch site.proto; summary;
+                  src = site.id; span = rspan }) )
     | Cache_version { query; site = peer; version; epoch; summary; src = _; span } ->
-      (match find_open t query with
-       | Some oq -> Metrics.add_busy oq.metrics site.id costs.control_recv
-       | None -> ());
+      charge t query site.id costs.control_recv;
       record t site.id "cache-version-recv" (Fmt.str "site %d at v=%d" peer version);
       ( costs.control_recv,
         fun () ->
-          (* An epoch regression means the peer's summary lineage
-             restarted: everything learned from the old lineage — flat
-             summary, Bloofi leaf, and version-keyed verdicts (the new
-             lineage's version can collide) — is dead. *)
-          (match Hashtbl.find_opt site.peer_epochs peer with
-           | Some e when epoch < e ->
-             Hashtbl.remove site.summaries peer;
-             Hashtbl.remove site.bloofi_src peer;
-             Hf_index.Bloofi.remove site.bloofi ~site:peer;
-             Option.iter
-               (fun cache -> Hf_index.Remote_cache.drop_dst cache ~dst:peer)
-               site.cache
-           | Some _ | None -> ());
-          Hashtbl.replace site.peer_epochs peer epoch;
-          (match summary with
-           | Some bloom ->
-             Hashtbl.replace site.summaries peer (version, bloom);
-             if t.config.bloofi then begin
-               Hf_index.Bloofi.insert site.bloofi ~site:peer bloom;
-               Hashtbl.replace site.bloofi_src peer bloom
-             end
-           | None -> (
-               (* No summary aboard means "you already have it"; if ours
-                  is for another version (the reply that carried the new
-                  one was lost), drop it — a stale summary must never
-                  prune at the new version. *)
-               match Hashtbl.find_opt site.summaries peer with
-               | Some (v, _) when v <> version ->
-                 Hashtbl.remove site.summaries peer;
-                 Hashtbl.remove site.bloofi_src peer;
-                 Hf_index.Bloofi.remove site.bloofi ~site:peer
-               | Some _ | None -> ()));
+          Site.learn site.proto ~peer ~version ~epoch
+            (match summary with Some bloom -> Site.Fresh bloom | None -> Site.Told);
           match context_of t ~cause:span site query with
           | None -> ()
-          | Some ctx ->
-            Hashtbl.replace ctx.validated peer version;
-            release_parked t site ctx ~dst:peer (fun wi acc ->
-                resolve_item t site ctx ~dst:peer ~version wi acc) )
+          | Some ctx -> release_parked t site ctx ~dst:peer ~version:(Some version) )
     | Cache_answers { query; src; version; answers; span } ->
-      (match find_open t query with
-       | Some oq -> Metrics.add_busy oq.metrics site.id costs.control_recv
-       | None -> ());
+      charge t query site.id costs.control_recv;
       record t site.id "cache-answers-recv"
         (Fmt.str "%d verdict(s) from %d" (List.length answers) src);
       ( costs.control_recv,
         fun () ->
-          match (site.cache, context_of t ~cause:span site query) with
-          | Some cache, Some ctx ->
-            (match find_open t query with
-             | Some oq ->
-               oq.metrics.Metrics.cache_fills <-
-                 oq.metrics.Metrics.cache_fills + List.length answers
-             | None -> ());
-            List.iter
-              (fun (wi, passed) ->
-                let key =
-                  Hf_index.Remote_cache.entry_key ~dst:src ~plan:ctx.plan
-                    ~start:(Hf_engine.Work_item.start wi)
-                    ~iters:(Hf_engine.Work_item.iters wi)
-                    ~oid:(Hf_engine.Work_item.oid wi)
-                in
-                Hf_index.Remote_cache.put cache ~now:(Hf_sim.Sim.now t.sim) ~key
-                  ~version ~passed)
-              answers
-          | (Some _ | None), _ -> () )
+          match context_of t ~cause:span site query with
+          | None -> ()
+          | Some ctx -> (
+              let filled = Site.fill site.proto ctx.core ~src ~version answers in
+              match find_open t query with
+              | Some oq -> oq.metrics.Metrics.cache_fills <- oq.metrics.Metrics.cache_fills + filled
+              | None -> ()) )
     | Scatter { query; roots; tag; src; span } -> (
         (* A scattered site evaluates its whole speculation domain in
            one go: every local object at every landing pc, plus the
@@ -1924,30 +1524,19 @@ module Make (D : Hf_termination.Detector.S) = struct
         match context_of t ~cause:span site query with
         | None -> (0.0, fun () -> ()) (* closed query: credit dies, like work *)
         | Some ctx ->
-          let oids = Hf_data.Store.oids site.store in
-          let landing =
-            List.length
-              (Hf_query.Plan.landing_pcs (Hf_engine.Plan.program ctx.plan))
-          in
-          let domain = List.length roots + (List.length oids * landing) in
+          let domain = domain_size site ctx roots in
           let duration =
             costs.msg_recv +. (float_of_int domain *. costs.process)
           in
           record t site.id "scatter-recv"
             (Fmt.str "%d root(s), %d-node domain from %d" (List.length roots)
                domain src);
-          (match find_open t query with
-           | Some oq -> Metrics.add_busy oq.metrics site.id duration
-           | None -> ());
+          charge t query site.id duration;
           ( duration,
             fun () ->
               let controls = D.on_recv_work ctx.detector ~src tag in
               List.iter (send_control t ~src:site.id ctx) controls;
-              let nodes =
-                Hf_engine.Scatter.eval_site ~plan:ctx.plan
-                  ~find:(Hf_data.Store.find site.store) ~oids ~roots
-                  ~stats:ctx.stats
-              in
+              let nodes = Site.eval_domain site.proto ctx.core ~roots in
               (* The whole domain is done; drain immediately.  Controls
                  bound for the originator ride the gather itself. *)
               let controls, terminated = D.on_drain ctx.detector in
@@ -1955,11 +1544,11 @@ module Make (D : Hf_termination.Detector.S) = struct
                | Some oq when terminated -> finish_query t oq
                | Some _ | None -> ());
               let to_origin, elsewhere =
-                List.partition (fun (dst, _) -> dst = ctx.origin) controls
+                List.partition (fun (dst, _) -> dst = ctx.core.origin) controls
               in
               List.iter (send_control t ~src:site.id ctx) elsewhere;
               let oq = find_open t query in
-              enqueue t site ~tenant:ctx.origin (fun () ->
+              enqueue t site ~tenant:ctx.core.origin (fun () ->
                   (match oq with
                    | Some oq ->
                      Metrics.add_busy oq.metrics site.id
@@ -1973,24 +1562,23 @@ module Make (D : Hf_termination.Detector.S) = struct
                        + gather_message_bytes nodes
                    | None -> ());
                   record t site.id "gather-send"
-                    (Fmt.str "%d node(s) to %d" (List.length nodes) ctx.origin);
+                    (Fmt.str "%d node(s) to %d" (List.length nodes) ctx.core.origin);
                   ( t.config.costs.result_msg_send,
                     fun () ->
                       let gspan =
-                        Hf_obs.Tracer.start t.tracer ~parent:ctx.span
+                        Hf_obs.Tracer.start t.tracer ~parent:ctx.core.span
                           ~query:(qname query) ~site:site.id
                           ~phase:Hf_obs.Span.Scatter
-                          (Fmt.str "gather->%d" ctx.origin)
+                          (Fmt.str "gather->%d" ctx.core.origin)
                       in
                       Hf_obs.Tracer.set_detail t.tracer gspan
                         (Fmt.str "%d node(s)" (List.length nodes));
                       deliver t ~src:site.id ~oq ~label:"gather" ~span:gspan
                         ~transit:t.config.costs.result_msg_transit
-                        ~dst:ctx.origin
+                        ~dst:ctx.core.origin
                         (Gather
                            { query; nodes; piggybacked = to_origin;
-                             src = site.id; span = gspan })
-                        (fun dsite message -> handle_message t dsite message) )) ))
+                             src = site.id; span = gspan }) )) ))
     | Gather { query; nodes; piggybacked; src; span } -> (
         match find_open t query with
         | None -> (0.0, fun () -> ())
@@ -2002,24 +1590,16 @@ module Make (D : Hf_termination.Detector.S) = struct
           Metrics.add_busy oq.metrics site.id duration;
           record t site.id "gather-recv"
             (Fmt.str "%d node(s) from %d" (List.length nodes) src);
-          ignore
-            (Hf_obs.Tracer.instant t.tracer ~parent:span ~query:(qname query)
-               ~site:site.id ~phase:Hf_obs.Span.Scatter
-               (Fmt.str "gather-recv x%d" (List.length nodes)));
+          instant t ~parent:span query site Hf_obs.Span.Scatter
+            (Fmt.str "gather-recv x%d" (List.length nodes));
           ( duration,
             fun () ->
               match context_of t ~cause:span site query with
               | None -> ()
               | Some ctx ->
-                (match ctx.scatter with
-                 | None -> ()
-                 | Some stitch ->
-                   let outcome =
-                     Hf_engine.Scatter.Stitch.add_gather stitch ~site:src nodes
-                   in
-                   (* fallback credit splits happen inside, BEFORE the
-                      piggybacked deposits below *)
-                   apply_scatter_outcome t site ctx outcome);
+                (* fallback credit splits happen inside, BEFORE the
+                   piggybacked deposits below *)
+                stitch_gather t site ctx ~src nodes;
                 List.iter
                   (fun (_, payload) ->
                     handle_detector_result t oq
@@ -2046,28 +1626,6 @@ module Make (D : Hf_termination.Detector.S) = struct
 
   (* --- the execution-mode planner (doc/execution_modes.md) --- *)
 
-  (* Locality signal: the fraction of the origin store's pointer tuples
-     whose target lives on-site, memoized per store version.  This is
-     what separates the two ends of the locality sweep — chains that
-     mostly stay home make shipping's expected hop count collapse. *)
-  let p_local_of t site =
-    let version = Hf_data.Store.version site.store in
-    match site.locality_memo with
-    | Some (v, p) when v = version -> p
-    | Some _ | None ->
-      let total = ref 0 and local = ref 0 in
-      Hf_data.Store.iter site.store (fun obj ->
-          List.iter
-            (fun target ->
-              incr total;
-              if t.locate target = site.id then incr local)
-            (Hf_data.Hobject.pointers obj));
-      let p =
-        if !total = 0 then 1.0 else float_of_int !local /. float_of_int !total
-      in
-      site.locality_memo <- Some (version, p);
-      p
-
   (* The peer summary the planner consults: preferably what the origin
      learned from [Cache_version] replies — but only while the peer's
      store is still at the version the summary was built for, because
@@ -2077,152 +1635,39 @@ module Make (D : Hf_termination.Detector.S) = struct
      or absent) the peer's own memoized summary — the simulator's
      stand-in for the stats a real deployment piggybacks on the
      validation round trip.  With the cache layer off there is no
-     summary channel at all and the planner stays conservative. *)
+     summary channel at all and the planner stays conservative.  The
+     Bloofi tree is brought in line with this view before each use. *)
   let summary_for t origin_site peer =
-    match Hashtbl.find_opt origin_site.summaries peer.id with
+    let peer = t.sites.(peer) in
+    match Site.learned origin_site.proto ~peer:peer.id with
     | Some (v, bloom) when v = Hf_data.Store.version peer.store -> Some bloom
-    | Some _ | None -> (
-        match t.config.cache with
-        | None -> None
-        | Some cfg ->
-          let version = Hf_data.Store.version peer.store in
-          let bloom =
-            match peer.summary_memo with
-            | Some (v, bloom) when v = version -> bloom
-            | Some _ | None ->
-              let bloom = Hf_index.Remote_cache.summary_of_store cfg peer.store in
-              peer.summary_memo <- Some (version, bloom);
-              bloom
-          in
-          Some bloom)
+    | Some _ | None -> Site.summary peer.proto
 
-  (* Bring [origin_site]'s Bloofi leaves in line with what the summary
-     channel would answer right now: upsert peers whose filter changed
-     (physical inequality — learned summaries and memo entries are
-     shared, so an unchanged summary is the same block), drop peers the
-     channel no longer vouches for.  The lazy half of tree maintenance;
-     the eager half is the [Cache_version] receive arm. *)
   let sync_bloofi t origin_site =
-    Array.iter
-      (fun peer ->
-        if peer.id <> origin_site.id then
-          match summary_for t origin_site peer with
-          | Some bloom ->
-            if
-              match Hashtbl.find_opt origin_site.bloofi_src peer.id with
-              | Some installed -> installed != bloom
-              | None -> true
-            then begin
-              Hf_index.Bloofi.insert origin_site.bloofi ~site:peer.id bloom;
-              Hashtbl.replace origin_site.bloofi_src peer.id bloom
-            end
-          | None ->
-            if Hashtbl.mem origin_site.bloofi_src peer.id then begin
-              Hashtbl.remove origin_site.bloofi_src peer.id;
-              Hf_index.Bloofi.remove origin_site.bloofi ~site:peer.id
-            end)
-      t.sites
+    Site.sync_bloofi origin_site.proto ~n_sites:(n_sites t) ~summary:(summary_for t origin_site)
 
-  (* Price both modes for [program] over [initial] and pick one.  Pure
-     given its inputs: seed placement from [locate], per-peer hints from
-     the summary channel (store cardinality standing in for the store
-     stats the validation reply reports), and unit costs lifted straight
-     from the simulator's cost table so the estimates share dimensions
-     with what the run will actually charge.  With [config.bloofi] the
-     landing verdicts come from one tree descent; leaves equal the flat
-     filters, so the verdicts are identical — only the probe cost
-     changes (and [decision.index] reports it). *)
+  (* Price both modes for [program] over [initial] and pick one: store
+     cardinality stands in for the store stats the validation reply
+     reports, and the unit costs come straight from the simulator's
+     cost table so the estimates share dimensions with what the run
+     will actually charge. *)
   let plan_decision t ~origin program initial =
-    let plan = Hf_engine.Plan.make program in
-    let zeros = Array.make (Hf_engine.Plan.iter_count plan) 0 in
-    let landing = Hf_query.Plan.landing_pcs program in
-    let seed_sites =
-      List.fold_left
-        (fun acc oid ->
-          let s = t.locate oid in
-          match List.assoc_opt s acc with
-          | Some n -> (s, n + 1) :: List.remove_assoc s acc
-          | None -> (s, 1) :: acc)
-        [] initial
-    in
     let origin_site = t.sites.(origin) in
-    let landing_groups =
-      List.map
-        (fun pc -> Hf_index.Remote_cache.prune_probes plan ~start:pc ~iters:zeros)
-        landing
-    in
-    let start_probes =
-      Hf_index.Remote_cache.prune_probes plan ~start:0 ~iters:zeros
-    in
-    let flat_may bloom =
-      landing_groups = []
-      || List.exists
-           (fun probes ->
-             probes = []
-             || not (Hf_index.Remote_cache.summary_misses bloom probes))
-           landing_groups
-    in
-    let seed_may bloom =
-      start_probes = []
-      || not (Hf_index.Remote_cache.summary_misses bloom start_probes)
-    in
-    let index_probe =
-      if not t.config.bloofi then None
-      else begin
-        sync_bloofi t origin_site;
-        let tree = origin_site.bloofi in
-        if Hf_index.Bloofi.cardinal tree = 0 then None
-        else begin
-          let r = Hf_index.Bloofi.probe tree landing_groups in
-          Hf_obs.Histogram.observe t.bloofi_depth (float_of_int r.depth);
-          let may = Hashtbl.create 16 in
-          List.iter (fun s -> Hashtbl.replace may s ()) r.sites;
-          let stats =
-            {
-              Hf_query.Plan.indexed = Hf_index.Bloofi.cardinal tree;
-              touched = r.touched;
-              depth = r.depth;
-              pruned = Hf_index.Bloofi.cardinal tree - List.length r.sites;
-            }
-          in
-          Some (tree, may, stats)
-        end
-      end
-    in
-    let hints =
-      List.filter_map
-        (fun peer ->
-          if peer.id = origin then None
-          else
-            let summary = summary_for t origin_site peer in
-            let may_match =
-              match index_probe with
-              | Some (tree, may, _) when Hf_index.Bloofi.mem tree ~site:peer.id
-                ->
-                Some (Hashtbl.mem may peer.id)
-              | Some _ | None -> Option.map flat_may summary
-            in
-            let seed_may_match = Option.map seed_may summary in
-            let objects = Some (Hf_data.Store.cardinal peer.store) in
-            Some { Hf_query.Plan.site = peer.id; objects; may_match; seed_may_match })
-        (Array.to_list t.sites)
-    in
+    sync_bloofi t origin_site;
     let costs = t.config.costs in
-    let item_bytes = 13 + 4 + (4 * Hf_engine.Plan.iter_count plan) in
-    let plan_costs =
-      {
-        Hf_query.Plan.transit = costs.msg_transit;
-        header_bytes = batch_header_bytes program;
-        item_bytes;
-        node_bytes = 32;
-        eval_s = costs.process;
-        byte_s = costs.msg_item_transit /. float_of_int item_bytes;
-        p_local = p_local_of t origin_site;
-      }
-    in
-    Hf_query.Plan.decide ~program ~origin ~seed_sites ~hints
-      ?index:(Option.map (fun (_, _, stats) -> stats) index_probe)
-      ~costs:plan_costs ()
+    Site.decide origin_site.proto ~n_sites:(n_sites t) ~summary:(summary_for t origin_site)
+      ~objects:(fun peer _ -> Some (Hf_data.Store.cardinal t.sites.(peer).store))
+      ~costs:(fun ~item_bytes ~p_local ->
+        {
+          Hf_query.Plan.transit = costs.msg_transit;
+          header_bytes = batch_header_bytes program;
+          item_bytes;
+          node_bytes = 32;
+          eval_s = costs.process;
+          byte_s = costs.msg_item_transit /. float_of_int item_bytes;
+          p_local;
+        })
+      program initial
 
   (* The planner's verdict without running the query — [hfql :plan] and
      [hfql demo --explain-plan] render this. *)
@@ -2247,9 +1692,7 @@ module Make (D : Hf_termination.Detector.S) = struct
         start_time = Hf_sim.Sim.now t.sim;
         span;
         metrics = Metrics.create ~n_sites:(n_sites t);
-        final_results = [];
-        final_set = Oid.Set.empty;
-        final_bindings = Hashtbl.create 4;
+        final = Site.final ();
         counts = [];
         terminated = false;
         unreachable_sites = [];
@@ -2267,7 +1710,7 @@ module Make (D : Hf_termination.Detector.S) = struct
 
   let outcome_of t oq =
     let bindings =
-      Hashtbl.fold (fun target values acc -> (target, values) :: acc) oq.final_bindings []
+      Hashtbl.fold (fun target values acc -> (target, values) :: acc) oq.final.bindings []
       |> List.sort (fun (a, _) (b, _) -> String.compare a b)
     in
     let origin_local =
@@ -2277,7 +1720,7 @@ module Make (D : Hf_termination.Detector.S) = struct
       | Some (_, origin_local) -> Some origin_local
       | None -> (
           match Hashtbl.find_opt t.sites.(oq.id.originator).contexts oq.id with
-          | Some ctx -> Some (Oid.Set.cardinal ctx.local_result_set)
+          | Some ctx -> Some (Oid.Set.cardinal ctx.core.local_result_set)
           | None -> None)
     in
     let counts =
@@ -2292,8 +1735,8 @@ module Make (D : Hf_termination.Detector.S) = struct
             :: List.filter (fun (s, _) -> s <> oq.id.originator) oq.counts)
     in
     {
-      results = List.rev oq.final_results;
-      result_set = oq.final_set;
+      results = List.rev oq.final.results;
+      result_set = oq.final.set;
       bindings;
       counts = List.sort compare counts;
       terminated = oq.terminated;
@@ -2363,14 +1806,7 @@ module Make (D : Hf_termination.Detector.S) = struct
          Scatter additionally needs [Local_marks] (the stitch reproduces
          per-site entry suppression, not a global table's) and
          [Ship_items] (gathers carry nodes, not counts). *)
-      let decision =
-        match t.config.exec with
-        | Exec_ship -> None
-        | Exec_scatter | Exec_auto ->
-          Some (plan_decision t ~origin oq.program initial)
-      in
-      oq.decision <- decision;
-      let engine_ok =
+      let scatter_ok =
         (match t.config.mark_scope with
          | Local_marks -> true
          | Global_marks -> false)
@@ -2378,25 +1814,11 @@ module Make (D : Hf_termination.Detector.S) = struct
            | Ship_items -> true
            | Ship_counts | Ship_threshold _ -> false
       in
-      let scatter_sites =
-        match decision with
-        | None -> None
-        | Some d ->
-          let can =
-            engine_ok && d.Hf_query.Plan.eligible
-            && d.Hf_query.Plan.predicted <> []
-          in
-          (match t.config.exec with
-           | Exec_ship -> None
-           | Exec_scatter -> if can then Some d.Hf_query.Plan.predicted else None
-           | Exec_auto ->
-             if
-               can
-               && Hf_query.Plan.equal_mode d.Hf_query.Plan.chosen
-                    Hf_query.Plan.Scatter
-             then Some d.Hf_query.Plan.predicted
-             else None)
+      let decision, scatter_sites =
+        Site.select t.config.exec ~scatter_ok (fun () ->
+            plan_decision t ~origin oq.program initial)
       in
+      oq.decision <- decision;
       (match decision with
        | None -> ()
        | Some _ ->
@@ -2413,44 +1835,13 @@ module Make (D : Hf_termination.Detector.S) = struct
 
   and seed_scatter t oq origin_site ctx ~sites initial =
     let origin = origin_site.id in
-    (* Partition the seeds over the scattered set.  The planner's
-       predicted set always covers the remote seed sites, but a custom
-       [locate] could disagree with a stale view, so anything that lands
-       outside the member set ships classically — same contract as a
-       stitched chain that escapes. *)
-    let member = Hashtbl.create 7 in
-    List.iter (fun s -> Hashtbl.replace member s ()) (origin :: sites);
-    let roots = Hashtbl.create 7 in
-    let stray = ref [] in
-    List.iter
-      (fun oid ->
-        let s = t.locate oid in
-        if Hashtbl.mem member s then
-          Hashtbl.replace roots s
-            (oid
-            ::
-            (match Hashtbl.find_opt roots s with Some l -> l | None -> []))
-        else stray := oid :: !stray)
-      initial;
-    let roots_of s =
-      match Hashtbl.find_opt roots s with Some l -> List.rev l | None -> []
-    in
-    let stitch =
-      Hf_engine.Scatter.Stitch.create ~plan:ctx.plan ~locate:t.locate
-        ~sites:(origin :: sites)
-        ~roots:(List.map (fun s -> (s, roots_of s)) (origin :: sites))
-    in
-    (* installed before any task runs, so [maybe_drain] holds the origin
-       open until every gather (or a death verdict) lands *)
-    ctx.scatter <- Some stitch;
+    (* The stitch is installed before any task runs, so [maybe_drain]
+       holds the origin open until every gather (or a death verdict)
+       lands. *)
+    let roots_of, stray = Site.scatter_seed origin_site.proto ctx.core ~sites initial in
     enqueue t origin_site ~tenant:origin (fun () ->
-        let oids = Hf_data.Store.oids origin_site.store in
-        let landing =
-          List.length
-            (Hf_query.Plan.landing_pcs (Hf_engine.Plan.program ctx.plan))
-        in
         let own_roots = roots_of origin in
-        let domain = List.length own_roots + (List.length oids * landing) in
+        let domain = domain_size origin_site ctx own_roots in
         let duration =
           (float_of_int domain *. t.config.costs.process)
           +. (float_of_int (List.length sites) *. t.config.costs.msg_send)
@@ -2462,24 +1853,12 @@ module Make (D : Hf_termination.Detector.S) = struct
           fun () ->
             (* Local half: the originator evaluates its own domain and
                feeds the stitch as if it had gathered from itself. *)
-            let nodes =
-              Hf_engine.Scatter.eval_site ~plan:ctx.plan
-                ~find:(Hf_data.Store.find origin_site.store) ~oids
-                ~roots:own_roots ~stats:ctx.stats
-            in
-            let outcome =
-              Hf_engine.Scatter.Stitch.add_gather stitch ~site:origin nodes
-            in
-            apply_scatter_outcome t origin_site ctx outcome;
-            (if !stray <> [] then begin
-               let flushed =
-                 List.rev
-                   (List.fold_left
-                      (fun acc oid ->
-                        route_remote t origin_site ctx
-                          (Hf_engine.Work_item.initial ctx.plan oid)
-                          acc)
-                      [] (List.rev !stray))
+            let nodes = Site.eval_domain origin_site.proto ctx.core ~roots:own_roots in
+            stitch_gather t origin_site ctx ~src:origin nodes;
+            (if stray <> [] then begin
+               let flushed, _ =
+                 route_all t origin_site ctx
+                   (List.map (Hf_engine.Work_item.initial ctx.core.plan) stray)
                in
                List.iter (ship_resolved t origin_site) flushed
              end);
@@ -2487,14 +1866,14 @@ module Make (D : Hf_termination.Detector.S) = struct
               (fun dst ->
                 let tag = D.on_send_work ctx.detector ~dst in
                 let dst_roots = roots_of dst in
-                let program = Hf_engine.Plan.program ctx.plan in
+                let program = Hf_engine.Plan.program ctx.core.plan in
                 oq.metrics.Metrics.scatter_messages <-
                   oq.metrics.Metrics.scatter_messages + 1;
                 oq.metrics.Metrics.scatter_bytes <-
                   oq.metrics.Metrics.scatter_bytes
                   + scatter_message_bytes program dst_roots;
                 let span =
-                  Hf_obs.Tracer.start t.tracer ~parent:ctx.span
+                  Hf_obs.Tracer.start t.tracer ~parent:ctx.core.span
                     ~query:(qname oq.id) ~site:origin
                     ~phase:Hf_obs.Span.Scatter
                     (Fmt.str "scatter->%d" dst)
@@ -2507,8 +1886,7 @@ module Make (D : Hf_termination.Detector.S) = struct
                        ~items:(max 1 (List.length dst_roots)))
                   ~dst
                   (Scatter
-                     { query = oq.id; roots = dst_roots; tag; src = origin; span })
-                  (fun dsite message -> handle_message t dsite message))
+                     { query = oq.id; roots = dst_roots; tag; src = origin; span }))
               sites;
             (* force a pump cycle so stray pushes below the batch
                threshold still flush *)
@@ -2521,43 +1899,22 @@ module Make (D : Hf_termination.Detector.S) = struct
         let local, remote =
           List.partition (fun oid -> t.locate oid = origin) initial
         in
-           (* Remote seeds ride the same cache layer and per-site
-              batcher as spawned work, so concurrent submissions
-              coalesce too. *)
-           let flushed =
-             List.rev
-               (List.fold_left
-                  (fun acc oid ->
-                    route_remote t origin_site ctx
-                      (Hf_engine.Work_item.initial ctx.plan oid)
-                      acc)
-                  [] remote)
-           in
-           let duration =
-             List.fold_left
-               (fun acc (_, groups) ->
-                 acc +. Hf_sim.Costs.batch_send t.config.costs ~items:(batch_total groups))
-               0.0 flushed
-           in
-           Metrics.add_busy oq.metrics origin duration;
-           ( duration,
-             fun () ->
-               List.iter
-                 (fun oid ->
-                   Hf_util.Deque.push_back ctx.work
-                     (Hf_engine.Work_item.initial ctx.plan oid, Seeded);
-                   enqueue t origin_site ~tenant:origin (process_one t origin_site ctx))
-                 local;
-               List.iter (send_prepared t origin_site) flushed;
-               maybe_drain t origin_site ctx;
-               (* Flushes can carry other concurrent submissions' items. *)
-               List.iter
-                 (fun (_, groups) ->
-                   List.iter
-                     (fun ((gctx : context), _, _) ->
-                       if gctx != ctx then maybe_drain t origin_site gctx)
-                     groups)
-                 flushed ))
+        (* Remote seeds ride the same cache layer and per-site batcher
+           as spawned work, so concurrent submissions coalesce too. *)
+        let flushed, duration =
+          route_all t origin_site ctx (List.map (Hf_engine.Work_item.initial ctx.core.plan) remote)
+        in
+        Metrics.add_busy oq.metrics origin duration;
+        ( duration,
+          fun () ->
+            List.iter
+              (fun oid ->
+                Hf_util.Deque.push_back ctx.core.work
+                  (Hf_engine.Work_item.initial ctx.core.plan oid, Seeded);
+                enqueue t origin_site ~tenant:origin (process_one t origin_site ctx))
+              local;
+            List.iter (send_prepared t origin_site) flushed;
+            drain_after t origin_site ctx flushed ))
 
   (* Run every scheduled event; submitted queries execute (and contend)
      together. *)
@@ -2636,10 +1993,9 @@ module Make (D : Hf_termination.Detector.S) = struct
           (fun site ->
             match Hashtbl.find_opt site.contexts oq.id with
             | Some ctx ->
-              Hf_util.Deque.clear ctx.work;
-              Hashtbl.reset ctx.parked;
-              ctx.parked_count <- 0;
-              ctx.result_buffer <- []
+              Hf_util.Deque.clear ctx.core.work;
+              Site.drop_parked ctx.core;
+              ctx.core.result_buffer <- []
             | None -> ())
           t.sites;
         evict_query t oq;
@@ -2679,30 +2035,18 @@ module Make (D : Hf_termination.Detector.S) = struct
               or channel off) are always contacted, so a stale or empty
               tree over-ships but never loses a result. *)
            let remote_sites =
-             if not t.config.bloofi then remote_sites
-             else begin
-               sync_bloofi t origin_site;
-               let zeros =
-                 Array.make (Hf_engine.Plan.iter_count ctx.plan) 0
-               in
-               let probes =
-                 Hf_index.Remote_cache.prune_probes ctx.plan ~start:0
-                   ~iters:zeros
-               in
-               if probes = [] || Hf_index.Bloofi.cardinal origin_site.bloofi = 0
-               then remote_sites
-               else begin
-                 let r = Hf_index.Bloofi.probe origin_site.bloofi [ probes ] in
-                 Hf_obs.Histogram.observe t.bloofi_depth (float_of_int r.depth);
-                 let may = Hashtbl.create 16 in
-                 List.iter (fun s -> Hashtbl.replace may s ()) r.sites;
-                 List.filter
-                   (fun s ->
-                     Hashtbl.mem may s
-                     || not (Hf_index.Bloofi.mem origin_site.bloofi ~site:s))
-                   remote_sites
-               end
-             end
+             sync_bloofi t origin_site;
+             let zeros = Array.make (Hf_engine.Plan.iter_count ctx.core.plan) 0 in
+             let probes =
+               Hf_index.Remote_cache.prune_probes ctx.core.plan ~start:0 ~iters:zeros
+             in
+             match if probes = [] then None else Site.descend origin_site.proto [ probes ] with
+             | None -> remote_sites
+             | Some descent ->
+               List.filter
+                 (fun s ->
+                   match Site.may_match descent ~site:s with Some false -> false | _ -> true)
+                 remote_sites
            in
            let duration =
              float_of_int (List.length remote_sites) *. t.config.costs.msg_send
@@ -2710,20 +2054,11 @@ module Make (D : Hf_termination.Detector.S) = struct
            Metrics.add_busy oq.metrics origin duration;
            ( duration,
              fun () ->
-               (* Local portion ([retained] once [from] terminated and
-                  its context was evicted). *)
-               let local_seeds =
-                 match Hashtbl.find_opt origin_site.contexts from with
-                 | Some prev -> Oid.Set.elements prev.local_result_set
-                 | None -> (
-                     match Hashtbl.find_opt origin_site.retained from with
-                     | Some set -> Oid.Set.elements set
-                     | None -> [])
-               in
+               let local_seeds = portion origin_site from in
                List.iter
                  (fun oid ->
-                   Hf_util.Deque.push_back ctx.work
-                     (Hf_engine.Work_item.initial ctx.plan oid, Seeded);
+                   Hf_util.Deque.push_back ctx.core.work
+                     (Hf_engine.Work_item.initial ctx.core.plan oid, Seeded);
                    enqueue t origin_site ~tenant:origin (process_one t origin_site ctx))
                  local_seeds;
                List.iter
@@ -2731,14 +2066,13 @@ module Make (D : Hf_termination.Detector.S) = struct
                    let tag = D.on_send_work ctx.detector ~dst in
                    oq.metrics.Metrics.work_messages <- oq.metrics.Metrics.work_messages + 1;
                    let span =
-                     Hf_obs.Tracer.start t.tracer ~parent:ctx.span ~query:(qname oq.id)
+                     Hf_obs.Tracer.start t.tracer ~parent:ctx.core.span ~query:(qname oq.id)
                        ~site:origin ~phase:Hf_obs.Span.Ship
                        (Fmt.str "seed->%d" dst)
                    in
                    deliver t ~src:origin ~oq:(Some oq) ~label:"seed" ~span
                      ~transit:t.config.costs.msg_transit ~dst
-                     (Seed_from { query = oq.id; from; tag; src = origin; span })
-                     (fun dsite message -> handle_message t dsite message))
+                     (Seed_from { query = oq.id; from; tag; src = origin; span }))
                  remote_sites;
                maybe_drain t origin_site ctx )));
     Hf_sim.Sim.run t.sim;
@@ -2749,8 +2083,7 @@ module Make (D : Hf_termination.Detector.S) = struct
     Array.iter
       (fun site ->
         Hashtbl.remove site.contexts query;
-        Hashtbl.remove site.retained query;
-        Hashtbl.remove site.out_pending query)
+        Hashtbl.remove site.retained query)
       t.sites
 
   (* --- introspection for the leak-regression and admission tests --- *)
@@ -2763,7 +2096,10 @@ module Make (D : Hf_termination.Detector.S) = struct
   (* Buffered-item ledger entries across the cluster; like [contexts]
      these must return to empty at quiescence. *)
   let buffered_count t =
-    Array.fold_left (fun acc site -> acc + Hashtbl.length site.out_pending) 0 t.sites
+    Array.fold_left
+      (fun acc site ->
+        Hashtbl.fold (fun _ ctx n -> if ctx.core.buffered > 0 then n + 1 else n) site.contexts acc)
+      0 t.sites
 
   let retained_count t =
     Array.fold_left (fun acc site -> acc + Hashtbl.length site.retained) 0 t.sites

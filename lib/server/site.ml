@@ -1,0 +1,529 @@
+(* The per-site protocol decisions of Section 3.2, shared by the
+   simulator (Cluster) and the socket engine (Tcp_site).  Nothing here
+   reads a clock, touches a socket or moves credit: the drivers pass
+   the clock and [locate] in, and act on the verdicts that come out. *)
+
+module Oid = Hf_data.Oid
+module Message = Hf_proto.Message
+module Work_item = Hf_engine.Work_item
+module Remote_cache = Hf_index.Remote_cache
+module Bloofi = Hf_index.Bloofi
+
+type exec_mode = Exec_ship | Exec_scatter | Exec_auto
+
+(* --- the originator's answer --- *)
+
+type final = {
+  mutable results : Oid.t list;
+  mutable set : Oid.Set.t;
+  bindings : (string, Hf_data.Value.t list) Hashtbl.t;
+}
+
+let final () = { results = []; set = Oid.Set.empty; bindings = Hashtbl.create 4 }
+
+let add_final final oid =
+  if not (Oid.Set.mem oid final.set) then begin
+    final.set <- Oid.Set.add oid final.set;
+    final.results <- oid :: final.results
+  end
+
+let merge_bindings table extra =
+  List.iter
+    (fun (target, values) ->
+      let existing = match Hashtbl.find_opt table target with None -> [] | Some v -> v in
+      Hashtbl.replace table target (existing @ values))
+    extra
+
+(* --- sites and contexts --- *)
+
+type t = {
+  id : int;
+  store : Hf_data.Store.t;
+  locate : Oid.t -> int;
+  clock : unit -> float;
+  serve_hits : bool;
+  cache_config : Remote_cache.config option;
+  cache : Remote_cache.t option;
+  mutable summary_memo : (int * Hf_index.Bloom.t) option;
+      (* this site's own summary, memoized per store version *)
+  summary_told : (int, int) Hashtbl.t;
+      (* peer -> store version whose summary we last sent it, so repeat
+         validations skip the summary bytes *)
+  summaries : (int, int * Hf_index.Bloom.t) Hashtbl.t;
+      (* peer -> (version, summary) learned from Cache_version replies;
+         prune checks require the validated version *)
+  mutable summary_epoch : int;
+      (* summary rebuilds for validations; rides every Cache_version
+         reply so peers can spot a restarted lineage *)
+  peer_epochs : (int, int) Hashtbl.t; (* peer -> last epoch seen from it *)
+  bloofi : Bloofi.t option;
+  bloofi_src : (int, Hf_index.Bloom.t) Hashtbl.t;
+      (* peer -> the filter installed as its leaf, so maintenance can
+         skip physically unchanged summaries *)
+  bloofi_depth : Hf_obs.Histogram.t;
+  mutable locality_memo : (int * float) option;
+      (* (store version, on-site fraction of pointer tuples) *)
+}
+
+let create ~id ~store ~locate ~clock ~cache ~serve_hits ~bloofi ~bloofi_depth =
+  {
+    id;
+    store;
+    locate;
+    clock;
+    serve_hits;
+    cache_config = cache;
+    cache = Option.map Remote_cache.create cache;
+    summary_memo = None;
+    summary_told = Hashtbl.create 4;
+    summaries = Hashtbl.create 4;
+    summary_epoch = 0;
+    peer_epochs = Hashtbl.create 4;
+    bloofi = (if bloofi then Some (Bloofi.create ()) else None);
+    bloofi_src = Hashtbl.create 4;
+    bloofi_depth;
+    locality_memo = None;
+  }
+
+let cache t = t.cache
+let bloofi t = t.bloofi
+
+type 'w ctx = {
+  query : Message.query_id;
+  plan : Hf_engine.Plan.t;
+  origin : int;
+  span : int;
+  marks : Hf_engine.Mark_table.t;
+  work : 'w Hf_util.Deque.t;
+  stats : Hf_engine.Stats.t;
+  bindings : (string, Hf_data.Value.t list) Hashtbl.t;
+  final : final;
+  mutable result_buffer : Oid.t list;
+  mutable local_result_set : Oid.Set.t;
+  mutable active : int;
+  mutable buffered : int;
+  validated : (int, int) Hashtbl.t;
+  validating : (int, unit) Hashtbl.t;
+  parked : (int, Work_item.t list) Hashtbl.t;
+  mutable parked_count : int;
+  mutable answers : Message.cache_answer list;
+  mutable answers_version : int;
+  mutable scatter : Hf_engine.Scatter.Stitch.t option;
+}
+
+let context ?marks ?final:answer ~query ~span program =
+  {
+    query;
+    plan = Hf_engine.Plan.make program;
+    origin = query.Message.originator;
+    span;
+    marks = (match marks with Some m -> m | None -> Hf_engine.Mark_table.create ());
+    work = Hf_util.Deque.create ();
+    stats = Hf_engine.Stats.create ();
+    bindings = Hashtbl.create 4;
+    final = (match answer with Some f -> f | None -> final ());
+    result_buffer = [];
+    local_result_set = Oid.Set.empty;
+    active = 0;
+    buffered = 0;
+    validated = Hashtbl.create 4;
+    validating = Hashtbl.create 4;
+    parked = Hashtbl.create 4;
+    parked_count = 0;
+    answers = [];
+    answers_version = 0;
+    scatter = None;
+  }
+
+(* --- evaluation and results --- *)
+
+let eval t ctx item =
+  let emit ~target values =
+    let existing = match Hashtbl.find_opt ctx.bindings target with None -> [] | Some v -> v in
+    Hashtbl.replace ctx.bindings target (existing @ values)
+  in
+  Hf_engine.Eval.run_object ~plan:ctx.plan ~find:(Hf_data.Store.find t.store)
+    ~marks:ctx.marks ~stats:ctx.stats ~emit item
+
+let eval_domain t ctx ~roots =
+  Hf_engine.Scatter.eval_site ~plan:ctx.plan ~find:(Hf_data.Store.find t.store)
+    ~oids:(Hf_data.Store.oids t.store) ~roots ~stats:ctx.stats
+
+let record_answer t ctx item ~passed ~skipped =
+  let start = Work_item.start item and iters = Work_item.iters item in
+  if
+    Option.is_some t.cache && (not skipped) && t.id <> ctx.origin
+    && Remote_cache.cacheable ctx.plan ~start ~iters
+  then begin
+    let v = Hf_data.Store.version t.store in
+    if ctx.answers <> [] && ctx.answers_version <> v then ctx.answers <- [];
+    ctx.answers_version <- v;
+    ctx.answers <- { Message.oid = Work_item.oid item; start; iters; passed } :: ctx.answers
+  end
+
+let add_result t ctx oid =
+  if not (Oid.Set.mem oid ctx.local_result_set) then begin
+    ctx.local_result_set <- Oid.Set.add oid ctx.local_result_set;
+    if t.id = ctx.origin then add_final ctx.final oid
+    else ctx.result_buffer <- oid :: ctx.result_buffer
+  end
+
+let emitted ctx = Hashtbl.fold (fun target values acc -> (target, values) :: acc) ctx.bindings []
+
+let publish_bindings ctx =
+  let extra = emitted ctx in
+  Hashtbl.reset ctx.bindings;
+  merge_bindings ctx.final.bindings extra
+
+let take_results ctx =
+  let items = List.rev ctx.result_buffer in
+  let bindings = emitted ctx in
+  ctx.result_buffer <- [];
+  Hashtbl.reset ctx.bindings;
+  (items, bindings)
+
+let take_answers t ctx =
+  if t.id = ctx.origin || ctx.answers = [] then None
+  else begin
+    let answers = List.rev ctx.answers in
+    ctx.answers <- [];
+    Some (ctx.answers_version, answers)
+  end
+
+let ready ctx =
+  Hf_util.Deque.is_empty ctx.work
+  && ctx.active = 0 && ctx.buffered = 0 && ctx.parked_count = 0
+  &&
+  match ctx.scatter with
+  | None -> true
+  | Some stitch -> Hf_engine.Scatter.Stitch.outstanding stitch = 0
+
+(* --- cache routing --- *)
+
+type route =
+  | Ship
+  | Pruned
+  | Hit of bool
+  | Miss of { invalidated : bool }
+  | Parked
+  | Validate
+
+(* Order matters for credit safety: prune and hit happen before the
+   item ever reaches a batcher, so their credit is never split. *)
+let resolve t ctx ~dst ~version wi =
+  let start = Work_item.start wi in
+  let iters = Work_item.iters wi in
+  let probes = Remote_cache.prune_probes ctx.plan ~start ~iters in
+  let pruned =
+    probes <> []
+    &&
+    match Hashtbl.find_opt t.summaries dst with
+    | Some (v, summary) when v = version -> Remote_cache.summary_misses summary probes
+    | Some _ | None -> false
+  in
+  if pruned then Pruned
+  else
+    match t.cache with
+    | Some cache when Remote_cache.cacheable ctx.plan ~start ~iters -> (
+        let key =
+          Remote_cache.entry_key ~dst ~plan:ctx.plan ~start ~iters ~oid:(Work_item.oid wi)
+        in
+        match Remote_cache.lookup cache ~now:(t.clock ()) ~key ~version with
+        | Remote_cache.Hit passed when t.serve_hits ->
+          if passed then add_result t ctx (Work_item.oid wi);
+          Hit passed
+        | Remote_cache.Hit _ -> Ship
+        | Remote_cache.Invalidated -> Miss { invalidated = true }
+        | Remote_cache.Absent -> Miss { invalidated = false })
+    | Some _ | None -> Ship
+
+let route t ctx ~dst wi =
+  match t.cache with
+  | None -> Ship
+  | Some _ -> (
+      match Hashtbl.find_opt ctx.validated dst with
+      | Some version -> resolve t ctx ~dst ~version wi
+      | None ->
+        let waiting = match Hashtbl.find_opt ctx.parked dst with Some l -> l | None -> [] in
+        Hashtbl.replace ctx.parked dst (wi :: waiting);
+        ctx.parked_count <- ctx.parked_count + 1;
+        if Hashtbl.mem ctx.validating dst then Parked
+        else begin
+          Hashtbl.replace ctx.validating dst ();
+          Validate
+        end)
+
+let drop_parked ctx =
+  Hashtbl.reset ctx.parked;
+  ctx.parked_count <- 0
+
+let release t ctx ~dst ~version =
+  Hashtbl.remove ctx.validating dst;
+  Option.iter (Hashtbl.replace ctx.validated dst) version;
+  match Hashtbl.find_opt ctx.parked dst with
+  | None -> []
+  | Some waiting ->
+    Hashtbl.remove ctx.parked dst;
+    let items = List.rev waiting in
+    ctx.parked_count <- ctx.parked_count - List.length items;
+    List.map
+      (fun wi ->
+        match version with
+        | None -> (wi, Ship)
+        | Some version -> (wi, resolve t ctx ~dst ~version wi))
+      items
+
+(* --- the cache control plane --- *)
+
+(* This store's summary at its current version, and whether that took
+   a rebuild. *)
+let memo_summary t cfg =
+  let version = Hf_data.Store.version t.store in
+  match t.summary_memo with
+  | Some (v, bloom) when v = version -> (bloom, false)
+  | Some _ | None ->
+    let bloom = Remote_cache.summary_of_store cfg t.store in
+    t.summary_memo <- Some (version, bloom);
+    (bloom, true)
+
+let summary t = Option.map (fun cfg -> fst (memo_summary t cfg)) t.cache_config
+
+(* Without the cache the reply is version-only. *)
+let validate_reply t ~peer =
+  let version = Hf_data.Store.version t.store in
+  let summary =
+    Option.bind t.cache_config (fun cfg ->
+        let bloom, rebuilt = memo_summary t cfg in
+        if rebuilt then t.summary_epoch <- t.summary_epoch + 1;
+        match Hashtbl.find_opt t.summary_told peer with
+        | Some v when v = version -> None
+        | Some _ | None ->
+          Hashtbl.replace t.summary_told peer version;
+          Some bloom)
+  in
+  (version, summary)
+
+let epoch t = t.summary_epoch
+
+type news = Fresh of Hf_index.Bloom.t | Told | Garbled
+
+let forget_summary t peer =
+  Hashtbl.remove t.summaries peer;
+  Hashtbl.remove t.bloofi_src peer;
+  Option.iter (fun tree -> Bloofi.remove tree ~site:peer) t.bloofi
+
+let learn t ~peer ~version ~epoch news =
+  (* An epoch regression means the peer's lineage restarted: its old
+     summary and leaf could wrongly prune against the new store, and
+     cached verdicts are keyed by a version the new lineage can
+     collide with. *)
+  (match Hashtbl.find_opt t.peer_epochs peer with
+   | Some e when epoch < e ->
+     forget_summary t peer;
+     Option.iter (fun cache -> Remote_cache.drop_dst cache ~dst:peer) t.cache
+   | Some _ | None -> ());
+  Hashtbl.replace t.peer_epochs peer epoch;
+  match news with
+  | Fresh bloom ->
+    Hashtbl.replace t.summaries peer (version, bloom);
+    Option.iter
+      (fun tree ->
+        Bloofi.insert tree ~site:peer bloom;
+        Hashtbl.replace t.bloofi_src peer bloom)
+      t.bloofi
+  | Told -> (
+      (* "you already have it": if ours is for another version (the
+         reply that carried the new one was lost), it must never prune
+         at the new version *)
+      match Hashtbl.find_opt t.summaries peer with
+      | Some (v, _) when v <> version -> forget_summary t peer
+      | Some _ | None -> ())
+  | Garbled -> () (* no pruning from it; still correct *)
+
+let learned t ~peer = Hashtbl.find_opt t.summaries peer
+
+let fill t ctx ~src ~version (answers : Message.cache_answer list) =
+  match t.cache with
+  | None -> 0
+  | Some cache ->
+    let now = t.clock () in
+    List.iter
+      (fun ({ oid; start; iters; passed } : Message.cache_answer) ->
+        let key = Remote_cache.entry_key ~dst:src ~plan:ctx.plan ~start ~iters ~oid in
+        Remote_cache.put cache ~now ~key ~version ~passed)
+      answers;
+    List.length answers
+
+(* --- planning --- *)
+
+(* What separates the two ends of the locality sweep: chains that
+   mostly stay home make shipping's expected hop count collapse. *)
+let p_local t =
+  let version = Hf_data.Store.version t.store in
+  match t.locality_memo with
+  | Some (v, p) when v = version -> p
+  | Some _ | None ->
+    let total = ref 0 and local = ref 0 in
+    Hf_data.Store.iter t.store (fun obj ->
+        List.iter
+          (fun target ->
+            incr total;
+            if t.locate target = t.id then incr local)
+          (Hf_data.Hobject.pointers obj));
+    let p = if !total = 0 then 1.0 else float_of_int !local /. float_of_int !total in
+    t.locality_memo <- Some (version, p);
+    p
+
+let sync_bloofi t ~n_sites ~summary =
+  match t.bloofi with
+  | None -> ()
+  | Some tree ->
+    for peer = 0 to n_sites - 1 do
+      if peer <> t.id then
+        match summary peer with
+        | Some bloom ->
+          if
+            match Hashtbl.find_opt t.bloofi_src peer with
+            | Some installed -> installed != bloom
+            | None -> true
+          then begin
+            Bloofi.insert tree ~site:peer bloom;
+            Hashtbl.replace t.bloofi_src peer bloom
+          end
+        | None ->
+          if Hashtbl.mem t.bloofi_src peer then begin
+            Hashtbl.remove t.bloofi_src peer;
+            Bloofi.remove tree ~site:peer
+          end
+    done
+
+type descent = {
+  tree : Bloofi.t;
+  may : (int, unit) Hashtbl.t;
+  index : Hf_query.Plan.index_stats;
+}
+
+let descend t groups =
+  match t.bloofi with
+  | None -> None
+  | Some tree when Bloofi.cardinal tree = 0 -> None
+  | Some tree ->
+    let r = Bloofi.probe tree groups in
+    Hf_obs.Histogram.observe t.bloofi_depth (float_of_int r.depth);
+    let may = Hashtbl.create 16 in
+    List.iter (fun s -> Hashtbl.replace may s ()) r.sites;
+    let indexed = Bloofi.cardinal tree in
+    Some
+      {
+        tree;
+        may;
+        index =
+          { indexed; touched = r.touched; depth = r.depth; pruned = indexed - List.length r.sites };
+      }
+
+let may_match d ~site =
+  if Bloofi.mem d.tree ~site then Some (Hashtbl.mem d.may site) else None
+
+(* Leaves equal the flat filters, so a descent changes only the probe
+   cost (reported in [decision.index]), never a verdict. *)
+let decide t ~n_sites ~summary ~objects ~costs program initial =
+  let plan = Hf_engine.Plan.make program in
+  let zeros = Array.make (Hf_engine.Plan.iter_count plan) 0 in
+  let seed_sites =
+    List.fold_left
+      (fun acc oid ->
+        let s = t.locate oid in
+        match List.assoc_opt s acc with
+        | Some n -> (s, n + 1) :: List.remove_assoc s acc
+        | None -> (s, 1) :: acc)
+      [] initial
+  in
+  let landing_groups =
+    List.map
+      (fun pc -> Remote_cache.prune_probes plan ~start:pc ~iters:zeros)
+      (Hf_query.Plan.landing_pcs program)
+  in
+  let start_probes = Remote_cache.prune_probes plan ~start:0 ~iters:zeros in
+  let flat_may bloom =
+    landing_groups = []
+    || List.exists
+         (fun probes -> probes = [] || not (Remote_cache.summary_misses bloom probes))
+         landing_groups
+  in
+  let seed_may bloom =
+    start_probes = [] || not (Remote_cache.summary_misses bloom start_probes)
+  in
+  let descent = descend t landing_groups in
+  let hints =
+    List.filter_map
+      (fun peer ->
+        if peer = t.id then None
+        else
+          let filter = summary peer in
+          let may_match =
+            match Option.bind descent (may_match ~site:peer) with
+            | Some _ as verdict -> verdict
+            | None -> Option.map flat_may filter
+          in
+          Some
+            {
+              Hf_query.Plan.site = peer;
+              objects = objects peer filter;
+              may_match;
+              seed_may_match = Option.map seed_may filter;
+            })
+      (List.init n_sites Fun.id)
+  in
+  let item_bytes = 13 + 4 + (4 * Hf_engine.Plan.iter_count plan) in
+  Hf_query.Plan.decide ~program ~origin:t.id ~seed_sites ~hints
+    ?index:(Option.map (fun d -> d.index) descent)
+    ~costs:(costs ~item_bytes ~p_local:(p_local t))
+    ()
+
+let select exec ~scatter_ok decide =
+  match exec with
+  | Exec_ship -> (None, None)
+  | (Exec_scatter | Exec_auto) as exec ->
+    let d = decide () in
+    let scatter =
+      scatter_ok && d.Hf_query.Plan.eligible && d.Hf_query.Plan.predicted <> []
+      && (exec = Exec_scatter || Hf_query.Plan.equal_mode d.chosen Hf_query.Plan.Scatter)
+    in
+    (Some d, if scatter then Some d.predicted else None)
+
+(* The planner's predicted set covers the remote seed sites, but
+   [locate] could disagree with a stale view, so a seed outside the
+   scattered set ships classically — same contract as a stitched
+   chain that escapes. *)
+let scatter_seed t ctx ~sites initial =
+  let members = t.id :: sites in
+  let member = Hashtbl.create 8 in
+  List.iter (fun s -> Hashtbl.replace member s ()) members;
+  let roots = Hashtbl.create 8 in
+  let stray = ref [] in
+  List.iter
+    (fun oid ->
+      let s = t.locate oid in
+      if Hashtbl.mem member s then
+        Hashtbl.replace roots s
+          (oid :: (match Hashtbl.find_opt roots s with Some l -> l | None -> []))
+      else stray := oid :: !stray)
+    initial;
+  let roots_of s = match Hashtbl.find_opt roots s with Some l -> List.rev l | None -> [] in
+  ctx.scatter <-
+    Some
+      (Hf_engine.Scatter.Stitch.create ~plan:ctx.plan ~locate:t.locate ~sites:members
+         ~roots:(List.map (fun s -> (s, roots_of s)) members));
+  (roots_of, List.rev !stray)
+
+let gather t ctx ~site nodes =
+  match ctx.scatter with
+  | None -> []
+  | Some stitch ->
+    let outcome = Hf_engine.Scatter.Stitch.add_gather stitch ~site nodes in
+    List.iter (add_result t ctx) outcome.passed;
+    merge_bindings ctx.final.bindings outcome.bindings;
+    outcome.fallback
+
+let gather_lost ctx ~site =
+  Option.iter (fun stitch -> ignore (Hf_engine.Scatter.Stitch.site_dead stitch ~site)) ctx.scatter

@@ -1,0 +1,275 @@
+(** The per-site protocol decisions of the paper's Section 3.2, written
+    once for both engines.
+
+    Every HyperFile site runs the identical algorithm.  This module
+    holds what one site knows — its per-query contexts and its view of
+    its peers (learned Bloom summaries, their Bloofi tree, summary
+    epochs, the remote-answer cache) — and makes the decisions that
+    need no clock, socket or termination detector.  The simulator
+    ({!Hf_server.Cluster}) and the socket engine ([Hf_net.Tcp_site])
+    drive it; each keeps its own messages, credit or detector,
+    batching, threads and counters.  Where the engines differ, the
+    difference comes in as an argument or goes out as a verdict the
+    caller acts on ({!route}). *)
+
+module Oid = Hf_data.Oid
+
+type exec_mode =
+  | Exec_ship  (** the paper's protocol: work items follow the pointer chain. *)
+  | Exec_scatter
+      (** single-round scatter-gather whenever the program is eligible
+          (no finite iterators); ineligible queries ship. *)
+  | Exec_auto
+      (** per-query cost-based choice ({!Hf_query.Plan.decide}); see
+          doc/execution_modes.md. *)
+
+(** {1 The originator's answer} *)
+
+type final = {
+  mutable results : Oid.t list;  (** newest first *)
+  mutable set : Oid.Set.t;
+  bindings : (string, Hf_data.Value.t list) Hashtbl.t;
+}
+(** A query's final result, built at its originator. *)
+
+val final : unit -> final
+
+val add_final : final -> Oid.t -> unit
+(** Add a result unless it is already in the set. *)
+
+val merge_bindings :
+  (string, Hf_data.Value.t list) Hashtbl.t -> (string * Hf_data.Value.t list) list -> unit
+(** Append each target's values to what the table holds. *)
+
+(** {1 Sites and contexts} *)
+
+type t
+(** One site's protocol state: its store and its view of its peers. *)
+
+val create :
+  id:int ->
+  store:Hf_data.Store.t ->
+  locate:(Oid.t -> int) ->
+  clock:(unit -> float) ->
+  cache:Hf_index.Remote_cache.config option ->
+  serve_hits:bool ->
+  bloofi:bool ->
+  bloofi_depth:Hf_obs.Histogram.t ->
+  t
+(** [locate] maps an oid to the site that stores it.  [clock] stamps
+    cache entries for their TTL (virtual or wall time).  [cache] turns
+    on the remote-answer cache and the Bloom summary channel
+    (DESIGN.md §4g).  [serve_hits] says whether a cache hit may answer
+    an item locally; [false] ships it anyway.  [bloofi] keeps a Bloofi
+    tree over the learned summaries, and every planner descent records
+    its depth in [bloofi_depth]. *)
+
+val cache : t -> Hf_index.Remote_cache.t option
+val bloofi : t -> Hf_index.Bloofi.t option
+
+type 'w ctx = {
+  query : Hf_proto.Message.query_id;
+  plan : Hf_engine.Plan.t;
+  origin : int;
+  span : int;  (** this site's evaluation span for the query *)
+  marks : Hf_engine.Mark_table.t;
+  work : 'w Hf_util.Deque.t;
+      (** the working set; each driver chooses what an entry carries *)
+  stats : Hf_engine.Stats.t;
+  bindings : (string, Hf_data.Value.t list) Hashtbl.t;
+      (** emitted here and not yet shipped or published *)
+  final : final;  (** the query's answer; written only at the originator *)
+  mutable result_buffer : Oid.t list;  (** pending shipment, newest first *)
+  mutable local_result_set : Oid.Set.t;  (** every result found here *)
+  mutable active : int;
+      (** evaluation under way outside [work]: items popped but not
+          settled, or drains still running *)
+  mutable buffered : int;  (** items in a batcher, not yet shipped *)
+  validated : (int, int) Hashtbl.t;
+      (** destination -> store version vouched for this query *)
+  validating : (int, unit) Hashtbl.t;
+      (** destinations with a [Cache_validate] in flight *)
+  parked : (int, Hf_engine.Work_item.t list) Hashtbl.t;
+      (** destination -> items waiting on its validation, newest first *)
+  mutable parked_count : int;
+  mutable answers : Hf_proto.Message.cache_answer list;
+      (** cacheable verdicts computed here for the originator, newest
+          first *)
+  mutable answers_version : int;  (** store version of [answers] *)
+  mutable scatter : Hf_engine.Scatter.Stitch.t option;
+      (** the stitch, at the originator of a scattered query *)
+}
+(** A site's state for one query.  Drivers read it freely; the
+    decisions that change it belong to the functions below. *)
+
+val context :
+  ?marks:Hf_engine.Mark_table.t ->
+  ?final:final ->
+  query:Hf_proto.Message.query_id ->
+  span:int ->
+  Hf_query.Program.t ->
+  'w ctx
+(** A fresh context.  [marks] defaults to a fresh table (the simulator
+    shares the originator's under its global-marks ablation); [final]
+    defaults to a fresh answer (the originator passes the query's). *)
+
+(** {1 Evaluation and results} *)
+
+val eval : t -> 'w ctx -> Hf_engine.Work_item.t -> Hf_engine.Eval.step_result
+(** One step of the per-object loop: {!Hf_engine.Eval.run_object}
+    against this site's store, emitting into [ctx.bindings]. *)
+
+val eval_domain : t -> 'w ctx -> roots:Oid.t list -> Hf_engine.Scatter.node list
+(** A scattered query's speculation domain here: [roots] plus every
+    local object at every landing index ({!Hf_engine.Scatter.eval_site}). *)
+
+val record_answer :
+  t -> 'w ctx -> Hf_engine.Work_item.t -> passed:bool -> skipped:bool -> unit
+(** Keep the item's verdict for the originator's cache when the cache
+    is on, the item ran for real away from the originator, and its
+    reachable suffix is store-state-only.  Verdicts from an older
+    store version are dropped first. *)
+
+val add_result : t -> 'w ctx -> Oid.t -> unit
+(** A passing object: into the local result set, then the final answer
+    at the originator or the result buffer elsewhere.  Repeats are
+    ignored. *)
+
+val publish_bindings : 'w ctx -> unit
+(** Move the bindings emitted here into the final answer. *)
+
+val take_results : 'w ctx -> Oid.t list * (string * Hf_data.Value.t list) list
+(** The buffered results (oldest first) and emitted bindings, emptied. *)
+
+val take_answers : t -> 'w ctx -> (int * Hf_proto.Message.cache_answer list) option
+(** Away from the originator: the cached-verdict fill to ship home —
+    store version and verdicts in capture order — emptied.  [None]
+    when there is nothing to send. *)
+
+val ready : 'w ctx -> bool
+(** The drain condition: no queued or active work, nothing buffered or
+    parked, and no gather outstanding. *)
+
+(** {1 Cache routing (DESIGN.md §4g)} *)
+
+type route =
+  | Ship  (** push to the batcher; the cache has nothing to say *)
+  | Pruned  (** the destination's summary proves the item dies there *)
+  | Hit of bool
+      (** served from the cache; a passing verdict is already recorded *)
+  | Miss of { invalidated : bool }
+      (** ship it; [invalidated] when a stale entry was evicted *)
+  | Parked  (** waiting behind a validation already in flight *)
+  | Validate  (** parked; the caller sends the [Cache_validate] *)
+
+val route : t -> 'w ctx -> dst:int -> Hf_engine.Work_item.t -> route
+(** Route one item bound for [dst].  With the cache off: [Ship].  At a
+    vouched version: prune, hit or miss — pruned and hit items never
+    reach a batcher, so their credit is never split.  Otherwise the
+    item parks until the destination's version is known. *)
+
+val drop_parked : 'w ctx -> unit
+(** Forget every parked item: the query was cancelled or evicted. *)
+
+val release :
+  t -> 'w ctx -> dst:int -> version:int option -> (Hf_engine.Work_item.t * route) list
+(** Stop waiting on [dst] and release its parked items in arrival
+    order.  [Some version]: vouch for it and resolve each item as
+    {!route} would.  [None] (the validation round trip died): every
+    item ships. *)
+
+(** {1 The cache control plane} *)
+
+val validate_reply : t -> peer:int -> int * Hf_index.Bloom.t option
+(** Answer a [Cache_validate] from [peer]: this store's version, and
+    its Bloom summary unless [peer] was already told this version's.
+    A rebuilt summary advances {!epoch}. *)
+
+val epoch : t -> int
+(** How many times this site rebuilt its summary for a validation. *)
+
+type news =
+  | Fresh of Hf_index.Bloom.t  (** a summary rode along *)
+  | Told  (** none aboard: the asker already holds this version's *)
+  | Garbled  (** one rode along but did not decode *)
+
+val learn : t -> peer:int -> version:int -> epoch:int -> news -> unit
+(** Learn from a [Cache_version] reply.  An epoch lower than the last
+    one seen from [peer] means its lineage restarted: its summary,
+    Bloofi leaf and cached verdicts are dropped.  A fresh summary is
+    installed (with its leaf); a [Told] reply at another version drops
+    the stale one. *)
+
+val learned : t -> peer:int -> (int * Hf_index.Bloom.t) option
+(** The (version, summary) learned from [peer], if any. *)
+
+val summary : t -> Hf_index.Bloom.t option
+(** This site's own summary at its current store version, memoized;
+    [None] with the cache off.  Does not advance {!epoch}. *)
+
+val fill :
+  t -> 'w ctx -> src:int -> version:int -> Hf_proto.Message.cache_answer list -> int
+(** Install the verdicts [src] computed at [version]; the number
+    installed (0 with the cache off). *)
+
+(** {1 Planning (doc/execution_modes.md)} *)
+
+val sync_bloofi : t -> n_sites:int -> summary:(int -> Hf_index.Bloom.t option) -> unit
+(** Bring the Bloofi leaves in line with [summary]: insert peers whose
+    filter changed (physically), remove peers it no longer vouches for.
+    No-op with the tree off. *)
+
+type descent
+(** One Bloofi descent's verdicts. *)
+
+val descend : t -> string list list -> descent option
+(** Descend the tree with a disjunction of probe groups.  [None] with
+    the tree off or empty. *)
+
+val may_match : descent -> site:int -> bool option
+(** The descent's verdict for an indexed site; [None] if unindexed. *)
+
+val decide :
+  t ->
+  n_sites:int ->
+  summary:(int -> Hf_index.Bloom.t option) ->
+  objects:(int -> Hf_index.Bloom.t option -> int option) ->
+  costs:(item_bytes:int -> p_local:float -> Hf_query.Plan.costs) ->
+  Hf_query.Program.t ->
+  Oid.t list ->
+  Hf_query.Plan.decision
+(** Price shipping against scatter for a query issued here over the
+    initial oids.  Seed sites come from [locate]; each peer's hint
+    from [summary peer] (its filter, if any) and [objects peer summary]
+    (its object count, if known), with one Bloofi descent replacing the
+    flat landing probes for indexed peers; [costs] turns the item size
+    and the locality signal — the fraction of this store's pointer
+    tuples that stay on this site, memoized per store version — into
+    unit costs. *)
+
+val select :
+  exec_mode ->
+  scatter_ok:bool ->
+  (unit -> Hf_query.Plan.decision) ->
+  Hf_query.Plan.decision option * int list option
+(** The planner's decision ([None] under [Exec_ship], where it never
+    runs) and the sites to scatter to, if the query scatters.
+    [scatter_ok] is whether the engine configuration allows scatter at
+    all. *)
+
+val scatter_seed :
+  t -> 'w ctx -> sites:int list -> Oid.t list -> (int -> Oid.t list) * Oid.t list
+(** Partition the seeds over the originator and [sites] and install
+    the stitch in [ctx.scatter].  Returns each site's roots, and the
+    stray seeds (located outside that set, in seed order) that must
+    ship classically. *)
+
+val gather : t -> 'w ctx -> site:int -> Hf_engine.Scatter.node list -> Hf_engine.Work_item.t list
+(** At the originator: stitch in [site]'s gather (the originator's own
+    domain counts as one).  Newly activated passing nodes join the
+    results and their bindings the answer; the chains that escaped the
+    scattered sites come back for the caller to ship. *)
+
+val gather_lost : 'w ctx -> site:int -> unit
+(** [site] died before gathering: its slot closes empty, losing the
+    chains parked for it as classic shipping would. *)

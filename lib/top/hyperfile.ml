@@ -65,8 +65,6 @@ module Reachability = Hf_index.Reachability
 module Planner = Hf_index.Planner
 module Backlinks = Hf_index.Backlinks
 module Snapshot = Hf_persist.Snapshot
-module Wal = Hf_persist.Wal
-module Blob_store = Hf_persist.Blob_store
 
 (** {1 Parallel engine (paper §6)} *)
 

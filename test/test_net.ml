@@ -561,6 +561,103 @@ let test_many_queries_stress () =
         check_int "stable" 4 (List.length outcome.Tcp.results)
       done)
 
+(* --- site ids from the wire --- *)
+
+(* One reliable frame from fake site [src] (0 here), as [Tcp_site]
+   would write it. *)
+let rel_frame ?(src = 0) ~seq message =
+  Frame.frame (Codec.encode ~rel:{ Codec.src; seq; ack = 0 } message)
+
+(* A frame that names a site outside the cluster is dropped at the
+   door, like an undecodable one: the frame after it on the same
+   connection is still handled, it leaves no context behind, and the
+   reliability ticker keeps acking.  Site 1 stands between a fake
+   site 0 and itself; [bad] arrives first, then a [Stats_report] from
+   site 0 that only a live reader can file. *)
+let unknown_site_dropped bad () =
+  let origin = fake_site () in
+  let site = Tcp.create ~site:1 ~reliability:fast_reliability () in
+  Fun.protect
+    ~finally:(fun () ->
+      Tcp.shutdown site;
+      Unix.close origin)
+    (fun () ->
+      Tcp.set_peers site [| Unix.getsockname origin; Tcp.address site |];
+      let sender = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+      Fun.protect
+        ~finally:(fun () -> Unix.close sender)
+        (fun () ->
+          Unix.connect sender (Tcp.address site);
+          let write frame =
+            check_int "written" (String.length frame)
+              (Unix.write_substring sender frame 0 (String.length frame))
+          in
+          write bad;
+          (* long enough for a bad frame to kill a reader or the ticker *)
+          Thread.delay 0.2;
+          write
+            (rel_frame ~seq:2
+               (Message.Stats_report
+                  {
+                    src = 0;
+                    token = 0;
+                    stats = [ { Message.name = "probe.good"; value = Message.Stat_counter 1 } ];
+                  }));
+          eventually "the next frame is handled" (fun () ->
+              match List.assoc_opt 0 (Tcp.known_peer_stats site) with
+              | Some snap -> List.mem_assoc "probe.good" snap
+              | None -> false);
+          check_int "no context left behind" 0 (Tcp.context_count site);
+          let back = accept_within origin in
+          Fun.protect
+            ~finally:(fun () -> Unix.close back)
+            (fun () ->
+              let decoder = Frame.Decoder.create () in
+              let chunk = Bytes.create 4096 in
+              let acked () =
+                List.exists
+                  (fun payload ->
+                    match Codec.decode_enveloped payload with
+                    | Ok (Message.Link_ack, _, Some { Codec.src = 1; _ }) -> true
+                    | Ok _ | Error _ -> false)
+                  (Frame.Decoder.drain decoder)
+              in
+              let rec wait_ack deadline =
+                if Unix.gettimeofday () > deadline then Alcotest.fail "site 1 stopped acking"
+                else
+                  match Unix.select [ back ] [] [] 0.1 with
+                  | [], _, _ -> wait_ack deadline
+                  | _ ->
+                    let n = Unix.read back chunk 0 (Bytes.length chunk) in
+                    if n = 0 then Alcotest.fail "site 1 closed the link";
+                    Frame.Decoder.feed_bytes decoder chunk 0 n;
+                    if not (acked ()) then wait_ack deadline
+              in
+              wait_ack (Unix.gettimeofday () +. 5.0))))
+
+let unknown = 9
+
+let test_unknown_stats_pull_src =
+  unknown_site_dropped (rel_frame ~seq:1 (Message.Stats_pull { src = unknown; token = 1 }))
+
+let test_unknown_query_originator =
+  let program = parse_program "(Keyword, \"hot\", ?)" in
+  unknown_site_dropped
+    (rel_frame ~seq:1
+       (Message.Deref_request
+          {
+            query = { Message.originator = unknown; serial = 1 };
+            body = program;
+            oid = Oid.make ~birth_site:1 ~serial:1;
+            start = 0;
+            iters = [||];
+            credit = Credit.atoms Credit.one;
+          }))
+
+let test_unknown_envelope_src =
+  unknown_site_dropped
+    (rel_frame ~src:unknown ~seq:1 (Message.Stats_report { src = 0; token = 0; stats = [] }))
+
 (* --- cluster-wide stats and profiles (DESIGN.md §4i) --- *)
 
 (* [with_sites] plus the observability knobs. *)
@@ -750,6 +847,11 @@ let () =
             test_stalled_peer;
           Alcotest.test_case "shutdown during a stall does not hang" `Quick
             test_shutdown_during_stall;
+          Alcotest.test_case "unknown Stats_pull src dropped" `Quick
+            test_unknown_stats_pull_src;
+          Alcotest.test_case "unknown query originator dropped" `Quick
+            test_unknown_query_originator;
+          Alcotest.test_case "unknown envelope src dropped" `Quick test_unknown_envelope_src;
         ] );
       ( "observability",
         [

@@ -7,7 +7,6 @@ module Snapshot = Hf_persist.Snapshot
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
-let check_string = Alcotest.(check string)
 
 let sample_store () =
   let store = Store.create ~site:2 in
@@ -163,183 +162,6 @@ let test_cluster_recovery () =
        after.Hf_server.Cluster.result_set);
   check_bool "terminated" true after.Hf_server.Cluster.terminated
 
-(* --- WAL --- *)
-
-module Wal = Hf_persist.Wal
-
-let with_temp_files f =
-  let log_path = Filename.temp_file "hf_wal" ".log" in
-  let snapshot_path = Filename.temp_file "hf_snap" ".bin" in
-  Sys.remove snapshot_path;
-  (* start without a snapshot *)
-  Fun.protect
-    ~finally:(fun () ->
-      if Sys.file_exists log_path then Sys.remove log_path;
-      if Sys.file_exists snapshot_path then Sys.remove snapshot_path)
-    (fun () -> f ~log_path ~snapshot_path)
-
-let test_wal_record_roundtrip () =
-  let store, a, _ = sample_store () in
-  let obj = Option.get (Store.find store (Hf_data.Hobject.oid a)) in
-  let records =
-    [ Wal.Insert obj; Wal.Replace obj; Wal.Remove (Hf_data.Hobject.oid a) ]
-  in
-  List.iter
-    (fun record ->
-      let framed = Wal.encode_record record in
-      (* strip the frame to get the payload back *)
-      let decoder = Hf_proto.Frame.Decoder.create () in
-      Hf_proto.Frame.Decoder.feed decoder framed;
-      match Hf_proto.Frame.Decoder.next decoder with
-      | Some payload ->
-        let back = Wal.decode_record payload in
-        check_bool "roundtrip" true
-          (match record, back with
-           | Wal.Insert x, Wal.Insert y | Wal.Replace x, Wal.Replace y ->
-             Hf_data.Hobject.equal x y
-           | Wal.Remove x, Wal.Remove y -> Hf_data.Oid.equal x y
-           | _ -> false)
-      | None -> Alcotest.fail "frame did not round-trip")
-    records
-
-let test_wal_recovery_from_log_only () =
-  with_temp_files (fun ~log_path ~snapshot_path ->
-      let logged, r0 = Wal.open_logged ~site:1 ~log_path ~snapshot_path in
-      check_int "fresh log" 0 r0.Wal.applied;
-      let a = Wal.create_object logged [ Tuple.keyword "x" ] in
-      let b = Wal.create_object logged [ Tuple.keyword "y" ] in
-      Wal.replace logged (Hf_data.Hobject.add (Hf_data.Hobject.of_tuples (Hf_data.Hobject.oid a) [ Tuple.keyword "x" ]) (Tuple.keyword "more"));
-      Wal.remove logged (Hf_data.Hobject.oid b);
-      let live = Wal.store logged in
-      Wal.close logged;
-      let recovered, r = Wal.open_logged ~site:1 ~log_path ~snapshot_path in
-      check_int "four records" 4 r.Wal.applied;
-      check_bool "not truncated" false r.Wal.truncated;
-      check_bool "stores equal" true (stores_equal live (Wal.store recovered));
-      (* fresh oids after recovery must not collide *)
-      let fresh = Store.fresh_oid (Wal.store recovered) in
-      check_bool "no collision" false (Store.mem (Wal.store recovered) fresh);
-      Wal.close recovered)
-
-let test_wal_checkpoint () =
-  with_temp_files (fun ~log_path ~snapshot_path ->
-      let logged, _ = Wal.open_logged ~site:0 ~log_path ~snapshot_path in
-      ignore (Wal.create_object logged [ Tuple.keyword "before" ]);
-      let logged = Wal.checkpoint logged ~snapshot_path ~log_path in
-      ignore (Wal.create_object logged [ Tuple.keyword "after" ]);
-      let live = Wal.store logged in
-      Wal.close logged;
-      let recovered, r = Wal.open_logged ~site:0 ~log_path ~snapshot_path in
-      check_int "only post-checkpoint records replayed" 1 r.Wal.applied;
-      check_bool "stores equal" true (stores_equal live (Wal.store recovered));
-      Wal.close recovered)
-
-let test_wal_torn_tail () =
-  with_temp_files (fun ~log_path ~snapshot_path ->
-      let logged, _ = Wal.open_logged ~site:0 ~log_path ~snapshot_path in
-      ignore (Wal.create_object logged [ Tuple.keyword "kept" ]);
-      Wal.close logged;
-      (* simulate a crash mid-append: write half a record *)
-      let partial =
-        let obj = Hf_data.Hobject.of_tuples (Hf_data.Oid.make ~birth_site:0 ~serial:99) [] in
-        let framed = Wal.encode_record (Wal.Insert obj) in
-        String.sub framed 0 (String.length framed - 3)
-      in
-      Out_channel.with_open_gen [ Open_append; Open_binary ] 0o644 log_path (fun oc ->
-          Out_channel.output_string oc partial);
-      let recovered, r = Wal.open_logged ~site:0 ~log_path ~snapshot_path in
-      check_int "complete records applied" 1 r.Wal.applied;
-      check_bool "tail detected as torn" true r.Wal.truncated;
-      check_int "store has the kept object" 1 (Store.cardinal (Wal.store recovered));
-      Wal.close recovered)
-
-let test_wal_corrupt_record () =
-  let bad = Hf_proto.Frame.frame "\x09garbage" in
-  let decoder = Hf_proto.Frame.Decoder.create () in
-  Hf_proto.Frame.Decoder.feed decoder bad;
-  match Wal.decode_record (Option.get (Hf_proto.Frame.Decoder.next decoder)) with
-  | _ -> Alcotest.fail "expected Corrupt"
-  | exception Wal.Corrupt _ -> ()
-
-(* --- Blob store --- *)
-
-module Blob_store = Hf_persist.Blob_store
-
-let with_blob_store f =
-  let path = Filename.temp_file "hf_blobs" ".dat" in
-  Sys.remove path;
-  Fun.protect
-    ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
-    (fun () -> f path)
-
-let test_blob_put_get () =
-  with_blob_store (fun path ->
-      let bs = Blob_store.open_ ~path in
-      let h1 = Blob_store.put bs "first blob" in
-      let h2 = Blob_store.put bs (String.make 10_000 'x') in
-      let h3 = Blob_store.put bs "" in
-      check_string "first" "first blob" (Blob_store.get bs h1);
-      check_int "big" 10_000 (String.length (Blob_store.get bs h2));
-      check_string "empty" "" (Blob_store.get bs h3);
-      Blob_store.close bs)
-
-let test_blob_reopen () =
-  with_blob_store (fun path ->
-      let bs = Blob_store.open_ ~path in
-      let h = Blob_store.put bs "persistent" in
-      Blob_store.close bs;
-      let bs2 = Blob_store.open_ ~path in
-      check_string "survives reopen" "persistent" (Blob_store.get bs2 h);
-      (* appends continue after the existing data *)
-      let h2 = Blob_store.put bs2 "more" in
-      check_string "appended" "more" (Blob_store.get bs2 h2);
-      check_string "old still valid" "persistent" (Blob_store.get bs2 h);
-      Blob_store.close bs2)
-
-let test_blob_bad_handle () =
-  with_blob_store (fun path ->
-      let bs = Blob_store.open_ ~path in
-      ignore (Blob_store.put bs "x");
-      (match Blob_store.get bs { Blob_store.offset = 0; length = 10_000 } with
-       | _ -> Alcotest.fail "expected Corrupt"
-       | exception Blob_store.Corrupt _ -> ());
-      Blob_store.close bs)
-
-let test_blob_externalize_roundtrip () =
-  with_blob_store (fun path ->
-      let bs = Blob_store.open_ ~path in
-      let store = Store.create ~site:0 in
-      let big_body = String.make 4_096 'B' in
-      let a =
-        Store.create_object store
-          [ Tuple.keyword "hot"; Tuple.text ~key:"Body" big_body;
-            Tuple.text ~key:"Abstract" "short" ]
-      in
-      let before = Option.get (Store.find store (Hf_data.Hobject.oid a)) in
-      let moved = Blob_store.externalize bs store ~threshold:1024 in
-      check_int "only the big blob moved" 1 moved;
-      (* search information still queryable, object now small *)
-      let r =
-        Hf_engine.Local.run_query ~store
-          (Hf_query.Parser.parse_body "(Keyword, \"hot\", ?)")
-          [ Hf_data.Hobject.oid a ]
-      in
-      check_int "queries unaffected" 1 (List.length r.Hf_engine.Local.results);
-      let slim = Option.get (Store.find store (Hf_data.Hobject.oid a)) in
-      check_bool "object shrank" true
-        (Hf_data.Hobject.byte_size slim < Hf_data.Hobject.byte_size before);
-      (* display path *)
-      check_bool "fetch reads the blob" true
-        (Blob_store.fetch bs slim ~key:"Body" = Some big_body);
-      check_bool "small blob not externalized" true
-        (Blob_store.fetch bs slim ~key:"Abstract" = None);
-      (* full restore *)
-      let restored = Blob_store.rehydrate bs store in
-      check_int "one restored" 1 restored;
-      let back = Option.get (Store.find store (Hf_data.Hobject.oid a)) in
-      check_bool "object identical after rehydrate" true (Hf_data.Hobject.equal before back);
-      Blob_store.close bs)
-
 let qtest t = QCheck_alcotest.to_alcotest t
 
 let () =
@@ -358,20 +180,5 @@ let () =
           Alcotest.test_case "flipped frame byte" `Quick test_flipped_byte_detected;
           Alcotest.test_case "cluster crash recovery" `Quick test_cluster_recovery;
           qtest prop_random_stores_roundtrip;
-        ] );
-      ( "wal",
-        [
-          Alcotest.test_case "record round-trip" `Quick test_wal_record_roundtrip;
-          Alcotest.test_case "recovery from log only" `Quick test_wal_recovery_from_log_only;
-          Alcotest.test_case "checkpoint" `Quick test_wal_checkpoint;
-          Alcotest.test_case "torn tail" `Quick test_wal_torn_tail;
-          Alcotest.test_case "corrupt record" `Quick test_wal_corrupt_record;
-        ] );
-      ( "blob store",
-        [
-          Alcotest.test_case "put/get" `Quick test_blob_put_get;
-          Alcotest.test_case "reopen" `Quick test_blob_reopen;
-          Alcotest.test_case "bad handles rejected" `Quick test_blob_bad_handle;
-          Alcotest.test_case "externalize/rehydrate" `Quick test_blob_externalize_roundtrip;
         ] );
     ]

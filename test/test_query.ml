@@ -362,77 +362,6 @@ let test_program_ill_formed () =
     (Hf_query.Program.Ill_formed "iterator at 0 has body_start 3 beyond itself") (fun () ->
       ignore (Hf_query.Program.of_filters [ F.iter ~body_start:3 ~count:F.Star ]))
 
-(* --- Optimize --- *)
-
-let simplifies_to input expected () =
-  let got = Hf_query.Optimize.simplify (parse input) in
-  check_bool
-    (Printf.sprintf "%s simplifies to %s (got %s)" input expected
-       (Hf_query.Printer.to_string got))
-    true
-    (Ast.equal got (parse expected))
-
-let test_optimize_dedup = simplifies_to "(A, ?, ?) (A, ?, ?) (B, ?, ?)" "(A, ?, ?) (B, ?, ?)"
-
-let test_optimize_pure_block =
-  simplifies_to "[ (A, ?, ?) (B, ?, ?) ]* (C, ?, ?)" "(A, ?, ?) (B, ?, ?) (C, ?, ?)"
-
-let test_optimize_single_keep_block =
-  simplifies_to "[ (Pointer, \"R\", ?X) ^^X ]^1 (C, ?, ?)" "(Pointer, \"R\", ?X) ^^X (C, ?, ?)"
-
-let test_optimize_keeps_real_iteration () =
-  let ast = parse "[ (Pointer, \"R\", ?X) ^^X ]* (C, ?, ?)" in
-  check_bool "closure untouched" true (Ast.equal ast (Hf_query.Optimize.simplify ast))
-
-let test_optimize_keeps_replace_single () =
-  let ast = parse "[ (Pointer, \"R\", ?X) ^X ]^1 (C, ?, ?)" in
-  check_bool "replace-mode single block kept (conservative)" true
-    (Ast.equal ast (Hf_query.Optimize.simplify ast))
-
-let test_optimize_keeps_retrieve_duplicates () =
-  let ast = parse "(A, \"k\", ->out) (A, \"k\", ->out)" in
-  check_bool "retrieves not deduped" true (Ast.equal ast (Hf_query.Optimize.simplify ast))
-
-let test_optimize_nested_fixpoint =
-  (* the pure inner block dissolves, making the outer body pure too when
-     it has no dereference *)
-  simplifies_to "[ [ (A, ?, ?) ]^3 (B, ?, ?) ]^2" "(A, ?, ?) (B, ?, ?)"
-
-(* Equivalence property: simplified queries produce the same result set
-   and the same retrieved values on random stores. *)
-let prop_optimize_equivalent =
-  QCheck2.Test.make ~name:"simplify preserves evaluation" ~count:200
-    QCheck2.Gen.(pair gen_ast int)
-    (fun (ast, seed) ->
-      let prng = Hf_util.Prng.create seed in
-      let store = Hf_data.Store.create ~site:0 in
-      let n = 2 + Hf_util.Prng.next_int prng 10 in
-      let oids = Array.init n (fun _ -> Hf_data.Store.fresh_oid store) in
-      Array.iteri
-        (fun i oid ->
-          let tuples =
-            [ Hf_data.Tuple.number ~key:"id" i;
-              Hf_data.Tuple.keyword (if Hf_util.Prng.next_bool prng 0.5 then "Keyword" else "Tag");
-              Hf_data.Tuple.pointer ~key:"Pointer"
-                oids.(Hf_util.Prng.next_int prng n);
-            ]
-          in
-          Hf_data.Store.insert store (Hf_data.Hobject.of_tuples oid tuples))
-        oids;
-      let run ast =
-        let r =
-          Hf_engine.Local.run_store ~store (Hf_query.Compile.compile ast) [ oids.(0) ]
-        in
-        ( r.Hf_engine.Local.result_set,
-          List.map
-            (fun (t, vs) -> (t, List.sort Hf_data.Value.compare vs))
-            r.Hf_engine.Local.bindings )
-      in
-      let original = run ast in
-      let simplified = run (Hf_query.Optimize.simplify ast) in
-      Hf_data.Oid.Set.equal (fst original) (fst simplified)
-      && snd original = snd simplified)
-
 let qtest t = QCheck_alcotest.to_alcotest t
 
 let () =
@@ -503,19 +432,5 @@ let () =
         [
           Alcotest.test_case "byte size regime" `Quick test_program_byte_size;
           Alcotest.test_case "ill-formed rejected" `Quick test_program_ill_formed;
-        ] );
-      ( "optimize",
-        [
-          Alcotest.test_case "dedup selections" `Quick test_optimize_dedup;
-          Alcotest.test_case "unwrap pure blocks" `Quick test_optimize_pure_block;
-          Alcotest.test_case "unwrap single keep-parent block" `Quick
-            test_optimize_single_keep_block;
-          Alcotest.test_case "keeps real iteration" `Quick test_optimize_keeps_real_iteration;
-          Alcotest.test_case "keeps replace-mode single block" `Quick
-            test_optimize_keeps_replace_single;
-          Alcotest.test_case "keeps retrieve duplicates" `Quick
-            test_optimize_keeps_retrieve_duplicates;
-          Alcotest.test_case "nested fixpoint" `Quick test_optimize_nested_fixpoint;
-          qtest prop_optimize_equivalent;
         ] );
     ]

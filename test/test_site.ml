@@ -1,0 +1,631 @@
+(* Tests for Hf_server.Site on its own — no simulator, no sockets: the
+   cache control plane's learning rules, cache routing and the release
+   of items parked behind a validation, result bookkeeping, the drain
+   test, and the planner's inputs and scatter bookkeeping. *)
+
+module Oid = Hf_data.Oid
+module Store = Hf_data.Store
+module Tuple = Hf_data.Tuple
+module Site = Hf_server.Site
+module Rc = Hf_index.Remote_cache
+module Work_item = Hf_engine.Work_item
+
+let check_int = Alcotest.(check int)
+let check_bool = Alcotest.(check bool)
+
+(* Site 0, with the cache and the Bloofi tree on, at a frozen clock. *)
+let origin () =
+  Site.create ~id:0 ~store:(Store.create ~site:0) ~locate:Oid.birth_site
+    ~clock:(fun () -> 0.0)
+    ~cache:(Some Rc.default) ~serve_hits:true ~bloofi:true
+    ~bloofi_depth:(Hf_obs.Histogram.create ())
+
+(* A peer store holding one object per keyword, and its summary. *)
+let peer_store site keywords =
+  let store = Store.create ~site in
+  let oids =
+    List.map
+      (fun k ->
+        let oid = Store.fresh_oid store in
+        Store.insert store (Hf_data.Hobject.of_tuples oid [ Tuple.keyword k ]);
+        oid)
+      keywords
+  in
+  (oids, Rc.summary_of_store Rc.default store)
+
+(* Store-state-only, so every item's verdict is cacheable; an item
+   entering at filter 0 needs "cold" at its destination, one entering
+   at filter 1 needs "hot". *)
+let program = Hf_query.Parser.parse_program "(Keyword, \"cold\", ?) (Keyword, \"hot\", ?)"
+
+let context () =
+  Site.context ~query:{ Hf_proto.Message.originator = 0; serial = 1 } ~span:0 program
+
+let answer oid passed : Hf_proto.Message.cache_answer =
+  { oid; start = 0; iters = [||]; passed }
+
+let key ctx ~dst wi =
+  Rc.entry_key ~dst ~plan:ctx.Site.plan ~start:(Work_item.start wi) ~iters:(Work_item.iters wi)
+    ~oid:(Work_item.oid wi)
+
+let leaf site peer =
+  match Site.bloofi site with
+  | Some tree -> Hf_index.Bloofi.mem tree ~site:peer
+  | None -> Alcotest.fail "bloofi tree missing"
+
+let cache_of site =
+  match Site.cache site with Some c -> c | None -> Alcotest.fail "cache missing"
+
+let lookup site ctx ~dst ~version oid =
+  Rc.lookup (cache_of site) ~now:0.0 ~key:(key ctx ~dst (Work_item.initial ctx.Site.plan oid))
+    ~version
+
+let is_hit = function Rc.Hit _ -> true | Rc.Invalidated | Rc.Absent -> false
+
+(* A Cache_version whose epoch is lower than the last one seen from
+   that peer means its lineage restarted: its summary, Bloofi leaf and
+   cached verdicts go; another peer's stay. *)
+let test_epoch_regression () =
+  let site = origin () in
+  let ctx = context () in
+  let oids1, summary1 = peer_store 1 [ "cold" ] in
+  let oids2, summary2 = peer_store 2 [ "cold" ] in
+  Site.learn site ~peer:1 ~version:3 ~epoch:2 (Site.Fresh summary1);
+  Site.learn site ~peer:2 ~version:5 ~epoch:1 (Site.Fresh summary2);
+  check_int "verdicts from 1" 1
+    (Site.fill site ctx ~src:1 ~version:3 [ answer (List.hd oids1) true ]);
+  check_int "verdicts from 2" 1
+    (Site.fill site ctx ~src:2 ~version:5 [ answer (List.hd oids2) true ]);
+  check_bool "leaf 1 installed" true (leaf site 1);
+  (* peer 1 restarted: same version number, older epoch *)
+  Site.learn site ~peer:1 ~version:3 ~epoch:1 Site.Told;
+  check_bool "summary 1 dropped" true (Option.is_none (Site.learned site ~peer:1));
+  check_bool "leaf 1 dropped" false (leaf site 1);
+  check_bool "verdicts from 1 dropped" false
+    (is_hit (lookup site ctx ~dst:1 ~version:3 (List.hd oids1)));
+  check_bool "summary 2 kept" true
+    (match Site.learned site ~peer:2 with Some (5, s) -> s == summary2 | Some _ | None -> false);
+  check_bool "leaf 2 kept" true (leaf site 2);
+  check_bool "verdicts from 2 kept" true
+    (is_hit (lookup site ctx ~dst:2 ~version:5 (List.hd oids2)))
+
+(* No summary aboard means "you already hold this version's": at the
+   version we hold that is a no-op, at a new one our summary is stale
+   and must never prune again. *)
+let test_told_at_new_version () =
+  let site = origin () in
+  let _, summary = peer_store 1 [ "cold" ] in
+  Site.learn site ~peer:1 ~version:3 ~epoch:1 (Site.Fresh summary);
+  Site.learn site ~peer:1 ~version:3 ~epoch:1 Site.Told;
+  check_bool "same version: kept" true (Option.is_some (Site.learned site ~peer:1));
+  check_bool "same version: leaf kept" true (leaf site 1);
+  Site.learn site ~peer:1 ~version:4 ~epoch:1 Site.Told;
+  check_bool "new version: stale summary dropped" true (Option.is_none (Site.learned site ~peer:1));
+  check_bool "new version: leaf dropped" false (leaf site 1);
+  (* a summary that does not decode teaches nothing *)
+  Site.learn site ~peer:1 ~version:5 ~epoch:1 (Site.Fresh summary);
+  Site.learn site ~peer:1 ~version:6 ~epoch:1 Site.Garbled;
+  check_bool "garbled: previous summary kept" true (Option.is_some (Site.learned site ~peer:1))
+
+let route_name = function
+  | Site.Ship -> "ship"
+  | Site.Pruned -> "pruned"
+  | Site.Hit passed -> Printf.sprintf "hit %b" passed
+  | Site.Miss { invalidated } -> Printf.sprintf "miss invalidated=%b" invalidated
+  | Site.Parked -> "parked"
+  | Site.Validate -> "validate"
+
+(* Items bound for a destination whose version is not known yet park
+   behind one validation; its reply releases them in arrival order, and
+   each gets the verdict the summary and the answer cache give for the
+   same key. *)
+let test_parked_release () =
+  let site = origin () in
+  let ctx = context () in
+  let version = 7 in
+  (* peer 1 holds "cold" objects but nothing "hot" *)
+  let oids, summary = peer_store 1 [ "cold"; "cold"; "cold"; "cold" ] in
+  let hit, miss, stale, dead =
+    match oids with [ a; b; c; d ] -> (a, b, c, d) | _ -> assert false
+  in
+  check_int "fill at the current version" 1
+    (Site.fill site ctx ~src:1 ~version [ answer hit true ]);
+  check_int "fill at an older version" 1
+    (Site.fill site ctx ~src:1 ~version:(version - 1) [ answer stale false ]);
+  let items =
+    [
+      Work_item.initial ctx.plan hit;
+      Work_item.initial ctx.plan miss;
+      Work_item.initial ctx.plan stale;
+      Work_item.make ~oid:dead ~start:1 ~iters:[||];
+    ]
+  in
+  (* What the summary and a twin cache say for each key. *)
+  let twin = Rc.create Rc.default in
+  Rc.put twin ~now:0.0 ~key:(key ctx ~dst:1 (List.nth items 0)) ~version ~passed:true;
+  Rc.put twin ~now:0.0 ~key:(key ctx ~dst:1 (List.nth items 2)) ~version:(version - 1)
+    ~passed:false;
+  let expected =
+    List.map
+      (fun wi ->
+        let probes =
+          Rc.prune_probes ctx.plan ~start:(Work_item.start wi) ~iters:(Work_item.iters wi)
+        in
+        if probes <> [] && Rc.summary_misses summary probes then Site.Pruned
+        else
+          match Rc.lookup twin ~now:0.0 ~key:(key ctx ~dst:1 wi) ~version with
+          | Rc.Hit passed -> Site.Hit passed
+          | Rc.Invalidated -> Site.Miss { invalidated = true }
+          | Rc.Absent -> Site.Miss { invalidated = false })
+      items
+  in
+  Alcotest.(check (list string))
+    "the expectation covers prune, hit and both misses"
+    [ "hit true"; "miss invalidated=false"; "miss invalidated=true"; "pruned" ]
+    (List.map route_name expected);
+  Alcotest.(check (list string))
+    "first item validates, the rest wait" [ "validate"; "parked"; "parked"; "parked" ]
+    (List.map (fun wi -> route_name (Site.route site ctx ~dst:1 wi)) items);
+  check_int "parked" 4 ctx.parked_count;
+  check_bool "not ready while parked" false (Site.ready ctx);
+  (* the Cache_version reply *)
+  Site.learn site ~peer:1 ~version ~epoch:1 (Site.Fresh summary);
+  let released = Site.release site ctx ~dst:1 ~version:(Some version) in
+  check_bool "arrival order" true
+    (List.for_all2 (fun wi (wj, _) -> Work_item.equal wi wj) items released);
+  Alcotest.(check (list string))
+    "verdicts match the summary and the cache" (List.map route_name expected)
+    (List.map (fun (_, route) -> route_name route) released);
+  check_int "nothing parked" 0 ctx.parked_count;
+  check_bool "ready" true (Site.ready ctx);
+  check_bool "the hit's result is recorded" true (Oid.Set.mem hit ctx.final.set);
+  Alcotest.(check (list string))
+    "the destination stays vouched for" [ "miss invalidated=false" ]
+    [ route_name (Site.route site ctx ~dst:1 (Work_item.initial ctx.plan miss)) ]
+
+(* A validation that died releases every parked item to ship plainly. *)
+let test_release_without_version () =
+  let site = origin () in
+  let ctx = context () in
+  let oids, _ = peer_store 1 [ "cold"; "cold" ] in
+  let items = List.map (Work_item.initial ctx.plan) oids in
+  List.iter (fun wi -> ignore (Site.route site ctx ~dst:1 wi)) items;
+  Alcotest.(check (list string))
+    "all ship" [ "ship"; "ship" ]
+    (List.map (fun (_, r) -> route_name r) (Site.release site ctx ~dst:1 ~version:None));
+  check_int "nothing parked" 0 ctx.parked_count;
+  Alcotest.(check (list string))
+    "the next item validates again" [ "validate" ]
+    [ route_name (Site.route site ctx ~dst:1 (List.hd items)) ]
+
+(* The summary probes an item entering a one-filter keyword program
+   makes. *)
+let needs keyword =
+  let program = Hf_query.Parser.parse_program (Printf.sprintf "(Keyword, %S, ?)" keyword) in
+  Rc.prune_probes (Hf_engine.Plan.make program) ~start:0 ~iters:[||]
+
+(* A prune needs the summary of the version the destination vouched
+   for: one learned at another version proves nothing. *)
+let test_prune_needs_validated_version () =
+  let site = origin () in
+  let oids, summary = peer_store 1 [ "cold" ] in
+  Site.learn site ~peer:1 ~version:3 ~epoch:1 (Site.Fresh summary);
+  (* entering at filter 1 needs "hot", which peer 1's summary rules out *)
+  let item = Work_item.make ~oid:(List.hd oids) ~start:1 ~iters:[||] in
+  let routed ~version =
+    let ctx = context () in
+    ignore (Site.route site ctx ~dst:1 item);
+    List.map (fun (_, r) -> route_name r) (Site.release site ctx ~dst:1 ~version:(Some version))
+  in
+  Alcotest.(check (list string)) "vouched at the learned version" [ "pruned" ] (routed ~version:3);
+  Alcotest.(check (list string))
+    "vouched at another version" [ "miss invalidated=false" ] (routed ~version:4)
+
+(* With the cache off every item ships at once and the control plane
+   is silent. *)
+let test_cache_off () =
+  let store = Store.create ~site:0 in
+  let site =
+    Site.create ~id:0 ~store ~locate:Oid.birth_site ~clock:(fun () -> 0.0) ~cache:None
+      ~serve_hits:true ~bloofi:false ~bloofi_depth:(Hf_obs.Histogram.create ())
+  in
+  let ctx = context () in
+  let oids, _ = peer_store 1 [ "cold" ] in
+  let wi = Work_item.initial ctx.plan (List.hd oids) in
+  Alcotest.(check string) "route" "ship" (route_name (Site.route site ctx ~dst:1 wi));
+  check_int "nothing parked" 0 ctx.parked_count;
+  check_bool "ready" true (Site.ready ctx);
+  check_int "fill installs nothing" 0
+    (Site.fill site ctx ~src:1 ~version:1 [ answer (List.hd oids) true ]);
+  let version, bloom = Site.validate_reply site ~peer:1 in
+  check_int "version-only reply" (Store.version store) version;
+  check_bool "no summary aboard" true (Option.is_none bloom);
+  check_int "epoch" 0 (Site.epoch site);
+  check_bool "no own summary" true (Option.is_none (Site.summary site));
+  check_bool "no tree" true (Option.is_none (Site.bloofi site));
+  check_bool "no descent" true (Option.is_none (Site.descend site [ needs "cold" ]))
+
+(* A driver that may not serve hits (the simulator's distributed-set
+   modes) ships a cached item anyway, and records no result for it. *)
+let test_hits_not_served () =
+  let store = Store.create ~site:0 in
+  let site =
+    Site.create ~id:0 ~store ~locate:Oid.birth_site ~clock:(fun () -> 0.0)
+      ~cache:(Some Rc.default) ~serve_hits:false ~bloofi:false
+      ~bloofi_depth:(Hf_obs.Histogram.create ())
+  in
+  let ctx = context () in
+  let oids, summary = peer_store 1 [ "cold"; "cold" ] in
+  let cached, other = match oids with [ a; b ] -> (a, b) | _ -> assert false in
+  check_int "fill" 1 (Site.fill site ctx ~src:1 ~version:2 [ answer cached true ]);
+  Site.learn site ~peer:1 ~version:2 ~epoch:1 (Site.Fresh summary);
+  let items = List.map (Work_item.initial ctx.plan) [ cached; other ] in
+  List.iter (fun wi -> ignore (Site.route site ctx ~dst:1 wi)) items;
+  Alcotest.(check (list string))
+    "the hit ships, the miss misses" [ "ship"; "miss invalidated=false" ]
+    (List.map (fun (_, r) -> route_name r) (Site.release site ctx ~dst:1 ~version:(Some 2)));
+  check_bool "no result recorded" true (Oid.Set.is_empty ctx.final.set)
+
+(* A validation reply carries this store's summary once per peer and
+   version; only a rebuild advances the epoch. *)
+let test_validate_reply () =
+  let store = Store.create ~site:0 in
+  ignore (Store.create_object store [ Tuple.keyword "cold" ]);
+  let site =
+    Site.create ~id:0 ~store ~locate:Oid.birth_site ~clock:(fun () -> 0.0)
+      ~cache:(Some Rc.default) ~serve_hits:true ~bloofi:false
+      ~bloofi_depth:(Hf_obs.Histogram.create ())
+  in
+  let v1 = Store.version store in
+  let reply peer =
+    let version, bloom = Site.validate_reply site ~peer in
+    (version, Option.is_some bloom)
+  in
+  let pair = Alcotest.(pair int bool) in
+  Alcotest.check pair "first ask: summary aboard" (v1, true) (reply 1);
+  check_int "first build" 1 (Site.epoch site);
+  Alcotest.check pair "repeat ask: version only" (v1, false) (reply 1);
+  Alcotest.check pair "another peer: summary aboard" (v1, true) (reply 2);
+  check_int "no rebuild for another peer" 1 (Site.epoch site);
+  check_bool "the reply's summary is the memo" true
+    (match (Site.validate_reply site ~peer:3, Site.summary site) with
+     | (_, Some sent), Some own -> sent == own
+     | _ -> false);
+  ignore (Store.create_object store [ Tuple.keyword "hot" ]);
+  let v2 = Store.version store in
+  check_bool "the store moved" true (v2 <> v1);
+  Alcotest.check pair "new version: summary aboard again" (v2, true) (reply 1);
+  check_int "rebuilt" 2 (Site.epoch site);
+  check_bool "the new summary holds the new keyword" true
+    (match Site.summary site with
+     | Some own -> not (Rc.summary_misses own (needs "hot"))
+     | None -> false);
+  check_int "reading the summary does not advance the epoch" 2 (Site.epoch site)
+
+let add_results site ctx oids = List.iter (Site.add_result site ctx) oids
+
+(* At the originator a passing object goes straight into the answer,
+   once. *)
+let test_results_at_origin () =
+  let site = origin () in
+  let ctx = context () in
+  let oids, _ = peer_store 1 [ "a"; "b" ] in
+  let a, b = match oids with [ a; b ] -> (a, b) | _ -> assert false in
+  add_results site ctx [ a; b; a ];
+  check_int "answer" 2 (List.length ctx.final.results);
+  check_bool "newest first" true (List.for_all2 Oid.equal [ b; a ] ctx.final.results);
+  check_int "local set" 2 (Oid.Set.cardinal ctx.local_result_set);
+  check_bool "nothing buffered" true (ctx.result_buffer = []);
+  check_bool "no answers to ship home" true (Option.is_none (Site.take_answers site ctx))
+
+(* Away from the originator results and bindings wait in the buffer
+   until the driver takes them, oldest first. *)
+let test_results_away () =
+  let site =
+    Site.create ~id:1 ~store:(Store.create ~site:1) ~locate:Oid.birth_site
+      ~clock:(fun () -> 0.0) ~cache:(Some Rc.default) ~serve_hits:true ~bloofi:false
+      ~bloofi_depth:(Hf_obs.Histogram.create ())
+  in
+  let ctx = context () in
+  let oids, _ = peer_store 1 [ "a"; "b" ] in
+  let a, b = match oids with [ a; b ] -> (a, b) | _ -> assert false in
+  add_results site ctx [ a; b; a ];
+  Hashtbl.replace ctx.bindings "title" [ Hf_data.Value.Str "x" ];
+  let results, bindings = Site.take_results ctx in
+  check_bool "oldest first, once each" true
+    (List.length results = 2 && List.for_all2 Oid.equal [ a; b ] results);
+  check_bool "bindings taken" true (bindings = [ ("title", [ Hf_data.Value.Str "x" ]) ]);
+  check_bool "the answer is the originator's" true (Oid.Set.is_empty ctx.final.set);
+  check_bool "emptied" true (Site.take_results ctx = ([], []));
+  add_results site ctx [ a ];
+  check_bool "a repeat stays out of the buffer" true (fst (Site.take_results ctx) = [])
+
+(* Bindings append per target, both in [merge_bindings] and when a
+   site publishes what it emitted into the answer. *)
+let test_bindings () =
+  let table = Hashtbl.create 4 in
+  let v s = Hf_data.Value.Str s in
+  Site.merge_bindings table [ ("t", [ v "a" ]); ("u", [ v "b" ]) ];
+  Site.merge_bindings table [ ("t", [ v "c"; v "d" ]) ];
+  check_bool "t appended" true (Hashtbl.find table "t" = [ v "a"; v "c"; v "d" ]);
+  check_bool "u kept" true (Hashtbl.find table "u" = [ v "b" ]);
+  let ctx = context () in
+  Hashtbl.replace ctx.final.bindings "t" [ v "a" ];
+  Hashtbl.replace ctx.bindings "t" [ v "b" ];
+  Site.publish_bindings ctx;
+  check_bool "published after what the answer held" true
+    (Hashtbl.find ctx.final.bindings "t" = [ v "a"; v "b" ]);
+  check_int "emitted bindings moved" 0 (Hashtbl.length ctx.bindings)
+
+(* One eval step runs the object against this site's store: a passing
+   retrieve emits into the context, a dereference spawns, and the mark
+   table suppresses a second entry. *)
+let test_eval_step () =
+  let store = Store.create ~site:0 in
+  let target = Oid.make ~birth_site:1 ~serial:7 in
+  let obj =
+    Store.create_object store
+      [ Tuple.string_ ~key:"Title" "x"; Tuple.pointer ~key:"R" target ]
+  in
+  let site =
+    Site.create ~id:0 ~store ~locate:Oid.birth_site ~clock:(fun () -> 0.0) ~cache:None
+      ~serve_hits:true ~bloofi:false ~bloofi_depth:(Hf_obs.Histogram.create ())
+  in
+  let ctx =
+    Site.context ~query:{ Hf_proto.Message.originator = 0; serial = 1 } ~span:0
+      (Hf_query.Parser.parse_program "(String, \"Title\", ->title) (Pointer, \"R\", ?X) ^^X")
+  in
+  let wi = Work_item.initial ctx.plan (Hf_data.Hobject.oid obj) in
+  let first = Site.eval site ctx wi in
+  check_bool "passed" true first.passed;
+  check_bool "not skipped" false first.skipped;
+  check_bool "emitted" true
+    (Hashtbl.find_opt ctx.bindings "title" = Some [ Hf_data.Value.Str "x" ]);
+  Alcotest.(check (list int))
+    "spawned the pointer target" [ Oid.serial target ]
+    (List.map (fun w -> Oid.serial (Work_item.oid w)) first.spawned);
+  check_int "processed" 1 ctx.stats.objects_processed;
+  let again = Site.eval site ctx wi in
+  check_bool "second entry suppressed" true again.skipped;
+  check_bool "nothing spawned" true (again.spawned = [])
+
+(* A site away from the originator keeps the cacheable verdicts it
+   computed, for one store version, and ships them home once. *)
+let test_record_answers () =
+  let store = Store.create ~site:1 in
+  let site =
+    Site.create ~id:1 ~store ~locate:Oid.birth_site ~clock:(fun () -> 0.0)
+      ~cache:(Some Rc.default) ~serve_hits:true ~bloofi:false
+      ~bloofi_depth:(Hf_obs.Histogram.create ())
+  in
+  let ctx = context () in
+  let a = Hf_data.Hobject.oid (Store.create_object store [ Tuple.keyword "cold" ]) in
+  let b = Hf_data.Hobject.oid (Store.create_object store [ Tuple.keyword "hot" ]) in
+  let item oid = Work_item.initial ctx.plan oid in
+  Site.record_answer site ctx (item a) ~passed:true ~skipped:false;
+  Site.record_answer site ctx (item b) ~passed:false ~skipped:false;
+  Site.record_answer site ctx (item a) ~passed:false ~skipped:true;
+  let shipped = Site.take_answers site ctx in
+  check_bool "capture order at the store's version, skipped left out" true
+    (match shipped with
+     | Some (v, [ x; y ]) ->
+       v = Store.version store && Oid.equal x.oid a && x.passed && Oid.equal y.oid b
+       && not y.passed
+     | Some _ | None -> false);
+  check_bool "emptied" true (Option.is_none (Site.take_answers site ctx));
+  Site.record_answer site ctx (item a) ~passed:true ~skipped:false;
+  ignore (Store.create_object store [ Tuple.keyword "warm" ]);
+  Site.record_answer site ctx (item b) ~passed:false ~skipped:false;
+  check_bool "a store change drops the older verdicts" true
+    (match Site.take_answers site ctx with
+     | Some (v, [ y ]) -> v = Store.version store && Oid.equal y.oid b
+     | Some _ | None -> false);
+  (* the originator computes its own verdicts; nothing to send home *)
+  let home = origin () in
+  let ctx = context () in
+  Site.record_answer home ctx (item a) ~passed:true ~skipped:false;
+  check_bool "nothing recorded at the originator" true (ctx.answers = [])
+
+(* The drain test waits for queued, active, buffered and parked work
+   and for every scattered site's gather. *)
+let test_ready () =
+  let site = origin () in
+  let ctx : int Site.ctx = context () in
+  check_bool "fresh" true (Site.ready ctx);
+  Hf_util.Deque.push_back ctx.work 1;
+  check_bool "queued work" false (Site.ready ctx);
+  ignore (Hf_util.Deque.pop_front ctx.work);
+  ctx.active <- 1;
+  check_bool "active work" false (Site.ready ctx);
+  ctx.active <- 0;
+  ctx.buffered <- 1;
+  check_bool "buffered items" false (Site.ready ctx);
+  ctx.buffered <- 0;
+  let oids, _ = peer_store 1 [ "cold" ] in
+  ignore (Site.route site ctx ~dst:1 (Work_item.initial ctx.plan (List.hd oids)));
+  check_bool "parked items" false (Site.ready ctx);
+  Site.drop_parked ctx;
+  check_bool "parked items dropped" true (Site.ready ctx);
+  ignore (Site.scatter_seed site ctx ~sites:[ 1 ] []);
+  check_bool "gathers outstanding" false (Site.ready ctx);
+  ignore (Site.gather site ctx ~site:0 []);
+  check_bool "one gather outstanding" false (Site.ready ctx);
+  Site.gather_lost ctx ~site:1;
+  check_bool "the lost site's slot closed" true (Site.ready ctx)
+
+let decision ~eligible ~predicted ~chosen : Hf_query.Plan.decision =
+  let estimate = { Hf_query.Plan.rounds = 1; bytes = 1; latency = 1.0 } in
+  {
+    eligible;
+    reason = None;
+    predicted;
+    remainder = [];
+    index = None;
+    ship = estimate;
+    scatter = estimate;
+    chosen;
+  }
+
+(* Scatter or ship: the planner runs unless the mode is ship, and a
+   query scatters only when the engine allows it, the program is
+   eligible and some site is predicted. *)
+let test_select () =
+  let ran = ref 0 in
+  let sites (_, s) = s in
+  let select exec ~scatter_ok d =
+    Site.select exec ~scatter_ok (fun () ->
+        incr ran;
+        d)
+  in
+  let scatter = decision ~eligible:true ~predicted:[ 1; 2 ] ~chosen:Hf_query.Plan.Scatter in
+  let ship = decision ~eligible:true ~predicted:[ 1; 2 ] ~chosen:Hf_query.Plan.Ship in
+  let expect = Alcotest.(check (option (list int))) in
+  check_bool "ship: no decision" true
+    (Option.is_none (fst (select Site.Exec_ship ~scatter_ok:true scatter)));
+  check_int "ship: the planner never runs" 0 !ran;
+  expect "scatter forces scatter" (Some [ 1; 2 ])
+    (sites (select Site.Exec_scatter ~scatter_ok:true ship));
+  expect "auto follows the planner to scatter" (Some [ 1; 2 ])
+    (sites (select Site.Exec_auto ~scatter_ok:true scatter));
+  expect "auto follows the planner to ship" None
+    (sites (select Site.Exec_auto ~scatter_ok:true ship));
+  expect "the engine forbids scatter" None
+    (sites (select Site.Exec_scatter ~scatter_ok:false scatter));
+  expect "ineligible program" None
+    (sites
+       (select Site.Exec_scatter ~scatter_ok:true
+          (decision ~eligible:false ~predicted:[ 1 ] ~chosen:Hf_query.Plan.Scatter)));
+  expect "no site predicted" None
+    (sites
+       (select Site.Exec_scatter ~scatter_ok:true
+          (decision ~eligible:true ~predicted:[] ~chosen:Hf_query.Plan.Scatter)));
+  check_bool "the decision is returned" true
+    (match select Site.Exec_auto ~scatter_ok:true ship with
+     | Some d, _ -> d == ship
+     | None, _ -> false);
+  check_int "the planner ran once per non-ship call" 7 !ran
+
+(* The Bloofi leaves follow the summaries the driver vouches for, and
+   a descent answers for indexed sites only. *)
+let test_bloofi_sync () =
+  let site = origin () in
+  let _, cold = peer_store 1 [ "cold" ] in
+  let _, warm = peer_store 2 [ "warm" ] in
+  let _, own = peer_store 0 [ "cold" ] in
+  let summaries = Hashtbl.create 4 in
+  List.iter (fun (s, b) -> Hashtbl.replace summaries s b) [ (0, own); (1, cold); (2, warm) ];
+  let sync () = Site.sync_bloofi site ~n_sites:4 ~summary:(Hashtbl.find_opt summaries) in
+  check_bool "empty tree: no descent" true (Option.is_none (Site.descend site [ needs "cold" ]));
+  sync ();
+  Alcotest.(check (list bool))
+    "peers with a summary are indexed, this site never" [ false; true; true; false ]
+    (List.map (leaf site) [ 0; 1; 2; 3 ]);
+  (match Site.descend site [ needs "cold" ] with
+   | None -> Alcotest.fail "expected a descent"
+   | Some d ->
+     Alcotest.(check (list (option bool)))
+       "verdicts" [ Some true; Some false; None ]
+       (List.map (fun s -> Site.may_match d ~site:s) [ 1; 2; 3 ]));
+  Hashtbl.remove summaries 2;
+  sync ();
+  check_bool "a withdrawn summary loses its leaf" false (leaf site 2);
+  check_bool "the other leaf stays" true (leaf site 1);
+  let _, hot = peer_store 1 [ "hot" ] in
+  Hashtbl.replace summaries 1 hot;
+  sync ();
+  match Site.descend site [ needs "cold" ] with
+  | None -> Alcotest.fail "expected a descent"
+  | Some d ->
+    Alcotest.(check (option bool))
+      "a changed summary replaces the leaf" (Some false) (Site.may_match d ~site:1)
+
+(* The originator partitions the seeds over itself and the scattered
+   sites; a seed stored elsewhere ships classically. *)
+let test_scatter_seed () =
+  let site = origin () in
+  let ctx = context () in
+  let oid s n = Oid.make ~birth_site:s ~serial:n in
+  let seeds = [ oid 1 1; oid 0 1; oid 2 1; oid 1 2; oid 3 1 ] in
+  let roots, stray = Site.scatter_seed site ctx ~sites:[ 1; 3 ] seeds in
+  let serials l = List.map (fun o -> (Oid.birth_site o, Oid.serial o)) l in
+  let expect = Alcotest.(check (list (pair int int))) in
+  expect "the originator's roots" [ (0, 1) ] (serials (roots 0));
+  expect "site 1's roots in seed order" [ (1, 1); (1, 2) ] (serials (roots 1));
+  expect "site 3's roots" [ (3, 1) ] (serials (roots 3));
+  expect "outside the set: no roots" [] (serials (roots 2));
+  expect "stray seeds ship" [ (2, 1) ] (serials stray);
+  match ctx.scatter with
+  | None -> Alcotest.fail "no stitch installed"
+  | Some stitch -> check_int "one gather per member" 3 (Hf_engine.Scatter.Stitch.outstanding stitch)
+
+(* Gathers stitch into the originator's answer; a chain escaping the
+   scattered sites comes back to ship. *)
+let test_gather () =
+  let store0 = Store.create ~site:0 and store1 = Store.create ~site:1 in
+  let b = Hf_data.Hobject.oid (Store.create_object store1 [ Tuple.keyword "hot" ]) in
+  let escaped = Oid.make ~birth_site:2 ~serial:1 in
+  let a =
+    Hf_data.Hobject.oid
+      (Store.create_object store0 [ Tuple.pointer ~key:"R" b; Tuple.pointer ~key:"R" escaped ])
+  in
+  let make id store =
+    Site.create ~id ~store ~locate:Oid.birth_site ~clock:(fun () -> 0.0) ~cache:None
+      ~serve_hits:true ~bloofi:false ~bloofi_depth:(Hf_obs.Histogram.create ())
+  in
+  let site0 = make 0 store0 and site1 = make 1 store1 in
+  let program = Hf_query.Parser.parse_program "(Pointer, \"R\", ?X) ^X (Keyword, \"hot\", ?)" in
+  let query = { Hf_proto.Message.originator = 0; serial = 1 } in
+  let ctx0 = Site.context ~query ~span:0 program in
+  let roots, stray = Site.scatter_seed site0 ctx0 ~sites:[ 1 ] [ a ] in
+  check_bool "no stray seed" true (stray = []);
+  let own = Site.gather site0 ctx0 ~site:0 (Site.eval_domain site0 ctx0 ~roots:(roots 0)) in
+  check_bool "no result before site 1 gathers" true (Oid.Set.is_empty ctx0.final.set);
+  let ctx1 = Site.context ~query ~span:0 program in
+  let remote = Site.gather site0 ctx0 ~site:1 (Site.eval_domain site1 ctx1 ~roots:(roots 1)) in
+  check_bool "site 1's object is the answer" true
+    (Oid.Set.equal (Oid.Set.singleton b) ctx0.final.set);
+  Alcotest.(check (list (pair int int)))
+    "the escaped chain ships" [ (2, 1) ]
+    (List.map (fun w -> (Oid.birth_site (Work_item.oid w), Oid.serial (Work_item.oid w)))
+       (own @ remote));
+  check_bool "drained" true (Site.ready ctx0)
+
+let () =
+  Alcotest.run "hf_site"
+    [
+      ( "cache control plane",
+        [
+          Alcotest.test_case "epoch regression drops one peer" `Quick test_epoch_regression;
+          Alcotest.test_case "version-only reply at a new version" `Quick
+            test_told_at_new_version;
+        ] );
+      ( "parking",
+        [
+          Alcotest.test_case "release in arrival order with cache verdicts" `Quick
+            test_parked_release;
+          Alcotest.test_case "release after a dead validation" `Quick
+            test_release_without_version;
+          Alcotest.test_case "prune needs the validated version" `Quick
+            test_prune_needs_validated_version;
+          Alcotest.test_case "cache off: everything ships" `Quick test_cache_off;
+          Alcotest.test_case "hits not served: cached items ship" `Quick test_hits_not_served;
+        ] );
+      ( "validation reply",
+        [ Alcotest.test_case "summary once per peer and version" `Quick test_validate_reply ] );
+      ( "results",
+        [
+          Alcotest.test_case "at the originator" `Quick test_results_at_origin;
+          Alcotest.test_case "away from the originator" `Quick test_results_away;
+          Alcotest.test_case "bindings append per target" `Quick test_bindings;
+          Alcotest.test_case "one eval step" `Quick test_eval_step;
+          Alcotest.test_case "cacheable verdicts for the originator" `Quick test_record_answers;
+          Alcotest.test_case "drain test" `Quick test_ready;
+        ] );
+      ( "planning",
+        [
+          Alcotest.test_case "scatter or ship" `Quick test_select;
+          Alcotest.test_case "bloofi leaves follow the summaries" `Quick test_bloofi_sync;
+          Alcotest.test_case "seed partition" `Quick test_scatter_seed;
+          Alcotest.test_case "gathers stitch the answer" `Quick test_gather;
+        ] );
+    ]

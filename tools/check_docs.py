@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Docs-consistency check (CI): the documentation must keep up with the wire
-protocol and the telemetry surface.
+protocol, the telemetry surface and the module inventory.
 
-Two rules, both extracted from the source of truth in lib/:
+Three rules, all extracted from the source of truth in lib/:
 
 1. Every wire message — each constructor of ``Hf_proto.Message.t`` — and the
    two envelope tag bytes (126 reliability, 127 traced span) must be named
@@ -13,10 +13,14 @@ Two rules, both extracted from the source of truth in lib/:
    ``prefix ^ "." ^ short`` — shorts are crossed with the file's default
    prefix, or with every explicit ``~prefix:"hf.*"`` call-site argument in
    lib/ when the register function has no default (the tracer).
+3. Every backticked module name in the "Key modules" column of DESIGN.md's
+   §1 system inventory must exist as a ``.ml`` file in the ``lib/``
+   directory named in that row's "Library" column.
 
 Exit 1 listing every missing name, so a PR that adds a message or metric
-without documenting it fails in CI.  No third-party imports; runs anywhere
-python3 runs.
+without documenting it, or deletes or renames a module the inventory
+still lists, fails in CI.  No third-party imports; runs anywhere python3
+runs.
 """
 
 import pathlib
@@ -89,9 +93,40 @@ def metric_names() -> list[str]:
     return sorted(names)
 
 
+INVENTORY_MODULE = re.compile(r"`([A-Z][A-Za-z0-9_]*)`")
+INVENTORY_LIB = re.compile(r"`(lib/[a-z_]+)`")
+
+
+def inventory_problems() -> tuple[int, list[str]]:
+    """Modules DESIGN.md §1 names that have no .ml file in their row's
+    directory, and how many modules were checked."""
+    text = (ROOT / "DESIGN.md").read_text(encoding="utf-8")
+    if "## 1. System inventory" not in text:
+        sys.exit("check_docs: DESIGN.md has no '## 1. System inventory' section")
+    section = text.split("## 1. System inventory", 1)[1].split("\n## ", 1)[0]
+    problems, checked, rows = [], 0, 0
+    for line in section.splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if not line.startswith("|") or len(cells) != 4 or not cells[0].isdigit():
+            continue
+        rows += 1
+        lib = INVENTORY_LIB.search(cells[2])
+        if lib is None:
+            problems.append(f"DESIGN.md §1 row {cells[0]} names no lib/ directory")
+            continue
+        for name in INVENTORY_MODULE.findall(cells[3]):
+            checked += 1
+            path = f"{lib.group(1)}/{name[0].lower() + name[1:]}.ml"
+            if not (ROOT / path).is_file():
+                problems.append(f"DESIGN.md §1 row {cells[0]} lists `{name}`, but {path} does not exist")
+    if rows < 15:
+        sys.exit(f"check_docs: implausibly few DESIGN.md §1 rows parsed ({rows})")
+    return checked, problems
+
+
 def main() -> int:
     corpus = doc_corpus()
-    missing = []
+    checked, missing = inventory_problems()
     for tag in wire_tags():
         if tag not in corpus:
             missing.append(f"wire tag/message `{tag}` (lib/proto) is not documented in doc/")
@@ -99,13 +134,14 @@ def main() -> int:
         if name not in corpus:
             missing.append(f"metric `{name}` is not documented in doc/")
     if missing:
-        print("docs drift detected — update doc/ (see doc/architecture.md tables):")
+        print("docs drift detected — update doc/ (see doc/architecture.md tables) or DESIGN.md §1:")
         for line in missing:
             print(f"  - {line}")
         return 1
     print(
         f"docs-consistency: OK ({len(wire_tags())} wire tags, "
-        f"{len(metric_names())} metric names all documented)"
+        f"{len(metric_names())} metric names all documented; "
+        f"{checked} inventory modules exist)"
     )
     return 0
 
