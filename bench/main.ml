@@ -32,7 +32,7 @@ let f3 x = Printf.sprintf "%.3f" x
    Every experiment drops entries into a flat id -> value map; the whole
    map is written once at the end as the "experiments" object (schema
    documented in EXPERIMENTS.md).  Simulated-time entries are
-   deterministic; wall-clock entries (E12, E14, micro, *.wall_s) vary
+   deterministic; wall-clock entries (E14, E18, micro, *.wall_s) vary
    by host. *)
 
 module J = Hf_obs.Json
@@ -472,7 +472,6 @@ module type CLUSTER_FOR_ABLATION = sig
   val create :
     ?config:Cluster.config ->
     ?locate:(Hf_data.Oid.t -> int) ->
-    ?trace:Hf_sim.Trace.t ->
     ?tracer:Hf_obs.Tracer.t ->
     n_sites:int ->
     unit ->
@@ -515,68 +514,6 @@ let e11_termination () =
         (module Hf_server.Instances.Dijkstra_scholten);
       run_with ~id:"four_counter" "four-counter" (module Hf_server.Instances.Four_counter);
     ]
-
-(* --- E12: shared-memory multiprocessor (Section 6) -------------------- *)
-
-let e12_shared_memory () =
-  section "E12: shared-memory multiprocessor variant (Section 6)"
-    "all processors share the query state, mark table and working set; no strict locking is \
-     needed (duplicates are harmless)";
-  (* Keyword-rich documents (tuple scanning is the per-object work that
-     parallelizes; the working set and mark table stay shared). *)
-  let n = 4_000 in
-  let keywords_per_doc = 150 in
-  let prng = Hf_util.Prng.create 3 in
-  let store = Hf_data.Store.create ~site:0 in
-  let oids = Array.init n (fun _ -> Hf_data.Store.fresh_oid store) in
-  Array.iteri
-    (fun i oid ->
-      let words =
-        List.init keywords_per_doc (fun k ->
-            Hf_data.Tuple.keyword (Printf.sprintf "w%d" ((i + (37 * k)) mod 4096)))
-      in
-      let links =
-        List.init 2 (fun _ ->
-            Hf_data.Tuple.pointer ~key:"R" oids.(Hf_util.Prng.next_int prng n))
-      in
-      Hf_data.Store.insert store
-        (Hf_data.Hobject.of_tuples oid ((Hf_data.Tuple.number ~key:"id" i :: links) @ words)))
-    oids;
-  let program =
-    Hf_query.Parser.parse_program "[ (Pointer, \"R\", ?X) ^^X ]* (Keyword, \"w13\", ?)"
-  in
-  let root = oids.(0) in
-  let time_once domains =
-    let t0 = Unix.gettimeofday () in
-    let r = Hf_parallel.Shared_engine.run_store ~domains ~store program [ root ] in
-    (Unix.gettimeofday () -. t0, List.length r.Hf_engine.Local.results)
-  in
-  ignore (time_once 1) (* warm-up *);
-  let cores = Domain.recommended_domain_count () in
-  Fmt.pr "   host provides %d core(s); speedup beyond that is not expected@.@." cores;
-  let base = ref 0.0 in
-  let rows =
-    List.map
-      (fun domains ->
-        let samples = List.init 3 (fun _ -> time_once domains) in
-        let time = List.fold_left (fun acc (t, _) -> min acc t) infinity samples in
-        let _, results = List.hd samples in
-        if domains = 1 then base := time;
-        record_json
-          (Printf.sprintf "e12.domains%d" domains)
-          (J.Obj
-             [ ("wall_ms", J.Float (time *. 1000.0));
-               ("speedup", J.Float (!base /. time));
-               ("results", J.Int results);
-             ]);
-        [ string_of_int domains; f1 (time *. 1000.0); f2 (!base /. time);
-          string_of_int results ])
-      [ 1; 2; 4; 8 ]
-  in
-  print_table
-    [ Tab.column "domains"; Tab.right "wall time (ms)"; Tab.right "speedup";
-      Tab.right "results" ]
-    rows
 
 (* --- E13: batched query shipping (extension beyond the paper) ---------- *)
 
@@ -1680,7 +1617,6 @@ let () =
   timed "e9" e9_mark_tables;
   timed "e10" e10_baseline;
   timed "e11" e11_termination;
-  timed "e12" e12_shared_memory;
   timed "e13" e13_batching;
   timed "e14" e14_index_acceleration;
   timed "e15" e15_loss_sweep;

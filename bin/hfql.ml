@@ -503,11 +503,34 @@ let stats_dump ~host ~port =
 
 open Cmdliner
 
+(* The synthetic corpus places whole groups of objects on sites: the
+   site count must divide the group count, and every group needs an
+   object.  Checked while parsing, before any site is built. *)
+let n_groups = Hf_workload.Synthetic.default_params.Hf_workload.Synthetic.n_groups
+
+let checked_int ~valid ~expected =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when valid n -> Ok n
+    | Some _ | None -> Error (Printf.sprintf "invalid value %S, expected %s" s expected)
+  in
+  Arg.conv' (parse, Format.pp_print_int)
+
 let sites_arg =
-  Arg.(value & opt int 3 & info [ "sites" ] ~docv:"N" ~doc:"Number of simulated sites.")
+  let divisors = List.filter (fun d -> n_groups mod d = 0) (List.init n_groups succ) in
+  let expected =
+    Printf.sprintf "a divisor of the corpus's %d groups (%s)" n_groups
+      (String.concat ", " (List.map string_of_int divisors))
+  in
+  Arg.(value
+       & opt (checked_int ~valid:(fun n -> n >= 1 && n_groups mod n = 0) ~expected) 3
+       & info [ "sites" ] ~docv:"N" ~doc:"Number of sites; must divide the corpus's groups.")
 
 let objects_arg =
-  Arg.(value & opt int 270 & info [ "objects" ] ~docv:"N" ~doc:"Synthetic dataset size.")
+  let expected = Printf.sprintf "at least the corpus's %d groups" n_groups in
+  Arg.(value
+       & opt (checked_int ~valid:(fun n -> n >= n_groups) ~expected) 270
+       & info [ "objects" ] ~docv:"N" ~doc:"Synthetic dataset size; at least one object per group.")
 
 let seed_arg = Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"Dataset seed.")
 

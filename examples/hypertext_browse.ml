@@ -129,26 +129,4 @@ let () =
      Gold (Number, \"Node\", ->where)\n"
   in
   let report = Hf_client.Script.run server script in
-  Fmt.pr "%a@." Hf_client.Script.pp_report report;
-
-  Fmt.pr "@.== Same closure on the shared-memory engine (Section 6) ==@.";
-  (* Copy everything into one store and run the multiprocessor variant. *)
-  let store = Hf_data.Store.create ~site:0 in
-  Array.iter
-    (fun oid ->
-      let obj =
-        Option.get (Hf_data.Store.find (E.store server (Hf_data.Oid.birth_site oid)) oid)
-      in
-      Hf_data.Store.insert store obj)
-    all;
-  let program =
-    Hf_query.Parser.parse_program "[ (Pointer, \"Link\", ?X) ^^X ]* (Keyword, \"treasure\", ?)"
-  in
-  List.iter
-    (fun domains ->
-      let t0 = Unix.gettimeofday () in
-      let pr = Hf_parallel.Shared_engine.run_store ~domains ~store program [ entry ] in
-      Fmt.pr "  %d domain(s): %d result(s) in %.1f ms wall clock@." domains
-        (List.length pr.Hf_engine.Local.results)
-        ((Unix.gettimeofday () -. t0) *. 1000.0))
-    [ 1; 2; 4 ]
+  Fmt.pr "%a@." Hf_client.Script.pp_report report

@@ -22,9 +22,9 @@ type t = {
   mutable default_origin : int;
 }
 
-let create ?config ?trace ?tracer ~n_sites () =
+let create ?config ?tracer ~n_sites () =
   {
-    cluster = C.create ?config ?trace ?tracer ~n_sites ();
+    cluster = C.create ?config ?tracer ~n_sites ();
     sets = Hashtbl.create 8;
     default_origin = 0;
   }

@@ -14,7 +14,6 @@ type t
 
 val create :
   ?config:Hf_server.Cluster.config ->
-  ?trace:Hf_sim.Trace.t ->
   ?tracer:Hf_obs.Tracer.t ->
   n_sites:int ->
   unit ->

@@ -72,7 +72,6 @@ let run_object ~plan ~find ~marks ~stats ~emit item =
       { spawned = []; passed = false; skipped = false }
     | Some obj ->
       stats.Stats.objects_processed <- stats.Stats.objects_processed + 1;
-      let tuples_before = stats.Stats.tuples_examined in
       let mvars = Mvars.create () in
       let spawned = ref [] in
       (* [start] is mutable per the paper: an iterator sends the object
@@ -154,7 +153,5 @@ let run_object ~plan ~find ~marks ~stats ~emit item =
              next := body_start
            end)
       done;
-      Hf_obs.Histogram.observe stats.Stats.tuples_per_object
-        (float_of_int (stats.Stats.tuples_examined - tuples_before));
       { spawned = List.rev !spawned; passed = !alive; skipped = false }
   end

@@ -1,12 +1,7 @@
 (* Instrumentation counters for one query evaluation.  These drive both
    the unit tests (e.g. "the cycle was broken: no object processed
    twice from the same start") and the cost accounting of the
-   benchmarks.
-
-   The counters stay plain mutable ints — the evaluator bumps them in
-   its innermost loops — and [register] exposes them as views in an
-   [Hf_obs.Registry], so engine numbers report through the same
-   pp/to_json path as the server and transport metrics. *)
+   benchmarks. *)
 
 type t = {
   mutable objects_processed : int; (* productive removals from W *)
@@ -18,9 +13,6 @@ type t = {
   mutable dangling : int; (* pointers to objects that do not exist *)
   mutable results : int; (* objects added to the result set *)
   mutable values_emitted : int; (* values shipped by the -> operator *)
-  tuples_per_object : Hf_obs.Histogram.t;
-      (* distribution of tuples scanned per processed object: the
-         per-object work the paper's 8 ms basic time abstracts over *)
 }
 
 let create () =
@@ -34,7 +26,6 @@ let create () =
     dangling = 0;
     results = 0;
     values_emitted = 0;
-    tuples_per_object = Hf_obs.Histogram.create ();
   }
 
 let merge a b =
@@ -48,22 +39,7 @@ let merge a b =
     dangling = a.dangling + b.dangling;
     results = a.results + b.results;
     values_emitted = a.values_emitted + b.values_emitted;
-    tuples_per_object = Hf_obs.Histogram.merge a.tuples_per_object b.tuples_per_object;
   }
-
-let register ?(prefix = "hf.engine") t registry =
-  let c name read = Hf_obs.Registry.register_counter registry (prefix ^ "." ^ name) read in
-  c "objects_processed" (fun () -> t.objects_processed);
-  c "objects_skipped" (fun () -> t.objects_skipped);
-  c "filter_steps" (fun () -> t.filter_steps);
-  c "tuples_examined" (fun () -> t.tuples_examined);
-  c "derefs" (fun () -> t.derefs);
-  c "spawned" (fun () -> t.spawned);
-  c "dangling" (fun () -> t.dangling);
-  c "results" (fun () -> t.results);
-  c "values_emitted" (fun () -> t.values_emitted);
-  Hf_obs.Registry.register_histogram registry (prefix ^ ".tuples_per_object")
-    t.tuples_per_object
 
 let pp ppf t =
   Fmt.pf ppf

@@ -10,17 +10,11 @@ type t = {
   mutable dangling : int;  (** pointers to objects that do not exist. *)
   mutable results : int;  (** objects added to the result set. *)
   mutable values_emitted : int;  (** values shipped by the [->] operator. *)
-  tuples_per_object : Hf_obs.Histogram.t;
-      (** distribution of tuples scanned per processed object. *)
 }
 
 val create : unit -> t
 
 val merge : t -> t -> t
-(** Field-wise sum (fresh record); histograms merge. *)
-
-val register : ?prefix:string -> t -> Hf_obs.Registry.t -> unit
-(** Install every counter (and the per-object histogram) as views in
-    [registry] under [prefix] (default ["hf.engine"]). *)
+(** Field-wise sum (fresh record). *)
 
 val pp : Format.formatter -> t -> unit

@@ -1474,15 +1474,28 @@ let reader_loop t fd () =
       Log.warn (fun m -> m "site %d: undecodable message dropped: %s" t.id err);
       None
   in
+  (* The frames cut from the buffer, in order.  A bad length header ends
+     the stream, since it cannot resynchronise: the frames cut before it
+     are still returned, and [broken] closes the connection after them. *)
+  let broken = ref false in
+  let rec frames () =
+    match Hf_proto.Frame.Decoder.next decoder with
+    | None -> []
+    | Some payload -> payload :: frames ()
+    | exception Hf_proto.Frame.Frame_error err ->
+      Log.warn (fun m -> m "site %d: %s; closing the connection" t.id err);
+      broken := true;
+      []
+  in
   let rec loop () =
     match Unix.read fd chunk 0 (Bytes.length chunk) with
     | 0 -> ()
     | n ->
       Hf_proto.Frame.Decoder.feed_bytes decoder chunk 0 n;
-      (match List.filter_map decode (Hf_proto.Frame.Decoder.drain decoder) with
+      (match List.filter_map decode (frames ()) with
        | [] -> ()
        | messages -> handle_read t messages);
-      loop ()
+      if not !broken then loop ()
     | exception Unix.Unix_error _ -> ()
   in
   loop ();
@@ -1502,8 +1515,8 @@ let accept_loop t () =
 (* --- lifecycle --- *)
 
 let create ~site ?(batch = Hf_proto.Batch.unbatched) ?reliability ?cache
-    ?(admission = Sched.unlimited) ?(exec = Exec_ship) ?(bloofi = true)
-    ?(tracer = Hf_obs.Tracer.noop) ?stats_period ?monitor_port () =
+    ?(admission = Sched.unlimited) ?(exec = Exec_ship) ?(tracer = Hf_obs.Tracer.noop)
+    ?stats_period ?monitor_port () =
   Hf_proto.Batch.validate_policy batch;
   Option.iter Hf_proto.Reliable.validate reliability;
   Option.iter Hf_index.Remote_cache.validate cache;
@@ -1563,7 +1576,7 @@ let create ~site ?(batch = Hf_proto.Batch.unbatched) ?reliability ?cache
       give_ups = 0;
       proto =
         Site.create ~id:site ~store ~locate ~clock:Unix.gettimeofday ~cache ~serve_hits:true
-          ~bloofi ~bloofi_depth;
+          ~bloofi:true ~bloofi_depth;
       cache_hits = 0;
       cache_misses = 0;
       cache_prunes = 0;

@@ -35,7 +35,6 @@ val create :
   ?cache:Hf_index.Remote_cache.config ->
   ?admission:Hf_server.Sched.config ->
   ?exec:exec_mode ->
-  ?bloofi:bool ->
   ?tracer:Hf_obs.Tracer.t ->
   ?stats_period:float ->
   ?monitor_port:int ->
@@ -88,15 +87,13 @@ val create :
     across modes: a chain that escapes the predicted site set falls
     back to classic shipping.  See doc/execution_modes.md.
 
-    [bloofi] (default on) maintains a {!Hf_index.Bloofi} tree over the
-    peer summaries learned from [Cache_version] replies, and the
-    planner predicts the touched-site set from one tree descent instead
-    of probing each flat filter.  Verdicts — and therefore results —
-    are identical either way; the tree answers in O(d·log_d N) node
-    touches and feeds the [hf.index.bloofi_*] metrics.  An epoch
-    regression on a [Cache_version] reply (the peer restarted) drops
-    that peer's learned summary and leaf wholesale — a stale tree may
-    over-ship but never wrongly prunes.
+    The site maintains a {!Hf_index.Bloofi} tree over the peer
+    summaries learned from [Cache_version] replies, and the planner
+    predicts the touched-site set from one tree descent, in
+    O(d·log_d N) node touches; the descents feed the [hf.index.bloofi_*]
+    metrics.  An epoch regression on a [Cache_version] reply (the peer
+    restarted) drops that peer's learned summary and leaf wholesale — a
+    stale tree may over-ship but never wrongly prunes.
 
     [admission] (default {!Hf_server.Sched.unlimited}) caps locally
     issued queries: at most [in_flight_cap] run at once, up to

@@ -5,10 +5,9 @@
    costs (almost) nothing when tracing is off.
 
    An active tracer keeps open spans in a table and completed spans in
-   a bounded list with a [dropped] counter — the same retain-then-count
-   policy as [Hf_sim.Trace], so truncated traces are detectable rather
-   than silently short.  All operations take a mutex: the TCP transport
-   finishes spans from several reader threads.
+   a bounded list with a [dropped] counter, so truncated traces are
+   detectable rather than silently short.  All operations take a mutex:
+   the TCP transport finishes spans from several reader threads.
 
    Span ids are positive and unique per tracer; 0 means "no span" and
    threads through instrumentation as the absent parent, so call sites

@@ -7,9 +7,8 @@
     without options.
 
     Completed spans are retained up to [limit]; later spans increment
-    {!dropped} instead of silently vanishing (the [Hf_sim.Trace]
-    policy).  Thread-safe: the TCP transport finishes spans from
-    several reader threads. *)
+    {!dropped} instead of silently vanishing.  Thread-safe: the TCP
+    transport finishes spans from several reader threads. *)
 
 type t
 

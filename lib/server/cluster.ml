@@ -52,7 +52,6 @@ type config = {
   costs : Hf_sim.Costs.t;
   result_mode : result_mode;
   mark_scope : mark_scope;
-  poll_window : float; (* stop detector polling this long after query start *)
   jitter : float;
       (* extra transit, uniform in [0, jitter], drawn per message from a
          seeded PRNG — makes message reordering reachable in tests while
@@ -109,7 +108,7 @@ type config = {
 
 let default_config =
   { costs = Hf_sim.Costs.paper; result_mode = Ship_items; mark_scope = Local_marks;
-    poll_window = 3600.0; jitter = 0.0; loss = 0.0; jitter_seed = 1;
+    jitter = 0.0; loss = 0.0; jitter_seed = 1;
     batch = Hf_proto.Batch.unbatched; reliability = None; cache = None;
     admission = Sched.unlimited; exec = Exec_ship; bloofi = true }
 
@@ -308,7 +307,6 @@ module Make (D : Hf_termination.Detector.S) = struct
     sites : site array;
     config : config;
     locate : Oid.t -> int;
-    trace : Hf_sim.Trace.t option;
     tracer : Hf_obs.Tracer.t;
     registry : Hf_obs.Registry.t; (* cluster-wide metrics *)
     work_batch_items : Hf_obs.Histogram.t; (* items per shipped work message *)
@@ -329,8 +327,7 @@ module Make (D : Hf_termination.Detector.S) = struct
            plus the thunk that seeds it once a slot frees *)
   }
 
-  let create ?(config = default_config) ?locate ?trace ?(tracer = Hf_obs.Tracer.noop)
-      ~n_sites () =
+  let create ?(config = default_config) ?locate ?(tracer = Hf_obs.Tracer.noop) ~n_sites () =
     if n_sites <= 0 then invalid_arg "Cluster.create: n_sites must be positive";
     (match config.reliability with
      | Some rel -> Hf_proto.Reliable.validate rel
@@ -384,7 +381,6 @@ module Make (D : Hf_termination.Detector.S) = struct
         sites;
         config;
         locate;
-        trace;
         tracer;
         registry;
         work_batch_items;
@@ -472,12 +468,6 @@ module Make (D : Hf_termination.Detector.S) = struct
   let instant t ~parent query site ?detail phase name =
     let query = qname query in
     ignore (Hf_obs.Tracer.instant t.tracer ~parent ~query ~site:site.id ?detail ~phase name)
-
-  let record t site kind detail =
-    match t.trace with
-    | None -> ()
-    | Some trace ->
-      Hf_sim.Trace.record trace ~time:(Hf_sim.Sim.now t.sim) ~site ~kind ~detail
 
   (* --- byte-size estimates (the real codec is exercised separately in
      tests; the simulator only needs consistent accounting) --- *)
@@ -653,7 +643,6 @@ module Make (D : Hf_termination.Detector.S) = struct
     if not oq.terminated then begin
       oq.terminated <- true;
       oq.finish_time <- Hf_sim.Sim.now t.sim;
-      record t oq.id.originator "terminate" (Fmt.str "%a" Hf_proto.Message.pp_query_id oq.id);
       evict_query t oq
     end
 
@@ -687,12 +676,9 @@ module Make (D : Hf_termination.Detector.S) = struct
     | Some q -> q.Hf_proto.Message.originator
     | None -> -1
 
-  let mark_unreachable t oq dead =
-    if not (List.mem dead oq.unreachable_sites) then begin
-      oq.unreachable_sites <- dead :: oq.unreachable_sites;
-      record t oq.id.Hf_proto.Message.originator "unreachable"
-        (Fmt.str "site %d (%s)" dead (qname oq.id))
-    end
+  let mark_unreachable oq dead =
+    if not (List.mem dead oq.unreachable_sites) then
+      oq.unreachable_sites <- dead :: oq.unreachable_sites
 
   (* --- outgoing-batch bookkeeping --- *)
 
@@ -789,7 +775,6 @@ module Make (D : Hf_termination.Detector.S) = struct
                 m.Metrics.batch_bytes_saved
                 + ((List.length items - 1) * batch_header_bytes program)))
         groups;
-      record t site.id "work-send" (Fmt.str "%d item(s) to %d" total dst);
       Hf_obs.Histogram.observe t.work_batch_items (float_of_int total);
       let span =
         Hf_obs.Tracer.start t.tracer ~parent:ctx0.core.span ~query:(qname ctx0.core.query)
@@ -831,7 +816,7 @@ module Make (D : Hf_termination.Detector.S) = struct
   and deliver t ~src ~oq ~label ?(span = 0) ~transit ~dst message =
     match t.config.reliability with
     | None ->
-      carry t ~src ~oq ~label ~span ~transit ~dst (fun site ->
+      carry t ~oq ~span ~transit ~dst (fun site ->
           enqueue t site ~tenant:(tenant_of_message message) (fun () ->
               handle_message t site message))
     | Some _ ->
@@ -840,7 +825,6 @@ module Make (D : Hf_termination.Detector.S) = struct
         (* Fail fast: the retry cap already fired for this peer, so
            reclaim this message's credit immediately instead of queueing
            another doomed retransmission cycle. *)
-        record t src "unreachable-drop" (Fmt.str "%s to %d" label dst);
         Hf_obs.Tracer.finish ~detail:"unreachable" t.tracer span;
         abandon t ~src ~dst { label; transit; msg = message }
       end
@@ -849,7 +833,7 @@ module Make (D : Hf_termination.Detector.S) = struct
           Hf_proto.Reliable.send link.rel ~now:(Hf_sim.Sim.now t.sim)
             { label; transit; msg = message }
         in
-        transmit t ~src ~dst ~span ~label ~transit ~seq ~oq message;
+        transmit t ~src ~dst ~span ~transit ~seq ~oq message;
         arm_link t ~site:src ~peer:dst
       end
 
@@ -860,9 +844,9 @@ module Make (D : Hf_termination.Detector.S) = struct
      site work.  Duplicates die here, which is what makes redelivery
      idempotent: [D.on_recv_work] (credit deposit) and evaluation run at
      most once per sequence number. *)
-  and transmit t ~src ~dst ?(span = 0) ~label ~transit ~seq ~oq message =
+  and transmit t ~src ~dst ?(span = 0) ~transit ~seq ~oq message =
     let ack = Hf_proto.Reliable.take_ack t.sites.(src).links.(dst).rel in
-    carry t ~src ~oq ~label ~span ~transit ~dst (fun dsite ->
+    carry t ~oq ~span ~transit ~dst (fun dsite ->
         let dlink = dsite.links.(src) in
         let now = Hf_sim.Sim.now t.sim in
         List.iter
@@ -878,7 +862,6 @@ module Make (D : Hf_termination.Detector.S) = struct
               (match Option.bind (message_query message) (find_open t) with
                | Some oq -> oq.metrics.Metrics.dup_drops <- oq.metrics.Metrics.dup_drops + 1
                | None -> ());
-              record t dst "dup-drop" (Fmt.str "%s seq=%d from %d" label seq src);
               false
         in
         if seq > 0 then arm_link t ~site:dst ~peer:src;
@@ -893,12 +876,11 @@ module Make (D : Hf_termination.Detector.S) = struct
      and hand the message to [arrive] at its live destination once the
      transit has passed.  The sender's span closes on arrival, or at
      once, tagged "dropped". *)
-  and carry t ~src ~oq ~label ~span ~transit ~dst arrive =
+  and carry t ~oq ~span ~transit ~dst arrive =
     if t.config.loss > 0.0 && Hf_util.Prng.next_float t.jitter_prng < t.config.loss then begin
       (match (oq : open_query option) with
        | Some oq -> oq.metrics.Metrics.dropped_messages <- oq.metrics.Metrics.dropped_messages + 1
        | None -> ());
-      record t src "drop" (Fmt.str "%s to %d" label dst);
       Hf_obs.Tracer.finish ~detail:"dropped" t.tracer span
     end
     else begin
@@ -947,7 +929,6 @@ module Make (D : Hf_termination.Detector.S) = struct
                 Option.iter
                   (fun oq -> oq.metrics.Metrics.retransmits <- oq.metrics.Metrics.retransmits + 1)
                   oq;
-                record t site "retransmit" (Fmt.str "%s seq=%d to %d" sh.label seq peer);
                 let span =
                   match oq with
                   | Some oq ->
@@ -957,8 +938,7 @@ module Make (D : Hf_termination.Detector.S) = struct
                   | None -> 0
                 in
                 Hf_obs.Tracer.set_detail t.tracer span (Fmt.str "%s seq=%d" sh.label seq);
-                transmit t ~src:site ~dst:peer ~span ~label:sh.label ~transit:sh.transit
-                  ~seq ~oq sh.msg)
+                transmit t ~src:site ~dst:peer ~span ~transit:sh.transit ~seq ~oq sh.msg)
               entries
           | Hf_proto.Reliable.Give_up entries ->
             List.iter (fun (_, sh) -> abandon t ~src:site ~dst:peer sh) entries)
@@ -971,9 +951,7 @@ module Make (D : Hf_termination.Detector.S) = struct
      delivery substrate. *)
   and send_ack t ~src ~dst =
     t.standalone_acks <- t.standalone_acks + 1;
-    record t src "ack-send" (Fmt.str "to %d" dst);
-    transmit t ~src ~dst ~label:"ack" ~transit:t.config.costs.control_transit ~seq:0
-      ~oq:None (Ack { src })
+    transmit t ~src ~dst ~transit:t.config.costs.control_transit ~seq:0 ~oq:None (Ack { src })
 
   (* The retry cap fired for [sh] (or the link was already dead at send
      time): the receiver provably never processed the message, so its
@@ -988,7 +966,6 @@ module Make (D : Hf_termination.Detector.S) = struct
     Option.iter
       (fun query -> with_metrics t query (fun m -> m.Metrics.give_ups <- m.Metrics.give_ups + 1))
       (message_query sh.msg);
-    record t src "give-up" (Fmt.str "%s to %d" sh.label dst);
     let site = t.sites.(src) in
     let reclaim query tag =
       (match context_of t site query with
@@ -1035,7 +1012,7 @@ module Make (D : Hf_termination.Detector.S) = struct
     match find_open t query with
     | None -> ()
     | Some oq ->
-      if src = query.Hf_proto.Message.originator then mark_unreachable t oq dead
+      if src = query.Hf_proto.Message.originator then mark_unreachable oq dead
       else
         deliver t ~src ~oq:(Some oq) ~label:"unreachable"
           ~transit:t.config.costs.control_transit
@@ -1046,21 +1023,19 @@ module Make (D : Hf_termination.Detector.S) = struct
     send_control_plane t t.sites.(src) ~tenant:ctx.core.origin ~oq:(find_open t ctx.core.query)
       ~parent:ctx.core.span ~query:ctx.core.query ~phase:Hf_obs.Span.Credit ~label:"control"
       ~detail:(Fmt.str "%a" D.pp_control payload)
-      ~note:(Fmt.str "to %d: %a" dst D.pp_control payload)
       ~dst
       (fun span -> Control { query = ctx.core.query; payload; src; span })
 
   (* A control-plane message: one [control_send] task on [site]'s CPU,
      then a [control_transit] hop to [dst] under a span named after
      [label]; [make] builds the message around that span. *)
-  and send_control_plane t site ~tenant ~oq ~parent ~query ~phase ~label ?detail ~note ~dst make =
+  and send_control_plane t site ~tenant ~oq ~parent ~query ~phase ~label ?detail ~dst make =
     enqueue t site ~tenant (fun () ->
         (match oq with
          | Some oq ->
            oq.metrics.Metrics.control_messages <- oq.metrics.Metrics.control_messages + 1;
            Metrics.add_busy oq.metrics site.id t.config.costs.control_send
          | None -> ());
-        record t site.id (label ^ "-send") note;
         ( t.config.costs.control_send,
           fun () ->
             let span =
@@ -1089,7 +1064,6 @@ module Make (D : Hf_termination.Detector.S) = struct
   and settle t site ctx ~dst wi acc (route : Site.route) =
     let note name =
       let version = Option.value (Hashtbl.find_opt ctx.core.validated dst) ~default:0 in
-      record t site.id name (Fmt.str "ship to %d skipped (%s)" dst (qname ctx.core.query));
       instant t ~parent:ctx.core.span ctx.core.query site
         ~detail:(Fmt.str "dst=%d v=%d" dst version)
         Hf_obs.Span.Cache name
@@ -1132,7 +1106,7 @@ module Make (D : Hf_termination.Detector.S) = struct
         m.Metrics.cache_validations <- m.Metrics.cache_validations + 1);
     send_control_plane t site ~tenant:ctx.core.origin ~oq:(find_open t ctx.core.query)
       ~parent:ctx.core.span ~query:ctx.core.query ~phase:Hf_obs.Span.Cache ~label:"cache-validate"
-      ~note:(Fmt.str "to %d" dst) ~dst
+      ~dst
       (fun span -> Cache_validate { query = ctx.core.query; src = site.id; span })
 
   (* Charge and ship a batch prepared outside [process_one]'s task: an
@@ -1190,7 +1164,6 @@ module Make (D : Hf_termination.Detector.S) = struct
      or, with nothing buffered, send the detector's drain controls
      standalone. *)
   and drain t site ctx =
-    record t site.id "drain" (Fmt.str "%a" Hf_proto.Message.pp_query_id ctx.core.query);
     instant t ~parent:ctx.core.span ctx.core.query site Hf_obs.Span.Drain "drain";
     let controls, terminated = D.on_drain ctx.detector in
     let oq = find_open t ctx.core.query in
@@ -1204,7 +1177,6 @@ module Make (D : Hf_termination.Detector.S) = struct
        send_control_plane t site ~tenant:ctx.core.origin ~oq ~parent:ctx.core.span
          ~query:ctx.core.query ~phase:Hf_obs.Span.Cache ~label:"cache-answers"
          ~detail:(Fmt.str "%d verdict(s) v=%d" (List.length answers) version)
-         ~note:(Fmt.str "%d verdict(s) to %d" (List.length answers) ctx.core.origin)
          ~dst:ctx.core.origin
          (fun span ->
            Cache_answers { query = ctx.core.query; src = site.id; version; answers; span }));
@@ -1243,8 +1215,6 @@ module Make (D : Hf_termination.Detector.S) = struct
                     oq.metrics.Metrics.results_shipped + List.length items
                 | Hf_proto.Message.Count _ -> ())
              | None -> ());
-            record t site.id "result-send"
-              (Fmt.str "%d items to %d" (List.length items) ctx.core.origin);
             ( t.config.costs.result_msg_send,
               fun () ->
                 let span =
@@ -1381,7 +1351,6 @@ module Make (D : Hf_termination.Detector.S) = struct
         | (ctx0, _, _) :: _ ->
           let total = batch_total resolved in
           let duration = Hf_sim.Costs.batch_recv costs ~items:total in
-          record t site.id "work-recv" (Fmt.str "%d item(s)" total);
           charge t ctx0.core.query site.id duration;
           ( duration,
             fun () ->
@@ -1415,7 +1384,6 @@ module Make (D : Hf_termination.Detector.S) = struct
                 *. costs.result_item)
           in
           Metrics.add_busy oq.metrics site.id duration;
-          record t site.id "result-recv" (Fmt.str "%d new items" (List.length new_items));
           instant t ~parent:span query site Hf_obs.Span.Recv
             (Fmt.str "result-recv x%d" (List.length new_items));
           ( duration,
@@ -1442,7 +1410,6 @@ module Make (D : Hf_termination.Detector.S) = struct
         | None -> (0.0, fun () -> ())
         | Some ctx ->
           charge t query site.id costs.control_recv;
-          record t site.id "control-recv" (Fmt.str "%a" D.pp_control payload);
           ( costs.control_recv,
             fun () ->
               let result = D.on_recv_control ctx.detector ~src payload in
@@ -1474,18 +1441,14 @@ module Make (D : Hf_termination.Detector.S) = struct
         | None -> (0.0, fun () -> ())
         | Some oq ->
           Metrics.add_busy oq.metrics site.id costs.control_recv;
-          (costs.control_recv, fun () -> mark_unreachable t oq dead))
+          (costs.control_recv, fun () -> mark_unreachable oq dead))
     | Cache_validate { query; src; span } ->
       charge t query site.id costs.control_recv;
-      record t site.id "cache-validate-recv" (Fmt.str "from %d" src);
       ( costs.control_recv,
         fun () ->
           let version, summary = Site.validate_reply site.proto ~peer:src in
           send_control_plane t site ~tenant:query.originator ~oq:(find_open t query)
             ~parent:span ~query ~phase:Hf_obs.Span.Cache ~label:"cache-version"
-            ~note:
-              (Fmt.str "v=%d to %d%s" version src
-                 (if Option.is_none summary then "" else " +summary"))
             ~dst:src
             (fun rspan ->
               Cache_version
@@ -1493,7 +1456,6 @@ module Make (D : Hf_termination.Detector.S) = struct
                   src = site.id; span = rspan }) )
     | Cache_version { query; site = peer; version; epoch; summary; src = _; span } ->
       charge t query site.id costs.control_recv;
-      record t site.id "cache-version-recv" (Fmt.str "site %d at v=%d" peer version);
       ( costs.control_recv,
         fun () ->
           Site.learn site.proto ~peer ~version ~epoch
@@ -1503,8 +1465,6 @@ module Make (D : Hf_termination.Detector.S) = struct
           | Some ctx -> release_parked t site ctx ~dst:peer ~version:(Some version) )
     | Cache_answers { query; src; version; answers; span } ->
       charge t query site.id costs.control_recv;
-      record t site.id "cache-answers-recv"
-        (Fmt.str "%d verdict(s) from %d" (List.length answers) src);
       ( costs.control_recv,
         fun () ->
           match context_of t ~cause:span site query with
@@ -1528,9 +1488,6 @@ module Make (D : Hf_termination.Detector.S) = struct
           let duration =
             costs.msg_recv +. (float_of_int domain *. costs.process)
           in
-          record t site.id "scatter-recv"
-            (Fmt.str "%d root(s), %d-node domain from %d" (List.length roots)
-               domain src);
           charge t query site.id duration;
           ( duration,
             fun () ->
@@ -1561,8 +1518,6 @@ module Make (D : Hf_termination.Detector.S) = struct
                        oq.metrics.Metrics.gather_bytes
                        + gather_message_bytes nodes
                    | None -> ());
-                  record t site.id "gather-send"
-                    (Fmt.str "%d node(s) to %d" (List.length nodes) ctx.core.origin);
                   ( t.config.costs.result_msg_send,
                     fun () ->
                       let gspan =
@@ -1588,8 +1543,6 @@ module Make (D : Hf_termination.Detector.S) = struct
             +. (float_of_int (List.length nodes) *. costs.result_item)
           in
           Metrics.add_busy oq.metrics site.id duration;
-          record t site.id "gather-recv"
-            (Fmt.str "%d node(s) from %d" (List.length nodes) src);
           instant t ~parent:span query site Hf_obs.Span.Scatter
             (Fmt.str "gather-recv x%d" (List.length nodes));
           ( duration,
@@ -1610,11 +1563,16 @@ module Make (D : Hf_termination.Detector.S) = struct
 
   (* --- detector polling (wave-based detectors) --- *)
 
+  (* Polling stops this many virtual seconds after the query started, so
+     a query that never terminates (its credit lost to injected loss)
+     does not keep the event queue alive forever. *)
+  let poll_window = 3600.0
+
   let start_polling t oq ctx origin_site =
     match D.poll_interval with
     | None -> ()
     | Some interval ->
-      let deadline = oq.start_time +. t.config.poll_window in
+      let deadline = oq.start_time +. poll_window in
       let rec tick () =
         if (not oq.terminated) && Hf_sim.Sim.now t.sim <= deadline then begin
           let controls = D.on_poll ctx.detector in
@@ -1847,8 +1805,6 @@ module Make (D : Hf_termination.Detector.S) = struct
           +. (float_of_int (List.length sites) *. t.config.costs.msg_send)
         in
         Metrics.add_busy oq.metrics origin duration;
-        record t origin "scatter-seed"
-          (Fmt.str "%d site(s), %d-node local domain" (List.length sites) domain);
         ( duration,
           fun () ->
             (* Local half: the originator evaluates its own domain and
@@ -1986,7 +1942,6 @@ module Make (D : Hf_termination.Detector.S) = struct
         Hf_obs.Tracer.finish ~detail:"cancelled" t.tracer oq.span
       end
       else begin
-        record t oq.id.originator "cancel" (qname oq.id);
         (* Empty every working set first so tasks already queued for
            this query's contexts complete as no-ops. *)
         Array.iter

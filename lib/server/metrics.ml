@@ -102,52 +102,6 @@ let total_busy t = Array.fold_left ( +. ) 0.0 t.busy
 
 let max_busy t = Array.fold_left max 0.0 t.busy
 
-(* Every field is exposed as a registry view, so the record stays the
-   thing the harness mutates and the registry is just how it reports. *)
-let register ?(prefix = "hf.server") t registry =
-  let c name read = Hf_obs.Registry.register_counter registry (prefix ^ "." ^ name) read in
-  let g name read = Hf_obs.Registry.register_gauge registry (prefix ^ "." ^ name) read in
-  c "work_messages" (fun () -> t.work_messages);
-  c "work_items" (fun () -> t.work_items);
-  c "work_batches" (fun () -> t.work_batches);
-  c "batch_bytes_saved" (fun () -> t.batch_bytes_saved);
-  c "result_messages" (fun () -> t.result_messages);
-  c "control_messages" (fun () -> t.control_messages);
-  c "piggybacked_controls" (fun () -> t.piggybacked_controls);
-  c "work_bytes" (fun () -> t.work_bytes);
-  c "result_bytes" (fun () -> t.result_bytes);
-  c "duplicate_work_messages" (fun () -> t.duplicate_work_messages);
-  c "dropped_messages" (fun () -> t.dropped_messages);
-  c "retransmits" (fun () -> t.retransmits);
-  c "dup_drops" (fun () -> t.dup_drops);
-  c "give_ups" (fun () -> t.give_ups);
-  c "results_shipped" (fun () -> t.results_shipped);
-  c "cache_hits" (fun () -> t.cache_hits);
-  c "cache_misses" (fun () -> t.cache_misses);
-  c "cache_prunes" (fun () -> t.cache_prunes);
-  c "cache_validations" (fun () -> t.cache_validations);
-  c "cache_fills" (fun () -> t.cache_fills);
-  c "cache_invalidations" (fun () -> t.cache_invalidations);
-  c "scatter_messages" (fun () -> t.scatter_messages);
-  c "gather_messages" (fun () -> t.gather_messages);
-  c "gather_nodes" (fun () -> t.gather_nodes);
-  c "scatter_fallbacks" (fun () -> t.scatter_fallbacks);
-  c "scatter_bytes" (fun () -> t.scatter_bytes);
-  c "gather_bytes" (fun () -> t.gather_bytes);
-  c "planner_scatter" (fun () -> t.planner_scatter);
-  c "planner_ship" (fun () -> t.planner_ship);
-  c "total_messages" (fun () -> total_messages t);
-  c "total_bytes" (fun () -> total_bytes t);
-  g "busy_total_s" (fun () -> total_busy t);
-  g "busy_max_s" (fun () -> max_busy t)
-
-let view t =
-  let registry = Hf_obs.Registry.create () in
-  register t registry;
-  registry
-
-let to_json t = Hf_obs.Registry.to_json (view t)
-
 let pp_summary ppf t =
   Fmt.pf ppf
     "work=%d/%d items (%dB, %d batched, %dB saved) result=%d (%dB) control=%d (+%d piggybacked) \

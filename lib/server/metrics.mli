@@ -76,16 +76,5 @@ val total_bytes : t -> int
 val total_busy : t -> float
 val max_busy : t -> float
 
-val register : ?prefix:string -> t -> Hf_obs.Registry.t -> unit
-(** Install every field (plus the derived totals) as views in
-    [registry] under [prefix] (default ["hf.server"]). *)
-
-val view : t -> Hf_obs.Registry.t
-(** A fresh registry holding only this record's views. *)
-
-val to_json : t -> Hf_obs.Json.t
-(** [Registry.to_json] of {!view} — the machine-readable form the bench
-    emits. *)
-
 val pp : Format.formatter -> t -> unit
 (** Compact one-line human summary. *)

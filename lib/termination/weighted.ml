@@ -111,9 +111,3 @@ let splits t = t.splits
 let return_messages t = t.returns
 
 let deepest_split t = t.deepest_split
-
-let register ?(prefix = "hf.termination") t registry =
-  let c name read = Hf_obs.Registry.register_counter registry (prefix ^ "." ^ name) read in
-  c "credit_splits" (fun () -> t.splits);
-  c "credit_returns" (fun () -> t.returns);
-  c "deepest_split" (fun () -> t.deepest_split)

@@ -28,7 +28,3 @@ val deepest_split : t -> int
 (** Largest atom exponent ever given away by this site — how finely the
     query's fan-out diced the unit credit (an atom of exponent [k] is
     worth 2{^-k}). *)
-
-val register : ?prefix:string -> t -> Hf_obs.Registry.t -> unit
-(** Install the split/return counters as views in [registry] under
-    [prefix] (default ["hf.termination"]). *)

@@ -44,7 +44,6 @@ module Clusters = Hf_server.Instances
 module Server_metrics = Hf_server.Metrics
 module Sim = Hf_sim.Sim
 module Costs = Hf_sim.Costs
-module Trace = Hf_sim.Trace
 module Message = Hf_proto.Message
 module Codec = Hf_proto.Codec
 module Frame = Hf_proto.Frame
@@ -65,10 +64,6 @@ module Reachability = Hf_index.Reachability
 module Planner = Hf_index.Planner
 module Backlinks = Hf_index.Backlinks
 module Snapshot = Hf_persist.Snapshot
-
-(** {1 Parallel engine (paper §6)} *)
-
-module Shared_engine = Hf_parallel.Shared_engine
 
 (** {1 Clients, workload, baseline} *)
 

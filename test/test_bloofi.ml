@@ -11,9 +11,11 @@
    (b) the OR-invariant holds structurally after every mutation
        ([invariant_ok]: each inner filter is the union of its live
        children, or absent exactly when children were incompatible);
-   (c) differential: bloofi on ≡ bloofi off, byte-identical results
-       across exec modes × batching × reliability × loss × both
-       engines — the index only ever changes the cost of a plan;
+   (c) differential: on the simulator, bloofi on ≡ bloofi off,
+       byte-identical results across exec modes × batching ×
+       reliability × loss; on TCP, which always runs the tree, results
+       equal the single-store oracle — the index only ever changes the
+       cost of a plan;
    (d) staleness is sound: a stale tree may over-ship, it never
        wrongly prunes — updates landing after a summary was learned
        are still found, on the planner path, the [Seed_from] re-query
@@ -244,52 +246,43 @@ let test_sim_plan_index_stats () =
       check_bool "pruned within range" true
         (stats.Hf_query.Plan.pruned >= 0 && stats.Hf_query.Plan.pruned <= stats.Hf_query.Plan.indexed)
 
-(* TCP engine: same differential across exec modes, plain and
-   batched+reliable, repeated so the second run faces the tree the
-   Cache_version replies built.  Also pins the hf.index.bloofi_*
-   counters: the planner really did probe the tree, and pruned counts
-   stay consistent. *)
+(* TCP engine: the tree-backed planner against the single-store oracle
+   across exec modes, plain and batched+reliable, each query asked twice
+   so the second run faces the tree the Cache_version replies built.
+   Also pins the hf.index.bloofi_* counters: the planner really did
+   probe the tree, and pruned counts stay consistent. *)
 let test_tcp_bloofi_differential () =
   let n_sites = 3 in
   let prng = Hf_util.Prng.create 91 in
   let ds = random_dataset prng ~n_sites in
   let ds = { ds with placement = Array.map (fun s -> s mod n_sites) ds.placement } in
-  let programs = List.map compile all_queries in
   let counter site name =
     match Hf_obs.Registry.find (Tcp.registry site) name with
     | Some (Hf_obs.Registry.Counter read) -> read ()
     | Some _ | None -> Alcotest.failf "counter %s not registered" name
   in
-  let run ~bloofi ~exec ~batch ~reliability =
-    with_tcp_sites ~cache:Rc.default ?batch ?reliability ~exec ~bloofi n_sites (fun sites ->
-        let oids = load_tcp sites ds in
-        let outcomes =
-          List.concat_map
-            (fun program ->
-              List.init 2 (fun _ ->
-                  let o = Tcp.run_query sites.(0) program [ oids.(0) ] in
-                  check_bool "terminated" true o.Tcp.terminated;
-                  (o.Tcp.result_set, sorted_bindings o.Tcp.bindings)))
-            programs
-        in
-        let probes = counter sites.(0) "hf.index.bloofi_probes" in
-        let pruned = counter sites.(0) "hf.index.bloofi_pruned_sites" in
-        (outcomes, probes, pruned))
-  in
   List.iter
     (fun (exec, batch, reliability) ->
-      let on, on_probes, on_pruned = run ~bloofi:true ~exec ~batch ~reliability in
-      let off, off_probes, _ = run ~bloofi:false ~exec ~batch ~reliability in
-      List.iteri
-        (fun i ((s_on, b_on), (s_off, b_off)) ->
-          check_bool (Fmt.str "result set %d" i) true (Oid.Set.equal s_on s_off);
-          check_bool (Fmt.str "bindings %d" i) true (b_on = b_off))
-        (List.combine on off);
-      check_int "no tree, no probes" 0 off_probes;
-      check_bool "pruned only what was indexed" true (on_pruned >= 0);
-      (* under a planning mode the warm runs must actually have probed *)
-      if exec <> Tcp.Exec_ship then
-        check_bool (Fmt.str "tree probed under %b" (exec = Tcp.Exec_auto)) true (on_probes > 0))
+      with_tcp_sites ~cache:Rc.default ?batch ?reliability ~exec n_sites (fun sites ->
+          let oids = load_tcp sites ds in
+          List.iteri
+            (fun i query ->
+              let expected, expected_bindings = local_oracle ds (parse query) [ 0 ] in
+              for _ = 1 to 2 do
+                let o = Tcp.run_query sites.(0) (compile query) [ oids.(0) ] in
+                check_bool "terminated" true o.Tcp.terminated;
+                check_bool (Fmt.str "result set %d" i) true
+                  (logical_results oids o.Tcp.result_set = expected);
+                check_bool (Fmt.str "bindings %d" i) true
+                  (sorted_bindings o.Tcp.bindings = expected_bindings)
+              done)
+            all_queries;
+          check_bool "pruned only what was indexed" true
+            (counter sites.(0) "hf.index.bloofi_pruned_sites" >= 0);
+          (* under a planning mode the warm runs must actually have probed *)
+          if exec <> Tcp.Exec_ship then
+            check_bool (Fmt.str "tree probed under %b" (exec = Tcp.Exec_auto)) true
+              (counter sites.(0) "hf.index.bloofi_probes" > 0)))
     [
       (Tcp.Exec_ship, None, None);
       (Tcp.Exec_scatter, None, None);

@@ -118,26 +118,6 @@ let test_costs_scale () =
   check_float "scaled process" 0.016 c.Hf_sim.Costs.process;
   check_float "zero" 0.0 (Hf_sim.Costs.work_message_total Hf_sim.Costs.zero_latency)
 
-(* --- Trace --- *)
-
-let test_trace_record () =
-  let trace = Hf_sim.Trace.create () in
-  Hf_sim.Trace.record trace ~time:1.0 ~site:0 ~kind:"work-send" ~detail:"x";
-  Hf_sim.Trace.record trace ~time:2.0 ~site:1 ~kind:"work-recv" ~detail:"x";
-  Hf_sim.Trace.record trace ~time:3.0 ~site:1 ~kind:"work-send" ~detail:"y";
-  check_int "count" 3 (Hf_sim.Trace.count trace);
-  check_int "by kind" 2 (Hf_sim.Trace.count_kind trace "work-send");
-  check_int "ordered" 3 (List.length (Hf_sim.Trace.events trace));
-  Hf_sim.Trace.clear trace;
-  check_int "cleared" 0 (Hf_sim.Trace.count trace)
-
-let test_trace_limit () =
-  let trace = Hf_sim.Trace.create ~limit:2 () in
-  for i = 1 to 5 do
-    Hf_sim.Trace.record trace ~time:(float_of_int i) ~site:0 ~kind:"k" ~detail:""
-  done;
-  check_int "capped" 2 (Hf_sim.Trace.count trace)
-
 let () =
   Alcotest.run "hf_sim"
     [
@@ -158,10 +138,5 @@ let () =
         [
           Alcotest.test_case "paper basic times" `Quick test_paper_costs;
           Alcotest.test_case "scaling" `Quick test_costs_scale;
-        ] );
-      ( "trace",
-        [
-          Alcotest.test_case "recording" `Quick test_trace_record;
-          Alcotest.test_case "limit" `Quick test_trace_limit;
         ] );
     ]

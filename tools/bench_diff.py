@@ -11,7 +11,6 @@ except the fields below, which measure this host's wall clock or CPU
 and move run to run:
 
 - every ``*.wall_s`` entry, and every ``micro.*`` entry;
-- ``wall_ms`` and ``speedup`` inside ``e12.*``;
 - the timings and ``speedup`` of ``e14.indexes``;
 - the wall, CPU and ``overhead_frac`` fields of ``e18.obs_overhead``.
 
@@ -24,10 +23,8 @@ import sys
 
 SCHEMA = "hyperfile-bench/2"
 
-# Fields exempt inside particular entries: entry id (or "prefix.*") ->
-# field names.
+# Fields exempt inside particular entries: entry id -> field names.
 EXEMPT_FIELDS = {
-    "e12.*": {"wall_ms", "speedup"},
     "e14.indexes": {
         "engine_ms_per_query",
         "planner_ms_per_query",
@@ -46,17 +43,6 @@ EXEMPT_FIELDS = {
 
 def entry_exempt(key: str) -> bool:
     return key.endswith(".wall_s") or key.startswith("micro.")
-
-
-def exempt_fields(key: str) -> set:
-    fields = set()
-    for pattern, names in EXEMPT_FIELDS.items():
-        if pattern.endswith(".*"):
-            if key.startswith(pattern[:-1]):
-                fields |= names
-        elif key == pattern:
-            fields |= names
-    return fields
 
 
 def load(path: str) -> dict:
@@ -82,7 +68,7 @@ def show(value) -> str:
 
 
 def diff_entry(key: str, old, new, problems: list) -> None:
-    skip = exempt_fields(key)
+    skip = EXEMPT_FIELDS.get(key, set())
     if isinstance(old, dict) and isinstance(new, dict) and skip:
         for field in sorted(set(old) | set(new)):
             if field in skip:

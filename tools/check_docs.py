@@ -8,19 +8,19 @@ Three rules, all extracted from the source of truth in lib/:
    two envelope tag bytes (126 reliability, 127 traced span) must be named
    somewhere under doc/.
 2. Every ``hf.<layer>.<name>`` metric the code can register must be named
-   somewhere under doc/.  Names are collected from (a) full string literals,
-   and (b) ``register``-style functions that build names as
-   ``prefix ^ "." ^ short`` — shorts are crossed with the file's default
-   prefix, or with every explicit ``~prefix:"hf.*"`` call-site argument in
-   lib/ when the register function has no default (the tracer).
+   somewhere under doc/, and every such name written under doc/ must be one
+   the code can register.  Names are collected from (a) full string
+   literals, and (b) functions that build names as ``prefix ^ ".short"``
+   (the tracer) — shorts are crossed with every explicit
+   ``~prefix:"hf.*"`` call-site argument in lib/.
 3. Every backticked module name in the "Key modules" column of DESIGN.md's
    §1 system inventory must exist as a ``.ml`` file in the ``lib/``
    directory named in that row's "Library" column.
 
 Exit 1 listing every missing name, so a PR that adds a message or metric
-without documenting it, or deletes or renames a module the inventory
-still lists, fails in CI.  No third-party imports; runs anywhere python3
-runs.
+without documenting it, deletes a metric the docs still name, or deletes
+or renames a module the inventory still lists, fails in CI.  No
+third-party imports; runs anywhere python3 runs.
 """
 
 import pathlib
@@ -62,31 +62,23 @@ def wire_tags() -> list[str]:
 
 
 METRIC_LITERAL = re.compile(r'"(hf\.[a-z_]+\.[a-z_0-9]+)"')
-METRIC_SHORT = re.compile(r'prefix \^ "\.(?:" \^ )?([a-z_0-9]*)"?')
-HELPER_SHORT = re.compile(r'\b[cg] "([a-z_0-9]+)"')
-DEFAULT_PREFIX = re.compile(r'prefix = "(hf\.[a-z_]+)"')
+PREFIX_SHORT = re.compile(r'prefix \^ "\.([a-z_0-9]+)"')
 CALLSITE_PREFIX = re.compile(r'~prefix:"(hf\.[a-z_]+)"')
+# A metric name written in prose; a trailing ``*`` makes it a wildcard
+# such as ``hf.index.bloofi_*``, which names no single metric.
+DOC_METRIC = re.compile(r"hf\.[a-z_]+\.[a-z_0-9]+(?![a-z_0-9*])")
 
 
 def metric_names() -> list[str]:
     names: set[str] = set()
-    sources = {p: p.read_text(encoding="utf-8") for p in sorted(LIB.rglob("*.ml"))}
-    callsite_prefixes: set[str] = set()
-    for text in sources.values():
-        callsite_prefixes |= set(CALLSITE_PREFIX.findall(text))
-    for text in sources.values():
+    sources = [p.read_text(encoding="utf-8") for p in sorted(LIB.rglob("*.ml"))]
+    prefixes: set[str] = set()
+    for text in sources:
+        prefixes |= set(CALLSITE_PREFIX.findall(text))
+    for text in sources:
         names |= set(METRIC_LITERAL.findall(text))
-        if 'prefix ^ "' not in text:
-            continue
-        shorts: set[str] = set()
-        for m in re.finditer(r'prefix \^ "\.([a-z_0-9]+)"', text):
-            shorts.add(m.group(1))
-        if 'prefix ^ "." ^' in text:  # c/g helper style
-            shorts |= set(HELPER_SHORT.findall(text))
-        defaults = set(DEFAULT_PREFIX.findall(text))
-        prefixes = defaults if defaults else callsite_prefixes
-        for prefix in prefixes:
-            for short in shorts:
+        for short in PREFIX_SHORT.findall(text):
+            for prefix in prefixes:
                 names.add(f"{prefix}.{short}")
     if len(names) < 40:
         sys.exit(f"check_docs: implausibly few metric names extracted ({len(names)})")
@@ -130,9 +122,12 @@ def main() -> int:
     for tag in wire_tags():
         if tag not in corpus:
             missing.append(f"wire tag/message `{tag}` (lib/proto) is not documented in doc/")
-    for name in metric_names():
+    registrable = metric_names()
+    for name in registrable:
         if name not in corpus:
             missing.append(f"metric `{name}` is not documented in doc/")
+    for name in sorted(set(DOC_METRIC.findall(corpus)) - set(registrable)):
+        missing.append(f"metric `{name}` is documented in doc/ but no code registers it")
     if missing:
         print("docs drift detected — update doc/ (see doc/architecture.md tables) or DESIGN.md §1:")
         for line in missing:
@@ -140,7 +135,7 @@ def main() -> int:
         return 1
     print(
         f"docs-consistency: OK ({len(wire_tags())} wire tags, "
-        f"{len(metric_names())} metric names all documented; "
+        f"{len(registrable)} metric names all documented, none extra; "
         f"{checked} inventory modules exist)"
     )
     return 0
