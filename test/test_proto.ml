@@ -939,6 +939,44 @@ let test_frame_oversize_rejected () =
       Frame.Decoder.feed decoder "\xff\xff\xff\xff";
       ignore (Frame.Decoder.next decoder))
 
+(* A stream reader relies on this order: the frames fed before a bad
+   length header are cut first, and only the header itself raises. *)
+let test_frame_oversize_after_frames () =
+  let decoder = Frame.Decoder.create () in
+  Frame.Decoder.feed decoder (Frame.frame "one" ^ Frame.frame "two" ^ "\x01\x10\x00\x00rest");
+  Alcotest.(check (option string)) "first frame" (Some "one") (Frame.Decoder.next decoder);
+  Alcotest.(check (option string)) "second frame" (Some "two") (Frame.Decoder.next decoder);
+  Alcotest.check_raises "then the header" (Frame.Frame_error "incoming frame too large")
+    (fun () -> ignore (Frame.Decoder.next decoder))
+
+(* The length is judged only once all four header bytes are in, so a
+   header split across reads raises on the read that completes it. *)
+let test_frame_oversize_split_header () =
+  let decoder = Frame.Decoder.create () in
+  Frame.Decoder.feed decoder "\x01\x10\x00";
+  check_bool "three header bytes: pending" true (Frame.Decoder.next decoder = None);
+  check_int "buffered" 3 (Frame.Decoder.buffered_bytes decoder);
+  Frame.Decoder.feed decoder "\x00";
+  Alcotest.check_raises "fourth byte completes it" (Frame.Frame_error "incoming frame too large")
+    (fun () -> ignore (Frame.Decoder.next decoder))
+
+(* [max_frame_size] itself is a legal length: its header waits for the
+   payload, and one byte more is rejected. *)
+let test_frame_largest_length () =
+  let header len =
+    let b = Bytes.create 4 in
+    Bytes.set_int32_be b 0 (Int32.of_int len);
+    Bytes.to_string b
+  in
+  let decoder = Frame.Decoder.create () in
+  Frame.Decoder.feed decoder (header Frame.max_frame_size);
+  check_bool "waits for the payload" true (Frame.Decoder.next decoder = None);
+  check_int "header buffered" 4 (Frame.Decoder.buffered_bytes decoder);
+  let over = Frame.Decoder.create () in
+  Frame.Decoder.feed over (header (Frame.max_frame_size + 1));
+  Alcotest.check_raises "one byte more" (Frame.Frame_error "incoming frame too large")
+    (fun () -> ignore (Frame.Decoder.next over))
+
 let prop_frame_roundtrip_chunked =
   QCheck2.Test.make ~name:"framing survives arbitrary chunking" ~count:200
     QCheck2.Gen.(pair (list_size (int_range 0 5) string_small) (int_range 1 7))
@@ -1004,6 +1042,11 @@ let () =
           Alcotest.test_case "chunked feeding" `Quick test_frame_chunked_feeding;
           Alcotest.test_case "partial pending" `Quick test_frame_partial_pending;
           Alcotest.test_case "oversize rejected" `Quick test_frame_oversize_rejected;
+          Alcotest.test_case "frames before an oversize header" `Quick
+            test_frame_oversize_after_frames;
+          Alcotest.test_case "oversize header split across feeds" `Quick
+            test_frame_oversize_split_header;
+          Alcotest.test_case "largest length accepted" `Quick test_frame_largest_length;
           qtest prop_frame_roundtrip_chunked;
         ] );
       ( "reliable link",
