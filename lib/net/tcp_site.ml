@@ -9,15 +9,18 @@
    weighted-message termination with credit piggybacked on results.
 
    Threading model (per site):
-   - an accept thread takes incoming connections;
+   - one service thread sleeps in [Unix.select] on the listeners, a
+     wake-up pipe and every socket holding a refused write.  It accepts
+     connections, answers the monitor port, resumes refused writes,
+     gives up a retired connection after 50 ms without progress, and
+     polls the reliable links;
    - one reader thread per connection reassembles frames, decodes
      messages, and handles everything one read delivered under a single
      hold of the site's state lock;
    - frames sent under the lock are only queued; the thread releasing
      the lock writes them, once per destination and without blocking,
      so a handler never blocks on a peer's socket (no send/receive
-     deadlock).  Each outbound connection's writer thread wakes only to
-     finish a write its socket refused;
+     deadlock);
    - [submit_query] (called by the embedding client on the originating
      site) seeds the query through the admission gate and returns a
      handle; a per-query drainer thread processes the working set in
@@ -55,14 +58,13 @@ module Log = (val Logs.src_log src : Logs.LOG)
    happens while the site lock or a connection lock is held.  One
    thread at a time owns a socket ([writing]); the owner takes
    [pending] again before letting go, so frames reach the wire in the
-   order they were queued.  The connection's writer thread sleeps until
-   a write stalls (EAGAIN: the peer stopped reading), then finishes it
-   as the socket drains. *)
+   order they were queued.  A write the socket refuses (EAGAIN: the
+   peer stopped reading) passes, with ownership, to the site's service
+   thread, which finishes it as the socket drains. *)
 
 type out_conn = {
   fd : Unix.file_descr; (* non-blocking *)
   conn_mutex : Mutex.t;
-  conn_cond : Condition.t;
   mutable pending : Bytes.t; [@hf.guarded_by "conn_locked"]
   mutable pending_len : int; [@hf.guarded_by "conn_locked"]
       (* framed bytes [0, pending_len) of [pending], queued in send
@@ -75,14 +77,15 @@ type out_conn = {
       (* a thread owns the socket and writes it outside every lock *)
   mutable stalled : (Bytes.t * int * int) option; [@hf.guarded_by "conn_locked"]
       (* (buffer, off, len): the rest of a chunk the socket refused, set
-         while the writer thread owns the socket and kept current as
+         while the service thread owns the socket and kept current as
          the socket drains *)
+  mutable progress_at : float; [@hf.guarded_by "conn_locked"]
+      (* while [stalled]: when the socket last took bytes *)
   mutable closing : bool; [@hf.guarded_by "conn_locked"]
   mutable broken : bool; [@hf.guarded_by "conn_locked"]
       (* a write failed: frames queued here are lost, and the connection
          must be replaced before this peer can be written to again *)
   mutable fd_closed : bool; [@hf.guarded_by "conn_locked"]
-  mutable writer : Thread.t option;
 }
 
 let conn_locked conn f =
@@ -176,67 +179,6 @@ let rec pump conn buf off len =
       | None -> None
       | Some (buf, len) -> pump conn buf 0 len)
 
-(* Write what [conn] has queued without blocking.  Run by the thread
-   that released the site lock, holding no lock; a socket that refuses
-   the rest hands it, with ownership, to the writer thread. *)
-let conn_flush conn =
-  match
-    conn_locked conn (fun () ->
-        if conn.writing || conn.broken || conn.fd_closed then None
-        else begin
-          let chunk = take_pending conn in
-          if Option.is_some chunk then conn.writing <- true;
-          chunk
-        end)
-  with
-  | None -> ()
-  | Some (buf, len) -> (
-      match pump conn buf 0 len with
-      | None -> ()
-      | Some rest ->
-        conn_locked conn (fun () ->
-            (* a retired connection's writer may already have exited *)
-            if conn.closing then abandon conn
-            else begin
-              conn.stalled <- Some rest;
-              Condition.signal conn.conn_cond
-            end))
-
-(* Wait, at most 50 ms, until [fd] takes more bytes. *)
-let writable fd =
-  match Unix.select [] [ fd ] [] 0.05 with
-  | _, ready, _ -> ready <> []
-  | exception Unix.Unix_error _ ->
-    Thread.delay 0.05;
-    false
-
-(* Sleep until a write stalls, then finish it as the socket drains,
-   keeping [stalled] current so the backlog stays visible.  A retired
-   connection whose peer makes no progress for one poll gives up, so
-   [shutdown] never waits on a peer that stopped reading. *)
-let writer_loop conn () =
-  let rec idle () =
-    match
-      conn_locked conn (fun () ->
-          while Option.is_none conn.stalled && not conn.closing do
-            Condition.wait conn.conn_cond conn.conn_mutex
-          done;
-          conn.stalled)
-    with
-    | None -> () (* retired *)
-    | Some (buf, off, len) -> retry buf off len
-  and retry buf off len =
-    if (not (writable conn.fd)) && conn_locked conn (fun () -> conn.closing) then
-      conn_locked conn (fun () -> abandon conn)
-    else
-      match pump conn buf off len with
-      | None -> idle ()
-      | Some ((buf, off, len) as rest) ->
-        conn_locked conn (fun () -> conn.stalled <- Some rest);
-        retry buf off len
-  in
-  idle ()
-
 let open_out_conn addr =
   let fd = Unix.socket PF_INET SOCK_STREAM 0 in
   (match Unix.connect fd addr with
@@ -246,45 +188,25 @@ let open_out_conn addr =
      raise e);
   Unix.setsockopt fd TCP_NODELAY true;
   Unix.set_nonblock fd;
-  let conn =
-    {
-      fd;
-      conn_mutex = Mutex.create ();
-      conn_cond = Condition.create ();
-      pending = Bytes.create buffer_size;
-      pending_len = 0;
-      spare = Bytes.create buffer_size;
-      writing = false;
-      stalled = None;
-      closing = false;
-      broken = false;
-      fd_closed = false;
-      writer = None;
-    }
-  in
-  conn.writer <- Some (Thread.create (writer_loop conn) ());
-  conn
+  {
+    fd;
+    conn_mutex = Mutex.create ();
+    pending = Bytes.create buffer_size;
+    pending_len = 0;
+    spare = Bytes.create buffer_size;
+    writing = false;
+    stalled = None;
+    progress_at = 0.0;
+    closing = false;
+    broken = false;
+    fd_closed = false;
+  }
 
 (* Bytes queued for the peer that the socket has not taken yet. *)
 let conn_backlog conn =
   conn_locked conn (fun () ->
       conn.pending_len
       + match conn.stalled with Some (_, off, len) -> len - off | None -> 0)
-
-(* Retire a connection from outside every lock: write what is queued,
-   then stop the writer thread and close the socket.  A writer thread
-   that refuses to die (blocked in a signal handler, say) should not make
-   shutdown raise: the join failure is counted in [join_errors] —
-   surfaced as hf.net.join_errors — and the socket is closed regardless. *)
-let conn_close ~join_errors conn =
-  conn_flush conn;
-  conn_locked conn (fun () ->
-      conn.closing <- true;
-      Condition.signal conn.conn_cond);
-  (match conn.writer with
-  | Some thread -> ( try Thread.join thread with _ -> Atomic.incr join_errors)
-  | None -> ());
-  conn_locked conn (fun () -> close_if_idle conn)
 
 (* --- execution mode (doc/execution_modes.md) --- *)
 
@@ -348,7 +270,7 @@ type t = {
          crashed peer silently loses messages and their credit) *)
   links : (int, Message.t Hf_proto.Reliable.t) Hashtbl.t; [@hf.guarded_by "locked"]
       (* per-peer reliable-link state, created on first contact *)
-  listener : Unix.file_descr;
+  listener : Unix.file_descr; (* non-blocking *)
   address : Unix.sockaddr;
   mutable peers : Unix.sockaddr array; (* index = site id *)
   conns : (int, out_conn) Hashtbl.t; [@hf.guarded_by "locked"]
@@ -368,17 +290,13 @@ type t = {
          context (its credit is dead — same as a loss).  Bounded FIFO. *)
   closed_order : Message.query_id Queue.t; [@hf.guarded_by "locked"]
   mutable running : bool;
-  mutable ticker : Thread.t option;
-      (* the reliability ticker, joinable on its own: shutdown quiesces
-         it before tearing connections down *)
-  mutable acceptors : Thread.t list;
-      (* the accept and monitor threads, joined by [shutdown] once their
-         listeners are shut down; reader and drainer threads end on
-         their own and are not kept *)
-  mutable dead_writers : Thread.t list; [@hf.guarded_by "locked"]
-      (* writer threads of connections discarded while the site lock was
-         held ([conn_discard]): Thread.join can block, so shutdown joins
-         them after the lock is released instead *)
+  mutable service : Thread.t option;
+  wake : Unix.file_descr * Unix.file_descr; (* the service thread's pipe: read, write *)
+  wakers : int Atomic.t; (* pokes writing [wake]; negative once [shutdown] closes it *)
+  stall_mutex : Mutex.t; (* a leaf lock, taken last *)
+  mutable stalls : out_conn list; [@hf.guarded_by "stalls_locked"]
+      (* connections holding a refused write, added under the
+         connection's lock: the service thread owns their sockets *)
   join_errors : int Atomic.t; (* threads that could not be joined on close *)
   (* observability.  Sites sharing one tracer (same process, as in
      tests and the demo) get cross-site spans: the wire carries the
@@ -420,20 +338,16 @@ type t = {
   (* cluster-wide stats scraping and monitoring (DESIGN.md §4i) *)
   mutable stats_token : int; [@hf.guarded_by "locked"]
       (* last Stats_pull token issued by this site; replies carrying an
-         older token (or 0 — a periodic push) never satisfy a waiting
-         [pull_stats] *)
+         older token never satisfy a waiting [pull_stats] *)
   peer_stats : (int, Hf_obs.Registry.snapshot) Hashtbl.t; [@hf.guarded_by "locked"]
       (* peer -> last registry snapshot received from it *)
   peer_stats_token : (int, int) Hashtbl.t; [@hf.guarded_by "locked"]
       (* peer -> highest pull token that snapshotting has answered *)
   stats_cond : Condition.t; (* signalled when a Stats_report lands *)
-  stats_period : float option;
-  mutable stats_ticker : Thread.t option;
-      (* periodic scrape thread; joined at shutdown before connections
-         come down, like the reliability ticker *)
   mutable monitor : Unix.file_descr option;
-      (* always-on monitoring surface: a loopback listener that answers
-         every connection with a Prometheus text dump of [registry] *)
+      (* always-on monitoring surface: a non-blocking loopback listener
+         whose every connection the service thread answers with a
+         Prometheus text dump of [registry] *)
   admission_wait : Hf_obs.Histogram.t; (* submit-to-seed queue wait, seconds *)
 }
 
@@ -452,6 +366,47 @@ let take_dirty t =
   dirty
 [@@hf.requires_lock "locked"]
 
+let stalls_locked t f =
+  Mutex.lock t.stall_mutex;
+  Fun.protect ~finally:(fun () -> Mutex.unlock t.stall_mutex) f
+
+(* Wake the service thread: one byte down its pipe, unless a full pipe
+   already holds a wake or [shutdown] has closed it. *)
+let wake t =
+  if Atomic.fetch_and_add t.wakers 1 >= 0 then
+    (try ignore (Unix.single_write_substring (snd t.wake) "!" 0 1) with Unix.Unix_error _ -> ());
+  Atomic.decr t.wakers
+
+(* Write what [conn] has queued without blocking.  Run by the thread
+   that released the site lock, holding no lock; a socket that refuses
+   the rest hands it, with ownership, to the service thread, unless the
+   connection is retired, which drops it. *)
+let conn_flush t conn =
+  match
+    conn_locked conn (fun () ->
+        if conn.writing || conn.broken || conn.fd_closed then None
+        else begin
+          let chunk = take_pending conn in
+          if Option.is_some chunk then conn.writing <- true;
+          chunk
+        end)
+  with
+  | None -> ()
+  | Some (buf, len) -> (
+      match pump conn buf 0 len with
+      | None -> ()
+      | Some rest ->
+        if
+          conn_locked conn (fun () ->
+              if conn.closing then abandon conn
+              else begin
+                conn.stalled <- Some rest;
+                conn.progress_at <- Unix.gettimeofday ();
+                stalls_locked t (fun () -> t.stalls <- conn :: t.stalls)
+              end;
+              not conn.closing)
+        then wake t)
+
 (* The site's critical section.  Frames sent inside it are only
    queued; on the way out the releasing thread writes every connection
    they dirtied, after unlocking, so one lock hold costs at most one
@@ -462,7 +417,7 @@ let locked t f =
     ~finally:(fun () ->
       let dirty = take_dirty t in
       Mutex.unlock t.lock;
-      List.iter conn_flush dirty)
+      List.iter (conn_flush t) dirty)
     f
 
 (* Queue one frame on [conn] for the releasing thread to write. *)
@@ -471,22 +426,69 @@ let conn_send t conn payload =
   if not (List.memq conn t.dirty) then t.dirty <- conn :: t.dirty
 [@@hf.requires_lock "locked"]
 
-(* Retire a connection without joining its writer (R7 fix): the caller
-   holds the site lock, and joining would stall every thread that needs
-   it.  The writer is told to stop and its thread parked in
-   [dead_writers]; [shutdown] joins the parked threads once the lock is
-   released.  The socket closes now, or when its current writer lets
-   go; frames still queued on it are dropped. *)
-let conn_discard t conn =
+(* Retire a connection: the socket closes now, or when its current
+   owner lets go; frames still queued on it are dropped. *)
+let conn_discard conn =
   conn_locked conn (fun () ->
       conn.closing <- true;
       conn.pending_len <- 0;
-      Condition.signal conn.conn_cond;
-      close_if_idle conn);
-  (match conn.writer with
-  | Some thread -> t.dead_writers <- thread :: t.dead_writers
-  | None -> ())
-[@@hf.requires_lock "locked"]
+      close_if_idle conn)
+
+(* --- refused writes: what the service thread owns --- *)
+
+let give_up_s = 0.05
+
+(* One round of the service loop's write half: take [stalls], sleep in
+   [select] until one of [reads] is readable, a refused write's socket
+   takes bytes, or the earliest deadline passes (a retired connection's
+   is [give_up_s] after its socket last took bytes), then resume or give
+   up each write and put back those still refused.  Returns the
+   readable descriptors and whether any write was waited on. *)
+let serve_stalls t ~reads deadline =
+  let stalls =
+    List.filter_map
+      (fun conn ->
+        conn_locked conn (fun () ->
+            Option.map
+              (fun rest ->
+                (conn, rest, if conn.closing then conn.progress_at +. give_up_s else infinity))
+              conn.stalled))
+      (stalls_locked t (fun () ->
+           let taken = t.stalls in
+           t.stalls <- [];
+           taken))
+  in
+  if reads = [] && stalls = [] then ([], false)
+  else begin
+    let deadline = List.fold_left (fun d (_, _, due) -> Float.min d due) deadline stalls in
+    let timeout =
+      if deadline = infinity then -1.0 else Float.max 0.0 (deadline -. Unix.gettimeofday ())
+    in
+    let readable, ready, _ =
+      try Unix.select reads (List.map (fun (conn, _, _) -> conn.fd) stalls) [] timeout
+      with Unix.Unix_error (EINTR, _, _) -> ([], [], [])
+    in
+    let now = Unix.gettimeofday () in
+    let still =
+      List.filter
+        (fun (conn, (buf, off, len), due) ->
+          if List.mem conn.fd ready then (
+            match pump conn buf off len with
+            | None -> false
+            | Some rest ->
+              conn_locked conn (fun () ->
+                  conn.stalled <- Some rest;
+                  conn.progress_at <- now);
+              true)
+          else if now >= due then (
+            conn_locked conn (fun () -> abandon conn);
+            false)
+          else true)
+        stalls
+    in
+    stalls_locked t (fun () -> t.stalls <- List.map (fun (conn, _, _) -> conn) still @ t.stalls);
+    (readable, stalls <> [])
+  end
 
 (* --- stats snapshots on the wire (DESIGN.md §4i) --- *)
 
@@ -554,30 +556,31 @@ let link_for t dst =
    cumulative ack for the reverse direction is peeked immediately
    before the frame is queued, so every outgoing envelope carries the
    freshest ack.  A connection whose last write failed is replaced
-   here — with reliability on, whatever it lost is retransmitted. *)
+   here — with reliability on, whatever it lost is retransmitted.  A
+   shut-down site opens no connection: its reader threads may still
+   handle frames, but what they send is dropped. *)
 let transmit_raw t ?(span = 0) ~seq ~dst message =
   let reopen () =
-    match
-      (open_out_conn t.peers.(dst)
-       [@hf.allow
-         "blocking-under-lock -- peers are loopback sockets: connect either \
-          completes immediately (the listener's backlog accepts) or fails \
-          fast with ECONNREFUSED; an async reconnect queue is tracked \
-          roadmap work"])
-    with
-    | conn ->
-      Hashtbl.replace t.conns dst conn;
-      Some conn
-    | exception Unix.Unix_error _ -> None (* peer down *)
+    if not t.running then None
+    else
+      match
+        (open_out_conn t.peers.(dst)
+         [@hf.allow
+           "blocking-under-lock -- peers are loopback sockets: connect either \
+            completes immediately (the listener's backlog accepts) or fails \
+            fast with ECONNREFUSED; an async reconnect queue is tracked \
+            roadmap work"])
+      with
+      | conn ->
+        Hashtbl.replace t.conns dst conn;
+        Some conn
+      | exception Unix.Unix_error _ -> None (* peer down *)
   in
   let conn =
     match Hashtbl.find_opt t.conns dst with
     | Some conn ->
       if conn_locked conn (fun () -> conn.broken) then begin
-        (* [conn_discard], not [conn_close]: we hold the site lock, and
-           joining a writer that may be wedged on a dead socket would
-           block every other thread at [locked] (hfcheck R7). *)
-        conn_discard t conn;
+        conn_discard conn;
         Hashtbl.remove t.conns dst;
         reopen ()
       end
@@ -1171,6 +1174,21 @@ let work_context t ~span query body =
     | None -> Some (new_context t ~cause:span ~query body)
 [@@hf.requires_lock "locked"]
 
+(* Bank an arriving item if it fits the plan of the context it joins:
+   one counter per iterator slot, a start inside the program.  A misfit
+   is dropped before [Eval] sees it, and its frame's credit is still
+   deposited.  Not checked at decode: a later frame for a query may
+   carry another body than the one its context was built from. *)
+let bank t ctx ~oid ~start ~iters =
+  let plan = ctx.core.plan in
+  if Array.length iters = Hf_engine.Plan.iter_count plan && start <= Hf_engine.Plan.length plan
+  then Hf_util.Deque.push_back ctx.core.work (Hf_engine.Work_item.make ~oid ~start ~iters)
+  else
+    Log.warn (fun m ->
+        m "site %d: work item for %a (start %d, %d counter(s)) does not fit its query; dropped"
+          t.id Hf_data.Oid.pp oid start (Array.length iters))
+[@@hf.requires_lock "locked"]
+
 (* [span] is the sender's shipping span carried on the wire (0 when the
    sender traced nothing): it is closed here — arrival time — and new
    contexts parent their evaluation spans on it.
@@ -1218,7 +1236,7 @@ let handle_message t ~pulls ~span ?rel message =
     | None -> []
     | Some ctx ->
       ctx.held <- Credit.add ctx.held (Credit.of_atoms credit);
-      Hf_util.Deque.push_back ctx.core.work (Hf_engine.Work_item.make ~oid ~start ~iters);
+      bank t ctx ~oid ~start ~iters;
       [ (query, ctx) ])
   | Message.Work_batch groups ->
     List.filter_map
@@ -1228,8 +1246,7 @@ let handle_message t ~pulls ~span ?rel message =
         | Some ctx ->
           ctx.held <- Credit.add ctx.held (Credit.of_atoms credit);
           List.iter
-            (fun ({ oid; start; iters } : Message.batch_item) ->
-              Hf_util.Deque.push_back ctx.core.work (Hf_engine.Work_item.make ~oid ~start ~iters))
+            (fun ({ oid; start; iters } : Message.batch_item) -> bank t ctx ~oid ~start ~iters)
             items;
           Some (query, ctx))
       groups
@@ -1305,9 +1322,8 @@ let handle_message t ~pulls ~span ?rel message =
     []
   | Message.Stats_report { src = peer; token; stats } ->
     Hashtbl.replace t.peer_stats peer (snapshot_of_stats stats);
-    (* tokens only ratchet up: a periodic push (token 0) arriving
-       between a fresh report and its waiter's check must not make
-       the pull look unanswered again *)
+    (* tokens only ratchet up: a late report to an older pull must not
+       make the current one look unanswered again *)
     let prev = Option.value ~default:0 (Hashtbl.find_opt t.peer_stats_token peer) in
     if token > prev then Hashtbl.replace t.peer_stats_token peer token;
     Condition.broadcast t.stats_cond;
@@ -1394,8 +1410,8 @@ let handle_read t messages =
 
 (* Fire every due link deadline: standalone acks whose piggyback window
    expired, retransmissions, and retry-cap give-ups.  Driven by the
-   reliability ticker thread — the wall-clock twin of the simulator's
-   timer events.  The link table is snapshotted first because a give-up
+   service thread — the wall-clock twin of the simulator's timer
+   events.  The link table is snapshotted first because a give-up
    may open a new link (to the originator) mid-walk. *)
 let poke_links t =
   let now = Unix.gettimeofday () in
@@ -1426,7 +1442,7 @@ let poke_links t =
     links
 [@@hf.requires_lock "locked"]
 
-(* --- reader / accept threads --- *)
+(* --- reader and service threads --- *)
 
 (* Every site id a peer supplies — the envelope's sender, each query's
    originator, and the [src]/[site]/[dead] fields — indexes [t.peers]
@@ -1501,34 +1517,73 @@ let reader_loop t fd () =
   loop ();
   try Unix.close fd with Unix.Unix_error _ -> ()
 
-let accept_loop t () =
-  let rec loop () =
-    match Unix.accept t.listener with
-    | fd, _ ->
-      Unix.setsockopt fd TCP_NODELAY true;
-      ignore (Thread.create (reader_loop t fd) ());
-      loop ()
-    | exception Unix.Unix_error _ -> () (* listener closed: shutting down *)
+(* Start a reader thread on each pending connection.  Readers block,
+   and on some systems an accepted socket inherits the listener's
+   O_NONBLOCK. *)
+let rec accept_readers t =
+  match Unix.accept t.listener with
+  | fd, _ ->
+    Unix.clear_nonblock fd;
+    Unix.setsockopt fd TCP_NODELAY true;
+    ignore (Thread.create (reader_loop t fd) ());
+    accept_readers t
+  | exception Unix.Unix_error _ -> ()
+
+(* Answer a monitor connection with a Prometheus text dump of the
+   registry, taken outside the site lock (gauges take it).  A dump of a
+   few KiB fits the socket's send buffer, so one non-blocking write
+   sends it whole without the client reading. *)
+let serve_monitor t mon =
+  match Unix.accept mon with
+  | exception Unix.Unix_error _ -> ()
+  | fd, _ ->
+    Unix.set_nonblock fd;
+    let dump = Hf_obs.Prometheus.render ~labels:[ ("site", string_of_int t.id) ] t.registry in
+    (try ignore (write_some fd (Bytes.of_string dump) 0 (String.length dump))
+     with Unix.Unix_error _ -> ());
+    (try Unix.close fd with Unix.Unix_error _ -> ())
+
+(* The service thread.  [poll] is the reliable links' poll period,
+   infinite with reliability off. *)
+let service_loop t ~monitor ~poll () =
+  let wake_r = fst t.wake in
+  let reads = t.listener :: wake_r :: Option.to_list monitor in
+  let scratch = Bytes.create 4096 in
+  let rec loop next_poll =
+    let readable, _ = serve_stalls t ~reads next_poll in
+    if List.mem wake_r readable then
+      (try ignore (Unix.read wake_r scratch 0 (Bytes.length scratch)) with Unix.Unix_error _ -> ());
+    if t.running then begin
+      if List.mem t.listener readable then accept_readers t;
+      Option.iter (fun mon -> if List.mem mon readable then serve_monitor t mon) monitor;
+      let now = Unix.gettimeofday () in
+      if now >= next_poll then locked t (fun () -> poke_links t);
+      loop (if now >= next_poll then now +. poll else next_poll)
+    end
   in
-  loop ()
+  loop (Unix.gettimeofday () +. poll)
 
 (* --- lifecycle --- *)
 
 let create ~site ?(batch = Hf_proto.Batch.unbatched) ?reliability ?cache
     ?(admission = Sched.unlimited) ?(exec = Exec_ship) ?(tracer = Hf_obs.Tracer.noop)
-    ?stats_period ?monitor_port () =
+    ?monitor_port () =
   Hf_proto.Batch.validate_policy batch;
   Option.iter Hf_proto.Reliable.validate reliability;
   Option.iter Hf_index.Remote_cache.validate cache;
   Sched.validate admission;
-  Option.iter
-    (fun p ->
-      if not (p > 0.0) then invalid_arg "Tcp_site.create: stats_period must be positive")
-    stats_period;
-  let listener = Unix.socket PF_INET SOCK_STREAM 0 in
-  Unix.setsockopt listener SO_REUSEADDR true;
-  Unix.bind listener (ADDR_INET (Unix.inet_addr_loopback, 0));
-  Unix.listen listener 16;
+  let listen port backlog =
+    let fd = Unix.socket PF_INET SOCK_STREAM 0 in
+    Unix.setsockopt fd SO_REUSEADDR true;
+    Unix.bind fd (ADDR_INET (Unix.inet_addr_loopback, port));
+    Unix.listen fd backlog;
+    Unix.set_nonblock fd;
+    fd
+  in
+  let listener = listen 0 16 in
+  let monitor = Option.map (fun port -> listen port 4) monitor_port in
+  let wake = Unix.pipe () in
+  Unix.set_nonblock (snd wake);
   let address = Unix.getsockname listener in
   let registry = Hf_obs.Registry.create () in
   let sent_frame_bytes = Hf_obs.Registry.histogram registry "hf.net.sent_frame_bytes" in
@@ -1558,9 +1613,11 @@ let create ~site ?(batch = Hf_proto.Batch.unbatched) ?reliability ?cache
       closed = Hashtbl.create 32;
       closed_order = Queue.create ();
       running = true;
-      ticker = None;
-      acceptors = [];
-      dead_writers = [];
+      service = None;
+      wake;
+      wakers = Atomic.make 0;
+      stall_mutex = Mutex.create ();
+      stalls = [];
       join_errors = Atomic.make 0;
       tracer;
       registry;
@@ -1594,9 +1651,7 @@ let create ~site ?(batch = Hf_proto.Batch.unbatched) ?reliability ?cache
       peer_stats = Hashtbl.create 8;
       peer_stats_token = Hashtbl.create 8;
       stats_cond = Condition.create ();
-      stats_period;
-      stats_ticker = None;
-      monitor = None;
+      monitor;
       admission_wait;
     }
   in
@@ -1683,81 +1738,12 @@ let create ~site ?(batch = Hf_proto.Batch.unbatched) ?reliability ?cache
           | None -> 0.0
           | Some cache -> float_of_int (Hf_index.Remote_cache.length cache)));
   Hf_obs.Tracer.register tracer registry ~prefix:"hf.net";
-  t.acceptors <- [ Thread.create (accept_loop t) () ];
-  (* Reliability ticker: drives the retransmit / delayed-ack / give-up
-     deadlines of every peer link.  Kept apart from [acceptors] so
-     [shutdown] can join it FIRST — it transmits on the outbound
-     connections, which must not be torn down under it. *)
-  (match reliability with
-   | None -> ()
-   | Some cfg ->
-     let period = Float.max 0.002 (Float.min 0.01 (cfg.ack_delay /. 2.0)) in
-     let ticker () =
-       while t.running do
-         Thread.delay period;
-         if t.running then locked t (fun () -> poke_links t)
-       done
-     in
-     t.ticker <- Some (Thread.create ticker ()));
-  (* Periodic scrape (DESIGN.md §4i): pull every peer's registry on a
-     timer so [peer_stats] stays warm without anyone asking.  Token 0
-     marks the replies unsolicited — a concurrent [pull_stats] with a
-     real token never mistakes one for its answer.  Joined at shutdown
-     before connections come down, like the reliability ticker. *)
-  (match stats_period with
-   | None -> ()
-   | Some period ->
-     let ticker () =
-       while t.running do
-         Thread.delay period;
-         if t.running then
-           locked t (fun () ->
-               Array.iteri
-                 (fun peer _ ->
-                   if peer <> t.id then
-                     send t ~dst:peer (Message.Stats_pull { src = t.id; token = 0 }))
-                 t.peers)
-       done
-     in
-     t.stats_ticker <- Some (Thread.create ticker ()));
-  (* The always-on monitoring surface: a plain-TCP loopback listener
-     that answers every connection with a Prometheus text dump of this
-     site's registry and closes.  No HTTP framing — `nc localhost port`
-     (or [hfql stats]) reads it directly.  Snapshots are taken outside
-     the site lock (gauges take it). *)
-  (match monitor_port with
-   | None -> ()
-   | Some port ->
-     let mon = Unix.socket PF_INET SOCK_STREAM 0 in
-     Unix.setsockopt mon SO_REUSEADDR true;
-     Unix.bind mon (ADDR_INET (Unix.inet_addr_loopback, port));
-     Unix.listen mon 4;
-     t.monitor <- Some mon;
-     let serve fd =
-       let body =
-         Hf_obs.Prometheus.render ~labels:[ ("site", string_of_int t.id) ] t.registry
-       in
-       let bytes = Bytes.of_string body in
-       let rec write_all off =
-         if off < Bytes.length bytes then
-           match Unix.write fd bytes off (Bytes.length bytes - off) with
-           | n -> write_all (off + n)
-           | exception Unix.Unix_error _ -> ()
-       in
-       write_all 0;
-       try Unix.close fd with Unix.Unix_error _ -> ()
-     in
-     let monitor_loop () =
-       let rec loop () =
-         match Unix.accept mon with
-         | fd, _ ->
-           serve fd;
-           loop ()
-         | exception Unix.Unix_error _ -> () (* listener closed: shutting down *)
-       in
-       loop ()
-     in
-     t.acceptors <- Thread.create monitor_loop () :: t.acceptors);
+  let poll =
+    match reliability with
+    | None -> infinity
+    | Some cfg -> Float.max 0.002 (Float.min 0.01 (cfg.ack_delay /. 2.0))
+  in
+  t.service <- Some (Thread.create (service_loop t ~monitor ~poll) ());
   t
 
 let address t = t.address
@@ -1784,71 +1770,52 @@ let set_peers t peers =
           if dst < Array.length old && old.(dst) <> addr then begin
             (match Hashtbl.find_opt t.conns dst with
              | Some conn ->
-               conn_discard t conn;
+               conn_discard conn;
                Hashtbl.remove t.conns dst
              | None -> ());
             Hashtbl.remove t.links dst
           end)
-        peers)
+        peers);
+  (* a retired connection's refused write now has a deadline *)
+  wake t
 
+(* Stop the service thread, close the listeners, then retire every
+   connection by the service loop's rule.  Nothing lands in [conns]
+   after the snapshot: [transmit_raw] opens none once [running] is
+   false. *)
 let shutdown t =
   if t.running then begin
     t.running <- false;
-    (* Quiesce the reliability ticker BEFORE tearing connections down
-       (satellite S2): it periodically takes the site lock and
-       transmits on the outbound connections, so closing them first
-       races a retransmit against the writer join — the poke either
-       lands on a retired connection (frame silently dropped) or
-       reopens a connection to a peer that is itself mid-shutdown.
-       [running] is already false, so the join returns within one
-       ticker period. *)
-    (match t.ticker with
-     | Some thread ->
-       (try Thread.join thread with _ -> Atomic.incr t.join_errors);
-       t.ticker <- None
-     | None -> ());
-    (* the stats ticker transmits too: same quiesce-before-teardown *)
-    (match t.stats_ticker with
-     | Some thread ->
-       (try Thread.join thread with _ -> Atomic.incr t.join_errors);
-       t.stats_ticker <- None
-     | None -> ());
-    (* wake the monitor accept thread the same way as the listener's *)
-    (match t.monitor with
-     | Some fd ->
-       (try Unix.shutdown fd SHUTDOWN_ALL with Unix.Unix_error _ -> ());
-       (try Unix.close fd with Unix.Unix_error _ -> ());
-       t.monitor <- None
-     | None -> ());
-    (* shutdown(2) before close: close alone does NOT wake a thread
-       blocked in accept(2) — the in-flight syscall pins the socket, so
-       the "closed" listener keeps accepting one more connection and a
-       supposedly-dead site goes on answering queries (observed as a
-       flaky dead-peer test).  Shutting the socket down fails the
-       blocked accept with EINVAL and refuses subsequent connects. *)
-    (try Unix.shutdown t.listener SHUTDOWN_ALL with Unix.Unix_error _ -> ());
-    (try Unix.close t.listener with Unix.Unix_error _ -> ());
+    wake t;
+    Option.iter (fun thread -> try Thread.join thread with _ -> Atomic.incr t.join_errors) t.service;
     List.iter
-      (fun thread -> try Thread.join thread with _ -> Atomic.incr t.join_errors)
-      t.acceptors;
-    t.acceptors <- [];
-    (* Snapshot under the lock, tear down outside it: [conn_close]
-       joins each writer thread, and a join under the site lock would
-       block every thread still draining (hfcheck R7).  Nothing new
-       lands in [conns] afterwards — [running] is false and the tickers
-       are already joined. *)
-    let conns, dead_writers =
+      (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
+      (t.listener :: Option.to_list t.monitor);
+    t.monitor <- None;
+    let conns =
       locked t (fun () ->
           let conns = Hashtbl.fold (fun _ conn acc -> conn :: acc) t.conns [] in
           Hashtbl.reset t.conns;
-          let dead = t.dead_writers in
-          t.dead_writers <- [];
-          (conns, dead))
+          conns)
     in
-    List.iter (fun conn -> conn_close ~join_errors:t.join_errors conn) conns;
     List.iter
-      (fun thread -> try Thread.join thread with _ -> Atomic.incr t.join_errors)
-      dead_writers
+      (fun conn ->
+        conn_flush t conn;
+        conn_locked conn (fun () ->
+            conn.closing <- true;
+            close_if_idle conn))
+      conns;
+    while snd (serve_stalls t ~reads:[] infinity) do
+      ()
+    done;
+    (* no poke writes the pipe once [wakers] is negative and the pokes
+       under way are done *)
+    ignore (Atomic.fetch_and_add t.wakers min_int);
+    while Atomic.get t.wakers <> min_int do
+      Thread.yield ()
+    done;
+    Unix.close (fst t.wake);
+    Unix.close (snd t.wake)
   end
 
 (* --- issuing queries from the embedding client --- *)
@@ -2120,12 +2087,7 @@ let pull_stats ?(timeout = 5.0) (t : t) =
   let own = (t.id, Hf_obs.Registry.snapshot t.registry) in
   List.sort (fun (a, _) (b, _) -> Int.compare a b) (own :: remote)
 
-(* One merged registry over the whole cluster: counters and gauges sum,
-   histograms merge bucket-exactly ({!Hf_obs.Registry.merge_snapshots}). *)
-let cluster_stats ?timeout t = Hf_obs.Registry.merge_snapshots (List.map snd (pull_stats ?timeout t))
-
-(* Last-known peer snapshots without going to the wire — what the
-   [stats_period] scrape keeps warm. *)
+(* Last-known peer snapshots without going to the wire. *)
 let known_peer_stats t =
   locked t (fun () ->
       List.sort

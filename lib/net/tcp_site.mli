@@ -3,10 +3,10 @@
     accounts for.
 
     Lifecycle: {!create} each site (binds an ephemeral loopback port and
-    starts its accept thread), collect the {!address}es, {!set_peers} on
-    every site, then load stores and issue queries from any site with
+    starts its service thread), collect the {!address}es, {!set_peers}
+    on every site, then load stores and issue queries from any site with
     {!run_query} — or {!submit_query}/{!await} to keep several in
-    flight.  {!shutdown} closes sockets and stops threads.
+    flight.  {!shutdown} closes sockets and stops the service thread.
 
     Queries run concurrently (DESIGN.md §4h): each locally-issued query
     passes an admission gate ({!Hf_server.Sched}) and is drained by its
@@ -36,11 +36,11 @@ val create :
   ?admission:Hf_server.Sched.config ->
   ?exec:exec_mode ->
   ?tracer:Hf_obs.Tracer.t ->
-  ?stats_period:float ->
   ?monitor_port:int ->
   unit ->
   t
-(** Bind 127.0.0.1 on an ephemeral port and start accepting.
+(** Bind 127.0.0.1 on an ephemeral port and start the site's service
+    thread, which accepts connections and starts their readers.
 
     [batch] (default [Flush_at 1], i.e. unbatched) coalesces work items
     bound for the same destination into one [Work_batch] message with a
@@ -58,8 +58,8 @@ val create :
 
     [reliability] (default off) layers ack/retransmit delivery under
     the protocol ({!Hf_proto.Reliable}): every frame carries a
-    per-peer sequence number and a piggybacked cumulative ack, a
-    ticker thread retransmits unacknowledged frames with exponential
+    per-peer sequence number and a piggybacked cumulative ack, the
+    service thread retransmits unacknowledged frames with exponential
     backoff, receivers drop redelivered duplicates before they reach a
     handler, and a peer that exhausts the retry cap is declared
     unreachable — its messages' credit reclaimed so the query still
@@ -101,11 +101,6 @@ val create :
     ({!submit_query} raises [Failure] beyond that), and with
     reliability on, a drain pauses shipping while some link holds
     [link_window] or more unacked frames (backpressure).
-
-    [stats_period] (default off) starts a scrape ticker that sends a
-    credit-free [Stats_pull] to every peer each period, keeping
-    {!known_peer_stats} warm without a client asking.  Raises
-    [Invalid_argument] unless positive.
 
     [monitor_port] (default off) binds an always-on monitoring surface:
     a plain-TCP loopback listener (port 0 = ephemeral, see
@@ -238,14 +233,9 @@ val pull_stats : ?timeout:float -> t -> (int * Hf_obs.Registry.snapshot) list
     Stats messages are credit-free and loss-tolerant — they never touch
     termination detection. *)
 
-val cluster_stats : ?timeout:float -> t -> Hf_obs.Registry.snapshot
-(** [pull_stats] merged into one cluster-wide registry view: counters
-    and gauges sum across sites, histograms merge bucket-exactly. *)
-
 val known_peer_stats : t -> (int * Hf_obs.Registry.snapshot) list
-(** Last-known peer snapshots without going to the wire — what the
-    [stats_period] scrape keeps warm.  Empty until some pull or scrape
-    completed. *)
+(** Last-known peer snapshots without going to the wire: the latest
+    [Stats_report] each peer sent.  Empty until some report landed. *)
 
 val monitor_address : t -> Unix.sockaddr option
 (** The monitoring listener's bound address ([None] when [monitor_port]
@@ -260,8 +250,7 @@ val profile : t -> handle -> outcome -> Hf_obs.Profile.t
     picture; separate processes each see their own half. *)
 
 val shutdown : t -> unit
-(** Quiesce the reliability and stats tickers, then close the
-    monitoring listener, the protocol listener and all connections;
-    idempotent.  Frames still queued for a peer that has stopped
-    reading are dropped rather than waited for, so shutdown does not
-    hang on a stalled socket. *)
+(** Stop the service thread, close the listeners, then retire every
+    connection; idempotent.  Queued frames are written, but a peer that
+    takes nothing for 50 ms loses the rest, so shutdown does not hang
+    on a stalled socket.  A shut-down site opens no connection. *)

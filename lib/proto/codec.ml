@@ -94,8 +94,17 @@ let read_float r =
   done;
   Int64.float_of_bits !bits
 
-let read_list r read_item =
+(* An element count read off the wire.  Every element takes at least
+   one byte, so a count past the bytes left is garbage: it fails here,
+   before anything is allocated for it. *)
+let read_count r =
   let n = read_varint r in
+  let left = String.length r.data - r.pos in
+  if n > left then fail "count %d exceeds the %d byte(s) left at offset %d" n left r.pos;
+  n
+
+let read_list r read_item =
+  let n = read_count r in
   List.init n (fun _ -> read_item r)
 
 let at_end r = r.pos = String.length r.data
@@ -300,7 +309,7 @@ let write_iters buf iters =
   Array.iter (write_varint buf) iters
 
 let read_iters r =
-  let n = read_varint r in
+  let n = read_count r in
   Array.init n (fun _ -> read_varint r)
 
 let write_binding buf (target, values) =

@@ -20,8 +20,9 @@ val encode : ?span:int -> ?rel:rel -> Message.t -> string
     rides in an outer envelope (tag 126 + three varints). *)
 
 val decode : string -> (Message.t, string) result
-(** Rejects trailing bytes.  Accepts (and discards) traced and
-    reliability envelopes. *)
+(** Rejects trailing bytes, and an element count larger than the bytes
+    left in the payload before allocating for it.  Accepts (and
+    discards) traced and reliability envelopes. *)
 
 val decode_traced : string -> (Message.t * int, string) result
 (** Like {!decode} but also returns the carried span id (0 when the

@@ -485,6 +485,62 @@ let test_oversized_header_split_across_reads () =
           check_int "second half" 2 (Unix.write_substring sender oversized 2 2);
           reads_eof sender))
 
+(* A work item that does not fit its query's program is dropped when it
+   arrives, its credit kept: a Deref_request with no counter for the
+   closure's one iterator, on an object whose pointer the closure
+   follows, then a valid request on the same connection.  The reader
+   survives the first, and both credits come home. *)
+let test_misfit_item_dropped () =
+  let origin = fake_site () in
+  let site = Tcp.create ~site:1 () in
+  Fun.protect
+    ~finally:(fun () ->
+      Tcp.shutdown site;
+      Unix.close origin)
+    (fun () ->
+      Tcp.set_peers site [| Unix.getsockname origin; Tcp.address site |];
+      let store = Tcp.store site in
+      let target = Store.fresh_oid store in
+      Store.insert store (Hf_data.Hobject.of_tuples target [ Tuple.keyword "cold" ]);
+      let oid = Store.fresh_oid store in
+      Store.insert store (Hf_data.Hobject.of_tuples oid [ Tuple.pointer ~key:"R" target ]);
+      let query = { Message.originator = 0; serial = 5 } in
+      let keep, gave = Credit.split Credit.one in
+      let misfit =
+        Frame.frame
+          (Codec.encode
+             (Message.Deref_request
+                { query; body = closure; oid; start = 0; iters = [||]; credit = Credit.atoms gave }))
+      in
+      let sender = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+      Fun.protect
+        ~finally:(fun () -> Unix.close sender)
+        (fun () ->
+          Unix.connect sender (Tcp.address site);
+          List.iter
+            (fun frame ->
+              check_int "written" (String.length frame)
+                (Unix.write_substring sender frame 0 (String.length frame)))
+            [ misfit; deref_frame ~query closure oid keep ];
+          let back = accept_within origin in
+          Fun.protect
+            ~finally:(fun () -> Unix.close back)
+            (fun () ->
+              let deadline = Unix.gettimeofday () +. 5.0 in
+              let rec collect sum =
+                if Credit.equal sum Credit.one || Unix.gettimeofday () > deadline then sum
+                else
+                  collect
+                    (List.fold_left
+                       (fun sum -> function
+                         | Message.Credit_return { query = q; credit }
+                           when Message.equal_query_id q query ->
+                           Credit.add sum (Credit.of_atoms credit)
+                         | message -> Alcotest.failf "unexpected %a" Message.pp message)
+                       sum (read_messages back))
+              in
+              check_bool "both credits come home" true (Credit.equal (collect Credit.zero) Credit.one))))
+
 (* Bytes site [site] has queued for peers whose sockets have not taken
    them yet. *)
 let queued_bytes site =
@@ -638,10 +694,9 @@ let test_stalled_peer () =
       check_bool "frames arrived in send order, none missing" true
         (seqs = List.init (List.length seqs) (fun i -> i + 1)))
 
-(* [shutdown] while a peer has stopped reading returns promptly: the
-   writer thread gives up on the stalled socket instead of blocking the
-   join. *)
-let test_shutdown_during_stall () =
+(* Site 0 with a query's 48 frames queued for a fake peer in slot 1
+   that accepted the connection and does not read it. *)
+let with_stalled_site f =
   let site = Tcp.create ~site:0 () in
   let peer = fake_site ~rcvbuf:4096 () in
   Tcp.set_peers site [| Tcp.address site; Unix.getsockname peer |];
@@ -651,11 +706,76 @@ let test_shutdown_during_stall () =
   let held = accept_within peer in
   Fun.protect
     ~finally:(fun () ->
+      Tcp.shutdown site;
       Unix.close held;
       Unix.close peer)
     (fun () ->
       eventually "frames queue for the stalled peer" (fun () -> queued_bytes site > 0);
-      within ~seconds:5.0 "shutdown" (fun () -> Tcp.shutdown site))
+      f site held)
+
+(* [shutdown] while a peer has stopped reading returns promptly: the
+   site gives up on the stalled socket instead of waiting on it. *)
+let test_shutdown_during_stall () =
+  with_stalled_site (fun site _ -> within ~seconds:5.0 "shutdown" (fun () -> Tcp.shutdown site))
+
+(* A refused write resumes as soon as the peer reads again, with no
+   other traffic to wake the site: every frame arrives whole. *)
+let test_refused_write_resumes () =
+  with_stalled_site (fun site held ->
+      Thread.delay 0.1;
+      check_int "every frame arrives" 48 (List.length (read_messages ~quiet:1.0 held));
+      check_int "nothing left queued" 0 (queued_bytes site))
+
+(* [set_peers] retires a connection whose peer stopped reading: the
+   site gives it up after 50 ms without progress and closes it, so the
+   old peer reads what its socket took, far less than was queued, and
+   then EOF; queries then go to the live site now in that slot. *)
+let test_retire_stalled_connection () =
+  let sites = Array.init 2 (fun site -> Tcp.create ~site ()) in
+  let addresses = Array.map Tcp.address sites in
+  let peer = fake_site ~rcvbuf:4096 () in
+  Tcp.set_peers sites.(0) [| addresses.(0); Unix.getsockname peer |];
+  Tcp.set_peers sites.(1) addresses;
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter Tcp.shutdown sites;
+      Unix.close peer)
+    (fun () ->
+      let fan keyword n =
+        load_fan ~root_store:(Tcp.store sites.(0)) ~leaf_store:(Tcp.store sites.(1)) ~keyword n
+      in
+      let stalled_root = fan big_keyword 48 in
+      let (_ : Tcp.handle) = Tcp.submit_query sites.(0) (fan_program big_keyword) [ stalled_root ] in
+      let held = accept_within peer in
+      Fun.protect
+        ~finally:(fun () -> Unix.close held)
+        (fun () ->
+          eventually "frames queue for the unread peer" (fun () -> queued_bytes sites.(0) > 0);
+          let queued = queued_bytes sites.(0) in
+          Tcp.set_peers sites.(0) addresses;
+          (* past the 50 ms without progress *)
+          Thread.delay 0.2;
+          let chunk = Bytes.create 65536 in
+          let deadline = Unix.gettimeofday () +. 2.0 in
+          let rec read_to_eof got =
+            match Unix.select [ held ] [] [] (Float.max 0.0 (deadline -. Unix.gettimeofday ())) with
+            | [], _, _ -> Alcotest.failf "no EOF within 2 s (%d bytes read)" got
+            | _ -> (
+                match Unix.read held chunk 0 (Bytes.length chunk) with
+                | 0 -> got
+                | n -> read_to_eof (got + n))
+          in
+          let got = read_to_eof 0 in
+          check_bool "the peer reads the bytes its socket took" true (got > 0);
+          check_bool (Printf.sprintf "and not the rest (%d of %d)" got queued) true (got < queued));
+      let free_root = fan "hot" 6 in
+      let outcome = Tcp.run_query ~timeout:10.0 sites.(0) (fan_program "hot") [ free_root ] in
+      check_bool "the query through the new site completes" true (outcome.Tcp.status = Tcp.Complete);
+      check_bool "with the oracle's answer" true
+        (Oid.Set.equal outcome.Tcp.result_set
+           (oracle
+              (Array.to_list (Array.map Tcp.store sites))
+              (fan_program "hot") [ free_root ])))
 
 let test_many_queries_stress () =
   with_sites 3 (fun sites ->
@@ -666,6 +786,78 @@ let test_many_queries_stress () =
         check_int "stable" 4 (List.length outcome.Tcp.results)
       done)
 
+(* The process's threads, or [None] without /proc. *)
+let thread_count () =
+  match Sys.readdir "/proc/self/task" with
+  | tasks -> Some (Array.length tasks)
+  | exception Sys_error _ -> None
+
+let counter site name =
+  match Hf_obs.Registry.find (Tcp.registry site) name with
+  | Some (Hf_obs.Registry.Counter read) -> read ()
+  | Some _ | None -> Alcotest.failf "%s counter missing" name
+
+(* A site runs one service thread and a reader per inbound connection:
+   three wired sites with reliability and a monitor listener hold 9
+   threads once their queries' drainers are done, and none once shut
+   down.  Shutting a site down while it retransmits to a shut-down peer
+   returns promptly. *)
+let test_thread_inventory () =
+  match thread_count () with
+  | None -> () (* no /proc/self/task to count *)
+  | Some _ ->
+    (* the runtime starts its tick thread with the first thread, and
+       threads of earlier cases may still be ending *)
+    Thread.join (Thread.create ignore ());
+    let rec settled n =
+      Thread.delay 0.05;
+      let m = Option.get (thread_count ()) in
+      if m < n then settled m else m
+    in
+    let baseline = settled (Option.get (thread_count ())) in
+    let above () = Option.get (thread_count ()) - baseline in
+    let settles ~at_most =
+      let deadline = Unix.gettimeofday () +. 5.0 in
+      let rec go () =
+        let n = above () in
+        if n <= at_most || Unix.gettimeofday () > deadline then n
+        else begin
+          Thread.delay 0.01;
+          go ()
+        end
+      in
+      go ()
+    in
+    let sites =
+      Array.init 3 (fun site ->
+          Tcp.create ~site ~reliability:fast_reliability ~monitor_port:0 ())
+    in
+    let addresses = Array.map Tcp.address sites in
+    Array.iter (fun site -> Tcp.set_peers site addresses) sites;
+    Fun.protect
+      ~finally:(fun () -> Array.iter Tcp.shutdown sites)
+      (fun () ->
+        (* every directed connection exists once each site has pulled *)
+        Array.iter (fun site -> ignore (Tcp.pull_stats site)) sites;
+        let oids = load_ring sites 12 in
+        Array.iter
+          (fun site ->
+            check_bool "ring query complete" true
+              ((Tcp.run_query site closure [ oids.(0) ]).Tcp.status = Tcp.Complete))
+          sites;
+        let n = settles ~at_most:9 in
+        check_bool (Printf.sprintf "%d threads above the baseline: at most 1 service + 2 readers per site" n)
+          true (n <= 9);
+        Tcp.shutdown sites.(2);
+        (* ring object 2 lives on site 2, which reads but answers nothing *)
+        let (_ : Tcp.handle) = Tcp.submit_query sites.(0) closure [ oids.(2) ] in
+        eventually "site 0 retransmits" (fun () -> counter sites.(0) "hf.net.retransmits" > 0);
+        within ~seconds:5.0 "shutdown while retransmitting" (fun () -> Tcp.shutdown sites.(0));
+        Tcp.shutdown sites.(1);
+        let n = settles ~at_most:0 in
+        check_bool (Printf.sprintf "%d threads above the baseline once all are shut down" n) true
+          (n <= 0))
+
 (* --- site ids from the wire --- *)
 
 (* One reliable frame from fake site [src] (0 here), as [Tcp_site]
@@ -673,12 +865,12 @@ let test_many_queries_stress () =
 let rel_frame ?(src = 0) ~seq message =
   Frame.frame (Codec.encode ~rel:{ Codec.src; seq; ack = 0 } message)
 
-(* A frame that names a site outside the cluster is dropped at the
-   door, like an undecodable one: the frame after it on the same
-   connection is still handled, it leaves no context behind, and the
-   reliability ticker keeps acking.  Site 1 stands between a fake
-   site 0 and itself; [bad] arrives first, then a [Stats_report] from
-   site 0 that only a live reader can file. *)
+(* A frame that names a site outside the cluster, or does not decode,
+   is dropped at the door: the frame after it on the same connection is
+   still handled, it leaves no context behind, and the service thread
+   keeps acking.  Site 1 stands between a fake site 0 and itself; [bad]
+   arrives first, then a [Stats_report] from site 0 that only a live
+   reader can file. *)
 let unknown_site_dropped bad () =
   let origin = fake_site () in
   let site = Tcp.create ~site:1 ~reliability:fast_reliability () in
@@ -763,13 +955,26 @@ let test_unknown_envelope_src =
   unknown_site_dropped
     (rel_frame ~src:unknown ~seq:1 (Message.Stats_report { src = 0; token = 0; stats = [] }))
 
+(* Each of [ns] as a wire varint. *)
+let varints ns =
+  let buf = Buffer.create 32 in
+  List.iter (Codec.write_varint buf) ns;
+  Buffer.contents buf
+
+(* A 19-byte Cache_answers message, behind a reliability envelope from
+   site 0 (seq 1), whose one answer claims 2^55 iterator counters and
+   carries one.  The decoder rejects the count; it once passed it to
+   [Array.init], whose exception escaped [Codec.decode] and killed the
+   reader. *)
+let test_huge_iters_count_dropped =
+  unknown_site_dropped
+    (Frame.frame (varints [ 126; 0; 1; 0; 8; 0; 1; 0; 0; 1; 0; 1; 0; 0; 1 lsl 55; 0 ]))
+
 (* --- cluster-wide stats and profiles (DESIGN.md §4i) --- *)
 
 (* [with_sites] plus the observability knobs. *)
-let with_obs_sites ?tracer ?stats_period ?monitor_port n f =
-  let sites =
-    Array.init n (fun site -> Tcp.create ~site ?tracer ?stats_period ?monitor_port ())
-  in
+let with_obs_sites ?tracer ?monitor_port n f =
+  let sites = Array.init n (fun site -> Tcp.create ~site ?tracer ?monitor_port ()) in
   let addresses = Array.map Tcp.address sites in
   Array.iter (fun site -> Tcp.set_peers site addresses) sites;
   Fun.protect ~finally:(fun () -> Array.iter Tcp.shutdown sites) (fun () -> f sites)
@@ -826,26 +1031,6 @@ let test_stats_pull_three_sites () =
       check_int "merged counter = sum over sites"
         (List.fold_left ( + ) 0 per_site)
         (counter merged "hf.net.messages_sent"))
-
-(* The [stats_period] ticker keeps [known_peer_stats] warm without a
-   client pulling. *)
-let test_periodic_scrape_warms_peer_stats () =
-  with_obs_sites ~stats_period:0.05 3 (fun sites ->
-      let deadline = Unix.gettimeofday () +. 5.0 in
-      let rec wait () =
-        let known = Tcp.known_peer_stats sites.(0) in
-        if List.length known >= 2 || Unix.gettimeofday () > deadline then known
-        else begin
-          Thread.delay 0.02;
-          wait ()
-        end
-      in
-      let known = wait () in
-      Alcotest.(check (list int)) "both peers scraped" [ 1; 2 ] (List.map fst known);
-      List.iter
-        (fun (site, snap) ->
-          check_bool (Printf.sprintf "site %d snapshot non-empty" site) true (snap <> []))
-        known)
 
 (* The always-on monitoring surface: connect to the monitor port, read
    to EOF, get this site's registry as Prometheus text. *)
@@ -938,6 +1123,8 @@ let () =
           Alcotest.test_case "batched ring matches local engine" `Quick
             test_batched_matches_local_engine;
           Alcotest.test_case "repeated queries" `Quick test_many_queries_stress;
+          Alcotest.test_case "thread inventory, shutdown while retransmitting" `Quick
+            test_thread_inventory;
           QCheck_alcotest.to_alcotest
             (prop_tcp_matches_local "TCP = local engine on random datasets");
           QCheck_alcotest.to_alcotest
@@ -960,17 +1147,22 @@ let () =
             test_stalled_peer;
           Alcotest.test_case "shutdown during a stall does not hang" `Quick
             test_shutdown_during_stall;
+          Alcotest.test_case "refused write resumes when the peer reads" `Quick
+            test_refused_write_resumes;
+          Alcotest.test_case "retired stalled connection is given up" `Quick
+            test_retire_stalled_connection;
           Alcotest.test_case "unknown Stats_pull src dropped" `Quick
             test_unknown_stats_pull_src;
           Alcotest.test_case "unknown query originator dropped" `Quick
             test_unknown_query_originator;
           Alcotest.test_case "unknown envelope src dropped" `Quick test_unknown_envelope_src;
+          Alcotest.test_case "huge iterator count dropped" `Quick test_huge_iters_count_dropped;
+          Alcotest.test_case "misfit work item dropped, credit kept" `Quick
+            test_misfit_item_dropped;
         ] );
       ( "observability",
         [
           Alcotest.test_case "stats pull across three sites" `Quick test_stats_pull_three_sites;
-          Alcotest.test_case "periodic scrape warms peer stats" `Quick
-            test_periodic_scrape_warms_peer_stats;
           Alcotest.test_case "monitor surface serves Prometheus text" `Quick
             test_monitor_surface;
           Alcotest.test_case "profile reconciles with outcome" `Quick

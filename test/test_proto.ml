@@ -750,6 +750,32 @@ let prop_garbage_never_raises =
       | Some _ | None -> true
       | exception _ -> false)
 
+(* Element counts come off the wire, so the decoder bounds each by the
+   bytes left in the payload instead of allocating for it.  Two payloads
+   per [count]: a Cache_answers (tag 8) whose one answer claims [count]
+   iterator counters and carries one, and a Credit_return (tag 2) whose
+   credit claims [count] atoms and carries one.  Each must come back as
+   [Error], allocating under 1 MiB. *)
+let test_huge_count count () =
+  let payload prefix =
+    let buf = Buffer.create 32 in
+    List.iter (Codec.write_varint buf) (prefix @ [ count; 0 ]);
+    Buffer.contents buf
+  in
+  List.iter
+    (fun payload ->
+      let before = Gc.allocated_bytes () in
+      let decoded = Codec.decode payload in
+      let allocated = Gc.allocated_bytes () -. before in
+      check_bool "rejected" true (Result.is_error decoded);
+      check_bool (Printf.sprintf "%.0f bytes allocated" allocated) true (allocated < 1048576.0))
+    [
+      (* query (0, 1), src 0, version 0, one answer: oid (0, 1, 0), start 0 *)
+      payload [ 8; 0; 1; 0; 0; 1; 0; 1; 0; 0 ];
+      (* query (0, 1) *)
+      payload [ 2; 0; 1 ];
+    ]
+
 (* --- Reliable link state machine --- *)
 
 module Reliable = Hf_proto.Reliable
@@ -1035,6 +1061,10 @@ let () =
           qtest prop_message_roundtrip;
           qtest prop_truncation_rejected;
           qtest prop_garbage_never_raises;
+          Alcotest.test_case "count 2^24 rejected before allocating" `Quick
+            (test_huge_count (1 lsl 24));
+          Alcotest.test_case "count 2^55 rejected before allocating" `Quick
+            (test_huge_count (1 lsl 55));
         ] );
       ( "frame",
         [
