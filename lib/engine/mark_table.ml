@@ -30,56 +30,29 @@ end
 
 module Key_set = Set.Make (Key)
 
-type t = {
-  table : Key_set.t Hf_data.Oid.Table.t; [@hf.guarded_by "locked"]
-  lock : Mutex.t option;
-      (* Set for the shared-memory multiprocessor engine (paper,
-         Section 6), where several domains share one mark table.  Races
-         between mem and add can only cause duplicate processing, which
-         the paper explicitly tolerates — results are sets. *)
-}
+type t = Key_set.t Hf_data.Oid.Table.t
 
-let create ?(synchronized = false) () =
-  {
-    table = Hf_data.Oid.Table.create 64;
-    lock = (if synchronized then Some (Mutex.create ()) else None);
-  }
-
-let locked t f =
-  match t.lock with
-  | None -> f ()
-  | Some lock ->
-    Mutex.lock lock;
-    Fun.protect ~finally:(fun () -> Mutex.unlock lock) f
+let create () = Hf_data.Oid.Table.create 64
 
 let mem t oid index ~iters =
-  locked t (fun () ->
-      match Hf_data.Oid.Table.find_opt t.table oid with
-      | None -> false
-      | Some set -> Key_set.mem (index, iters) set)
+  match Hf_data.Oid.Table.find_opt t oid with
+  | None -> false
+  | Some set -> Key_set.mem (index, iters) set
 
 let add t oid index ~iters =
-  locked t (fun () ->
-      let set =
-        match Hf_data.Oid.Table.find_opt t.table oid with
-        | None -> Key_set.empty
-        | Some set -> set
-      in
-      Hf_data.Oid.Table.replace t.table oid (Key_set.add (index, iters) set))
+  let set =
+    match Hf_data.Oid.Table.find_opt t oid with None -> Key_set.empty | Some set -> set
+  in
+  Hf_data.Oid.Table.replace t oid (Key_set.add (index, iters) set)
 
 let marks t oid =
-  locked t (fun () ->
-      match Hf_data.Oid.Table.find_opt t.table oid with
-      | None -> []
-      | Some set -> Key_set.elements set)
+  match Hf_data.Oid.Table.find_opt t oid with None -> [] | Some set -> Key_set.elements set
 
 let marked_indices t oid =
   List.sort_uniq Int.compare (List.map fst (marks t oid))
 
-let cardinal t = locked t (fun () -> Hf_data.Oid.Table.length t.table)
+let cardinal t = Hf_data.Oid.Table.length t
 
-let total_marks t =
-  locked t (fun () ->
-      Hf_data.Oid.Table.fold (fun _ set acc -> acc + Key_set.cardinal set) t.table 0)
+let total_marks t = Hf_data.Oid.Table.fold (fun _ set acc -> acc + Key_set.cardinal set) t 0
 
-let clear t = locked t (fun () -> Hf_data.Oid.Table.reset t.table)
+let clear t = Hf_data.Oid.Table.reset t

@@ -13,10 +13,9 @@
 
 type t
 
-val create : ?synchronized:bool -> unit -> t
-(** [synchronized:true] guards every operation with a mutex, for the
-    shared-memory multiprocessor engine (paper, Section 6) where several
-    domains share one table.  Default [false]. *)
+val create : unit -> t
+(** An empty table.  It takes no lock: one thread at a time may use
+    it. *)
 
 val mem : t -> Hf_data.Oid.t -> int -> iters:int array -> bool
 (** Has the object been processed in this state? *)

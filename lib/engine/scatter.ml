@@ -21,27 +21,37 @@ type node = {
   bindings : (string * Hf_data.Value.t list) list;
 }
 
-let node_key oid start = Fmt.str "%a@%d" Oid.pp oid start
+(* A node's key: its object and the program index it starts at.  Oid
+   identity ignores the presumed-site hint, as in [Oid.Table]. *)
+module Pos = struct
+  type t = Oid.t * int
+
+  let equal (a, i) (b, j) = i = j && Oid.equal a b
+
+  let hash (oid, pc) = Hashtbl.hash (Oid.hash oid, pc)
+end
+
+module Pos_table = Hashtbl.Make (Pos)
 
 let eval_site ~plan ~find ~oids ~roots ~stats =
   let landing = Hf_query.Plan.landing_pcs (Plan.program plan) in
-  let seen = Hashtbl.create 64 in
+  let seen = Pos_table.create 64 in
   let domain = ref [] in
   let push oid start =
-    let key = node_key oid start in
-    if not (Hashtbl.mem seen key) then begin
-      Hashtbl.replace seen key ();
+    if not (Pos_table.mem seen (oid, start)) then begin
+      Pos_table.replace seen (oid, start) ();
       domain := (oid, start) :: !domain
     end
   in
   List.iter (fun oid -> push oid 0) roots;
   List.iter (fun oid -> List.iter (fun pc -> push oid pc) landing) oids;
   let iters = Array.make (Plan.iter_count plan) 0 in
+  let marks = Mark_table.create () in
   List.fold_left
     (fun acc (oid, start) ->
-      (* Fresh marks per node: the run is self-contained, and entry
+      (* Empty marks per node: the run is self-contained, and entry
          suppression across nodes is the stitcher's job. *)
-      let marks = Mark_table.create () in
+      Mark_table.clear marks;
       let bindings = ref [] in
       let emit ~target values = bindings := (target, values) :: !bindings in
       let item = Work_item.make ~oid ~start ~iters in
@@ -77,14 +87,20 @@ module Stitch = struct
     plan : Plan.t;
     locate : Oid.t -> int;
     members : (int, unit) Hashtbl.t;  (* the scattered site set *)
-    tables : (int, (string, node) Hashtbl.t) Hashtbl.t;
+    tables : (int, node Pos_table.t) Hashtbl.t;
     roots : (int, Oid.t list) Hashtbl.t;
-    covered : (string, unit) Hashtbl.t;  (* "site/oid@idx" *)
+    covered : (int, unit Pos_table.t) Hashtbl.t;  (* per site: the covered (oid, index) pairs *)
     pending : (int, (Oid.t * int) list ref) Hashtbl.t;
     mutable missing : int;
   }
 
-  let covered_key site oid idx = Fmt.str "%d/%a@%d" site Oid.pp oid idx
+  let cover t site =
+    match Hashtbl.find_opt t.covered site with
+    | Some cover -> cover
+    | None ->
+      let cover = Pos_table.create 64 in
+      Hashtbl.replace t.covered site cover;
+      cover
 
   let create ~plan ~locate ~sites ~roots =
     let members = Hashtbl.create 7 in
@@ -97,7 +113,7 @@ module Stitch = struct
       members;
       tables = Hashtbl.create 7;
       roots = root_tbl;
-      covered = Hashtbl.create 64;
+      covered = Hashtbl.create 7;
       pending = Hashtbl.create 7;
       missing = List.length sites;
     }
@@ -114,9 +130,8 @@ module Stitch = struct
     let q = Queue.create () in
     List.iter (fun e -> Queue.add e q) queue;
     let activate site node =
-      List.iter
-        (fun idx -> Hashtbl.replace t.covered (covered_key site node.oid idx) ())
-        node.visited;
+      let cover = cover t site in
+      List.iter (fun idx -> Pos_table.replace cover (node.oid, idx) ()) node.visited;
       if node.passed then passed := node.oid :: !passed;
       List.iter (fun b -> bindings := b :: !bindings) node.bindings;
       List.iter
@@ -144,11 +159,11 @@ module Stitch = struct
     in
     while not (Queue.is_empty q) do
       let site, oid, start = Queue.pop q in
-      if not (Hashtbl.mem t.covered (covered_key site oid start)) then
+      if not (Pos_table.mem (cover t site) (oid, start)) then
         match Hashtbl.find_opt t.tables site with
         | None -> ()  (* guarded before enqueue; defensive *)
         | Some table -> (
-          match Hashtbl.find_opt table (node_key oid start) with
+          match Pos_table.find_opt table (oid, start) with
           | None -> ()  (* unproductive or dangling: classic drop *)
           | Some node -> activate site node)
     done;
@@ -162,10 +177,8 @@ module Stitch = struct
     if (not (Hashtbl.mem t.members site)) || Hashtbl.mem t.tables site then
       empty_outcome
     else begin
-      let table = Hashtbl.create (max 16 (List.length nodes * 2)) in
-      List.iter
-        (fun node -> Hashtbl.replace table (node_key node.oid node.start) node)
-        nodes;
+      let table = Pos_table.create (max 16 (List.length nodes * 2)) in
+      List.iter (fun node -> Pos_table.replace table (node.oid, node.start) node) nodes;
       Hashtbl.replace t.tables site table;
       t.missing <- t.missing - 1;
       let roots =
@@ -189,7 +202,7 @@ module Stitch = struct
     if (not (Hashtbl.mem t.members site)) || Hashtbl.mem t.tables site then
       empty_outcome
     else begin
-      Hashtbl.replace t.tables site (Hashtbl.create 1);
+      Hashtbl.replace t.tables site (Pos_table.create 1);
       t.missing <- t.missing - 1;
       (* Parked edges and seed roots for the dead site are lost, just
          as classic shipping loses the items it sent there. *)

@@ -2,41 +2,44 @@
 
    This is the paper's Section 3.2 protocol on actual sockets — the same
    wire messages ([Hf_proto.Message], binary codec, length framing) that
-   the simulator accounts for, exchanged between OS processes or threads.
-   Every site runs the identical algorithm ([Hf_server.Site], shared
-   with the simulator): per-query contexts, query shipping on remote
+   the simulator accounts for, exchanged between sites over TCP.  Every
+   site runs the identical algorithm ([Hf_server.Site], shared with the
+   simulator): per-query contexts, query shipping on remote
    dereferences, results flowing straight to the originator,
    weighted-message termination with credit piggybacked on results.
 
-   Threading model (per site):
-   - one service thread sleeps in [Unix.select] on the listeners, a
-     wake-up pipe and every socket holding a refused write.  It accepts
-     connections, answers the monitor port, resumes refused writes,
-     gives up a retired connection after 50 ms without progress, and
-     polls the reliable links;
-   - one reader thread per connection reassembles frames, decodes
-     messages, and handles everything one read delivered under a single
-     hold of the site's state lock;
-   - frames sent under the lock are only queued; the thread releasing
-     the lock writes them, once per destination and without blocking,
-     so a handler never blocks on a peer's socket (no send/receive
-     deadlock);
-   - [submit_query] (called by the embedding client on the originating
-     site) seeds the query through the admission gate and returns a
-     handle; a per-query drainer thread processes the working set in
-     bounded slices, releasing the site lock between slices so
-     concurrent queries interleave.  [await] waits on a condition
-     variable until the origin's detector recovers all credit, or a
-     timeout expires (crashed peers then yield partial results, per the
-     paper's "partial results are better than none").  [run_query] is
-     submit + await.
+   Threading model: a site is a message-driven server with one thread,
+   its event loop ([serve]).  Each round the loop
+   - sleeps in [Unix.select] on the listeners, the wake-up pipe, every
+     inbound socket and every outbound socket holding bytes the kernel
+     has not taken;
+   - accepts connections and answers the monitor port;
+   - reads every readable socket, decodes its frames and handles the
+     messages;
+   - runs the commands client threads posted;
+   - runs one bounded drain slice per runnable query context,
+     round-robin; while any context stays runnable the next [select]
+     does not sleep, the way [Cluster.pump] interleaves tasks;
+   - writes every outbound buffer without blocking;
+   - gives up a retired connection after 50 ms without progress;
+   - polls the reliable links.
+   The loop owns every piece of protocol state, so none of it takes a
+   lock.  A client call ([submit_query], [cancel], [explain], a registry
+   read, ...) posts a command through the wake-up pipe and waits for
+   the loop to run it ([call]).  The one mutex ([handoff]) guards only
+   the command queue and the completions clients wait on; it is never
+   held while a command runs or across a socket call.  [await] waits
+   until the origin's detector recovers all credit, the query is
+   cancelled, or a timeout expires (crashed peers then yield partial
+   results, per the paper's "partial results are better than none").
+   [run_query] is submit + await.
 
    Concurrency (DESIGN.md §4h): any number of queries may be live at
    once.  Shared per-link state needs no per-query keying — reliable
    seq/ack and dedup are link-scoped by design (they protect frames,
    not queries), the remote-answer cache is keyed by (destination,
-   plan, item) which is already query-independent, and work batchers
-   are per-drain locals so batches never mix queries on this engine.
+   plan, item) which is already query-independent, and each drain has
+   its own work batcher, so batches never mix queries on this engine.
    The admission gate ([Hf_server.Sched]) caps in-flight queries per
    origin and queues the rest fairly. *)
 
@@ -49,106 +52,46 @@ let src = Logs.Src.create "hf.net" ~doc:"HyperFile TCP transport"
 
 module Log = (val Logs.src_log src : Logs.LOG)
 
-(* --- outbound connections: buffered frames, written on lock release --- *)
+(* --- connections --- *)
 
-(* A frame sent under the site lock is appended to its destination
-   connection's [pending] buffer, and the thread that releases the lock
-   ([locked]) writes each connection it dirtied, once, without blocking
-   ([conn_flush]).  No thread wakes per frame, and no socket write
-   happens while the site lock or a connection lock is held.  One
-   thread at a time owns a socket ([writing]); the owner takes
-   [pending] again before letting go, so frames reach the wire in the
-   order they were queued.  A write the socket refuses (EAGAIN: the
-   peer stopped reading) passes, with ownership, to the site's service
-   thread, which finishes it as the socket drains. *)
-
+(* A frame for a peer is appended to its connection's buffer, and the
+   loop writes each buffer once a round, without blocking, after it has
+   handled what woke it.  A write the socket refuses (EAGAIN: the peer
+   stopped reading) stays queued until [select] reports the socket
+   writable, so frames reach the wire in the order they were queued. *)
 type out_conn = {
   fd : Unix.file_descr; (* non-blocking *)
-  conn_mutex : Mutex.t;
-  mutable pending : Bytes.t; [@hf.guarded_by "conn_locked"]
-  mutable pending_len : int; [@hf.guarded_by "conn_locked"]
-      (* framed bytes [0, pending_len) of [pending], queued in send
-         order and not yet taken by a writer *)
-  mutable spare : Bytes.t; [@hf.guarded_by "conn_locked"]
-      (* the other buffer: an owner takes [pending] by swapping it for
-         this one and hands it back once written, so a flush allocates
-         nothing *)
-  mutable writing : bool; [@hf.guarded_by "conn_locked"]
-      (* a thread owns the socket and writes it outside every lock *)
-  mutable stalled : (Bytes.t * int * int) option; [@hf.guarded_by "conn_locked"]
-      (* (buffer, off, len): the rest of a chunk the socket refused, set
-         while the service thread owns the socket and kept current as
-         the socket drains *)
-  mutable progress_at : float; [@hf.guarded_by "conn_locked"]
-      (* while [stalled]: when the socket last took bytes *)
-  mutable closing : bool; [@hf.guarded_by "conn_locked"]
-  mutable broken : bool; [@hf.guarded_by "conn_locked"]
-      (* a write failed: frames queued here are lost, and the connection
-         must be replaced before this peer can be written to again *)
-  mutable fd_closed : bool; [@hf.guarded_by "conn_locked"]
+  mutable buf : Bytes.t;
+  mutable off : int;
+  mutable len : int;
+      (* bytes [off, len) of [buf]: framed messages queued in send order
+         and not yet taken by the socket *)
+  mutable progress_at : float; (* once retired: when the socket last took bytes *)
 }
 
-let conn_locked conn f =
-  Mutex.lock conn.conn_mutex;
-  Fun.protect ~finally:(fun () -> Mutex.unlock conn.conn_mutex) f
+type in_conn = { in_fd : Unix.file_descr; (* non-blocking *) decoder : Hf_proto.Frame.Decoder.t }
 
 let buffer_size = 4096
 
-(* Append one framed message, doubling the buffer when it is full. *)
+let queued conn = conn.len - conn.off
+
+(* Append one framed message.  A full buffer first moves its unsent
+   bytes to the front, or doubles when they leave too little room. *)
 let enqueue conn frame =
   let n = String.length frame in
-  let len = conn.pending_len + n in
-  if len > Bytes.length conn.pending then begin
-    let grown = Bytes.create (Int.max len (2 * Bytes.length conn.pending)) in
-    Bytes.blit conn.pending 0 grown 0 conn.pending_len;
-    conn.pending <- grown
+  if conn.len + n > Bytes.length conn.buf then begin
+    let live = queued conn in
+    let buf =
+      if live + n <= Bytes.length conn.buf then conn.buf
+      else Bytes.create (Int.max (live + n) (2 * Bytes.length conn.buf))
+    in
+    Bytes.blit conn.buf conn.off buf 0 live;
+    conn.buf <- buf;
+    conn.off <- 0;
+    conn.len <- live
   end;
-  Bytes.blit_string frame 0 conn.pending conn.pending_len n;
-  conn.pending_len <- len
-[@@hf.requires_lock "conn_locked"]
-
-(* Take everything queued: the caller owns the returned buffer until
-   it hands it back with [give_back]. *)
-let take_pending conn =
-  if conn.pending_len = 0 then None
-  else begin
-    let chunk = (conn.pending, conn.pending_len) in
-    conn.pending <- conn.spare;
-    conn.pending_len <- 0;
-    conn.spare <- Bytes.empty;
-    Some chunk
-  end
-[@@hf.requires_lock "conn_locked"]
-
-(* A buffer a burst grew past 64 KiB is dropped rather than kept at
-   its high-water mark. *)
-let give_back conn buf =
-  conn.spare <- (if Bytes.length buf > 65536 then Bytes.create buffer_size else buf)
-[@@hf.requires_lock "conn_locked"]
-
-(* A retired connection's socket is closed by whoever holds it last:
-   never under a writing owner's feet. *)
-let close_if_idle conn =
-  if conn.closing && (not conn.writing) && not conn.fd_closed then begin
-    conn.fd_closed <- true;
-    try Unix.close conn.fd with Unix.Unix_error _ -> ()
-  end
-[@@hf.requires_lock "conn_locked"]
-
-let release conn =
-  conn.writing <- false;
-  close_if_idle conn
-[@@hf.requires_lock "conn_locked"]
-
-(* A write failed, or a retired connection's peer stopped reading: what
-   is still queued is lost (with reliability on, retransmission
-   re-delivers it over a fresh connection). *)
-let abandon conn =
-  conn.broken <- true;
-  conn.stalled <- None;
-  conn.pending_len <- 0;
-  release conn
-[@@hf.requires_lock "conn_locked"]
+  Bytes.blit_string frame 0 conn.buf conn.len n;
+  conn.len <- conn.len + n
 
 (* Non-blocking write of [buf] from [off] up to [len]: the offset
    reached when the socket takes no more. *)
@@ -157,56 +100,38 @@ let write_some fd buf off len =
   | n -> off + n
   | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> off
 
-(* The owner's loop: write [buf] from [off] up to [len], then each
-   chunk [pending] gathered meanwhile, until nothing is left (ownership
-   released: [None]) or the socket refuses the rest ([Some (buf, off,
-   len)], still owned). *)
-let rec pump conn buf off len =
-  match write_some conn.fd buf off len with
-  | exception Unix.Unix_error _ ->
-    conn_locked conn (fun () -> abandon conn);
-    None
-  | off when off < len -> Some (buf, off, len)
-  | _ -> (
-      match
-        conn_locked conn (fun () ->
-            conn.stalled <- None;
-            give_back conn buf;
-            let next = take_pending conn in
-            if Option.is_none next then release conn;
-            next)
-      with
-      | None -> None
-      | Some (buf, len) -> pump conn buf 0 len)
+(* Write what [conn] holds, as far as the socket takes it; [false] when
+   the write failed and the queued frames are lost (with reliability
+   on, retransmission re-delivers them over a fresh connection). *)
+let flush ~now conn =
+  conn.off = conn.len
+  ||
+  match write_some conn.fd conn.buf conn.off conn.len with
+  | exception Unix.Unix_error _ -> false
+  | off ->
+    if off > conn.off then conn.progress_at <- now;
+    if off < conn.len then conn.off <- off
+    else begin
+      conn.off <- 0;
+      conn.len <- 0;
+      (* a buffer a burst grew past 64 KiB is dropped rather than kept
+         at its high-water mark *)
+      if Bytes.length conn.buf > 65536 then conn.buf <- Bytes.create buffer_size
+    end;
+    true
+
+let close_fd fd = try Unix.close fd with Unix.Unix_error _ -> ()
 
 let open_out_conn addr =
   let fd = Unix.socket PF_INET SOCK_STREAM 0 in
   (match Unix.connect fd addr with
    | () -> ()
    | exception e ->
-     (try Unix.close fd with Unix.Unix_error _ -> ());
+     close_fd fd;
      raise e);
   Unix.setsockopt fd TCP_NODELAY true;
   Unix.set_nonblock fd;
-  {
-    fd;
-    conn_mutex = Mutex.create ();
-    pending = Bytes.create buffer_size;
-    pending_len = 0;
-    spare = Bytes.create buffer_size;
-    writing = false;
-    stalled = None;
-    progress_at = 0.0;
-    closing = false;
-    broken = false;
-    fd_closed = false;
-  }
-
-(* Bytes queued for the peer that the socket has not taken yet. *)
-let conn_backlog conn =
-  conn_locked conn (fun () ->
-      conn.pending_len
-      + match conn.stalled with Some (_, off, len) -> len - off | None -> 0)
+  { fd; buf = Bytes.create buffer_size; off = 0; len = 0; progress_at = 0.0 }
 
 (* --- execution mode (doc/execution_modes.md) --- *)
 
@@ -214,48 +139,49 @@ type exec_mode = Site.exec_mode = Exec_ship | Exec_scatter | Exec_auto
 
 (* --- per-query state --- *)
 
-(* Every mutable part of a context is owned by the site lock: handlers
-   and [run_query] only touch contexts inside [locked]. *)
+(* A context belongs to the loop, except [settled], which clients read. *)
 type context = {
-  core : Hf_engine.Work_item.t Site.ctx; [@hf.guarded_by "locked"]
-      (* the shared per-query state.  [core.active] is the reentrancy
-         depth of [process_to_drain]: a give-up that fires mid-drain
-         must not run the credit-return tail under the outer drain's
-         feet.  [core.buffered] counts items in some live
-         [process_to_drain] batcher.  The credit-return tail waits for
-         both, and for parked items and open gathers, so it runs only
-         once every remote-bound item is on the wire (or served
-         locally). *)
-  mutable held : Credit.t; [@hf.guarded_by "locked"]
-      (* weighted-termination credit at this site *)
+  core : Hf_engine.Work_item.t Site.ctx;
+      (* the shared per-query state.  [core.active] counts drains under
+         way: a give-up that fires mid-drain must not run the
+         credit-return tail under the drain's feet.  [core.buffered]
+         counts items in a drain's batcher.  The credit-return tail
+         waits for both, and for parked items and open gathers, so it
+         runs only once every remote-bound item is on the wire (or
+         served locally). *)
+  mutable held : Credit.t; (* weighted-termination credit at this site *)
+  mutable draining : Hf_engine.Work_item.t Hf_proto.Batch.t option;
+      (* while the context waits in the loop's run queue: its drain's
+         batcher *)
   (* origin-side only *)
-  mutable recovered : Credit.t; [@hf.guarded_by "locked"]
-  mutable terminated : bool; [@hf.guarded_by "locked"]
-  mutable unreachable : int list; [@hf.guarded_by "locked"]
+  mutable recovered : Credit.t;
+  mutable terminated : bool;
+  mutable unreachable : int list;
       (* origin-side: sites whose retry budget was exhausted while this
          query ran — the answer is partial with respect to them *)
-  mutable ran_mode : Hf_query.Plan.mode; [@hf.guarded_by "locked"]
-      (* which execution mode actually ran (origin-side) *)
-  mutable decision : Hf_query.Plan.decision option; [@hf.guarded_by "locked"]
+  mutable ran_mode : Hf_query.Plan.mode; (* which execution mode actually ran (origin-side) *)
+  mutable decision : Hf_query.Plan.decision option;
       (* the planner's verdict, when a planner ran (origin-side) *)
   (* Per-query transport attribution: site-global counters bleed across
      overlapping queries, so each frame is also charged to its query's
      context and outcomes read these instead of global deltas. *)
-  mutable msgs_sent : int; [@hf.guarded_by "locked"]
-  mutable bytes_out : int; [@hf.guarded_by "locked"]
-  mutable queue_wait_s : float; [@hf.guarded_by "locked"]
+  mutable msgs_sent : int;
+  mutable bytes_out : int;
+  mutable queue_wait_s : float;
       (* origin-side: seconds spent in the admission queue before the
          seed ran; 0 for remotely-introduced contexts *)
   (* origin-side admission / cancellation state *)
-  mutable admitted : bool; [@hf.guarded_by "locked"]
-  mutable slot_released : bool; [@hf.guarded_by "locked"]
-  mutable cancelled : bool; [@hf.guarded_by "locked"]
+  mutable admitted : bool;
+  mutable slot_released : bool;
+  mutable cancelled : bool;
+  mutable finished_at : float; (* when it terminated or was cancelled *)
+  mutable settled : bool; [@hf.guarded_by "handoff"]
+      (* terminated or cancelled: what [await] waits for *)
 }
 
 type pending = {
   p_query : Message.query_id;
-  p_seed : unit -> unit;
-      (* runs under the site lock when the queued query takes a slot *)
+  p_seed : unit -> unit; (* runs on the loop when the queued query takes a slot *)
 }
 
 type t = {
@@ -268,36 +194,48 @@ type t = {
   reliability : Hf_proto.Reliable.config option;
       (* ack/retransmit layer; [None] = fire-and-forget (a lost frame or
          crashed peer silently loses messages and their credit) *)
-  links : (int, Message.t Hf_proto.Reliable.t) Hashtbl.t; [@hf.guarded_by "locked"]
+  links : (int, Message.t Hf_proto.Reliable.t) Hashtbl.t;
       (* per-peer reliable-link state, created on first contact *)
   listener : Unix.file_descr; (* non-blocking *)
+  monitor : Unix.file_descr option;
+      (* always-on monitoring surface: a non-blocking loopback listener
+         whose every connection the loop answers with a Prometheus text
+         dump of [registry] *)
   address : Unix.sockaddr;
+  monitor_address : Unix.sockaddr option;
   mutable peers : Unix.sockaddr array; (* index = site id *)
-  conns : (int, out_conn) Hashtbl.t; [@hf.guarded_by "locked"]
-  mutable dirty : out_conn list; [@hf.guarded_by "locked"]
-      (* connections given frames during the current lock hold: the
-         thread that releases the lock writes them *)
-  lock : Mutex.t; (* guards contexts, store access during queries, conns *)
-  done_cond : Condition.t; (* signalled when a local query terminates *)
-  contexts : (Message.query_id, context) Hashtbl.t; [@hf.guarded_by "locked"]
-  mutable next_serial : int; [@hf.guarded_by "locked"]
+  conns : (int, out_conn) Hashtbl.t; (* the outbound connection to each peer *)
+  mutable retired : out_conn list;
+      (* connections replaced or shut down, writing what they still hold *)
+  mutable inbound : in_conn list;
+  chunk : Bytes.t; (* the loop's read buffer *)
+  contexts : (Message.query_id, context) Hashtbl.t;
+  runnable : (Message.query_id * context) Queue.t;
+      (* contexts with a drain under way, in round-robin order *)
+  mutable next_serial : int;
   admission : Sched.config;
-  gate : pending Sched.t; [@hf.guarded_by "locked"]
-      (* admission gate for locally-issued queries (DESIGN.md §4h) *)
-  closed : (Message.query_id, unit) Hashtbl.t; [@hf.guarded_by "locked"]
+  gate : pending Sched.t; (* admission gate for locally-issued queries (DESIGN.md §4h) *)
+  closed : (Message.query_id, unit) Hashtbl.t;
       (* tombstones for evicted queries: late or retransmitted work for
          a query the originator already closed must not resurrect a
          context (its credit is dead — same as a loss).  Bounded FIFO. *)
-  closed_order : Message.query_id Queue.t; [@hf.guarded_by "locked"]
-  mutable running : bool;
-  mutable service : Thread.t option;
-  wake : Unix.file_descr * Unix.file_descr; (* the service thread's pipe: read, write *)
-  wakers : int Atomic.t; (* pokes writing [wake]; negative once [shutdown] closes it *)
-  stall_mutex : Mutex.t; (* a leaf lock, taken last *)
-  mutable stalls : out_conn list; [@hf.guarded_by "stalls_locked"]
-      (* connections holding a refused write, added under the
-         connection's lock: the service thread owns their sockets *)
-  join_errors : int Atomic.t; (* threads that could not be joined on close *)
+  closed_order : Message.query_id Queue.t;
+  mutable running : bool; (* cleared by [shutdown] *)
+  (* the client hand-off *)
+  mutex : Mutex.t; (* a leaf lock, for client threads *)
+  commands : (unit -> unit) Queue.t; [@hf.guarded_by "handoff"]
+  todo : (unit -> unit) Queue.t; (* the commands the loop took this round *)
+  mutable exited : bool; [@hf.guarded_by "handoff"]
+      (* the loop is gone: calls read its final state on the caller *)
+  mutable pulled : int; [@hf.guarded_by "handoff"]
+      (* the newest [Stats_pull] token every peer has answered *)
+  replied : Condition.t; (* the loop ran a command, or exited *)
+  done_cond : Condition.t; (* a query settled, a pull completed, a ticker fired *)
+  mutable loop : Thread.t option;
+  mutable loop_id : int; (* the loop thread's id, once it runs *)
+  wake : Unix.file_descr * Unix.file_descr; (* the loop's pipe: read, write *)
+  wakers : int Atomic.t; (* pokes writing [wake]; negative once the loop closes it *)
+  join_errors : int Atomic.t; (* threads that could not be joined *)
   (* observability.  Sites sharing one tracer (same process, as in
      tests and the demo) get cross-site spans: the wire carries the
      sender's span id and the receiver closes it on arrival, so a work
@@ -306,48 +244,43 @@ type t = {
   tracer : Hf_obs.Tracer.t;
   registry : Hf_obs.Registry.t;
   sent_frame_bytes : Hf_obs.Histogram.t; (* per-message encoded size *)
-  query_rtt : Hf_obs.Histogram.t; (* run_query wall time, seconds *)
+  query_rtt : Hf_obs.Histogram.t; (* awaited queries' response times, seconds *)
   ack_latency : Hf_obs.Histogram.t; (* first-send to cumulative-ack, seconds *)
   (* transport metrics *)
-  mutable messages_sent : int; [@hf.guarded_by "locked"]
-  mutable bytes_sent : int; [@hf.guarded_by "locked"]
-  mutable messages_received : int; [@hf.guarded_by "locked"]
-  mutable retransmits : int; [@hf.guarded_by "locked"]
-  mutable dup_drops : int; [@hf.guarded_by "locked"]
-  mutable acks_sent : int; [@hf.guarded_by "locked"]
-  mutable give_ups : int; [@hf.guarded_by "locked"]
-  proto : Site.t; [@hf.guarded_by "locked"]
+  mutable messages_sent : int;
+  mutable bytes_sent : int;
+  mutable messages_received : int;
+  mutable retransmits : int;
+  mutable dup_drops : int;
+  mutable acks_sent : int;
+  mutable give_ups : int;
+  proto : Site.t;
       (* the protocol state shared with the simulator: the answer cache
          and Bloom summary channel (off = ships every item, the seed
          protocol), the Bloofi tree over learned summaries (off = the
          planner's flat per-peer scan), and the locality memo *)
-  mutable cache_hits : int; [@hf.guarded_by "locked"]
-  mutable cache_misses : int; [@hf.guarded_by "locked"]
-  mutable cache_prunes : int; [@hf.guarded_by "locked"]
-  mutable cache_validations : int; [@hf.guarded_by "locked"]
-  mutable cache_fills : int; [@hf.guarded_by "locked"]
-  mutable cache_invalidations : int; [@hf.guarded_by "locked"]
+  mutable cache_hits : int;
+  mutable cache_misses : int;
+  mutable cache_prunes : int;
+  mutable cache_validations : int;
+  mutable cache_fills : int;
+  mutable cache_invalidations : int;
   (* scatter-gather execution mode (doc/execution_modes.md) *)
   exec : exec_mode;
-  mutable scatter_messages : int; [@hf.guarded_by "locked"]
-  mutable gather_messages : int; [@hf.guarded_by "locked"]
-  mutable gather_nodes : int; [@hf.guarded_by "locked"]
-  mutable scatter_fallbacks : int; [@hf.guarded_by "locked"]
-  mutable planner_scatter : int; [@hf.guarded_by "locked"]
-  mutable planner_ship : int; [@hf.guarded_by "locked"]
+  mutable scatter_messages : int;
+  mutable gather_messages : int;
+  mutable gather_nodes : int;
+  mutable scatter_fallbacks : int;
+  mutable planner_scatter : int;
+  mutable planner_ship : int;
   (* cluster-wide stats scraping and monitoring (DESIGN.md §4i) *)
-  mutable stats_token : int; [@hf.guarded_by "locked"]
+  mutable stats_token : int;
       (* last Stats_pull token issued by this site; replies carrying an
          older token never satisfy a waiting [pull_stats] *)
-  peer_stats : (int, Hf_obs.Registry.snapshot) Hashtbl.t; [@hf.guarded_by "locked"]
+  peer_stats : (int, Hf_obs.Registry.snapshot) Hashtbl.t;
       (* peer -> last registry snapshot received from it *)
-  peer_stats_token : (int, int) Hashtbl.t; [@hf.guarded_by "locked"]
+  peer_stats_token : (int, int) Hashtbl.t;
       (* peer -> highest pull token that snapshotting has answered *)
-  stats_cond : Condition.t; (* signalled when a Stats_report lands *)
-  mutable monitor : Unix.file_descr option;
-      (* always-on monitoring surface: a non-blocking loopback listener
-         whose every connection the service thread answers with a
-         Prometheus text dump of [registry] *)
   admission_wait : Hf_obs.Histogram.t; (* submit-to-seed queue wait, seconds *)
 }
 
@@ -358,137 +291,76 @@ let qname query = Fmt.str "%a" Message.pp_query_id query
 (* A span for [query] at this site, under its evaluation span. *)
 let ctx_span t ctx query phase name =
   Hf_obs.Tracer.start t.tracer ~parent:ctx.core.span ~query:(qname query) ~site:t.id ~phase name
-[@@hf.requires_lock "locked"]
 
-let take_dirty t =
-  let dirty = t.dirty in
-  t.dirty <- [];
-  dirty
-[@@hf.requires_lock "locked"]
+(* --- the client hand-off --- *)
 
-let stalls_locked t f =
-  Mutex.lock t.stall_mutex;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.stall_mutex) f
+let handoff t f =
+  Mutex.lock t.mutex;
+  Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f
 
-(* Wake the service thread: one byte down its pipe, unless a full pipe
-   already holds a wake or [shutdown] has closed it. *)
+(* Wake the loop: one byte down its pipe, unless a full pipe already
+   holds a wake or the loop has closed it. *)
 let wake t =
   if Atomic.fetch_and_add t.wakers 1 >= 0 then
     (try ignore (Unix.single_write_substring (snd t.wake) "!" 0 1) with Unix.Unix_error _ -> ());
   Atomic.decr t.wakers
 
-(* Write what [conn] has queued without blocking.  Run by the thread
-   that released the site lock, holding no lock; a socket that refuses
-   the rest hands it, with ownership, to the service thread, unless the
-   connection is retired, which drops it. *)
-let conn_flush t conn =
-  match
-    conn_locked conn (fun () ->
-        if conn.writing || conn.broken || conn.fd_closed then None
-        else begin
-          let chunk = take_pending conn in
-          if Option.is_some chunk then conn.writing <- true;
-          chunk
-        end)
-  with
-  | None -> ()
-  | Some (buf, len) -> (
-      match pump conn buf 0 len with
-      | None -> ()
-      | Some rest ->
-        if
-          conn_locked conn (fun () ->
-              if conn.closing then abandon conn
-              else begin
-                conn.stalled <- Some rest;
-                conn.progress_at <- Unix.gettimeofday ();
-                stalls_locked t (fun () -> t.stalls <- conn :: t.stalls)
-              end;
-              not conn.closing)
-        then wake t)
+(* Run [f] on the loop and return its result, or raise its exception.
+   On the loop thread itself [f] runs inline: a gauge read during a
+   monitor dump or a [Stats_pull] answer.  Once the loop has exited,
+   [f] runs on the caller over the loop's final state: the calls that
+   would change it do nothing, or raise, on a shut-down site. *)
+let call t f =
+  if Thread.id (Thread.self ()) = t.loop_id then f ()
+  else begin
+    let reply = ref None in
+    let command () =
+      let result = match f () with v -> Ok v | exception e -> Error e in
+      handoff t (fun () ->
+          reply := Some result;
+          Condition.broadcast t.replied)
+    in
+    if handoff t (fun () -> (not t.exited) && (Queue.push command t.commands; true)) then wake t;
+    match
+      handoff t (fun () ->
+          while Option.is_none !reply && not t.exited do
+            Condition.wait t.replied t.mutex
+          done;
+          !reply)
+    with
+    | Some (Ok v) -> v
+    | Some (Error e) -> raise e
+    | None -> f ()
+  end
 
-(* The site's critical section.  Frames sent inside it are only
-   queued; on the way out the releasing thread writes every connection
-   they dirtied, after unlocking, so one lock hold costs at most one
-   write per destination. *)
-let locked t f =
-  Mutex.lock t.lock;
+(* Tell the clients waiting on [ctx] that it terminated or was
+   cancelled. *)
+let settle t ctx =
+  ctx.finished_at <- Unix.gettimeofday ();
+  handoff t (fun () ->
+      ctx.settled <- true;
+      Condition.broadcast t.done_cond)
+
+(* Run [f] while a ticker thread broadcasts [done_cond] every [tick]
+   seconds: the stdlib's Condition.wait has no timeout, so the ticks
+   let a waiter see its deadline pass.  The ticker is joined before
+   this returns. *)
+let with_ticker t tick f =
+  let stop = Atomic.make false in
+  let ticker =
+    Thread.create
+      (fun () ->
+        while not (Atomic.get stop) do
+          Thread.delay tick;
+          handoff t (fun () -> Condition.broadcast t.done_cond)
+        done)
+      ()
+  in
   Fun.protect
     ~finally:(fun () ->
-      let dirty = take_dirty t in
-      Mutex.unlock t.lock;
-      List.iter (conn_flush t) dirty)
+      Atomic.set stop true;
+      try Thread.join ticker with _ -> Atomic.incr t.join_errors)
     f
-
-(* Queue one frame on [conn] for the releasing thread to write. *)
-let conn_send t conn payload =
-  conn_locked conn (fun () -> enqueue conn (Hf_proto.Frame.frame payload));
-  if not (List.memq conn t.dirty) then t.dirty <- conn :: t.dirty
-[@@hf.requires_lock "locked"]
-
-(* Retire a connection: the socket closes now, or when its current
-   owner lets go; frames still queued on it are dropped. *)
-let conn_discard conn =
-  conn_locked conn (fun () ->
-      conn.closing <- true;
-      conn.pending_len <- 0;
-      close_if_idle conn)
-
-(* --- refused writes: what the service thread owns --- *)
-
-let give_up_s = 0.05
-
-(* One round of the service loop's write half: take [stalls], sleep in
-   [select] until one of [reads] is readable, a refused write's socket
-   takes bytes, or the earliest deadline passes (a retired connection's
-   is [give_up_s] after its socket last took bytes), then resume or give
-   up each write and put back those still refused.  Returns the
-   readable descriptors and whether any write was waited on. *)
-let serve_stalls t ~reads deadline =
-  let stalls =
-    List.filter_map
-      (fun conn ->
-        conn_locked conn (fun () ->
-            Option.map
-              (fun rest ->
-                (conn, rest, if conn.closing then conn.progress_at +. give_up_s else infinity))
-              conn.stalled))
-      (stalls_locked t (fun () ->
-           let taken = t.stalls in
-           t.stalls <- [];
-           taken))
-  in
-  if reads = [] && stalls = [] then ([], false)
-  else begin
-    let deadline = List.fold_left (fun d (_, _, due) -> Float.min d due) deadline stalls in
-    let timeout =
-      if deadline = infinity then -1.0 else Float.max 0.0 (deadline -. Unix.gettimeofday ())
-    in
-    let readable, ready, _ =
-      try Unix.select reads (List.map (fun (conn, _, _) -> conn.fd) stalls) [] timeout
-      with Unix.Unix_error (EINTR, _, _) -> ([], [], [])
-    in
-    let now = Unix.gettimeofday () in
-    let still =
-      List.filter
-        (fun (conn, (buf, off, len), due) ->
-          if List.mem conn.fd ready then (
-            match pump conn buf off len with
-            | None -> false
-            | Some rest ->
-              conn_locked conn (fun () ->
-                  conn.stalled <- Some rest;
-                  conn.progress_at <- now);
-              true)
-          else if now >= due then (
-            conn_locked conn (fun () -> abandon conn);
-            false)
-          else true)
-        stalls
-    in
-    stalls_locked t (fun () -> t.stalls <- List.map (fun (conn, _, _) -> conn) still @ t.stalls);
-    (readable, stalls <> [])
-  end
 
 (* --- stats snapshots on the wire (DESIGN.md §4i) --- *)
 
@@ -548,44 +420,27 @@ let link_for t dst =
     in
     Hashtbl.replace t.links dst link;
     link
-[@@hf.requires_lock "locked"]
 
 (* One physical transmission attempt: connection management plus frame
    encoding.  [seq] is the reliability sequence number (0 when
    unsequenced — reliability off, or a standalone [Link_ack]); the
    cumulative ack for the reverse direction is peeked immediately
    before the frame is queued, so every outgoing envelope carries the
-   freshest ack.  A connection whose last write failed is replaced
-   here — with reliability on, whatever it lost is retransmitted.  A
-   shut-down site opens no connection: its reader threads may still
-   handle frames, but what they send is dropped. *)
+   freshest ack.  A connection whose write failed is gone from
+   [conns], and the next frame opens a fresh one — with reliability
+   on, whatever the old one lost is retransmitted.  A shut-down site
+   opens no connection, so what it sends is dropped. *)
 let transmit_raw t ?(span = 0) ~seq ~dst message =
-  let reopen () =
-    if not t.running then None
-    else
-      match
-        (open_out_conn t.peers.(dst)
-         [@hf.allow
-           "blocking-under-lock -- peers are loopback sockets: connect either \
-            completes immediately (the listener's backlog accepts) or fails \
-            fast with ECONNREFUSED; an async reconnect queue is tracked \
-            roadmap work"])
-      with
-      | conn ->
-        Hashtbl.replace t.conns dst conn;
-        Some conn
-      | exception Unix.Unix_error _ -> None (* peer down *)
-  in
   let conn =
     match Hashtbl.find_opt t.conns dst with
-    | Some conn ->
-      if conn_locked conn (fun () -> conn.broken) then begin
-        conn_discard conn;
-        Hashtbl.remove t.conns dst;
-        reopen ()
-      end
-      else Some conn
-    | None -> reopen ()
+    | Some _ as conn -> conn
+    | None when not t.running -> None
+    | None -> (
+        match open_out_conn t.peers.(dst) with
+        | conn ->
+          Hashtbl.replace t.conns dst conn;
+          Some conn
+        | exception Unix.Unix_error _ -> None (* peer down *))
   in
   match conn with
   | None -> Hf_obs.Tracer.finish ~detail:"peer down" t.tracer span
@@ -620,8 +475,7 @@ let transmit_raw t ?(span = 0) ~seq ~dst message =
         | None -> ())
     | None -> ());
     Hf_obs.Histogram.observe t.sent_frame_bytes (float_of_int (String.length payload));
-    conn_send t conn payload
-[@@hf.requires_lock "locked"]
+    enqueue conn (Hf_proto.Frame.frame payload)
 
 (* --- query contexts --- *)
 
@@ -636,6 +490,7 @@ let new_context t ?(cause = 0) ~query program =
     {
       core = Site.context ~query ~span program;
       held = Credit.zero;
+      draining = None;
       recovered = Credit.zero;
       terminated = false;
       unreachable = [];
@@ -647,13 +502,26 @@ let new_context t ?(cause = 0) ~query program =
       admitted = false;
       slot_released = false;
       cancelled = false;
+      finished_at = 0.0;
+      settled = false;
     }
   in
   Hashtbl.replace t.contexts query ctx;
   ctx
-[@@hf.requires_lock "locked"]
 
-(* --- context eviction (ISSUE 6 satellite S1) --- *)
+(* Put [ctx] in the run queue, unless a drain is already under way;
+   the drain's batcher either way. *)
+let schedule t query ctx =
+  match ctx.draining with
+  | Some out -> out
+  | None ->
+    let out = Hf_proto.Batch.create t.batch_policy in
+    ctx.draining <- Some out;
+    ctx.core.active <- ctx.core.active + 1;
+    Queue.push (query, ctx) t.runnable;
+    out
+
+(* --- context eviction --- *)
 
 (* A terminated (or cancelled) query must leave no per-site state
    behind: under concurrency the contexts table is long-lived working
@@ -669,13 +537,13 @@ let mark_closed t query =
     if Queue.length t.closed_order > tombstone_cap then
       Hashtbl.remove t.closed (Queue.pop t.closed_order)
   end
-[@@hf.requires_lock "locked"]
 
 (* Drop the query's context and tombstone its id.  The record itself
    stays reachable from any live handle (origin side), so [await] can
    still read the final results; what this reclaims is the table entry,
-   the working set and the parked items — and the tombstone makes a
-   late Work_batch for the query die at the door instead of
+   the working set, a drain's batcher and the parked items — the run
+   queue lets go of the context at its next turn — and the tombstone
+   makes a late Work_batch for the query die at the door instead of
    resurrecting an empty context. *)
 let evict_context t query (ctx : context) =
   (* Eviction happens on the cancel / Query_done / termination paths:
@@ -687,27 +555,25 @@ let evict_context t query (ctx : context) =
       query no longer needs the termination detector to converge, so \
       its residual credit is deliberately destroyed"]);
   ctx.held <- Credit.zero;
+  ctx.draining <- None;
   Hf_obs.Tracer.finish t.tracer ctx.core.span;
   Hf_util.Deque.clear ctx.core.work;
   Site.drop_parked ctx.core;
   Hashtbl.reset ctx.core.validating;
   Hashtbl.remove t.contexts query;
   mark_closed t query
-[@@hf.requires_lock "locked"]
 
 (* Free the admission slot a finished/cancelled local query held; a
-   queued submission, if any, takes over the slot and is seeded here,
-   still under the site lock. *)
+   queued submission, if any, takes over the slot and is seeded
+   here. *)
 let release_slot t (ctx : context) =
   if ctx.admitted && not ctx.slot_released then begin
     ctx.slot_released <- true;
     match Sched.release t.gate with Some job -> job.p_seed () | None -> ()
   end
-[@@hf.requires_lock "locked"]
 
 let note_unreachable ctx dead =
   if not (List.mem dead ctx.unreachable) then ctx.unreachable <- dead :: ctx.unreachable
-[@@hf.requires_lock "locked"]
 
 (* Front door for outgoing messages.  With reliability off this is a
    single fire-and-forget transmission — seed behavior, byte-identical
@@ -799,7 +665,6 @@ and give_up_message t ~dst message =
      tombstone-less context until its own give-ups reclaim it.  Stats
      messages are credit-free by design — losing one costs a stale
      scrape, nothing more. *)
-[@@hf.requires_lock "locked"]
 
 (* --- the cache layer (DESIGN.md §4g) --- *)
 
@@ -825,7 +690,6 @@ and ships t query ~dst (route : Site.route) =
     t.cache_validations <- t.cache_validations + 1;
     send t ~dst (Message.Cache_validate { query; src = t.id });
     false
-[@@hf.requires_lock "locked"]
 
 (* Un-park every item waiting on [dst].  [Some version]: resolve each
    against the vouched version.  [None] (the validation round trip gave
@@ -839,7 +703,6 @@ and release_parked t query ctx ~dst version =
   in
   send_work_batch t query ctx ~dst misses;
   finish_drain t query ctx
-[@@hf.requires_lock "locked"]
 
 (* Route one remote-bound item: plain batcher push with caching off;
    with it on, resolve against the validated version, or park behind a
@@ -854,7 +717,6 @@ and route_remote t query ctx ~out wi =
       ctx.core.buffered <- ctx.core.buffered - List.length items;
       send_work_batch t query ctx ~dst items
   end
-[@@hf.requires_lock "locked"]
 
 (* Ship a batch of work items to [dst], splitting the sender's credit
    once for the whole batch.  A single item goes as a plain
@@ -901,7 +763,6 @@ and send_work_batch t query ctx ~dst items =
                 credit;
               };
             ]))
-[@@hf.requires_lock "locked"]
 
 (* Stitch in [src]'s gather at the originator (scatter-gather mode):
    chains that escaped the scattered site set re-enter the classic
@@ -914,7 +775,6 @@ and stitch_gather t query ctx ~src nodes =
   let fallback = Site.gather t.proto ctx.core ~site:src nodes in
   t.scatter_fallbacks <- t.scatter_fallbacks + List.length fallback;
   route_now t query ctx fallback
-[@@hf.requires_lock "locked"]
 
 (* Ship everything [out] still buffers. *)
 and flush_out t query ctx out =
@@ -923,20 +783,18 @@ and flush_out t query ctx out =
       ctx.core.buffered <- ctx.core.buffered - List.length items;
       send_work_batch t query ctx ~dst items)
     (Hf_proto.Batch.flush_all out)
-[@@hf.requires_lock "locked"]
 
 (* Route [items] through a batcher of their own and ship them at once. *)
 and route_now t query ctx items =
   let out = Hf_proto.Batch.create t.batch_policy in
   List.iter (route_remote t query ctx ~out) items;
   flush_out t query ctx out
-[@@hf.requires_lock "locked"]
 
 (* The credit-return tail: ship buffered results (credit riding along)
    to the originator, or at the originator recover the held credit.
-   Gated on [Site.ready] — it must not run while a [process_to_drain]
-   is still active, while items sit in a live batcher or wait on a
-   validation round trip: credit would go home before those items'
+   Gated on [Site.ready] — it must not run while a drain is still
+   under way, while items sit in a batcher or wait on a validation
+   round trip: credit would go home before those items'
    share was split off, and the originator would see termination with
    work outstanding. *)
 and finish_drain t query ctx =
@@ -974,12 +832,11 @@ and finish_drain t query ctx =
       end
     end
   end
-[@@hf.requires_lock "locked"]
 
 (* Process at most [budget] items of the working set; [true] iff work
-   remains.  One bounded slice per lock hold is what lets N queries
-   share a site: the old drain held the lock from first item to credit
-   return, serializing every other query (and every incoming message)
+   remains.  One bounded slice per context per round is what lets N
+   queries share a site: a drain from first item to credit return
+   would hold back every other query, and every incoming message,
    behind it.
 
    Remote spawns pass through the cache layer and a per-destination
@@ -1007,7 +864,6 @@ and drain_slice t query ctx ~out ~budget =
         step (n - 1)
   in
   step budget
-[@@hf.requires_lock "locked"]
 
 (* Credit recovered at the origin: check for global termination.  In
    the chain because termination broadcasts [Query_done] (through
@@ -1017,7 +873,7 @@ and credit_recovered t query ctx credit =
   if Credit.is_one ctx.recovered && not ctx.terminated then begin
     ctx.terminated <- true;
     Log.debug (fun m -> m "site %d: query %a terminated" t.id Message.pp_query_id query);
-    (* Termination is the eviction point (satellite S1): drop our own
+    (* Termination is the eviction point: drop our own
        context first — so the broadcast frames are not charged to the
        query's outcome — then tell every peer to drop theirs and free
        the admission slot.  The handle still references the context
@@ -1025,9 +881,8 @@ and credit_recovered t query ctx credit =
     evict_context t query ctx;
     broadcast_query_done t query;
     release_slot t ctx;
-    Condition.broadcast t.done_cond
+    settle t ctx
   end
-[@@hf.requires_lock "locked"]
 
 (* [Query_done] goes to every peer, not just the ones this site talked
    to: third-party shipping (B spawns work for C) opens contexts at
@@ -1037,11 +892,13 @@ and broadcast_query_done t query =
     (fun peer _ ->
       if peer <> t.id then send t ~dst:peer (Message.Query_done { query; src = t.id }))
     t.peers
-[@@hf.requires_lock "locked"]
 
-(* Backpressure (DESIGN.md §4h): pause shipping while any reliable link
-   holds at least [link_window] unacked frames — the sender is outrunning
-   what the loss-recovery window can protect. *)
+(* --- draining --- *)
+
+(* Backpressure (DESIGN.md §4h): stop evaluating while any reliable
+   link holds at least [link_window] unacked frames — the sender is
+   outrunning what the loss-recovery window can protect.  An ack or a
+   link poll frees it. *)
 let link_congested t =
   match (t.admission.Sched.link_window, t.reliability) with
   | Some window, Some _ ->
@@ -1049,49 +906,39 @@ let link_congested t =
       (fun _ link acc -> acc || Hf_proto.Reliable.in_flight link >= window)
       t.links false
   | None, _ | _, None -> false
-[@@hf.requires_lock "locked"]
 
 let drain_slice_budget = 64
 
-(* Process the working set to empty in bounded slices, then run the
-   credit-return tail.  Takes and releases the site lock per slice —
-   with a yield (or, under link congestion, a short sleep) in between —
-   so concurrent queries and incoming messages interleave with a long
-   drain instead of queueing behind it.  [seeds] are the query's initial
-   oids (origin side): they ride the same cache layer and batcher as
-   spawned work, exactly as the single-query engine shipped them.
-
-   Reentrancy: several threads may drain the same context — items are
-   popped under the lock, so each is processed once, and the
-   [ctx.core.active] depth keeps the credit tail gated until the last
-   drainer's flush is out. *)
-let process_to_drain ?(seeds = []) t query ctx =
-  let out = Hf_proto.Batch.create t.batch_policy in
-  locked t (fun () ->
-      ctx.core.active <- ctx.core.active + 1;
-      List.iter
-        (fun oid ->
-          let wi = Hf_engine.Work_item.initial ctx.core.plan oid in
-          if locate oid = t.id then Hf_util.Deque.push_back ctx.core.work wi
-          else route_remote t query ctx ~out wi)
-        seeds);
-  let rec loop () =
-    let more, congested =
-      locked t (fun () ->
-          let more = drain_slice t query ctx ~out ~budget:drain_slice_budget in
-          (more, more && link_congested t))
-    in
-    if more then begin
-      if congested then Thread.delay 0.0005 else Thread.yield ();
-      loop ()
-    end
-  in
-  loop ();
-  locked t (fun () ->
+(* One turn of [ctx] in the run queue: a bounded slice of its working
+   set, skipped while [congested], and once that is empty, the flush of
+   its batcher and the credit-return tail.  [true] iff the context stays
+   runnable.  An evicted context has no batcher left and leaves the
+   queue. *)
+let drain_step t ~congested query ctx =
+  match ctx.draining with
+  | None -> false
+  | Some out ->
+    (congested && not (Hf_util.Deque.is_empty ctx.core.work))
+    || drain_slice t query ctx ~out ~budget:drain_slice_budget
+    || begin
+      ctx.draining <- None;
       (* drained: flush buffered work before any credit goes back *)
       flush_out t query ctx out;
       ctx.core.active <- ctx.core.active - 1;
-      finish_drain t query ctx)
+      finish_drain t query ctx;
+      false
+    end
+
+(* Start a drain of [ctx] over the query's initial oids (origin side):
+   they ride the same cache layer and batcher as spawned work. *)
+let seed_drain t query ctx seeds =
+  let out = schedule t query ctx in
+  List.iter
+    (fun oid ->
+      let wi = Hf_engine.Work_item.initial ctx.core.plan oid in
+      if locate oid = t.id then Hf_util.Deque.push_back ctx.core.work wi
+      else route_remote t query ctx ~out wi)
+    seeds
 
 (* --- the execution-mode planner (doc/execution_modes.md) --- *)
 
@@ -1117,11 +964,6 @@ let plan_decision t program initial =
         p_local;
       })
     program initial
-[@@hf.requires_lock "locked"]
-
-(* The planner's verdict for a query, without running it — [hfql :plan]
-   renders this. *)
-let explain t program initial = locked t (fun () -> plan_decision t program initial)
 
 (* Origin half of a scatter round: split one credit share per scattered
    site, broadcast the program, then evaluate the origin's own domain
@@ -1130,37 +972,25 @@ let explain t program initial = locked t (fun () -> plan_decision t program init
    verdict for its site) lands, so the origin's held credit cannot go
    home while stitched chains may still become fallback work. *)
 let scatter_seed t query ctx ~sites initial =
-  locked t (fun () ->
-      let roots_of, stray = Site.scatter_seed t.proto ctx.core ~sites initial in
-      let body = Hf_engine.Plan.program ctx.core.plan in
-      List.iter
-        (fun dst ->
-          let keep, gave = Credit.split ctx.held in
-          ctx.held <- keep;
-          t.scatter_messages <- t.scatter_messages + 1;
-          let span = ctx_span t ctx query Hf_obs.Span.Scatter (Fmt.str "scatter->%d" dst) in
-          Hf_obs.Tracer.set_detail t.tracer span
-            (Fmt.str "%d root(s)" (List.length (roots_of dst)));
-          send t ~span ~dst
-            (Message.Scatter
-               { query; body; roots = roots_of dst; credit = Credit.atoms gave }))
-        sites;
-      let nodes = Site.eval_domain t.proto ctx.core ~roots:(roots_of t.id) in
-      stitch_gather t query ctx ~src:t.id nodes;
-      (* Stray seeds — oids located outside origin ∪ predicted, possible
-         only if prediction raced a relocation — ship classically, same
-         contract as an escaped chain. *)
-      route_now t query ctx (List.map (Hf_engine.Work_item.initial ctx.core.plan) stray);
-      finish_drain t query ctx)
-
-(* Answer a [Stats_pull]: snapshot our registry and ship it back.  The
-   snapshot MUST be taken outside the site lock — registry gauges read
-   site state under [locked], and the mutex is not reentrant — so the
-   pull handler defers here, after [handle_message] releases the
-   lock. *)
-let report_stats t ~dst ~token =
-  let stats = stats_of_snapshot (Hf_obs.Registry.snapshot t.registry) in
-  locked t (fun () -> send t ~dst (Message.Stats_report { src = t.id; token; stats }))
+  let roots_of, stray = Site.scatter_seed t.proto ctx.core ~sites initial in
+  let body = Hf_engine.Plan.program ctx.core.plan in
+  List.iter
+    (fun dst ->
+      let keep, gave = Credit.split ctx.held in
+      ctx.held <- keep;
+      t.scatter_messages <- t.scatter_messages + 1;
+      let span = ctx_span t ctx query Hf_obs.Span.Scatter (Fmt.str "scatter->%d" dst) in
+      Hf_obs.Tracer.set_detail t.tracer span (Fmt.str "%d root(s)" (List.length (roots_of dst)));
+      send t ~span ~dst
+        (Message.Scatter { query; body; roots = roots_of dst; credit = Credit.atoms gave }))
+    sites;
+  let nodes = Site.eval_domain t.proto ctx.core ~roots:(roots_of t.id) in
+  stitch_gather t query ctx ~src:t.id nodes;
+  (* Stray seeds — oids located outside origin ∪ predicted, possible
+     only if prediction raced a relocation — ship classically, same
+     contract as an escaped chain. *)
+  route_now t query ctx (List.map (Hf_engine.Work_item.initial ctx.core.plan) stray);
+  finish_drain t query ctx
 
 (* --- incoming messages --- *)
 
@@ -1172,7 +1002,6 @@ let work_context t ~span query body =
     match Hashtbl.find_opt t.contexts query with
     | Some _ as found -> found
     | None -> Some (new_context t ~cause:span ~query body)
-[@@hf.requires_lock "locked"]
 
 (* Bank an arriving item if it fits the plan of the context it joins:
    one counter per iterator slot, a start inside the program.  A misfit
@@ -1187,7 +1016,37 @@ let bank t ctx ~oid ~start ~iters =
     Log.warn (fun m ->
         m "site %d: work item for %a (start %d, %d counter(s)) does not fit its query; dropped"
           t.id Hf_data.Oid.pp oid start (Array.length iters))
-[@@hf.requires_lock "locked"]
+
+(* Credit arriving with work: deposit it, bank the items and put the
+   context in the run queue. *)
+let take_work t ~span query body credit items =
+  match work_context t ~span query body with
+  | None -> ()
+  | Some ctx ->
+    ctx.held <- Credit.add ctx.held (Credit.of_atoms credit);
+    List.iter
+      (fun ({ oid; start; iters } : Message.batch_item) -> bank t ctx ~oid ~start ~iters)
+      items;
+    ignore (schedule t query ctx)
+
+(* Once every peer has answered the newest pull, wake [pull_stats]. *)
+let note_pulled t =
+  let answered peer =
+    peer = t.id
+    || Option.value ~default:0 (Hashtbl.find_opt t.peer_stats_token peer) >= t.stats_token
+  in
+  if List.for_all answered (List.init (Array.length t.peers) Fun.id) then
+    handoff t (fun () ->
+        t.pulled <- t.stats_token;
+        Condition.broadcast t.done_cond)
+
+let file_report t ~peer ~token stats =
+  Hashtbl.replace t.peer_stats peer (snapshot_of_stats stats);
+  (* tokens only ratchet up: a late report to an older pull must not
+     make the current one look unanswered again *)
+  let prev = Option.value ~default:0 (Hashtbl.find_opt t.peer_stats_token peer) in
+  if token > prev then Hashtbl.replace t.peer_stats_token peer token;
+  note_pulled t
 
 (* [span] is the sender's shipping span carried on the wire (0 when the
    sender traced nothing): it is closed here — arrival time — and new
@@ -1199,15 +1058,15 @@ let bank t ctx ~oid ~start ~iters =
    handler — a retransmitted duplicate dies here, never re-evaluating
    work or re-depositing credit.
 
-   Work arms do not drain under the handler's lock hold: they bank the
-   items and return the touched contexts, and [handle_read] drains them
-   after the lock is released, in bounded slices ([process_to_drain]) —
-   this is what lets queries from several origins make progress on one
-   site concurrently.  Work for a tombstoned (already closed) query
-   dies here: its credit is dead by construction — the originator only
-   closes after the detector converged.  A [Stats_pull] lands in
-   [pulls], answered once the lock is released. *)
-let handle_message t ~pulls ~span ?rel message =
+   Work arms do not drain here: they bank the items and put the context
+   in the run queue, which drains it once every frame the loop read in
+   this round is handled, in bounded slices interleaved with every
+   other runnable context — this is what lets queries from several
+   origins make progress on one site concurrently.  Work for a
+   tombstoned (already closed) query dies here: its credit is dead by
+   construction — the originator only closes after the detector
+   converged. *)
+let handle_message t ~span ?rel message =
   t.messages_received <- t.messages_received + 1;
   Hf_obs.Tracer.finish t.tracer span;
   let fresh =
@@ -1228,49 +1087,32 @@ let handle_message t ~pulls ~span ?rel message =
         Log.debug (fun m -> m "site %d: duplicate seq %d from %d dropped" t.id seq peer);
         false)
   in
-  if not fresh then []
-  else
+  if fresh then
   match (message : Message.t) with
-  | Message.Deref_request { query; body; oid; start; iters; credit } -> (
-    match work_context t ~span query body with
-    | None -> []
-    | Some ctx ->
-      ctx.held <- Credit.add ctx.held (Credit.of_atoms credit);
-      bank t ctx ~oid ~start ~iters;
-      [ (query, ctx) ])
+  | Message.Deref_request { query; body; oid; start; iters; credit } ->
+    take_work t ~span query body credit [ { Message.oid; start; iters } ]
   | Message.Work_batch groups ->
-    List.filter_map
-      (fun { Message.query; body; items; credit } ->
-        match work_context t ~span query body with
-        | None -> None
-        | Some ctx ->
-          ctx.held <- Credit.add ctx.held (Credit.of_atoms credit);
-          List.iter
-            (fun ({ oid; start; iters } : Message.batch_item) -> bank t ctx ~oid ~start ~iters)
-            items;
-          Some (query, ctx))
+    List.iter
+      (fun { Message.query; body; items; credit } -> take_work t ~span query body credit items)
       groups
-  | Message.Result { query; payload; bindings; credit } ->
-    (match Hashtbl.find_opt t.contexts query with
-     | None -> () (* unknown/forgotten/closed query *)
-     | Some ctx ->
-       (match payload with
-        | Message.Items items -> List.iter (Site.add_final ctx.core.final) items
-        | Message.Count _ -> ());
-       Site.merge_bindings ctx.core.final.bindings bindings;
-       credit_recovered t query ctx (Credit.of_atoms credit));
-    []
-  | Message.Credit_return { query; credit } ->
-    (match Hashtbl.find_opt t.contexts query with
-     | None -> ()
-     | Some ctx -> credit_recovered t query ctx (Credit.of_atoms credit));
-    []
-  | Message.Link_ack -> [] (* transport-level: the ack value rode in the envelope *)
-  | Message.Site_unreachable { query; dead } ->
-    (match Hashtbl.find_opt t.contexts query with
-     | None -> ()
-     | Some ctx -> note_unreachable ctx dead);
-    []
+  | Message.Result { query; payload; bindings; credit } -> (
+    match Hashtbl.find_opt t.contexts query with
+    | None -> () (* unknown/forgotten/closed query *)
+    | Some ctx ->
+      (match payload with
+       | Message.Items items -> List.iter (Site.add_final ctx.core.final) items
+       | Message.Count _ -> ());
+      Site.merge_bindings ctx.core.final.bindings bindings;
+      credit_recovered t query ctx (Credit.of_atoms credit))
+  | Message.Credit_return { query; credit } -> (
+    match Hashtbl.find_opt t.contexts query with
+    | None -> ()
+    | Some ctx -> credit_recovered t query ctx (Credit.of_atoms credit))
+  | Message.Link_ack -> () (* transport-level: the ack value rode in the envelope *)
+  | Message.Site_unreachable { query; dead } -> (
+    match Hashtbl.find_opt t.contexts query with
+    | None -> ()
+    | Some ctx -> note_unreachable ctx dead)
   | Message.Cache_validate { query; src = peer } ->
     (* Report our store version; piggyback the Bloom summary unless
        this peer was already told this version's. *)
@@ -1283,9 +1125,8 @@ let handle_message t ~pulls ~span ?rel message =
            version;
            epoch = Site.epoch t.proto;
            summary = Option.map Hf_index.Bloom.to_string summary;
-         });
-    []
-  | Message.Cache_version { query; site = peer; version; epoch; summary } ->
+         })
+  | Message.Cache_version { query; site = peer; version; epoch; summary } -> (
     Site.learn t.proto ~peer ~version ~epoch
       (match summary with
        | None -> Site.Told
@@ -1293,51 +1134,40 @@ let handle_message t ~pulls ~span ?rel message =
            match Hf_index.Bloom.of_string raw with
            | Some bloom -> Site.Fresh bloom
            | None -> Site.Garbled));
-    (match Hashtbl.find_opt t.contexts query with
-     | None -> ()
-     | Some ctx -> release_parked t query ctx ~dst:peer (Some version));
-    []
-  | Message.Cache_answers { query; src = peer; version; answers } ->
+    match Hashtbl.find_opt t.contexts query with
+    | None -> ()
+    | Some ctx -> release_parked t query ctx ~dst:peer (Some version))
+  | Message.Cache_answers { query; src = peer; version; answers } -> (
     (* Opportunistic fill at the originator: install the remote's
        verdicts, keyed by the answering site. *)
-    (match Hashtbl.find_opt t.contexts query with
-     | Some ctx ->
-       t.cache_fills <- t.cache_fills + Site.fill t.proto ctx.core ~src:peer ~version answers
-     | None -> ());
-    []
-  | Message.Query_done { query; _ } ->
+    match Hashtbl.find_opt t.contexts query with
+    | Some ctx ->
+      t.cache_fills <- t.cache_fills + Site.fill t.proto ctx.core ~src:peer ~version answers
+    | None -> ())
+  | Message.Query_done { query; _ } -> (
     (* The originator closed the query (terminated or cancelled):
        drop our share of its state.  A context whose origin is this
        site is never evicted here — only the local handle closes
        those. *)
-    (match Hashtbl.find_opt t.contexts query with
-     | Some ctx when ctx.core.origin <> t.id -> evict_context t query ctx
-     | Some _ -> ()
-     | None -> mark_closed t query);
-    []
+    match Hashtbl.find_opt t.contexts query with
+    | Some ctx when ctx.core.origin <> t.id -> evict_context t query ctx
+    | Some _ -> ()
+    | None -> mark_closed t query)
   | Message.Stats_pull { src = peer; token } ->
-    (* answered by [handle_read] once the lock is released: snapshotting
-       the registry re-takes it *)
-    pulls := (peer, token) :: !pulls;
-    []
-  | Message.Stats_report { src = peer; token; stats } ->
-    Hashtbl.replace t.peer_stats peer (snapshot_of_stats stats);
-    (* tokens only ratchet up: a late report to an older pull must not
-       make the current one look unanswered again *)
-    let prev = Option.value ~default:0 (Hashtbl.find_opt t.peer_stats_token peer) in
-    if token > prev then Hashtbl.replace t.peer_stats_token peer token;
-    Condition.broadcast t.stats_cond;
-    []
+    (* the registry's views run inline on the loop *)
+    let stats = stats_of_snapshot (Hf_obs.Registry.snapshot t.registry) in
+    send t ~dst:peer (Message.Stats_report { src = t.id; token; stats })
+  | Message.Stats_report { src = peer; token; stats } -> file_report t ~peer ~token stats
   | Message.Scatter { query; body; roots; credit } -> (
     match work_context t ~span query body with
-    | None -> []
+    | None -> ()
     | Some ctx ->
       (* Evaluate the whole speculation domain here and now — pure
-         CPU under the lock, like a drain slice's evaluation — and
-         answer with one gather.  The scatter's credit share rides
-         straight back on it; classic work concurrently in flight
-         for this query (a fallback chain re-entering this site)
-         keeps its own credit and drains through the normal tail. *)
+         CPU, like a drain slice's evaluation — and answer with one
+         gather.  The scatter's credit share rides straight back on it;
+         classic work concurrently in flight for this query (a fallback
+         chain re-entering this site) keeps its own credit and drains
+         through the normal tail. *)
       let engine_nodes = Site.eval_domain t.proto ctx.core ~roots in
       let nodes =
         List.map
@@ -1356,63 +1186,37 @@ let handle_message t ~pulls ~span ?rel message =
       Hf_obs.Tracer.set_detail t.tracer gspan (Fmt.str "%d node(s)" (List.length nodes));
       send t ~span:gspan ~dst:ctx.core.origin
         (Message.Gather_result
-           { query; src = t.id; nodes; credit = Credit.atoms (Credit.of_atoms credit) });
-      [])
-  | Message.Gather_result { query; src = peer; nodes; credit } ->
-    (match Hashtbl.find_opt t.contexts query with
-     | None -> () (* closed/cancelled: dead credit, like a late Result *)
-     | Some ctx ->
-       t.gather_messages <- t.gather_messages + 1;
-       t.gather_nodes <- t.gather_nodes + List.length nodes;
-       (* fallback credit splits happen inside, BEFORE the gather's
-          credit is deposited below *)
-       stitch_gather t query ctx ~src:peer
-         (List.map
-            (fun (n : Message.gather_node) ->
-              {
-                Hf_engine.Scatter.oid = n.oid;
-                start = n.start;
-                passed = n.passed;
-                visited = n.visited;
-                spawns = n.spawns;
-                bindings = n.bindings;
-              })
-            nodes);
-       credit_recovered t query ctx (Credit.of_atoms credit);
-       (match Hashtbl.find_opt t.contexts query with
-        | None -> () (* the deposit terminated and evicted the query *)
-        | Some ctx -> finish_drain t query ctx));
-    []
-[@@hf.requires_lock "locked"]
-
-(* Everything decoded from one read is handled under one site-lock
-   hold, and each query context the batch touched then drains once, so
-   its credit and results go home in one [Credit_return]/[Result]
-   rather than one per frame.  Sound under the paper's §4: a site may
-   return all the credit it holds in one message, which is what a
-   [Work_batch] of the same items already does. *)
-let handle_read t messages =
-  let pulls = ref [] in
-  let touched =
-    locked t (fun () ->
-        List.fold_left
-          (fun touched (message, span, rel) ->
-            List.fold_left
-              (fun touched ((_, ctx) as entry) ->
-                if List.exists (fun (_, seen) -> seen == ctx) touched then touched
-                else entry :: touched)
-              touched
-              (handle_message t ~pulls ~span ?rel message))
-          [] messages)
-  in
-  List.iter (fun (dst, token) -> report_stats t ~dst ~token) (List.rev !pulls);
-  List.iter (fun (query, ctx) -> process_to_drain t query ctx) (List.rev touched)
+           { query; src = t.id; nodes; credit = Credit.atoms (Credit.of_atoms credit) }))
+  | Message.Gather_result { query; src = peer; nodes; credit } -> (
+    match Hashtbl.find_opt t.contexts query with
+    | None -> () (* closed/cancelled: dead credit, like a late Result *)
+    | Some ctx -> (
+      t.gather_messages <- t.gather_messages + 1;
+      t.gather_nodes <- t.gather_nodes + List.length nodes;
+      (* fallback credit splits happen inside, BEFORE the gather's
+         credit is deposited below *)
+      stitch_gather t query ctx ~src:peer
+        (List.map
+           (fun (n : Message.gather_node) ->
+             {
+               Hf_engine.Scatter.oid = n.oid;
+               start = n.start;
+               passed = n.passed;
+               visited = n.visited;
+               spawns = n.spawns;
+               bindings = n.bindings;
+             })
+           nodes);
+      credit_recovered t query ctx (Credit.of_atoms credit);
+      match Hashtbl.find_opt t.contexts query with
+      | None -> () (* the deposit terminated and evicted the query *)
+      | Some ctx -> finish_drain t query ctx))
 
 (* Fire every due link deadline: standalone acks whose piggyback window
-   expired, retransmissions, and retry-cap give-ups.  Driven by the
-   service thread — the wall-clock twin of the simulator's timer
-   events.  The link table is snapshotted first because a give-up
-   may open a new link (to the originator) mid-walk. *)
+   expired, retransmissions, and retry-cap give-ups — the wall-clock
+   twin of the simulator's timer events.  The link table is
+   snapshotted first because a give-up may open a new link (to the
+   originator) mid-walk. *)
 let poke_links t =
   let now = Unix.gettimeofday () in
   let links = Hashtbl.fold (fun peer link acc -> (peer, link) :: acc) t.links [] in
@@ -1440,9 +1244,8 @@ let poke_links t =
             List.iter (fun (_, message) -> give_up_message t ~dst:peer message) entries)
         (Hf_proto.Reliable.poll link ~now))
     links
-[@@hf.requires_lock "locked"]
 
-(* --- reader and service threads --- *)
+(* --- site ids from the wire --- *)
 
 (* Every site id a peer supplies — the envelope's sender, each query's
    originator, and the [src]/[site]/[dead] fields — indexes [t.peers]
@@ -1474,65 +1277,68 @@ let names_known_sites t (message : Message.t) (rel : Hf_proto.Codec.rel option) 
   | Message.Stats_pull { src; _ } | Message.Stats_report { src; _ } -> known t src
   | Message.Link_ack -> true
 
-let reader_loop t fd () =
-  let decoder = Hf_proto.Frame.Decoder.create () in
-  let chunk = Bytes.create 8192 in
-  let decode payload =
-    match Hf_proto.Codec.decode_enveloped payload with
-    | Ok ((message, _, rel) as decoded) ->
-      if names_known_sites t message rel then Some decoded
-      else begin
-        Log.warn (fun m ->
-            m "site %d: message naming an unknown site dropped: %a" t.id Message.pp message);
-        None
-      end
-    | Error err ->
-      Log.warn (fun m -> m "site %d: undecodable message dropped: %s" t.id err);
-      None
-  in
-  (* The frames cut from the buffer, in order.  A bad length header ends
-     the stream, since it cannot resynchronise: the frames cut before it
-     are still returned, and [broken] closes the connection after them. *)
-  let broken = ref false in
-  let rec frames () =
-    match Hf_proto.Frame.Decoder.next decoder with
-    | None -> []
-    | Some payload -> payload :: frames ()
-    | exception Hf_proto.Frame.Frame_error err ->
-      Log.warn (fun m -> m "site %d: %s; closing the connection" t.id err);
-      broken := true;
-      []
-  in
-  let rec loop () =
-    match Unix.read fd chunk 0 (Bytes.length chunk) with
-    | 0 -> ()
-    | n ->
-      Hf_proto.Frame.Decoder.feed_bytes decoder chunk 0 n;
-      (match List.filter_map decode (frames ()) with
-       | [] -> ()
-       | messages -> handle_read t messages);
-      if not !broken then loop ()
-    | exception Unix.Unix_error _ -> ()
-  in
-  loop ();
-  try Unix.close fd with Unix.Unix_error _ -> ()
+(* --- the event loop --- *)
 
-(* Start a reader thread on each pending connection.  Readers block,
-   and on some systems an accepted socket inherits the listener's
-   O_NONBLOCK. *)
-let rec accept_readers t =
+(* A frame that does not decode, or that names a site outside the
+   cluster, is dropped at the door. *)
+let decode t payload =
+  match Hf_proto.Codec.decode_enveloped payload with
+  | Ok ((message, _, rel) as decoded) ->
+    if names_known_sites t message rel then Some decoded
+    else begin
+      Log.warn (fun m ->
+          m "site %d: message naming an unknown site dropped: %a" t.id Message.pp message);
+      None
+    end
+  | Error err ->
+    Log.warn (fun m -> m "site %d: undecodable message dropped: %s" t.id err);
+    None
+
+(* Read what [conn] holds, cut its frames and handle each message;
+   [false] once the connection is over: EOF, a failed read, or a bad
+   length header, past which the stream cannot resynchronise (the
+   frames cut before it are still handled). *)
+let read_frames t conn =
+  match Unix.read conn.in_fd t.chunk 0 (Bytes.length t.chunk) with
+  | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> true
+  | exception Unix.Unix_error _ -> false
+  | 0 -> false
+  | n ->
+    Hf_proto.Frame.Decoder.feed_bytes conn.decoder t.chunk 0 n;
+    let rec frames () =
+      match Hf_proto.Frame.Decoder.next conn.decoder with
+      | None -> true
+      | Some payload ->
+        Option.iter (fun (message, span, rel) -> handle_message t ~span ?rel message) (decode t payload);
+        frames ()
+      | exception Hf_proto.Frame.Frame_error err ->
+        Log.warn (fun m -> m "site %d: %s; closing the connection" t.id err);
+        false
+    in
+    frames ()
+
+(* A handler that raises costs its connection, as a failed read does,
+   not the site. *)
+let read_conn t conn =
+  (match read_frames t conn with
+   | open_ -> open_
+   | exception e ->
+     Log.err (fun m -> m "site %d: handler failed: %s" t.id (Printexc.to_string e));
+     false)
+  || (close_fd conn.in_fd;
+      false)
+
+let rec accept t =
   match Unix.accept t.listener with
   | fd, _ ->
-    Unix.clear_nonblock fd;
-    Unix.setsockopt fd TCP_NODELAY true;
-    ignore (Thread.create (reader_loop t fd) ());
-    accept_readers t
+    Unix.set_nonblock fd;
+    t.inbound <- { in_fd = fd; decoder = Hf_proto.Frame.Decoder.create () } :: t.inbound;
+    accept t
   | exception Unix.Unix_error _ -> ()
 
 (* Answer a monitor connection with a Prometheus text dump of the
-   registry, taken outside the site lock (gauges take it).  A dump of a
-   few KiB fits the socket's send buffer, so one non-blocking write
-   sends it whole without the client reading. *)
+   registry.  A dump of a few KiB fits the socket's send buffer, so one
+   non-blocking write sends it whole without the client reading. *)
 let serve_monitor t mon =
   match Unix.accept mon with
   | exception Unix.Unix_error _ -> ()
@@ -1541,27 +1347,148 @@ let serve_monitor t mon =
     let dump = Hf_obs.Prometheus.render ~labels:[ ("site", string_of_int t.id) ] t.registry in
     (try ignore (write_some fd (Bytes.of_string dump) 0 (String.length dump))
      with Unix.Unix_error _ -> ());
-    (try Unix.close fd with Unix.Unix_error _ -> ())
+    close_fd fd
 
-(* The service thread.  [poll] is the reliable links' poll period,
-   infinite with reliability off. *)
-let service_loop t ~monitor ~poll () =
-  let wake_r = fst t.wake in
-  let reads = t.listener :: wake_r :: Option.to_list monitor in
-  let scratch = Bytes.create 4096 in
-  let rec loop next_poll =
-    let readable, _ = serve_stalls t ~reads next_poll in
+let run_commands t =
+  handoff t (fun () -> Queue.transfer t.commands t.todo);
+  while not (Queue.is_empty t.todo) do
+    (Queue.pop t.todo) ()
+  done
+
+(* One turn per runnable context, round-robin.  A context that raises
+   leaves the queue, and the site goes on. *)
+let drain_round t =
+  let congested = link_congested t in
+  for _ = 1 to Queue.length t.runnable do
+    let ((query, ctx) as entry) = Queue.pop t.runnable in
+    match drain_step t ~congested query ctx with
+    | true -> Queue.push entry t.runnable
+    | false -> ()
+    | exception e ->
+      Log.err (fun m ->
+          m "site %d: drain of %a failed: %s" t.id Message.pp_query_id query (Printexc.to_string e))
+  done
+
+let give_up_s = 0.05
+
+(* Write every outbound buffer as far as its socket takes it.  A live
+   connection whose write failed is closed and forgotten, so the next
+   frame for that peer opens a fresh one.  A retired connection closes
+   once it is empty, or once its socket has taken nothing for
+   [give_up_s]: its peer stopped reading, and the rest is lost. *)
+let write_round t =
+  let now = Unix.gettimeofday () in
+  Hashtbl.filter_map_inplace
+    (fun _ conn ->
+      if flush ~now conn then Some conn
+      else begin
+        close_fd conn.fd;
+        None
+      end)
+    t.conns;
+  if t.retired <> [] then
+    t.retired <-
+      List.filter
+        (fun conn ->
+          let keep = flush ~now conn && queued conn > 0 && now -. conn.progress_at < give_up_s in
+          if not keep then close_fd conn.fd;
+          keep)
+        t.retired
+
+let retire t conn =
+  conn.progress_at <- Unix.gettimeofday ();
+  t.retired <- conn :: t.retired
+
+(* Stop serving: close the listeners and the inbound sockets, stop
+   draining, and retire every outbound connection.  The loop exits once
+   those have written what they hold, or given up. *)
+let stop t =
+  if t.running then begin
+    t.running <- false;
+    List.iter close_fd (t.listener :: Option.to_list t.monitor);
+    List.iter (fun conn -> close_fd conn.in_fd) t.inbound;
+    t.inbound <- [];
+    Queue.clear t.runnable;
+    Hashtbl.iter (fun _ conn -> retire t conn) t.conns;
+    Hashtbl.reset t.conns
+  end
+
+(* The loop.  [poll] is the reliable links' poll period, infinite with
+   reliability off; [next_poll] is when they are next due. *)
+let rec serve t ~poll next_poll =
+  if t.running || t.retired <> [] then begin
+    let wake_r = fst t.wake in
+    let reads =
+      if not t.running then [ wake_r ]
+      else
+        wake_r :: t.listener
+        :: List.fold_left (fun fds conn -> conn.in_fd :: fds) (Option.to_list t.monitor) t.inbound
+    in
+    let writes =
+      Hashtbl.fold
+        (fun _ conn fds -> if queued conn > 0 then conn.fd :: fds else fds)
+        t.conns
+        (List.map (fun conn -> conn.fd) t.retired)
+    in
+    let timeout =
+      if t.running && (not (Queue.is_empty t.runnable)) && not (link_congested t) then 0.0
+      else
+        let deadline =
+          List.fold_left (fun due conn -> Float.min due (conn.progress_at +. give_up_s)) next_poll
+            t.retired
+        in
+        if deadline = infinity then -1.0 else Float.max 0.0 (deadline -. Unix.gettimeofday ())
+    in
+    (* Client threads share the runtime lock with the loop, which
+       would take it straight back after a [select] that does not
+       sleep: hand it over first to any that wait. *)
+    Thread.yield ();
+    let readable, _, _ =
+      try Unix.select reads writes [] timeout with Unix.Unix_error (EINTR, _, _) -> ([], [], [])
+    in
     if List.mem wake_r readable then
-      (try ignore (Unix.read wake_r scratch 0 (Bytes.length scratch)) with Unix.Unix_error _ -> ());
-    if t.running then begin
-      if List.mem t.listener readable then accept_readers t;
-      Option.iter (fun mon -> if List.mem mon readable then serve_monitor t mon) monitor;
-      let now = Unix.gettimeofday () in
-      if now >= next_poll then locked t (fun () -> poke_links t);
-      loop (if now >= next_poll then now +. poll else next_poll)
+      (try ignore (Unix.read wake_r t.chunk 0 4096) with Unix.Unix_error _ -> ());
+    if t.running && readable <> [] then begin
+      if List.mem t.listener readable then accept t;
+      Option.iter (fun mon -> if List.mem mon readable then serve_monitor t mon) t.monitor;
+      t.inbound <-
+        List.filter
+          (fun conn -> (not (List.mem conn.in_fd readable)) || read_conn t conn)
+          t.inbound
+    end;
+    run_commands t;
+    if t.running then drain_round t;
+    write_round t;
+    let now = Unix.gettimeofday () in
+    if now < next_poll then serve t ~poll next_poll
+    else begin
+      if t.running then poke_links t;
+      serve t ~poll (now +. poll)
     end
-  in
-  loop (Unix.gettimeofday () +. poll)
+  end
+
+(* The loop's last act, however it ends: nothing is left open, and no
+   client waits on it any more. *)
+let exit_loop t =
+  stop t;
+  List.iter (fun conn -> close_fd conn.fd) t.retired;
+  t.retired <- [];
+  handoff t (fun () ->
+      t.exited <- true;
+      Condition.broadcast t.replied;
+      Condition.broadcast t.done_cond);
+  (* no poke writes the pipe once [wakers] is negative and the pokes
+     under way are done *)
+  ignore (Atomic.fetch_and_add t.wakers min_int);
+  while Atomic.get t.wakers <> min_int do
+    Thread.yield ()
+  done;
+  close_fd (fst t.wake);
+  close_fd (snd t.wake)
+
+let run t ~poll () =
+  t.loop_id <- Thread.id (Thread.self ());
+  Fun.protect ~finally:(fun () -> exit_loop t) (fun () -> serve t ~poll (Unix.gettimeofday () +. poll))
 
 (* --- lifecycle --- *)
 
@@ -1572,6 +1499,9 @@ let create ~site ?(batch = Hf_proto.Batch.unbatched) ?reliability ?cache
   Option.iter Hf_proto.Reliable.validate reliability;
   Option.iter Hf_index.Remote_cache.validate cache;
   Sched.validate admission;
+  (* A write to a peer that closed its end fails with EPIPE, which drops
+     that connection, instead of killing the process. *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let listen port backlog =
     let fd = Unix.socket PF_INET SOCK_STREAM 0 in
     Unix.setsockopt fd SO_REUSEADDR true;
@@ -1584,12 +1514,7 @@ let create ~site ?(batch = Hf_proto.Batch.unbatched) ?reliability ?cache
   let monitor = Option.map (fun port -> listen port 4) monitor_port in
   let wake = Unix.pipe () in
   Unix.set_nonblock (snd wake);
-  let address = Unix.getsockname listener in
   let registry = Hf_obs.Registry.create () in
-  let sent_frame_bytes = Hf_obs.Registry.histogram registry "hf.net.sent_frame_bytes" in
-  let query_rtt = Hf_obs.Registry.histogram registry "hf.net.query_rtt_s" in
-  let ack_latency = Hf_obs.Registry.histogram registry "hf.net.ack_latency_s" in
-  let admission_wait = Hf_obs.Registry.histogram registry "hf.net.admission_wait_s" in
   let bloofi_depth = Hf_obs.Registry.histogram registry "hf.index.bloofi_descent_depth" in
   let store = Hf_data.Store.create ~site in
   let t =
@@ -1600,30 +1525,39 @@ let create ~site ?(batch = Hf_proto.Batch.unbatched) ?reliability ?cache
       reliability;
       links = Hashtbl.create 8;
       listener;
-      address;
+      monitor;
+      address = Unix.getsockname listener;
+      monitor_address = Option.map Unix.getsockname monitor;
       peers = [||];
       conns = Hashtbl.create 8;
-      dirty = [];
-      lock = Mutex.create ();
-      done_cond = Condition.create ();
+      retired = [];
+      inbound = [];
+      chunk = Bytes.create 65536;
       contexts = Hashtbl.create 8;
+      runnable = Queue.create ();
       next_serial = 0;
       admission;
       gate = Sched.create admission;
       closed = Hashtbl.create 32;
       closed_order = Queue.create ();
       running = true;
-      service = None;
+      mutex = Mutex.create ();
+      commands = Queue.create ();
+      todo = Queue.create ();
+      exited = false;
+      pulled = 0;
+      replied = Condition.create ();
+      done_cond = Condition.create ();
+      loop = None;
+      loop_id = -1;
       wake;
       wakers = Atomic.make 0;
-      stall_mutex = Mutex.create ();
-      stalls = [];
       join_errors = Atomic.make 0;
       tracer;
       registry;
-      sent_frame_bytes;
-      query_rtt;
-      ack_latency;
+      sent_frame_bytes = Hf_obs.Registry.histogram registry "hf.net.sent_frame_bytes";
+      query_rtt = Hf_obs.Registry.histogram registry "hf.net.query_rtt_s";
+      ack_latency = Hf_obs.Registry.histogram registry "hf.net.ack_latency_s";
       messages_sent = 0;
       bytes_sent = 0;
       messages_received = 0;
@@ -1650,100 +1584,66 @@ let create ~site ?(batch = Hf_proto.Batch.unbatched) ?reliability ?cache
       stats_token = 0;
       peer_stats = Hashtbl.create 8;
       peer_stats_token = Hashtbl.create 8;
-      stats_cond = Condition.create ();
-      monitor;
-      admission_wait;
+      admission_wait = Hf_obs.Registry.histogram registry "hf.net.admission_wait_s";
     }
   in
-  Hf_obs.Registry.register_counter registry "hf.net.messages_sent" (fun () ->
-      locked t (fun () -> t.messages_sent));
-  Hf_obs.Registry.register_counter registry "hf.net.bytes_sent" (fun () ->
-      locked t (fun () -> t.bytes_sent));
-  Hf_obs.Registry.register_counter registry "hf.net.messages_received" (fun () ->
-      locked t (fun () -> t.messages_received));
+  (* Every view reads the loop's state on the loop. *)
+  let counter name read = Hf_obs.Registry.register_counter registry name (fun () -> call t read) in
+  let gauge name read =
+    Hf_obs.Registry.register_gauge registry name (fun () -> float_of_int (call t read))
+  in
+  counter "hf.net.messages_sent" (fun () -> t.messages_sent);
+  counter "hf.net.bytes_sent" (fun () -> t.bytes_sent);
+  counter "hf.net.messages_received" (fun () -> t.messages_received);
   Hf_obs.Registry.register_counter registry "hf.net.join_errors" (fun () ->
       Atomic.get t.join_errors);
-  Hf_obs.Registry.register_counter registry "hf.net.retransmits" (fun () ->
-      locked t (fun () -> t.retransmits));
-  Hf_obs.Registry.register_counter registry "hf.net.dup_drops" (fun () ->
-      locked t (fun () -> t.dup_drops));
-  Hf_obs.Registry.register_counter registry "hf.net.acks_sent" (fun () ->
-      locked t (fun () -> t.acks_sent));
-  Hf_obs.Registry.register_counter registry "hf.net.give_ups" (fun () ->
-      locked t (fun () -> t.give_ups));
-  Hf_obs.Registry.register_counter registry "hf.net.cache_hits" (fun () ->
-      locked t (fun () -> t.cache_hits));
-  Hf_obs.Registry.register_counter registry "hf.net.cache_misses" (fun () ->
-      locked t (fun () -> t.cache_misses));
-  Hf_obs.Registry.register_counter registry "hf.net.cache_prunes" (fun () ->
-      locked t (fun () -> t.cache_prunes));
-  Hf_obs.Registry.register_counter registry "hf.net.cache_validations" (fun () ->
-      locked t (fun () -> t.cache_validations));
-  Hf_obs.Registry.register_counter registry "hf.net.cache_fills" (fun () ->
-      locked t (fun () -> t.cache_fills));
-  Hf_obs.Registry.register_counter registry "hf.net.cache_invalidations" (fun () ->
-      locked t (fun () -> t.cache_invalidations));
-  Hf_obs.Registry.register_counter registry "hf.net.scatter_messages" (fun () ->
-      locked t (fun () -> t.scatter_messages));
-  Hf_obs.Registry.register_counter registry "hf.net.gather_messages" (fun () ->
-      locked t (fun () -> t.gather_messages));
-  Hf_obs.Registry.register_counter registry "hf.net.gather_nodes" (fun () ->
-      locked t (fun () -> t.gather_nodes));
-  Hf_obs.Registry.register_counter registry "hf.net.scatter_fallbacks" (fun () ->
-      locked t (fun () -> t.scatter_fallbacks));
-  Hf_obs.Registry.register_counter registry "hf.net.planner_scatter" (fun () ->
-      locked t (fun () -> t.planner_scatter));
-  Hf_obs.Registry.register_counter registry "hf.net.planner_ship" (fun () ->
-      locked t (fun () -> t.planner_ship));
-  let bloofi_count f =
-    locked t (fun () -> match Site.bloofi t.proto with None -> 0 | Some tree -> f tree)
-  in
-  Hf_obs.Registry.register_counter registry "hf.index.bloofi_probes" (fun () ->
-      bloofi_count Hf_index.Bloofi.probes_run);
-  Hf_obs.Registry.register_counter registry "hf.index.bloofi_pruned_sites" (fun () ->
-      bloofi_count Hf_index.Bloofi.pruned_total);
-  Hf_obs.Registry.register_counter registry "hf.index.bloofi_rebuilds" (fun () ->
-      bloofi_count Hf_index.Bloofi.rebuilds);
-  Hf_obs.Registry.register_counter registry "hf.net.queries_running" (fun () ->
-      locked t (fun () -> Sched.running t.gate));
-  Hf_obs.Registry.register_counter registry "hf.net.queries_queued" (fun () ->
-      locked t (fun () -> Sched.queued t.gate));
-  Hf_obs.Registry.register_counter registry "hf.net.contexts_live" (fun () ->
-      locked t (fun () -> Hashtbl.length t.contexts));
+  counter "hf.net.retransmits" (fun () -> t.retransmits);
+  counter "hf.net.dup_drops" (fun () -> t.dup_drops);
+  counter "hf.net.acks_sent" (fun () -> t.acks_sent);
+  counter "hf.net.give_ups" (fun () -> t.give_ups);
+  counter "hf.net.cache_hits" (fun () -> t.cache_hits);
+  counter "hf.net.cache_misses" (fun () -> t.cache_misses);
+  counter "hf.net.cache_prunes" (fun () -> t.cache_prunes);
+  counter "hf.net.cache_validations" (fun () -> t.cache_validations);
+  counter "hf.net.cache_fills" (fun () -> t.cache_fills);
+  counter "hf.net.cache_invalidations" (fun () -> t.cache_invalidations);
+  counter "hf.net.scatter_messages" (fun () -> t.scatter_messages);
+  counter "hf.net.gather_messages" (fun () -> t.gather_messages);
+  counter "hf.net.gather_nodes" (fun () -> t.gather_nodes);
+  counter "hf.net.scatter_fallbacks" (fun () -> t.scatter_fallbacks);
+  counter "hf.net.planner_scatter" (fun () -> t.planner_scatter);
+  counter "hf.net.planner_ship" (fun () -> t.planner_ship);
+  let bloofi_count f () = match Site.bloofi t.proto with None -> 0 | Some tree -> f tree in
+  counter "hf.index.bloofi_probes" (bloofi_count Hf_index.Bloofi.probes_run);
+  counter "hf.index.bloofi_pruned_sites" (bloofi_count Hf_index.Bloofi.pruned_total);
+  counter "hf.index.bloofi_rebuilds" (bloofi_count Hf_index.Bloofi.rebuilds);
+  counter "hf.net.queries_running" (fun () -> Sched.running t.gate);
+  counter "hf.net.queries_queued" (fun () -> Sched.queued t.gate);
+  counter "hf.net.contexts_live" (fun () -> Hashtbl.length t.contexts);
   (* Live gauges over previously-dark state (DESIGN.md §4i): the
      reliable links' unacked window and owed acks, the bytes queued for
      peers whose sockets have not taken them yet, the admission gate's
-     fairness picture, and the answer cache's occupancy.  All of it is
-     owned by the site lock, so every read goes through [locked]. *)
-  Hf_obs.Registry.register_gauge registry "hf.net.link_in_flight" (fun () ->
-      locked t (fun () ->
-          float_of_int
-            (Hashtbl.fold
-               (fun _ link acc -> acc + Hf_proto.Reliable.in_flight link)
-               t.links 0)));
-  Hf_obs.Registry.register_gauge registry "hf.net.link_ack_backlog" (fun () ->
-      locked t (fun () ->
-          float_of_int
-            (Hashtbl.fold
-               (fun _ link acc -> if Hf_proto.Reliable.ack_owed link then acc + 1 else acc)
-               t.links 0)));
-  Hf_obs.Registry.register_gauge registry "hf.net.out_queued_bytes" (fun () ->
-      locked t (fun () ->
-          float_of_int (Hashtbl.fold (fun _ conn acc -> acc + conn_backlog conn) t.conns 0)));
-  Hf_obs.Registry.register_gauge registry "hf.net.sched_tenants" (fun () ->
-      locked t (fun () -> float_of_int (Sched.waiting_tenants t.gate)));
-  Hf_obs.Registry.register_gauge registry "hf.net.cache_entries" (fun () ->
-      locked t (fun () ->
-          match Site.cache t.proto with
-          | None -> 0.0
-          | Some cache -> float_of_int (Hf_index.Remote_cache.length cache)));
+     fairness picture, and the answer cache's occupancy. *)
+  gauge "hf.net.link_in_flight" (fun () ->
+      Hashtbl.fold (fun _ link acc -> acc + Hf_proto.Reliable.in_flight link) t.links 0);
+  gauge "hf.net.link_ack_backlog" (fun () ->
+      Hashtbl.fold
+        (fun _ link acc -> if Hf_proto.Reliable.ack_owed link then acc + 1 else acc)
+        t.links 0);
+  gauge "hf.net.out_queued_bytes" (fun () ->
+      Hashtbl.fold (fun _ conn acc -> acc + queued conn) t.conns 0);
+  gauge "hf.net.sched_tenants" (fun () -> Sched.waiting_tenants t.gate);
+  gauge "hf.net.cache_entries" (fun () ->
+      match Site.cache t.proto with
+      | None -> 0
+      | Some cache -> Hf_index.Remote_cache.length cache);
   Hf_obs.Tracer.register tracer registry ~prefix:"hf.net";
   let poll =
     match reliability with
     | None -> infinity
     | Some cfg -> Float.max 0.002 (Float.min 0.01 (cfg.ack_delay /. 2.0))
   in
-  t.service <- Some (Thread.create (service_loop t ~monitor ~poll) ());
+  t.loop <- Some (Thread.create (run t ~poll) ());
   t
 
 let address t = t.address
@@ -1756,67 +1656,32 @@ let tracer t = t.tracer
 
 let registry t = t.registry
 
-let set_peers t peers =
-  locked t (fun () ->
-      let old = t.peers in
-      t.peers <- peers;
-      (* A changed address is a new lineage at that site: the pooled
-         connection still reaches the OLD process (its accepted sockets
-         outlive its listener), and the reliability link's windows are
-         meaningless to the replacement.  Drop both so the next send
-         reconnects fresh. *)
-      Array.iteri
-        (fun dst addr ->
-          if dst < Array.length old && old.(dst) <> addr then begin
-            (match Hashtbl.find_opt t.conns dst with
-             | Some conn ->
-               conn_discard conn;
-               Hashtbl.remove t.conns dst
-             | None -> ());
-            Hashtbl.remove t.links dst
-          end)
-        peers);
-  (* a retired connection's refused write now has a deadline *)
-  wake t
+let monitor_address t = t.monitor_address
 
-(* Stop the service thread, close the listeners, then retire every
-   connection by the service loop's rule.  Nothing lands in [conns]
-   after the snapshot: [transmit_raw] opens none once [running] is
-   false. *)
+let set_peers t peers =
+  call t (fun () ->
+      if t.running then begin
+        let old = t.peers in
+        t.peers <- peers;
+        (* A changed address is a new lineage at that site: the pooled
+           connection still reaches the OLD process (its accepted
+           sockets outlive its listener), and the reliability link's
+           windows are meaningless to the replacement.  Retire the one
+           and drop the other, so the next send reconnects fresh. *)
+        Array.iteri
+          (fun dst addr ->
+            if dst < Array.length old && old.(dst) <> addr then begin
+              Option.iter (retire t) (Hashtbl.find_opt t.conns dst);
+              Hashtbl.remove t.conns dst;
+              Hashtbl.remove t.links dst
+            end)
+          peers
+      end)
+
+(* Stop the loop and wait for it to exit. *)
 let shutdown t =
-  if t.running then begin
-    t.running <- false;
-    wake t;
-    Option.iter (fun thread -> try Thread.join thread with _ -> Atomic.incr t.join_errors) t.service;
-    List.iter
-      (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
-      (t.listener :: Option.to_list t.monitor);
-    t.monitor <- None;
-    let conns =
-      locked t (fun () ->
-          let conns = Hashtbl.fold (fun _ conn acc -> conn :: acc) t.conns [] in
-          Hashtbl.reset t.conns;
-          conns)
-    in
-    List.iter
-      (fun conn ->
-        conn_flush t conn;
-        conn_locked conn (fun () ->
-            conn.closing <- true;
-            close_if_idle conn))
-      conns;
-    while snd (serve_stalls t ~reads:[] infinity) do
-      ()
-    done;
-    (* no poke writes the pipe once [wakers] is negative and the pokes
-       under way are done *)
-    ignore (Atomic.fetch_and_add t.wakers min_int);
-    while Atomic.get t.wakers <> min_int do
-      Thread.yield ()
-    done;
-    Unix.close (fst t.wake);
-    Unix.close (snd t.wake)
-  end
+  call t (fun () -> stop t);
+  Option.iter (fun loop -> try Thread.join loop with _ -> Atomic.incr t.join_errors) t.loop
 
 (* --- issuing queries from the embedding client --- *)
 
@@ -1852,15 +1717,23 @@ type handle = {
   h_started : float;
 }
 
+let shut_down t what = failwith (Fmt.str "Tcp_site.%s: site %d is shut down" what t.id)
+
+(* The planner's verdict for a query, without running it — [hfql :plan]
+   renders this. *)
+let explain t program initial =
+  call t (fun () ->
+      if not t.running then shut_down t "explain";
+      plan_decision t program initial)
+
 (* Issue a query without waiting for it: the admission gate either
    starts it now or parks it (fairly) until a running one finishes.  An
-   admitted query is processed by its own drainer thread, in bounded
-   lock slices, so any number of them interleave on the site — the old
-   [run_query] held the site lock for the whole query, serializing the
-   server on its busiest code path. *)
+   admitted query joins the loop's run queue, so any number of them
+   interleave on the site. *)
 let submit_query (t : t) program initial =
   let started = Unix.gettimeofday () in
-  locked t (fun () ->
+  call t (fun () ->
+      if not t.running then shut_down t "submit_query";
       let query = { Message.originator = t.id; serial = t.next_serial } in
       t.next_serial <- t.next_serial + 1;
       let root_span =
@@ -1901,14 +1774,11 @@ let submit_query (t : t) program initial =
           (Hf_obs.Tracer.complete t.tracer ~parent:root_span
              ~query:(qname query) ~site:t.id ~phase:Hf_obs.Span.Wait ~start:(trace_now -. wait)
              ~finish:trace_now "admission-wait");
-        (* the drainer is not kept: it ends when the query's working
-           set is drained, and holding its handle would retain memory
-           per query for the site's lifetime *)
         match scatter_sites with
         | Some sites ->
           ctx.ran_mode <- Hf_query.Plan.Scatter;
-          ignore (Thread.create (fun () -> scatter_seed t query ctx ~sites initial) ())
-        | None -> ignore (Thread.create (fun () -> process_to_drain ~seeds:initial t query ctx) ())
+          scatter_seed t query ctx ~sites initial
+        | None -> seed_drain t query ctx initial
       in
       (match Sched.admit t.gate ~tenant:t.id { p_query = query; p_seed = seed } with
        | Sched.Run -> seed ()
@@ -1922,83 +1792,68 @@ let submit_query (t : t) program initial =
               Sched.pp_config t.admission));
       { h_query = query; h_ctx = ctx; h_root_span = root_span; h_started = started })
 
-(* Wait for termination, or time out (e.g. a crashed peer).  The
-   stdlib's Condition.wait has no timeout, so a ticker thread pokes the
-   condition periodically; it is joined only after the lock is
-   released.  Timing out leaves the query running (and its admission
-   slot held): a second [await] on the same handle picks it back up. *)
+(* The outcome as it stands: the answer of a settled query, or whatever
+   has arrived. *)
+let outcome t handle =
+  let ctx = handle.h_ctx in
+  let status =
+    if ctx.cancelled then Cancelled
+    else if not ctx.terminated then Timed_out
+    else if ctx.unreachable = [] then Complete
+    else Partial (List.sort_uniq compare ctx.unreachable)
+  in
+  let response_time =
+    (if status = Timed_out then Unix.gettimeofday () else ctx.finished_at) -. handle.h_started
+  in
+  if t.running then Hf_obs.Histogram.observe t.query_rtt response_time;
+  let finish detail = Hf_obs.Tracer.finish t.tracer handle.h_root_span ~detail in
+  (match status with
+   | Timed_out -> () (* still live: spans close when it terminates *)
+   | Complete -> finish "terminated"
+   | Partial dead -> finish (Fmt.str "partial: unreachable %a" Fmt.(list ~sep:comma int) dead)
+   | Cancelled -> finish "cancelled");
+  {
+    results = List.rev ctx.core.final.results;
+    result_set = ctx.core.final.set;
+    bindings =
+      Hashtbl.fold (fun target values acc -> (target, values) :: acc) ctx.core.final.bindings []
+      |> List.sort (fun (a, _) (b, _) -> String.compare a b);
+    terminated = ctx.terminated;
+    status;
+    response_time;
+    queue_wait_s = ctx.queue_wait_s;
+    (* per-query attribution: concurrent neighbors' frames never land
+       in this outcome *)
+    messages_sent = ctx.msgs_sent;
+    bytes_sent = ctx.bytes_out;
+    mode = ctx.ran_mode;
+    plan_decision = ctx.decision;
+  }
+
+(* Wait for termination, or time out (e.g. a crashed peer).  Timing out
+   leaves the query running (and its admission slot held): a second
+   [await] on the same handle picks it back up. *)
 let await ?(timeout = 10.0) (t : t) (handle : handle) =
   let ctx = handle.h_ctx in
   let deadline = Unix.gettimeofday () +. timeout in
-  let stop_ticker = ref false in
-  let ticker =
-    Thread.create
-      (fun () ->
-        while not !stop_ticker do
-          Thread.delay 0.02;
-          locked t (fun () -> Condition.broadcast t.done_cond)
-        done)
-      ()
-  in
-  let outcome =
-    locked t (fun () ->
-        while
-          (not (ctx.terminated || ctx.cancelled)) && Unix.gettimeofday () < deadline
-        do
-          Condition.wait t.done_cond t.lock
-        done;
-        let status =
-          if ctx.cancelled then Cancelled
-          else if not ctx.terminated then Timed_out
-          else if ctx.unreachable = [] then Complete
-          else Partial (List.sort_uniq compare ctx.unreachable)
-        in
-        {
-          results = List.rev ctx.core.final.results;
-          result_set = ctx.core.final.set;
-          bindings =
-            Hashtbl.fold
-              (fun target values acc -> (target, values) :: acc)
-              ctx.core.final.bindings []
-            |> List.sort (fun (a, _) (b, _) -> String.compare a b);
-          terminated = ctx.terminated;
-          status;
-          response_time = Unix.gettimeofday () -. handle.h_started;
-          queue_wait_s = ctx.queue_wait_s;
-          (* per-query attribution (satellite S3): concurrent neighbors'
-             frames never land in this outcome *)
-          messages_sent = ctx.msgs_sent;
-          bytes_sent = ctx.bytes_out;
-          mode = ctx.ran_mode;
-          plan_decision = ctx.decision;
-        })
-  in
-  stop_ticker := true;
-  (try Thread.join ticker with _ -> Atomic.incr t.join_errors);
-  Hf_obs.Histogram.observe t.query_rtt outcome.response_time;
-  (match outcome.status with
-   | Timed_out -> () (* still live: spans close when it terminates *)
-   | Complete | Partial _ | Cancelled ->
-     Hf_obs.Tracer.finish t.tracer handle.h_root_span
-       ~detail:
-         (match outcome.status with
-          | Complete -> "terminated"
-          | Partial dead -> Fmt.str "partial: unreachable %a" Fmt.(list ~sep:comma int) dead
-          | Cancelled -> "cancelled"
-          | Timed_out -> assert false));
-  outcome
+  with_ticker t 0.02 (fun () ->
+      handoff t (fun () ->
+          while (not (ctx.settled || t.exited)) && Unix.gettimeofday () < deadline do
+            Condition.wait t.done_cond t.mutex
+          done));
+  call t (fun () -> outcome t handle)
 
 (* Abort a local query.  Queued: it just leaves the admission queue.
    Admitted: this site's context is discarded wholesale and the peers
    are told to discard theirs — the outstanding credit is deliberately
    never recovered, which is sound because a cancelled query no longer
    needs the termination detector to converge; in-flight work for it
-   dies against the tombstones.  Idempotent; a terminated query is left
-   alone. *)
+   dies against the tombstones.  Idempotent; a terminated query, or
+   any query on a shut-down site, is left alone. *)
 let cancel (t : t) (handle : handle) =
-  locked t (fun () ->
+  call t (fun () ->
       let ctx = handle.h_ctx in
-      if not (ctx.terminated || ctx.cancelled) then begin
+      if t.running && not (ctx.terminated || ctx.cancelled) then begin
         ctx.cancelled <- true;
         if ctx.admitted then begin
           evict_context t handle.h_query ctx;
@@ -2012,7 +1867,7 @@ let cancel (t : t) (handle : handle) =
           evict_context t handle.h_query ctx
         end;
         Hf_obs.Tracer.finish ~detail:"cancelled" t.tracer handle.h_root_span;
-        Condition.broadcast t.done_cond
+        settle t ctx
       end)
 
 let run_query ?(timeout = 10.0) (t : t) program initial =
@@ -2020,79 +1875,54 @@ let run_query ?(timeout = 10.0) (t : t) program initial =
 
 (* --- introspection (tests, demo) --- *)
 
-let context_count t = locked t (fun () -> Hashtbl.length t.contexts)
+let context_count t = call t (fun () -> Hashtbl.length t.contexts)
 
-let admission_running t = locked t (fun () -> Sched.running t.gate)
+let admission_running t = call t (fun () -> Sched.running t.gate)
 
-let admission_queued t = locked t (fun () -> Sched.queued t.gate)
-
-let monitor_address t = Option.map Unix.getsockname t.monitor
+let admission_queued t = call t (fun () -> Sched.queued t.gate)
 
 (* --- cluster-wide stats (DESIGN.md §4i) --- *)
+
+(* Last-known peer snapshots without going to the wire. *)
+let known_peer_stats t =
+  call t (fun () ->
+      List.sort
+        (fun (a, _) (b, _) -> Int.compare a b)
+        (Hashtbl.fold (fun peer snap acc -> (peer, snap) :: acc) t.peer_stats []))
 
 (* Snapshot every site's registry: broadcast a [Stats_pull] under a
    fresh token and wait until each peer's report carrying (at least)
    that token lands, or the timeout passes — an unreachable peer then
    contributes its last-known snapshot, if any, rather than blocking
    the scrape forever.  Returns (site, snapshot) pairs, this site
-   included, ascending by site id.  Same ticker-poke shape as [await]:
-   stdlib condition variables have no timed wait. *)
+   included, ascending by site id.  A shut-down site pulls nothing. *)
 let pull_stats ?(timeout = 5.0) (t : t) =
-  let token, peers =
-    locked t (fun () ->
-        t.stats_token <- t.stats_token + 1;
-        let token = t.stats_token in
-        let peers = ref [] in
-        Array.iteri
-          (fun peer _ ->
-            if peer <> t.id then begin
-              peers := peer :: !peers;
-              send t ~dst:peer (Message.Stats_pull { src = t.id; token })
-            end)
-          t.peers;
-        (token, !peers))
-  in
   let deadline = Unix.gettimeofday () +. timeout in
-  let stop_ticker = ref false in
-  let ticker =
-    Thread.create
-      (fun () ->
-        while not !stop_ticker do
-          Thread.delay 0.01;
-          locked t (fun () -> Condition.broadcast t.stats_cond)
-        done)
-      ()
+  let token =
+    call t (fun () ->
+        if not t.running then None
+        else begin
+          t.stats_token <- t.stats_token + 1;
+          Array.iteri
+            (fun peer _ ->
+              if peer <> t.id then
+                send t ~dst:peer (Message.Stats_pull { src = t.id; token = t.stats_token }))
+            t.peers;
+          (* a site with no peers has nothing to wait for *)
+          note_pulled t;
+          Some t.stats_token
+        end)
   in
-  let remote =
-    locked t (fun () ->
-        let missing () =
-          List.exists
-            (fun peer ->
-              match Hashtbl.find_opt t.peer_stats_token peer with
-              | Some answered -> answered < token
-              | None -> true)
-            peers
-        in
-        while missing () && Unix.gettimeofday () < deadline do
-          Condition.wait t.stats_cond t.lock
-        done;
-        List.filter_map
-          (fun peer ->
-            Option.map (fun snap -> (peer, snap)) (Hashtbl.find_opt t.peer_stats peer))
-          peers)
-  in
-  stop_ticker := true;
-  (try Thread.join ticker with _ -> Atomic.incr t.join_errors);
-  (* own snapshot outside the lock: gauges take it *)
-  let own = (t.id, Hf_obs.Registry.snapshot t.registry) in
-  List.sort (fun (a, _) (b, _) -> Int.compare a b) (own :: remote)
-
-(* Last-known peer snapshots without going to the wire. *)
-let known_peer_stats t =
-  locked t (fun () ->
-      List.sort
-        (fun (a, _) (b, _) -> Int.compare a b)
-        (Hashtbl.fold (fun peer snap acc -> (peer, snap) :: acc) t.peer_stats []))
+  Option.iter
+    (fun token ->
+      with_ticker t 0.01 (fun () ->
+          handoff t (fun () ->
+              while t.pulled < token && (not t.exited) && Unix.gettimeofday () < deadline do
+                Condition.wait t.done_cond t.mutex
+              done)))
+    token;
+  let remote = List.filter (fun (peer, _) -> peer <> t.id) (known_peer_stats t) in
+  (t.id, Hf_obs.Registry.snapshot t.registry) :: remote
 
 (* --- per-query profiles (EXPLAIN ANALYZE, DESIGN.md §4i) --- *)
 

@@ -3,16 +3,22 @@
     accounts for.
 
     Lifecycle: {!create} each site (binds an ephemeral loopback port and
-    starts its service thread), collect the {!address}es, {!set_peers}
-    on every site, then load stores and issue queries from any site with
+    starts its event loop), collect the {!address}es, {!set_peers} on
+    every site, then load stores and issue queries from any site with
     {!run_query} — or {!submit_query}/{!await} to keep several in
-    flight.  {!shutdown} closes sockets and stops the service thread.
+    flight.  {!shutdown} closes sockets and stops the loop.
+
+    A site runs one thread, its event loop, which owns every socket and
+    all protocol state.  Calls from other threads hand their work to the
+    loop and wait for its answer; a call made on the loop runs inline.
+    The one exception is {!store}: writes through it are not
+    synchronized with the loop's reads, so load stores before querying.
 
     Queries run concurrently (DESIGN.md §4h): each locally-issued query
-    passes an admission gate ({!Hf_server.Sched}) and is drained by its
-    own thread in bounded site-lock slices, so N in-flight queries — and
-    incoming work from other origins — interleave instead of queueing
-    behind one long drain.
+    passes an admission gate ({!Hf_server.Sched}) and the loop drains
+    every runnable query in bounded slices, round-robin, so N in-flight
+    queries — and incoming work from other origins — interleave instead
+    of queueing behind one long drain.
 
     Objects live at their birth site ([Oid.birth_site] routes
     dereferences), as in the simulated cluster. *)
@@ -39,8 +45,9 @@ val create :
   ?monitor_port:int ->
   unit ->
   t
-(** Bind 127.0.0.1 on an ephemeral port and start the site's service
-    thread, which accepts connections and starts their readers.
+(** Bind 127.0.0.1 on an ephemeral port and start the site's event
+    loop.  The process then ignores SIGPIPE: a write to a peer that
+    closed its end fails, and the site drops that connection.
 
     [batch] (default [Flush_at 1], i.e. unbatched) coalesces work items
     bound for the same destination into one [Work_batch] message with a
@@ -59,7 +66,7 @@ val create :
     [reliability] (default off) layers ack/retransmit delivery under
     the protocol ({!Hf_proto.Reliable}): every frame carries a
     per-peer sequence number and a piggybacked cumulative ack, the
-    service thread retransmits unacknowledged frames with exponential
+    loop retransmits unacknowledged frames with exponential
     backoff, receivers drop redelivered duplicates before they reach a
     handler, and a peer that exhausts the retry cap is declared
     unreachable — its messages' credit reclaimed so the query still
@@ -99,7 +106,7 @@ val create :
     issued queries: at most [in_flight_cap] run at once, up to
     [max_queued] more wait in the fair admission queue
     ({!submit_query} raises [Failure] beyond that), and with
-    reliability on, a drain pauses shipping while some link holds
+    reliability on, the loop stops evaluating while some link holds
     [link_window] or more unacked frames (backpressure).
 
     [monitor_port] (default off) binds an always-on monitoring surface:
@@ -156,7 +163,9 @@ type outcome = {
   terminated : bool;
       (** [false] exactly when [status] is [Timed_out] or [Cancelled]. *)
   status : status;
-  response_time : float;  (** wall-clock seconds since submission. *)
+  response_time : float;
+      (** wall-clock seconds from submission until the query terminated
+          or was cancelled; until the call, when [Timed_out]. *)
   queue_wait_s : float;
       (** time spent in the admission queue before the query started
           (0 when admission was immediate). *)
@@ -183,7 +192,7 @@ val submit_query : t -> Hf_query.Program.t -> Hf_data.Oid.t list -> handle
     without waiting; any number may be in flight at once.  The
     admission gate either starts it now or queues it (fairly) until a
     running one finishes.  Raises [Failure] when the admission queue is
-    full ([max_queued]). *)
+    full ([max_queued]), or when the site is shut down. *)
 
 val await : ?timeout:float -> t -> handle -> outcome
 (** Wait until the query terminates (all credit recovered), is
@@ -200,7 +209,8 @@ val cancel : t -> handle -> unit
     ([Query_done] broadcast), and its admission slot is freed — the
     outstanding credit is deliberately not recovered, which is sound
     because a cancelled query no longer needs termination to converge.
-    Idempotent; terminated queries are left alone. *)
+    Idempotent; terminated queries, and every query of a shut-down
+    site, are left alone. *)
 
 val run_query :
   ?timeout:float -> t -> Hf_query.Program.t -> Hf_data.Oid.t list -> outcome
@@ -210,7 +220,7 @@ val explain : t -> Hf_query.Program.t -> Hf_data.Oid.t list -> Hf_query.Plan.dec
 (** The planner's verdict for this query, without running it — what
     [hfql :plan] renders.  Uses whatever summaries this site has
     learned so far; independent of [exec] (an [Exec_ship] site can
-    still explain). *)
+    still explain).  Raises [Failure] when the site is shut down. *)
 
 val context_count : t -> int
 (** Live per-query contexts at this site (any origin).  Terminated and
@@ -250,7 +260,9 @@ val profile : t -> handle -> outcome -> Hf_obs.Profile.t
     picture; separate processes each see their own half. *)
 
 val shutdown : t -> unit
-(** Stop the service thread, close the listeners, then retire every
-    connection; idempotent.  Queued frames are written, but a peer that
-    takes nothing for 50 ms loses the rest, so shutdown does not hang
-    on a stalled socket.  A shut-down site opens no connection. *)
+(** Close the listeners and inbound connections, retire every outbound
+    connection and wait for the loop to exit; idempotent.  Queued frames
+    are written, but a peer that takes nothing for 50 ms loses the rest,
+    so shutdown does not hang on a stalled socket.  A shut-down site
+    opens no connection, and every other call returns at once over the
+    state the loop left. *)

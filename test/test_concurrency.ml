@@ -375,8 +375,8 @@ let test_tcp_leak_regression () =
         (Fmt.str "live heap flat across the window (%.2f words per query)" per_query)
         true (per_query < 2.0))
 
-(* Satellite 2: shutdown with queries mid-flight (and the reliability
-   ticker live) must neither hang nor crash, whatever the interleaving. *)
+(* Shutdown with queries mid-flight (and the reliable links polling)
+   must neither hang nor crash, whatever the interleaving. *)
 let test_tcp_shutdown_under_load () =
   let fast =
     { Hf_proto.Reliable.ack_timeout = 0.05; backoff = 2.0; max_timeout = 0.2;
@@ -504,12 +504,21 @@ let test_tcp_admission_gate () =
       check_int "gate idle" 0 (Tcp.admission_running sites.(0));
       check_int "queue empty" 0 (Tcp.admission_queued sites.(0)))
 
+(* The running query cannot finish before it is cancelled: its seed on
+   site 0 points at an object on site 2, which is shut down first, and
+   with reliability off the refused frame's credit never comes home.
+   The queued and fresh queries walk a ring over the live sites. *)
 let test_tcp_cancel () =
   let admission = { Sched.in_flight_cap = Some 1; max_queued = Some 2; link_window = None } in
   with_tcp_sites ~admission 3 (fun sites ->
-      let oids = load_tcp_ring sites 60 in
+      Tcp.shutdown sites.(2);
+      let oids = load_tcp_ring [| sites.(0); sites.(1) |] 60 in
       let program = List.hd programs in
-      let running = Tcp.submit_query sites.(0) program [ oids.(0) ] in
+      let lost = Oid.make ~birth_site:2 ~serial:1 in
+      let held = Store.fresh_oid (Tcp.store sites.(0)) in
+      Store.insert (Tcp.store sites.(0))
+        (Hf_data.Hobject.of_tuples held [ Hf_data.Tuple.pointer ~key:"R" lost ]);
+      let running = Tcp.submit_query sites.(0) program [ held ] in
       let queued = Tcp.submit_query sites.(0) program [ oids.(0) ] in
       (* cancelling the queued one never lets it take the slot *)
       Tcp.cancel sites.(0) queued;

@@ -470,7 +470,7 @@ let test_frames_after_oversized_header_dropped () =
           reads_eof sender))
 
 (* A bad header split across reads is judged when its last byte
-   arrives: the reader keeps the first half buffered, handles the frame
+   arrives: the site keeps the first half buffered, handles the frame
    before it, and closes the connection on the read that completes it. *)
 let test_oversized_header_split_across_reads () =
   with_oversize_site (fun ~origin ~frame ~send ~credit_comes_home ->
@@ -488,8 +488,8 @@ let test_oversized_header_split_across_reads () =
 (* A work item that does not fit its query's program is dropped when it
    arrives, its credit kept: a Deref_request with no counter for the
    closure's one iterator, on an object whose pointer the closure
-   follows, then a valid request on the same connection.  The reader
-   survives the first, and both credits come home. *)
+   follows, then a valid request on the same connection.  The
+   connection survives the first, and both credits come home. *)
 let test_misfit_item_dropped () =
   let origin = fake_site () in
   let site = Tcp.create ~site:1 () in
@@ -559,6 +559,52 @@ let eventually ?(seconds = 10.0) what pred =
   in
   go ()
 
+(* A work frame that carries no credit at all makes the site's drain
+   raise once the item's spawn must ship: there is no share to split.
+   That costs the query, not the site: the next frame on the
+   connection, sent once the drain has had time to raise, is still
+   handled. *)
+let test_raising_drain_spares_the_site () =
+  let origin = fake_site () in
+  let site = Tcp.create ~site:1 () in
+  Fun.protect
+    ~finally:(fun () ->
+      Tcp.shutdown site;
+      Unix.close origin)
+    (fun () ->
+      Tcp.set_peers site [| Unix.getsockname origin; Tcp.address site |];
+      let store = Tcp.store site in
+      let oid = Store.fresh_oid store in
+      Store.insert store
+        (Hf_data.Hobject.of_tuples oid
+           [ Tuple.pointer ~key:"R" (Oid.make ~birth_site:0 ~serial:1) ]);
+      let report =
+        Frame.frame
+          (Codec.encode
+             (Message.Stats_report
+                {
+                  src = 0;
+                  token = 0;
+                  stats = [ { Message.name = "probe.after"; value = Message.Stat_counter 1 } ];
+                }))
+      in
+      let sender = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+      Fun.protect
+        ~finally:(fun () -> Unix.close sender)
+        (fun () ->
+          Unix.connect sender (Tcp.address site);
+          List.iter
+            (fun frame ->
+              check_int "written" (String.length frame)
+                (Unix.write_substring sender frame 0 (String.length frame));
+              Thread.delay 0.1)
+            [ deref_frame ~query:{ Message.originator = 0; serial = 3 } closure oid Credit.zero;
+              report ];
+          eventually "the next frame is handled" (fun () ->
+              match List.assoc_opt 0 (Tcp.known_peer_stats site) with
+              | Some snap -> List.mem_assoc "probe.after" snap
+              | None -> false)))
+
 (* The keyword the stall tests select on.  Every work frame carries the
    query body, so at 128 KiB a few dozen frames overrun any socket
    buffer, while the oracle still runs the same program. *)
@@ -590,7 +636,7 @@ let oracle stores program initial =
 
 (* Site 1 stops reading (a proxy in front of it holds its socket
    unread).  Site 0's frames for it must queue in site 0's buffers
-   while site 0's lock stays free: registry reads and a query through
+   while site 0 keeps serving: registry reads and a query through
    site 2 complete.  Once the proxy reads again, every frame reaches
    site 1 in send order (reliable sequence numbers 1, 2, 3, ... with no
    gap), and the stalled query returns the oracle's answer. *)
@@ -797,11 +843,10 @@ let counter site name =
   | Some (Hf_obs.Registry.Counter read) -> read ()
   | Some _ | None -> Alcotest.failf "%s counter missing" name
 
-(* A site runs one service thread and a reader per inbound connection:
-   three wired sites with reliability and a monitor listener hold 9
-   threads once their queries' drainers are done, and none once shut
-   down.  Shutting a site down while it retransmits to a shut-down peer
-   returns promptly. *)
+(* A site runs one thread, its event loop: three wired sites with
+   reliability and a monitor listener hold 3 threads once their queries
+   are done, and none once shut down.  Shutting a site down while it
+   retransmits to a shut-down peer returns promptly. *)
 let test_thread_inventory () =
   match thread_count () with
   | None -> () (* no /proc/self/task to count *)
@@ -845,11 +890,11 @@ let test_thread_inventory () =
             check_bool "ring query complete" true
               ((Tcp.run_query site closure [ oids.(0) ]).Tcp.status = Tcp.Complete))
           sites;
-        let n = settles ~at_most:9 in
-        check_bool (Printf.sprintf "%d threads above the baseline: at most 1 service + 2 readers per site" n)
-          true (n <= 9);
+        let n = settles ~at_most:3 in
+        check_bool (Printf.sprintf "%d threads above the baseline: at most one per site" n)
+          true (n <= 3);
         Tcp.shutdown sites.(2);
-        (* ring object 2 lives on site 2, which reads but answers nothing *)
+        (* ring object 2 lives on site 2, which answers nothing *)
         let (_ : Tcp.handle) = Tcp.submit_query sites.(0) closure [ oids.(2) ] in
         eventually "site 0 retransmits" (fun () -> counter sites.(0) "hf.net.retransmits" > 0);
         within ~seconds:5.0 "shutdown while retransmitting" (fun () -> Tcp.shutdown sites.(0));
@@ -857,6 +902,71 @@ let test_thread_inventory () =
         let n = settles ~at_most:0 in
         check_bool (Printf.sprintf "%d threads above the baseline once all are shut down" n) true
           (n <= 0))
+
+(* A shut-down site refuses new queries and answers every other call
+   at once, since no loop is left to wait on.  Site 1 is shut down
+   first, so the query site 0 submits can never finish. *)
+let test_calls_after_shutdown () =
+  with_sites 3 (fun sites ->
+      let oids = load_ring sites 12 in
+      Tcp.shutdown sites.(1);
+      let site = sites.(0) in
+      let handle = Tcp.submit_query site closure [ oids.(0) ] in
+      Tcp.shutdown site;
+      let refused =
+        within ~seconds:1.0 "submit_query" (fun () ->
+            match Tcp.submit_query site closure [ oids.(0) ] with
+            | (_ : Tcp.handle) -> false
+            | exception Failure _ -> true)
+      in
+      check_bool "submit_query raises Failure" true refused;
+      within ~seconds:1.0 "cancel" (fun () -> Tcp.cancel site handle);
+      let outcome = within ~seconds:1.0 "await" (fun () -> Tcp.await site handle) in
+      check_bool "the query never finished" false outcome.Tcp.terminated;
+      check_int "the unfinished query's context" 1
+        (within ~seconds:1.0 "context_count" (fun () -> Tcp.context_count site));
+      check_int "its admission slot" 1
+        (within ~seconds:1.0 "the admission gate" (fun () ->
+             Tcp.admission_running site + Tcp.admission_queued site));
+      check_bool "registry reads" true
+        (within ~seconds:1.0 "a registry read" (fun () ->
+             Hf_obs.Registry.snapshot (Tcp.registry site) <> []));
+      ignore (within ~seconds:1.0 "known_peer_stats" (fun () -> Tcp.known_peer_stats site));
+      Alcotest.(check (list int)) "pull_stats returns the site's own" [ 0 ]
+        (List.map fst (within ~seconds:1.0 "pull_stats" (fun () -> Tcp.pull_stats site))))
+
+(* Site 0 drains a purely local 100,000-object chain, and a one-hop
+   query from site 1 through an object on site 0 is submitted right
+   after it.  The loop reads and answers between the chain's slices, so
+   the short query returns in well under half the chain's time. *)
+let test_long_drain_interleaves () =
+  with_sites 2 (fun sites ->
+      let store = Tcp.store sites.(0) in
+      let n = 100_000 in
+      let chain = Array.init n (fun _ -> Store.fresh_oid store) in
+      Array.iteri
+        (fun i oid ->
+          Store.insert store
+            (Hf_data.Hobject.of_tuples oid
+               (if i + 1 < n then [ Tuple.pointer ~key:"R" chain.(i + 1) ]
+                else [ Tuple.keyword "hot" ])))
+        chain;
+      let target = Store.fresh_oid store in
+      Store.insert store (Hf_data.Hobject.of_tuples target [ Tuple.keyword "hot" ]);
+      let one_hop = parse_program "(Keyword, \"hot\", ?)" in
+      let long = Tcp.submit_query sites.(0) closure [ chain.(0) ] in
+      let short = Tcp.run_query sites.(1) one_hop [ target ] in
+      let long = Tcp.await ~timeout:60.0 sites.(0) long in
+      check_bool "the chain completes" true (long.Tcp.status = Tcp.Complete);
+      check_bool "the one-hop query completes" true (short.Tcp.status = Tcp.Complete);
+      check_bool "with the oracle's answer" true
+        (Oid.Set.equal short.Tcp.result_set
+           (oracle (Array.to_list (Array.map Tcp.store sites)) one_hop [ target ]));
+      check_bool
+        (Printf.sprintf "in under half the chain's time (%.3f s, chain %.3f s)"
+           short.Tcp.response_time long.Tcp.response_time)
+        true
+        (short.Tcp.response_time < long.Tcp.response_time /. 2.0))
 
 (* --- site ids from the wire --- *)
 
@@ -867,10 +977,10 @@ let rel_frame ?(src = 0) ~seq message =
 
 (* A frame that names a site outside the cluster, or does not decode,
    is dropped at the door: the frame after it on the same connection is
-   still handled, it leaves no context behind, and the service thread
-   keeps acking.  Site 1 stands between a fake site 0 and itself; [bad]
+   still handled, it leaves no context behind, and the site keeps
+   acking.  Site 1 stands between a fake site 0 and itself; [bad]
    arrives first, then a [Stats_report] from site 0 that only a live
-   reader can file. *)
+   connection can deliver. *)
 let unknown_site_dropped bad () =
   let origin = fake_site () in
   let site = Tcp.create ~site:1 ~reliability:fast_reliability () in
@@ -890,7 +1000,7 @@ let unknown_site_dropped bad () =
               (Unix.write_substring sender frame 0 (String.length frame))
           in
           write bad;
-          (* long enough for a bad frame to kill a reader or the ticker *)
+          (* long enough for a bad frame to close the connection or stop the site *)
           Thread.delay 0.2;
           write
             (rel_frame ~seq:2
@@ -1033,11 +1143,14 @@ let test_stats_pull_three_sites () =
         (counter merged "hf.net.messages_sent"))
 
 (* The always-on monitoring surface: connect to the monitor port, read
-   to EOF, get this site's registry as Prometheus text. *)
+   to EOF, get this site's registry as Prometheus text.  A lone site's
+   [pull_stats] has no peer to wait for. *)
 let test_monitor_surface () =
   with_obs_sites ~monitor_port:0 1 (fun sites ->
       let oids = load_ring sites 6 in
       let (_ : Tcp.outcome) = Tcp.run_query sites.(0) closure [ oids.(0) ] in
+      Alcotest.(check (list int)) "a lone site pulls its own stats at once" [ 0 ]
+        (List.map fst (within ~seconds:1.0 "pull_stats" (fun () -> Tcp.pull_stats sites.(0))));
       match Tcp.monitor_address sites.(0) with
       | None -> Alcotest.fail "monitor_port 0 should bind an ephemeral port"
       | Some addr ->
@@ -1130,6 +1243,10 @@ let () =
           QCheck_alcotest.to_alcotest
             (prop_tcp_matches_local ~reliability:fast_reliability
                "TCP = local engine on random datasets, reliability on");
+          Alcotest.test_case "calls on a shut-down site return at once" `Quick
+            test_calls_after_shutdown;
+          Alcotest.test_case "a long drain does not hold back other traffic" `Quick
+            test_long_drain_interleaves;
         ] );
       ( "frame path",
         [
@@ -1159,6 +1276,8 @@ let () =
           Alcotest.test_case "huge iterator count dropped" `Quick test_huge_iters_count_dropped;
           Alcotest.test_case "misfit work item dropped, credit kept" `Quick
             test_misfit_item_dropped;
+          Alcotest.test_case "a raising drain spares the site" `Quick
+            test_raising_drain_spares_the_site;
         ] );
       ( "observability",
         [

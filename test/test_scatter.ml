@@ -264,6 +264,30 @@ let test_tcp_explain () =
 
 let qtest t = QCheck_alcotest.to_alcotest t
 
+(* --- The engine half -------------------------------------------------- *)
+
+(* Nodes are keyed by (oid, start) under oid identity, which ignores the
+   presumed-site hint: a root named twice, once with a stale hint, is
+   one node, and a gathered node answers a root whose hint differs. *)
+let test_hint_is_not_identity () =
+  let store = Store.create ~site:0 in
+  let oid = Store.fresh_oid store in
+  Store.insert store (Hf_data.Hobject.of_tuples oid [ Tuple.keyword "hot" ]);
+  let stale = Oid.with_hint oid 2 in
+  let plan = Hf_engine.Plan.make (Hf_query.Compile.compile (parse "(Keyword, \"hot\", ?)")) in
+  let eval roots =
+    Hf_engine.Scatter.eval_site ~plan ~find:(Store.find store) ~oids:[] ~roots
+      ~stats:(Hf_engine.Stats.create ())
+  in
+  check_int "one node for both names" 1 (List.length (eval [ oid; stale ]));
+  let stitch =
+    Hf_engine.Scatter.Stitch.create ~plan ~locate:Oid.birth_site ~sites:[ 0 ]
+      ~roots:[ (0, [ stale ]) ]
+  in
+  let outcome = Hf_engine.Scatter.Stitch.add_gather stitch ~site:0 (eval [ oid ]) in
+  check_bool "the stale-hinted root passes" true
+    (List.exists (Oid.equal oid) outcome.Hf_engine.Scatter.Stitch.passed)
+
 let () =
   Alcotest.run "hf_scatter"
     [
@@ -285,5 +309,10 @@ let () =
           Alcotest.test_case "mode differential, cache on" `Quick test_tcp_differential_cache;
           Alcotest.test_case "concurrent scatter queries" `Quick test_tcp_concurrent_scatter;
           Alcotest.test_case "explain without running" `Quick test_tcp_explain;
+        ] );
+      ( "engine",
+        [
+          Alcotest.test_case "the oid hint is not part of a node's key" `Quick
+            test_hint_is_not_identity;
         ] );
     ]
