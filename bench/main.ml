@@ -408,7 +408,7 @@ let e10_baseline () =
   let run_fs window =
     Hf_baseline.File_server.run_closure
       ~config:{ Hf_baseline.File_server.default_config with Hf_baseline.File_server.window }
-      ~origin:0 ~locate:Hf_data.Oid.birth_site ~find ~pointer_key:Syn.tree_key ~matches
+      ~origin:0 ~find ~pointer_key:Syn.tree_key ~matches
       [ placed.Syn.root ]
   in
   let fs1 = run_fs 1 and fs8 = run_fs 8 in
@@ -471,7 +471,6 @@ module type CLUSTER_FOR_ABLATION = sig
 
   val create :
     ?config:Cluster.config ->
-    ?locate:(Hf_data.Oid.t -> int) ->
     ?tracer:Hf_obs.Tracer.t ->
     n_sites:int ->
     unit ->
@@ -886,7 +885,7 @@ let e14_index_acceleration () =
   in
   let build_t0 = Unix.gettimeofday () in
   let indexes =
-    { Hf_index.Planner.reachability =
+    { Hf_index.Indexed_eval.reachability =
         Some (Hf_index.Reachability.of_store ~key:Hf_workload.Corpus.citation_key store);
       keywords = Some (Hf_index.Keyword_index.of_store store);
     }
@@ -895,7 +894,7 @@ let e14_index_acceleration () =
   List.iter
     (fun r ->
       ignore
-        (Hf_index.Reachability.reachable (Option.get indexes.Hf_index.Planner.reachability) r))
+        (Hf_index.Reachability.reachable (Option.get indexes.Hf_index.Indexed_eval.reachability) r))
     roots;
   let build_ms = (Unix.gettimeofday () -. build_t0) *. 1000.0 in
   let words = List.init 8 (fun i -> Hf_workload.Corpus.keyword_name (i * 3)) in
@@ -910,19 +909,20 @@ let e14_index_acceleration () =
   let engine_answer w =
     (Hf_engine.Local.run_query ~store (ast w) roots).Hf_engine.Local.result_set
   in
-  let planner_answer w =
-    Hf_index.Planner.answer ~indexes ~find:(Hf_data.Store.find store) (ast w) roots
+  let indexed_answer w =
+    Hf_index.Indexed_eval.answer ~indexes ~find:(Hf_data.Store.find store) (ast w) roots
   in
   let agree =
-    List.for_all (fun w -> Hf_data.Oid.Set.equal (engine_answer w) (planner_answer w)) words
+    List.for_all (fun w -> Hf_data.Oid.Set.equal (engine_answer w) (indexed_answer w)) words
   in
   let engine_ms = time_runs engine_answer in
-  let planner_ms = time_runs planner_answer in
+  let indexed_ms = time_runs indexed_answer in
+  (* "planner_ms_per_query" keeps the key bench_diff's history matches *)
   record_json "e14.indexes"
     (J.Obj
        [ ("engine_ms_per_query", J.Float engine_ms);
-         ("planner_ms_per_query", J.Float planner_ms);
-         ("speedup", J.Float (engine_ms /. planner_ms));
+         ("planner_ms_per_query", J.Float indexed_ms);
+         ("speedup", J.Float (engine_ms /. indexed_ms));
          ("index_build_ms", J.Float build_ms);
          ("answers_agree", J.Bool agree);
        ]);
@@ -930,8 +930,8 @@ let e14_index_acceleration () =
     [ Tab.column "evaluation"; Tab.right "ms/query (wall)"; Tab.right "speedup" ]
     [
       [ "engine traversal"; Printf.sprintf "%.3f" engine_ms; "1.0" ];
-      [ "reachability ∩ keyword indexes"; Printf.sprintf "%.3f" planner_ms;
-        Printf.sprintf "%.0fx" (engine_ms /. planner_ms) ];
+      [ "reachability ∩ keyword indexes"; Printf.sprintf "%.3f" indexed_ms;
+        Printf.sprintf "%.0fx" (engine_ms /. indexed_ms) ];
     ];
   Fmt.pr "   2000-document corpus; one-time index build %.1f ms; answers agree: %b@." build_ms
     agree

@@ -119,17 +119,20 @@ let () =
       Hf_data.Store.insert lib_store obj)
     papers;
   let indexes =
-    { Hf_index.Planner.reachability = Some (Hf_index.Reachability.of_store ~key:"Cites" lib_store);
+    { Hf_index.Indexed_eval.reachability =
+        Some (Hf_index.Reachability.of_store ~key:"Cites" lib_store);
       keywords = Some (Hf_index.Keyword_index.of_store lib_store);
     }
   in
   let ast =
     Hf_query.Parser.parse_body "[ (Pointer, \"Cites\", ?X) ^^X ]* (Keyword, \"distributed\", ?)"
   in
-  (match Hf_index.Planner.explain indexes ast with
-   | Hf_index.Planner.Indexed how -> Fmt.pr "  plan: %s@." how
-   | Hf_index.Planner.Scan -> Fmt.pr "  plan: scan@.");
-  let answer = Hf_index.Planner.answer ~indexes ~find:(Hf_data.Store.find lib_store) ast [ newest ] in
+  (match Hf_index.Indexed_eval.explain indexes ast with
+   | Hf_index.Indexed_eval.Indexed how -> Fmt.pr "  plan: %s@." how
+   | Hf_index.Indexed_eval.Scan -> Fmt.pr "  plan: scan@.");
+  let answer =
+    Hf_index.Indexed_eval.answer ~indexes ~find:(Hf_data.Store.find lib_store) ast [ newest ]
+  in
   Fmt.pr "  index answer: %d papers (engine agreed: %b)@."
     (Hf_data.Oid.Set.cardinal answer)
     (Hf_data.Oid.Set.equal answer

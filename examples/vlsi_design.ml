@@ -77,15 +77,30 @@ let () =
     slow.Embedded.oids;
 
   Fmt.pr "== Documentation tool: datasheets covering cells of the CPU hierarchy ==@.";
-  (* Back pointers make the reverse direction queryable (paper §2):
-     materialize Documents<- links into the design objects. *)
+  (* Back pointers make the reverse direction queryable (paper §2: the
+     application "can explicitly incorporate back pointers in the
+     objects"): write a Documents<- link into each documented cell. *)
   let combined = Store.create ~site:0 in
   List.iter
     (fun site ->
       Store.iter (Embedded.store server site) (fun obj -> Store.insert combined obj))
     [ 0; 1 ];
-  let updated = Backlinks.materialize ~key:"Documents" combined in
-  Fmt.pr "  back pointers written into %d design object(s)@." updated;
+  let links = ref [] in
+  Store.iter combined (fun obj ->
+      List.iter
+        (fun t ->
+          match Tuple.pointer_target t with
+          | Some cell when Value.equal (Tuple.key t) (Value.str "Documents") ->
+            links := (cell, Hobject.oid obj) :: !links
+          | Some _ | None -> ())
+        (Hobject.tuples obj));
+  List.iter
+    (fun (cell, sheet) ->
+      let obj = Option.get (Store.find combined cell) in
+      Store.replace combined (Hobject.add obj (Tuple.pointer ~key:"Documents<-" sheet)))
+    !links;
+  Fmt.pr "  back pointers written into %d design object(s)@."
+    (List.length (List.sort_uniq Oid.compare (List.map fst !links)));
   let r =
     Local.run_query ~store:combined
       (Parser.parse_body

@@ -36,7 +36,6 @@ val analyze_units : config -> Cmt_load.unit_info list -> report
     (R6-R8) see exactly these units: a cross-module lock cycle is only
     visible when both modules are in the list. *)
 
-val load_units : config -> string -> Cmt_load.unit_info list * Cmt_load.failure list
 val analyze_tree : config -> string -> report
 
 val pp_report : Format.formatter -> report -> unit

@@ -14,7 +14,6 @@ type t = {
 
 val make : rule:string -> severity:severity -> Location.t -> string -> t
 val compare : t -> t -> int
-val severity_label : severity -> string
 
 val key : t -> string
 (** Baseline key ["rule file:line"]; excludes column and message. *)

@@ -3,8 +3,9 @@
    R1 poly-compare  — polymorphic =, <>, compare, ordering, min/max,
                       Hashtbl.hash, List.mem/assoc and stdlib Hashtbl
                       instantiated at types containing Oid.t/Value.t
-                      (presumed-site drift: structural equality sees the
-                      routing hint) or containing functions.
+                      (their identity is their module's equal/compare/
+                      hash, not their structural layout) or containing
+                      functions.
    R2 codec-tag     — write_*/read_* pairs: one-byte wire tags must be
                       unique, writer/decoder-consistent per constructor,
                       and never the reserved traced-envelope tag 127.
@@ -58,7 +59,7 @@ let positional_args args =
     args
 
 (* A no-argument constructor ([], None, a constant constructor): comparing
-   against one only inspects the tag, which is hint-safe. *)
+   against one only inspects the tag, which is identity-safe. *)
 let is_constant_constructor (e : expression) =
   match e.exp_desc with Texp_construct (_, _, []) -> true | _ -> false
 
@@ -117,9 +118,9 @@ let mem_fns =
 let remedy = function
   | Type_probe.Has_identity path ->
     Fmt.str
-      "contains %s, whose structural layout includes the presumed-site hint; two names \
-       for the same object can differ — use Oid.equal/Oid.compare/Oid.Table or \
-       Value.equal instead"
+      "contains %s, whose identity is its module's equal/compare/hash, not its \
+       structural layout (a NaN Value.Real, an Oid.Set's tree shape) — use \
+       Oid.equal/Oid.compare/Oid.Table or Value.equal instead"
       path
   | Type_probe.Has_function -> "contains a function and would raise at runtime"
   | Type_probe.Clean -> assert false
@@ -142,7 +143,7 @@ let check_poly_apply ctx (e : expression) =
       | Some name when List.mem name eq_ops ->
         Hashtbl.replace claimed funct.exp_loc ();
         let positional = positional_args args in
-        (* [x = []], [x = None]: tag-only comparison, hint-safe. *)
+        (* [x = []], [x = None]: tag-only comparison, identity-safe. *)
         if not (List.exists is_constant_constructor positional) then begin
           match positional with
           | arg :: _ -> flag_poly ctx ~what:(last_component name) ~loc:e.exp_loc arg.exp_type
@@ -171,8 +172,8 @@ let check_poly_ident ctx (e : expression) =
     end
   | _ -> ()
 
-(* Polymorphic hashtables keyed by an identity-bearing type hash the
-   presumed-site hint too: the same object can occupy two buckets. *)
+(* Polymorphic hashtables keyed by an identity-bearing type hash its
+   structural layout: two equal keys can occupy two buckets. *)
 let check_poly_hashtbl ctx (e : expression) =
   match e.exp_desc with
   | Texp_apply (funct, args) -> (

@@ -14,5 +14,3 @@
 
 val run : Typedtree.structure -> Finding.t list
 (** All findings for one typed tree, unsuppressed and unfiltered. *)
-
-val reserved_tag : int

@@ -70,11 +70,6 @@ type t = { s_unit : string; s_source : string; fns : fn_summary list }
 val unit_of_source : string -> string
 (** ["lib/net/tcp_site.ml"] -> ["tcp_site"]. *)
 
-val normalize_path : string -> string list
-(** Split a [Path.name] on ["."] and dune's ["__"] mangling,
-    lowercased: ["Hf_net__Tcp_site.locked"] -> [["hf_net";
-    "tcp_site"; "locked"]]. *)
-
 val resolve :
   known_unit:(string -> bool) ->
   current_unit:string ->

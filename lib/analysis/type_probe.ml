@@ -10,8 +10,8 @@
    unit still shows up here as a [Tconstr] on [Hf_data__Oid.t], which is
    exactly what we match. *)
 
-(* Path names whose values embed object identity (or a hint field) and
-   therefore must not be compared, ordered or hashed structurally. *)
+(* Path names whose values embed object identity and therefore must not
+   be compared, ordered or hashed structurally. *)
 let oid_module_marker = "Oid."
 
 let forbidden_suffixes =

@@ -9,10 +9,6 @@ type verdict =
 
 val probe : Types.type_expr -> verdict
 
-val forbidden_path : string -> bool
-(** Whether a type-constructor path names an identity-bearing type
-    ([Oid.t], [Value.t], [Oid.Set.t], ...). *)
-
 val stdlib_hashtbl_key : Types.type_expr -> Types.type_expr option
 (** The key type when the argument is a stdlib [('k, 'v) Hashtbl.t]. *)
 

@@ -39,7 +39,6 @@ type state = {
   sim : Hf_sim.Sim.t;
   config : config;
   origin : int;
-  locate : Hf_data.Oid.t -> int;
   find : Hf_data.Oid.t -> Hf_data.Hobject.t option;
   pointer_key : string;
   matches : Hf_data.Hobject.t -> bool;
@@ -91,7 +90,7 @@ and fill_pipeline st =
       (match st.find oid with
        | None -> () (* dangling pointer: nothing to fetch *)
        | Some obj ->
-         if st.locate oid = st.origin then
+         if Hf_data.Oid.birth_site oid = st.origin then
            (* Local object: no network, just client processing. *)
            arrive st obj
          else begin
@@ -115,15 +114,13 @@ and fill_pipeline st =
       fill_pipeline st
   end
 
-let run_closure ?(config = default_config) ~origin ~locate ~find ~pointer_key ~matches initial
-    =
+let run_closure ?(config = default_config) ~origin ~find ~pointer_key ~matches initial =
   if config.window < 1 then invalid_arg "File_server.run_closure: window must be >= 1";
   let st =
     {
       sim = Hf_sim.Sim.create ();
       config;
       origin;
-      locate;
       find;
       pointer_key;
       matches;

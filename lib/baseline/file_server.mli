@@ -27,12 +27,11 @@ type outcome = {
 val run_closure :
   ?config:config ->
   origin:int ->
-  locate:(Hf_data.Oid.t -> int) ->
   find:(Hf_data.Oid.t -> Hf_data.Hobject.t option) ->
   pointer_key:string ->
   matches:(Hf_data.Hobject.t -> bool) ->
   Hf_data.Oid.t list ->
   outcome
 (** Traverse the closure of [pointer_key] from the initial set, keeping
-    objects that satisfy [matches].  Raises [Invalid_argument] on a
-    window < 1. *)
+    objects that satisfy [matches].  An object not born at [origin] is a
+    remote fetch.  Raises [Invalid_argument] on a window < 1. *)

@@ -60,11 +60,6 @@ val profile : t -> result -> Hf_obs.Profile.t
 
 val create_object : t -> site:int -> Hf_data.Tuple.t list -> Hf_data.Oid.t
 
-val create_set_object :
-  t -> site:int -> ?key:string -> Hf_data.Oid.t list -> Hf_data.Oid.t
-(** Materialize a set as an object of pointer tuples (the paper's set
-    representation). *)
-
 (** {1 Set algebra}
 
     Named sets are the currency of the interface (paper §2); these

@@ -17,5 +17,4 @@ type report = {
 
 val run : ?origin:int -> Embedded.t -> string -> report
 
-val pp_entry : Format.formatter -> entry -> unit
 val pp_report : Format.formatter -> report -> unit

@@ -35,9 +35,6 @@ let pointers_with_key t ~key =
   in
   List.filter_map match_tuple t.tuples
 
-let find_all t ~ttype =
-  List.filter (fun tuple -> String.equal (Tuple.ttype tuple) ttype) t.tuples
-
 let find_string t ~key =
   let match_tuple tuple =
     if

@@ -28,9 +28,6 @@ val pointers : t -> Oid.t list
 val pointers_with_key : t -> key:string -> Oid.t list
 (** Targets of pointer tuples whose key equals [key]. *)
 
-val find_all : t -> ttype:string -> Tuple.t list
-(** All tuples with the given type tag. *)
-
 val find_string : t -> key:string -> string option
 (** Data of the first (String, key, _) tuple. *)
 

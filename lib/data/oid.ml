@@ -1,25 +1,18 @@
 (* Object identifiers, following the paper's Section 4 naming scheme (a
    variant of R*'s): the identity of an object is its birth site plus a
-   serial number issued by that site; a *presumed current site* hint
-   travels with each name so a dereference can usually go straight to the
-   right machine.  The hint is advisory — equality, ordering and hashing
-   ignore it, and the birth site remains the final arbiter of the object's
-   location. *)
+   serial number issued by that site.  Objects never move, so the birth
+   site is also where the object lives. *)
 
-type t = { birth_site : int; serial : int; hint : int }
+type t = { birth_site : int; serial : int }
 
 let make ~birth_site ~serial =
   if birth_site < 0 then invalid_arg "Oid.make: negative birth_site";
   if serial < 0 then invalid_arg "Oid.make: negative serial";
-  { birth_site; serial; hint = birth_site }
-
-let with_hint t hint = { t with hint }
+  { birth_site; serial }
 
 let birth_site t = t.birth_site
 
 let serial t = t.serial
-
-let hint t = t.hint
 
 let equal a b = a.birth_site = b.birth_site && a.serial = b.serial
 
@@ -30,9 +23,7 @@ let compare a b =
 
 let hash t = (t.birth_site * 1000003) lxor t.serial
 
-let pp ppf t =
-  if t.hint = t.birth_site then Fmt.pf ppf "%d.%d" t.birth_site t.serial
-  else Fmt.pf ppf "%d.%d@%d" t.birth_site t.serial t.hint
+let pp ppf t = Fmt.pf ppf "%d.%d" t.birth_site t.serial
 
 let to_string t = Fmt.str "%a" pp t
 

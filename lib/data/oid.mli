@@ -1,43 +1,32 @@
 (** Object identifiers with R*-style naming (paper, Section 4).
 
-    An object's identity is the pair (birth site, serial number).  Each
-    name also carries a {e presumed current site} hint used to route
-    dereferences; the hint is advisory and excluded from equality,
-    ordering and hashing.  The birth site is the final arbiter of an
-    object's actual location when the hint is stale.
+    An object's name is the pair (birth site, serial number), and it
+    is also the object's identity.  Objects never move: the birth site
+    is where the object lives, and every engine routes a dereference
+    there.
 
     {2 Equality semantics}
 
     Two names denote the same object iff their (birth site, serial)
-    pairs agree — always use [equal]/[compare]/[hash] (or [Table],
-    [Set], [Map] below), never the polymorphic operators.  Structural
-    comparison also sees the presumed-site hint, so [Stdlib.(=)] can
-    report two names for the same object as different whenever one
-    arrived over a connection that refreshed its hint.  Downstream that
-    shows up as silent re-evaluation (a mark-table miss reprocesses the
-    object) or duplicated results (a result set admits the object
-    twice), and only on runs where hints drifted — the worst kind of
-    nondeterminism.  hfcheck rule R1 (poly-compare) rejects polymorphic
-    equality, ordering and hashing at any type containing [t]. *)
+    pairs agree.  Always use [equal]/[compare]/[hash] (or [Table],
+    [Set], [Map] below), never the polymorphic operators: the
+    representation is this module's business, and types that hold
+    names ([Set.t] and [Map.t] trees, [Value.t] with its floats) have
+    structural layouts that differ from their equality.  hfcheck rule R1
+    (poly-compare) rejects polymorphic equality, ordering and hashing
+    at any type containing [t]. *)
 
 type t
 
 val make : birth_site:int -> serial:int -> t
-(** Fresh name born at [birth_site]; the hint initially points there.
-    Raises [Invalid_argument] on negative components. *)
-
-val with_hint : t -> int -> t
-(** Same identity, updated presumed-current-site hint. *)
+(** Fresh name born at [birth_site].  Raises [Invalid_argument] on
+    negative components. *)
 
 val birth_site : t -> int
 
 val serial : t -> int
 
-val hint : t -> int
-(** Presumed current site of the object. *)
-
 val equal : t -> t -> bool
-(** Identity equality; ignores the hint. *)
 
 val compare : t -> t -> int
 

@@ -74,10 +74,6 @@ let enclosing_iterator_slots t d =
    makes the space of counter vectors finite and lets the mark table key
    on them — the result set then depends only on which pointer chains
    exist, not on message arrival order (see DESIGN.md §4b). *)
-let slot_cap t slot =
-  if slot < 0 || slot >= Array.length t.slot_caps then invalid_arg "Plan.slot_cap";
-  t.slot_caps.(slot)
-
 let initial_counter t slot = if t.slot_caps.(slot) = 0 then 0 else 1
 
 let bump_counter t slot c =

@@ -38,9 +38,6 @@ val enclosing_iterator_slots : t -> int -> int list
     at [k] (larger values behave identically).  Result sets then depend
     only on which pointer chains exist, not on message arrival order. *)
 
-val slot_cap : t -> int -> int
-(** [k] for a [Finite k] iterator, 0 for [Star]. *)
-
 val initial_counter : t -> int -> int
 (** Counter value for members of the initial set: 1 for finite slots, 0
     for star slots. *)

@@ -21,8 +21,8 @@ type node = {
   bindings : (string * Hf_data.Value.t list) list;
 }
 
-(* A node's key: its object and the program index it starts at.  Oid
-   identity ignores the presumed-site hint, as in [Oid.Table]. *)
+(* A node's key: its object and the program index it starts at, under
+   [Oid.equal]/[Oid.hash] as in [Oid.Table]. *)
 module Pos = struct
   type t = Oid.t * int
 
@@ -85,7 +85,6 @@ module Stitch = struct
 
   type t = {
     plan : Plan.t;
-    locate : Oid.t -> int;
     members : (int, unit) Hashtbl.t;  (* the scattered site set *)
     tables : (int, node Pos_table.t) Hashtbl.t;
     roots : (int, Oid.t list) Hashtbl.t;
@@ -102,14 +101,13 @@ module Stitch = struct
       Hashtbl.replace t.covered site cover;
       cover
 
-  let create ~plan ~locate ~sites ~roots =
+  let create ~plan ~sites ~roots =
     let members = Hashtbl.create 7 in
     List.iter (fun s -> Hashtbl.replace members s ()) sites;
     let root_tbl = Hashtbl.create 7 in
     List.iter (fun (s, oids) -> Hashtbl.replace root_tbl s oids) roots;
     {
       plan;
-      locate;
       members;
       tables = Hashtbl.create 7;
       roots = root_tbl;
@@ -136,7 +134,7 @@ module Stitch = struct
       List.iter (fun b -> bindings := b :: !bindings) node.bindings;
       List.iter
         (fun (target, pc) ->
-          let dst = t.locate target in
+          let dst = Oid.birth_site target in
           if Hashtbl.mem t.members dst then
             if Hashtbl.mem t.tables dst then Queue.add (dst, target, pc) q
             else begin

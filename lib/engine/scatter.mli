@@ -58,17 +58,14 @@ module Stitch : sig
         (** chains escaping the scattered site set: ship classically. *)
   }
 
-  val empty_outcome : outcome
-
   val create :
     plan:Plan.t ->
-    locate:(Hf_data.Oid.t -> int) ->
     sites:int list ->
     roots:(int * Hf_data.Oid.t list) list ->
     t
   (** [sites] is every scattered site, the originator included;
-      [roots] gives each site's seed oids.  [locate] routes spawn
-      edges (the engines pass their usual oid-to-site map). *)
+      [roots] gives each site's seed oids.  A spawn edge goes to its
+      target's birth site. *)
 
   val add_gather : t -> site:int -> node list -> outcome
   (** Install the site's table and activate everything newly reachable:

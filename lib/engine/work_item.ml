@@ -36,8 +36,6 @@ let spawn plan ~deref_index ~target t =
     (Plan.enclosing_iterator_slots plan deref_index);
   { oid = target; start = deref_index + 1; iters }
 
-let with_start t start = { t with start }
-
 let equal a b =
   Hf_data.Oid.equal a.oid b.oid
   && a.start = b.start

@@ -30,7 +30,5 @@ val spawn : Plan.t -> deref_index:int -> target:Hf_data.Oid.t -> t -> t
     every enclosing iterator incremented (the pointer chain through
     each of those iterators is one longer). *)
 
-val with_start : t -> int -> t
-
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

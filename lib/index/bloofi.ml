@@ -65,11 +65,6 @@ let probes_run t = t.stat_probes
 let pruned_total t = t.stat_pruned
 let rebuilds t = t.stat_rebuilds
 
-let filter_of t ~site =
-  match Hashtbl.find_opt t.slot_of site with
-  | None -> None
-  | Some slot -> t.nodes.(t.internal + slot)
-
 let indexed (t : t) =
   List.sort Int.compare (Array.to_list (Array.sub t.sites 0 t.n))
 

@@ -46,8 +46,6 @@ val remove : t -> site:int -> unit
 
 val mem : t -> site:int -> bool
 
-val filter_of : t -> site:int -> Bloom.t option
-
 val cardinal : t -> int
 
 val indexed : t -> int list

@@ -6,12 +6,9 @@
    _) tuple.  Maintained incrementally as objects are added, replaced or
    removed. *)
 
-type t = {
-  mutable entries : Hf_data.Oid.Set.t Smap.t;
-  mutable indexed : int; (* objects currently indexed *)
-}
+type t = { mutable entries : Hf_data.Oid.Set.t Smap.t }
 
-let create () = { entries = Smap.empty; indexed = 0 }
+let create () = { entries = Smap.empty }
 
 let keywords_of obj = List.sort_uniq String.compare (Hf_data.Hobject.keywords obj)
 
@@ -25,8 +22,7 @@ let add t obj =
         | Some set -> set
       in
       t.entries <- Smap.add word (Hf_data.Oid.Set.add oid set) t.entries)
-    (keywords_of obj);
-  t.indexed <- t.indexed + 1
+    (keywords_of obj)
 
 let remove t obj =
   let oid = Hf_data.Hobject.oid obj in
@@ -39,8 +35,7 @@ let remove t obj =
         t.entries <-
           (if Hf_data.Oid.Set.is_empty set then Smap.remove word t.entries
            else Smap.add word set t.entries))
-    (keywords_of obj);
-  t.indexed <- max 0 (t.indexed - 1)
+    (keywords_of obj)
 
 let replace t ~old_obj obj =
   remove t old_obj;
@@ -68,5 +63,3 @@ let lookup_glob t pattern =
 let vocabulary t = List.map fst (Smap.bindings t.entries)
 
 let cardinal t = Smap.cardinal t.entries
-
-let indexed_objects t = t.indexed

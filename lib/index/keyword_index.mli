@@ -31,5 +31,3 @@ val vocabulary : t -> string list
 
 val cardinal : t -> int
 (** Distinct keywords. *)
-
-val indexed_objects : t -> int

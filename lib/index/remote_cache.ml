@@ -135,7 +135,6 @@ let first_filter plan ~start ~iters =
 
    A tuple contributes two keys: its type, and its (type, key-value)
    pair.  Values are serialized through an identity-canonical writer —
-   pointer hints are advisory and excluded from [Value.equal], and
    [-0.] / NaN collapse under [Float.equal] — so equal values always
    hash to the same key and a summary miss stays a proof of absence. *)
 
@@ -208,8 +207,7 @@ let summary_misses summary probes =
 (* --- Entry key --- *)
 
 (* Canonical bytes of (destination, shipped suffix, counters, target).
-   The codec's writers are injective, and the oid's advisory hint is
-   normalized away so two routes to the same object share an entry. *)
+   The codec's writers are injective, so equal keys mean equal entries. *)
 let entry_key ~dst ~plan ~start ~iters ~oid =
   let buf = Buffer.create 96 in
   Codec.write_varint buf dst;
@@ -217,7 +215,7 @@ let entry_key ~dst ~plan ~start ~iters ~oid =
   Codec.write_varint buf start;
   Codec.write_varint buf (Array.length iters);
   Array.iter (fun c -> Codec.write_varint buf c) iters;
-  Codec.write_oid buf (Hf_data.Oid.with_hint oid (Hf_data.Oid.birth_site oid));
+  Codec.write_oid buf oid;
   Buffer.contents buf
 
 (* --- LRU table --- *)

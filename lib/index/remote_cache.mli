@@ -32,12 +32,6 @@ val cacheable : Hf_engine.Plan.t -> start:int -> iters:int array -> bool
     filter is reachable from [start] under the item's (fixed) iteration
     counters, by a conservative fixpoint over backward [Iter] jumps. *)
 
-val first_filter :
-  Hf_engine.Plan.t -> start:int -> iters:int array -> Hf_query.Filter.t option
-(** The first non-[Iter] filter evaluation would execute for this item
-    — an exact replay of the eval loop's pure-iterator prefix.  [None]
-    when the item passes trivially (falls off the end). *)
-
 val prune_probes :
   Hf_engine.Plan.t -> start:int -> iters:int array -> string list
 (** Summary-membership probes, each {e necessary} for the item's first
@@ -61,8 +55,8 @@ val type_probe : string -> string
 
 val pair_probe : string -> Hf_data.Value.t -> string
 (** Probe keys as inserted by {!summary_of_store}; values are
-    serialized identity-canonically (pointer hints stripped, [-0.] and
-    NaN collapsed) so [Value.equal] values share a key. *)
+    serialized identity-canonically ([-0.] and NaN collapsed) so
+    [Value.equal] values share a key. *)
 
 (** {1 Answer cache} *)
 
@@ -83,7 +77,7 @@ val entry_key :
   oid:Hf_data.Oid.t ->
   string
 (** Canonical bytes of (destination, shipped program suffix, counters,
-    target oid); the oid's advisory hint is normalized away. *)
+    target oid). *)
 
 type lookup =
   | Hit of bool  (** cached verdict, current at the given version. *)

@@ -174,6 +174,7 @@ type context = {
   mutable admitted : bool;
   mutable slot_released : bool;
   mutable cancelled : bool;
+  mutable started : float; (* when it was submitted *)
   mutable finished_at : float; (* when it terminated or was cancelled *)
   mutable settled : bool; [@hf.guarded_by "handoff"]
       (* terminated or cancelled: what [await] waits for *)
@@ -244,7 +245,7 @@ type t = {
   tracer : Hf_obs.Tracer.t;
   registry : Hf_obs.Registry.t;
   sent_frame_bytes : Hf_obs.Histogram.t; (* per-message encoded size *)
-  query_rtt : Hf_obs.Histogram.t; (* awaited queries' response times, seconds *)
+  query_rtt : Hf_obs.Histogram.t; (* terminated local queries' response times, seconds *)
   ack_latency : Hf_obs.Histogram.t; (* first-send to cumulative-ack, seconds *)
   (* transport metrics *)
   mutable messages_sent : int;
@@ -283,8 +284,6 @@ type t = {
       (* peer -> highest pull token that snapshotting has answered *)
   admission_wait : Hf_obs.Histogram.t; (* submit-to-seed queue wait, seconds *)
 }
-
-let locate oid = Hf_data.Oid.birth_site oid
 
 let qname query = Fmt.str "%a" Message.pp_query_id query
 
@@ -502,6 +501,7 @@ let new_context t ?(cause = 0) ~query program =
       admitted = false;
       slot_released = false;
       cancelled = false;
+      started = 0.0;
       finished_at = 0.0;
       settled = false;
     }
@@ -708,7 +708,7 @@ and release_parked t query ctx ~dst version =
    with it on, resolve against the validated version, or park behind a
    Cache_validate round trip on first contact with the destination. *)
 and route_remote t query ctx ~out wi =
-  let dst = locate (Hf_engine.Work_item.oid wi) in
+  let dst = Hf_data.Oid.birth_site (Hf_engine.Work_item.oid wi) in
   if ships t query ~dst (Site.route t.proto ctx.core ~dst wi) then begin
     ctx.core.buffered <- ctx.core.buffered + 1;
     match Hf_proto.Batch.push out ~dst wi with
@@ -853,7 +853,7 @@ and drain_slice t query ctx ~out ~budget =
         let { Hf_engine.Eval.spawned; passed; skipped } = Site.eval t.proto ctx.core item in
         List.iter
           (fun wi ->
-            let target_site = locate (Hf_engine.Work_item.oid wi) in
+            let target_site = Hf_data.Oid.birth_site (Hf_engine.Work_item.oid wi) in
             if target_site = t.id then Hf_util.Deque.push_back ctx.core.work wi
             else route_remote t query ctx ~out wi)
           spawned;
@@ -881,7 +881,8 @@ and credit_recovered t query ctx credit =
     evict_context t query ctx;
     broadcast_query_done t query;
     release_slot t ctx;
-    settle t ctx
+    settle t ctx;
+    Hf_obs.Histogram.observe t.query_rtt (ctx.finished_at -. ctx.started)
   end
 
 (* [Query_done] goes to every peer, not just the ones this site talked
@@ -936,7 +937,7 @@ let seed_drain t query ctx seeds =
   List.iter
     (fun oid ->
       let wi = Hf_engine.Work_item.initial ctx.core.plan oid in
-      if locate oid = t.id then Hf_util.Deque.push_back ctx.core.work wi
+      if Hf_data.Oid.birth_site oid = t.id then Hf_util.Deque.push_back ctx.core.work wi
       else route_remote t query ctx ~out wi)
     seeds
 
@@ -986,9 +987,9 @@ let scatter_seed t query ctx ~sites initial =
     sites;
   let nodes = Site.eval_domain t.proto ctx.core ~roots:(roots_of t.id) in
   stitch_gather t query ctx ~src:t.id nodes;
-  (* Stray seeds — oids located outside origin ∪ predicted, possible
-     only if prediction raced a relocation — ship classically, same
-     contract as an escaped chain. *)
+  (* Stray seeds — oids born outside origin ∪ predicted, left out by a
+     partial scatter — ship classically, same contract as an escaped
+     chain. *)
   route_now t query ctx (List.map (Hf_engine.Work_item.initial ctx.core.plan) stray);
   finish_drain t query ctx
 
@@ -1146,12 +1147,10 @@ let handle_message t ~span ?rel message =
     | None -> ())
   | Message.Query_done { query; _ } -> (
     (* The originator closed the query (terminated or cancelled):
-       drop our share of its state.  A context whose origin is this
-       site is never evicted here — only the local handle closes
-       those. *)
+       drop our share of its state.  The door let only another
+       origin's query through. *)
     match Hashtbl.find_opt t.contexts query with
-    | Some ctx when ctx.core.origin <> t.id -> evict_context t query ctx
-    | Some _ -> ()
+    | Some ctx -> evict_context t query ctx
     | None -> mark_closed t query)
   | Message.Stats_pull { src = peer; token } ->
     (* the registry's views run inline on the loop *)
@@ -1277,18 +1276,68 @@ let names_known_sites t (message : Message.t) (rel : Hf_proto.Codec.rel option) 
   | Message.Stats_pull { src; _ } | Message.Stats_report { src; _ } -> known t src
   | Message.Link_ack -> true
 
+(* --- roles from the wire --- *)
+
+(* A frame must cast this site in a role its query gives it.  Answers —
+   results, credit, gathers, cache fills, unreachable notices — go only
+   to a query's originator, and a [Scatter] or [Query_done] comes only
+   from it: one that casts this site otherwise would terminate a query
+   that is not ours, or close one that is.  Work for a query this site
+   originated joins the context it holds from submit to close (or dies
+   on the tombstone after), and never opens a second origin. *)
+let ours t (query : Message.query_id) = query.originator = t.id
+
+let joins t query =
+  (not (ours t query)) || Hashtbl.mem t.contexts query || Hashtbl.mem t.closed query
+
+let rec groups_join t = function
+  | [] -> true
+  | (g : Message.batch_group) :: rest -> joins t g.query && groups_join t rest
+
+let in_role t (message : Message.t) =
+  match message with
+  | Message.Result { query; _ }
+  | Message.Credit_return { query; _ }
+  | Message.Gather_result { query; _ }
+  | Message.Site_unreachable { query; _ }
+  | Message.Cache_answers { query; _ } ->
+    ours t query
+  | Message.Scatter { query; _ } | Message.Query_done { query; _ } -> not (ours t query)
+  | Message.Deref_request { query; _ } -> joins t query
+  | Message.Work_batch groups -> groups_join t groups
+  | Message.Cache_validate _ | Message.Cache_version _ | Message.Stats_pull _
+  | Message.Stats_report _ | Message.Link_ack ->
+    true
+
+let dropped_for_role t message =
+  Log.warn (fun m ->
+      m "site %d: message casting this site in the wrong role dropped: %a" t.id Message.pp message)
+
 (* --- the event loop --- *)
 
-(* A frame that does not decode, or that names a site outside the
-   cluster, is dropped at the door. *)
+(* A frame that does not decode, that names a site outside the cluster
+   or that casts this site in the wrong role is dropped at the door; of
+   a [Work_batch], only the groups out of role are. *)
 let decode t payload =
   match Hf_proto.Codec.decode_enveloped payload with
-  | Ok ((message, _, rel) as decoded) ->
-    if names_known_sites t message rel then Some decoded
-    else begin
+  | Ok ((message, span, rel) as decoded) ->
+    if not (names_known_sites t message rel) then begin
       Log.warn (fun m ->
           m "site %d: message naming an unknown site dropped: %a" t.id Message.pp message);
       None
+    end
+    else if in_role t message then Some decoded
+    else begin
+      match message with
+      | Message.Work_batch groups ->
+        let kept, dropped =
+          List.partition (fun (g : Message.batch_group) -> joins t g.query) groups
+        in
+        dropped_for_role t (Message.Work_batch dropped);
+        if kept = [] then None else Some (Message.Work_batch kept, span, rel)
+      | _ ->
+        dropped_for_role t message;
+        None
     end
   | Error err ->
     Log.warn (fun m -> m "site %d: undecodable message dropped: %s" t.id err);
@@ -1566,7 +1615,7 @@ let create ~site ?(batch = Hf_proto.Batch.unbatched) ?reliability ?cache
       acks_sent = 0;
       give_ups = 0;
       proto =
-        Site.create ~id:site ~store ~locate ~clock:Unix.gettimeofday ~cache ~serve_hits:true
+        Site.create ~id:site ~store ~clock:Unix.gettimeofday ~cache ~serve_hits:true
           ~bloofi:true ~bloofi_depth;
       cache_hits = 0;
       cache_misses = 0;
@@ -1714,7 +1763,6 @@ type handle = {
   h_query : Message.query_id;
   h_ctx : context;
   h_root_span : int;
-  h_started : float;
 }
 
 let shut_down t what = failwith (Fmt.str "Tcp_site.%s: site %d is shut down" what t.id)
@@ -1741,6 +1789,7 @@ let submit_query (t : t) program initial =
           "query"
       in
       let ctx = new_context t ~cause:root_span ~query program in
+      ctx.started <- started;
       (* Mode selection (doc/execution_modes.md): [Exec_ship] is the
          byte-identical legacy path — no planner runs at all.  This
          engine is always per-site-marks, ship-items, so eligibility
@@ -1790,7 +1839,7 @@ let submit_query (t : t) program initial =
          failwith
            (Fmt.str "Tcp_site.submit_query: admission queue full at site %d (%a)" t.id
               Sched.pp_config t.admission));
-      { h_query = query; h_ctx = ctx; h_root_span = root_span; h_started = started })
+      { h_query = query; h_ctx = ctx; h_root_span = root_span })
 
 (* The outcome as it stands: the answer of a settled query, or whatever
    has arrived. *)
@@ -1803,9 +1852,8 @@ let outcome t handle =
     else Partial (List.sort_uniq compare ctx.unreachable)
   in
   let response_time =
-    (if status = Timed_out then Unix.gettimeofday () else ctx.finished_at) -. handle.h_started
+    (if status = Timed_out then Unix.gettimeofday () else ctx.finished_at) -. ctx.started
   in
-  if t.running then Hf_obs.Histogram.observe t.query_rtt response_time;
   let finish detail = Hf_obs.Tracer.finish t.tracer handle.h_root_span ~detail in
   (match status with
    | Timed_out -> () (* still live: spans close when it terminates *)

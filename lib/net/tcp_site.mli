@@ -130,8 +130,9 @@ val tracer : t -> Hf_obs.Tracer.t
 val registry : t -> Hf_obs.Registry.t
 (** Per-site transport metrics: [hf.net.messages_sent], [hf.net.bytes_sent],
     [hf.net.messages_received], the [hf.net.sent_frame_bytes] histogram
-    (per-message encoded size) and [hf.net.query_rtt_s] (wall-clock
-    {!run_query} latency, origin site only).  With reliability on, also
+    (per-message encoded size) and [hf.net.query_rtt_s] (the wall-clock
+    response time of each query issued here that ends [Complete] or
+    [Partial]: one sample per query, however often it is awaited).  With reliability on, also
     [hf.net.retransmits], [hf.net.dup_drops], [hf.net.acks_sent],
     [hf.net.give_ups] and the [hf.net.ack_latency_s] histogram.  With
     the cache on, [hf.net.cache_hits], [hf.net.cache_misses],

@@ -14,9 +14,5 @@ val sanitize_name : string -> string
 val escape_label_value : string -> string
 (** Exposition-format escapes: backslash, double quote, newline. *)
 
-val render_snapshot : ?labels:(string * string) list -> Registry.snapshot -> string
-(** [labels] are attached to every series (e.g. [("site", "2")]);
-    keys are sanitized, values escaped. *)
-
 val render : ?labels:(string * string) list -> Registry.t -> string
 (** [render_snapshot] of a fresh {!Registry.snapshot}. *)

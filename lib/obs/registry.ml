@@ -115,17 +115,6 @@ let merge_snapshots snapshots =
   List.rev_map (fun name -> (name, Hashtbl.find table name)) !order
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
-let snapshot_to_json snap =
-  Json.Obj
-    (List.map
-       (fun (name, value) ->
-         ( name,
-           match value with
-           | Counter_value n -> Json.Int n
-           | Gauge_value v -> Json.Float v
-           | Histogram_value h -> Histogram.to_json h ))
-       snap)
-
 let pp_snapshot ppf snap =
   let pp_metric ppf (name, value) =
     match value with

@@ -20,7 +20,6 @@ val register_counter : t -> string -> (unit -> int) -> unit
     Raises on duplicate or empty names (all registration does). *)
 
 val register_gauge : t -> string -> (unit -> float) -> unit
-val register_histogram : t -> string -> Histogram.t -> unit
 
 val counter : t -> string -> int ref
 (** Registry-owned counter: allocates the cell and registers a view. *)
@@ -64,5 +63,4 @@ val merge_snapshots : snapshot list -> snapshot
 (** Cross-site aggregation: counters and gauges sum, histograms merge;
     any name present on any input appears in the result. *)
 
-val snapshot_to_json : snapshot -> Json.t
 val pp_snapshot : Format.formatter -> snapshot -> unit

@@ -5,16 +5,18 @@
    the same binary conventions as the wire codec (no Marshal, no host
    dependence):
 
-     magic "HFSNAP1\n"
+     magic "HFSNAP2\n"
      varint  site number
      varint  next serial (allocation high-water mark)
      varint  object count
      per object: framed [Codec.write_hobject] payload
 
    Framing each object individually keeps a truncated file detectable
-   at the exact object where it fails. *)
+   at the exact object where it fails.  "HFSNAP1" files carried a third
+   varint per oid (a location hint); their magic no longer matches, so
+   they are refused rather than misread. *)
 
-let magic = "HFSNAP1\n"
+let magic = "HFSNAP2\n"
 
 exception Corrupt of string
 

@@ -10,7 +10,7 @@
 exception Corrupt of string
 
 val magic : string
-(** File magic ("HFSNAP1\n"). *)
+(** File magic ("HFSNAP2\n"). *)
 
 val encode : Hf_data.Store.t -> string
 (** Snapshot bytes for a store. *)

@@ -18,10 +18,6 @@ let validate_policy = function
   | Flush_at k when k < 1 -> invalid_arg "Batch.Flush_at: batch size must be >= 1"
   | Flush_at _ | Flush_on_drain -> ()
 
-let pp_policy ppf = function
-  | Flush_at k -> Fmt.pf ppf "K=%d" k
-  | Flush_on_drain -> Fmt.string ppf "K=inf"
-
 type 'a buffer = { mutable items : 'a list (* newest first *); mutable count : int }
 
 type 'a t = {

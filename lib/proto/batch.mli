@@ -21,8 +21,6 @@ val unbatched : flush_policy
 val validate_policy : flush_policy -> unit
 (** Raises [Invalid_argument] on [Flush_at k] with [k < 1]. *)
 
-val pp_policy : Format.formatter -> flush_policy -> unit
-
 type 'a t
 
 val create : flush_policy -> 'a t

@@ -118,18 +118,18 @@ let with_reader data f =
   if not (at_end r) then fail "trailing bytes after payload (offset %d)" r.pos;
   value
 
-(* --- Oids --- *)
+(* --- Oids ---
+
+   An oid is its identity, (birth site, serial): two varints. *)
 
 let write_oid buf oid =
   write_varint buf (Hf_data.Oid.birth_site oid);
-  write_varint buf (Hf_data.Oid.serial oid);
-  write_varint buf (Hf_data.Oid.hint oid)
+  write_varint buf (Hf_data.Oid.serial oid)
 
 let read_oid r =
   let birth_site = read_varint r in
   let serial = read_varint r in
-  let hint = read_varint r in
-  Hf_data.Oid.with_hint (Hf_data.Oid.make ~birth_site ~serial) hint
+  Hf_data.Oid.make ~birth_site ~serial
 
 (* --- Values --- *)
 

@@ -45,7 +45,6 @@ type writer = Buffer.t
 type reader
 
 val reader : string -> reader
-val at_end : reader -> bool
 
 val remaining : reader -> string
 (** Bytes not yet consumed. *)
@@ -62,22 +61,8 @@ val write_value : writer -> Hf_data.Value.t -> unit
 val read_value : reader -> Hf_data.Value.t
 
 val write_oid : writer -> Hf_data.Oid.t -> unit
-val read_oid : reader -> Hf_data.Oid.t
-
-val write_tuple : writer -> Hf_data.Tuple.t -> unit
-val read_tuple : reader -> Hf_data.Tuple.t
 
 val write_hobject : writer -> Hf_data.Hobject.t -> unit
 val read_hobject : reader -> Hf_data.Hobject.t
 
-val write_pattern : writer -> Hf_query.Pattern.t -> unit
-val read_pattern : reader -> Hf_query.Pattern.t
-
-val write_filter : writer -> Hf_query.Filter.t -> unit
-val read_filter : reader -> Hf_query.Filter.t
-
 val write_program : writer -> Hf_query.Program.t -> unit
-val read_program : reader -> Hf_query.Program.t
-
-val write_stat : writer -> Message.stat -> unit
-val read_stat : reader -> Message.stat

@@ -167,13 +167,6 @@ type t =
               covers. *)
     }  (** Scatter-gather mode, inbound half. *)
 
-val equal_batch_item : batch_item -> batch_item -> bool
-val equal_batch_group : batch_group -> batch_group -> bool
-val equal_cache_answer : cache_answer -> cache_answer -> bool
-val equal_stat_value : stat_value -> stat_value -> bool
-val equal_stat : stat -> stat -> bool
-val equal_gather_node : gather_node -> gather_node -> bool
-
 val query_of : t -> query_id
 (** For [Work_batch] this is the first group's query (the query the
     message is charged to).  Raises [Invalid_argument] on an empty

@@ -24,7 +24,6 @@ val closure : element list -> element
 val repeat : int -> element list -> element
 (** [repeat k body] is "[ body ]^k". *)
 
-val equal_element : element -> element -> bool
 val equal : t -> t -> bool
 
 val unroll : t -> t

@@ -30,20 +30,6 @@ let keyword word =
       data = Pattern.any;
     }
 
-let string_equals ~key value =
-  Ast.Select
-    { ttype = Pattern.exact_str Hf_data.Tuple.type_string;
-      key = Pattern.exact_str key;
-      data = Pattern.glob value;
-    }
-
-let number_in ~key lo hi =
-  Ast.Select
-    { ttype = Pattern.exact_str Hf_data.Tuple.type_number;
-      key = Pattern.exact_str key;
-      data = Pattern.range lo hi;
-    }
-
 let follow var = Ast.Deref { var; mode = Filter.Replace }
 
 let follow_keeping var = Ast.Deref { var; mode = Filter.Keep_parent }

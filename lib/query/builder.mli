@@ -22,12 +22,6 @@ val pointers : ?key:string -> string -> Ast.element
 val keyword : string -> Ast.element
 (** Object contains the keyword (glob allowed). *)
 
-val string_equals : key:string -> string -> Ast.element
-(** [(String, key, value)] selection; glob allowed in [value]. *)
-
-val number_in : key:string -> int -> int -> Ast.element
-(** [(Number, key, lo..hi)] selection. *)
-
 val follow : string -> Ast.element
 (** Single up-arrow: dereference [var], dropping the pointing object. *)
 

@@ -42,6 +42,5 @@ val retrieve : ttype:Pattern.t -> key:Pattern.t -> target:string -> t
 val equal_iter_count : iter_count -> iter_count -> bool
 val equal : t -> t -> bool
 
-val pp_iter_count : Format.formatter -> iter_count -> unit
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

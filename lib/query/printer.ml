@@ -26,8 +26,3 @@ let rec pp_element ppf = function
 and pp_body ppf body = Fmt.list ~sep:Fmt.sp pp_element ppf body
 
 let to_string ast = Fmt.str "%a" pp_body ast
-
-let query_to_string ?source ?target ast =
-  let prefix = match source with Some s -> s ^ " " | None -> "" in
-  let suffix = match target with Some t -> " -> " ^ t | None -> "" in
-  prefix ^ to_string ast ^ suffix

@@ -2,14 +2,4 @@
 
     Round-trip law: [Parser.parse_body (to_string ast)] equals [ast]. *)
 
-val pp_pattern : Format.formatter -> Pattern.t -> unit
-
-val pp_element : Format.formatter -> Ast.element -> unit
-
-val pp_body : Format.formatter -> Ast.t -> unit
-
 val to_string : Ast.t -> string
-
-val query_to_string : ?source:string -> ?target:string -> Ast.t -> string
-(** Full query string with optional source-set name and result
-    binding. *)

@@ -306,7 +306,6 @@ module Make (D : Hf_termination.Detector.S) = struct
     sim : Hf_sim.Sim.t;
     sites : site array;
     config : config;
-    locate : Oid.t -> int;
     tracer : Hf_obs.Tracer.t;
     registry : Hf_obs.Registry.t; (* cluster-wide metrics *)
     work_batch_items : Hf_obs.Histogram.t; (* items per shipped work message *)
@@ -327,7 +326,7 @@ module Make (D : Hf_termination.Detector.S) = struct
            plus the thunk that seeds it once a slot frees *)
   }
 
-  let create ?(config = default_config) ?locate ?(tracer = Hf_obs.Tracer.noop) ~n_sites () =
+  let create ?(config = default_config) ?(tracer = Hf_obs.Tracer.noop) ~n_sites () =
     if n_sites <= 0 then invalid_arg "Cluster.create: n_sites must be positive";
     (match config.reliability with
      | Some rel -> Hf_proto.Reliable.validate rel
@@ -339,7 +338,6 @@ module Make (D : Hf_termination.Detector.S) = struct
     let rel_config =
       Option.value config.reliability ~default:Hf_proto.Reliable.default
     in
-    let locate = match locate with Some f -> f | None -> Oid.birth_site in
     let sim = Hf_sim.Sim.create () in
     (* Spans are stamped in virtual time so trace durations line up
        with the simulated response times. *)
@@ -359,7 +357,7 @@ module Make (D : Hf_termination.Detector.S) = struct
             (* Counting modes attribute results to the site that found
                them, so a cache hit there is never served locally. *)
             proto =
-              Site.create ~id ~store ~locate
+              Site.create ~id ~store
                 ~clock:(fun () -> Hf_sim.Sim.now sim)
                 ~cache:config.cache
                 ~serve_hits:(config.result_mode = Ship_items)
@@ -380,7 +378,6 @@ module Make (D : Hf_termination.Detector.S) = struct
         sim;
         sites;
         config;
-        locate;
         tracer;
         registry;
         work_batch_items;
@@ -1098,7 +1095,7 @@ module Make (D : Hf_termination.Detector.S) = struct
      the traffic behind a Cache_validate round trip, and items for a
      validated destination resolve (prune / hit / miss) immediately. *)
   and route_remote t site ctx wi acc =
-    let dst = t.locate (Hf_engine.Work_item.oid wi) in
+    let dst = Oid.birth_site (Hf_engine.Work_item.oid wi) in
     settle t site ctx ~dst wi acc (Site.route site.proto ctx.core ~dst wi)
 
   and send_cache_validate t site ctx ~dst =
@@ -1246,7 +1243,7 @@ module Make (D : Hf_termination.Detector.S) = struct
         with_metrics t ctx.core.query (fun m ->
             m.Metrics.duplicate_work_messages <- m.Metrics.duplicate_work_messages + 1);
       let local, remote =
-        List.partition (fun wi -> t.locate (Hf_engine.Work_item.oid wi) = site.id) spawned
+        List.partition (fun wi -> Oid.birth_site (Hf_engine.Work_item.oid wi) = site.id) spawned
       in
       (* Under the global-marks ablation, suppress sends the shared table
          proves redundant. *)
@@ -1853,7 +1850,7 @@ module Make (D : Hf_termination.Detector.S) = struct
     let origin = origin_site.id in
     enqueue t origin_site ~tenant:origin (fun () ->
         let local, remote =
-          List.partition (fun oid -> t.locate oid = origin) initial
+          List.partition (fun oid -> Oid.birth_site oid = origin) initial
         in
         (* Remote seeds ride the same cache layer and per-site batcher
            as spawned work, so concurrent submissions coalesce too. *)

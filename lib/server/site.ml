@@ -1,7 +1,7 @@
 (* The per-site protocol decisions of Section 3.2, shared by the
    simulator (Cluster) and the socket engine (Tcp_site).  Nothing here
    reads a clock, touches a socket or moves credit: the drivers pass
-   the clock and [locate] in, and act on the verdicts that come out. *)
+   the clock in, and act on the verdicts that come out. *)
 
 module Oid = Hf_data.Oid
 module Message = Hf_proto.Message
@@ -39,7 +39,6 @@ let merge_bindings table extra =
 type t = {
   id : int;
   store : Hf_data.Store.t;
-  locate : Oid.t -> int;
   clock : unit -> float;
   serve_hits : bool;
   cache_config : Remote_cache.config option;
@@ -65,11 +64,10 @@ type t = {
       (* (store version, on-site fraction of pointer tuples) *)
 }
 
-let create ~id ~store ~locate ~clock ~cache ~serve_hits ~bloofi ~bloofi_depth =
+let create ~id ~store ~clock ~cache ~serve_hits ~bloofi ~bloofi_depth =
   {
     id;
     store;
-    locate;
     clock;
     serve_hits;
     cache_config = cache;
@@ -368,7 +366,7 @@ let p_local t =
         List.iter
           (fun target ->
             incr total;
-            if t.locate target = t.id then incr local)
+            if Oid.birth_site target = t.id then incr local)
           (Hf_data.Hobject.pointers obj));
     let p = if !total = 0 then 1.0 else float_of_int !local /. float_of_int !total in
     t.locality_memo <- Some (version, p);
@@ -432,7 +430,7 @@ let decide t ~n_sites ~summary ~objects ~costs program initial =
   let seed_sites =
     List.fold_left
       (fun acc oid ->
-        let s = t.locate oid in
+        let s = Oid.birth_site oid in
         match List.assoc_opt s acc with
         | Some n -> (s, n + 1) :: List.remove_assoc s acc
         | None -> (s, 1) :: acc)
@@ -491,10 +489,9 @@ let select exec ~scatter_ok decide =
     in
     (Some d, if scatter then Some d.predicted else None)
 
-(* The planner's predicted set covers the remote seed sites, but
-   [locate] could disagree with a stale view, so a seed outside the
-   scattered set ships classically — same contract as a stitched
-   chain that escapes. *)
+(* A partial scatter leaves out a remote seed site whose summary rules
+   out its seeds, so a seed born outside the scattered set ships
+   classically — same contract as a stitched chain that escapes. *)
 let scatter_seed t ctx ~sites initial =
   let members = t.id :: sites in
   let member = Hashtbl.create 8 in
@@ -503,7 +500,7 @@ let scatter_seed t ctx ~sites initial =
   let stray = ref [] in
   List.iter
     (fun oid ->
-      let s = t.locate oid in
+      let s = Oid.birth_site oid in
       if Hashtbl.mem member s then
         Hashtbl.replace roots s
           (oid :: (match Hashtbl.find_opt roots s with Some l -> l | None -> []))
@@ -512,7 +509,7 @@ let scatter_seed t ctx ~sites initial =
   let roots_of s = match Hashtbl.find_opt roots s with Some l -> List.rev l | None -> [] in
   ctx.scatter <-
     Some
-      (Hf_engine.Scatter.Stitch.create ~plan:ctx.plan ~locate:t.locate ~sites:members
+      (Hf_engine.Scatter.Stitch.create ~plan:ctx.plan ~sites:members
          ~roots:(List.map (fun s -> (s, roots_of s)) members));
   (roots_of, List.rev !stray)
 

@@ -49,15 +49,14 @@ type t
 val create :
   id:int ->
   store:Hf_data.Store.t ->
-  locate:(Oid.t -> int) ->
   clock:(unit -> float) ->
   cache:Hf_index.Remote_cache.config option ->
   serve_hits:bool ->
   bloofi:bool ->
   bloofi_depth:Hf_obs.Histogram.t ->
   t
-(** [locate] maps an oid to the site that stores it.  [clock] stamps
-    cache entries for their TTL (virtual or wall time).  [cache] turns
+(** Every oid lives at its birth site.  [clock] stamps cache entries
+    for their TTL (virtual or wall time).  [cache] turns
     on the remote-answer cache and the Bloom summary channel
     (DESIGN.md §4g).  [serve_hits] says whether a cache hit may answer
     an item locally; [false] ships it anyway.  [bloofi] keeps a Bloofi
@@ -239,7 +238,7 @@ val decide :
   Oid.t list ->
   Hf_query.Plan.decision
 (** Price shipping against scatter for a query issued here over the
-    initial oids.  Seed sites come from [locate]; each peer's hint
+    initial oids.  Seed sites are the oids' birth sites; each peer's hint
     from [summary peer] (its filter, if any) and [objects peer summary]
     (its object count, if known), with one Bloofi descent replacing the
     flat landing probes for indexed peers; [costs] turns the item size
@@ -261,7 +260,7 @@ val scatter_seed :
   t -> 'w ctx -> sites:int list -> Oid.t list -> (int -> Oid.t list) * Oid.t list
 (** Partition the seeds over the originator and [sites] and install
     the stitch in [ctx.scatter].  Returns each site's roots, and the
-    stray seeds (located outside that set, in seed order) that must
+    stray seeds (born outside that set, in seed order) that must
     ship classically. *)
 
 val gather : t -> 'w ctx -> site:int -> Hf_engine.Scatter.node list -> Hf_engine.Work_item.t list

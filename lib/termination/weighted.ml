@@ -18,10 +18,6 @@ type t = {
   mutable held : Credit.t;
   mutable recovered : Credit.t; (* meaningful at the origin only *)
   mutable splits : int; (* instrumentation *)
-  mutable returns : int;
-  mutable deepest_split : int;
-      (* largest atom exponent ever given away: how finely the credit
-         was diced by the query's fan-out *)
 }
 
 type tag = Credit.t
@@ -38,8 +34,6 @@ let create ~n_sites ~origin ~self =
     held = Credit.zero;
     recovered = Credit.zero;
     splits = 0;
-    returns = 0;
-    deepest_split = 0;
   }
 
 let on_seed t =
@@ -49,9 +43,6 @@ let on_seed t =
 let on_send_work t ~dst:_ =
   let keep, give = Credit.split t.held in
   t.splits <- t.splits + 1;
-  (match Credit.max_exponent give with
-   | Some k when k > t.deepest_split -> t.deepest_split <- k
-   | _ -> ());
   t.held <- keep;
   give
 
@@ -72,17 +63,13 @@ let on_send_failed t ~dst:_ credit =
     t.recovered <- Credit.add t.recovered credit;
     ([], terminated t)
   end
-  else begin
-    t.returns <- t.returns + 1;
-    ([ (t.origin, Return credit) ], false)
-  end
+  else ([ (t.origin, Return credit) ], false)
 
 let on_drain t =
   if Credit.is_zero t.held then ([], terminated t)
   else begin
     let returned = t.held in
     t.held <- Credit.zero;
-    t.returns <- t.returns + 1;
     if t.self = t.origin then begin
       t.recovered <- Credit.add t.recovered returned;
       ([], terminated t)
@@ -107,7 +94,3 @@ let held t = t.held
 let recovered t = t.recovered
 
 let splits t = t.splits
-
-let return_messages t = t.returns
-
-let deepest_split t = t.deepest_split

@@ -20,11 +20,3 @@ val recovered : t -> Credit.t
 
 val splits : t -> int
 (** Number of credit splits performed (one per work message sent). *)
-
-val return_messages : t -> int
-(** Number of credit-return control messages emitted by this site. *)
-
-val deepest_split : t -> int
-(** Largest atom exponent ever given away by this site — how finely the
-    query's fan-out diced the unit credit (an atom of exponent [k] is
-    worth 2{^-k}). *)

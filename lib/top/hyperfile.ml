@@ -56,13 +56,11 @@ module Weighted = Hf_termination.Weighted
 module Dijkstra_scholten = Hf_termination.Dijkstra_scholten
 module Four_counter = Hf_termination.Four_counter
 
-(** {1 Naming, indexing, persistence} *)
+(** {1 Indexing, persistence} *)
 
-module Name_service = Hf_naming.Name_service
 module Keyword_index = Hf_index.Keyword_index
 module Reachability = Hf_index.Reachability
-module Planner = Hf_index.Planner
-module Backlinks = Hf_index.Backlinks
+module Indexed_eval = Hf_index.Indexed_eval
 module Snapshot = Hf_persist.Snapshot
 
 (** {1 Clients, workload, baseline} *)

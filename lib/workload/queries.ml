@@ -32,13 +32,6 @@ let select_rand1000 v = select_number ~key:"Rand1000" v
 
 type selectivity = Unique | Rand1000 | Rand100 | Rand10 | All
 
-let selectivity_name = function
-  | Unique -> "unique (1 object)"
-  | Rand1000 -> "1/1000 space"
-  | Rand100 -> "1/100 space"
-  | Rand10 -> "1/10 space"
-  | All -> "all objects"
-
 (* A randomized selection of the given selectivity, as in the paper's
    100-query runs. *)
 let random_selection prng ~n_objects = function

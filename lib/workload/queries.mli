@@ -2,14 +2,9 @@
     one pointer class plus a search-key selection, with randomized keys
     for the 100-query runs. *)
 
-val closure_body : pointer_key:string -> Hf_query.Ast.element -> Hf_query.Ast.t
-(** [\[ (Pointer, pointer_key, ?X) ^^X \]* selection]. *)
-
 val depth_body :
   pointer_key:string -> depth:int -> Hf_query.Ast.element -> Hf_query.Ast.t
 (** Same, but iterating [depth] levels instead of to closure. *)
-
-val select_number : key:string -> int -> Hf_query.Ast.element
 
 val select_unique : int -> Hf_query.Ast.element
 val select_common : Hf_query.Ast.element
@@ -18,8 +13,6 @@ val select_rand100 : int -> Hf_query.Ast.element
 val select_rand1000 : int -> Hf_query.Ast.element
 
 type selectivity = Unique | Rand1000 | Rand100 | Rand10 | All
-
-val selectivity_name : selectivity -> string
 
 val random_selection :
   Hf_util.Prng.t -> n_objects:int -> selectivity -> Hf_query.Ast.element

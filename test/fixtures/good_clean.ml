@@ -12,7 +12,7 @@ let mem_ok (o : Hf_data.Oid.t) os = List.exists (Hf_data.Oid.equal o) os
 
 let table_ok (table : int Hf_data.Oid.Table.t) o = Hf_data.Oid.Table.find_opt table o
 
-let nil_check_ok (os : Hf_data.Oid.t list) = os = [] (* tag-only: hint-safe *)
+let nil_check_ok (os : Hf_data.Oid.t list) = os = [] (* tag-only: identity-safe *)
 
 let int_compare_ok (a : int) b = compare a b
 

@@ -33,7 +33,7 @@ let matches obj = List.mem "hot" (Hf_data.Hobject.keywords obj)
 let run ?config ~n () =
   let oids, find = make_ring n in
   ( oids,
-    FS.run_closure ?config ~origin:0 ~locate:Oid.birth_site ~find ~pointer_key:"R" ~matches
+    FS.run_closure ?config ~origin:0 ~find ~pointer_key:"R" ~matches
       [ oids.(0) ] )
 
 let test_traversal_correct () =
@@ -54,7 +54,7 @@ let test_local_objects_free () =
            [ Tuple.pointer ~key:"R" oids.((i + 1) mod 5); Tuple.keyword "hot" ]))
     oids;
   let outcome =
-    FS.run_closure ~origin:0 ~locate:Oid.birth_site ~find:(Store.find store) ~pointer_key:"R"
+    FS.run_closure ~origin:0 ~find:(Store.find store) ~pointer_key:"R"
       ~matches [ oids.(0) ]
   in
   check_int "no messages" 0 outcome.FS.messages;
@@ -93,7 +93,7 @@ let test_pipelining_on_star () =
   let run window =
     FS.run_closure
       ~config:{ FS.default_config with FS.window }
-      ~origin:0 ~locate:Oid.birth_site ~find ~pointer_key:"R" ~matches [ hub ]
+      ~origin:0 ~find ~pointer_key:"R" ~matches [ hub ]
   in
   let seq = run 1 and par = run 16 in
   check_bool "same results" true (Oid.Set.equal seq.FS.result_set par.FS.result_set);
@@ -107,7 +107,7 @@ let test_dangling_pointer_skipped () =
     (Hf_data.Hobject.of_tuples a
        [ Tuple.pointer ~key:"R" (Oid.make ~birth_site:1 ~serial:99); Tuple.keyword "hot" ]);
   let outcome =
-    FS.run_closure ~origin:0 ~locate:Oid.birth_site ~find:(Store.find store) ~pointer_key:"R"
+    FS.run_closure ~origin:0 ~find:(Store.find store) ~pointer_key:"R"
       ~matches [ a ]
   in
   check_int "one result" 1 (List.length outcome.FS.results)

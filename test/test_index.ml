@@ -1,13 +1,13 @@
 (* Tests for the indexing facilities: keyword inverted index,
-   reachability index (SCC-based, cycle-safe), and the planner's
-   equivalence with the engine. *)
+   reachability index (SCC-based, cycle-safe), and index-accelerated
+   evaluation's equivalence with the engine. *)
 
 module Oid = Hf_data.Oid
 module Tuple = Hf_data.Tuple
 module Store = Hf_data.Store
 module KI = Hf_index.Keyword_index
 module Reach = Hf_index.Reachability
-module Planner = Hf_index.Planner
+module Indexed_eval = Hf_index.Indexed_eval
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -152,39 +152,39 @@ let prop_reach_matches_engine =
       let expected = List.sort compare (Hashtbl.fold (fun i _ acc -> i :: acc) visited []) in
       logical_set oids (Reach.reachable reach oids.(start)) = expected)
 
-(* --- Planner --- *)
+(* --- Indexed_eval --- *)
 
 let closure_ast = Hf_query.Parser.parse_body "[ (Pointer, \"R\", ?X) ^^X ]* (Keyword, \"hot\", ?)"
 
-let test_planner_recognizes_shape () =
+let test_indexed_recognizes_shape () =
   let store, _ = build 2 ~edges:[ (0, 1) ] ~keywords:[ (0, "hot") ] in
   let indexes =
-    { Planner.reachability = Some (Reach.of_store ~key:"R" store);
+    { Indexed_eval.reachability = Some (Reach.of_store ~key:"R" store);
       keywords = Some (KI.of_store store);
     }
   in
-  (match Planner.explain indexes closure_ast with
-   | Planner.Indexed _ -> ()
-   | Planner.Scan -> Alcotest.fail "expected indexed plan");
-  match Planner.explain Planner.no_indexes closure_ast with
-  | Planner.Scan -> ()
-  | Planner.Indexed _ -> Alcotest.fail "no indexes means scan"
+  (match Indexed_eval.explain indexes closure_ast with
+   | Indexed_eval.Indexed _ -> ()
+   | Indexed_eval.Scan -> Alcotest.fail "expected indexed plan");
+  match Indexed_eval.explain Indexed_eval.no_indexes closure_ast with
+  | Indexed_eval.Scan -> ()
+  | Indexed_eval.Indexed _ -> Alcotest.fail "no indexes means scan"
 
-let test_planner_wrong_key_scans () =
+let test_indexed_wrong_key_scans () =
   let store, _ = build 2 ~edges:[ (0, 1) ] ~keywords:[] in
   let indexes =
-    { Planner.reachability = Some (Reach.of_store ~key:"OTHER" store); keywords = None }
+    { Indexed_eval.reachability = Some (Reach.of_store ~key:"OTHER" store); keywords = None }
   in
-  match Planner.explain indexes closure_ast with
-  | Planner.Scan -> ()
-  | Planner.Indexed _ -> Alcotest.fail "key mismatch must scan"
+  match Indexed_eval.explain indexes closure_ast with
+  | Indexed_eval.Scan -> ()
+  | Indexed_eval.Indexed _ -> Alcotest.fail "key mismatch must scan"
 
-(* The planner answers reachability∩keyword; the engine's Figure 3
+(* Indexed_eval answers reachability∩keyword; the engine's Figure 3
    semantics drops pointerless leaves before the trailing filter.  On
    graphs where every node has an outgoing R pointer the two agree
    exactly. *)
-let prop_planner_matches_engine =
-  QCheck2.Test.make ~name:"planner = engine on leaf-free graphs" ~count:100 QCheck2.Gen.int
+let prop_indexed_matches_engine =
+  QCheck2.Test.make ~name:"indexed eval = engine on leaf-free graphs" ~count:100 QCheck2.Gen.int
     (fun seed ->
       let prng = Hf_util.Prng.create seed in
       let n = 2 + Hf_util.Prng.next_int prng 12 in
@@ -201,65 +201,24 @@ let prop_planner_matches_engine =
       in
       let store, oids = build n ~edges ~keywords in
       let indexes =
-        { Planner.reachability = Some (Reach.of_store ~key:"R" store);
+        { Indexed_eval.reachability = Some (Reach.of_store ~key:"R" store);
           keywords = Some (KI.of_store store);
         }
       in
       let start = Hf_util.Prng.next_int prng n in
-      let planner_answer =
-        Planner.answer ~indexes ~find:(Store.find store) closure_ast [ oids.(start) ]
+      let indexed_answer =
+        Indexed_eval.answer ~indexes ~find:(Store.find store) closure_ast [ oids.(start) ]
       in
       let engine_answer =
         (Hf_engine.Local.run_query ~store closure_ast [ oids.(start) ]).Hf_engine.Local.result_set
       in
-      Oid.Set.equal planner_answer engine_answer)
+      Oid.Set.equal indexed_answer engine_answer)
 
-let test_planner_fallback_general_query () =
+let test_indexed_fallback_general_query () =
   let store, oids = build 2 ~edges:[ (0, 1) ] ~keywords:[ (1, "hot") ] in
   let ast = Hf_query.Parser.parse_body "(Pointer, \"R\", ?X) ^X (Keyword, \"hot\", ?)" in
-  let answer = Planner.answer ~find:(Store.find store) ast [ oids.(0) ] in
+  let answer = Indexed_eval.answer ~find:(Store.find store) ast [ oids.(0) ] in
   Alcotest.(check (list int)) "fallback works" [ 1 ] (logical_set oids answer)
-
-(* --- Backlinks --- *)
-
-let test_backlinks_basic () =
-  let store, oids = build 4 ~edges:[ (0, 2); (1, 2); (2, 3) ] ~keywords:[] in
-  let bl = Hf_index.Backlinks.of_store store in
-  check_int "two referrers of 2" 2
-    (Oid.Set.cardinal (Hf_index.Backlinks.referrers bl oids.(2)));
-  check_int "one referrer of 3" 1 (Hf_index.Backlinks.referrer_count bl oids.(3));
-  check_int "no referrers of 0" 0 (Hf_index.Backlinks.referrer_count bl oids.(0));
-  match Hf_index.Backlinks.incoming bl oids.(3) with
-  | [ { Hf_index.Backlinks.source; key } ] ->
-    check_bool "edge source" true (Oid.equal source oids.(2));
-    Alcotest.(check string) "edge key" "R" key
-  | _ -> Alcotest.fail "expected one incoming edge"
-
-let test_backlinks_key_filter () =
-  let store = Store.create ~site:0 in
-  let a = Store.fresh_oid store and b = Store.fresh_oid store in
-  Store.insert store
-    (Hf_data.Hobject.of_tuples a
-       [ Tuple.pointer ~key:"Cites" b; Tuple.pointer ~key:"Thanks" b ]);
-  Store.insert store (Hf_data.Hobject.of_tuples b []);
-  let all = Hf_index.Backlinks.of_store store in
-  let cites = Hf_index.Backlinks.of_store ~key:"Cites" store in
-  check_int "all edges" 2 (List.length (Hf_index.Backlinks.incoming all b));
-  check_int "filtered" 1 (List.length (Hf_index.Backlinks.incoming cites b));
-  check_bool "indexed key recorded" true (Hf_index.Backlinks.indexed_key cites = Some "Cites")
-
-let test_backlinks_materialize () =
-  (* The paper's prescription: write back pointers into the objects so
-     "find all routines that call this one" is a forward query. *)
-  let store, oids = build 3 ~edges:[ (0, 2); (1, 2) ] ~keywords:[] in
-  let updated = Hf_index.Backlinks.materialize ~key:"R" store in
-  check_int "one object gained back pointers" 1 updated;
-  let ast = Hf_query.Parser.parse_body "(Pointer, \"R<-\", ?X) ^X (?, ?, ?)" in
-  let callers = Hf_engine.Local.run_query ~store ast [ oids.(2) ] in
-  Alcotest.(check (list int)) "callers found by forward query" [ 0; 1 ]
-    (logical_set oids callers.Hf_engine.Local.result_set);
-  (* idempotent: tuple sets absorb duplicates *)
-  check_int "re-run adds nothing" 0 (Hf_index.Backlinks.materialize ~key:"R" store)
 
 let qtest t = QCheck_alcotest.to_alcotest t
 
@@ -283,18 +242,12 @@ let () =
           Alcotest.test_case "unknown object" `Quick test_reach_unknown;
           qtest prop_reach_matches_engine;
         ] );
-      ( "planner",
+      ( "indexed eval",
         [
-          Alcotest.test_case "recognizes the shape" `Quick test_planner_recognizes_shape;
-          Alcotest.test_case "wrong key scans" `Quick test_planner_wrong_key_scans;
+          Alcotest.test_case "recognizes the shape" `Quick test_indexed_recognizes_shape;
+          Alcotest.test_case "wrong key scans" `Quick test_indexed_wrong_key_scans;
           Alcotest.test_case "fallback on general queries" `Quick
-            test_planner_fallback_general_query;
-          qtest prop_planner_matches_engine;
-        ] );
-      ( "backlinks",
-        [
-          Alcotest.test_case "reverse index" `Quick test_backlinks_basic;
-          Alcotest.test_case "key filter" `Quick test_backlinks_key_filter;
-          Alcotest.test_case "materialize back pointers" `Quick test_backlinks_materialize;
+            test_indexed_fallback_general_query;
+          qtest prop_indexed_matches_engine;
         ] );
     ]

@@ -15,7 +15,7 @@ let check_bool = Alcotest.(check bool)
 
 (* Site 0, with the cache and the Bloofi tree on, at a frozen clock. *)
 let origin () =
-  Site.create ~id:0 ~store:(Store.create ~site:0) ~locate:Oid.birth_site
+  Site.create ~id:0 ~store:(Store.create ~site:0)
     ~clock:(fun () -> 0.0)
     ~cache:(Some Rc.default) ~serve_hits:true ~bloofi:true
     ~bloofi_depth:(Hf_obs.Histogram.create ())
@@ -226,7 +226,7 @@ let test_prune_needs_validated_version () =
 let test_cache_off () =
   let store = Store.create ~site:0 in
   let site =
-    Site.create ~id:0 ~store ~locate:Oid.birth_site ~clock:(fun () -> 0.0) ~cache:None
+    Site.create ~id:0 ~store ~clock:(fun () -> 0.0) ~cache:None
       ~serve_hits:true ~bloofi:false ~bloofi_depth:(Hf_obs.Histogram.create ())
   in
   let ctx = context () in
@@ -250,7 +250,7 @@ let test_cache_off () =
 let test_hits_not_served () =
   let store = Store.create ~site:0 in
   let site =
-    Site.create ~id:0 ~store ~locate:Oid.birth_site ~clock:(fun () -> 0.0)
+    Site.create ~id:0 ~store ~clock:(fun () -> 0.0)
       ~cache:(Some Rc.default) ~serve_hits:false ~bloofi:false
       ~bloofi_depth:(Hf_obs.Histogram.create ())
   in
@@ -272,7 +272,7 @@ let test_validate_reply () =
   let store = Store.create ~site:0 in
   ignore (Store.create_object store [ Tuple.keyword "cold" ]);
   let site =
-    Site.create ~id:0 ~store ~locate:Oid.birth_site ~clock:(fun () -> 0.0)
+    Site.create ~id:0 ~store ~clock:(fun () -> 0.0)
       ~cache:(Some Rc.default) ~serve_hits:true ~bloofi:false
       ~bloofi_depth:(Hf_obs.Histogram.create ())
   in
@@ -322,7 +322,7 @@ let test_results_at_origin () =
    until the driver takes them, oldest first. *)
 let test_results_away () =
   let site =
-    Site.create ~id:1 ~store:(Store.create ~site:1) ~locate:Oid.birth_site
+    Site.create ~id:1 ~store:(Store.create ~site:1)
       ~clock:(fun () -> 0.0) ~cache:(Some Rc.default) ~serve_hits:true ~bloofi:false
       ~bloofi_depth:(Hf_obs.Histogram.create ())
   in
@@ -368,7 +368,7 @@ let test_eval_step () =
       [ Tuple.string_ ~key:"Title" "x"; Tuple.pointer ~key:"R" target ]
   in
   let site =
-    Site.create ~id:0 ~store ~locate:Oid.birth_site ~clock:(fun () -> 0.0) ~cache:None
+    Site.create ~id:0 ~store ~clock:(fun () -> 0.0) ~cache:None
       ~serve_hits:true ~bloofi:false ~bloofi_depth:(Hf_obs.Histogram.create ())
   in
   let ctx =
@@ -394,7 +394,7 @@ let test_eval_step () =
 let test_record_answers () =
   let store = Store.create ~site:1 in
   let site =
-    Site.create ~id:1 ~store ~locate:Oid.birth_site ~clock:(fun () -> 0.0)
+    Site.create ~id:1 ~store ~clock:(fun () -> 0.0)
       ~cache:(Some Rc.default) ~serve_hits:true ~bloofi:false
       ~bloofi_depth:(Hf_obs.Histogram.create ())
   in
@@ -569,7 +569,7 @@ let test_gather () =
       (Store.create_object store0 [ Tuple.pointer ~key:"R" b; Tuple.pointer ~key:"R" escaped ])
   in
   let make id store =
-    Site.create ~id ~store ~locate:Oid.birth_site ~clock:(fun () -> 0.0) ~cache:None
+    Site.create ~id ~store ~clock:(fun () -> 0.0) ~cache:None
       ~serve_hits:true ~bloofi:false ~bloofi_depth:(Hf_obs.Histogram.create ())
   in
   let site0 = make 0 store0 and site1 = make 1 store1 in
