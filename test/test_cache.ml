@@ -30,6 +30,22 @@ let parse = Hf_query.Parser.parse_body
 
 let qtest t = QCheck_alcotest.to_alcotest t
 
+(* --- Answer-cache keys -------------------------------------------------- *)
+
+(* An entry is keyed by (destination, program suffix, counters, target
+   oid), the oid by its identity: an equal oid built again shares the
+   key, and another object or another destination is another key. *)
+let test_entry_key_identity () =
+  let plan = Hf_engine.Plan.make (Hf_query.Compile.compile (parse "(Keyword, \"hot\", ?)")) in
+  let key ?(dst = 1) oid = Rc.entry_key ~dst ~plan ~start:0 ~iters:[||] ~oid in
+  let a = Oid.make ~birth_site:1 ~serial:4 in
+  check_bool "an equal oid shares the key" true
+    (String.equal (key a) (key (Oid.make ~birth_site:1 ~serial:4)));
+  check_bool "another serial" false (String.equal (key a) (key (Oid.make ~birth_site:1 ~serial:5)));
+  check_bool "another birth site" false
+    (String.equal (key a) (key (Oid.make ~birth_site:2 ~serial:4)));
+  check_bool "another destination" false (String.equal (key a) (key ~dst:2 a))
+
 (* --- Bloom filter properties ------------------------------------------- *)
 
 (* Absence answers are proofs: anything inserted is always a member. *)
@@ -532,4 +548,5 @@ let () =
             test_validate_giveup_partial;
         ] );
       ("tcp", [ Alcotest.test_case "repeat query over TCP with cache" `Quick test_tcp_cache_repeat ]);
+      ("keys", [ Alcotest.test_case "entry keys follow oid identity" `Quick test_entry_key_identity ]);
     ]
