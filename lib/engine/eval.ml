@@ -28,33 +28,45 @@ type step_result = {
 
 (* One selection or retrieve scan over the object's tuples.  Returns
    whether any tuple matched; accumulates new bindings and emitted
-   values. *)
+   values.  A tuple's type tag is matched as a string: a [Value] is
+   built only to bind it. *)
 let scan_tuples ~stats ~mvars ~ttype ~key ~data ~on_data obj =
   let lookup = Mvars.lookup mvars in
-  let matched = ref false in
-  let new_bindings = ref [] in
-  let try_bind pattern value =
-    match P.binds pattern with
-    | Some var -> new_bindings := (var, value) :: !new_bindings
-    | None -> ()
+  let push pattern value bindings =
+    match (pattern : P.t) with
+    | Bind var -> (var, value) :: bindings
+    | Any | Exact _ | Glob _ | Range _ | Use _ -> bindings
   in
-  let check tuple =
-    stats.Stats.tuples_examined <- stats.Stats.tuples_examined + 1;
-    let tv = Hf_data.Value.str (Hf_data.Tuple.ttype tuple) in
-    let kv = Hf_data.Tuple.key tuple in
-    let dv = Hf_data.Tuple.data tuple in
-    if P.matches ttype tv ~lookup && P.matches key kv ~lookup && P.matches data dv ~lookup
-    then begin
-      matched := true;
-      try_bind ttype tv;
-      try_bind key kv;
-      try_bind data dv;
-      on_data dv
-    end
+  let rec scan matched bindings = function
+    | [] ->
+      Mvars.add_all mvars (List.rev bindings);
+      matched
+    | tuple :: rest ->
+      stats.Stats.tuples_examined <- stats.Stats.tuples_examined + 1;
+      let tag = Hf_data.Tuple.ttype tuple in
+      let kv = Hf_data.Tuple.key tuple in
+      let dv = Hf_data.Tuple.data tuple in
+      if P.matches_str ttype tag ~lookup && P.matches key kv ~lookup && P.matches data dv ~lookup
+      then begin
+        let bindings =
+          match ttype with
+          | Bind var -> (var, Hf_data.Value.str tag) :: bindings
+          | Any | Exact _ | Glob _ | Range _ | Use _ -> bindings
+        in
+        let bindings = push data dv (push key kv bindings) in
+        on_data dv;
+        scan true bindings rest
+      end
+      else scan matched bindings rest
   in
-  List.iter check (Hf_data.Hobject.tuples obj);
-  Mvars.add_all mvars (List.rev !new_bindings);
-  !matched
+  scan false [] (Hf_data.Hobject.tuples obj)
+
+(* The filter indexes one walk has visited: bits of an int, or a table
+   when the program has more filters than an int has bits. *)
+let narrow = Sys.int_size - 1
+
+let visited mask wide index =
+  match wide with None -> mask land (1 lsl index) <> 0 | Some table -> Hashtbl.mem table index
 
 let run_object ~plan ~find ~marks ~stats ~emit item =
   let program = Plan.program plan in
@@ -88,12 +100,13 @@ let run_object ~plan ~find ~marks ~stats ~emit item =
          which overlapping item ran first (arrival order), and a
          distributed run can disagree with the same engine run over a
          single store. *)
-      let visited = Hashtbl.create 8 in
+      let mask = ref 0 in
+      let wide = if n > narrow then Some (Hashtbl.create 8) else None in
       while
         !alive && !next < n
         &&
         if
-          (not (Hashtbl.mem visited !next))
+          (not (visited !mask wide !next))
           && Mark_table.mem marks oid !next ~iters:item_iters
         then begin
           alive := false;
@@ -101,7 +114,9 @@ let run_object ~plan ~find ~marks ~stats ~emit item =
         end
         else true
       do
-        Hashtbl.replace visited !next ();
+        (match wide with
+         | None -> mask := !mask lor (1 lsl !next)
+         | Some table -> Hashtbl.replace table !next ());
         Mark_table.add marks oid !next ~iters:item_iters;
         stats.Stats.filter_steps <- stats.Stats.filter_steps + 1;
         (match Hf_query.Program.get program !next with

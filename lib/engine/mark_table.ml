@@ -19,7 +19,13 @@
      finite slots capped at k), so for pure-star queries — the paper's
      experiments — the key degenerates to exactly the paper's
      (object, filter index), while finite-iterator results become
-     independent of message ordering.  See DESIGN.md §4b. *)
+     independent of message ordering.  See DESIGN.md §4b.
+
+   Representation: one mutable entry per oid.  A mark whose counters
+   are all zero (every mark of a star-only plan) and whose index is
+   below [bit_limit] is one bit of the entry's [bits]; any other mark is
+   a key of its [rest] set.  So a pure-star query allocates one entry
+   per object and nothing per mark. *)
 
 module Key = struct
   type t = int * int array (* filter index, canonical iteration counters *)
@@ -30,29 +36,83 @@ end
 
 module Key_set = Set.Make (Key)
 
-type t = Key_set.t Hf_data.Oid.Table.t
+type entry = { mutable bits : int; mutable rest : Key_set.t }
 
-let create () = Hf_data.Oid.Table.create 64
+type t = {
+  entries : entry Hf_data.Oid.Table.t;
+  mutable width : int;
+      (* the counter count of every mark held in [bits], set by the first
+         one; -1 until then.  A zero-counter mark of another width goes
+         to [rest], so [marks] can rebuild each key exactly. *)
+}
+
+let bit_limit = Sys.int_size - 1
+
+let create () = { entries = Hf_data.Oid.Table.create 64; width = -1 }
+
+let rec zero_from iters i = i = Array.length iters || (iters.(i) = 0 && zero_from iters (i + 1))
+
+let all_zero iters = zero_from iters 0
+
+(* A mark that can be a bit: zero counters, an index below
+   [bit_limit].  It is one when its counters are [t.width] long. *)
+let bit_shaped index iters = index >= 0 && index < bit_limit && all_zero iters
 
 let mem t oid index ~iters =
-  match Hf_data.Oid.Table.find_opt t oid with
-  | None -> false
-  | Some set -> Key_set.mem (index, iters) set
+  match Hf_data.Oid.Table.find t.entries oid with
+  | exception Not_found -> false
+  | e ->
+    if bit_shaped index iters && Array.length iters = t.width then
+      e.bits land (1 lsl index) <> 0
+    else Key_set.mem (index, iters) e.rest
 
 let add t oid index ~iters =
-  let set =
-    match Hf_data.Oid.Table.find_opt t oid with None -> Key_set.empty | Some set -> set
+  let shaped = bit_shaped index iters in
+  if shaped && t.width < 0 then t.width <- Array.length iters;
+  let e =
+    match Hf_data.Oid.Table.find t.entries oid with
+    | e -> e
+    | exception Not_found ->
+      let e = { bits = 0; rest = Key_set.empty } in
+      Hf_data.Oid.Table.add t.entries oid e;
+      e
   in
-  Hf_data.Oid.Table.replace t oid (Key_set.add (index, iters) set)
+  if shaped && Array.length iters = t.width then e.bits <- e.bits lor (1 lsl index)
+  else e.rest <- Key_set.add (index, iters) e.rest
+
+(* The indexes of [bits]'s set bits, ascending. *)
+let bit_indices bits =
+  let rec from i acc =
+    if i < 0 then acc else from (i - 1) (if bits land (1 lsl i) <> 0 then i :: acc else acc)
+  in
+  from (bit_limit - 1) []
 
 let marks t oid =
-  match Hf_data.Oid.Table.find_opt t oid with None -> [] | Some set -> Key_set.elements set
+  match Hf_data.Oid.Table.find_opt t.entries oid with
+  | None -> []
+  | Some e ->
+    let zeros = Array.make (max t.width 0) 0 in
+    List.merge Key.compare
+      (List.map (fun i -> (i, zeros)) (bit_indices e.bits))
+      (Key_set.elements e.rest)
 
 let marked_indices t oid =
-  List.sort_uniq Int.compare (List.map fst (marks t oid))
+  match Hf_data.Oid.Table.find_opt t.entries oid with
+  | None -> []
+  | Some e when Key_set.is_empty e.rest -> bit_indices e.bits
+  | Some e ->
+    List.sort_uniq Int.compare
+      (Key_set.fold (fun (i, _) acc -> i :: acc) e.rest (bit_indices e.bits))
 
-let cardinal t = Hf_data.Oid.Table.length t
+let cardinal t = Hf_data.Oid.Table.length t.entries
 
-let total_marks t = Hf_data.Oid.Table.fold (fun _ set acc -> acc + Key_set.cardinal set) t 0
+let rec popcount n = if n = 0 then 0 else 1 + popcount (n land (n - 1))
 
-let clear t = Hf_data.Oid.Table.reset t
+let total_marks t =
+  Hf_data.Oid.Table.fold
+    (fun _ e acc -> acc + popcount e.bits + Key_set.cardinal e.rest)
+    t.entries 0
+
+let clear t =
+  Hf_data.Oid.Table.reset t.entries;
+  t.width <- -1

@@ -11,11 +11,5 @@ val create : unit -> t
 val lookup : t -> string -> Hf_data.Value.t list
 (** Current bindings of a variable; [[]] when unbound. *)
 
-val add : t -> string -> Hf_data.Value.t -> unit
-(** Add a binding (set semantics: duplicates ignored). *)
-
 val add_all : t -> (string * Hf_data.Value.t) list -> unit
-
-val variables : t -> string list
-
-val is_empty : t -> bool
+(** Add each binding in order (set semantics: duplicates ignored). *)

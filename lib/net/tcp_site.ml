@@ -149,6 +149,7 @@ type context = {
          waits for both, and for parked items and open gathers, so it
          runs only once every remote-bound item is on the wire (or
          served locally). *)
+  name : string; (* the query's name in spans; "" with tracing off *)
   mutable held : Credit.t; (* weighted-termination credit at this site *)
   mutable draining : Hf_engine.Work_item.t Hf_proto.Batch.t option;
       (* while the context waits in the loop's run queue: its drain's
@@ -285,11 +286,28 @@ type t = {
   admission_wait : Hf_obs.Histogram.t; (* submit-to-seed queue wait, seconds *)
 }
 
-let qname query = Fmt.str "%a" Message.pp_query_id query
+(* The text of [Message.pp_query_id]. *)
+let query_name { Message.originator; serial } =
+  "q" ^ string_of_int serial ^ "@" ^ string_of_int originator
 
-(* A span for [query] at this site, under its evaluation span. *)
-let ctx_span t ctx query phase name =
-  Hf_obs.Tracer.start t.tracer ~parent:ctx.core.span ~query:(qname query) ~site:t.id ~phase name
+(* Span names and details are built only when tracing is on: the noop
+   tracer ignores its strings, so building them would be all the cost
+   of a disabled tracer.  [trace_name] renders a query's name once per
+   context. *)
+let trace_name t query = if Hf_obs.Tracer.enabled t.tracer then query_name query else ""
+
+(* A span ["verb->dst"] for [ctx]'s query at this site, under its
+   evaluation span; 0 with tracing off. *)
+let ctx_span t ctx phase verb dst =
+  if Hf_obs.Tracer.enabled t.tracer then
+    Hf_obs.Tracer.start t.tracer ~parent:ctx.core.span ~query:ctx.name ~site:t.id ~phase
+      (verb ^ "->" ^ string_of_int dst)
+  else 0
+
+(* Detail ["<count> <noun>"] on a live span. *)
+let count_detail t span xs noun =
+  if span <> 0 then
+    Hf_obs.Tracer.set_detail t.tracer span (string_of_int (List.length xs) ^ " " ^ noun)
 
 (* --- the client hand-off --- *)
 
@@ -480,14 +498,15 @@ let transmit_raw t ?(span = 0) ~seq ~dst message =
 
 (* [cause] parents this site's evaluation span on the span of the work
    message that introduced the query here (0: no known cause). *)
-let new_context t ?(cause = 0) ~query program =
+let new_context t ~cause ~name ~query program =
   let span =
-    Hf_obs.Tracer.start t.tracer ~parent:cause
-      ~query:(qname query) ~site:t.id ~phase:Hf_obs.Span.Eval "site-eval"
+    Hf_obs.Tracer.start t.tracer ~parent:cause ~query:name ~site:t.id ~phase:Hf_obs.Span.Eval
+      "site-eval"
   in
   let ctx =
     {
       core = Site.context ~query ~span program;
+      name;
       held = Credit.zero;
       draining = None;
       recovered = Credit.zero;
@@ -730,8 +749,8 @@ and send_work_batch t query ctx ~dst items =
     ctx.held <- keep;
     let body = Hf_engine.Plan.program ctx.core.plan in
     let credit = Credit.atoms gave in
-    let span = ctx_span t ctx query Hf_obs.Span.Ship (Fmt.str "work->%d" dst) in
-    Hf_obs.Tracer.set_detail t.tracer span (Fmt.str "%d item(s)" (List.length items));
+    let span = ctx_span t ctx Hf_obs.Span.Ship "work" dst in
+    count_detail t span items "item(s)";
     (match items with
      | [ wi ] ->
        send t ~span ~dst
@@ -819,14 +838,14 @@ and finish_drain t query ctx =
       ctx.held <- Credit.zero;
       let items, bindings = Site.take_results ctx.core in
       if items <> [] || bindings <> [] then begin
-        let span = ctx_span t ctx query Hf_obs.Span.Ship (Fmt.str "result->%d" ctx.core.origin) in
-        Hf_obs.Tracer.set_detail t.tracer span (Fmt.str "%d item(s)" (List.length items));
+        let span = ctx_span t ctx Hf_obs.Span.Ship "result" ctx.core.origin in
+        count_detail t span items "item(s)";
         send t ~span ~dst:ctx.core.origin
           (Message.Result
              { query; payload = Message.Items items; bindings; credit = Credit.atoms credit })
       end
       else if not (Credit.is_zero credit) then begin
-        let span = ctx_span t ctx query Hf_obs.Span.Credit (Fmt.str "credit->%d" ctx.core.origin) in
+        let span = ctx_span t ctx Hf_obs.Span.Credit "credit" ctx.core.origin in
         send t ~span ~dst:ctx.core.origin
           (Message.Credit_return { query; credit = Credit.atoms credit })
       end
@@ -980,10 +999,10 @@ let scatter_seed t query ctx ~sites initial =
       let keep, gave = Credit.split ctx.held in
       ctx.held <- keep;
       t.scatter_messages <- t.scatter_messages + 1;
-      let span = ctx_span t ctx query Hf_obs.Span.Scatter (Fmt.str "scatter->%d" dst) in
-      Hf_obs.Tracer.set_detail t.tracer span (Fmt.str "%d root(s)" (List.length (roots_of dst)));
-      send t ~span ~dst
-        (Message.Scatter { query; body; roots = roots_of dst; credit = Credit.atoms gave }))
+      let roots = roots_of dst in
+      let span = ctx_span t ctx Hf_obs.Span.Scatter "scatter" dst in
+      count_detail t span roots "root(s)";
+      send t ~span ~dst (Message.Scatter { query; body; roots; credit = Credit.atoms gave }))
     sites;
   let nodes = Site.eval_domain t.proto ctx.core ~roots:(roots_of t.id) in
   stitch_gather t query ctx ~src:t.id nodes;
@@ -1002,7 +1021,7 @@ let work_context t ~span query body =
   else
     match Hashtbl.find_opt t.contexts query with
     | Some _ as found -> found
-    | None -> Some (new_context t ~cause:span ~query body)
+    | None -> Some (new_context t ~cause:span ~name:(trace_name t query) ~query body)
 
 (* Bank an arriving item if it fits the plan of the context it joins:
    one counter per iterator slot, a start inside the program.  A misfit
@@ -1181,8 +1200,8 @@ let handle_message t ~span ?rel message =
             })
           engine_nodes
       in
-      let gspan = ctx_span t ctx query Hf_obs.Span.Scatter (Fmt.str "gather->%d" ctx.core.origin) in
-      Hf_obs.Tracer.set_detail t.tracer gspan (Fmt.str "%d node(s)" (List.length nodes));
+      let gspan = ctx_span t ctx Hf_obs.Span.Scatter "gather" ctx.core.origin in
+      count_detail t gspan nodes "node(s)";
       send t ~span:gspan ~dst:ctx.core.origin
         (Message.Gather_result
            { query; src = t.id; nodes; credit = Credit.atoms (Credit.of_atoms credit) }))
@@ -1230,11 +1249,12 @@ let poke_links t =
             List.iter
               (fun (seq, message) ->
                 t.retransmits <- t.retransmits + 1;
-                ignore
-                  (Hf_obs.Tracer.instant t.tracer
-                     ~detail:(Fmt.str "seq=%d" seq)
-                     ~query:"-" ~site:t.id ~phase:Hf_obs.Span.Retransmit
-                     (Fmt.str "retransmit->%d" peer));
+                if Hf_obs.Tracer.enabled t.tracer then
+                  ignore
+                    (Hf_obs.Tracer.instant t.tracer
+                       ~detail:("seq=" ^ string_of_int seq)
+                       ~query:"-" ~site:t.id ~phase:Hf_obs.Span.Retransmit
+                       ("retransmit->" ^ string_of_int peer));
                 transmit_raw t ~seq ~dst:peer message)
               entries
           | Hf_proto.Reliable.Give_up entries ->
@@ -1784,11 +1804,11 @@ let submit_query (t : t) program initial =
       if not t.running then shut_down t "submit_query";
       let query = { Message.originator = t.id; serial = t.next_serial } in
       t.next_serial <- t.next_serial + 1;
+      let name = trace_name t query in
       let root_span =
-        Hf_obs.Tracer.start t.tracer ~query:(qname query) ~site:t.id ~phase:Hf_obs.Span.Query
-          "query"
+        Hf_obs.Tracer.start t.tracer ~query:name ~site:t.id ~phase:Hf_obs.Span.Query "query"
       in
-      let ctx = new_context t ~cause:root_span ~query program in
+      let ctx = new_context t ~cause:root_span ~name ~query program in
       ctx.started <- started;
       (* Mode selection (doc/execution_modes.md): [Exec_ship] is the
          byte-identical legacy path — no planner runs at all.  This
@@ -1818,11 +1838,13 @@ let submit_query (t : t) program initial =
         Hf_obs.Histogram.observe t.admission_wait wait;
         (* the span lives on the tracer's clock (which may not be wall
            time): end it "now" there and back-date the start by [wait] *)
-        let trace_now = Hf_obs.Tracer.now t.tracer in
-        ignore
-          (Hf_obs.Tracer.complete t.tracer ~parent:root_span
-             ~query:(qname query) ~site:t.id ~phase:Hf_obs.Span.Wait ~start:(trace_now -. wait)
-             ~finish:trace_now "admission-wait");
+        if Hf_obs.Tracer.enabled t.tracer then begin
+          let trace_now = Hf_obs.Tracer.now t.tracer in
+          ignore
+            (Hf_obs.Tracer.complete t.tracer ~parent:root_span ~query:name ~site:t.id
+               ~phase:Hf_obs.Span.Wait ~start:(trace_now -. wait) ~finish:trace_now
+               "admission-wait")
+        end;
         match scatter_sites with
         | Some sites ->
           ctx.ran_mode <- Hf_query.Plan.Scatter;
@@ -1858,7 +1880,9 @@ let outcome t handle =
   (match status with
    | Timed_out -> () (* still live: spans close when it terminates *)
    | Complete -> finish "terminated"
-   | Partial dead -> finish (Fmt.str "partial: unreachable %a" Fmt.(list ~sep:comma int) dead)
+   | Partial dead ->
+     if Hf_obs.Tracer.enabled t.tracer then
+       finish (Fmt.str "partial: unreachable %a" Fmt.(list ~sep:comma int) dead)
    | Cancelled -> finish "cancelled");
   {
     results = List.rev ctx.core.final.results;
@@ -1981,7 +2005,7 @@ let pull_stats ?(timeout = 5.0) (t : t) =
    clock).  Sites sharing one tracer (tests, the demo cluster) get the
    full cross-site picture; separate processes each see their half. *)
 let profile (t : t) (handle : handle) (outcome : outcome) =
-  let query = qname handle.h_query in
+  let query = query_name handle.h_query in
   Hf_obs.Profile.of_spans ~query
     ~scalars:
       [

@@ -61,7 +61,9 @@ val create :
     carry the sender's span id and the receiver closes the span on
     arrival, so shipping spans cover real transit and remote evaluation
     spans parent on the originating site's.  With tracing off the wire
-    bytes are unchanged.
+    bytes are unchanged, and the site builds no span name, detail or
+    query name: a frame's instrumentation costs a branch.  With tracing
+    on, each query's name is rendered once per context.
 
     [reliability] (default off) layers ack/retransmit delivery under
     the protocol ({!Hf_proto.Reliable}): every frame carries a

@@ -2,12 +2,17 @@
 
    [noop] is the disabled tracer: every operation is a single variant
    check, no allocation, no lock — instrumentation left in hot paths
-   costs (almost) nothing when tracing is off.
+   costs (almost) nothing when tracing is off, provided the call site
+   builds no strings for it.  Arguments are evaluated before the call,
+   so a span name formatted with [Fmt.str] costs its allocation whether
+   or not the tracer keeps it; hot call sites build names and details
+   only under [enabled].
 
    An active tracer keeps open spans in a table and completed spans in
    a bounded list with a [dropped] counter, so truncated traces are
    detectable rather than silently short.  All operations take a mutex:
-   the TCP transport finishes spans from several reader threads.
+   the event loops of the TCP sites sharing one tracer start and finish
+   spans concurrently.
 
    Span ids are positive and unique per tracer; 0 means "no span" and
    threads through instrumentation as the absent parent, so call sites

@@ -1,14 +1,18 @@
 (** Span collector with a zero-cost disabled mode.
 
     Instrument unconditionally and pass {!noop} when tracing is off:
-    every operation on the noop tracer is one variant check.  Span ids
-    are positive ints unique per tracer; 0 means "no span" and is the
-    conventional absent parent, so ids thread through message fields
-    without options.
+    every operation on the noop tracer is one variant check.  That makes
+    the call free, not its arguments, which are built before the call.
+    So the disabled mode is free only if the call site is too: on a hot
+    path, build no query name, span name or detail unless {!enabled}
+    holds.  Span ids are positive ints unique per tracer; 0 means "no
+    span" and is the conventional absent parent, so ids thread through
+    message fields without options.
 
     Completed spans are retained up to [limit]; later spans increment
-    {!dropped} instead of silently vanishing.  Thread-safe: the TCP
-    transport finishes spans from several reader threads. *)
+    {!dropped} instead of silently vanishing.  Thread-safe: each TCP
+    site's event loop starts and finishes spans, and the sites of one
+    process may share a tracer. *)
 
 type t
 

@@ -302,7 +302,16 @@ let read_query_id r =
 
 let write_credit buf credit = write_list buf write_varint credit
 
-let read_credit r = read_list r read_varint
+(* A credit atom past [Credit.exponent_cap] is garbage, refused here as
+   counts are: a site must never hold an atom it cannot split or
+   encode. *)
+let read_atom r =
+  let k = read_varint r in
+  if k > Hf_termination.Credit.exponent_cap then
+    fail "credit atom 2^-%d above the cap at offset %d" k r.pos;
+  k
+
+let read_credit r = read_list r read_atom
 
 let write_iters buf iters =
   write_varint buf (Array.length iters);

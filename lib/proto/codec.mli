@@ -20,8 +20,9 @@ val encode : ?span:int -> ?rel:rel -> Message.t -> string
     rides in an outer envelope (tag 126 + three varints). *)
 
 val decode : string -> (Message.t, string) result
-(** Rejects trailing bytes, and an element count larger than the bytes
-    left in the payload before allocating for it.  Accepts (and
+(** Rejects trailing bytes, an element count larger than the bytes
+    left in the payload before allocating for it, and a credit atom
+    above {!Hf_termination.Credit.exponent_cap}.  Accepts (and
     discards) traced and reliability envelopes. *)
 
 val decode_traced : string -> (Message.t * int, string) result

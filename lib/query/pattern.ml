@@ -55,6 +55,22 @@ let matches pattern value ~lookup =
        false)
   | Use var -> List.exists (Hf_data.Value.equal value) (lookup var)
 
+let matches_str pattern s ~lookup =
+  match pattern with
+  | Any | Bind _ -> true
+  | Exact (Hf_data.Value.Str x) -> String.equal x s
+  | Exact (Hf_data.Value.Num _ | Hf_data.Value.Real _ | Hf_data.Value.Ptr _ | Hf_data.Value.Blob _)
+  | Range _ ->
+    false
+  | Glob g -> Hf_util.Glob.matches ~pattern:g s
+  | Use var ->
+    List.exists
+      (function
+        | Hf_data.Value.Str x -> String.equal x s
+        | Hf_data.Value.Num _ | Hf_data.Value.Real _ | Hf_data.Value.Ptr _ | Hf_data.Value.Blob _ ->
+          false)
+      (lookup var)
+
 let equal a b =
   match a, b with
   | Any, Any -> true

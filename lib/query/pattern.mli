@@ -44,6 +44,10 @@ val matches : t -> Hf_data.Value.t -> lookup:(string -> Hf_data.Value.t list) ->
 (** [matches p v ~lookup] tests [v]; [lookup] supplies the current
     bindings of matching variables (for [Use]). *)
 
+val matches_str : t -> string -> lookup:(string -> Hf_data.Value.t list) -> bool
+(** [matches_str p s ~lookup] is [matches p (Hf_data.Value.str s) ~lookup]
+    without building the value: a tuple's type tag is a string. *)
+
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

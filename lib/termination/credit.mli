@@ -4,9 +4,13 @@
     A credit is a finite multiset of atoms worth 2{^-k}; the computation
     starts with the single atom 2{^0} = 1 at the originating site.
     Splitting replaces 2{^-k} by two 2{^-(k+1)} atoms.  Exponents are
-    unbounded, so credit can be split indefinitely (no borrowing
-    protocol), and the arithmetic is exact: the origin has recovered
-    {e all} credit iff its accumulated credit normalizes back to 1. *)
+    ints, so no legal run exhausts them (no borrowing protocol), and the
+    arithmetic is exact: the origin has recovered {e all} credit iff its
+    accumulated credit normalizes back to 1.
+
+    A credit is held as its binary expansion, one array entry per atom,
+    so its memory grows with the number of atoms held and never with an
+    exponent's value. *)
 
 type t
 
@@ -26,14 +30,21 @@ val add : t -> t -> t
 val split : t -> t * t
 (** [split c] halves the smallest atom of [c], returning
     [(kept, given)] with [add kept given = c].  Raises
-    [Invalid_argument] on zero credit. *)
+    [Invalid_argument] on zero credit, and on an atom of exponent
+    [max_int], which cannot be halved. *)
 
 val atoms : t -> int list
 (** Sorted atom exponents (each atom is worth 2{^-k}). *)
 
+val exponent_cap : int
+(** 2{^40}, the deepest atom {!of_atoms} and the wire decoder accept.
+    No legal run splits one share that deep, and an atom at the cap can
+    still be halved 2{^62} more times before {!split} raises. *)
+
 val of_atoms : int list -> t
 (** Build (and normalize) from atom exponents; the wire decoding path.
-    Raises [Invalid_argument] on negative exponents. *)
+    Raises [Invalid_argument] on negative exponents and on exponents
+    above {!exponent_cap}. *)
 
 val discard : t -> unit
 (** Deliberately destroy credit.  Discarded credit never returns to

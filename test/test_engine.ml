@@ -450,6 +450,126 @@ let test_stats_counters () =
   check_int "spawned" 2 r.stats.Hf_engine.Stats.spawned;
   check_bool "tuples examined" true (r.stats.Hf_engine.Stats.tuples_examined > 0)
 
+(* --- The type field is a tag string --- *)
+
+(* [scan_tuples] matches a tuple's type tag as a string and builds a
+   value only to bind it: [?T] on the type binds the tag as a string,
+   [=T] compares a tag with every binding, and a binding that is not a
+   string never equals a tag. *)
+let test_type_field_bind_and_use () =
+  let store, oids, _, _, add = make_store 3 in
+  add 0 (Tuple.string_ ~key:"k" "String");
+  add 0 (Tuple.string_ ~key:"String" "z");
+  add 1 (Tuple.number ~key:"k" 1);
+  add 1 (Tuple.string_ ~key:"Number" "z");
+  add 2 (Tuple.string_ ~key:"k" "v");
+  add 2 (Tuple.number ~key:"Boss" 3);
+  let all = [ oids.(0); oids.(1); oids.(2) ] in
+  let logicals q = result_logicals oids (run store (parse q) all) in
+  Alcotest.(check (list int)) "a bound tag used on a key" [ 0; 1 ]
+    (logicals "(?T, \"k\", ?) (String, =T, ?)");
+  Alcotest.(check (list int)) "a bound tag used on a tag" [ 0 ]
+    (logicals "(?T, \"k\", ?) (=T, ?, \"z\")");
+  Alcotest.(check (list int)) "a bound tag used on data" [ 0 ]
+    (logicals "(?T, \"k\", ?) (String, \"k\", =T)");
+  Alcotest.(check (list int)) "a number never equals a tag" []
+    (logicals "(Number, \"k\", ?N) (=N, ?, ?)");
+  Alcotest.(check (list int)) "a glob on the tag" [ 1; 2 ] (logicals "(\"Num*\", ?, ?)")
+
+(* --- Mark_table against a set of keys --- *)
+
+module Mark_table = Hf_engine.Mark_table
+
+module Ref_marks = Set.Make (struct
+  type t = int * int * int array (* oid serial, index, counters *)
+
+  let compare = compare
+end)
+
+type mark_op = Add of int * int * int array | Mem of int * int * int array | Clear
+
+(* Counters: all-zero ones of two widths, and finite ones. *)
+let mark_op_gen =
+  let open QCheck2.Gen in
+  let key =
+    triple (int_range 0 3)
+      (oneof [ int_range 0 8; int_range 56 70 ])
+      (oneofl [ [| 0 |]; [| 0 |]; [| 0 |]; [| 1 |]; [| 2 |]; [| 0; 0 |]; [| 0; 3 |]; [||] ])
+  in
+  frequency
+    [ (6, map (fun (o, i, c) -> Add (o, i, c)) key);
+      (6, map (fun (o, i, c) -> Mem (o, i, c)) key);
+      (1, pure Clear);
+    ]
+
+(* Random adds, lookups and clears, mixing all-zero and finite counters
+   at indexes 0..70 (so on both sides of the 62-bit mask): every [mem]
+   answers as the set does, and at the end [marks], [marked_indices],
+   [total_marks] and [cardinal] give what the set gives. *)
+let prop_mark_table_matches_set =
+  QCheck2.Test.make ~name:"mark table agrees with a set of keys" ~count:300
+    (QCheck2.Gen.list_size (QCheck2.Gen.int_range 0 120) mark_op_gen)
+    (fun ops ->
+      let oid o = Oid.make ~birth_site:0 ~serial:o in
+      let table = Mark_table.create () in
+      let reference = ref Ref_marks.empty in
+      let agree = function
+        | Add (o, i, c) ->
+          Mark_table.add table (oid o) i ~iters:c;
+          reference := Ref_marks.add (o, i, c) !reference;
+          true
+        | Mem (o, i, c) -> Mark_table.mem table (oid o) i ~iters:c = Ref_marks.mem (o, i, c) !reference
+        | Clear ->
+          Mark_table.clear table;
+          reference := Ref_marks.empty;
+          true
+      in
+      let of_oid o =
+        List.filter_map
+          (fun (o', i, c) -> if o = o' then Some (i, c) else None)
+          (Ref_marks.elements !reference)
+      in
+      List.for_all agree ops
+      && List.for_all
+           (fun o ->
+             let expected = of_oid o in
+             Mark_table.marks table (oid o) = expected
+             && Mark_table.marked_indices table (oid o)
+                = List.sort_uniq Int.compare (List.map fst expected))
+           [ 0; 1; 2; 3 ]
+      && Mark_table.total_marks table = Ref_marks.cardinal !reference
+      && Mark_table.cardinal table
+         = List.length (List.sort_uniq Int.compare (List.map (fun (o, _, _) -> o) (Ref_marks.elements !reference))))
+
+(* --- Allocation --- *)
+
+(* Minor words per processed object of [Local.run] on the ship-local
+   closure (Rand95 pointers, selecting Common, from the corpus root) on
+   the 270-object corpus held by one store.  The count is deterministic:
+   one thread, and the same objects in the same order every run. *)
+let ship_local_words_per_object () =
+  let dataset = Hf_workload.Synthetic.generate () in
+  let store = Store.create ~site:0 in
+  let placed = Hf_workload.Synthetic.materialize dataset ~n_sites:1 ~store_of:(fun _ -> store) in
+  let program =
+    Hf_workload.Queries.closure_program ~pointer_key:"Rand95" Hf_workload.Queries.select_common
+  in
+  let run () = Local.run_store ~store program [ placed.Hf_workload.Synthetic.root ] in
+  ignore (run ());
+  let before = Gc.minor_words () in
+  let r = run () in
+  let words = Gc.minor_words () -. before in
+  words /. float_of_int r.Local.stats.Hf_engine.Stats.objects_processed
+
+(* 467.6 words per object when every tuple's type tag became a value,
+   every object took a [visited] table and every mark a [Set] node;
+   213.4 with tags matched as strings, [visited] a bitmask and
+   zero-counter marks bits of one entry per object (x86-64, OCaml
+   5.1).  The bound sits halfway. *)
+let test_ship_local_allocation () =
+  let per_object = ship_local_words_per_object () in
+  check_bool (Printf.sprintf "%.1f words per object, bound 340" per_object) true (per_object < 340.0)
+
 let qtest t = QCheck_alcotest.to_alcotest t
 
 let () =
@@ -463,6 +583,7 @@ let () =
           Alcotest.test_case "marks are per filter index" `Quick test_mark_table_per_filter_index;
           Alcotest.test_case "marks suppress duplicates" `Quick
             test_mark_table_suppresses_duplicates;
+          qtest prop_mark_table_matches_set;
         ] );
       ( "dereference",
         [
@@ -475,6 +596,7 @@ let () =
         [
           Alcotest.test_case "use across filters" `Quick test_use_variable_across_filters;
           Alcotest.test_case "reset per object" `Quick test_bindings_reset_per_object;
+          Alcotest.test_case "bind and use the type field" `Quick test_type_field_bind_and_use;
         ] );
       ( "retrieve",
         [
@@ -499,5 +621,6 @@ let () =
           Alcotest.test_case "no duplicate results" `Quick test_no_duplicate_results;
           Alcotest.test_case "plan analysis" `Quick test_plan_analysis;
           Alcotest.test_case "stats counters" `Quick test_stats_counters;
+          Alcotest.test_case "ship-local allocation per object" `Quick test_ship_local_allocation;
         ] );
     ]

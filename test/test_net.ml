@@ -31,18 +31,27 @@ let fast_reliability =
 
 (* Ring of [n] objects alternating over the sites, keyword on every
    third object. *)
+(* Ring object [i]: a pointer to the next, and "hot" on every third. *)
+let ring_tuples oids i =
+  [ Tuple.pointer ~key:"R" oids.((i + 1) mod Array.length oids) ]
+  @ if i mod 3 = 0 then [ Tuple.keyword "hot" ] else []
+
 let load_ring sites n =
   let k = Array.length sites in
   let oids = Array.init n (fun i -> Store.fresh_oid (Tcp.store sites.(i mod k))) in
   Array.iteri
     (fun i oid ->
-      let tuples =
-        [ Tuple.pointer ~key:"R" oids.((i + 1) mod n) ]
-        @ (if i mod 3 = 0 then [ Tuple.keyword "hot" ] else [])
-      in
-      Store.insert (Tcp.store sites.(i mod k)) (Hf_data.Hobject.of_tuples oid tuples))
+      Store.insert (Tcp.store sites.(i mod k)) (Hf_data.Hobject.of_tuples oid (ring_tuples oids i)))
     oids;
   oids
+
+(* The same ring in one store: the oracle's input. *)
+let ring_store oids =
+  let store = Store.create ~site:0 in
+  Array.iteri
+    (fun i oid -> Store.insert store (Hf_data.Hobject.of_tuples oid (ring_tuples oids i)))
+    oids;
+  store
 
 let closure = parse_program "[ (Pointer, \"R\", ?X) ^^X ]* (Keyword, \"hot\", ?)"
 
@@ -67,19 +76,30 @@ let test_matches_local_engine () =
   with_sites 3 (fun sites ->
       let oids = load_ring sites 15 in
       let outcome = Tcp.run_query sites.(0) closure [ oids.(0) ] in
-      (* oracle: same data in one store *)
-      let store = Store.create ~site:0 in
-      Array.iteri
-        (fun i oid ->
-          let tuples =
-            [ Tuple.pointer ~key:"R" oids.((i + 1) mod 15) ]
-            @ (if i mod 3 = 0 then [ Tuple.keyword "hot" ] else [])
-          in
-          Store.insert store (Hf_data.Hobject.of_tuples oid tuples))
-        oids;
-      let local = Hf_engine.Local.run_store ~store closure [ oids.(0) ] in
+      let local = Hf_engine.Local.run_store ~store:(ring_store oids) closure [ oids.(0) ] in
       check_bool "TCP = local" true
         (Oid.Set.equal outcome.Tcp.result_set local.Hf_engine.Local.result_set))
+
+(* A program of more than 62 filters: 62 always-true selections ahead
+   of the closure.  Each object's walk then keeps the indexes it visited
+   in a table, and its marks at index 62 and up sit in the mark table's
+   set.  The padded closure gives the unpadded one's result set, on
+   [Local] and over three sites. *)
+let test_padded_program_matches () =
+  let padding = String.concat " " (List.init 62 (fun _ -> "(?, ?, ?)")) in
+  let padded = parse_program (padding ^ " [ (Pointer, \"R\", ?X) ^^X ]* (Keyword, \"hot\", ?)") in
+  check_int "filters" 66 (Hf_query.Program.length padded);
+  with_sites 3 (fun sites ->
+      let oids = load_ring sites 15 in
+      let store = ring_store oids in
+      let expected = (Hf_engine.Local.run_store ~store closure [ oids.(0) ]).Hf_engine.Local.result_set in
+      check_int "five hot objects" 5 (Oid.Set.cardinal expected);
+      let local = Hf_engine.Local.run_store ~store padded [ oids.(0) ] in
+      check_bool "padded Local = unpadded" true
+        (Oid.Set.equal expected local.Hf_engine.Local.result_set);
+      let outcome = Tcp.run_query sites.(0) padded [ oids.(0) ] in
+      check_bool "complete" true (outcome.Tcp.status = Tcp.Complete);
+      check_bool "padded over TCP = unpadded" true (Oid.Set.equal expected outcome.Tcp.result_set))
 
 let test_retrieve_over_tcp () =
   with_sites 2 (fun sites ->
@@ -190,16 +210,7 @@ let test_batched_matches_local_engine () =
       let oids = load_ring sites 15 in
       let outcome = Tcp.run_query sites.(0) closure [ oids.(0) ] in
       check_bool "terminated" true outcome.Tcp.terminated;
-      let store = Store.create ~site:0 in
-      Array.iteri
-        (fun i oid ->
-          let tuples =
-            [ Tuple.pointer ~key:"R" oids.((i + 1) mod 15) ]
-            @ (if i mod 3 = 0 then [ Tuple.keyword "hot" ] else [])
-          in
-          Store.insert store (Hf_data.Hobject.of_tuples oid tuples))
-        oids;
-      let local = Hf_engine.Local.run_store ~store closure [ oids.(0) ] in
+      let local = Hf_engine.Local.run_store ~store:(ring_store oids) closure [ oids.(0) ] in
       check_bool "batched TCP = local" true
         (Oid.Set.equal outcome.Tcp.result_set local.Hf_engine.Local.result_set))
 
@@ -1179,6 +1190,28 @@ let test_batch_keeps_groups_in_role () =
                 [ hot_group foreign_query oid half; hot_group next_query oid Credit.one ]));
       ])
 
+(* A Deref_request for query {0,8} whose credit atom is 2^-(2^41), past
+   [Credit.exponent_cap], is dropped at decode: it opens no context and
+   sends no credit back, and the frame after it is handled.  Before the
+   cap such an atom was banked; split at [max_int] it wrapped to a
+   negative exponent, and the drain raised with its context stranded. *)
+let test_atom_past_cap_dropped () =
+  with_foreign_origin (fun oid half ->
+      let wi = Hf_engine.Work_item.initial (Hf_engine.Plan.make hot) oid in
+      [ Frame.frame
+          (Codec.encode
+             (Message.Deref_request
+                {
+                  query = { Message.originator = 0; serial = 8 };
+                  body = hot;
+                  oid;
+                  start = Hf_engine.Work_item.start wi;
+                  iters = Hf_engine.Work_item.iters wi;
+                  credit = [ 1 lsl 41 ];
+                }));
+        deref_frame ~query:foreign_query hot oid half;
+      ])
+
 (* Only site 1 issues queries {1,_}.  A forged frame naming its next
    query, {1,0}, must neither run it here as if submitted (work or a
    Scatter, which would terminate it and tombstone {1,0}) nor close it
@@ -1230,6 +1263,32 @@ let test_forged_scatter_for_own_query =
 let test_forged_done_for_own_query =
   forged_origin_frame (fun _ ->
       Frame.frame (Codec.encode (Message.Query_done { query = next_query; src = 0 })))
+
+(* Minor words per query of a cross-site walk: three sites with the
+   noop tracer and a 12-object ring spread over them, the closure run 20
+   times after one warm-up.  The sites' loops run on the test's domain,
+   so [Gc.minor_words] counts their allocation too.  About 31,950 words
+   when every frame formatted its span's query name, name and detail
+   with tracing off, with credit as a map and marks as set nodes; about
+   11,600 once a disabled tracer costs a branch, credit is an array and
+   zero-counter marks are bits (x86-64, OCaml 5.1, five runs each).  The
+   bound sits halfway. *)
+let test_walk_allocation () =
+  with_sites 3 (fun sites ->
+      let oids = load_ring sites 12 in
+      let run () =
+        check_bool "complete" true
+          ((Tcp.run_query sites.(0) closure [ oids.(0) ]).Tcp.status = Tcp.Complete)
+      in
+      run ();
+      let before = Gc.minor_words () in
+      for _ = 1 to 20 do
+        run ()
+      done;
+      let per_query = (Gc.minor_words () -. before) /. 20.0 in
+      check_bool
+        (Printf.sprintf "%.0f words per query, bound 21,800" per_query)
+        true (per_query < 21_800.0))
 
 (* The samples [hf.net.query_rtt_s] holds at [site]. *)
 let rtt_samples site =
@@ -1415,6 +1474,8 @@ let () =
           Alcotest.test_case "single site" `Quick test_single_site_query;
           Alcotest.test_case "three sites over TCP" `Quick test_three_sites_over_tcp;
           Alcotest.test_case "matches the local engine" `Quick test_matches_local_engine;
+          Alcotest.test_case "a program past 62 filters matches" `Quick
+            test_padded_program_matches;
           Alcotest.test_case "retrieve over TCP" `Quick test_retrieve_over_tcp;
           Alcotest.test_case "sequential queries" `Quick test_sequential_queries;
           Alcotest.test_case "dead peer: timeout + partial results" `Quick
@@ -1485,6 +1546,8 @@ let () =
             test_forged_batch_for_own_query;
           Alcotest.test_case "forged Scatter for an own query dropped" `Quick
             test_forged_scatter_for_own_query;
+          Alcotest.test_case "a credit atom past the cap dropped" `Quick
+            test_atom_past_cap_dropped;
         ] );
       ( "observability",
         [
@@ -1497,5 +1560,6 @@ let () =
             test_query_rtt_once_per_query;
           Alcotest.test_case "query_rtt: a Partial query counts once" `Quick
             test_query_rtt_partial;
+          Alcotest.test_case "a walk's allocation with tracing off" `Quick test_walk_allocation;
         ] );
     ]

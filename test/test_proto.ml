@@ -486,6 +486,30 @@ let test_oid_two_varints () =
   | _ -> Alcotest.fail "a third oid varint accepted"
   | exception Codec.Decode_error _ -> ()
 
+(* A credit atom above [Credit.exponent_cap] is garbage: the decoder
+   refuses it in every credit-carrying message, so no site ever holds a
+   share it cannot split or encode.  An atom at the cap reads back. *)
+let test_credit_atom_cap () =
+  let cap = Hf_termination.Credit.exponent_cap in
+  let query = { Message.originator = 1; serial = 2 } in
+  let carrying k =
+    [ Message.Credit_return { query; credit = [ 3; k ] };
+      Message.Deref_request
+        { query; body = flagship_program; oid = oid 4; start = 0; iters = [| 0 |]; credit = [ k ] };
+      Message.Result { query; payload = Message.Items []; bindings = []; credit = [ k ] };
+    ]
+  in
+  List.iter (fun m -> check_bool "at the cap" true (roundtrip m)) (carrying cap);
+  List.iter
+    (fun k ->
+      List.iter
+        (fun m ->
+          match Codec.decode (Codec.encode m) with
+          | Ok _ -> Alcotest.failf "atom %d accepted" k
+          | Error _ -> ())
+        (carrying k))
+    [ cap + 1; 1 lsl 41; max_int ]
+
 let test_query_message_size_regime () =
   (* "Our messages send only the query (about 40 bytes for the
      experiments presented here)". *)
@@ -1077,6 +1101,7 @@ let () =
           Alcotest.test_case "empty rejected" `Quick test_decode_empty;
           Alcotest.test_case "~40-byte query messages" `Quick test_query_message_size_regime;
           Alcotest.test_case "an oid is two varints" `Quick test_oid_two_varints;
+          Alcotest.test_case "credit atoms past the cap rejected" `Quick test_credit_atom_cap;
           qtest prop_message_roundtrip;
           qtest prop_truncation_rejected;
           qtest prop_garbage_never_raises;

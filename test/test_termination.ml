@@ -86,6 +86,160 @@ let prop_credit_random_splits =
         choices;
       Credit.is_one (List.fold_left Credit.add Credit.zero !bag))
 
+(* The cap: an atom at 2^40 is accepted and halves exactly; one past
+   it is refused, as is [max_int], whose next split once wrapped to a
+   negative exponent that no encoder takes. *)
+let test_credit_cap () =
+  let cap = Credit.exponent_cap in
+  check_int "2^40" (1 lsl 40) cap;
+  let at_cap = Credit.of_atoms [ cap ] in
+  let keep, gave = Credit.split at_cap in
+  Alcotest.(check (list int)) "kept" [ cap + 1 ] (Credit.atoms keep);
+  Alcotest.(check (list int)) "given" [ cap + 1 ] (Credit.atoms gave);
+  check_bool "halves recombine" true (Credit.equal at_cap (Credit.add keep gave));
+  List.iter
+    (fun k ->
+      Alcotest.check_raises (string_of_int k)
+        (Invalid_argument "Credit.of_atoms: exponent above the cap") (fun () ->
+          ignore (Credit.of_atoms [ 3; k ])))
+    [ cap + 1; max_int ]
+
+(* Memory follows the atoms held, never an exponent's value: an atom at
+   the cap plus one at 2^-3 is summed, split and read back in under 100
+   words. *)
+let test_credit_cap_words () =
+  let at_cap = Credit.of_atoms [ Credit.exponent_cap ] in
+  let eighth = Credit.of_atoms [ 3 ] in
+  let before = Gc.minor_words () in
+  let keep, gave = Credit.split (Credit.add at_cap eighth) in
+  let kept = Credit.atoms keep and given = Credit.atoms gave in
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check (list int)) "kept" [ 3; Credit.exponent_cap + 1 ] kept;
+  Alcotest.(check (list int)) "given" [ Credit.exponent_cap + 1 ] given;
+  check_bool (Printf.sprintf "%.0f words allocated" words) true (words < 100.0)
+
+(* --- Credit against the representation it replaced --- *)
+
+(* [Credit] as an immutable map from exponent to count, normalized after
+   every sum: the code before its atoms became an array. *)
+module Model = struct
+  module Int_map = Map.Make (Int)
+
+  let one = Int_map.singleton 0 1
+  let is_zero t = Int_map.is_empty t
+  let is_one t = Int_map.equal Int.equal t one
+  let equal = Int_map.equal Int.equal
+
+  let rec normalize t =
+    let carry = Int_map.filter (fun _ count -> count >= 2) t in
+    if Int_map.is_empty carry then t
+    else begin
+      let t =
+        Int_map.fold
+          (fun k count acc ->
+            assert (k > 0 || count < 2);
+            let acc = Int_map.add k (count mod 2) acc in
+            let acc = if count mod 2 = 0 then Int_map.remove k acc else acc in
+            let prev = match Int_map.find_opt (k - 1) acc with None -> 0 | Some c -> c in
+            Int_map.add (k - 1) (prev + (count / 2)) acc)
+          carry t
+      in
+      normalize t
+    end
+
+  let add a b = normalize (Int_map.union (fun _ ca cb -> Some (ca + cb)) a b)
+
+  let split t =
+    let k, _ = Int_map.max_binding t in
+    let rest = Int_map.remove k t in
+    (add rest (Int_map.singleton (k + 1) 1), Int_map.singleton (k + 1) 1)
+
+  let atoms t =
+    Int_map.fold (fun k count acc -> List.init count (fun _ -> k) @ acc) t []
+    |> List.sort compare
+
+  let of_atoms ks =
+    normalize
+      (List.fold_left
+         (fun acc k ->
+           let prev = match Int_map.find_opt k acc with None -> 0 | Some c -> c in
+           Int_map.add k (prev + 1) acc)
+         Int_map.empty ks)
+end
+
+type credit_op = Split of int | Merge of int * int | Deposit of int * int
+
+let credit_op_gen =
+  QCheck2.Gen.(
+    frequency
+      [ (3, map (fun i -> Split i) nat);
+        (1, map2 (fun i j -> Merge (i, j)) nat nat);
+        (1, map2 (fun i j -> Deposit (i, j)) nat nat);
+      ])
+
+(* A bag of credits, each held both ways, goes through random splits,
+   merges and deposits (a share read back from its atoms, as a frame
+   delivers it, then summed into a holder).  The bag starts at [one] or
+   at up to six atoms of 2^-3 or less, some past 2^-62 and some past
+   2^-1000, so no sum exceeds 1.  After every step both sides must give
+   the same atoms, [equal], [is_zero] and [is_one]; at the end the whole
+   bag must sum to what it started from. *)
+let prop_credit_matches_model =
+  let exponent = QCheck2.Gen.(oneof [ int_range 3 12; int_range 60 70; int_range 1000 1010 ]) in
+  QCheck2.Test.make ~name:"credit agrees with the map model" ~count:300
+    QCheck2.Gen.(pair (list_size (int_range 0 6) exponent) (list_size (int_range 1 80) credit_op_gen))
+    (fun (start, ops) ->
+      let initial =
+        if start = [] then (Model.one, Credit.one) else (Model.of_atoms start, Credit.of_atoms start)
+      in
+      let agree (m, c) =
+        Model.atoms m = Credit.atoms c
+        && Model.is_zero m = Credit.is_zero c
+        && Model.is_one m = Credit.is_one c
+      in
+      let bag = ref [ initial ] in
+      let take i =
+        let n = List.length !bag in
+        let i = i mod n in
+        (List.nth !bag i, List.filteri (fun j _ -> j <> i) !bag)
+      in
+      let step op =
+        match op with
+        | Split i ->
+          let (m, c), rest = take i in
+          if Model.is_zero m then ()
+          else begin
+            let mk, mg = Model.split m and ck, cg = Credit.split c in
+            bag := (mk, ck) :: rest @ [ (mg, cg) ]
+          end
+        | Merge (i, j) | Deposit (i, j) when List.length !bag >= 2 ->
+          let (m1, c1), rest = take i in
+          bag := rest;
+          let (m2, c2), rest = take j in
+          let c1 =
+            match op with Deposit _ -> Credit.of_atoms (Credit.atoms c1) | Split _ | Merge _ -> c1
+          in
+          bag := (Model.add m2 m1, Credit.add c2 c1) :: rest
+        | Merge _ | Deposit _ -> ()
+      in
+      List.for_all
+        (fun op ->
+          step op;
+          let pairs = !bag in
+          List.for_all agree pairs
+          && List.for_all
+               (fun (m1, c1) ->
+                 List.for_all (fun (m2, c2) -> Model.equal m1 m2 = Credit.equal c1 c2) pairs)
+               pairs)
+        ops
+      &&
+      let m, c =
+        List.fold_left
+          (fun (ma, ca) (m, c) -> (Model.add ma m, Credit.add ca c))
+          (Model.Int_map.empty, Credit.zero) !bag
+      in
+      agree (m, c) && Model.equal m (fst initial) && Credit.equal c (snd initial))
+
 (* --- Abstract message-system driver, generic over the detector --- *)
 
 module Driver (D : Hf_termination.Detector.S) = struct
@@ -284,7 +438,10 @@ let () =
           Alcotest.test_case "negative atoms rejected" `Quick test_credit_of_atoms_negative;
           Alcotest.test_case "deep splits (no borrowing)" `Quick test_credit_deep_split;
           Alcotest.test_case "approximate value" `Quick test_credit_to_float;
+          Alcotest.test_case "atoms past the cap refused" `Quick test_credit_cap;
+          Alcotest.test_case "an atom at the cap costs its entry" `Quick test_credit_cap_words;
           qtest prop_credit_random_splits;
+          qtest prop_credit_matches_model;
         ] );
       ( "weighted",
         [
