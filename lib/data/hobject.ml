@@ -63,5 +63,3 @@ let pp ppf t =
   Fmt.pf ppf "@[<v 2>object %a {@,%a@]@,}" Oid.pp t.oid
     (Fmt.list ~sep:Fmt.cut Tuple.pp)
     t.tuples
-
-let to_string t = Fmt.str "%a" pp t

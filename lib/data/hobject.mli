@@ -41,4 +41,3 @@ val equal : t -> t -> bool
 (** Same oid and same tuple set (order-insensitive). *)
 
 val pp : Format.formatter -> t -> unit
-val to_string : t -> string

@@ -43,13 +43,6 @@ let pointer_target t =
 let equal a b =
   String.equal a.ttype b.ttype && Value.equal a.key b.key && Value.equal a.data b.data
 
-let compare a b =
-  match String.compare a.ttype b.ttype with
-  | 0 -> (match Value.compare a.key b.key with 0 -> Value.compare a.data b.data | c -> c)
-  | c -> c
-
 let byte_size t = 5 + String.length t.ttype + Value.byte_size t.key + Value.byte_size t.data
 
 let pp ppf t = Fmt.pf ppf "(%s, %a, %a)" t.ttype Value.pp t.key Value.pp t.data
-
-let to_string t = Fmt.str "%a" pp t

@@ -46,10 +46,8 @@ val pointer_target : t -> Oid.t option
 (** The referenced object when this is a pointer tuple. *)
 
 val equal : t -> t -> bool
-val compare : t -> t -> int
 
 val byte_size : t -> int
 (** Approximate serialized size, for the ship-data baseline. *)
 
 val pp : Format.formatter -> t -> unit
-val to_string : t -> string

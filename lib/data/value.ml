@@ -60,5 +60,3 @@ let pp ppf = function
   | Real f -> Fmt.float ppf f
   | Ptr oid -> Fmt.pf ppf "^%a" Oid.pp oid
   | Blob b -> Fmt.pf ppf "<blob:%d bytes>" (String.length b)
-
-let to_string v = Fmt.str "%a" pp v

@@ -30,4 +30,3 @@ val byte_size : t -> int
     communication-cost model. *)
 
 val pp : Format.formatter -> t -> unit
-val to_string : t -> string

@@ -40,10 +40,3 @@ let merge a b =
     results = a.results + b.results;
     values_emitted = a.values_emitted + b.values_emitted;
   }
-
-let pp ppf t =
-  Fmt.pf ppf
-    "processed=%d skipped=%d steps=%d tuples=%d derefs=%d spawned=%d dangling=%d results=%d \
-     emitted=%d"
-    t.objects_processed t.objects_skipped t.filter_steps t.tuples_examined t.derefs t.spawned
-    t.dangling t.results t.values_emitted

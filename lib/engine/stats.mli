@@ -16,5 +16,3 @@ val create : unit -> t
 
 val merge : t -> t -> t
 (** Field-wise sum (fresh record). *)
-
-val pp : Format.formatter -> t -> unit

@@ -41,8 +41,3 @@ let equal a b =
   && a.start = b.start
   && Array.length a.iters = Array.length b.iters
   && Array.for_all2 ( = ) a.iters b.iters
-
-let pp ppf t =
-  Fmt.pf ppf "{oid=%a; start=%d; iters=[%a]}" Hf_data.Oid.pp t.oid t.start
-    Fmt.(array ~sep:(any ";") int)
-    t.iters

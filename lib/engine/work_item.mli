@@ -31,4 +31,3 @@ val spawn : Plan.t -> deref_index:int -> target:Hf_data.Oid.t -> t -> t
     each of those iterators is one longer). *)
 
 val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit

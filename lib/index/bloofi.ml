@@ -58,15 +58,11 @@ let create ?(order = 4) () =
     stat_rebuilds = 0;
   }
 
-let order t = t.order
 let cardinal t = t.n
 let mem t ~site = Hashtbl.mem t.slot_of site
 let probes_run t = t.stat_probes
 let pruned_total t = t.stat_pruned
 let rebuilds t = t.stat_rebuilds
-
-let indexed (t : t) =
-  List.sort Int.compare (Array.to_list (Array.sub t.sites 0 t.n))
 
 (* The exact filter node [j] (covering slots [lo, lo+width)) should
    hold: the union of its live children, or [None] when some live
@@ -225,7 +221,3 @@ let invariant_ok t =
   in
   check 0 0 t.cap;
   !ok
-
-let pp ppf t =
-  Format.fprintf ppf "bloofi(d=%d sites=%d cap=%d levels=%d rebuilds=%d)"
-    t.order t.n t.cap t.levels t.stat_rebuilds

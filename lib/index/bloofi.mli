@@ -31,8 +31,6 @@ val create : ?order:int -> unit -> t
 (** Empty tree of the given fan-out (default 4).  Raises
     [Invalid_argument] if [order < 2]. *)
 
-val order : t -> int
-
 val insert : t -> site:int -> Bloom.t -> unit
 (** Insert [site]'s summary, or replace it if the site is already
     indexed (the [Cache_version] churn path).  Both recompute only the
@@ -47,9 +45,6 @@ val remove : t -> site:int -> unit
 val mem : t -> site:int -> bool
 
 val cardinal : t -> int
-
-val indexed : t -> int list
-(** Indexed sites, ascending. *)
 
 val probe : t -> string list list -> probe_result
 (** Descend with a disjunction of probe conjunctions: a filter may
@@ -74,5 +69,3 @@ val invariant_ok : t -> bool
     equals the {!Bloom.union} of its live children's (or is absent
     exactly when some child pair is union-incompatible), and the
     site-to-leaf maps agree.  O(n) — not for hot paths. *)
-
-val pp : Format.formatter -> t -> unit

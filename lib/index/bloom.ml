@@ -58,10 +58,6 @@ let create ~expected ~fp_rate =
   let m, k = plan ~expected ~fp_rate in
   { bits = Bytes.make ((m + 7) / 8) '\000'; m; k; count = 0 }
 
-let bits t = t.m
-let probes t = t.k
-let count t = t.count
-
 let set_bit bits i =
   let byte = i lsr 3 and bit = i land 7 in
   Bytes.unsafe_set bits byte
@@ -222,8 +218,3 @@ let union a b =
   end
 
 let equal a b = a.m = b.m && a.k = b.k && Bytes.equal a.bits b.bits
-
-let pp ppf t =
-  Format.fprintf ppf "bloom(m=%d k=%d n=%d fill=%.3f fp~%.4f)" t.m t.k t.count
-    (float_of_int (ones t) /. float_of_int t.m)
-    (fp_estimate t)

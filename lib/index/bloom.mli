@@ -21,15 +21,6 @@ val add : t -> string -> unit
 val mem : t -> string -> bool
 (** [false] is definite absence; [true] is "possibly present". *)
 
-val bits : t -> int
-(** Bit-array size [m]. *)
-
-val probes : t -> int
-(** Hash functions [k]. *)
-
-val count : t -> int
-(** Insertions so far (not distinct keys). *)
-
 val fp_estimate : t -> float
 (** Expected false-positive probability at the current fill,
     [(1 - e^{-kn/m})^k]. *)
@@ -61,5 +52,3 @@ val union : t -> t -> t option
 val equal : t -> t -> bool
 (** Same geometry and same bit pattern ([count] is advisory and
     ignored). *)
-
-val pp : Format.formatter -> t -> unit

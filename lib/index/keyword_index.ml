@@ -60,6 +60,4 @@ let lookup_glob t pattern =
         if Hf_util.Glob.matches ~pattern word then Hf_data.Oid.Set.union set acc else acc)
       t.entries Hf_data.Oid.Set.empty
 
-let vocabulary t = List.map fst (Smap.bindings t.entries)
-
 let cardinal t = Smap.cardinal t.entries

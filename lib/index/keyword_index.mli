@@ -6,12 +6,8 @@
 
 type t
 
-val create : unit -> t
-
 val of_store : Hf_data.Store.t -> t
 (** Index every object currently in the store. *)
-
-val add : t -> Hf_data.Hobject.t -> unit
 
 val remove : t -> Hf_data.Hobject.t -> unit
 (** Remove using the object's current tuple set (pass the same version
@@ -25,9 +21,6 @@ val lookup : t -> string -> Hf_data.Oid.Set.t
 val lookup_glob : t -> string -> Hf_data.Oid.Set.t
 (** Objects containing any keyword matching the glob; falls back to
     {!lookup} for literal patterns. *)
-
-val vocabulary : t -> string list
-(** All indexed keywords, sorted. *)
 
 val cardinal : t -> int
 (** Distinct keywords. *)

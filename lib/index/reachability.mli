@@ -7,11 +7,6 @@
 
 type t
 
-val build :
-  ?key:string -> find:(Hf_data.Oid.t -> Hf_data.Hobject.t option) -> Hf_data.Oid.t list -> t
-(** Index the graph over the given objects; dangling pointers are
-    ignored (as the engine ignores them at run time). *)
-
 val of_store : ?key:string -> Hf_data.Store.t -> t
 
 val reachable : t -> Hf_data.Oid.t -> Hf_data.Oid.Set.t

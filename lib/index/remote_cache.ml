@@ -315,9 +315,3 @@ let drop_dst t ~dst =
         doomed := e :: !doomed)
     t.table;
   List.iter (drop t) !doomed
-
-let clear t =
-  Hashtbl.reset t.table;
-  t.head.next <- t.head;
-  t.head.prev <- t.head;
-  t.size <- 0

@@ -98,5 +98,3 @@ val drop_dst : t -> dst:int -> unit
     a summary-epoch regression reveals the peer restarted: its new
     lineage's store version can collide with the old one's, so cached
     verdicts keyed by version alone could wrongly validate. *)
-
-val clear : t -> unit

@@ -73,12 +73,20 @@ type in_conn = { in_fd : Unix.file_descr; (* non-blocking *) decoder : Hf_proto.
 
 let buffer_size = 4096
 
+(* A buffer a burst or a large frame grew past this is dropped once
+   empty rather than kept at its high-water mark. *)
+let buffer_keep = 65536
+
 let queued conn = conn.len - conn.off
 
-(* Append one framed message.  A full buffer first moves its unsent
-   bytes to the front, or doubles when they leave too little room. *)
-let enqueue conn frame =
-  let n = String.length frame in
+(* Append one message framed: the length header, then the payload
+   [payload] holds, copied straight into the send buffer.  A full
+   buffer first moves its unsent bytes to the front, or doubles when
+   they leave too little room.  A payload past [Frame.max_frame_size]
+   raises [Frame_error] with nothing queued. *)
+let enqueue conn payload =
+  let size = Buffer.length payload in
+  let n = Hf_proto.Frame.header_size + size in
   if conn.len + n > Bytes.length conn.buf then begin
     let live = queued conn in
     let buf =
@@ -90,7 +98,8 @@ let enqueue conn frame =
     conn.off <- 0;
     conn.len <- live
   end;
-  Bytes.blit_string frame 0 conn.buf conn.len n;
+  Hf_proto.Frame.write_header conn.buf conn.len size;
+  Buffer.blit payload 0 conn.buf (conn.len + Hf_proto.Frame.header_size) size;
   conn.len <- conn.len + n
 
 (* Non-blocking write of [buf] from [off] up to [len]: the offset
@@ -114,9 +123,7 @@ let flush ~now conn =
     else begin
       conn.off <- 0;
       conn.len <- 0;
-      (* a buffer a burst grew past 64 KiB is dropped rather than kept
-         at its high-water mark *)
-      if Bytes.length conn.buf > 65536 then conn.buf <- Bytes.create buffer_size
+      if Bytes.length conn.buf > buffer_keep then conn.buf <- Bytes.create buffer_size
     end;
     true
 
@@ -211,6 +218,7 @@ type t = {
       (* connections replaced or shut down, writing what they still hold *)
   mutable inbound : in_conn list;
   chunk : Bytes.t; (* the loop's read buffer *)
+  scratch : Buffer.t; (* the loop's encode buffer: one frame's payload at a time *)
   contexts : (Message.query_id, context) Hashtbl.t;
   runnable : (Message.query_id * context) Queue.t;
       (* contexts with a drain under way, in round-robin order *)
@@ -438,15 +446,21 @@ let link_for t dst =
     Hashtbl.replace t.links dst link;
     link
 
+(* Empty the encode buffer.  One that a large frame grew past
+   [buffer_keep] is dropped, as a connection's buffer is. *)
+let clear_scratch t =
+  if Buffer.length t.scratch > buffer_keep then Buffer.reset t.scratch else Buffer.clear t.scratch
+
 (* One physical transmission attempt: connection management plus frame
-   encoding.  [seq] is the reliability sequence number (0 when
-   unsequenced — reliability off, or a standalone [Link_ack]); the
-   cumulative ack for the reverse direction is peeked immediately
-   before the frame is queued, so every outgoing envelope carries the
-   freshest ack.  A connection whose write failed is gone from
-   [conns], and the next frame opens a fresh one — with reliability
-   on, whatever the old one lost is retransmitted.  A shut-down site
-   opens no connection, so what it sends is dropped. *)
+   encoding, into the site's one encode buffer and from there straight
+   into the connection's send buffer.  [seq] is the reliability
+   sequence number (0 when unsequenced — reliability off, or a
+   standalone [Link_ack]); the cumulative ack for the reverse direction
+   is peeked immediately before the frame is queued, so every outgoing
+   envelope carries the freshest ack.  A connection whose write failed
+   is gone from [conns], and the next frame opens a fresh one — with
+   reliability on, whatever the old one lost is retransmitted.  A
+   shut-down site opens no connection, so what it sends is dropped. *)
 let transmit_raw t ?(span = 0) ~seq ~dst message =
   let conn =
     match Hashtbl.find_opt t.conns dst with
@@ -469,9 +483,12 @@ let transmit_raw t ?(span = 0) ~seq ~dst message =
         Some
           { Hf_proto.Codec.src = t.id; seq; ack = Hf_proto.Reliable.take_ack (link_for t dst) }
     in
-    let payload = Hf_proto.Codec.encode ~span ?rel message in
+    (* emptied before as well as after, in case the last encode raised *)
+    clear_scratch t;
+    Hf_proto.Codec.encode_to t.scratch ~span ?rel message;
+    let size = Buffer.length t.scratch in
     t.messages_sent <- t.messages_sent + 1;
-    t.bytes_sent <- t.bytes_sent + String.length payload;
+    t.bytes_sent <- t.bytes_sent + size;
     (* Per-query attribution: site-global counters cover every query at
        once, so an outcome reading global deltas would charge one query
        with its neighbors' traffic.  Each frame — retransmissions
@@ -488,11 +505,12 @@ let transmit_raw t ?(span = 0) ~seq ~dst message =
         match Hashtbl.find_opt t.contexts q with
         | Some ctx ->
           ctx.msgs_sent <- ctx.msgs_sent + 1;
-          ctx.bytes_out <- ctx.bytes_out + String.length payload
+          ctx.bytes_out <- ctx.bytes_out + size
         | None -> ())
     | None -> ());
-    Hf_obs.Histogram.observe t.sent_frame_bytes (float_of_int (String.length payload));
-    enqueue conn (Hf_proto.Frame.frame payload)
+    Hf_obs.Histogram.observe t.sent_frame_bytes (float_of_int size);
+    enqueue conn t.scratch;
+    clear_scratch t
 
 (* --- query contexts --- *)
 
@@ -565,14 +583,18 @@ let mark_closed t query =
    makes a late Work_batch for the query die at the door instead of
    resurrecting an empty context. *)
 let evict_context t query (ctx : context) =
-  (* Eviction happens on the cancel / Query_done / termination paths:
-     the origin has stopped counting, so any credit still held here is
-     dead by design (on normal termination it is already zero). *)
+  (* Eviction happens on the cancel / Query_done / termination paths,
+     where the origin has stopped counting, so any credit still held
+     here is dead by design (on normal termination it is already
+     zero); and after a drain that raised, where the slice lost work
+     and returning the credit could let the origin report a complete
+     answer that misses results. *)
   (Credit.discard ctx.held
    [@hf.allow
      "credit-linearity -- cancel-path exemption: an evicted context's \
       query no longer needs the termination detector to converge, so \
-      its residual credit is deliberately destroyed"]);
+      its residual credit is deliberately destroyed; a drain that \
+      raised lost work, so its credit must not complete the query"]);
   ctx.held <- Credit.zero;
   ctx.draining <- None;
   Hf_obs.Tracer.finish t.tracer ctx.core.span;
@@ -1424,8 +1446,12 @@ let run_commands t =
     (Queue.pop t.todo) ()
   done
 
-(* One turn per runnable context, round-robin.  A context that raises
-   leaves the queue, and the site goes on. *)
+(* One turn per runnable context, round-robin.  A context whose drain
+   raises costs its query at this site, not the site: the slice lost
+   work, so the query is dropped here as a [Query_done] would drop it,
+   and sends no credit home (returning it could let the origin report
+   a complete answer that misses results; the origin times out).  The
+   site goes on. *)
 let drain_round t =
   let congested = link_congested t in
   for _ = 1 to Queue.length t.runnable do
@@ -1435,7 +1461,9 @@ let drain_round t =
     | false -> ()
     | exception e ->
       Log.err (fun m ->
-          m "site %d: drain of %a failed: %s" t.id Message.pp_query_id query (Printexc.to_string e))
+          m "site %d: drain of %a failed, query dropped here: %s" t.id Message.pp_query_id query
+            (Printexc.to_string e));
+      evict_context t query ctx
   done
 
 let give_up_s = 0.05
@@ -1602,6 +1630,7 @@ let create ~site ?(batch = Hf_proto.Batch.unbatched) ?reliability ?cache
       retired = [];
       inbound = [];
       chunk = Bytes.create 65536;
+      scratch = Buffer.create buffer_size;
       contexts = Hashtbl.create 8;
       runnable = Queue.create ();
       next_serial = 0;
@@ -1720,8 +1749,6 @@ let address t = t.address
 let store t = t.store
 
 let id t = t.id
-
-let tracer t = t.tracer
 
 let registry t = t.registry
 

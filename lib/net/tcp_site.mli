@@ -127,8 +127,6 @@ val store : t -> Hf_data.Store.t
 
 val id : t -> int
 
-val tracer : t -> Hf_obs.Tracer.t
-
 val registry : t -> Hf_obs.Registry.t
 (** Per-site transport metrics: [hf.net.messages_sent], [hf.net.bytes_sent],
     [hf.net.messages_received], the [hf.net.sent_frame_bytes] histogram

@@ -67,5 +67,3 @@ let to_string json =
   let buf = Buffer.create 256 in
   to_buffer buf json;
   Buffer.contents buf
-
-let pp ppf json = Fmt.string ppf (to_string json)

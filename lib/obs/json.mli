@@ -11,4 +11,3 @@ type t =
 
 val to_buffer : Buffer.t -> t -> unit
 val to_string : t -> string
-val pp : Format.formatter -> t -> unit

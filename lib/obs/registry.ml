@@ -37,11 +37,6 @@ let counter t name =
   register_counter t name (fun () -> !cell);
   cell
 
-let gauge t name =
-  let cell = ref 0.0 in
-  register_gauge t name (fun () -> !cell);
-  cell
-
 let histogram ?sample_limit t name =
   let h = Histogram.create ?sample_limit () in
   register_histogram t name h;
@@ -123,15 +118,6 @@ let pp_snapshot ppf snap =
     | Histogram_value h -> Fmt.pf ppf "%-42s %a" name Histogram.pp h
   in
   Fmt.pf ppf "@[<v>%a@]" (Fmt.list ~sep:Fmt.cut pp_metric) snap
-
-let pp ppf t =
-  let pp_metric ppf (name, value) =
-    match value with
-    | Counter read -> Fmt.pf ppf "%-42s %d" name (read ())
-    | Gauge read -> Fmt.pf ppf "%-42s %.6g" name (read ())
-    | Histogram h -> Fmt.pf ppf "%-42s %a" name Histogram.pp h
-  in
-  Fmt.pf ppf "@[<v>%a@]" (Fmt.list ~sep:Fmt.cut pp_metric) (sorted t)
 
 let to_json t =
   Json.Obj

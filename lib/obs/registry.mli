@@ -24,7 +24,6 @@ val register_gauge : t -> string -> (unit -> float) -> unit
 val counter : t -> string -> int ref
 (** Registry-owned counter: allocates the cell and registers a view. *)
 
-val gauge : t -> string -> float ref
 val histogram : ?sample_limit:int -> t -> string -> Histogram.t
 
 val names : t -> string list
@@ -32,7 +31,6 @@ val names : t -> string list
 
 val find : t -> string -> value option
 
-val pp : Format.formatter -> t -> unit
 val to_json : t -> Json.t
 
 (** {1 Snapshots}

@@ -30,8 +30,6 @@ let create policy =
   validate_policy policy;
   { policy; buffers = Hashtbl.create 8; total = 0 }
 
-let policy t = t.policy
-
 let pending t = t.total
 
 let pending_for t ~dst =

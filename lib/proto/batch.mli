@@ -26,14 +26,9 @@ type 'a t
 val create : flush_policy -> 'a t
 (** Raises [Invalid_argument] on an invalid policy. *)
 
-val policy : 'a t -> flush_policy
-
 val push : 'a t -> dst:int -> 'a -> 'a list option
 (** Buffer an item for [dst].  Returns [Some items] — the whole buffer
     for [dst], oldest first, now cleared — when the policy fires. *)
-
-val take : 'a t -> dst:int -> 'a list
-(** Remove and return [dst]'s buffer, oldest first (empty if none). *)
 
 val flush_all : 'a t -> (int * 'a list) list
 (** Drain every non-empty buffer, destinations in ascending order. *)

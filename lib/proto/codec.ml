@@ -3,7 +3,16 @@
    Layout conventions: unsigned LEB128 varints for lengths and small
    non-negative numbers, zigzag varints for possibly-negative integers,
    IEEE-754 bits for floats, one-byte tags for variants, length-prefixed
-   raw bytes for strings.  No host-order dependence, no Marshal. *)
+   raw bytes for strings.  No host-order dependence, no Marshal.
+
+   A shipped frame should allocate little beyond the message it
+   carries.  Program bodies, which every work frame repeats, are reused
+   through two memos (the last body encoded, keyed on the program by
+   physical equality; the last decoded, keyed on its bytes), each one
+   immutable pair behind a process-wide [Atomic.t] holding at most one
+   body; why a hit is exact is told where they are defined.  Readers
+   and writers loop at top level rather than through closures, and
+   [encode_to] appends a frame to a buffer the caller keeps. *)
 
 exception Decode_error of string
 
@@ -48,9 +57,17 @@ let write_float buf f =
     write_u8 buf (Int64.to_int (Int64.logand (Int64.shift_right_logical bits (8 * i)) 0xFFL))
   done
 
+(* Top-level loops here and below, where [List.iter (write_item buf)]
+   would allocate a closure per list. *)
+let rec write_items buf write_item = function
+  | [] -> ()
+  | item :: items ->
+    write_item buf item;
+    write_items buf write_item items
+
 let write_list buf write_item items =
   write_varint buf (List.length items);
-  List.iter (write_item buf) items
+  write_items buf write_item items
 
 (* --- Reader --- *)
 
@@ -64,14 +81,15 @@ let read_u8 r =
   r.pos <- r.pos + 1;
   byte
 
-let read_uint r =
-  let rec go shift acc =
-    if shift > 63 then fail "varint overflow at offset %d" r.pos;
-    let byte = read_u8 r in
-    let acc = acc lor ((byte land 0x7f) lsl shift) in
-    if byte land 0x80 = 0 then acc else go (shift + 7) acc
-  in
-  go 0 0
+(* A top-level loop, not a local [go] closing over [r]: a varint is
+   read without allocating. *)
+let rec read_uint_from r shift acc =
+  if shift > 63 then fail "varint overflow at offset %d" r.pos;
+  let byte = read_u8 r in
+  let acc = acc lor ((byte land 0x7f) lsl shift) in
+  if byte land 0x80 = 0 then acc else read_uint_from r (shift + 7) acc
+
+let read_uint r = read_uint_from r 0 0
 
 let read_varint r =
   let n = read_uint r in
@@ -103,9 +121,13 @@ let read_count r =
   if n > left then fail "count %d exceeds the %d byte(s) left at offset %d" n left r.pos;
   n
 
-let read_list r read_item =
-  let n = read_count r in
-  List.init n (fun _ -> read_item r)
+let[@tail_mod_cons] rec read_items r read_item n =
+  if n = 0 then []
+  else
+    let item = read_item r in
+    item :: read_items r read_item (n - 1)
+
+let read_list r read_item = read_items r read_item (read_count r)
 
 let at_end r = r.pos = String.length r.data
 
@@ -281,13 +303,71 @@ let read_filter r : Hf_query.Filter.t =
     Retrieve { ttype; key; target }
   | tag -> fail "unknown filter tag %d" tag
 
-let write_program buf program = write_list buf write_filter (Hf_query.Program.filters program)
+let write_filters buf program = write_list buf write_filter (Hf_query.Program.filters program)
 
-let read_program r =
+let parse_program r =
   let filters = read_list r read_filter in
   match Hf_query.Program.of_filters filters with
   | program -> program
   | exception Hf_query.Program.Ill_formed message -> fail "ill-formed program: %s" message
+
+(* --- Program bodies, reused ---
+
+   Query shipping sends the whole body with every work frame, and
+   consecutive frames in a process mostly carry the same one.  So each
+   direction keeps the last body it handled: [last_written] the last
+   program encoded, matched by physical equality on the immutable
+   [Program.t], and [last_read] the last bytes decoded, matched by
+   comparing the bytes at the reader's position.  A hit is exact: the
+   body encoding is deterministic, so one program always has the same
+   bytes; and it is self-delimiting, so bytes that begin with a decoded
+   body's bytes parse to that program and consume exactly those bytes
+   (every count and string length inside them fits those bytes, so the
+   decoder's checks against the payload's end pass there too).  Each
+   memo is one immutable pair behind an [Atomic.t], shared by every
+   thread and domain of the process without a lock, and holds at most
+   one body. *)
+
+type body = { program : Hf_query.Program.t; bytes : string }
+
+let empty_body =
+  let program = Hf_query.Program.of_filters [] in
+  let buf = Buffer.create 1 in
+  write_filters buf program;
+  { program; bytes = Buffer.contents buf }
+
+let last_written = Atomic.make empty_body
+
+let last_read = Atomic.make empty_body
+
+let write_program buf program =
+  let last = Atomic.get last_written in
+  if last.program == program then Buffer.add_string buf last.bytes
+  else begin
+    let start = Buffer.length buf in
+    write_filters buf program;
+    Atomic.set last_written { program; bytes = Buffer.sub buf start (Buffer.length buf - start) }
+  end
+
+(* [key] lies in [data] at [pos], from its [i]th byte on. *)
+let rec bytes_at data pos key i =
+  i = String.length key
+  || (Char.equal (String.unsafe_get data (pos + i)) (String.unsafe_get key i)
+     && bytes_at data pos key (i + 1))
+
+let read_program r =
+  let last = Atomic.get last_read in
+  let n = String.length last.bytes in
+  if r.pos + n <= String.length r.data && bytes_at r.data r.pos last.bytes 0 then begin
+    r.pos <- r.pos + n;
+    last.program
+  end
+  else begin
+    let start = r.pos in
+    let program = parse_program r in
+    Atomic.set last_read { program; bytes = String.sub r.data start (r.pos - start) };
+    program
+  end
 
 (* --- Messages --- *)
 
@@ -315,11 +395,16 @@ let read_credit r = read_list r read_atom
 
 let write_iters buf iters =
   write_varint buf (Array.length iters);
-  Array.iter (write_varint buf) iters
+  for i = 0 to Array.length iters - 1 do
+    write_varint buf iters.(i)
+  done
 
 let read_iters r =
-  let n = read_count r in
-  Array.init n (fun _ -> read_varint r)
+  let iters = Array.make (read_count r) 0 in
+  for i = 0 to Array.length iters - 1 do
+    iters.(i) <- read_varint r
+  done;
+  iters
 
 let write_binding buf (target, values) =
   write_string buf target;
@@ -638,8 +723,7 @@ let rel_tag = 126
 
 type rel = { src : int; seq : int; ack : int }
 
-let encode ?span ?rel message =
-  let buf = Buffer.create 64 in
+let encode_to buf ?span ?rel message =
   (match rel with
    | Some { src; seq; ack } ->
      write_u8 buf rel_tag;
@@ -652,47 +736,50 @@ let encode ?span ?rel message =
      write_u8 buf traced_tag;
      write_varint buf s
    | _ -> ());
-  write_message buf message;
+  write_message buf message
+
+let encode ?span ?rel message =
+  let buf = Buffer.create 64 in
+  encode_to buf ?span ?rel message;
   Buffer.contents buf
 
-let read_enveloped_message r =
-  let rel =
-    if (not (at_end r)) && Char.code r.data.[r.pos] = rel_tag then begin
-      r.pos <- r.pos + 1;
-      let src = read_varint r in
-      let seq = read_varint r in
-      let ack = read_varint r in
-      Some { src; seq; ack }
-    end
-    else None
-  in
-  let span =
-    if (not (at_end r)) && Char.code r.data.[r.pos] = traced_tag then begin
-      r.pos <- r.pos + 1;
-      read_varint r
-    end
-    else 0
-  in
-  let message = read_message r in
-  (message, span, rel)
+let next_is r tag = (not (at_end r)) && Char.code r.data.[r.pos] = tag
 
-let decode_enveloped data =
+(* Decode a whole payload: the envelopes, if present, then the message,
+   handed to [result] with the span id (0 untraced) and the
+   reliability envelope, so each entry point builds its result once. *)
+let decode_with data result =
   match
     let r = reader data in
-    let result = read_enveloped_message r in
+    let rel =
+      if next_is r rel_tag then begin
+        r.pos <- r.pos + 1;
+        let src = read_varint r in
+        let seq = read_varint r in
+        let ack = read_varint r in
+        Some { src; seq; ack }
+      end
+      else None
+    in
+    let span =
+      if next_is r traced_tag then begin
+        r.pos <- r.pos + 1;
+        read_varint r
+      end
+      else 0
+    in
+    let message = read_message r in
     if not (at_end r) then fail "trailing bytes after message (offset %d)" r.pos;
-    result
+    result message span rel
   with
-  | result -> Ok result
+  | decoded -> Ok decoded
   | exception Decode_error msg -> Error msg
 
-let decode_traced data =
-  match decode_enveloped data with
-  | Ok (message, span, _rel) -> Ok (message, span)
-  | Error _ as e -> e
+let decode_enveloped data = decode_with data (fun message span rel -> (message, span, rel))
 
-let decode data =
-  match decode_traced data with Ok (message, _span) -> Ok message | Error _ as e -> e
+let decode_traced data = decode_with data (fun message span _ -> (message, span))
+
+let decode data = decode_with data (fun message _ _ -> message)
 
 let decode_exn data =
   match decode data with Ok message -> message | Error msg -> raise (Decode_error msg)

@@ -2,7 +2,23 @@
 
     Unsigned LEB128 varints for lengths, zigzag varints for signed
     integers, IEEE-754 bits for floats, one-byte variant tags,
-    length-prefixed strings.  Platform-independent; no [Marshal]. *)
+    length-prefixed strings.  Platform-independent; no [Marshal].
+
+    Every work frame carries its query's whole body, and consecutive
+    frames in a process mostly carry the same one, so the codec keeps
+    the last body it handled in each direction.  {!write_program} keeps
+    the last program it encoded with its bytes, keyed on the
+    [Program.t] by physical equality, and copies those bytes when the
+    same program comes again.  The decoder keeps the last bytes it
+    parsed as a body with their program, keyed on the bytes: a body
+    whose bytes at the reader's position equal them is skipped, not
+    parsed.  A hit is exact, because the body encoding is deterministic
+    and self-delimiting: bytes that begin with a decoded body's bytes
+    parse to that program and consume exactly those bytes.  Each memo
+    is one immutable pair behind an [Atomic.t], process-wide and shared
+    by every site's thread (and any domain) without a lock; each holds
+    at most one body.  Wire bytes and decoded messages are the same
+    with or without a hit. *)
 
 exception Decode_error of string
 
@@ -18,6 +34,12 @@ val encode : ?span:int -> ?rel:rel -> Message.t -> string
     span id is carried in an envelope (tag 127 + varint) so a receiving
     tracer can parent its spans on the sender's; reliability metadata
     rides in an outer envelope (tag 126 + three varints). *)
+
+val encode_to : Buffer.t -> ?span:int -> ?rel:rel -> Message.t -> unit
+(** [encode_to buf] appends exactly the bytes {!encode} returns to
+    [buf]; {!encode} is [encode_to] on a fresh buffer.  A transport
+    that keeps one buffer encodes a frame without allocating its
+    payload. *)
 
 val decode : string -> (Message.t, string) result
 (** Rejects trailing bytes, an element count larger than the bytes
@@ -67,3 +89,5 @@ val write_hobject : writer -> Hf_data.Hobject.t -> unit
 val read_hobject : reader -> Hf_data.Hobject.t
 
 val write_program : writer -> Hf_query.Program.t -> unit
+(** Appends a program body: the last program encoded in the process
+    has its bytes copied from the memo described above. *)

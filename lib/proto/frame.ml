@@ -7,15 +7,23 @@ let max_frame_size = 16 * 1024 * 1024
 
 exception Frame_error of string
 
+let header_size = 4
+
+(* The one writer of the framing rule, for [frame] and for a transport
+   that frames straight into its own send buffer. *)
+let write_header buf off len =
+  if len > max_frame_size then raise (Frame_error "frame too large");
+  Bytes.set_uint8 buf off ((len lsr 24) land 0xff);
+  Bytes.set_uint8 buf (off + 1) ((len lsr 16) land 0xff);
+  Bytes.set_uint8 buf (off + 2) ((len lsr 8) land 0xff);
+  Bytes.set_uint8 buf (off + 3) (len land 0xff)
+
 let frame payload =
   let len = String.length payload in
-  if len > max_frame_size then raise (Frame_error "frame too large");
-  let header = Bytes.create 4 in
-  Bytes.set_uint8 header 0 ((len lsr 24) land 0xff);
-  Bytes.set_uint8 header 1 ((len lsr 16) land 0xff);
-  Bytes.set_uint8 header 2 ((len lsr 8) land 0xff);
-  Bytes.set_uint8 header 3 (len land 0xff);
-  Bytes.to_string header ^ payload
+  let framed = Bytes.create (header_size + len) in
+  write_header framed 0 len;
+  Bytes.blit_string payload 0 framed header_size len;
+  Bytes.unsafe_to_string framed
 
 module Decoder = struct
   (* Bytes [start, stop) of [buf] are buffered.  A frame is cut from the

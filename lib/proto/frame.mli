@@ -5,6 +5,16 @@ val max_frame_size : int
 
 exception Frame_error of string
 
+val header_size : int
+(** Bytes of the length header: 4. *)
+
+val write_header : Bytes.t -> int -> int -> unit
+(** [write_header buf off len] writes the header of a [len]-byte
+    payload into [buf] at [off].  Raises [Frame_error], writing
+    nothing, when [len] exceeds {!max_frame_size}.  {!frame} writes its
+    header through it, and so does a transport that frames straight
+    into its send buffer, so the rule is written once. *)
+
 val frame : string -> string
 (** Prefix a payload with its length header. Raises [Frame_error] when
     the payload exceeds {!max_frame_size}. *)

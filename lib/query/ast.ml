@@ -10,14 +10,6 @@ type element =
 
 type t = element list
 
-let select ~ttype ~key ~data = Select { ttype; key; data }
-
-let deref ?(mode = Filter.Replace) var = Deref { var; mode }
-
-let retrieve ~ttype ~key ~target = Retrieve { ttype; key; target }
-
-let block ~count body = Block { body; count }
-
 let closure body = Block { body; count = Filter.Star }
 
 let repeat k body = Block { body; count = Filter.Finite k }

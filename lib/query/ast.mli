@@ -13,11 +13,6 @@ type element =
 
 type t = element list
 
-val select : ttype:Pattern.t -> key:Pattern.t -> data:Pattern.t -> element
-val deref : ?mode:Filter.deref_mode -> string -> element
-val retrieve : ttype:Pattern.t -> key:Pattern.t -> target:string -> element
-val block : count:Filter.iter_count -> element list -> element
-
 val closure : element list -> element
 (** "[ body ]*". *)
 

@@ -12,8 +12,6 @@
 let select ?(ttype = Pattern.any) ?(key = Pattern.any) ?(data = Pattern.any) () =
   Ast.Select { ttype; key; data }
 
-let tuple ttype key data = Ast.Select { ttype; key; data }
-
 (* Selection of pointer tuples with a given key, binding the targets. *)
 let pointers ?key var =
   let key_pattern = match key with Some k -> Pattern.exact_str k | None -> Pattern.any in
@@ -34,12 +32,7 @@ let follow var = Ast.Deref { var; mode = Filter.Replace }
 
 let follow_keeping var = Ast.Deref { var; mode = Filter.Keep_parent }
 
-let retrieve ?(ttype = Pattern.any) ~key target =
-  Ast.Retrieve { ttype; key = Pattern.exact_str key; target }
-
 let closure body = Ast.closure body
-
-let repeat k body = Ast.repeat k body
 
 let body elements = elements
 
@@ -55,7 +48,5 @@ let reachability ?depth ~key selection =
   in
   let var = "X" in
   [ Ast.Block { body = [ pointers ~key var; follow_keeping var ]; count }; selection ]
-
-let compile = Compile.compile
 
 let program elements = Compile.compile elements

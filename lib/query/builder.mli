@@ -12,9 +12,6 @@
 val select : ?ttype:Pattern.t -> ?key:Pattern.t -> ?data:Pattern.t -> unit -> Ast.element
 (** General selection; omitted fields default to [?]. *)
 
-val tuple : Pattern.t -> Pattern.t -> Pattern.t -> Ast.element
-(** Selection from three explicit patterns (type, key, data). *)
-
 val pointers : ?key:string -> string -> Ast.element
 (** [pointers ~key var]: select pointer tuples with key [key] (any key
     if omitted), binding the targets to [var]. *)
@@ -28,15 +25,8 @@ val follow : string -> Ast.element
 val follow_keeping : string -> Ast.element
 (** Double up-arrow: dereference [var], keeping the pointing object. *)
 
-val retrieve : ?ttype:Pattern.t -> key:string -> string -> Ast.element
-(** The [->] operator: ship matching tuples' data back, tagged with the
-    target name. *)
-
 val closure : Ast.t -> Ast.element
 (** "[ body ]*". *)
-
-val repeat : int -> Ast.t -> Ast.element
-(** "[ body ]^k". *)
 
 val body : Ast.element list -> Ast.t
 
@@ -46,5 +36,4 @@ val reachability : ?depth:int -> key:string -> Ast.element -> Ast.t
     object, then apply [selection].  Raises [Invalid_argument] if
     [depth < 1]. *)
 
-val compile : Ast.t -> Program.t
 val program : Ast.t -> Program.t

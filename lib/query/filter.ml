@@ -63,5 +63,3 @@ let pp ppf = function
   | Iter { body_start; count } -> Fmt.pf ppf "iter[from %d]^%a" body_start pp_iter_count count
   | Retrieve { ttype; key; target } ->
     Fmt.pf ppf "(%a, %a, ->%s)" Pattern.pp ttype Pattern.pp key target
-
-let to_string f = Fmt.str "%a" pp f

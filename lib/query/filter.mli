@@ -43,4 +43,3 @@ val equal_iter_count : iter_count -> iter_count -> bool
 val equal : t -> t -> bool
 
 val pp : Format.formatter -> t -> unit
-val to_string : t -> string

@@ -5,7 +5,5 @@
     baseline) and by the index planner.  [Use] patterns see no bindings
     and therefore never match here. *)
 
-val selection_matches : Filter.selection -> Hf_data.Hobject.t -> bool
-
 val element_matches : Ast.element -> Hf_data.Hobject.t -> bool
 (** Raises [Invalid_argument] on dereference or block elements. *)

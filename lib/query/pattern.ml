@@ -13,8 +13,6 @@ type t =
 
 let any = Any
 
-let exact v = Exact v
-
 let exact_str s = Exact (Hf_data.Value.str s)
 
 let exact_num n = Exact (Hf_data.Value.num n)
@@ -88,5 +86,3 @@ let pp ppf = function
   | Range (lo, hi) -> Fmt.pf ppf "%d..%d" lo hi
   | Bind var -> Fmt.pf ppf "?%s" var
   | Use var -> Fmt.pf ppf "=%s" var
-
-let to_string p = Fmt.str "%a" pp p

@@ -15,7 +15,6 @@ type t =
   | Use of string
 
 val any : t
-val exact : Hf_data.Value.t -> t
 val exact_str : string -> t
 val exact_num : int -> t
 
@@ -50,4 +49,3 @@ val matches_str : t -> string -> lookup:(string -> Hf_data.Value.t list) -> bool
 
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit
-val to_string : t -> string

@@ -94,10 +94,6 @@ val landing_pcs : Program.t -> int list
     the entry points a scattered site must speculate from, in addition
     to filter 0 for its seed roots. *)
 
-val depth : Program.t -> int
-(** Number of dereference filters: the shipping mode's worst-case
-    cross-site hop count per chain. *)
-
 val eligible : Program.t -> (unit, string) result
 (** Scatter-gather eligibility.  Finite iterators make the per-item
     iteration counters vary along a chain, so a site cannot enumerate

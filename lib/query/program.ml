@@ -63,5 +63,3 @@ let pp ppf t =
        (fun f arr -> Array.iteri (fun i x -> f i x) arr)
        (fun ppf (i, filter) -> Fmt.pf ppf "F%d: %a" i Filter.pp filter))
     t.filters
-
-let to_string t = Fmt.str "%a" pp t

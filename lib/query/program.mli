@@ -27,4 +27,3 @@ val byte_size : t -> int
     messages); used by the communication-cost accounting. *)
 
 val pp : Format.formatter -> t -> unit
-val to_string : t -> string

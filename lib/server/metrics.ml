@@ -99,19 +99,3 @@ let total_messages t =
 let total_bytes t = t.work_bytes + t.result_bytes + t.scatter_bytes + t.gather_bytes
 
 let total_busy t = Array.fold_left ( +. ) 0.0 t.busy
-
-let max_busy t = Array.fold_left max 0.0 t.busy
-
-let pp_summary ppf t =
-  Fmt.pf ppf
-    "work=%d/%d items (%dB, %d batched, %dB saved) result=%d (%dB) control=%d (+%d piggybacked) \
-     dup-work=%d dropped=%d rtx=%d dup-drop=%d gave-up=%d shipped=%d cache: hit=%d miss=%d \
-     prune=%d fill=%d inval=%d scatter=%d/%d gathers (%d nodes, %d fallbacks) busy: \
-     total=%.3fs max=%.3fs"
-    t.work_messages t.work_items t.work_bytes t.work_batches t.batch_bytes_saved t.result_messages
-    t.result_bytes t.control_messages t.piggybacked_controls t.duplicate_work_messages
-    t.dropped_messages t.retransmits t.dup_drops t.give_ups t.results_shipped t.cache_hits
-    t.cache_misses t.cache_prunes t.cache_fills t.cache_invalidations t.scatter_messages
-    t.gather_messages t.gather_nodes t.scatter_fallbacks (total_busy t) (max_busy t)
-
-let pp = pp_summary

@@ -74,6 +74,3 @@ val add_busy : t -> int -> float -> unit
 val total_messages : t -> int
 val total_bytes : t -> int
 val total_busy : t -> float
-
-val pp : Format.formatter -> t -> unit
-(** Compact one-line human summary. *)

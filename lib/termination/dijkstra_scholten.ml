@@ -15,7 +15,6 @@ type t = {
   mutable parent : int option;
   mutable active : bool; (* working set non-empty *)
   mutable deficit : int; (* work messages sent but not yet acknowledged *)
-  mutable acks_sent : int; (* instrumentation *)
 }
 
 type tag = unit
@@ -33,7 +32,6 @@ let create ~n_sites ~origin ~self =
     parent = None;
     active = false;
     deficit = 0;
-    acks_sent = 0;
   }
 
 let on_seed t =
@@ -51,7 +49,6 @@ let try_detach t =
       | Some parent ->
         t.engaged <- false;
         t.parent <- None;
-        t.acks_sent <- t.acks_sent + 1;
         ([ (parent, Ack) ], false)
     end
   end
@@ -63,7 +60,6 @@ let on_recv_work t ~src () =
   t.active <- true;
   if t.engaged then begin
     (* Already in the tree: acknowledge immediately. *)
-    t.acks_sent <- t.acks_sent + 1;
     [ (src, Ack) ]
   end
   else begin
@@ -95,7 +91,5 @@ let poll_interval = None
 let on_poll _ = []
 
 let pp_control ppf Ack = Fmt.string ppf "ack"
-
-let acks_sent t = t.acks_sent
 
 let deficit t = t.deficit

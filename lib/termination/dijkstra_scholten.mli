@@ -15,7 +15,5 @@ include Detector.S with type tag := tag and type control := control
 
 (** {1 Instrumentation} *)
 
-val acks_sent : t -> int
-
 val deficit : t -> int
 (** Work messages sent by this site and not yet acknowledged. *)

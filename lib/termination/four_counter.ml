@@ -30,7 +30,6 @@ type t = {
   mutable pending : (int * report) list; (* reports received for the current wave *)
   mutable previous : (int * int) option; (* totals of the last complete all-passive wave *)
   mutable waves : int; (* instrumentation *)
-  mutable control_messages : int;
 }
 
 type tag = unit
@@ -54,7 +53,6 @@ let create ~n_sites ~origin ~self =
     pending = [];
     previous = None;
     waves = 0;
-    control_messages = 0;
   }
 
 let on_seed t =
@@ -95,13 +93,9 @@ let on_poll t =
     else begin
       (* The origin reports to itself without a message. *)
       t.pending <- [ (t.self, self_report t) ];
-      let probes =
-        List.filter_map
-          (fun site -> if site = t.self then None else Some (site, Probe t.wave_id))
-          (List.init t.n_sites Fun.id)
-      in
-      t.control_messages <- t.control_messages + List.length probes;
-      probes
+      List.filter_map
+        (fun site -> if site = t.self then None else Some (site, Probe t.wave_id))
+        (List.init t.n_sites Fun.id)
     end
   end
 
@@ -129,9 +123,7 @@ let wave_complete t =
 
 let on_recv_control t ~src control =
   match control with
-  | Probe wave ->
-    t.control_messages <- t.control_messages + 1;
-    ([ (src, Report (wave, self_report t)) ], false)
+  | Probe wave -> ([ (src, Report (wave, self_report t)) ], false)
   | Report (wave, report) ->
     assert (t.self = t.origin);
     if wave <> t.wave_id then ([], false) (* stale wave; ignore *)
@@ -146,8 +138,6 @@ let on_recv_control t ~src control =
 let poll_interval = Some 0.25
 
 let waves t = t.waves
-
-let control_messages t = t.control_messages
 
 let pp_control ppf = function
   | Probe wave -> Fmt.pf ppf "probe(%d)" wave

@@ -20,6 +20,3 @@ include Detector.S with type tag := tag and type control := control
 
 val waves : t -> int
 (** Completed polling waves started by the origin. *)
-
-val control_messages : t -> int
-(** Probe/report messages attributable to this site. *)

@@ -91,6 +91,4 @@ let pp_control ppf (Return credit) = Fmt.pf ppf "return(%a)" Credit.pp credit
 (* Instrumentation for the ablation bench. *)
 let held t = t.held
 
-let recovered t = t.recovered
-
 let splits t = t.splits

@@ -16,7 +16,6 @@ include Detector.S with type tag := tag and type control := control
 (** {1 Instrumentation} *)
 
 val held : t -> Credit.t
-val recovered : t -> Credit.t
 
 val splits : t -> int
 (** Number of credit splits performed (one per work message sent). *)

@@ -4,8 +4,6 @@ let golden_gamma = 0x9E3779B97F4A7C15L
 
 let create seed = { state = Int64.of_int seed }
 
-let copy t = { state = t.state }
-
 (* Mixing function of splitmix64 (Steele, Lea & Flood).  Chosen because it is
    tiny, has no global state, and makes every experiment reproducible from a
    single integer seed. *)

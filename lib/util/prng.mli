@@ -12,9 +12,6 @@ val create : int -> t
 (** [create seed] returns a fresh generator. Equal seeds give equal
     streams. *)
 
-val copy : t -> t
-(** Independent copy of the current state. *)
-
 val next_int64 : t -> int64
 (** Next raw 64-bit value. *)
 

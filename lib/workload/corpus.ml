@@ -125,8 +125,6 @@ let generate ?(params = default_params) ~n_sites ~store_of () =
 
 let oids t = t.placed
 
-let site_of t i = t.site_of.(i)
-
 let newest t = t.placed.(Array.length t.placed - 1)
 
 (* Empirical keyword frequency, for tests: common ranks should dominate

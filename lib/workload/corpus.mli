@@ -36,8 +36,6 @@ val generate :
 val oids : t -> Hf_data.Oid.t array
 (** Document id → oid. *)
 
-val site_of : t -> int -> int
-
 val newest : t -> Hf_data.Oid.t
 (** The most recently "published" document — cites into the graph but
     nothing cites it; a natural query root. *)

@@ -570,6 +570,20 @@ let eventually ?(seconds = 10.0) what pred =
   in
   go ()
 
+(* A Stats_report from site 0 carrying one counter, [name].  A site
+   files it when it handles the frame, so once [reported site name]
+   holds, the frames before it on its connection were handled too. *)
+let probe_report name =
+  Frame.frame
+    (Codec.encode
+       (Message.Stats_report
+          { src = 0; token = 0; stats = [ { Message.name; value = Message.Stat_counter 1 } ] }))
+
+let reported site name =
+  match List.assoc_opt 0 (Tcp.known_peer_stats site) with
+  | Some snap -> List.mem_assoc name snap
+  | None -> false
+
 (* A work frame that carries no credit at all makes the site's drain
    raise once the item's spawn must ship: there is no share to split.
    That costs the query, not the site: the next frame on the
@@ -589,16 +603,7 @@ let test_raising_drain_spares_the_site () =
       Store.insert store
         (Hf_data.Hobject.of_tuples oid
            [ Tuple.pointer ~key:"R" (Oid.make ~birth_site:0 ~serial:1) ]);
-      let report =
-        Frame.frame
-          (Codec.encode
-             (Message.Stats_report
-                {
-                  src = 0;
-                  token = 0;
-                  stats = [ { Message.name = "probe.after"; value = Message.Stat_counter 1 } ];
-                }))
-      in
+      let report = probe_report "probe.after" in
       let sender = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
       Fun.protect
         ~finally:(fun () -> Unix.close sender)
@@ -611,10 +616,56 @@ let test_raising_drain_spares_the_site () =
               Thread.delay 0.1)
             [ deref_frame ~query:{ Message.originator = 0; serial = 3 } closure oid Credit.zero;
               report ];
-          eventually "the next frame is handled" (fun () ->
-              match List.assoc_opt 0 (Tcp.known_peer_stats site) with
-              | Some snap -> List.mem_assoc "probe.after" snap
-              | None -> false)))
+          eventually "the next frame is handled" (fun () -> reported site "probe.after")))
+
+(* A connection to [site] that writes each of [frames] in turn. *)
+let write_frames site frames =
+  let sender = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () -> Unix.close sender)
+    (fun () ->
+      Unix.connect sender (Tcp.address site);
+      List.iter
+        (fun frame ->
+          check_int "written" (String.length frame)
+            (Unix.write_substring sender frame 0 (String.length frame)))
+        frames)
+
+(* A raising drain drops its query at the site, as a Query_done would:
+   the context is evicted and the query tombstoned.  The same zero-credit
+   frame as above raises the drain; within a second the site holds no
+   context.  A later frame for that query, carrying half the credit for
+   an object that fails the filter, opens no context and sends nothing
+   back: the lost slice's credit must not complete the query at the
+   origin.  Before, the context stayed with its drain marked under way,
+   and every later item was banked and never drained. *)
+let test_raising_drain_evicts_its_context () =
+  let origin = fake_site () in
+  let site = Tcp.create ~site:1 () in
+  Fun.protect
+    ~finally:(fun () ->
+      Tcp.shutdown site;
+      Unix.close origin)
+    (fun () ->
+      Tcp.set_peers site [| Unix.getsockname origin; Tcp.address site |];
+      let store = Tcp.store site in
+      let walker = Store.fresh_oid store in
+      Store.insert store
+        (Hf_data.Hobject.of_tuples walker
+           [ Tuple.pointer ~key:"R" (Oid.make ~birth_site:0 ~serial:1) ]);
+      let cold = Store.fresh_oid store in
+      Store.insert store (Hf_data.Hobject.of_tuples cold [ Tuple.keyword "cold" ]);
+      let query = { Message.originator = 0; serial = 3 } in
+      write_frames site [ deref_frame ~query closure walker Credit.zero; probe_report "probe.raised" ];
+      eventually "the raising frame is handled" (fun () -> reported site "probe.raised");
+      eventually ~seconds:1.0 "the raising drain's context is evicted" (fun () ->
+          Tcp.context_count site = 0);
+      let _, half = Credit.split Credit.one in
+      write_frames site [ deref_frame ~query closure cold half; probe_report "probe.late" ];
+      eventually "the late frame is handled" (fun () -> reported site "probe.late");
+      check_bool "nothing sent back" true
+        (match Unix.select [ origin ] [] [] 0.5 with [], _, _ -> true | _ -> false);
+      check_int "no context reopened" 0 (Tcp.context_count site))
 
 (* The keyword the stall tests select on.  Every work frame carries the
    query body, so at 128 KiB a few dozen frames overrun any socket
@@ -1093,19 +1144,6 @@ let test_huge_iters_count_dropped =
 
 (* --- roles from the wire --- *)
 
-(* A connection to [site] that writes each of [frames] in turn. *)
-let write_frames site frames =
-  let sender = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Fun.protect
-    ~finally:(fun () -> Unix.close sender)
-    (fun () ->
-      Unix.connect sender (Tcp.address site);
-      List.iter
-        (fun frame ->
-          check_int "written" (String.length frame)
-            (Unix.write_substring sender frame 0 (String.length frame)))
-        frames)
-
 let foreign_query = { Message.originator = 0; serial = 7 }
 
 (* Site 1's first query. *)
@@ -1530,6 +1568,8 @@ let () =
             test_misfit_item_dropped;
           Alcotest.test_case "a raising drain spares the site" `Quick
             test_raising_drain_spares_the_site;
+          Alcotest.test_case "a raising drain evicts its context" `Quick
+            test_raising_drain_evicts_its_context;
           Alcotest.test_case "answers for another origin's query dropped" `Quick
             test_foreign_answer_dropped;
           Alcotest.test_case "forged work for an own query dropped" `Quick

@@ -818,6 +818,198 @@ let test_huge_count count () =
       payload [ 2; 0; 1 ];
     ]
 
+(* --- Reused program bodies and encode_to --- *)
+
+let body_bytes body =
+  let buf = Buffer.create 16 in
+  Codec.write_program buf body;
+  Buffer.contents buf
+
+let varint_bytes values =
+  let buf = Buffer.create 8 in
+  List.iter (Codec.write_varint buf) values;
+  Buffer.contents buf
+
+(* The first body [message] carries, with the length of its plain
+   encoding up to that body's last byte. *)
+let first_body (message : Message.t) =
+  let through_body header body = Some (body, String.length header + String.length (body_bytes body)) in
+  match message with
+  | Deref_request { query; body; _ } ->
+    through_body ("\x00" ^ varint_bytes [ query.originator; query.serial ]) body
+  | Scatter { query; body; _ } ->
+    through_body ("\x0c" ^ varint_bytes [ query.originator; query.serial ]) body
+  | Work_batch ({ query; body; _ } :: _ as groups) ->
+    through_body
+      ("\x03" ^ varint_bytes [ List.length groups; query.originator; query.serial ])
+      body
+  | _ -> None
+
+(* [message] with every body it carries replaced by [body], or a
+   Deref_request carrying [body] when it carries none. *)
+let with_body body (message : Message.t) : Message.t =
+  match message with
+  | Deref_request r -> Deref_request { r with body }
+  | Scatter r -> Scatter { r with body }
+  | Work_batch groups -> Work_batch (List.map (fun g -> { g with Message.body }) groups)
+  | _ -> (
+    match sample_deref with
+    | Deref_request r -> Deref_request { r with body }
+    | _ -> assert false)
+
+let same_decoding a b =
+  match (a, b) with
+  | Ok a, Ok b -> Message.equal a b
+  | Error _, Error _ -> true
+  | Ok _, Error _ | Error _, Ok _ -> false
+
+(* Decoding [b] after the decode memo was warmed with a frame carrying
+   [b]'s first body (a hit) gives what decoding it after a frame with
+   another body gives (a miss): equal messages, or an error both times.
+   So does [b] cut right after that body, where a hit must still find
+   the rest of the frame missing. *)
+let prop_body_memo_hit_equals_miss =
+  QCheck2.Test.make ~name:"decode memo: a hit decodes as a miss does" ~count:300
+    QCheck2.Gen.(quad gen_message gen_message gen_message gen_program)
+    (fun (a, b, c, other) ->
+      let encoded = Codec.encode b in
+      let inputs =
+        match first_body b with
+        | Some (body, cut) -> [ (body, encoded); (body, String.sub encoded 0 cut) ]
+        | None -> [ (other, encoded) ]
+      in
+      List.for_all
+        (fun (body, input) ->
+          ignore (Codec.decode (Codec.encode (with_body body a)));
+          let hit = Codec.decode input in
+          ignore (Codec.decode (Codec.encode (with_body other c)));
+          let miss = Codec.decode input in
+          same_decoding hit miss
+          &&
+          match hit with
+          | Ok m -> String.equal input encoded && Message.equal m b
+          | Error _ -> not (String.equal input encoded))
+        inputs)
+
+(* One message of every constructor. *)
+let every_constructor =
+  [ sample_deref;
+    sample_batch;
+    Message.Result
+      { query = { Message.originator = 0; serial = 1 }; payload = Message.Items [ oid 1; oid ~site:4 9 ];
+        bindings = [ ("title", [ Hf_data.Value.str "First" ]) ]; credit = [ 1 ] };
+    Message.Credit_return { query = { Message.originator = 1; serial = 2 }; credit = [ 0 ] };
+    Message.Link_ack;
+    Message.Site_unreachable { query = { Message.originator = 1; serial = 9 }; dead = 4 };
+    Message.Cache_validate { query = { Message.originator = 0; serial = 4 }; src = 2 };
+    Message.Cache_version
+      { query = { Message.originator = 1; serial = 12 }; site = 2; version = 7; epoch = 3;
+        summary = Some sample_summary };
+    Message.Cache_answers
+      { query = { Message.originator = 2; serial = 5 }; src = 1; version = 3;
+        answers = [ cache_answer ~passed:true 4 ] };
+    Message.Query_done { query = { Message.originator = 3; serial = 21 }; src = 3 };
+    Message.Stats_pull { src = 4; token = 123 };
+    sample_stats_report;
+    sample_scatter;
+    sample_gather;
+  ]
+
+(* [encode_to] appends exactly [encode]'s bytes after what the buffer
+   holds, for every constructor under each envelope, whether the encode
+   memo holds the message's body (a hit) or another one (a miss). *)
+let test_encode_to_matches_encode () =
+  let rel = { Codec.src = 2; seq = 11; ack = 10 } in
+  let other = Hf_query.Parser.parse_program "(Keyword, \"other\", ?)" in
+  List.iter
+    (fun message ->
+      List.iter
+        (fun (span, rel) ->
+          let expected = Codec.encode ?span ?rel message in
+          List.iter
+            (fun memo ->
+              if memo = "miss" then ignore (body_bytes other);
+              let buf = Buffer.create 4 in
+              Buffer.add_string buf "head";
+              Codec.encode_to buf ?span ?rel message;
+              Alcotest.(check string)
+                (Fmt.str "%s, %a" memo Message.pp message)
+                ("head" ^ expected) (Buffer.contents buf))
+            [ "hit"; "miss" ])
+        [ (None, None); (Some 9, None); (None, Some rel); (Some 9, Some rel) ])
+    every_constructor
+
+(* ship-remote's work frame: a 65-byte Deref_request of the 8-deep
+   Rand05 walk (tcpbench's workload). *)
+let ship_remote_deref =
+  Message.Deref_request
+    {
+      query = { Message.originator = 0; serial = 41 };
+      body =
+        Hf_query.Compile.compile
+          (Hf_workload.Queries.depth_body ~pointer_key:"Rand05" ~depth:8
+             (Hf_workload.Queries.select_unique 137));
+      oid = oid ~site:2 73;
+      start = 3;
+      iters = [| 5 |];
+      credit = [ 9 ];
+    }
+
+(* Minor words per call of [f], over 1,000 calls after a warm-up. *)
+let words_per_call f =
+  ignore (Sys.opaque_identity (f ()));
+  let before = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    ignore (Sys.opaque_identity (f ()))
+  done;
+  (Gc.minor_words () -. before) /. 1000.0
+
+(* Decoding ship-remote's frame when the memo holds its body.  Before
+   the memo and the closure-free varints: 223 words; with them: 25.
+   The bound is halfway. *)
+let test_decode_alloc_on_memo_hit () =
+  let payload = Codec.encode ship_remote_deref in
+  check_int "a 65-byte frame" 65 (String.length payload);
+  let words = words_per_call (fun () -> Codec.decode payload) in
+  check_bool (Printf.sprintf "%.1f words per decode (bound 124)" words) true (words <= 124.0)
+
+(* Encoding ship-remote's frame into a warmed buffer.  Before, encode
+   and Frame.frame: 94 words; encode_to: 0.  The bound is halfway. *)
+let test_encode_to_alloc () =
+  check_int "a 65-byte frame" 65 (Codec.encoded_size ship_remote_deref);
+  let buf = Buffer.create 4096 in
+  let words =
+    words_per_call (fun () ->
+        Buffer.clear buf;
+        Codec.encode_to buf ship_remote_deref)
+  in
+  check_bool (Printf.sprintf "%.1f words per encode (bound 47)" words) true (words <= 47.0)
+
+(* The memos are shared by every domain without a lock.  Two domains
+   each encode and decode frames whose bodies alternate, 100,000 times;
+   every encoding must be the message's bytes and every decoding the
+   message.  A memo split into two mutable fields would tear here. *)
+let test_memos_under_two_domains () =
+  let messages =
+    [| sample_deref; with_body (Hf_query.Parser.parse_program "(Keyword, \"x\", ?)") sample_deref |]
+  in
+  let frames = Array.map Codec.encode messages in
+  let run first () =
+    let bad = ref 0 in
+    for i = 0 to 99_999 do
+      let k = (first + i) land 1 in
+      if not (String.equal (Codec.encode messages.(k)) frames.(k)) then incr bad;
+      match Codec.decode frames.(k) with
+      | Ok m when Message.equal m messages.(k) -> ()
+      | Ok _ | Error _ -> incr bad
+    done;
+    !bad
+  in
+  let other = Domain.spawn (run 1) in
+  let here = run 0 () in
+  check_int "mismatches here" 0 here;
+  check_int "mismatches in the other domain" 0 (Domain.join other)
+
 (* --- Reliable link state machine --- *)
 
 module Reliable = Hf_proto.Reliable
@@ -1109,6 +1301,13 @@ let () =
             (test_huge_count (1 lsl 24));
           Alcotest.test_case "count 2^55 rejected before allocating" `Quick
             (test_huge_count (1 lsl 55));
+          qtest prop_body_memo_hit_equals_miss;
+          Alcotest.test_case "encode_to appends encode's bytes" `Quick
+            test_encode_to_matches_encode;
+          Alcotest.test_case "decode allocation on a memo hit" `Quick
+            test_decode_alloc_on_memo_hit;
+          Alcotest.test_case "encode_to allocation" `Quick test_encode_to_alloc;
+          Alcotest.test_case "memos shared by two domains" `Quick test_memos_under_two_domains;
         ] );
       ( "frame",
         [
