@@ -1,8 +1,8 @@
 (* A real HyperFile site over TCP.
 
-   This is the paper's Section 3.2 protocol on actual sockets — the same
-   wire messages ([Hf_proto.Message], binary codec, length framing) that
-   the simulator accounts for, exchanged between sites over TCP.  Every
+   This is the paper's Section 3.2 protocol on actual sockets — the
+   messages the simulator ships ([Hf_proto.Message]), here carrying
+   credit atoms, in the binary codec behind length framing.  Every
    site runs the identical algorithm ([Hf_server.Site], shared with the
    simulator): per-query contexts, query shipping on remote
    dereferences, results flowing straight to the originator,
@@ -726,7 +726,7 @@ and ships t query ~dst (route : Site.route) =
     if invalidated then t.cache_invalidations <- t.cache_invalidations + 1;
     t.cache_misses <- t.cache_misses + 1;
     true
-  | Site.Parked -> false
+  | Site.Parked | Site.Dangling -> false
   | Site.Validate ->
     t.cache_validations <- t.cache_validations + 1;
     send t ~dst (Message.Cache_validate { query; src = t.id });
@@ -750,7 +750,8 @@ and release_parked t query ctx ~dst version =
    Cache_validate round trip on first contact with the destination. *)
 and route_remote t query ctx ~out wi =
   let dst = Hf_data.Oid.birth_site (Hf_engine.Work_item.oid wi) in
-  if ships t query ~dst (Site.route t.proto ctx.core ~dst wi) then begin
+  if ships t query ~dst (Site.route t.proto ctx.core ~n_sites:(Array.length t.peers) ~dst wi)
+  then begin
     ctx.core.buffered <- ctx.core.buffered + 1;
     match Hf_proto.Batch.push out ~dst wi with
     | None -> ()
@@ -785,25 +786,7 @@ and send_work_batch t query ctx ~dst items =
               iters = Hf_engine.Work_item.iters wi;
               credit;
             })
-     | items ->
-       send t ~span ~dst
-         (Message.Work_batch
-            [
-              {
-                Message.query;
-                body;
-                items =
-                  List.map
-                    (fun wi ->
-                      {
-                        Message.oid = Hf_engine.Work_item.oid wi;
-                        start = Hf_engine.Work_item.start wi;
-                        iters = Hf_engine.Work_item.iters wi;
-                      })
-                    items;
-                credit;
-              };
-            ]))
+     | items -> send t ~span ~dst (Message.Work_batch [ { Message.query; body; items; credit } ]))
 
 (* Stitch in [src]'s gather at the originator (scatter-gather mode):
    chains that escaped the scattered site set re-enter the classic
@@ -1050,14 +1033,15 @@ let work_context t ~span query body =
    is dropped before [Eval] sees it, and its frame's credit is still
    deposited.  Not checked at decode: a later frame for a query may
    carry another body than the one its context was built from. *)
-let bank t ctx ~oid ~start ~iters =
+let bank t ctx wi =
   let plan = ctx.core.plan in
+  let start = Hf_engine.Work_item.start wi and iters = Hf_engine.Work_item.iters wi in
   if Array.length iters = Hf_engine.Plan.iter_count plan && start <= Hf_engine.Plan.length plan
-  then Hf_util.Deque.push_back ctx.core.work (Hf_engine.Work_item.make ~oid ~start ~iters)
+  then Hf_util.Deque.push_back ctx.core.work wi
   else
     Log.warn (fun m ->
         m "site %d: work item for %a (start %d, %d counter(s)) does not fit its query; dropped"
-          t.id Hf_data.Oid.pp oid start (Array.length iters))
+          t.id Hf_data.Oid.pp (Hf_engine.Work_item.oid wi) start (Array.length iters))
 
 (* Credit arriving with work: deposit it, bank the items and put the
    context in the run queue. *)
@@ -1066,9 +1050,7 @@ let take_work t ~span query body credit items =
   | None -> ()
   | Some ctx ->
     ctx.held <- Credit.add ctx.held (Credit.of_atoms credit);
-    List.iter
-      (fun ({ oid; start; iters } : Message.batch_item) -> bank t ctx ~oid ~start ~iters)
-      items;
+    List.iter (bank t ctx) items;
     ignore (schedule t query ctx)
 
 (* Once every peer has answered the newest pull, wake [pull_stats]. *)
@@ -1132,7 +1114,7 @@ let handle_message t ~span ?rel message =
   if fresh then
   match (message : Message.t) with
   | Message.Deref_request { query; body; oid; start; iters; credit } ->
-    take_work t ~span query body credit [ { Message.oid; start; iters } ]
+    take_work t ~span query body credit [ Hf_engine.Work_item.make ~oid ~start ~iters ]
   | Message.Work_batch groups ->
     List.iter
       (fun { Message.query; body; items; credit } -> take_work t ~span query body credit items)
@@ -1160,22 +1142,9 @@ let handle_message t ~span ?rel message =
        this peer was already told this version's. *)
     let version, summary = Site.validate_reply t.proto ~peer in
     send t ~dst:peer
-      (Message.Cache_version
-         {
-           query;
-           site = t.id;
-           version;
-           epoch = Site.epoch t.proto;
-           summary = Option.map Hf_index.Bloom.to_string summary;
-         })
+      (Message.Cache_version { query; site = t.id; version; epoch = Site.epoch t.proto; summary })
   | Message.Cache_version { query; site = peer; version; epoch; summary } -> (
-    Site.learn t.proto ~peer ~version ~epoch
-      (match summary with
-       | None -> Site.Told
-       | Some raw -> (
-           match Hf_index.Bloom.of_string raw with
-           | Some bloom -> Site.Fresh bloom
-           | None -> Site.Garbled));
+    Site.learn t.proto ~peer ~version ~epoch summary;
     match Hashtbl.find_opt t.contexts query with
     | None -> ()
     | Some ctx -> release_parked t query ctx ~dst:peer (Some version))
@@ -1208,20 +1177,7 @@ let handle_message t ~span ?rel message =
          classic work concurrently in flight for this query (a fallback
          chain re-entering this site) keeps its own credit and drains
          through the normal tail. *)
-      let engine_nodes = Site.eval_domain t.proto ctx.core ~roots in
-      let nodes =
-        List.map
-          (fun (n : Hf_engine.Scatter.node) ->
-            {
-              Message.oid = n.oid;
-              start = n.start;
-              passed = n.passed;
-              visited = n.visited;
-              spawns = n.spawns;
-              bindings = n.bindings;
-            })
-          engine_nodes
-      in
+      let nodes = Site.eval_domain t.proto ctx.core ~roots in
       let gspan = ctx_span t ctx Hf_obs.Span.Scatter "gather" ctx.core.origin in
       count_detail t gspan nodes "node(s)";
       send t ~span:gspan ~dst:ctx.core.origin
@@ -1235,18 +1191,7 @@ let handle_message t ~span ?rel message =
       t.gather_nodes <- t.gather_nodes + List.length nodes;
       (* fallback credit splits happen inside, BEFORE the gather's
          credit is deposited below *)
-      stitch_gather t query ctx ~src:peer
-        (List.map
-           (fun (n : Message.gather_node) ->
-             {
-               Hf_engine.Scatter.oid = n.oid;
-               start = n.start;
-               passed = n.passed;
-               visited = n.visited;
-               spawns = n.spawns;
-               bindings = n.bindings;
-             })
-           nodes);
+      stitch_gather t query ctx ~src:peer nodes;
       credit_recovered t query ctx (Credit.of_atoms credit);
       match Hashtbl.find_opt t.contexts query with
       | None -> () (* the deposit terminated and evicted the query *)
@@ -1296,7 +1241,7 @@ let known t site = site >= 0 && site < Array.length t.peers
 
 let rec groups_known t = function
   | [] -> true
-  | (g : Message.batch_group) :: rest -> known t g.query.originator && groups_known t rest
+  | (g : _ Message.batch_group) :: rest -> known t g.query.originator && groups_known t rest
 
 let names_known_sites t (message : Message.t) (rel : Hf_proto.Codec.rel option) =
   (match rel with Some { src; _ } -> known t src | None -> true)
@@ -1334,7 +1279,7 @@ let joins t query =
 
 let rec groups_join t = function
   | [] -> true
-  | (g : Message.batch_group) :: rest -> joins t g.query && groups_join t rest
+  | (g : _ Message.batch_group) :: rest -> joins t g.query && groups_join t rest
 
 let in_role t (message : Message.t) =
   match message with
@@ -1373,7 +1318,7 @@ let decode t payload =
       match message with
       | Message.Work_batch groups ->
         let kept, dropped =
-          List.partition (fun (g : Message.batch_group) -> joins t g.query) groups
+          List.partition (fun (g : _ Message.batch_group) -> joins t g.query) groups
         in
         dropped_for_role t (Message.Work_batch dropped);
         if kept = [] then None else Some (Message.Work_batch kept, span, rel)

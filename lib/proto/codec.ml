@@ -415,16 +415,16 @@ let read_binding r =
   let values = read_list r read_value in
   (target, values)
 
-let write_batch_item buf ({ oid; start; iters } : Message.batch_item) =
-  write_oid buf oid;
-  write_varint buf start;
-  write_iters buf iters
+let write_batch_item buf item =
+  write_oid buf (Hf_engine.Work_item.oid item);
+  write_varint buf (Hf_engine.Work_item.start item);
+  write_iters buf (Hf_engine.Work_item.iters item)
 
-let read_batch_item r : Message.batch_item =
+let read_batch_item r =
   let oid = read_oid r in
   let start = read_varint r in
   let iters = read_iters r in
-  { oid; start; iters }
+  Hf_engine.Work_item.make ~oid ~start ~iters
 
 let write_batch_group buf { Message.query; body; items; credit } =
   write_query_id buf query;
@@ -515,8 +515,8 @@ let read_spawn r =
   let start = read_varint r in
   (oid, start)
 
-let write_gather_node buf ({ oid; start; passed; visited; spawns; bindings } : Message.gather_node)
-    =
+let write_gather_node buf
+    ({ oid; start; passed; visited; spawns; bindings } : Hf_engine.Scatter.node) =
   write_oid buf oid;
   write_varint buf start;
   write_u8 buf (if passed then 1 else 0);
@@ -524,7 +524,7 @@ let write_gather_node buf ({ oid; start; passed; visited; spawns; bindings } : M
   write_list buf write_spawn spawns;
   write_list buf write_binding bindings
 
-let read_gather_node r : Message.gather_node =
+let read_gather_node r : Hf_engine.Scatter.node =
   let oid = read_oid r in
   let start = read_varint r in
   let passed =
@@ -776,8 +776,6 @@ let decode_with data result =
   | exception Decode_error msg -> Error msg
 
 let decode_enveloped data = decode_with data (fun message span rel -> (message, span, rel))
-
-let decode_traced data = decode_with data (fun message span _ -> (message, span))
 
 let decode data = decode_with data (fun message _ _ -> message)
 

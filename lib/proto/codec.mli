@@ -47,13 +47,10 @@ val decode : string -> (Message.t, string) result
     above {!Hf_termination.Credit.exponent_cap}.  Accepts (and
     discards) traced and reliability envelopes. *)
 
-val decode_traced : string -> (Message.t * int, string) result
-(** Like {!decode} but also returns the carried span id (0 when the
-    message was sent untraced). *)
-
 val decode_enveloped : string -> (Message.t * int * rel option, string) result
-(** Like {!decode_traced} but also returns the reliability envelope
-    when present. *)
+(** Like {!decode} but also returns the carried span id (0 when the
+    message was sent untraced) and the reliability envelope when
+    present. *)
 
 val decode_exn : string -> Message.t
 (** Raises [Decode_error]. *)

@@ -1,14 +1,15 @@
-(* Wire messages of the distributed query protocol (paper, Section 3.2).
+(* The messages of the distributed query protocol (paper, Section 3.2),
+   declared once for both engines.
 
    A remote dereference ships the query — not the data: the message
    carries Q.id, Q.originator, Q.body and Q.size from the query context,
    plus O.id, O.start and O.iter# for the object being dereferenced.
    Results flow directly to the originating site, tagged with Q.id.
-   Termination-detection credit (the weighted-message algorithm)
-   piggybacks on both.
-
-   Credits travel as lists of atom exponents (see
-   [Hf_termination.Credit.atoms]). *)
+   Termination detection piggybacks on both, and its payload is a type
+   parameter: ['work] rides out with work, ['back] home with answers.
+   On the wire ([t]) both are credit atom exponents (see
+   [Hf_termination.Credit.atoms]); the simulator ships its detector's
+   tag out and its control messages home. *)
 
 type query_id = { originator : int; serial : int }
 
@@ -21,32 +22,25 @@ let compare_query_id a b =
   | 0 -> Int.compare a.serial b.serial
   | c -> c
 
-type deref_request = {
+type 'work deref_request = {
   query : query_id;
   body : Hf_query.Program.t;
   oid : Hf_data.Oid.t;
   start : int;
   iters : int array;
-  credit : int list; (* credit atom exponents *)
+  credit : 'work;
 }
 
 (* Batched query shipping: several work items bound for the same site
    coalesce into one wire message.  Items are grouped by query so the
    program/query header is written once per group, not once per item,
-   and each group carries a single credit share covering all its
-   items. *)
+   and each group carries a single share covering all its items. *)
 
-type batch_item = {
-  oid : Hf_data.Oid.t;
-  start : int;
-  iters : int array;
-}
-
-type batch_group = {
+type 'work batch_group = {
   query : query_id;
   body : Hf_query.Program.t;
-  items : batch_item list; (* never empty on the wire *)
-  credit : int list; (* one credit share for the whole group *)
+  items : Hf_engine.Work_item.t list; (* never empty on the wire *)
+  credit : 'work; (* one share for the whole group *)
 }
 
 type result_payload =
@@ -55,11 +49,11 @@ type result_payload =
       (** distributed-set mode (Section 5): ship the number of local
           results, keep the members server-side. *)
 
-type result_message = {
+type 'back result_message = {
   query : query_id;
   payload : result_payload;
   bindings : (string * Hf_data.Value.t list) list; (* -> operator values, by target *)
-  credit : int list;
+  credit : 'back;
 }
 
 (* Remote-answer caching (DESIGN.md §4g).  A shipping site asks the
@@ -86,16 +80,9 @@ type cache_answer = {
    spawn edges between gathered tables, reproducing classic mark
    suppression from the per-node visited sets, and falls back to
    classic query shipping for any edge that escapes the scattered site
-   set — which is what keeps the result set identical to shipping. *)
-
-type gather_node = {
-  oid : Hf_data.Oid.t;
-  start : int; (* the node's entry filter index *)
-  passed : bool;
-  visited : int list; (* filter indices the run marked, ascending *)
-  spawns : (Hf_data.Oid.t * int) list; (* dereference edges: (target, landing index) *)
-  bindings : (string * Hf_data.Value.t list) list; (* -> operator values emitted by this node *)
-}
+   set — which is what keeps the result set identical to shipping.  A
+   gathered node is [Hf_engine.Scatter.node], the record the stitch
+   reads. *)
 
 (* Cluster-wide stats scraping (DESIGN.md §4i).  Any site can ask a
    peer for a snapshot of its metrics registry; the reply carries the
@@ -117,14 +104,15 @@ type stat_value =
 
 type stat = { name : string; value : stat_value }
 
-type t =
-  | Deref_request of deref_request
-  | Work_batch of batch_group list
+type ('work, 'back) msg =
+  | Deref_request of 'work deref_request
+  | Work_batch of 'work batch_group list
       (** coalesced dereferences for one destination; never empty. *)
-  | Result of result_message
-  | Credit_return of { query : query_id; credit : int list }
-      (** standalone credit return (used when a drained site has no
-          results to ship). *)
+  | Result of 'back result_message
+  | Credit_return of { query : query_id; credit : 'back }
+      (** the payload home on its own: the credit a drained site
+          returns with no results to ship, or one detector control in
+          the simulator. *)
   | Link_ack
       (* standalone cumulative acknowledgement: the value itself rides
          in the reliability envelope (Codec), so the body is empty.
@@ -173,17 +161,19 @@ type t =
       query : query_id;
       body : Hf_query.Program.t;
       roots : Hf_data.Oid.t list; (* seed oids located at the receiver *)
-      credit : int list; (* one credit share for the whole scatter *)
+      credit : 'work; (* one share for the whole scatter *)
     }
   | Gather_result of {
       query : query_id;
       src : int;
-      nodes : gather_node list; (* productive speculation nodes only *)
-      credit : int list;
-          (* every credit atom the scattered site held, returned with
-             the gather so credit can never overtake the nodes it
-             covers *)
+      nodes : Hf_engine.Scatter.node list; (* productive speculation nodes only *)
+      credit : 'back;
+          (* everything the scattered site held for termination,
+             returned with the gather so it can never overtake the
+             nodes it covers *)
     }
+
+type t = (int list, int list) msg
 
 let query_of = function
   | Deref_request { query; _ } -> query
@@ -210,9 +200,9 @@ let pp ppf = function
   | Work_batch groups ->
     Fmt.pf ppf "work-batch[%a] %d group(s), %d item(s)"
       Fmt.(list ~sep:(any ",") pp_query_id)
-      (List.map (fun (g : batch_group) -> g.query) groups)
+      (List.map (fun (g : _ batch_group) -> g.query) groups)
       (List.length groups)
-      (List.fold_left (fun acc (g : batch_group) -> acc + List.length g.items) 0 groups)
+      (List.fold_left (fun acc (g : _ batch_group) -> acc + List.length g.items) 0 groups)
   | Result { query; payload = Items items; bindings; _ } ->
     Fmt.pf ppf "result[%a] %d items, %d targets" pp_query_id query (List.length items)
       (List.length bindings)
@@ -245,17 +235,11 @@ let equal_cache_answer (x : cache_answer) (y : cache_answer) =
   && Array.for_all2 ( = ) x.iters y.iters
   && x.passed = y.passed
 
-let equal_batch_item (x : batch_item) (y : batch_item) =
-  Hf_data.Oid.equal x.oid y.oid
-  && x.start = y.start
-  && Array.length x.iters = Array.length y.iters
-  && Array.for_all2 ( = ) x.iters y.iters
-
-let equal_batch_group (x : batch_group) (y : batch_group) =
+let equal_batch_group (x : int list batch_group) (y : int list batch_group) =
   equal_query_id x.query y.query
   && Hf_query.Program.equal x.body y.body
   && List.length x.items = List.length y.items
-  && List.for_all2 equal_batch_item x.items y.items
+  && List.for_all2 Hf_engine.Work_item.equal x.items y.items
   && x.credit = y.credit
 
 let equal_stat_value (x : stat_value) (y : stat_value) =
@@ -282,7 +266,7 @@ let equal_bindings a b =
          && List.for_all2 Hf_data.Value.equal va vb)
        a b
 
-let equal_gather_node (x : gather_node) (y : gather_node) =
+let equal_gather_node (x : Hf_engine.Scatter.node) (y : Hf_engine.Scatter.node) =
   Hf_data.Oid.equal x.oid y.oid
   && x.start = y.start
   && x.passed = y.passed
@@ -293,7 +277,7 @@ let equal_gather_node (x : gather_node) (y : gather_node) =
        x.spawns y.spawns
   && equal_bindings x.bindings y.bindings
 
-let equal a b =
+let equal (a : t) (b : t) =
   match a, b with
   | Deref_request x, Deref_request y ->
     equal_query_id x.query y.query
@@ -310,13 +294,7 @@ let equal a b =
           List.length xs = List.length ys && List.for_all2 Hf_data.Oid.equal xs ys
         | Count m, Count n -> m = n
         | (Items _ | Count _), _ -> false)
-    && List.length x.bindings = List.length y.bindings
-    && List.for_all2
-         (fun (ta, va) (tb, vb) ->
-           String.equal ta tb
-           && List.length va = List.length vb
-           && List.for_all2 Hf_data.Value.equal va vb)
-         x.bindings y.bindings
+    && equal_bindings x.bindings y.bindings
     && x.credit = y.credit
   | Work_batch xs, Work_batch ys ->
     List.length xs = List.length ys && List.for_all2 equal_batch_group xs ys

@@ -1,9 +1,16 @@
-(** Wire messages of the distributed query protocol (paper, Section 3.2).
+(** The messages of the distributed query protocol (paper, Section 3.2),
+    declared once for both engines.
 
     A remote dereference ships the query, not the data: Q.id,
     Q.originator, Q.body, Q.size plus O.id, O.start, O.iter#.  Results
-    flow directly to the originating site.  Weighted-termination credit
-    piggybacks on both, as lists of atom exponents. *)
+    flow directly to the originating site.  What termination detection
+    needs rides on both, and is the one thing the engines carry
+    differently, so it is a type parameter: ['work] is what work carries
+    out ([Deref_request], each [Work_batch] group, [Scatter]) and ['back]
+    what answers carry home ([Result], [Credit_return], [Gather_result]).
+    The wire ({!t}) carries weighted-termination credit as lists of atom
+    exponents in both places; the simulator carries its detector's tag
+    out and its control messages home. *)
 
 type query_id = {
   originator : int;  (** site at which the query was issued. *)
@@ -14,13 +21,13 @@ val pp_query_id : Format.formatter -> query_id -> unit
 val equal_query_id : query_id -> query_id -> bool
 val compare_query_id : query_id -> query_id -> int
 
-type deref_request = {
+type 'work deref_request = {
   query : query_id;
   body : Hf_query.Program.t;
   oid : Hf_data.Oid.t;
   start : int;
   iters : int array;
-  credit : int list;
+  credit : 'work;
 }
 
 type result_payload =
@@ -29,24 +36,18 @@ type result_payload =
       (** distributed-set mode (Section 5): ship only the number of local
           results. *)
 
-type result_message = {
+type 'back result_message = {
   query : query_id;
   payload : result_payload;
   bindings : (string * Hf_data.Value.t list) list;
-  credit : int list;
+  credit : 'back;
 }
 
-type batch_item = {
-  oid : Hf_data.Oid.t;
-  start : int;
-  iters : int array;
-}
-
-type batch_group = {
+type 'work batch_group = {
   query : query_id;
   body : Hf_query.Program.t;
-  items : batch_item list;  (** never empty on the wire. *)
-  credit : int list;  (** one credit share covering every item. *)
+  items : Hf_engine.Work_item.t list;  (** never empty on the wire. *)
+  credit : 'work;  (** one share covering every item. *)
 }
 (** Batched query shipping: dereferences bound for the same site share
     one wire message; the program/query header is written once per
@@ -77,27 +78,12 @@ type stat_value =
 
 type stat = { name : string; value : stat_value }
 
-type gather_node = {
-  oid : Hf_data.Oid.t;
-  start : int;  (** the node's entry filter index. *)
-  passed : bool;
-  visited : int list;  (** filter indices the run marked, ascending. *)
-  spawns : (Hf_data.Oid.t * int) list;
-      (** dereference edges: (target oid, landing filter index). *)
-  bindings : (string * Hf_data.Value.t list) list;
-      (** [->] operator values this node emitted, by target variable. *)
-}
-(** One speculatively evaluated (object, start index) node of a
-    scattered site's domain, as shipped home in a {!Gather_result}
-    (doc/execution_modes.md).  Only productive nodes — passed, spawned
-    a dereference, or emitted bindings — cross the wire. *)
-
-type t =
-  | Deref_request of deref_request
-  | Work_batch of batch_group list
+type ('work, 'back) msg =
+  | Deref_request of 'work deref_request
+  | Work_batch of 'work batch_group list
       (** coalesced dereferences for one destination; never empty. *)
-  | Result of result_message
-  | Credit_return of { query : query_id; credit : int list }
+  | Result of 'back result_message
+  | Credit_return of { query : query_id; credit : 'back }
   | Link_ack
       (** standalone cumulative acknowledgement; the ack value rides in
           the reliability envelope ({!Codec.encode}), so the body is
@@ -150,7 +136,7 @@ type t =
       query : query_id;
       body : Hf_query.Program.t;
       roots : Hf_data.Oid.t list;  (** seed oids located at the receiver. *)
-      credit : int list;  (** one credit share for the whole scatter. *)
+      credit : 'work;  (** one share for the whole scatter. *)
     }
       (** Scatter-gather mode, outbound half: the originator broadcasts
           the program once to each predicted site, which evaluates its
@@ -160,18 +146,23 @@ type t =
   | Gather_result of {
       query : query_id;
       src : int;
-      nodes : gather_node list;  (** productive speculation nodes only. *)
-      credit : int list;
-          (** every credit atom the scattered site held, returned with
-              the gather so credit can never overtake the nodes it
-              covers. *)
+      nodes : Hf_engine.Scatter.node list;
+          (** productive speculation nodes only: passed, spawned a
+              dereference, or emitted bindings. *)
+      credit : 'back;
+          (** everything the scattered site held for termination,
+              returned with the gather so it can never overtake the
+              nodes it covers. *)
     }  (** Scatter-gather mode, inbound half. *)
 
-val query_of : t -> query_id
+type t = (int list, int list) msg
+(** The wire's instance: credit atom exponents both ways. *)
+
+val query_of : ('work, 'back) msg -> query_id
 (** For [Work_batch] this is the first group's query (the query the
     message is charged to).  Raises [Invalid_argument] on an empty
     batch and on [Link_ack], [Stats_pull] and [Stats_report], which
     belong to a link or the site, not a query. *)
 
-val pp : Format.formatter -> t -> unit
+val pp : Format.formatter -> ('work, 'back) msg -> unit
 val equal : t -> t -> bool

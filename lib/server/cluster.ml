@@ -9,10 +9,12 @@
    Q.size, O.id, O.start, O.iter#).  Results flow directly to the
    originating site; a site ships its buffered results whenever its
    working set drains, and the query context stays in place so later
-   dereferences reuse it.  Termination detection is pluggable
-   (functorized) — work messages carry a detector tag and detectors may
-   exchange control messages, which piggyback on result messages when
-   they travel to the originator anyway.
+   dereferences reuse it.  The messages are the wire's
+   ([Hf_proto.Message]), with this engine's termination payload:
+   detection is pluggable (functorized) — work messages carry a
+   detector tag and detectors may exchange control messages, which
+   piggyback on result messages when they travel to the originator
+   anyway.
 
    Work messages batch: remote dereferences pass through a per-site,
    per-destination buffer (shared across concurrent queries) and one
@@ -33,6 +35,7 @@
    times). *)
 
 module Oid = Hf_data.Oid
+module Message = Hf_proto.Message
 
 type result_mode =
   | Ship_items
@@ -148,7 +151,7 @@ module Make (D : Hf_termination.Detector.S) = struct
   }
 
   type open_query = {
-    id : Hf_proto.Message.query_id;
+    id : Message.query_id;
     program : Hf_query.Program.t;
     start_time : float;
     span : int; (* root span: submit to detected termination *)
@@ -177,97 +180,22 @@ module Make (D : Hf_termination.Detector.S) = struct
 
   type task = unit -> float * (unit -> unit)
 
-  (* A work message carries whole per-query groups: the query header and
-     detector tag (one credit split) cover every item in the group. *)
-  (* Every message carries the sender-side span id that covers its
-     trip (0 when tracing is off), so receiver-side spans can parent
-     on the originating site's — the cross-site causal edge. *)
+  (* What a site ships: a protocol message, with this engine's detector
+     tag riding out with work (one tag per batch group, one per scatter)
+     and its control messages riding home with answers ([Result] and
+     [Gather_result] carry every control bound for the originator, a
+     [Credit_return] one); or the §5 re-query's [Seed_from], which the
+     wire does not have.  The sender and the span covering the trip
+     travel with the delivery, not inside the message. *)
   type message =
-    | Work of {
-        groups : (Hf_proto.Message.query_id * Hf_engine.Work_item.t list * D.tag) list;
-        src : int;
-        span : int;
-      }
-    | Results of {
-        query : Hf_proto.Message.query_id;
-        payload : Hf_proto.Message.result_payload;
-        bindings : (string * Hf_data.Value.t list) list;
-        piggybacked : (int * D.control) list; (* controls riding along *)
-        src : int;
-        span : int;
-      }
-    | Control of {
-        query : Hf_proto.Message.query_id;
-        payload : D.control;
-        src : int;
-        span : int;
-      }
-    | Seed_from of {
-        query : Hf_proto.Message.query_id;
-        from : Hf_proto.Message.query_id;
-        tag : D.tag;
-        src : int;
-        span : int;
-      }
-    | Ack of { src : int }
-        (* standalone cumulative ack: transport-level, consumed at
-           delivery (the value rides alongside, not inside) — never
-           reaches a site's task queue *)
-    | Unreachable of {
-        query : Hf_proto.Message.query_id;
-        dead : int;
-        src : int;
-        span : int;
-      }
-        (* retransmission to [dead] gave up: the originator's answer
-           will be partial *)
-    | Cache_validate of { query : Hf_proto.Message.query_id; src : int; span : int }
-        (* "what store version are you at?" — sent before the first
-           ship to a destination; carries no credit *)
-    | Cache_version of {
-        query : Hf_proto.Message.query_id;
-        site : int; (* the answering site *)
-        version : int;
-        epoch : int; (* the answering site's summary-recompute counter *)
-        summary : Hf_index.Bloom.t option;
-            (* Bloom tuple summary, piggybacked only when the asker has
-               not been told this version's summary yet *)
-        src : int;
-        span : int;
-      }
-    | Cache_answers of {
-        query : Hf_proto.Message.query_id;
-        src : int;
-        version : int; (* the answering site's store version *)
-        answers : Hf_proto.Message.cache_answer list;
-        span : int;
-      }
-        (* opportunistic fill: verdicts this site computed, shipped to
-           the originator's cache at drain; credit-free, so a loss only
-           costs future hits *)
-    | Scatter of {
-        query : Hf_proto.Message.query_id;
-        roots : Oid.t list; (* seed oids located at the receiver *)
-        tag : D.tag; (* one credit split per contacted site *)
-        src : int;
-        span : int;
-      }
-        (* scatter-gather outbound half: the receiver evaluates its
-           whole speculation domain and answers with one [Gather] *)
-    | Gather of {
-        query : Hf_proto.Message.query_id;
-        nodes : Hf_engine.Scatter.node list; (* productive nodes only *)
-        piggybacked : (int * D.control) list;
-            (* every control the scattered site's drain produced for
-               the originator rides here, so detector credit can never
-               overtake the nodes it covers *)
-        src : int;
-        span : int;
-      }
+    | Wire of (D.tag, D.control list) Message.msg
+    | Seed_from of { query : Message.query_id; from : Message.query_id; tag : D.tag }
 
   (* What the reliability layer retains for retransmission: the message
-     plus enough context to repeat the physical send. *)
-  type shipment = { label : string; transit : float; msg : message }
+     plus enough context to repeat the physical send.  [span] is the
+     first send's span, which every copy hands the receiver as its
+     cause (0 when untraced). *)
+  type shipment = { label : string; transit : float; span : int; msg : message }
 
   type link = {
     rel : shipment Hf_proto.Reliable.t;
@@ -280,8 +208,8 @@ module Make (D : Hf_termination.Detector.S) = struct
     id : int;
     store : Hf_data.Store.t;
     proto : Site.t; (* the protocol state shared with the socket engine *)
-    contexts : (Hf_proto.Message.query_id, context) Hashtbl.t;
-    retained : (Hf_proto.Message.query_id, Oid.Set.t) Hashtbl.t;
+    contexts : (Message.query_id, context) Hashtbl.t;
+    retained : (Message.query_id, Oid.Set.t) Hashtbl.t;
         (* local result portions of terminated queries, kept (until
            [forget_query]) so [run_query_on_distributed] can still seed
            from them after the contexts are evicted *)
@@ -290,7 +218,7 @@ module Make (D : Hf_termination.Detector.S) = struct
            (tenant = query origin), exact FIFO with a single tenant *)
     mutable busy : bool;
     mutable alive : bool;
-    outgoing : (Hf_proto.Message.query_id * Hf_engine.Work_item.t) Hf_proto.Batch.t;
+    outgoing : (Message.query_id * Hf_engine.Work_item.t) Hf_proto.Batch.t;
         (* per-destination buffer of remote work awaiting shipment;
            shared by every query on the site so concurrent traffic to
            the same destination coalesces.  A context must not drain
@@ -318,10 +246,10 @@ module Make (D : Hf_termination.Detector.S) = struct
     mutable standalone_acks : int; (* acks that found no reverse traffic to ride *)
     mutable total_retransmits : int;
     mutable total_dup_drops : int;
-    open_queries : (Hf_proto.Message.query_id, open_query) Hashtbl.t;
+    open_queries : (Message.query_id, open_query) Hashtbl.t;
     mutable next_serial : int;
     jitter_prng : Hf_util.Prng.t;
-    gates : (Hf_proto.Message.query_id * (unit -> unit)) Sched.t array;
+    gates : (Message.query_id * (unit -> unit)) Sched.t array;
         (* per-origin admission gates; a queued entry is the query id
            plus the thunk that seeds it once a slot frees *)
   }
@@ -455,7 +383,7 @@ module Make (D : Hf_termination.Detector.S) = struct
 
   let registry t = t.registry
 
-  let qname query = Fmt.str "%a" Hf_proto.Message.pp_query_id query
+  let qname query = Fmt.str "%a" Message.pp_query_id query
 
   let kill_site t site = t.sites.(site).alive <- false
 
@@ -506,7 +434,7 @@ module Make (D : Hf_termination.Detector.S) = struct
 
   let result_message_bytes payload bindings =
     let payload_bytes =
-      match (payload : Hf_proto.Message.result_payload) with
+      match (payload : Message.result_payload) with
       | Items items -> 13 * List.length items
       | Count _ -> 4
     in
@@ -535,10 +463,9 @@ module Make (D : Hf_termination.Detector.S) = struct
     | Some ctx -> Some ctx
     | None -> (
         (* First contact: set up the local context from the open query's
-           program.  (On a real network the program rides in the message;
-           in the simulator we read it from the registry — the byte
-           accounting above charges for it on every work message, as the
-           real protocol does.) *)
+           program.  Work carries the body, as on the wire, but a message
+           that does not (a control, a cache reply) may be first here, so
+           the program comes from the open query. *)
         match find_open t query with
         | None -> None
         | Some oq when oq.terminated ->
@@ -652,25 +579,16 @@ module Make (D : Hf_termination.Detector.S) = struct
   (* The query a message is charged to, for metric attribution; acks
      belong to a link, not a query. *)
   let message_query = function
-    | Work { groups = (query, _, _) :: _; _ } -> Some query
-    | Work { groups = []; _ } -> None
-    | Results { query; _ } -> Some query
-    | Control { query; _ } -> Some query
     | Seed_from { query; _ } -> Some query
-    | Unreachable { query; _ } -> Some query
-    | Cache_validate { query; _ } -> Some query
-    | Cache_version { query; _ } -> Some query
-    | Cache_answers { query; _ } -> Some query
-    | Scatter { query; _ } -> Some query
-    | Gather { query; _ } -> Some query
-    | Ack _ -> None
+    | Wire (Link_ack | Stats_pull _ | Stats_report _ | Work_batch []) -> None
+    | Wire m -> Some (Message.query_of m)
 
   (* Scheduling tenant for a delivered message's handler task: the
      originating query's origin.  Acks never reach the task queue, so
      the [-1] fallback is only defensive. *)
   let tenant_of_message m =
     match message_query m with
-    | Some q -> q.Hf_proto.Message.originator
+    | Some q -> q.Message.originator
     | None -> -1
 
   let mark_unreachable oq dead =
@@ -684,7 +602,7 @@ module Make (D : Hf_termination.Detector.S) = struct
   let group_entries entries =
     let rec add q wi = function
       | [] -> [ (q, [ wi ]) ]
-      | (q', items) :: rest when Hf_proto.Message.equal_query_id q q' ->
+      | (q', items) :: rest when Message.equal_query_id q q' ->
         (q', wi :: items) :: rest
       | g :: rest -> g :: add q wi rest
     in
@@ -782,11 +700,13 @@ module Make (D : Hf_termination.Detector.S) = struct
       deliver t ~src:site.id ~oq:oq0 ~label:"work" ~span
         ~transit:(Hf_sim.Costs.batch_transit t.config.costs ~items:total)
         ~dst
-        (Work
-           { groups = List.map (fun (ctx, items, tag) -> (ctx.core.query, items, tag)) groups;
-             src = site.id;
-             span;
-           })
+        (Wire
+           (Work_batch
+              (List.map
+                 (fun (ctx, items, credit) ->
+                   { Message.query = ctx.core.query;
+                     body = Hf_engine.Plan.program ctx.core.plan; items; credit })
+                 groups)))
 
   (* Ship every buffered batch; runs when the site's task queue empties
      and is a no-op with nothing buffered.  Each flush is charged as a
@@ -811,11 +731,9 @@ module Make (D : Hf_termination.Detector.S) = struct
      peer that never acks is eventually declared unreachable and its
      messages' credit reclaimed ([abandon]). *)
   and deliver t ~src ~oq ~label ?(span = 0) ~transit ~dst message =
+    let sh = { label; transit; span; msg = message } in
     match t.config.reliability with
-    | None ->
-      carry t ~oq ~span ~transit ~dst (fun site ->
-          enqueue t site ~tenant:(tenant_of_message message) (fun () ->
-              handle_message t site message))
+    | None -> carry t ~oq ~span ~transit ~dst (fun site -> receive t site ~src sh)
     | Some _ ->
       let link = t.sites.(src).links.(dst) in
       if Hf_proto.Reliable.unreachable link.rel then begin
@@ -823,27 +741,31 @@ module Make (D : Hf_termination.Detector.S) = struct
            reclaim this message's credit immediately instead of queueing
            another doomed retransmission cycle. *)
         Hf_obs.Tracer.finish ~detail:"unreachable" t.tracer span;
-        abandon t ~src ~dst { label; transit; msg = message }
+        abandon t ~src ~dst sh
       end
       else begin
-        let seq =
-          Hf_proto.Reliable.send link.rel ~now:(Hf_sim.Sim.now t.sim)
-            { label; transit; msg = message }
-        in
-        transmit t ~src ~dst ~span ~transit ~seq ~oq message;
+        let seq = Hf_proto.Reliable.send link.rel ~now:(Hf_sim.Sim.now t.sim) sh in
+        transmit t ~src ~dst ~span ~seq ~oq sh;
         arm_link t ~site:src ~peer:dst
       end
 
+  (* A delivered message becomes a task on the receiver's CPU, which
+     hears who sent it and the first send's span. *)
+  and receive t site ~src sh =
+    enqueue t site ~tenant:(tenant_of_message sh.msg) (fun () ->
+        handle_message t site ~src ~span:sh.span sh.msg)
+
   (* One physical transmission attempt (first send and retransmissions
-     alike): draw the loss/jitter dice, piggyback the cumulative ack for
-     the reverse direction, and on arrival run the transport half —
-     ack processing and dedup — before the message is allowed to become
-     site work.  Duplicates die here, which is what makes redelivery
-     idempotent: [D.on_recv_work] (credit deposit) and evaluation run at
-     most once per sequence number. *)
-  and transmit t ~src ~dst ?(span = 0) ~transit ~seq ~oq message =
+     alike) under [span], which closes on arrival: draw the loss/jitter
+     dice, piggyback the cumulative ack for the reverse direction, and
+     on arrival run the transport half — ack processing and dedup —
+     before the message is allowed to become site work.  Duplicates die
+     here, which is what makes redelivery idempotent: [D.on_recv_work]
+     (credit deposit) and evaluation run at most once per sequence
+     number. *)
+  and transmit t ~src ~dst ?(span = 0) ~seq ~oq sh =
     let ack = Hf_proto.Reliable.take_ack t.sites.(src).links.(dst).rel in
-    carry t ~oq ~span ~transit ~dst (fun dsite ->
+    carry t ~oq ~span ~transit:sh.transit ~dst (fun dsite ->
         let dlink = dsite.links.(src) in
         let now = Hf_sim.Sim.now t.sim in
         List.iter
@@ -856,18 +778,15 @@ module Make (D : Hf_termination.Detector.S) = struct
             | `Fresh -> true
             | `Duplicate ->
               t.total_dup_drops <- t.total_dup_drops + 1;
-              (match Option.bind (message_query message) (find_open t) with
+              (match Option.bind (message_query sh.msg) (find_open t) with
                | Some oq -> oq.metrics.Metrics.dup_drops <- oq.metrics.Metrics.dup_drops + 1
                | None -> ());
               false
         in
         if seq > 0 then arm_link t ~site:dst ~peer:src;
-        if fresh then
-          match message with
-          | Ack _ -> () (* transport-level: consumed by on_ack above *)
-          | _ ->
-            enqueue t dsite ~tenant:(tenant_of_message message) (fun () ->
-                handle_message t dsite message))
+        match sh.msg with
+        | Wire Link_ack -> () (* transport-level: consumed by on_ack above *)
+        | Wire _ | Seed_from _ -> if fresh then receive t dsite ~src sh)
 
   (* The network between two sites: draw the loss dice, then the jitter,
      and hand the message to [arrive] at its live destination once the
@@ -935,7 +854,7 @@ module Make (D : Hf_termination.Detector.S) = struct
                   | None -> 0
                 in
                 Hf_obs.Tracer.set_detail t.tracer span (Fmt.str "%s seq=%d" sh.label seq);
-                transmit t ~src:site ~dst:peer ~span ~transit:sh.transit ~seq ~oq sh.msg)
+                transmit t ~src:site ~dst:peer ~span ~seq ~oq sh)
               entries
           | Hf_proto.Reliable.Give_up entries ->
             List.iter (fun (_, sh) -> abandon t ~src:site ~dst:peer sh) entries)
@@ -948,17 +867,18 @@ module Make (D : Hf_termination.Detector.S) = struct
      delivery substrate. *)
   and send_ack t ~src ~dst =
     t.standalone_acks <- t.standalone_acks + 1;
-    transmit t ~src ~dst ~transit:t.config.costs.control_transit ~seq:0 ~oq:None (Ack { src })
+    transmit t ~src ~dst ~seq:0 ~oq:None
+      { label = "ack"; transit = t.config.costs.control_transit; span = 0; msg = Wire Link_ack }
 
   (* The retry cap fired for [sh] (or the link was already dead at send
      time): the receiver provably never processed the message, so its
      credit can be reclaimed without risk of double-counting —
      [D.on_send_failed] unwinds the send exactly once per tag.  The
-     originator learns its answer is partial via an [Unreachable]
+     originator learns its answer is partial via a [Site_unreachable]
      notice (or directly, when the giving-up site is the originator).
-     Results/control messages carry no unwindable tag: their loss
-     matters only when the destination — the originator — is itself
-     gone, and then there is no one left to tell. *)
+     Answers carry no unwindable tag: their loss matters only when the
+     destination — the originator — is itself gone, and then there is
+     no one left to tell. *)
   and abandon t ~src ~dst (sh : shipment) =
     Option.iter
       (fun query -> with_metrics t query (fun m -> m.Metrics.give_ups <- m.Metrics.give_ups + 1))
@@ -977,9 +897,10 @@ module Make (D : Hf_termination.Detector.S) = struct
       notify_unreachable t ~src query ~dead:dst
     in
     match sh.msg with
-    | Work { groups; _ } -> List.iter (fun (query, _, tag) -> reclaim query tag) groups
+    | Wire (Work_batch groups) ->
+      List.iter (fun (g : _ Message.batch_group) -> reclaim g.query g.credit) groups
     | Seed_from { query; tag; _ } -> reclaim query tag
-    | Scatter { query; tag; _ } -> (
+    | Wire (Scatter { query; credit = tag; _ }) -> (
         (* The scattered site provably never evaluated: reclaim the
            split credit, then close its slot in the stitch — the
            chains parked for it are lost exactly as classic shipping
@@ -991,16 +912,18 @@ module Make (D : Hf_termination.Detector.S) = struct
         | Some ctx ->
           Site.gather_lost ctx.core ~site:dst;
           maybe_drain t site ctx)
-    | Cache_validate { query; _ } -> (
+    | Wire (Cache_validate { query; _ }) -> (
         (* The validation round trip died: un-park the waiting items and
            ship them the plain way — those sends fail fast against the
-           dead link and their credit is reclaimed by the Work arm. *)
+           dead link and their credit is reclaimed by the work arm. *)
         match context_of t site query with
         | None -> ()
         | Some ctx ->
           release_parked t site ctx ~dst ~version:None)
-    | Results _ | Control _ | Unreachable _ | Ack _ | Cache_version _ | Cache_answers _
-    | Gather _ ->
+    | Wire
+        ( Deref_request _ | Result _ | Credit_return _ | Link_ack | Site_unreachable _
+        | Cache_version _ | Cache_answers _ | Query_done _ | Stats_pull _ | Stats_report _
+        | Gather_result _ ) ->
       (* a gather toward a dead originator has no one left to tell,
          like a result message *)
       ()
@@ -1009,24 +932,24 @@ module Make (D : Hf_termination.Detector.S) = struct
     match find_open t query with
     | None -> ()
     | Some oq ->
-      if src = query.Hf_proto.Message.originator then mark_unreachable oq dead
+      if src = query.Message.originator then mark_unreachable oq dead
       else
         deliver t ~src ~oq:(Some oq) ~label:"unreachable"
           ~transit:t.config.costs.control_transit
-          ~dst:query.Hf_proto.Message.originator
-          (Unreachable { query; dead; src; span = 0 })
+          ~dst:query.Message.originator
+          (Wire (Site_unreachable { query; dead }))
 
   and send_control t ~src ctx (dst, payload) =
     send_control_plane t t.sites.(src) ~tenant:ctx.core.origin ~oq:(find_open t ctx.core.query)
       ~parent:ctx.core.span ~query:ctx.core.query ~phase:Hf_obs.Span.Credit ~label:"control"
       ~detail:(Fmt.str "%a" D.pp_control payload)
       ~dst
-      (fun span -> Control { query = ctx.core.query; payload; src; span })
+      (Wire (Credit_return { query = ctx.core.query; credit = [ payload ] }))
 
   (* A control-plane message: one [control_send] task on [site]'s CPU,
      then a [control_transit] hop to [dst] under a span named after
-     [label]; [make] builds the message around that span. *)
-  and send_control_plane t site ~tenant ~oq ~parent ~query ~phase ~label ?detail ~dst make =
+     [label]. *)
+  and send_control_plane t site ~tenant ~oq ~parent ~query ~phase ~label ?detail ~dst message =
     enqueue t site ~tenant (fun () ->
         (match oq with
          | Some oq ->
@@ -1041,7 +964,7 @@ module Make (D : Hf_termination.Detector.S) = struct
             in
             Option.iter (Hf_obs.Tracer.set_detail t.tracer span) detail;
             deliver t ~src:site.id ~oq ~label ~span ~transit:t.config.costs.control_transit ~dst
-              (make span) ))
+              message ))
 
   (* --- the cache layer (config.cache, DESIGN.md §4g) --- *)
 
@@ -1085,7 +1008,7 @@ module Make (D : Hf_termination.Detector.S) = struct
             m.Metrics.cache_invalidations <- m.Metrics.cache_invalidations + 1;
           m.Metrics.cache_misses <- m.Metrics.cache_misses + 1);
       push_remote t site ctx ~dst wi acc
-    | Site.Parked -> acc
+    | Site.Parked | Site.Dangling -> acc
     | Site.Validate ->
       send_cache_validate t site ctx ~dst;
       acc
@@ -1096,7 +1019,7 @@ module Make (D : Hf_termination.Detector.S) = struct
      validated destination resolve (prune / hit / miss) immediately. *)
   and route_remote t site ctx wi acc =
     let dst = Oid.birth_site (Hf_engine.Work_item.oid wi) in
-    settle t site ctx ~dst wi acc (Site.route site.proto ctx.core ~dst wi)
+    settle t site ctx ~dst wi acc (Site.route site.proto ctx.core ~n_sites:(n_sites t) ~dst wi)
 
   and send_cache_validate t site ctx ~dst =
     with_metrics t ctx.core.query (fun m ->
@@ -1104,7 +1027,7 @@ module Make (D : Hf_termination.Detector.S) = struct
     send_control_plane t site ~tenant:ctx.core.origin ~oq:(find_open t ctx.core.query)
       ~parent:ctx.core.span ~query:ctx.core.query ~phase:Hf_obs.Span.Cache ~label:"cache-validate"
       ~dst
-      (fun span -> Cache_validate { query = ctx.core.query; src = site.id; span })
+      (Wire (Cache_validate { query = ctx.core.query; src = site.id }))
 
   (* Charge and ship a batch prepared outside [process_one]'s task: an
      idle-time flush ([flush], traced as such) or a parked-item
@@ -1175,8 +1098,7 @@ module Make (D : Hf_termination.Detector.S) = struct
          ~query:ctx.core.query ~phase:Hf_obs.Span.Cache ~label:"cache-answers"
          ~detail:(Fmt.str "%d verdict(s) v=%d" (List.length answers) version)
          ~dst:ctx.core.origin
-         (fun span ->
-           Cache_answers { query = ctx.core.query; src = site.id; version; answers; span }));
+         (Wire (Cache_answers { query = ctx.core.query; src = site.id; version; answers })));
     if site.id = ctx.core.origin then
       (* Originator: results are already final; controls go out directly. *)
       List.iter (send_control t ~src:site.id ctx) controls
@@ -1190,12 +1112,12 @@ module Make (D : Hf_termination.Detector.S) = struct
         List.iter (send_control t ~src:site.id ctx) elsewhere;
         let payload =
           match t.config.result_mode with
-          | Ship_items -> Hf_proto.Message.Items items
-          | Ship_counts -> Hf_proto.Message.Count (List.length items)
+          | Ship_items -> Message.Items items
+          | Ship_counts -> Message.Count (List.length items)
           | Ship_threshold threshold ->
             if List.length items >= threshold then
-              Hf_proto.Message.Count (List.length items)
-            else Hf_proto.Message.Items items
+              Message.Count (List.length items)
+            else Message.Items items
         in
         enqueue t site ~tenant:ctx.core.origin (fun () ->
             (match oq with
@@ -1207,10 +1129,10 @@ module Make (D : Hf_termination.Detector.S) = struct
                oq.metrics.Metrics.piggybacked_controls <-
                  oq.metrics.Metrics.piggybacked_controls + List.length to_origin;
                (match payload with
-                | Hf_proto.Message.Items items ->
+                | Message.Items items ->
                   oq.metrics.Metrics.results_shipped <-
                     oq.metrics.Metrics.results_shipped + List.length items
-                | Hf_proto.Message.Count _ -> ())
+                | Message.Count _ -> ())
              | None -> ());
             ( t.config.costs.result_msg_send,
               fun () ->
@@ -1223,8 +1145,10 @@ module Make (D : Hf_termination.Detector.S) = struct
                   (Fmt.str "%d item(s)" (List.length items));
                 deliver t ~src:site.id ~oq ~label:"result" ~span
                   ~transit:t.config.costs.result_msg_transit ~dst:ctx.core.origin
-                  (Results { query = ctx.core.query; payload; bindings; piggybacked = to_origin;
-                             src = site.id; span }) ))
+                  (Wire
+                     (Result
+                        { query = ctx.core.query; payload; bindings;
+                          credit = List.map snd to_origin })) ))
       end
     end
 
@@ -1320,10 +1244,21 @@ module Make (D : Hf_termination.Detector.S) = struct
 
   (* --- incoming messages --- *)
 
-  and handle_message t site message =
+  (* Deposit each control an answer carried home; [oq] is open. *)
+  and recv_controls t site ctx oq ~src controls =
+    List.iter
+      (fun payload ->
+        handle_detector_result t oq
+          (D.on_recv_control ctx.detector ~src payload)
+          (send_control t ~src:site.id ctx))
+      controls
+
+  (* [src] sent [message]; [span] is the sender's span for the trip
+     (0 untraced), on which a fresh context's evaluation parents. *)
+  and handle_message t site ~src ~span message =
     let costs = t.config.costs in
     match message with
-    | Work { groups; src; span } -> (
+    | Wire (Work_batch groups) -> (
         (* Resolve each group's context up front; groups whose query is
            no longer open are skipped (their credit is lost, exactly as
            a per-item message for a closed query was).  A fresh context
@@ -1332,14 +1267,14 @@ module Make (D : Hf_termination.Detector.S) = struct
            instant so the causal edge still shows in the trace. *)
         let resolved =
           List.filter_map
-            (fun (query, items, tag) ->
+            (fun ({ query; items; credit; _ } : _ Message.batch_group) ->
               let existed = Hashtbl.mem site.contexts query in
               match context_of t ~cause:span site query with
               | Some ctx ->
                 if existed then
                   instant t ~parent:span query site Hf_obs.Span.Recv
                     (Fmt.str "work-recv x%d" (List.length items));
-                Some (ctx, items, tag)
+                Some (ctx, items, credit)
               | None -> None)
             groups
         in
@@ -1361,23 +1296,23 @@ module Make (D : Hf_termination.Detector.S) = struct
                       enqueue t site ~tenant:ctx.core.origin (process_one t site ctx))
                     items)
                 resolved ))
-    | Results { query; payload; bindings; piggybacked; src; span } -> (
+    | Wire (Result { query; payload; bindings; credit = controls }) -> (
         match find_open t query with
         | None -> (0.0, fun () -> ())
         | Some oq ->
           let new_items =
             match payload with
-            | Hf_proto.Message.Items items ->
+            | Message.Items items ->
               List.filter (fun oid -> not (Oid.Set.mem oid oq.final.set)) items
-            | Hf_proto.Message.Count _ -> []
+            | Message.Count _ -> []
           in
           let duration =
             costs.result_msg_recv
             +. (float_of_int (List.length new_items) *. costs.result_add)
             +. (float_of_int
                   (match payload with
-                   | Hf_proto.Message.Items items -> List.length items
-                   | Hf_proto.Message.Count _ -> 0)
+                   | Message.Items items -> List.length items
+                   | Message.Count _ -> 0)
                 *. costs.result_item)
           in
           Metrics.add_busy oq.metrics site.id duration;
@@ -1388,33 +1323,29 @@ module Make (D : Hf_termination.Detector.S) = struct
               List.iter (Site.add_final oq.final) new_items;
               Site.merge_bindings oq.final.bindings bindings;
               (match payload with
-               | Hf_proto.Message.Count n ->
+               | Message.Count n ->
                  let prev = List.assoc_opt src oq.counts in
                  let rest = List.remove_assoc src oq.counts in
                  oq.counts <- (src, n + Option.value prev ~default:0) :: rest
-               | Hf_proto.Message.Items _ -> ());
-              match context_of t site query with
-              | None -> ()
-              | Some ctx ->
-                List.iter
-                  (fun (_, payload) ->
-                    handle_detector_result t oq
-                      (D.on_recv_control ctx.detector ~src payload)
-                      (send_control t ~src:site.id ctx))
-                  piggybacked ))
-    | Control { query; payload; src; span } -> (
+               | Message.Items _ -> ());
+              Option.iter
+                (fun ctx -> recv_controls t site ctx oq ~src controls)
+                (context_of t site query) ))
+    | Wire (Credit_return { query; credit = controls }) -> (
         match context_of t ~cause:span site query with
         | None -> (0.0, fun () -> ())
         | Some ctx ->
           charge t query site.id costs.control_recv;
           ( costs.control_recv,
             fun () ->
-              let result = D.on_recv_control ctx.detector ~src payload in
-              match find_open t query with
-              | None -> ()
-              | Some oq ->
-                handle_detector_result t oq result (send_control t ~src:site.id ctx) ))
-    | Seed_from { query; from; tag; src; span } -> (
+              List.iter
+                (fun payload ->
+                  let result = D.on_recv_control ctx.detector ~src payload in
+                  Option.iter
+                    (fun oq -> handle_detector_result t oq result (send_control t ~src:site.id ctx))
+                    (find_open t query))
+                controls ))
+    | Seed_from { query; from; tag } -> (
         match context_of t ~cause:span site query with
         | None -> (0.0, fun () -> ())
         | Some ctx ->
@@ -1430,16 +1361,13 @@ module Make (D : Hf_termination.Detector.S) = struct
                   enqueue t site ~tenant:ctx.core.origin (process_one t site ctx))
                 seeds;
               maybe_drain t site ctx ))
-    | Ack _ ->
-      (* transport-level; consumed in [transmit] before dedup. *)
-      (0.0, fun () -> ())
-    | Unreachable { query; dead; _ } -> (
+    | Wire (Site_unreachable { query; dead }) -> (
         match find_open t query with
         | None -> (0.0, fun () -> ())
         | Some oq ->
           Metrics.add_busy oq.metrics site.id costs.control_recv;
           (costs.control_recv, fun () -> mark_unreachable oq dead))
-    | Cache_validate { query; src; span } ->
+    | Wire (Cache_validate { query; _ }) ->
       charge t query site.id costs.control_recv;
       ( costs.control_recv,
         fun () ->
@@ -1447,20 +1375,18 @@ module Make (D : Hf_termination.Detector.S) = struct
           send_control_plane t site ~tenant:query.originator ~oq:(find_open t query)
             ~parent:span ~query ~phase:Hf_obs.Span.Cache ~label:"cache-version"
             ~dst:src
-            (fun rspan ->
-              Cache_version
-                { query; site = site.id; version; epoch = Site.epoch site.proto; summary;
-                  src = site.id; span = rspan }) )
-    | Cache_version { query; site = peer; version; epoch; summary; src = _; span } ->
+            (Wire
+               (Cache_version
+                  { query; site = site.id; version; epoch = Site.epoch site.proto; summary })) )
+    | Wire (Cache_version { query; site = peer; version; epoch; summary }) ->
       charge t query site.id costs.control_recv;
       ( costs.control_recv,
         fun () ->
-          Site.learn site.proto ~peer ~version ~epoch
-            (match summary with Some bloom -> Site.Fresh bloom | None -> Site.Told);
+          Site.learn site.proto ~peer ~version ~epoch summary;
           match context_of t ~cause:span site query with
           | None -> ()
           | Some ctx -> release_parked t site ctx ~dst:peer ~version:(Some version) )
-    | Cache_answers { query; src; version; answers; span } ->
+    | Wire (Cache_answers { query; version; answers; _ }) ->
       charge t query site.id costs.control_recv;
       ( costs.control_recv,
         fun () ->
@@ -1471,7 +1397,7 @@ module Make (D : Hf_termination.Detector.S) = struct
               match find_open t query with
               | Some oq -> oq.metrics.Metrics.cache_fills <- oq.metrics.Metrics.cache_fills + filled
               | None -> ()) )
-    | Scatter { query; roots; tag; src; span } -> (
+    | Wire (Scatter { query; roots; credit = tag; _ }) -> (
         (* A scattered site evaluates its whole speculation domain in
            one go: every local object at every landing pc, plus the
            seeds the originator assigned here.  The reply carries the
@@ -1528,10 +1454,11 @@ module Make (D : Hf_termination.Detector.S) = struct
                       deliver t ~src:site.id ~oq ~label:"gather" ~span:gspan
                         ~transit:t.config.costs.result_msg_transit
                         ~dst:ctx.core.origin
-                        (Gather
-                           { query; nodes; piggybacked = to_origin;
-                             src = site.id; span = gspan }) )) ))
-    | Gather { query; nodes; piggybacked; src; span } -> (
+                        (Wire
+                           (Gather_result
+                              { query; src = site.id; nodes;
+                                credit = List.map snd to_origin })) )) ))
+    | Wire (Gather_result { query; nodes; credit = controls; _ }) -> (
         match find_open t query with
         | None -> (0.0, fun () -> ())
         | Some oq ->
@@ -1550,13 +1477,12 @@ module Make (D : Hf_termination.Detector.S) = struct
                 (* fallback credit splits happen inside, BEFORE the
                    piggybacked deposits below *)
                 stitch_gather t site ctx ~src nodes;
-                List.iter
-                  (fun (_, payload) ->
-                    handle_detector_result t oq
-                      (D.on_recv_control ctx.detector ~src payload)
-                      (send_control t ~src:site.id ctx))
-                  piggybacked;
+                recv_controls t site ctx oq ~src controls;
                 maybe_drain t site ctx ))
+    | Wire (Link_ack | Deref_request _ | Query_done _ | Stats_pull _ | Stats_report _) ->
+      (* an ack is consumed in [transmit] before dedup; the rest this
+         engine never sends *)
+      (0.0, fun () -> ())
 
   (* --- detector polling (wave-based detectors) --- *)
 
@@ -1634,7 +1560,7 @@ module Make (D : Hf_termination.Detector.S) = struct
   (* --- issuing queries --- *)
 
   let open_query t ~origin program =
-    let query = { Hf_proto.Message.originator = origin; serial = t.next_serial } in
+    let query = { Message.originator = origin; serial = t.next_serial } in
     t.next_serial <- t.next_serial + 1;
     let span =
       Hf_obs.Tracer.start t.tracer ~query:(qname query) ~site:origin
@@ -1817,14 +1743,14 @@ module Make (D : Hf_termination.Detector.S) = struct
              end);
             List.iter
               (fun dst ->
-                let tag = D.on_send_work ctx.detector ~dst in
+                let credit = D.on_send_work ctx.detector ~dst in
                 let dst_roots = roots_of dst in
-                let program = Hf_engine.Plan.program ctx.core.plan in
+                let body = Hf_engine.Plan.program ctx.core.plan in
                 oq.metrics.Metrics.scatter_messages <-
                   oq.metrics.Metrics.scatter_messages + 1;
                 oq.metrics.Metrics.scatter_bytes <-
                   oq.metrics.Metrics.scatter_bytes
-                  + scatter_message_bytes program dst_roots;
+                  + scatter_message_bytes body dst_roots;
                 let span =
                   Hf_obs.Tracer.start t.tracer ~parent:ctx.core.span
                     ~query:(qname oq.id) ~site:origin
@@ -1838,8 +1764,7 @@ module Make (D : Hf_termination.Detector.S) = struct
                     (Hf_sim.Costs.batch_transit t.config.costs
                        ~items:(max 1 (List.length dst_roots)))
                   ~dst
-                  (Scatter
-                     { query = oq.id; roots = dst_roots; tag; src = origin; span }))
+                  (Wire (Scatter { query = oq.id; body; roots = dst_roots; credit })))
               sites;
             (* force a pump cycle so stray pushes below the batch
                threshold still flush *)
@@ -1934,7 +1859,7 @@ module Make (D : Hf_termination.Detector.S) = struct
       if not oq.admitted then begin
         ignore
           (Sched.cancel_queued t.gates.(oq.id.originator) (fun (q, _) ->
-               Hf_proto.Message.equal_query_id q oq.id));
+               Message.equal_query_id q oq.id));
         oq.cancelled <- true;
         Hf_obs.Tracer.finish ~detail:"cancelled" t.tracer oq.span
       end
@@ -2024,7 +1949,7 @@ module Make (D : Hf_termination.Detector.S) = struct
                    in
                    deliver t ~src:origin ~oq:(Some oq) ~label:"seed" ~span
                      ~transit:t.config.costs.msg_transit ~dst
-                     (Seed_from { query = oq.id; from; tag; src = origin; span }))
+                     (Seed_from { query = oq.id; from; tag }))
                  remote_sites;
                maybe_drain t origin_site ctx )));
     Hf_sim.Sim.run t.sim;
@@ -2066,7 +1991,7 @@ module Make (D : Hf_termination.Detector.S) = struct
       Hashtbl.fold
         (fun id _ acc ->
           match acc with
-          | Some best when Hf_proto.Message.compare_query_id best id >= 0 -> acc
+          | Some best when Message.compare_query_id best id >= 0 -> acc
           | Some _ | None -> Some id)
         t.open_queries None
 end

@@ -205,6 +205,7 @@ type route =
   | Miss of { invalidated : bool }
   | Parked
   | Validate
+  | Dangling
 
 (* Order matters for credit safety: prune and hit happen before the
    item ever reaches a batcher, so their credit is never split. *)
@@ -235,8 +236,9 @@ let resolve t ctx ~dst ~version wi =
         | Remote_cache.Absent -> Miss { invalidated = false })
     | Some _ | None -> Ship
 
-let route t ctx ~dst wi =
+let route t ctx ~n_sites ~dst wi =
   match t.cache with
+  | _ when dst >= n_sites -> Dangling
   | None -> Ship
   | Some _ -> (
       match Hashtbl.find_opt ctx.validated dst with
@@ -286,7 +288,8 @@ let memo_summary t cfg =
 
 let summary t = Option.map (fun cfg -> fst (memo_summary t cfg)) t.cache_config
 
-(* Without the cache the reply is version-only. *)
+(* Without the cache the reply is version-only.  The summary travels
+   in [Bloom]'s wire form in both engines, so both run its decoder. *)
 let validate_reply t ~peer =
   let version = Hf_data.Store.version t.store in
   let summary =
@@ -297,20 +300,18 @@ let validate_reply t ~peer =
         | Some v when v = version -> None
         | Some _ | None ->
           Hashtbl.replace t.summary_told peer version;
-          Some bloom)
+          Some (Hf_index.Bloom.to_string bloom))
   in
   (version, summary)
 
 let epoch t = t.summary_epoch
-
-type news = Fresh of Hf_index.Bloom.t | Told | Garbled
 
 let forget_summary t peer =
   Hashtbl.remove t.summaries peer;
   Hashtbl.remove t.bloofi_src peer;
   Option.iter (fun tree -> Bloofi.remove tree ~site:peer) t.bloofi
 
-let learn t ~peer ~version ~epoch news =
+let learn t ~peer ~version ~epoch summary =
   (* An epoch regression means the peer's lineage restarted: its old
      summary and leaf could wrongly prune against the new store, and
      cached verdicts are keyed by a version the new lineage can
@@ -321,22 +322,22 @@ let learn t ~peer ~version ~epoch news =
      Option.iter (fun cache -> Remote_cache.drop_dst cache ~dst:peer) t.cache
    | Some _ | None -> ());
   Hashtbl.replace t.peer_epochs peer epoch;
-  match news with
-  | Fresh bloom ->
+  match Option.map Hf_index.Bloom.of_string summary with
+  | Some (Some bloom) ->
     Hashtbl.replace t.summaries peer (version, bloom);
     Option.iter
       (fun tree ->
         Bloofi.insert tree ~site:peer bloom;
         Hashtbl.replace t.bloofi_src peer bloom)
       t.bloofi
-  | Told -> (
+  | None -> (
       (* "you already have it": if ours is for another version (the
          reply that carried the new one was lost), it must never prune
          at the new version *)
       match Hashtbl.find_opt t.summaries peer with
       | Some (v, _) when v <> version -> forget_summary t peer
       | Some _ | None -> ())
-  | Garbled -> () (* no pruning from it; still correct *)
+  | Some None -> () (* garbled: no pruning from it; still correct *)
 
 let learned t ~peer = Hashtbl.find_opt t.summaries peer
 
@@ -427,13 +428,17 @@ let may_match d ~site =
 let decide t ~n_sites ~summary ~objects ~costs program initial =
   let plan = Hf_engine.Plan.make program in
   let zeros = Array.make (Hf_engine.Plan.iter_count plan) 0 in
+  (* A seed born outside the cluster is dangling: it seeds no site, so
+     no scatter reaches for it, and {!route} drops it. *)
   let seed_sites =
     List.fold_left
       (fun acc oid ->
         let s = Oid.birth_site oid in
-        match List.assoc_opt s acc with
-        | Some n -> (s, n + 1) :: List.remove_assoc s acc
-        | None -> (s, 1) :: acc)
+        if s >= n_sites then acc
+        else
+          match List.assoc_opt s acc with
+          | Some n -> (s, n + 1) :: List.remove_assoc s acc
+          | None -> (s, 1) :: acc)
       [] initial
   in
   let landing_groups =

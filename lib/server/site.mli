@@ -7,10 +7,10 @@
     epochs, the remote-answer cache) — and makes the decisions that
     need no clock, socket or termination detector.  The simulator
     ({!Hf_server.Cluster}) and the socket engine ([Hf_net.Tcp_site])
-    drive it; each keeps its own messages, credit or detector,
-    batching, threads and counters.  Where the engines differ, the
-    difference comes in as an argument or goes out as a verdict the
-    caller acts on ({!route}). *)
+    drive it and ship the same {!Hf_proto.Message.msg}; each keeps its
+    own credit or detector, batching, threads and counters.  Where the
+    engines differ, the difference comes in as an argument or goes out
+    as a verdict the caller acts on ({!route}). *)
 
 module Oid = Hf_data.Oid
 
@@ -160,12 +160,19 @@ type route =
       (** ship it; [invalidated] when a stale entry was evicted *)
   | Parked  (** waiting behind a validation already in flight *)
   | Validate  (** parked; the caller sends the [Cache_validate] *)
+  | Dangling
+      (** [dst] is outside the cluster: the pointer dangles, and the
+          caller drops the item as {!Hf_engine.Eval} drops a pointer to
+          an object its store lacks *)
 
-val route : t -> 'w ctx -> dst:int -> Hf_engine.Work_item.t -> route
-(** Route one item bound for [dst].  With the cache off: [Ship].  At a
-    vouched version: prune, hit or miss — pruned and hit items never
-    reach a batcher, so their credit is never split.  Otherwise the
-    item parks until the destination's version is known. *)
+val route : t -> 'w ctx -> n_sites:int -> dst:int -> Hf_engine.Work_item.t -> route
+(** Route one item bound for [dst] in a cluster of sites
+    [0 .. n_sites - 1].  Every remote-bound item passes here: spawns,
+    seeds, scatter strays and stitch fallbacks.  Outside the cluster:
+    [Dangling].  With the cache off: [Ship].  At a vouched version:
+    prune, hit or miss — pruned and hit items never reach a batcher,
+    so their credit is never split.  Otherwise the item parks until
+    the destination's version is known. *)
 
 val drop_parked : 'w ctx -> unit
 (** Forget every parked item: the query was cancelled or evicted. *)
@@ -179,25 +186,23 @@ val release :
 
 (** {1 The cache control plane} *)
 
-val validate_reply : t -> peer:int -> int * Hf_index.Bloom.t option
+val validate_reply : t -> peer:int -> int * string option
 (** Answer a [Cache_validate] from [peer]: this store's version, and
-    its Bloom summary unless [peer] was already told this version's.
-    A rebuilt summary advances {!epoch}. *)
+    its Bloom summary in {!Hf_index.Bloom.to_string}'s wire form unless
+    [peer] was already told this version's.  A rebuilt summary
+    advances {!epoch}. *)
 
 val epoch : t -> int
 (** How many times this site rebuilt its summary for a validation. *)
 
-type news =
-  | Fresh of Hf_index.Bloom.t  (** a summary rode along *)
-  | Told  (** none aboard: the asker already holds this version's *)
-  | Garbled  (** one rode along but did not decode *)
-
-val learn : t -> peer:int -> version:int -> epoch:int -> news -> unit
-(** Learn from a [Cache_version] reply.  An epoch lower than the last
-    one seen from [peer] means its lineage restarted: its summary,
-    Bloofi leaf and cached verdicts are dropped.  A fresh summary is
-    installed (with its leaf); a [Told] reply at another version drops
-    the stale one. *)
+val learn : t -> peer:int -> version:int -> epoch:int -> string option -> unit
+(** Learn from a [Cache_version] reply and the summary aboard, in
+    {!validate_reply}'s wire form.  An epoch lower than the last one
+    seen from [peer] means its lineage restarted: its summary, Bloofi
+    leaf and cached verdicts are dropped.  A summary that decodes is
+    installed (with its leaf), and one that does not teaches nothing.
+    No summary means the asker already holds this version's: at
+    another version the one held is stale and is dropped. *)
 
 val learned : t -> peer:int -> (int * Hf_index.Bloom.t) option
 (** The (version, summary) learned from [peer], if any. *)
@@ -238,7 +243,8 @@ val decide :
   Oid.t list ->
   Hf_query.Plan.decision
 (** Price shipping against scatter for a query issued here over the
-    initial oids.  Seed sites are the oids' birth sites; each peer's hint
+    initial oids.  Seed sites are the oids' birth sites inside the
+    cluster (a seed born outside it dangles); each peer's hint
     from [summary peer] (its filter, if any) and [objects peer summary]
     (its object count, if known), with one Bloofi descent replacing the
     flat landing probes for indexed peers; [costs] turns the item size

@@ -1157,8 +1157,7 @@ let hot_group query oid credit =
   {
     Message.query;
     body = hot;
-    items =
-      [ { Message.oid; start = Hf_engine.Work_item.start wi; iters = Hf_engine.Work_item.iters wi } ];
+    items = [ wi ];
     credit = Credit.atoms credit;
   }
 
@@ -1301,6 +1300,107 @@ let test_forged_scatter_for_own_query =
 let test_forged_done_for_own_query =
   forged_origin_frame (fun _ ->
       Frame.frame (Codec.encode (Message.Query_done { query = next_query; src = 0 })))
+
+(* --- destinations outside the cluster --- *)
+
+(* An oid born at site 9, outside every cluster here: a pointer to it
+   dangles, as one to an object no store holds does. *)
+let dangling = Oid.make ~birth_site:9 ~serial:1
+
+(* Site 0 of two holds [a]: a pointer to [dangling], and "hot". *)
+let load_dangling site =
+  let a = Store.fresh_oid (Tcp.store site) in
+  Store.insert (Tcp.store site)
+    (Hf_data.Hobject.of_tuples a [ Tuple.pointer ~key:"R" dangling; Tuple.keyword "hot" ]);
+  a
+
+(* [initial]'s closure on [site] completes with the local engine's
+   answer over [site]'s store. *)
+let answers_locally site initial =
+  let local = Hf_engine.Local.run_store ~store:(Tcp.store site) closure initial in
+  let outcome = Tcp.run_query ~timeout:5.0 site closure initial in
+  check_bool "complete" true (outcome.Tcp.status = Tcp.Complete);
+  check_bool "the local answer" true
+    (Oid.Set.equal local.Hf_engine.Local.result_set outcome.Tcp.result_set)
+
+(* The spawn toward [dangling] is dropped before it reaches a batcher
+   or a reliable link.  Past a few retransmission timeouts the site
+   answers again: no frame for site 9 waits in a link, whose
+   retransmission would end the event loop. *)
+let test_dangling_pointer () =
+  with_sites ~reliability:fast_reliability 2 (fun sites ->
+      let a = load_dangling sites.(0) in
+      answers_locally sites.(0) [ a ];
+      Thread.delay 0.3;
+      answers_locally sites.(0) [ a ])
+
+(* A client seed born at site 9 is dropped like the pointer. *)
+let test_dangling_seed () =
+  with_sites 2 (fun sites ->
+      let a = load_dangling sites.(0) in
+      answers_locally sites.(0) [ a; dangling ])
+
+(* The first frame that arrives on [fd], decoded. *)
+let first_message fd =
+  let decoder = Frame.Decoder.create () in
+  let chunk = Bytes.create 65536 in
+  let rec go () =
+    match Frame.Decoder.next decoder with
+    | Some payload -> Codec.decode_exn payload
+    | None -> (
+        match Unix.select [ fd ] [] [] 5.0 with
+        | [], _, _ -> Alcotest.fail "no frame arrived"
+        | _ ->
+          let n = Unix.read fd chunk 0 (Bytes.length chunk) in
+          if n = 0 then Alcotest.fail "the connection closed";
+          Frame.Decoder.feed_bytes decoder chunk 0 n;
+          go ())
+  in
+  go ()
+
+(* Site 0 scatters the closure to a fake site 1, which answers with a
+   forged Gather_result: its one node, the seed [b], passes and spawns
+   [dangling].  The stitch falls back to shipping that edge, and the
+   pointer dangles: the query ends Complete over [a] and [b], and the
+   site keeps serving. *)
+let test_forged_gather_spawns_outside () =
+  let fake = fake_site () in
+  let site =
+    Tcp.create ~site:0 ~reliability:fast_reliability ~exec:Tcp.Exec_scatter ()
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Tcp.shutdown site;
+      Unix.close fake)
+    (fun () ->
+      Tcp.set_peers site [| Tcp.address site; Unix.getsockname fake |];
+      let a = Store.fresh_oid (Tcp.store site) in
+      Store.insert (Tcp.store site)
+        (Hf_data.Hobject.of_tuples a [ Tuple.pointer ~key:"R" a; Tuple.keyword "hot" ]);
+      let b = Oid.make ~birth_site:1 ~serial:1 in
+      let handle = Tcp.submit_query site closure [ a; b ] in
+      let back = accept_within fake in
+      Fun.protect
+        ~finally:(fun () -> Unix.close back)
+        (fun () ->
+          match first_message back with
+          | Message.Scatter { query; credit; _ } ->
+            let node =
+              { Hf_engine.Scatter.oid = b; start = 0; passed = true; visited = [ 0 ];
+                spawns = [ (dangling, 1) ]; bindings = [] }
+            in
+            write_frames site
+              [ Frame.frame
+                  (Codec.encode ~rel:{ Codec.src = 1; seq = 1; ack = 1 }
+                     (Message.Gather_result { query; src = 1; nodes = [ node ]; credit }));
+              ]
+          | message -> Alcotest.failf "expected a Scatter, got %a" Message.pp message);
+      let outcome = Tcp.await ~timeout:5.0 site handle in
+      check_bool "complete" true (outcome.Tcp.status = Tcp.Complete);
+      check_bool "a and b" true (Oid.Set.equal (Oid.Set.of_list [ a; b ]) outcome.Tcp.result_set);
+      Thread.delay 0.3;
+      let again = Tcp.run_query ~timeout:5.0 site hot [ a ] in
+      check_bool "the site keeps serving" true (again.Tcp.status = Tcp.Complete))
 
 (* Minor words per query of a cross-site walk: three sites with the
    noop tracer and a 12-object ring spread over them, the closure run 20
@@ -1537,6 +1637,9 @@ let () =
             test_calls_after_shutdown;
           Alcotest.test_case "a long drain does not hold back other traffic" `Quick
             test_long_drain_interleaves;
+          Alcotest.test_case "a pointer outside the cluster dangles" `Quick
+            test_dangling_pointer;
+          Alcotest.test_case "a seed outside the cluster dangles" `Quick test_dangling_seed;
         ] );
       ( "frame path",
         [
@@ -1588,6 +1691,8 @@ let () =
             test_forged_scatter_for_own_query;
           Alcotest.test_case "a credit atom past the cap dropped" `Quick
             test_atom_past_cap_dropped;
+          Alcotest.test_case "a gathered spawn outside the cluster dangles" `Quick
+            test_forged_gather_spawns_outside;
         ] );
       ( "observability",
         [

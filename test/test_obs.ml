@@ -555,9 +555,9 @@ let sample_message =
 
 let test_codec_traced_roundtrip () =
   let encoded = Hf_proto.Codec.encode ~span:9001 sample_message in
-  match Hf_proto.Codec.decode_traced encoded with
+  match Hf_proto.Codec.decode_enveloped encoded with
   | Error e -> Alcotest.fail e
-  | Ok (m, span) ->
+  | Ok (m, span, _) ->
       check_int "span survives the wire" 9001 span;
       check_bool "message survives the wire" true (Hf_proto.Message.equal sample_message m)
 
@@ -567,8 +567,8 @@ let test_codec_untraced_bytes_identical () =
   let plain = Hf_proto.Codec.encode sample_message in
   Alcotest.(check string) "span:0 is byte-identical" plain
     (Hf_proto.Codec.encode ~span:0 sample_message);
-  (match Hf_proto.Codec.decode_traced plain with
-  | Ok (m, span) ->
+  (match Hf_proto.Codec.decode_enveloped plain with
+  | Ok (m, span, _) ->
       check_int "untraced decodes to span 0" 0 span;
       check_bool "message intact" true (Hf_proto.Message.equal sample_message m)
   | Error e -> Alcotest.fail e);

@@ -67,7 +67,8 @@ let test_roundtrip_credit_return () =
   in
   check_bool "credit return" true (roundtrip message)
 
-let batch_item ?(start = 0) ?(iters = [||]) serial = { Message.oid = oid serial; start; iters }
+let batch_item ?(start = 0) ?(iters = [||]) serial =
+  Hf_engine.Work_item.make ~oid:(oid serial) ~start ~iters
 
 let sample_batch =
   Message.Work_batch
@@ -133,9 +134,10 @@ let test_cache_version_epoch_under_envelopes () =
            | Ok m -> check_bool "bare epoch" true (Message.equal message m)
            | Error e -> Alcotest.fail e);
           (* traced (127) *)
-          (match Codec.decode_traced (Codec.encode ~span:3 message) with
-           | Ok (m, span) ->
+          (match Codec.decode_enveloped (Codec.encode ~span:3 message) with
+           | Ok (m, span, None) ->
              check_bool "traced epoch" true (Message.equal message m && span = 3)
+           | Ok _ -> Alcotest.fail "phantom reliability envelope"
            | Error e -> Alcotest.fail e);
           (* reliability (126, which nests the traced form) *)
           match Codec.decode_enveloped (Codec.encode ~span:3 ~rel message) with
@@ -174,7 +176,7 @@ let prop_cache_version_epoch_fuzz =
       Bytes.set corrupted (pos mod Bytes.length corrupted) (Char.chr byte);
       let input = Bytes.to_string corrupted in
       let total f = match f input with Ok _ | Error _ -> true | exception _ -> false in
-      total Codec.decode && total Codec.decode_traced && total Codec.decode_enveloped)
+      total Codec.decode && total Codec.decode_enveloped)
 
 let cache_answer ?(start = 0) ?(iters = [||]) ~passed serial : Message.cache_answer =
   { oid = oid serial; start; iters; passed }
@@ -198,7 +200,7 @@ let test_roundtrip_query_done () =
 
 (* --- Scatter-gather messages (doc/execution_modes.md) --- *)
 
-let sample_gather_node : Message.gather_node =
+let sample_gather_node : Hf_engine.Scatter.node =
   {
     oid = oid ~site:1 7;
     start = 2;
@@ -348,14 +350,10 @@ let test_envelope_roundtrip () =
      check_int "ack" 40 got.Codec.ack
    | Ok (_, _, None) -> Alcotest.fail "reliability envelope lost"
    | Error err -> Alcotest.fail err);
-  (* the plain decoders accept (and discard) both envelopes *)
+  (* the plain decoder accepts (and discards) both envelopes *)
   check_bool "decode" true
     (match Codec.decode encoded with
      | Ok m -> Message.equal m sample_deref
-     | Error _ -> false);
-  check_bool "decode_traced" true
-    (match Codec.decode_traced encoded with
-     | Ok (m, span) -> span = 7 && Message.equal m sample_deref
      | Error _ -> false)
 
 let test_envelope_absent_is_plain () =
@@ -627,7 +625,7 @@ let gen_message =
            let* serial = int_range 0 500 in
            let* start = int_range 0 10 in
            let* iters = array_size (int_range 0 3) (int_range 1 20) in
-           return { Message.oid = oid ~site serial; start; iters }
+           return (Hf_engine.Work_item.make ~oid:(oid ~site serial) ~start ~iters)
          in
          let gen_group =
            let* query = gen_query_id in
@@ -708,9 +706,9 @@ let gen_message =
                   (list_size (int_range 0 3) gen_value))
            in
            return
-             ({ Message.oid = oid ~site serial; start; passed; visited; spawns;
+             ({ Hf_engine.Scatter.oid = oid ~site serial; start; passed; visited; spawns;
                 bindings }
-               : Message.gather_node)
+               : Hf_engine.Scatter.node)
          in
          let* query = gen_query_id in
          let* src = int_range 0 15 in
@@ -783,7 +781,6 @@ let prop_garbage_never_raises =
       in
       let total f = match f input with Ok _ | Error _ -> true | exception _ -> false in
       total Codec.decode
-      && total Codec.decode_traced
       && total Codec.decode_enveloped
       &&
       (* Bloom summaries ride Cache_version as opaque strings; their

@@ -530,6 +530,42 @@ let test_deref_goes_to_birth_site () =
     (Oid.Set.equal (Oid.Set.of_list [ a; b ]) outcome.Cluster.result_set);
   check_int "one remote message" 1 outcome.Cluster.metrics.Hf_server.Metrics.work_messages
 
+(* Site 0 of two holds [a]: a pointer to an object born at site 9,
+   outside the cluster, and "hot".  That pointer dangles, as one to an
+   object no store holds does, so the closure from [a] gives the local
+   engine's answer, and so does a seed born at site 9, on every path a
+   remote-bound item takes: the batcher, the cache's validation, the
+   reliable link, and a scatter's stray seeds and stitch fallbacks. *)
+let dangling = Oid.make ~birth_site:9 ~serial:1
+
+let test_dangling_destination () =
+  let program = Hf_query.Compile.compile closure_query in
+  List.iter
+    (fun (name, config) ->
+      let cluster = WC.create ~config ~n_sites:2 () in
+      let store = WC.store cluster 0 in
+      let a = Store.fresh_oid store in
+      Store.insert store
+        (Hf_data.Hobject.of_tuples a [ Tuple.pointer ~key:"R" dangling; Tuple.keyword "hot" ]);
+      List.iter
+        (fun initial ->
+          let local = Hf_engine.Local.run_store ~store program initial in
+          let outcome = WC.run_query cluster ~origin:0 program initial in
+          let name = Printf.sprintf "%s, %d seed(s)" name (List.length initial) in
+          check_bool (name ^ ": terminated") true outcome.Cluster.terminated;
+          check_bool (name ^ ": the local answer") true
+            (Oid.Set.equal local.Hf_engine.Local.result_set outcome.Cluster.result_set);
+          check_int (name ^ ": no context left") 0 (WC.context_count cluster))
+        [ [ a ]; [ a; dangling ] ])
+    [
+      ("plain", Cluster.default_config);
+      ( "reliable",
+        { Cluster.default_config with Cluster.reliability = Some Hf_proto.Reliable.default } );
+      ( "cache",
+        { Cluster.default_config with Cluster.cache = Some Hf_index.Remote_cache.default } );
+      ("scatter", { Cluster.default_config with Cluster.exec = Cluster.Exec_scatter });
+    ]
+
 let test_concurrent_queries () =
   (* Two queries submitted together execute concurrently, contending for
      the same site CPUs: answers match solo runs, and the shared-site
@@ -803,6 +839,8 @@ let () =
           Alcotest.test_case "remote initial set" `Quick test_remote_initial_set;
           Alcotest.test_case "response-time calibration" `Quick
             test_response_time_single_site_formula;
+          Alcotest.test_case "a destination outside the cluster dangles" `Quick
+            test_dangling_destination;
           Alcotest.test_case "dereference goes to the birth site" `Quick
             test_deref_goes_to_birth_site;
           Alcotest.test_case "concurrent queries" `Quick test_concurrent_queries;

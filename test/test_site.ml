@@ -62,6 +62,9 @@ let lookup site ctx ~dst ~version oid =
 
 let is_hit = function Rc.Hit _ -> true | Rc.Invalidated | Rc.Absent -> false
 
+(* A summary as a Cache_version reply carries it. *)
+let wire summary = Some (Hf_index.Bloom.to_string summary)
+
 (* A Cache_version whose epoch is lower than the last one seen from
    that peer means its lineage restarted: its summary, Bloofi leaf and
    cached verdicts go; another peer's stay. *)
@@ -70,21 +73,23 @@ let test_epoch_regression () =
   let ctx = context () in
   let oids1, summary1 = peer_store 1 [ "cold" ] in
   let oids2, summary2 = peer_store 2 [ "cold" ] in
-  Site.learn site ~peer:1 ~version:3 ~epoch:2 (Site.Fresh summary1);
-  Site.learn site ~peer:2 ~version:5 ~epoch:1 (Site.Fresh summary2);
+  Site.learn site ~peer:1 ~version:3 ~epoch:2 (wire summary1);
+  Site.learn site ~peer:2 ~version:5 ~epoch:1 (wire summary2);
   check_int "verdicts from 1" 1
     (Site.fill site ctx ~src:1 ~version:3 [ answer (List.hd oids1) true ]);
   check_int "verdicts from 2" 1
     (Site.fill site ctx ~src:2 ~version:5 [ answer (List.hd oids2) true ]);
   check_bool "leaf 1 installed" true (leaf site 1);
   (* peer 1 restarted: same version number, older epoch *)
-  Site.learn site ~peer:1 ~version:3 ~epoch:1 Site.Told;
+  Site.learn site ~peer:1 ~version:3 ~epoch:1 None;
   check_bool "summary 1 dropped" true (Option.is_none (Site.learned site ~peer:1));
   check_bool "leaf 1 dropped" false (leaf site 1);
   check_bool "verdicts from 1 dropped" false
     (is_hit (lookup site ctx ~dst:1 ~version:3 (List.hd oids1)));
   check_bool "summary 2 kept" true
-    (match Site.learned site ~peer:2 with Some (5, s) -> s == summary2 | Some _ | None -> false);
+    (match Site.learned site ~peer:2 with
+     | Some (5, s) -> Hf_index.Bloom.equal s summary2
+     | Some _ | None -> false);
   check_bool "leaf 2 kept" true (leaf site 2);
   check_bool "verdicts from 2 kept" true
     (is_hit (lookup site ctx ~dst:2 ~version:5 (List.hd oids2)))
@@ -95,16 +100,16 @@ let test_epoch_regression () =
 let test_told_at_new_version () =
   let site = origin () in
   let _, summary = peer_store 1 [ "cold" ] in
-  Site.learn site ~peer:1 ~version:3 ~epoch:1 (Site.Fresh summary);
-  Site.learn site ~peer:1 ~version:3 ~epoch:1 Site.Told;
+  Site.learn site ~peer:1 ~version:3 ~epoch:1 (wire summary);
+  Site.learn site ~peer:1 ~version:3 ~epoch:1 None;
   check_bool "same version: kept" true (Option.is_some (Site.learned site ~peer:1));
   check_bool "same version: leaf kept" true (leaf site 1);
-  Site.learn site ~peer:1 ~version:4 ~epoch:1 Site.Told;
+  Site.learn site ~peer:1 ~version:4 ~epoch:1 None;
   check_bool "new version: stale summary dropped" true (Option.is_none (Site.learned site ~peer:1));
   check_bool "new version: leaf dropped" false (leaf site 1);
   (* a summary that does not decode teaches nothing *)
-  Site.learn site ~peer:1 ~version:5 ~epoch:1 (Site.Fresh summary);
-  Site.learn site ~peer:1 ~version:6 ~epoch:1 Site.Garbled;
+  Site.learn site ~peer:1 ~version:5 ~epoch:1 (wire summary);
+  Site.learn site ~peer:1 ~version:6 ~epoch:1 (Some "garbled");
   check_bool "garbled: previous summary kept" true (Option.is_some (Site.learned site ~peer:1))
 
 let route_name = function
@@ -114,6 +119,7 @@ let route_name = function
   | Site.Miss { invalidated } -> Printf.sprintf "miss invalidated=%b" invalidated
   | Site.Parked -> "parked"
   | Site.Validate -> "validate"
+  | Site.Dangling -> "dangling"
 
 (* Items bound for a destination whose version is not known yet park
    behind one validation; its reply releases them in arrival order, and
@@ -165,11 +171,15 @@ let test_parked_release () =
     (List.map route_name expected);
   Alcotest.(check (list string))
     "first item validates, the rest wait" [ "validate"; "parked"; "parked"; "parked" ]
-    (List.map (fun wi -> route_name (Site.route site ctx ~dst:1 wi)) items);
+    (List.map (fun wi -> route_name (Site.route site ctx ~n_sites:2 ~dst:1 wi)) items);
   check_int "parked" 4 ctx.parked_count;
+  Alcotest.(check string)
+    "a destination outside the cluster dangles, unparked" "dangling"
+    (route_name (Site.route site ctx ~n_sites:2 ~dst:9 (List.hd items)));
+  check_int "still parked" 4 ctx.parked_count;
   check_bool "not ready while parked" false (Site.ready ctx);
   (* the Cache_version reply *)
-  Site.learn site ~peer:1 ~version ~epoch:1 (Site.Fresh summary);
+  Site.learn site ~peer:1 ~version ~epoch:1 (wire summary);
   let released = Site.release site ctx ~dst:1 ~version:(Some version) in
   check_bool "arrival order" true
     (List.for_all2 (fun wi (wj, _) -> Work_item.equal wi wj) items released);
@@ -181,7 +191,7 @@ let test_parked_release () =
   check_bool "the hit's result is recorded" true (Oid.Set.mem hit ctx.final.set);
   Alcotest.(check (list string))
     "the destination stays vouched for" [ "miss invalidated=false" ]
-    [ route_name (Site.route site ctx ~dst:1 (Work_item.initial ctx.plan miss)) ]
+    [ route_name (Site.route site ctx ~n_sites:2 ~dst:1 (Work_item.initial ctx.plan miss)) ]
 
 (* A validation that died releases every parked item to ship plainly. *)
 let test_release_without_version () =
@@ -189,14 +199,14 @@ let test_release_without_version () =
   let ctx = context () in
   let oids, _ = peer_store 1 [ "cold"; "cold" ] in
   let items = List.map (Work_item.initial ctx.plan) oids in
-  List.iter (fun wi -> ignore (Site.route site ctx ~dst:1 wi)) items;
+  List.iter (fun wi -> ignore (Site.route site ctx ~n_sites:2 ~dst:1 wi)) items;
   Alcotest.(check (list string))
     "all ship" [ "ship"; "ship" ]
     (List.map (fun (_, r) -> route_name r) (Site.release site ctx ~dst:1 ~version:None));
   check_int "nothing parked" 0 ctx.parked_count;
   Alcotest.(check (list string))
     "the next item validates again" [ "validate" ]
-    [ route_name (Site.route site ctx ~dst:1 (List.hd items)) ]
+    [ route_name (Site.route site ctx ~n_sites:2 ~dst:1 (List.hd items)) ]
 
 (* The summary probes an item entering a one-filter keyword program
    makes. *)
@@ -209,12 +219,12 @@ let needs keyword =
 let test_prune_needs_validated_version () =
   let site = origin () in
   let oids, summary = peer_store 1 [ "cold" ] in
-  Site.learn site ~peer:1 ~version:3 ~epoch:1 (Site.Fresh summary);
+  Site.learn site ~peer:1 ~version:3 ~epoch:1 (wire summary);
   (* entering at filter 1 needs "hot", which peer 1's summary rules out *)
   let item = Work_item.make ~oid:(List.hd oids) ~start:1 ~iters:[||] in
   let routed ~version =
     let ctx = context () in
-    ignore (Site.route site ctx ~dst:1 item);
+    ignore (Site.route site ctx ~n_sites:2 ~dst:1 item);
     List.map (fun (_, r) -> route_name r) (Site.release site ctx ~dst:1 ~version:(Some version))
   in
   Alcotest.(check (list string)) "vouched at the learned version" [ "pruned" ] (routed ~version:3);
@@ -232,7 +242,7 @@ let test_cache_off () =
   let ctx = context () in
   let oids, _ = peer_store 1 [ "cold" ] in
   let wi = Work_item.initial ctx.plan (List.hd oids) in
-  Alcotest.(check string) "route" "ship" (route_name (Site.route site ctx ~dst:1 wi));
+  Alcotest.(check string) "route" "ship" (route_name (Site.route site ctx ~n_sites:2 ~dst:1 wi));
   check_int "nothing parked" 0 ctx.parked_count;
   check_bool "ready" true (Site.ready ctx);
   check_int "fill installs nothing" 0
@@ -258,9 +268,9 @@ let test_hits_not_served () =
   let oids, summary = peer_store 1 [ "cold"; "cold" ] in
   let cached, other = match oids with [ a; b ] -> (a, b) | _ -> assert false in
   check_int "fill" 1 (Site.fill site ctx ~src:1 ~version:2 [ answer cached true ]);
-  Site.learn site ~peer:1 ~version:2 ~epoch:1 (Site.Fresh summary);
+  Site.learn site ~peer:1 ~version:2 ~epoch:1 (wire summary);
   let items = List.map (Work_item.initial ctx.plan) [ cached; other ] in
-  List.iter (fun wi -> ignore (Site.route site ctx ~dst:1 wi)) items;
+  List.iter (fun wi -> ignore (Site.route site ctx ~n_sites:2 ~dst:1 wi)) items;
   Alcotest.(check (list string))
     "the hit ships, the miss misses" [ "ship"; "miss invalidated=false" ]
     (List.map (fun (_, r) -> route_name r) (Site.release site ctx ~dst:1 ~version:(Some 2)));
@@ -289,7 +299,7 @@ let test_validate_reply () =
   check_int "no rebuild for another peer" 1 (Site.epoch site);
   check_bool "the reply's summary is the memo" true
     (match (Site.validate_reply site ~peer:3, Site.summary site) with
-     | (_, Some sent), Some own -> sent == own
+     | (_, Some sent), Some own -> String.equal sent (Hf_index.Bloom.to_string own)
      | _ -> false);
   ignore (Store.create_object store [ Tuple.keyword "hot" ]);
   let v2 = Store.version store in
@@ -442,7 +452,7 @@ let test_ready () =
   check_bool "buffered items" false (Site.ready ctx);
   ctx.buffered <- 0;
   let oids, _ = peer_store 1 [ "cold" ] in
-  ignore (Site.route site ctx ~dst:1 (Work_item.initial ctx.plan (List.hd oids)));
+  ignore (Site.route site ctx ~n_sites:2 ~dst:1 (Work_item.initial ctx.plan (List.hd oids)));
   check_bool "parked items" false (Site.ready ctx);
   Site.drop_parked ctx;
   check_bool "parked items dropped" true (Site.ready ctx);

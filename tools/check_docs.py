@@ -4,9 +4,10 @@ protocol, the telemetry surface and the module inventory.
 
 Three rules, all extracted from the source of truth in lib/:
 
-1. Every wire message — each constructor of ``Hf_proto.Message.t`` — and the
-   two envelope tag bytes (126 reliability, 127 traced span) must be named
-   somewhere under doc/.
+1. Every wire message — each constructor of ``Hf_proto.Message.msg``, the
+   one message type both engines ship (``Message.t`` is the wire's
+   instance) — and the two envelope tag bytes (126 reliability, 127 traced
+   span) must be named somewhere under doc/.
 2. Every ``hf.<layer>.<name>`` metric the code can register must be named
    somewhere under doc/, and every such name written under doc/ must be one
    the code can register.  Names are collected from (a) full string
@@ -40,24 +41,27 @@ def doc_corpus() -> str:
 
 
 def wire_tags() -> list[str]:
-    """Constructors of Message.t plus the two envelope tag bytes."""
+    """Constructors of the parameterized Message.msg plus the two envelope
+    tag bytes."""
     mli = (LIB / "proto" / "message.mli").read_text(encoding="utf-8")
-    block = mli.split("type t =", 1)[1]
+    parts = re.split(r"^type \([^)]*\) msg =$", mli, maxsplit=1, flags=re.M)
+    if len(parts) != 2:
+        sys.exit("check_docs: no `type (...) msg =` declaration in lib/proto/message.mli")
     names = []
-    for line in block.splitlines():
+    for line in parts[1].splitlines():
         m = re.match(r"\s+\| ([A-Z][A-Za-z_0-9]*)", line)
         if m:
             names.append(m.group(1))
         elif re.match(r"^[a-z(]", line):  # next top-level item ends the type
             break
+    if len(names) < 14:
+        sys.exit(f"check_docs: implausibly few message constructors extracted: {names}")
     codec = (LIB / "proto" / "codec.ml").read_text(encoding="utf-8")
     for tag_let in ("traced_tag", "rel_tag"):
         m = re.search(rf"let {tag_let} = (\d+)", codec)
         if not m:
             sys.exit(f"check_docs: {tag_let} not found in lib/proto/codec.ml")
         names.append(m.group(1))
-    if len(names) < 14:
-        sys.exit(f"check_docs: implausibly few wire tags extracted: {names}")
     return names
 
 
