@@ -631,6 +631,55 @@ let write_frames site frames =
             (Unix.write_substring sender frame 0 (String.length frame)))
         frames)
 
+(* A Deref_request and then a Scatter for the same query, in one
+   write(2), both on objects that spawn nothing and fail the filter:
+   site 1 handles both frames before it drains, so the scatter lands
+   while the banked item still waits.  The gather then carries no
+   credit, and the one credit frame that follows carries both shares:
+   the scatter's share goes home with the pending work's drain. *)
+let test_scatter_reply_behind_pending_work () =
+  let origin = fake_site () in
+  let site = Tcp.create ~site:1 () in
+  Fun.protect
+    ~finally:(fun () ->
+      Tcp.shutdown site;
+      Unix.close origin)
+    (fun () ->
+      Tcp.set_peers site [| Unix.getsockname origin; Tcp.address site |];
+      let store = Tcp.store site in
+      let cold () =
+        let oid = Store.fresh_oid store in
+        Store.insert store (Hf_data.Hobject.of_tuples oid [ Tuple.keyword "cold" ]);
+        oid
+      in
+      let banked = cold () in
+      let root = cold () in
+      let program = parse_program "(Keyword, \"hot\", ?)" in
+      let _, half = Credit.split Credit.one in
+      let quarter, eighth = Credit.split half in
+      let query = { Message.originator = 0; serial = 9 } in
+      let scatter =
+        Frame.frame
+          (Codec.encode
+             (Message.Scatter
+                { query; body = program; roots = [ root ]; credit = Credit.atoms eighth }))
+      in
+      write_frames site [ deref_frame ~query program banked quarter ^ scatter ];
+      let back = accept_within origin in
+      Fun.protect
+        ~finally:(fun () -> Unix.close back)
+        (fun () ->
+          match read_messages back with
+          | [ Message.Gather_result { credit = gathered; _ }; Message.Credit_return { credit; _ } ]
+            ->
+            check_bool "the gather carries no credit" true (gathered = []);
+            check_bool "the credit frame carries both shares" true
+              (Credit.equal (Credit.of_atoms credit) (Credit.add quarter eighth))
+          | messages ->
+            Alcotest.failf "expected a Gather_result, then a Credit_return; got %a"
+              Fmt.(list ~sep:comma Message.pp)
+              messages))
+
 (* A raising drain drops its query at the site, as a Query_done would:
    the context is evicted and the query tombstoned.  The same zero-credit
    frame as above raises the drain; within a second the site holds no
@@ -1533,39 +1582,63 @@ let test_stats_pull_three_sites () =
 (* The always-on monitoring surface: connect to the monitor port, read
    to EOF, get this site's registry as Prometheus text.  A lone site's
    [pull_stats] has no peer to wait for. *)
+(* The Prometheus text [site]'s monitor port serves. *)
+let monitor_text site =
+  match Tcp.monitor_address site with
+  | None -> Alcotest.fail "monitor_port 0 should bind an ephemeral port"
+  | Some addr ->
+    let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+    Fun.protect
+      ~finally:(fun () -> try Unix.close sock with Unix.Unix_error _ -> ())
+      (fun () ->
+        Unix.connect sock addr;
+        let buf = Buffer.create 4096 in
+        let chunk = Bytes.create 4096 in
+        let rec drain () =
+          let n = Unix.read sock chunk 0 (Bytes.length chunk) in
+          if n > 0 then begin
+            Buffer.add_subbytes buf chunk 0 n;
+            drain ()
+          end
+        in
+        (try drain () with End_of_file -> ());
+        Buffer.contents buf)
+
 let test_monitor_surface () =
   with_obs_sites ~monitor_port:0 1 (fun sites ->
       let oids = load_ring sites 6 in
       let (_ : Tcp.outcome) = Tcp.run_query sites.(0) closure [ oids.(0) ] in
       Alcotest.(check (list int)) "a lone site pulls its own stats at once" [ 0 ]
         (List.map fst (within ~seconds:1.0 "pull_stats" (fun () -> Tcp.pull_stats sites.(0))));
-      match Tcp.monitor_address sites.(0) with
-      | None -> Alcotest.fail "monitor_port 0 should bind an ephemeral port"
-      | Some addr ->
-        let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-        let text =
-          Fun.protect
-            ~finally:(fun () -> try Unix.close sock with Unix.Unix_error _ -> ())
-            (fun () ->
-              Unix.connect sock addr;
-              let buf = Buffer.create 4096 in
-              let chunk = Bytes.create 4096 in
-              let rec drain () =
-                let n = Unix.read sock chunk 0 (Bytes.length chunk) in
-                if n > 0 then begin
-                  Buffer.add_subbytes buf chunk 0 n;
-                  drain ()
-                end
-              in
-              (try drain () with End_of_file -> ());
-              Buffer.contents buf)
-        in
+        let text = monitor_text sites.(0) in
         check_bool "TYPE line for the message counter" true
           (contains text "# TYPE hf_net_messages_sent counter");
         check_bool "series carry the site label" true (contains text "site=\"0\"");
         check_bool "sched gauge exposed" true (contains text "hf_net_sched_tenants");
         check_bool "admission-wait histogram exposed" true
           (contains text "hf_net_admission_wait_s_bucket"))
+
+(* Queries running and queued and live contexts are levels that fall:
+   a site's snapshot samples them as gauges, and its Prometheus dump
+   types them so.  As counters, [Registry.diff] of one that fell read
+   0. *)
+let test_level_metrics_are_gauges () =
+  with_obs_sites ~monitor_port:0 1 (fun sites ->
+      let levels = [ "queries_running"; "queries_queued"; "contexts_live" ] in
+      let snapshot = Hf_obs.Registry.snapshot (Tcp.registry sites.(0)) in
+      List.iter
+        (fun level ->
+          check_bool (level ^ " sampled as a gauge") true
+            (match List.assoc_opt ("hf.net." ^ level) snapshot with
+             | Some (Hf_obs.Registry.Gauge_value _) -> true
+             | Some _ | None -> false))
+        levels;
+      let text = monitor_text sites.(0) in
+      List.iter
+        (fun level ->
+          check_bool (level ^ " typed gauge") true
+            (contains text ("# TYPE hf_net_" ^ level ^ " gauge")))
+        levels)
 
 (* EXPLAIN ANALYZE over real sockets: the profile's scalars are the
    outcome's exact per-query counters, and the span-derived view is
@@ -1643,6 +1716,8 @@ let () =
         ] );
       ( "frame path",
         [
+          Alcotest.test_case "a scatter behind pending work: its share goes home with the work"
+            `Quick test_scatter_reply_behind_pending_work;
           Alcotest.test_case "one credit return per read" `Quick
             test_one_credit_return_per_read;
           Alcotest.test_case "oversized header closes the connection" `Quick
@@ -1699,6 +1774,7 @@ let () =
           Alcotest.test_case "stats pull across three sites" `Quick test_stats_pull_three_sites;
           Alcotest.test_case "monitor surface serves Prometheus text" `Quick
             test_monitor_surface;
+          Alcotest.test_case "level metrics are gauges" `Quick test_level_metrics_are_gauges;
           Alcotest.test_case "profile reconciles with outcome" `Quick
             test_profile_reconciles_over_tcp;
           Alcotest.test_case "query_rtt: one sample per query" `Quick
