@@ -1081,17 +1081,14 @@ let e18_run ?tracer ~n_sites ~in_flight ~n_queries () =
     match tracer with
     | None -> []
     | Some tr ->
-      (* The monitoring pattern sampling buys: fetch the span list once,
-         then profile only the queries the sampler kept — the skipped
-         ones have no spans to explain. *)
-      let spans = Hf_obs.Tracer.spans tr in
-      let traced = Hashtbl.create 32 in
-      List.iter (fun (s : Hf_obs.Span.t) -> Hashtbl.replace traced s.Hf_obs.Span.query ())
-        spans;
+      (* The monitoring pattern sampling buys: bucket the span list by
+         query in one pass, then profile only the queries the sampler
+         kept — the skipped ones have no spans to explain. *)
+      let spans = Hf_obs.Profile.by_query (Hf_obs.Tracer.spans tr) in
       List.filter_map
         (fun h ->
           let q = Fmt.str "%a" Hf_proto.Message.pp_query_id (C.query_id h) in
-          if Hashtbl.mem traced q then Some (C.profile ~spans cluster h) else None)
+          if spans q <> [] then Some (C.profile ~spans cluster h) else None)
         handles
   in
   let cpu = Sys.time () -. c0 in
@@ -1105,7 +1102,7 @@ let e18_obs_overhead () =
      traced-and-profiled run of the E17 workload stays within 5% of the untraced one";
   let n_sites = 3 and in_flight = 8 and n_queries = 400 in
   let sample_rate = 0.1 in
-  let reps = 9 in
+  let reps = 25 in
   let timings (wall, cpu, _profiles) = (wall, cpu) in
   let plain () = timings (e18_run ~n_sites ~in_flight ~n_queries ()) in
   (* fresh tracer per run: retained spans must not accumulate across reps *)

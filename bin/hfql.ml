@@ -139,28 +139,13 @@ let demo ~sites ~objects ~seed ~in_flight ~mode ~explain_plan ~trace ~profile ~p
       ?in_flight:(if in_flight > 1 then Some in_flight else None)
       ~sites ~objects ~seed ()
   in
-  let profiles = ref [] in
-  (* EXPLAIN ANALYZE per query; the slow-query log fires on virtual
-     response time, so it is deterministic for a given seed.  The log
-     line names the execution mode that ran, so a slow entry already
-     says whether the planner's choice was involved. *)
-  let profiled text (r : Hf_client.Embedded.result) =
-    if tracing then begin
-      let prof = Hf_client.Embedded.profile server r in
-      profiles := prof :: !profiles;
-      if profile then Fmt.pr "%a@." Hf_obs.Profile.pp prof;
-      match slow_ms with
-      | Some threshold
-        when r.Hf_client.Embedded.outcome.Hf_server.Cluster.response_time *. 1000.0
-             >= threshold ->
-        Fmt.epr "hfql: slow query (%.1f ms >= %.1f ms, mode: %s): %s@.%a@."
-          (r.Hf_client.Embedded.outcome.Hf_server.Cluster.response_time *. 1000.0)
-          threshold
-          (Hf_query.Plan.mode_name r.Hf_client.Embedded.outcome.Hf_server.Cluster.mode)
-          text Hf_obs.Profile.pp prof
-      | _ -> ()
-    end
-  in
+  let module C = Hf_client.Embedded.C in
+  let cluster = Hf_client.Embedded.cluster server in
+  (* Output waits until every query has run, so the profile after each
+     query's lines comes from one pass over the tracer's spans. *)
+  let parts = ref [] in
+  let say fmt = Format.kdprintf (fun print -> parts := `Text print :: !parts) fmt in
+  let profiled ?text h = if tracing then parts := `Profile (text, h) :: !parts in
   let queries =
     [
       "Root [ (Pointer, \"Tree\", ?X) ^^X ]* (Number, \"Rand10\", 5) -> Hits";
@@ -169,36 +154,34 @@ let demo ~sites ~objects ~seed ~in_flight ~mode ~explain_plan ~trace ~profile ~p
   in
   List.iter
     (fun text ->
-      Fmt.pr "query: %s@." text;
+      say "query: %s@." text;
       if explain_plan then begin
         match explain_query server ~origin:0 text with
-        | Ok decision -> Fmt.pr "  plan: %a@." Hf_query.Plan.pp decision
+        | Ok decision -> say "  plan: %a@." Hf_query.Plan.pp decision
         | Error message -> Fmt.epr "hfql: cannot explain: %s@." message
       end;
       let r = Hf_client.Embedded.query server text in
-      Fmt.pr "  %d result(s) in %.3f simulated seconds (mode: %s)@."
+      say "  %d result(s) in %.3f simulated seconds (mode: %s)@."
         (List.length r.Hf_client.Embedded.oids)
         r.Hf_client.Embedded.outcome.Hf_server.Cluster.response_time
         (Hf_query.Plan.mode_name r.Hf_client.Embedded.outcome.Hf_server.Cluster.mode);
       List.iter
         (fun (target, values) ->
-          Fmt.pr "  %s = %a@." target (Fmt.list ~sep:Fmt.comma Hf_data.Value.pp) values)
+          say "  %s = %a@." target (Fmt.list ~sep:Fmt.comma Hf_data.Value.pp) values)
         r.Hf_client.Embedded.values;
-      profiled text r)
+      profiled ~text r.Hf_client.Embedded.handle)
     queries;
   (* --in-flight N: submit N copies of the closure query at once; the
      admission gate keeps all of them running and the per-query slices
      interleave (DESIGN.md §4h), so the batch finishes in a fraction of
      N back-to-back runs. *)
   if in_flight > 1 then begin
-    let module C = Hf_client.Embedded.C in
-    let cluster = Hf_client.Embedded.cluster server in
     let program =
       Hf_query.Compile.compile
         (Hf_query.Parser.parse_body "[ (Pointer, \"Tree\", ?X) ^^X ]* (Number, \"Rand10\", 5)")
     in
     let root = Option.value ~default:[] (Hf_client.Embedded.find_set server "Root") in
-    Fmt.pr "@.concurrent batch: %d copies of the closure query, all in flight@." in_flight;
+    say "@.concurrent batch: %d copies of the closure query, all in flight@." in_flight;
     let handles = List.init in_flight (fun _ -> C.submit cluster ~origin:0 program root) in
     C.await_quiescence cluster;
     let times =
@@ -208,36 +191,54 @@ let demo ~sites ~objects ~seed ~in_flight ~mode ~explain_plan ~trace ~profile ~p
     in
     let makespan = List.fold_left Float.max 0.0 times in
     let fastest = List.fold_left Float.min makespan times in
-    Fmt.pr "  batch makespan %.3f simulated seconds (%.2f queries/s); one at a time \
-            would take roughly %.3f@."
+    say "  batch makespan %.3f simulated seconds (%.2f queries/s); one at a time \
+         would take roughly %.3f@."
       makespan
       (float_of_int in_flight /. makespan)
       (float_of_int in_flight *. fastest);
     (* Under contention the interesting profile is the slowest query's:
        its Wait rows show what the batch cost it. *)
-    if tracing then begin
-      let slowest =
-        List.fold_left
-          (fun acc h ->
-            let rt = (C.outcome cluster h).Hf_server.Cluster.response_time in
-            match acc with Some (_, best) when best >= rt -> acc | _ -> Some (h, rt))
-          None handles
-      in
-      match slowest with
-      | None -> ()
-      | Some (h, _) ->
-        let prof = C.profile cluster h in
-        profiles := prof :: !profiles;
-        if profile then Fmt.pr "%a@." Hf_obs.Profile.pp prof
-    end
+    List.fold_left
+      (fun acc h ->
+        let rt = (C.outcome cluster h).Hf_server.Cluster.response_time in
+        match acc with Some (_, best) when best >= rt -> acc | _ -> Some (h, rt))
+      None handles
+    |> Option.iter (fun (h, _) -> profiled h)
   end;
+  (* EXPLAIN ANALYZE per query; the slow-query log fires on virtual
+     response time, so it is deterministic for a given seed.  The log
+     line names the execution mode that ran, so a slow entry already
+     says whether the planner's choice was involved. *)
+  let spans = Hf_obs.Profile.by_query (Hf_obs.Tracer.spans tracer) in
+  let profiles =
+    List.filter_map
+      (function
+        | `Text print ->
+          print Format.std_formatter;
+          None
+        | `Profile (text, h) ->
+          let prof = C.profile ~spans cluster h in
+          if profile then Fmt.pr "%a@." Hf_obs.Profile.pp prof;
+          let o = C.outcome cluster h in
+          (match (text, slow_ms) with
+           | Some text, Some threshold
+             when o.Hf_server.Cluster.response_time *. 1000.0 >= threshold ->
+             Fmt.epr "hfql: slow query (%.1f ms >= %.1f ms, mode: %s): %s@.%a@."
+               (o.Hf_server.Cluster.response_time *. 1000.0)
+               threshold
+               (Hf_query.Plan.mode_name o.Hf_server.Cluster.mode)
+               text Hf_obs.Profile.pp prof
+           | _ -> ());
+          Some prof)
+      (List.rev !parts)
+  in
   (match profile_json with
    | None -> ()
    | Some path ->
-     let json = Hf_obs.Json.List (List.rev_map Hf_obs.Profile.to_json !profiles) in
+     let json = Hf_obs.Json.List (List.map Hf_obs.Profile.to_json profiles) in
      Out_channel.with_open_text path (fun oc ->
          Out_channel.output_string oc (Hf_obs.Json.to_string json));
-     Fmt.pr "profiles: %d -> %s@." (List.length !profiles) path);
+     Fmt.pr "profiles: %d -> %s@." (List.length profiles) path);
   finish_trace tracer trace;
   warn_dropped tracer;
   0

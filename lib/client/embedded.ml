@@ -89,8 +89,6 @@ let query_ast ?origin ?source ?target t body =
   let origin = Option.value origin ~default:t.default_origin in
   run_parsed t ~origin { Hf_query.Parser.source; body; target }
 
-let profile t (r : result) = C.profile t.cluster r.handle
-
 (* Create an object on a site and return its oid — the write half of the
    application interface. *)
 let create_object t ~site tuples =

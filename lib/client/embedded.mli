@@ -40,7 +40,7 @@ type result = {
       (** values retrieved by [->], per target variable. *)
   handle : C.handle;
       (** the underlying cluster handle, kept so the query can be
-          profiled after the fact (see {!profile}). *)
+          profiled after the fact ([C.profile], DESIGN.md §4i). *)
 }
 
 val query : ?origin:int -> t -> string -> result
@@ -51,12 +51,6 @@ val query : ?origin:int -> t -> string -> result
 val query_ast :
   ?origin:int -> ?source:string -> ?target:string -> t -> Hf_query.Ast.t -> result
 (** Same, from a pre-built AST (e.g. via {!Hf_query.Builder}). *)
-
-val profile : t -> result -> Hf_obs.Profile.t
-(** EXPLAIN ANALYZE for a completed query (DESIGN.md §4i): per-site
-    phase/rounds breakdown from the tracer's spans, with the engine's
-    per-query metric totals pinned alongside as scalars.  Meaningful
-    only when the server was created with a real [tracer]. *)
 
 val create_object : t -> site:int -> Hf_data.Tuple.t list -> Hf_data.Oid.t
 

@@ -175,9 +175,10 @@ type context = {
          served locally). *)
   name : string; (* the query's name in spans; "" with tracing off *)
   detector : Weighted.t; (* this site's termination credit for the query *)
+  sink : Site.sink; (* where the work path hands this site's items *)
   mutable draining : Hf_engine.Work_item.t Hf_proto.Batch.t option;
       (* while the context waits in the loop's run queue: its drain's
-         batcher *)
+         batcher, which every item this site ships passes through *)
   (* origin-side only *)
   mutable terminated : bool;
   mutable ran_mode : Hf_query.Plan.mode; (* which execution mode actually ran (origin-side) *)
@@ -233,7 +234,7 @@ type t = {
   chunk : Bytes.t; (* the loop's read buffer *)
   scratch : Buffer.t; (* the loop's encode buffer: one frame's payload at a time *)
   contexts : (Message.query_id, context) Hashtbl.t;
-  runnable : (Message.query_id * context) Queue.t;
+  runnable : context Queue.t;
       (* contexts with a drain under way, in round-robin order *)
   mutable next_serial : int;
   admission : Sched.config;
@@ -273,29 +274,17 @@ type t = {
   mutable messages_sent : int;
   mutable bytes_sent : int;
   mutable messages_received : int;
-  mutable retransmits : int;
-  mutable dup_drops : int;
   mutable acks_sent : int;
-  mutable give_ups : int;
+  metrics : Hf_server.Metrics.t;
+      (* the rest, every query at this site together: cache verdicts,
+         fills, scatter traffic, planner choices, retransmits, dup
+         drops and give-ups *)
   proto : Site.t;
       (* the protocol state shared with the simulator: the answer cache
          and Bloom summary channel (off = ships every item, the seed
          protocol), the Bloofi tree over learned summaries (off = the
          planner's flat per-peer scan), and the locality memo *)
-  mutable cache_hits : int;
-  mutable cache_misses : int;
-  mutable cache_prunes : int;
-  mutable cache_validations : int;
-  mutable cache_fills : int;
-  mutable cache_invalidations : int;
-  (* scatter-gather execution mode (doc/execution_modes.md) *)
-  exec : exec_mode;
-  mutable scatter_messages : int;
-  mutable gather_messages : int;
-  mutable gather_nodes : int;
-  mutable scatter_fallbacks : int;
-  mutable planner_scatter : int;
-  mutable planner_ship : int;
+  exec : exec_mode; (* scatter-gather execution mode (doc/execution_modes.md) *)
   (* cluster-wide stats scraping and monitoring (DESIGN.md §4i) *)
   mutable stats_token : int;
       (* last Stats_pull token issued by this site; replies carrying an
@@ -510,66 +499,27 @@ let transmit_raw t ?(span = 0) ~seq ~dst message =
        included — is charged to its query's live context instead; link
        housekeeping ([Link_ack]) and post-eviction control frames have
        no query context and stay site-global only. *)
-    (match
-       (match (message : Message.t) with
-        | Message.Link_ack | Message.Stats_pull _ | Message.Stats_report _
-        | Message.Work_batch [] -> None
-        | m -> Some (Message.query_of m))
-     with
-    | Some q -> (
-        match Hashtbl.find_opt t.contexts q with
-        | Some ctx ->
-          ctx.msgs_sent <- ctx.msgs_sent + 1;
-          ctx.bytes_out <- ctx.bytes_out + size
-        | None -> ())
-    | None -> ());
+    (match Option.bind (Message.query_of message) (Hashtbl.find_opt t.contexts) with
+     | Some ctx ->
+       ctx.msgs_sent <- ctx.msgs_sent + 1;
+       ctx.bytes_out <- ctx.bytes_out + size
+     | None -> ());
     Hf_obs.Histogram.observe t.sent_frame_bytes (float_of_int size);
     enqueue conn t.scratch;
     clear_scratch t
 
 (* --- query contexts --- *)
 
-(* [cause] parents this site's evaluation span on the span of the work
-   message that introduced the query here (0: no known cause). *)
-let new_context t ~cause ~name ~query program =
-  let span =
-    Hf_obs.Tracer.start t.tracer ~parent:cause ~query:name ~site:t.id ~phase:Hf_obs.Span.Eval
-      "site-eval"
-  in
-  let ctx =
-    {
-      core = Site.context ~query ~span program;
-      name;
-      detector =
-        Weighted.create ~n_sites:(Array.length t.peers) ~origin:query.originator ~self:t.id;
-      draining = None;
-      terminated = false;
-      ran_mode = Hf_query.Plan.Ship;
-      decision = None;
-      msgs_sent = 0;
-      bytes_out = 0;
-      queue_wait_s = 0.0;
-      admitted = false;
-      slot_released = false;
-      cancelled = false;
-      started = 0.0;
-      finished_at = 0.0;
-      settled = false;
-    }
-  in
-  Hashtbl.replace t.contexts query ctx;
-  ctx
-
 (* Put [ctx] in the run queue, unless a drain is already under way;
    the drain's batcher either way. *)
-let schedule t query ctx =
+let schedule t ctx =
   match ctx.draining with
   | Some out -> out
   | None ->
     let out = Hf_proto.Batch.create t.batch_policy in
     ctx.draining <- Some out;
     ctx.core.active <- ctx.core.active + 1;
-    Queue.push (query, ctx) t.runnable;
+    Queue.push ctx t.runnable;
     out
 
 (* --- context eviction --- *)
@@ -649,7 +599,7 @@ let rec send t ?(span = 0) ~dst message =
    only keep the query from terminating, never end it early.  That also
    bounds the recursion through [send]: an unwind sends only answers. *)
 and give_up_message t ~dst message =
-  t.give_ups <- t.give_ups + 1;
+  t.metrics.give_ups <- t.metrics.give_ups + 1;
   Log.warn (fun m ->
       m "site %d: giving up on %a to unreachable peer %d" t.id Message.pp message dst);
   let with_context query f = Option.iter f (Hashtbl.find_opt t.contexts query) in
@@ -664,7 +614,7 @@ and give_up_message t ~dst message =
     (* The validation round trip died: un-park the waiting items and
        ship them the plain way — those sends fail fast against the
        dead link and their credit is unwound by the work arms above. *)
-    with_context query (fun ctx -> release_parked t query ctx ~dst None)
+    with_context query (fun ctx -> release_parked t ctx ~dst None)
   | Message.Scatter { query; credit; _ } ->
     (* Its slot in the stitch closes too — the chains parked for it are
        lost as a classic loss at that site loses them — and the drain,
@@ -682,106 +632,34 @@ and give_up_message t ~dst message =
      messages are credit-free by design — losing one costs a stale
      scrape, nothing more. *)
 
-(* --- the cache layer (DESIGN.md §4g) --- *)
+(* --- the work path ([Site.step], [Site.dispatch]) --- *)
 
-(* Count [Site]'s routing verdict for an item bound for [dst]; [true]
-   iff the item must still ship.  A hit's verdict is already in the
-   results — the bookkeeping the remote's Result would have caused,
-   minus the wire. *)
-and ships t query ~dst (route : Site.route) =
-  match route with
-  | Site.Ship -> true
-  | Site.Pruned ->
-    t.cache_prunes <- t.cache_prunes + 1;
-    false
-  | Site.Hit _ ->
-    t.cache_hits <- t.cache_hits + 1;
-    false
-  | Site.Miss { invalidated } ->
-    if invalidated then t.cache_invalidations <- t.cache_invalidations + 1;
-    t.cache_misses <- t.cache_misses + 1;
-    true
-  | Site.Parked | Site.Dangling -> false
-  | Site.Validate ->
-    t.cache_validations <- t.cache_validations + 1;
-    send t ~dst (Message.Cache_validate { query; src = t.id });
-    false
-
-(* Un-park every item waiting on [dst].  [Some version]: resolve each
-   against the vouched version.  [None] (the validation round trip gave
-   up): ship them all the plain way.  Ends with the drain tail, which
-   the [core.active] guard suppresses when a give-up fired mid-drain. *)
-and release_parked t query ctx ~dst version =
-  let misses =
-    List.filter_map
-      (fun (wi, route) -> if ships t query ~dst route then Some wi else None)
-      (Site.release t.proto ctx.core ~dst ~version)
-  in
-  send_work_batch t query ctx ~dst misses;
+(* Route every item parked behind [dst]'s validation, then the drain
+   tail, which waits for a drain those items started. *)
+and release_parked t ctx ~dst version =
+  ignore (Site.unpark t.proto ctx.core ctx.sink ~dst ~version);
   finish_drain t ctx
 
-(* Route one remote-bound item: plain batcher push with caching off;
-   with it on, resolve against the validated version, or park behind a
-   Cache_validate round trip on first contact with the destination. *)
-and route_remote t query ctx ~out wi =
-  let dst = Hf_data.Oid.birth_site (Hf_engine.Work_item.oid wi) in
-  if ships t query ~dst (Site.route t.proto ctx.core ~n_sites:(Array.length t.peers) ~dst wi)
-  then begin
-    ctx.core.buffered <- ctx.core.buffered + 1;
-    match Hf_proto.Batch.push out ~dst wi with
-    | None -> ()
-    | Some items ->
-      ctx.core.buffered <- ctx.core.buffered - List.length items;
-      send_work_batch t query ctx ~dst items
-  end
-
-(* Ship a batch of work items to [dst], splitting the sender's credit
-   once for the whole batch.  A single item goes as a plain
-   [Deref_request] — byte-identical to the unbatched protocol — so a
-   [Flush_at 1] site is indistinguishable on the wire. *)
-and send_work_batch t query ctx ~dst items =
-  match items with
-  | [] -> ()
-  | items ->
-    let credit = C.split ctx.detector ~dst in
-    let body = Hf_engine.Plan.program ctx.core.plan in
-    let span = counted_span t ctx Hf_obs.Span.Ship "work" dst items "item(s)" in
-    (match items with
-     | [ wi ] ->
-       send t ~span ~dst
-         (Message.Deref_request
-            {
-              query;
-              body;
-              oid = Hf_engine.Work_item.oid wi;
-              start = Hf_engine.Work_item.start wi;
-              iters = Hf_engine.Work_item.iters wi;
-              credit;
-            })
-     | items -> send t ~span ~dst (Message.Work_batch [ { Message.query; body; items; credit } ]))
-
-(* Stitch in [src]'s gather at the originator (scatter-gather mode):
-   chains that escaped the scattered site set re-enter the classic
-   pipeline — cache layer, batcher, credit split — as ordinary remote
-   work. *)
-and stitch_gather t query ctx ~src nodes =
-  let fallback = Site.gather t.proto ctx.core ~site:src nodes in
-  t.scatter_fallbacks <- t.scatter_fallbacks + List.length fallback;
-  route_now t query ctx fallback
-
-(* Ship everything [out] still buffers. *)
-and flush_out t query ctx out =
-  List.iter
-    (fun (dst, items) ->
-      ctx.core.buffered <- ctx.core.buffered - List.length items;
-      send_work_batch t query ctx ~dst items)
-    (Hf_proto.Batch.flush_all out)
-
-(* Route [items] through a batcher of their own and ship them at once. *)
-and route_now t query ctx items =
-  let out = Hf_proto.Batch.create t.batch_policy in
-  List.iter (route_remote t query ctx ~out) items;
-  flush_out t query ctx out
+(* Ship items a batcher flushed for [dst] under one credit share.  A
+   single item goes as a plain [Deref_request] — byte-identical to the
+   unbatched protocol — so a [Flush_at 1] site is indistinguishable on
+   the wire. *)
+and send_work t ctx ~dst items =
+  let group = C.group ctx.core ctx.detector ~dst items in
+  let span = counted_span t ctx Hf_obs.Span.Ship "work" dst items "item(s)" in
+  send t ~span ~dst
+    (match group with
+     | { items = [ wi ]; query; body; credit } ->
+       Message.Deref_request
+         {
+           query;
+           body;
+           oid = Hf_engine.Work_item.oid wi;
+           start = Hf_engine.Work_item.start wi;
+           iters = Hf_engine.Work_item.iters wi;
+           credit;
+         }
+     | group -> Message.Work_batch [ group ])
 
 (* The credit-return tail ([C.drain]).  Gated on [Site.ready] — it must
    not run while a drain is still under way, while items sit in a
@@ -790,38 +668,6 @@ and route_now t query ctx items =
    see termination with work outstanding. *)
 and finish_drain t ctx =
   if Site.ready ctx.core then post t ctx (C.drain t.proto ctx.core ctx.detector)
-
-(* Process at most [budget] items of the working set; [true] iff work
-   remains.  One bounded slice per context per round is what lets N
-   queries share a site: a drain from first item to credit return
-   would hold back every other query, and every incoming message,
-   behind it.
-
-   Remote spawns pass through the cache layer and a per-destination
-   batcher: a destination reaching K items flushes mid-slice, and
-   everything left flushes when the working set empties — always before
-   this site's credit goes back, so termination is never starved. *)
-and drain_slice t query ctx ~out ~budget =
-  let rec step n =
-    if n = 0 then not (Hf_util.Deque.is_empty ctx.core.work)
-    else
-      match Hf_util.Deque.pop_front ctx.core.work with
-      | None -> false
-      | Some item ->
-        let { Hf_engine.Eval.spawned; passed; skipped } = Site.eval t.proto ctx.core item in
-        List.iter
-          (fun wi ->
-            let target_site = Hf_data.Oid.birth_site (Hf_engine.Work_item.oid wi) in
-            if target_site = t.id then Hf_util.Deque.push_back ctx.core.work wi
-            else route_remote t query ctx ~out wi)
-          spawned;
-        (* Every item that ran here is offered to the originator's
-           cache, spawned locally or not. *)
-        Site.record_answer t.proto ctx.core item ~passed ~skipped;
-        if passed then Site.add_result t.proto ctx.core (Hf_engine.Work_item.oid item);
-        step (n - 1)
-  in
-  step budget
 
 (* Send what the credit paths returned, each result, gather or credit
    return under its span, then act on termination (at the origin).  In
@@ -868,6 +714,58 @@ and broadcast_query_done t query =
       if peer <> t.id then send t ~dst:peer (Message.Query_done { query; src = t.id }))
     t.peers
 
+(* A context for [query] at this site.  [cause] parents its evaluation
+   span on the span of the work message that introduced the query here
+   (0: no known cause).  Its sink banks the work path's items for this
+   store and pushes the rest into the drain's batcher, starting a drain
+   if none is under way: the drain flushes them before its credit-return
+   tail. *)
+let new_context t ~cause ~name ~query program =
+  let span =
+    Hf_obs.Tracer.start t.tracer ~parent:cause ~query:name ~site:t.id ~phase:Hf_obs.Span.Eval
+      "site-eval"
+  in
+  let rec ctx =
+    {
+      core = Site.context ~metrics:t.metrics ~n_sites:(Array.length t.peers) ~query ~span program;
+      name;
+      detector =
+        Weighted.create ~n_sites:(Array.length t.peers) ~origin:query.originator ~self:t.id;
+      sink =
+        {
+          Site.local =
+            (fun wi ->
+              Hf_util.Deque.push_back ctx.core.work wi;
+              ignore (schedule t ctx));
+          ship =
+            (fun dst wi ->
+              match Hf_proto.Batch.push (schedule t ctx) ~dst wi with
+              | None -> ()
+              | Some items -> send_work t ctx ~dst items);
+          verdict =
+            (fun dst -> function
+              | Site.Validate -> send t ~dst (Message.Cache_validate { query; src = t.id })
+              | Site.Ship | Site.Pruned | Site.Hit _ | Site.Miss _ | Site.Parked | Site.Dangling
+                -> ());
+        };
+      draining = None;
+      terminated = false;
+      ran_mode = Hf_query.Plan.Ship;
+      decision = None;
+      msgs_sent = 0;
+      bytes_out = 0;
+      queue_wait_s = 0.0;
+      admitted = false;
+      slot_released = false;
+      cancelled = false;
+      started = 0.0;
+      finished_at = 0.0;
+      settled = false;
+    }
+  in
+  Hashtbl.replace t.contexts query ctx;
+  ctx
+
 (* --- draining --- *)
 
 (* Backpressure (DESIGN.md §4h): stop evaluating while any reliable
@@ -889,31 +787,41 @@ let drain_slice_budget = 64
    its batcher and the credit-return tail.  [true] iff the context stays
    runnable.  An evicted context has no batcher left and leaves the
    queue. *)
-let drain_step t ~congested query ctx =
+let rec drain_step t ~congested ctx =
   match ctx.draining with
   | None -> false
   | Some out ->
     (congested && not (Hf_util.Deque.is_empty ctx.core.work))
-    || drain_slice t query ctx ~out ~budget:drain_slice_budget
+    || drain_slice t ctx ~budget:drain_slice_budget
     || begin
       ctx.draining <- None;
       (* drained: flush buffered work before any credit goes back *)
-      flush_out t query ctx out;
+      List.iter (fun (dst, items) -> send_work t ctx ~dst items) (Hf_proto.Batch.flush_all out);
       ctx.core.active <- ctx.core.active - 1;
       finish_drain t ctx;
       false
     end
 
+(* Process at most [budget] items of the working set; [true] iff work
+   remains.  One bounded slice per context per round is what lets N
+   queries share a site: a drain from first item to credit return
+   would hold back every other query, and every incoming message,
+   behind it.  Every item that ran here is offered to the originator's
+   cache, spawned locally or not. *)
+and drain_slice t ctx ~budget =
+  if budget = 0 then not (Hf_util.Deque.is_empty ctx.core.work)
+  else
+    match Hf_util.Deque.pop_front ctx.core.work with
+    | None -> false
+    | Some item ->
+      ignore (Site.step t.proto ctx.core ctx.sink ~record:true item);
+      drain_slice t ctx ~budget:(budget - 1)
+
 (* Start a drain of [ctx] over the query's initial oids (origin side):
    they ride the same cache layer and batcher as spawned work. *)
-let seed_drain t query ctx seeds =
-  let out = schedule t query ctx in
-  List.iter
-    (fun oid ->
-      let wi = Hf_engine.Work_item.initial ctx.core.plan oid in
-      if Hf_data.Oid.birth_site oid = t.id then Hf_util.Deque.push_back ctx.core.work wi
-      else route_remote t query ctx ~out wi)
-    seeds
+let seed_drain t ctx seeds =
+  ignore (schedule t ctx);
+  Site.dispatch t.proto ctx.core ctx.sink (List.map (Hf_engine.Work_item.initial ctx.core.plan) seeds)
 
 (* --- the execution-mode planner (doc/execution_modes.md) --- *)
 
@@ -945,23 +853,23 @@ let plan_decision t program initial =
    and stitch it in as this site's gather.  The stitch keeps
    [finish_drain] gated until every remote gather (or a give-up
    verdict for its site) lands. *)
-let scatter_seed t query ctx ~sites initial =
+let scatter_seed t ctx ~sites initial =
   let roots_of, stray = Site.scatter_seed t.proto ctx.core ~sites initial in
-  let body = Hf_engine.Plan.program ctx.core.plan in
+  let query = ctx.core.query and body = Hf_engine.Plan.program ctx.core.plan in
   List.iter
     (fun dst ->
       let credit = C.split ctx.detector ~dst in
-      t.scatter_messages <- t.scatter_messages + 1;
+      t.metrics.scatter_messages <- t.metrics.scatter_messages + 1;
       let roots = roots_of dst in
       let span = counted_span t ctx Hf_obs.Span.Scatter "scatter" dst roots "root(s)" in
       send t ~span ~dst (Message.Scatter { query; body; roots; credit }))
     sites;
   let nodes = Site.eval_domain t.proto ctx.core ~roots:(roots_of t.id) in
-  stitch_gather t query ctx ~src:t.id nodes;
+  ignore (Site.stitch t.proto ctx.core ctx.sink ~site:t.id nodes);
   (* Stray seeds — oids born outside origin ∪ predicted, left out by a
      partial scatter — ship classically, same contract as an escaped
      chain. *)
-  route_now t query ctx (List.map (Hf_engine.Work_item.initial ctx.core.plan) stray);
+  Site.dispatch t.proto ctx.core ctx.sink (List.map (Hf_engine.Work_item.initial ctx.core.plan) stray);
   finish_drain t ctx
 
 (* --- incoming messages --- *)
@@ -998,7 +906,7 @@ let take_work t ~span ~src query body credit items =
   | Some ctx ->
     post t ctx (C.deposit ctx.core ctx.detector ~src credit);
     List.iter (bank t ctx) items;
-    ignore (schedule t query ctx)
+    ignore (schedule t ctx)
 
 (* Once every peer has answered the newest pull, wake [pull_stats]. *)
 let note_pulled t =
@@ -1054,7 +962,7 @@ let handle_message t ~span ?rel message =
       match Hf_proto.Reliable.receive link ~now ~seq with
       | `Fresh -> true
       | `Duplicate ->
-        t.dup_drops <- t.dup_drops + 1;
+        t.metrics.dup_drops <- t.metrics.dup_drops + 1;
         Log.debug (fun m -> m "site %d: duplicate seq %d from %d dropped" t.id seq peer);
         false)
   in
@@ -1077,11 +985,12 @@ let handle_message t ~span ?rel message =
     | None -> ()
     | Some ctx -> (
       Site.join ctx.core.final message;
-      post t ctx (C.answer ctx.core ctx.detector ~src ~stitch:(stitch_gather t query ctx) message);
+      let stitch ~src nodes = ignore (Site.stitch t.proto ctx.core ctx.sink ~site:src nodes) in
+      post t ctx (C.answer ctx.core ctx.detector ~src ~stitch message);
       match message with
       | Message.Gather_result { nodes; _ } ->
-        t.gather_messages <- t.gather_messages + 1;
-        t.gather_nodes <- t.gather_nodes + List.length nodes;
+        t.metrics.gather_messages <- t.metrics.gather_messages + 1;
+        t.metrics.gather_nodes <- t.metrics.gather_nodes + List.length nodes;
         finish_drain t ctx
       | _ -> ()))
   | Message.Link_ack -> () (* transport-level: the ack value rode in the envelope *)
@@ -1095,13 +1004,12 @@ let handle_message t ~span ?rel message =
     Site.learn t.proto ~peer ~version ~epoch summary;
     match Hashtbl.find_opt t.contexts query with
     | None -> ()
-    | Some ctx -> release_parked t query ctx ~dst:peer (Some version))
+    | Some ctx -> release_parked t ctx ~dst:peer (Some version))
   | Message.Cache_answers { query; src = peer; version; answers } -> (
     (* Opportunistic fill at the originator: install the remote's
        verdicts, keyed by the answering site. *)
     match Hashtbl.find_opt t.contexts query with
-    | Some ctx ->
-      t.cache_fills <- t.cache_fills + Site.fill t.proto ctx.core ~src:peer ~version answers
+    | Some ctx -> Site.fill t.proto ctx.core ~src:peer ~version answers
     | None -> ())
   | Message.Query_done { query; _ } -> (
     (* The originator closed the query (terminated or cancelled):
@@ -1141,7 +1049,7 @@ let poke_links t =
           | Hf_proto.Reliable.Retransmit entries ->
             List.iter
               (fun (seq, message) ->
-                t.retransmits <- t.retransmits + 1;
+                t.metrics.retransmits <- t.metrics.retransmits + 1;
                 if Hf_obs.Tracer.enabled t.tracer then
                   ignore
                     (Hf_obs.Tracer.instant t.tracer
@@ -1326,15 +1234,15 @@ let run_commands t =
 let drain_round t =
   let congested = link_congested t in
   for _ = 1 to Queue.length t.runnable do
-    let ((query, ctx) as entry) = Queue.pop t.runnable in
-    match drain_step t ~congested query ctx with
-    | true -> Queue.push entry t.runnable
+    let ctx = Queue.pop t.runnable in
+    match drain_step t ~congested ctx with
+    | true -> Queue.push ctx t.runnable
     | false -> ()
     | exception e ->
       Log.err (fun m ->
-          m "site %d: drain of %a failed, query dropped here: %s" t.id Message.pp_query_id query
-            (Printexc.to_string e));
-      evict_context t query ctx
+          m "site %d: drain of %a failed, query dropped here: %s" t.id Message.pp_query_id
+            ctx.core.query (Printexc.to_string e));
+      evict_context t ctx.core.query ctx
   done
 
 let give_up_s = 0.05
@@ -1530,26 +1438,13 @@ let create ~site ?(batch = Hf_proto.Batch.unbatched) ?reliability ?cache
       messages_sent = 0;
       bytes_sent = 0;
       messages_received = 0;
-      retransmits = 0;
-      dup_drops = 0;
       acks_sent = 0;
-      give_ups = 0;
+      (* one record for the site, so no per-site busy time *)
+      metrics = Hf_server.Metrics.create ~n_sites:0;
       proto =
         Site.create ~id:site ~store ~clock:Unix.gettimeofday ~cache ~serve_hits:true
           ~bloofi:true ~bloofi_depth;
-      cache_hits = 0;
-      cache_misses = 0;
-      cache_prunes = 0;
-      cache_validations = 0;
-      cache_fills = 0;
-      cache_invalidations = 0;
       exec;
-      scatter_messages = 0;
-      gather_messages = 0;
-      gather_nodes = 0;
-      scatter_fallbacks = 0;
-      planner_scatter = 0;
-      planner_ship = 0;
       stats_token = 0;
       peer_stats = Hashtbl.create 8;
       peer_stats_token = Hashtbl.create 8;
@@ -1566,22 +1461,22 @@ let create ~site ?(batch = Hf_proto.Batch.unbatched) ?reliability ?cache
   counter "hf.net.messages_received" (fun () -> t.messages_received);
   Hf_obs.Registry.register_counter registry "hf.net.join_errors" (fun () ->
       Atomic.get t.join_errors);
-  counter "hf.net.retransmits" (fun () -> t.retransmits);
-  counter "hf.net.dup_drops" (fun () -> t.dup_drops);
+  counter "hf.net.retransmits" (fun () -> t.metrics.retransmits);
+  counter "hf.net.dup_drops" (fun () -> t.metrics.dup_drops);
   counter "hf.net.acks_sent" (fun () -> t.acks_sent);
-  counter "hf.net.give_ups" (fun () -> t.give_ups);
-  counter "hf.net.cache_hits" (fun () -> t.cache_hits);
-  counter "hf.net.cache_misses" (fun () -> t.cache_misses);
-  counter "hf.net.cache_prunes" (fun () -> t.cache_prunes);
-  counter "hf.net.cache_validations" (fun () -> t.cache_validations);
-  counter "hf.net.cache_fills" (fun () -> t.cache_fills);
-  counter "hf.net.cache_invalidations" (fun () -> t.cache_invalidations);
-  counter "hf.net.scatter_messages" (fun () -> t.scatter_messages);
-  counter "hf.net.gather_messages" (fun () -> t.gather_messages);
-  counter "hf.net.gather_nodes" (fun () -> t.gather_nodes);
-  counter "hf.net.scatter_fallbacks" (fun () -> t.scatter_fallbacks);
-  counter "hf.net.planner_scatter" (fun () -> t.planner_scatter);
-  counter "hf.net.planner_ship" (fun () -> t.planner_ship);
+  counter "hf.net.give_ups" (fun () -> t.metrics.give_ups);
+  counter "hf.net.cache_hits" (fun () -> t.metrics.cache_hits);
+  counter "hf.net.cache_misses" (fun () -> t.metrics.cache_misses);
+  counter "hf.net.cache_prunes" (fun () -> t.metrics.cache_prunes);
+  counter "hf.net.cache_validations" (fun () -> t.metrics.cache_validations);
+  counter "hf.net.cache_fills" (fun () -> t.metrics.cache_fills);
+  counter "hf.net.cache_invalidations" (fun () -> t.metrics.cache_invalidations);
+  counter "hf.net.scatter_messages" (fun () -> t.metrics.scatter_messages);
+  counter "hf.net.gather_messages" (fun () -> t.metrics.gather_messages);
+  counter "hf.net.gather_nodes" (fun () -> t.metrics.gather_nodes);
+  counter "hf.net.scatter_fallbacks" (fun () -> t.metrics.scatter_fallbacks);
+  counter "hf.net.planner_scatter" (fun () -> t.metrics.planner_scatter);
+  counter "hf.net.planner_ship" (fun () -> t.metrics.planner_ship);
   let bloofi_count f () = match Site.bloofi t.proto with None -> 0 | Some tree -> f tree in
   counter "hf.index.bloofi_probes" (bloofi_count Hf_index.Bloofi.probes_run);
   counter "hf.index.bloofi_pruned_sites" (bloofi_count Hf_index.Bloofi.pruned_total);
@@ -1714,15 +1609,9 @@ let submit_query (t : t) program initial =
          engine is always per-site-marks, ship-items, so eligibility
          plus a non-empty predicted set is all scatter needs. *)
       let decision, scatter_sites =
-        Site.select t.exec ~scatter_ok:true (fun () -> plan_decision t program initial)
+        Site.select ctx.core t.exec ~scatter_ok:true (fun () -> plan_decision t program initial)
       in
       ctx.decision <- decision;
-      (match decision with
-       | None -> ()
-       | Some _ ->
-         if Option.is_some scatter_sites then
-           t.planner_scatter <- t.planner_scatter + 1
-         else t.planner_ship <- t.planner_ship + 1);
       let seed () =
         ctx.admitted <- true;
         Weighted.on_seed ctx.detector;
@@ -1747,8 +1636,8 @@ let submit_query (t : t) program initial =
         match scatter_sites with
         | Some sites ->
           ctx.ran_mode <- Hf_query.Plan.Scatter;
-          scatter_seed t query ctx ~sites initial
-        | None -> seed_drain t query ctx initial
+          scatter_seed t ctx ~sites initial
+        | None -> seed_drain t ctx initial
       in
       (match Sched.admit t.gate ~tenant:t.id { p_query = query; p_seed = seed } with
        | Sched.Run -> seed ()

@@ -136,6 +136,15 @@ let of_spans ~query ?(scalars = []) ?(dropped = 0) all_spans =
     scalars;
   }
 
+let by_query spans =
+  let buckets = Hashtbl.create 64 in
+  List.iter
+    (fun (s : Span.t) ->
+      Hashtbl.replace buckets s.Span.query
+        (s :: Option.value (Hashtbl.find_opt buckets s.Span.query) ~default:[]))
+    spans;
+  fun query -> List.rev (Option.value (Hashtbl.find_opt buckets query) ~default:[])
+
 let pp_scalar ppf = function
   | Int n -> Fmt.int ppf n
   | Float v -> Fmt.pf ppf "%.6g" v

@@ -41,6 +41,11 @@ val of_spans :
 (** Build a profile from a tracer's spans.  Spans whose [query] field
     differs are ignored, so the whole tracer dump can be passed. *)
 
+val by_query : Span.t list -> string -> Span.t list
+(** A tracer's spans bucketed by query in one pass: the lookup gives a
+    query's spans in their order ([] for a query with none), so
+    profiling many queries reads the whole dump once. *)
+
 val scalar_int : t -> string -> int option
 val scalar_float : t -> string -> float option
 

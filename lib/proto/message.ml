@@ -176,21 +176,19 @@ type ('work, 'back) msg =
 type t = (int list, int list) msg
 
 let query_of = function
-  | Deref_request { query; _ } -> query
-  | Work_batch ({ query; _ } :: _) -> query
-  | Work_batch [] -> invalid_arg "Message.query_of: empty Work_batch"
-  | Result { query; _ } -> query
-  | Credit_return { query; _ } -> query
-  | Link_ack -> invalid_arg "Message.query_of: Link_ack carries no query"
-  | Site_unreachable { query; _ } -> query
-  | Cache_validate { query; _ } -> query
-  | Cache_version { query; _ } -> query
-  | Cache_answers { query; _ } -> query
-  | Query_done { query; _ } -> query
-  | Stats_pull _ -> invalid_arg "Message.query_of: Stats_pull carries no query"
-  | Stats_report _ -> invalid_arg "Message.query_of: Stats_report carries no query"
-  | Scatter { query; _ } -> query
-  | Gather_result { query; _ } -> query
+  | Deref_request { query; _ }
+  | Work_batch ({ query; _ } :: _)
+  | Result { query; _ }
+  | Credit_return { query; _ }
+  | Site_unreachable { query; _ }
+  | Cache_validate { query; _ }
+  | Cache_version { query; _ }
+  | Cache_answers { query; _ }
+  | Query_done { query; _ }
+  | Scatter { query; _ }
+  | Gather_result { query; _ } ->
+    Some query
+  | Work_batch [] | Link_ack | Stats_pull _ | Stats_report _ -> None
 
 let pp ppf = function
   | Deref_request { query; oid; start; iters; _ } ->

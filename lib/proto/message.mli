@@ -158,11 +158,11 @@ type ('work, 'back) msg =
 type t = (int list, int list) msg
 (** The wire's instance: credit atom exponents both ways. *)
 
-val query_of : ('work, 'back) msg -> query_id
-(** For [Work_batch] this is the first group's query (the query the
-    message is charged to).  Raises [Invalid_argument] on an empty
-    batch and on [Link_ack], [Stats_pull] and [Stats_report], which
-    belong to a link or the site, not a query. *)
+val query_of : ('work, 'back) msg -> query_id option
+(** The query a message is charged to; for [Work_batch], its first
+    group's.  [None] for an empty batch and for [Link_ack],
+    [Stats_pull] and [Stats_report], which belong to a link or the
+    site, not a query. *)
 
 val pp : Format.formatter -> ('work, 'back) msg -> unit
 val equal : t -> t -> bool

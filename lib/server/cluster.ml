@@ -494,7 +494,9 @@ module Make (D : Hf_termination.Detector.S) = struct
           let final = if site.id = query.originator then Some oq.final else None in
           let ctx =
             {
-              core = Site.context ~marks ?final ~query ~span oq.program;
+              core =
+                Site.context ~marks ?final ~metrics:oq.metrics ~n_sites:(n_sites t) ~query ~span
+                  oq.program;
               detector =
                 D.create ~n_sites:(n_sites t) ~origin:query.originator ~self:site.id;
             }
@@ -586,8 +588,7 @@ module Make (D : Hf_termination.Detector.S) = struct
      belong to a link, not a query. *)
   let message_query = function
     | Seed_from { query; _ } -> Some query
-    | Wire (Link_ack | Stats_pull _ | Stats_report _ | Work_batch []) -> None
-    | Wire m -> Some (Message.query_of m)
+    | Wire m -> Message.query_of m
 
   (* Scheduling tenant for a delivered message's handler task: the
      originating query's origin.  Acks never reach the task queue, so
@@ -612,7 +613,7 @@ module Make (D : Hf_termination.Detector.S) = struct
     |> List.map (fun (q, items) -> (q, List.rev items))
 
   let batch_total groups =
-    List.fold_left (fun acc (_, items, _) -> acc + List.length items) 0 groups
+    List.fold_left (fun acc (_, (g : _ Message.batch_group)) -> acc + List.length g.items) 0 groups
 
   (* --- serial site CPU, message delivery and sending --- *)
 
@@ -662,11 +663,9 @@ module Make (D : Hf_termination.Detector.S) = struct
     let groups =
       group_entries entries
       |> List.filter_map (fun (query, items) ->
-             match context_of t site query with
-             | Some ctx ->
-               ctx.core.buffered <- ctx.core.buffered - List.length items;
-               Some (ctx, items, C.split ctx.detector ~dst)
-             | None -> None)
+             Option.map
+               (fun ctx -> (ctx, C.group ctx.core ctx.detector ~dst items))
+               (context_of t site query))
     in
     (dst, groups)
 
@@ -675,21 +674,19 @@ module Make (D : Hf_termination.Detector.S) = struct
   and send_prepared t site (dst, groups) =
     match groups with
     | [] -> ()
-    | (ctx0, _, _) :: _ ->
+    | (ctx0, _) :: _ ->
       let total = batch_total groups in
       let oq0 = find_open t ctx0.core.query in
       with_metrics t ctx0.core.query (fun m ->
           m.Metrics.work_messages <- m.Metrics.work_messages + 1;
           if total >= 2 then m.Metrics.work_batches <- m.Metrics.work_batches + 1);
       List.iter
-        (fun (ctx, items, _) ->
-          with_metrics t ctx.core.query (fun m ->
-              let program = Hf_engine.Plan.program ctx.core.plan in
+        (fun (_, ({ query; body; items; _ } : _ Message.batch_group)) ->
+          with_metrics t query (fun m ->
               m.Metrics.work_items <- m.Metrics.work_items + List.length items;
-              m.Metrics.work_bytes <- m.Metrics.work_bytes + batch_group_bytes program items;
+              m.Metrics.work_bytes <- m.Metrics.work_bytes + batch_group_bytes body items;
               m.Metrics.batch_bytes_saved <-
-                m.Metrics.batch_bytes_saved
-                + ((List.length items - 1) * batch_header_bytes program)))
+                m.Metrics.batch_bytes_saved + ((List.length items - 1) * batch_header_bytes body)))
         groups;
       Hf_obs.Histogram.observe t.work_batch_items (float_of_int total);
       let span =
@@ -701,13 +698,7 @@ module Make (D : Hf_termination.Detector.S) = struct
       deliver t ~src:site.id ~oq:oq0 ~label:"work" ~span
         ~transit:(Hf_sim.Costs.batch_transit t.config.costs ~items:total)
         ~dst
-        (Wire
-           (Work_batch
-              (List.map
-                 (fun (ctx, items, credit) ->
-                   { Message.query = ctx.core.query;
-                     body = Hf_engine.Plan.program ctx.core.plan; items; credit })
-                 groups)))
+        (Wire (Work_batch (List.map snd groups)))
 
   (* Ship every buffered batch; runs when the site's task queue empties
      and is a no-op with nothing buffered.  Each flush is charged as a
@@ -986,68 +977,60 @@ module Make (D : Hf_termination.Detector.S) = struct
             deliver t ~src:site.id ~oq ~label ~span ~transit:t.config.costs.control_transit ~dst
               message ))
 
-  (* --- the cache layer (config.cache, DESIGN.md §4g) --- *)
+  (* --- the work path ([Site.step], [Site.dispatch]) --- *)
 
-  (* The plain path: count the item against the batcher and push it;
-     a push that reaches the K threshold hands back the buffer, which
-     the caller turns into a prepared batch. *)
-  and push_remote t site ctx ~dst wi acc =
-    ctx.core.buffered <- ctx.core.buffered + 1;
-    match Hf_proto.Batch.push site.outgoing ~dst (ctx.core.query, wi) with
-    | None -> acc
-    | Some entries -> prepare_batch t site ~dst entries :: acc
-
-  (* Act on [Site]'s routing verdict for one item bound for [dst]:
-     count it, and push whatever must still ship.  A hit's verdict is
-     already in the results — exactly what the remote's reply would
-     have brought, minus the network. *)
-  and settle t site ctx ~dst wi acc (route : Site.route) =
-    let note name =
-      let version = Option.value (Hashtbl.find_opt ctx.core.validated dst) ~default:0 in
-      instant t ~parent:ctx.core.span ctx.core.query site
-        ~detail:(Fmt.str "dst=%d v=%d" dst version)
-        Hf_obs.Span.Cache name
+  (* Where the work path hands this engine items, within one task:
+     items for this store wait for the task's completion; items to ship
+     go into the site's batcher, and a push that reaches the K
+     threshold hands back the buffer, prepared as a batch; prunes and
+     hits show as instants, and a validation goes out as a
+     control-plane task.  Returns the sink and what it collected. *)
+  and collect t site ctx =
+    let local = ref [] and flushed = ref [] in
+    let verdict dst (route : Site.route) =
+      let note name =
+        let version = Option.value (Hashtbl.find_opt ctx.core.validated dst) ~default:0 in
+        instant t ~parent:ctx.core.span ctx.core.query site
+          ~detail:(Fmt.str "dst=%d v=%d" dst version)
+          Hf_obs.Span.Cache name
+      in
+      match route with
+      | Site.Pruned -> note "cache-prune"
+      | Site.Hit _ -> note "cache-hit"
+      | Site.Validate ->
+        send_control_plane t site ~tenant:ctx.core.origin ~oq:(find_open t ctx.core.query)
+          ~parent:ctx.core.span ~query:ctx.core.query ~phase:Hf_obs.Span.Cache
+          ~label:"cache-validate" ~dst
+          (Wire (Cache_validate { query = ctx.core.query; src = site.id }))
+      | Site.Ship | Site.Miss _ | Site.Parked | Site.Dangling -> ()
     in
-    let bump = with_metrics t ctx.core.query in
-    match route with
-    | Site.Ship -> push_remote t site ctx ~dst wi acc
-    | Site.Pruned ->
-      (* The destination's summary proves the item's first filter cannot
-         match there: no spawns, no results, no bindings — dropping it
-         is indistinguishable from shipping it, and cheaper. *)
-      bump (fun m -> m.Metrics.cache_prunes <- m.Metrics.cache_prunes + 1);
-      note "cache-prune";
-      acc
-    | Site.Hit _ ->
-      bump (fun m -> m.Metrics.cache_hits <- m.Metrics.cache_hits + 1);
-      note "cache-hit";
-      acc
-    | Site.Miss { invalidated } ->
-      bump (fun m ->
-          if invalidated then
-            m.Metrics.cache_invalidations <- m.Metrics.cache_invalidations + 1;
-          m.Metrics.cache_misses <- m.Metrics.cache_misses + 1);
-      push_remote t site ctx ~dst wi acc
-    | Site.Parked | Site.Dangling -> acc
-    | Site.Validate ->
-      send_cache_validate t site ctx ~dst;
-      acc
+    let ship dst wi =
+      match Hf_proto.Batch.push site.outgoing ~dst (ctx.core.query, wi) with
+      | None -> ()
+      | Some entries -> flushed := prepare_batch t site ~dst entries :: !flushed
+    in
+    ({ Site.local = (fun wi -> local := wi :: !local); ship; verdict }, local, flushed)
 
-  (* Route one remote-bound item.  With caching off this is the plain
-     batcher push; with it on, the first item for a destination parks
-     the traffic behind a Cache_validate round trip, and items for a
-     validated destination resolve (prune / hit / miss) immediately. *)
-  and route_remote t site ctx wi acc =
-    let dst = Oid.birth_site (Hf_engine.Work_item.oid wi) in
-    settle t site ctx ~dst wi acc (Site.route site.proto ctx.core ~n_sites:(n_sites t) ~dst wi)
+  (* Route outside an evaluation task with [f]; what its pushes flushed
+     ships as tasks of its own. *)
+  and aside : 'a. t -> site -> context -> (Site.sink -> 'a) -> 'a =
+   fun t site ctx f ->
+    let sink, _, flushed = collect t site ctx in
+    let result = f sink in
+    List.iter (ship_resolved t site) (List.rev !flushed);
+    result
 
-  and send_cache_validate t site ctx ~dst =
-    with_metrics t ctx.core.query (fun m ->
-        m.Metrics.cache_validations <- m.Metrics.cache_validations + 1);
-    send_control_plane t site ~tenant:ctx.core.origin ~oq:(find_open t ctx.core.query)
-      ~parent:ctx.core.span ~query:ctx.core.query ~phase:Hf_obs.Span.Cache ~label:"cache-validate"
-      ~dst
-      (Wire (Cache_validate { query = ctx.core.query; src = site.id }))
+  (* A no-op task forces a pump cycle, so pushes that stayed under the
+     flush threshold still ship via [flush_idle]. *)
+  and pump_soon t site ctx = enqueue t site ~tenant:ctx.core.origin (fun () -> (0.0, fun () -> ()))
+
+  (* Queue items for evaluation here, one task each. *)
+  and bank t site ctx source items =
+    List.iter
+      (fun item ->
+        Hf_util.Deque.push_back ctx.core.work (item, source);
+        enqueue t site ~tenant:ctx.core.origin (process_one t site ctx))
+      items
 
   (* Charge and ship a batch prepared outside [process_one]'s task: an
      idle-time flush ([flush], traced as such) or a parked-item
@@ -1055,7 +1038,7 @@ module Make (D : Hf_termination.Detector.S) = struct
   and ship_resolved ?(flush = false) t site prepared =
     match prepared with
     | _, [] -> ()
-    | dst, ((ctx0, _, _) :: _ as groups) ->
+    | dst, ((ctx0, _) :: _ as groups) ->
       enqueue t site ~tenant:ctx0.core.origin (fun () ->
           let cost = Hf_sim.Costs.batch_send t.config.costs ~items:(batch_total groups) in
           charge t ctx0.core.query site.id cost;
@@ -1066,35 +1049,24 @@ module Make (D : Hf_termination.Detector.S) = struct
           ( cost,
             fun () ->
               send_prepared t site prepared;
-              List.iter (fun ((gctx : context), _, _) -> maybe_drain t site gctx) groups ))
+              List.iter (fun ((gctx : context), _) -> maybe_drain t site gctx) groups ))
 
-  (* Unpark every item waiting on [dst] and hand each to [resolve]; the
-     no-op task at the end forces a pump cycle so pushes that stayed
-     under the flush threshold still ship via [flush_idle]. *)
+  (* Route every item parked behind [dst]'s validation; the batches it
+     flushed ship newest first. *)
   and release_parked t site ctx ~dst ~version =
-    match Site.release site.proto ctx.core ~dst ~version with
-    | [] -> maybe_drain t site ctx
-    | released ->
-      let flushed =
-        List.fold_left (fun acc (wi, route) -> settle t site ctx ~dst wi acc route) [] released
-      in
-      List.iter (ship_resolved t site) flushed;
-      enqueue t site ~tenant:ctx.core.origin (fun () -> (0.0, fun () -> ()));
-      maybe_drain t site ctx
+    let sink, _, flushed = collect t site ctx in
+    if Site.unpark site.proto ctx.core sink ~dst ~version > 0 then begin
+      List.iter (ship_resolved t site) !flushed;
+      pump_soon t site ctx
+    end;
+    maybe_drain t site ctx
 
   (* Stitch in [src]'s gather at the originator.  Chains that escaped
      the scattered site set re-enter the classic pipeline — cache layer,
      batcher, credit split — as ordinary remote work. *)
   and stitch_gather t site ctx ~src nodes =
-    let fallback = Site.gather site.proto ctx.core ~site:src nodes in
-    with_metrics t ctx.core.query (fun m ->
-        m.Metrics.scatter_fallbacks <- m.Metrics.scatter_fallbacks + List.length fallback);
-    if fallback <> [] then begin
-      let flushed, _ = route_all t site ctx fallback in
-      List.iter (ship_resolved t site) flushed;
-      (* force a pump cycle so under-threshold pushes still flush *)
-      enqueue t site ~tenant:ctx.core.origin (fun () -> (0.0, fun () -> ()))
-    end
+    if aside t site ctx (fun sink -> Site.stitch site.proto ctx.core sink ~site:src nodes) > 0 then
+      pump_soon t site ctx
 
   (* --- processing one work item --- *)
 
@@ -1104,77 +1076,44 @@ module Make (D : Hf_termination.Detector.S) = struct
       post t site ctx (C.drain ~payload:(result_payload t) site.proto ctx.core ctx.detector)
     end
 
+  (* The shared step runs when the task starts, so its duration covers
+     shipping the batches its pushes filled; spawns for this store and
+     those batches move on when it completes.  Only items that arrived
+     over the network are recorded for the originator's cache: the
+     originator keyed a ship to this site for them. *)
   and process_one t site ctx () =
     match Hf_util.Deque.pop_front ctx.core.work with
     | None -> (0.0, fun () -> ())
     | Some (item, source) ->
       ctx.core.active <- ctx.core.active + 1;
-      let { Hf_engine.Eval.spawned; passed; skipped } = Site.eval site.proto ctx.core item in
-      let oq = find_open t ctx.core.query in
+      let known = Oid.Set.mem (Hf_engine.Work_item.oid item) ctx.core.local_result_set in
+      let sink, local, flushed = collect t site ctx in
+      let { Hf_engine.Eval.passed; skipped; _ } =
+        Site.step site.proto ctx.core sink ~record:(source = From_network) item
+      in
       if skipped && source = From_network then
         with_metrics t ctx.core.query (fun m ->
             m.Metrics.duplicate_work_messages <- m.Metrics.duplicate_work_messages + 1);
-      let local, remote =
-        List.partition (fun wi -> Oid.birth_site (Hf_engine.Work_item.oid wi) = site.id) spawned
-      in
-      (* Under the global-marks ablation, suppress sends the shared table
-         proves redundant. *)
-      let remote =
-        match t.config.mark_scope with
-        | Local_marks -> remote
-        | Global_marks ->
-          List.filter
-            (fun wi ->
-              not
-                (Hf_engine.Mark_table.mem ctx.core.marks (Hf_engine.Work_item.oid wi)
-                   (Hf_engine.Work_item.start wi)
-                   ~iters:(Hf_engine.Work_item.iters wi)))
-            remote
-      in
-      let is_new_result =
-        passed && not (Oid.Set.mem (Hf_engine.Work_item.oid item) ctx.core.local_result_set)
-      in
+      let flushed = List.rev !flushed in
       let costs = t.config.costs in
-      (* Remote spawns go through the cache layer and then the per-site
-         batcher; a push that reaches the K threshold hands back the
-         whole buffer for that destination, which this task then ships
-         (its send CPU is part of this task's duration, as the per-item
-         sends were). *)
-      let flushed, send_cost = route_all t site ctx remote in
       let duration =
         (if skipped then costs.skip else costs.process)
-        +. send_cost
-        +. (if is_new_result && site.id = ctx.core.origin then costs.result_add else 0.0)
+        +. send_cost t flushed
+        +. if passed && (not known) && site.id = ctx.core.origin then costs.result_add else 0.0
       in
-      (match oq with Some oq -> Metrics.add_busy oq.metrics site.id duration | None -> ());
-      let complete () =
-        ctx.core.active <- ctx.core.active - 1;
-        (* Only items that arrived over the network are recorded for the
-           originator's cache: the originator keyed a ship to this site
-           for them. *)
-        if source = From_network then Site.record_answer site.proto ctx.core item ~passed ~skipped;
-        List.iter
-          (fun wi ->
-            Hf_util.Deque.push_back ctx.core.work (wi, Seeded);
-            enqueue t site ~tenant:ctx.core.origin (process_one t site ctx))
-          local;
-        List.iter (send_prepared t site) flushed;
-        if is_new_result then Site.add_result site.proto ctx.core (Hf_engine.Work_item.oid item);
-        drain_after t site ctx flushed
-      in
-      (duration, complete)
+      charge t ctx.core.query site.id duration;
+      ( duration,
+        fun () ->
+          ctx.core.active <- ctx.core.active - 1;
+          bank t site ctx Seeded (List.rev !local);
+          List.iter (send_prepared t site) flushed;
+          drain_after t site ctx flushed )
 
-  (* Route remote-bound items in order: the batches their pushes filled,
-     and what shipping those costs the routing task. *)
-  and route_all t site ctx items =
-    let flushed =
-      List.rev (List.fold_left (fun acc wi -> route_remote t site ctx wi acc) [] items)
-    in
-    ( flushed,
-      List.fold_left
-        (fun acc (_, groups) ->
-          acc +. Hf_sim.Costs.batch_send t.config.costs ~items:(batch_total groups))
-        0.0 flushed )
+  (* What shipping prepared batches costs the task that flushed them. *)
+  and send_cost t flushed =
+    List.fold_left
+      (fun acc (_, groups) -> acc +. Hf_sim.Costs.batch_send t.config.costs ~items:(batch_total groups))
+      0.0 flushed
 
   (* After shipping [flushed] for [ctx], its drain condition may hold —
      and so may that of every other query whose buffered items a flush
@@ -1183,9 +1122,7 @@ module Make (D : Hf_termination.Detector.S) = struct
     maybe_drain t site ctx;
     List.iter
       (fun (_, groups) ->
-        List.iter
-          (fun ((gctx : context), _, _) -> if gctx != ctx then maybe_drain t site gctx)
-          groups)
+        List.iter (fun ((gctx : context), _) -> if gctx != ctx then maybe_drain t site gctx) groups)
       flushed
 
   (* --- incoming messages --- *)
@@ -1208,33 +1145,29 @@ module Make (D : Hf_termination.Detector.S) = struct
            instant so the causal edge still shows in the trace. *)
         let resolved =
           List.filter_map
-            (fun ({ query; items; credit; _ } : _ Message.batch_group) ->
-              let existed = Hashtbl.mem site.contexts query in
-              match context_of t ~cause:span site query with
+            (fun (g : _ Message.batch_group) ->
+              let existed = Hashtbl.mem site.contexts g.query in
+              match context_of t ~cause:span site g.query with
               | Some ctx ->
                 if existed then
-                  instant t ~parent:span query site Hf_obs.Span.Recv
-                    (Fmt.str "work-recv x%d" (List.length items));
-                Some (ctx, items, credit)
+                  instant t ~parent:span g.query site Hf_obs.Span.Recv
+                    (Fmt.str "work-recv x%d" (List.length g.items));
+                Some (ctx, g)
               | None -> None)
             groups
         in
         match resolved with
         | [] -> (0.0, fun () -> ())
-        | (ctx0, _, _) :: _ ->
+        | (ctx0, _) :: _ ->
           let total = batch_total resolved in
           let duration = Hf_sim.Costs.batch_recv costs ~items:total in
           charge t ctx0.core.query site.id duration;
           ( duration,
             fun () ->
               List.iter
-                (fun (ctx, items, tag) ->
-                  post t site ctx (C.deposit ctx.core ctx.detector ~src tag);
-                  List.iter
-                    (fun item ->
-                      Hf_util.Deque.push_back ctx.core.work (item, From_network);
-                      enqueue t site ~tenant:ctx.core.origin (process_one t site ctx))
-                    items)
+                (fun (ctx, (g : _ Message.batch_group)) ->
+                  post t site ctx (C.deposit ctx.core ctx.detector ~src g.credit);
+                  bank t site ctx From_network g.items)
                 resolved ))
     | Wire (Result { query; payload; _ } as m) -> (
         match find_open t query with
@@ -1275,13 +1208,8 @@ module Make (D : Hf_termination.Detector.S) = struct
           ( costs.msg_recv,
             fun () ->
               post t site ctx (C.deposit ctx.core ctx.detector ~src tag);
-              let seeds = portion site from in
-              List.iter
-                (fun oid ->
-                  Hf_util.Deque.push_back ctx.core.work
-                    (Hf_engine.Work_item.initial ctx.core.plan oid, From_network);
-                  enqueue t site ~tenant:ctx.core.origin (process_one t site ctx))
-                seeds;
+              bank t site ctx From_network
+                (List.map (Hf_engine.Work_item.initial ctx.core.plan) (portion site from));
               maybe_drain t site ctx ))
     | Wire (Site_unreachable { query; _ } as m) -> (
         match find_open t query with
@@ -1314,11 +1242,7 @@ module Make (D : Hf_termination.Detector.S) = struct
         fun () ->
           match context_of t ~cause:span site query with
           | None -> ()
-          | Some ctx -> (
-              let filled = Site.fill site.proto ctx.core ~src ~version answers in
-              match find_open t query with
-              | Some oq -> oq.metrics.Metrics.cache_fills <- oq.metrics.Metrics.cache_fills + filled
-              | None -> ()) )
+          | Some ctx -> Site.fill site.proto ctx.core ~src ~version answers )
     | Wire (Scatter { query; roots; credit; _ }) -> (
         (* A scattered site evaluates its whole speculation domain in
            one go: every local object at every landing pc, plus the
@@ -1568,18 +1492,10 @@ module Make (D : Hf_termination.Detector.S) = struct
            | Ship_counts | Ship_threshold _ -> false
       in
       let decision, scatter_sites =
-        Site.select t.config.exec ~scatter_ok (fun () ->
+        Site.select ctx.core t.config.exec ~scatter_ok (fun () ->
             plan_decision t ~origin oq.program initial)
       in
       oq.decision <- decision;
-      (match decision with
-       | None -> ()
-       | Some _ ->
-         if Option.is_some scatter_sites then
-           oq.metrics.Metrics.planner_scatter <-
-             oq.metrics.Metrics.planner_scatter + 1
-         else
-           oq.metrics.Metrics.planner_ship <- oq.metrics.Metrics.planner_ship + 1);
       (match scatter_sites with
        | Some sites ->
          oq.mode <- Hf_query.Plan.Scatter;
@@ -1606,13 +1522,9 @@ module Make (D : Hf_termination.Detector.S) = struct
                feeds the stitch as if it had gathered from itself. *)
             let nodes = Site.eval_domain origin_site.proto ctx.core ~roots:own_roots in
             stitch_gather t origin_site ctx ~src:origin nodes;
-            (if stray <> [] then begin
-               let flushed, _ =
-                 route_all t origin_site ctx
-                   (List.map (Hf_engine.Work_item.initial ctx.core.plan) stray)
-               in
-               List.iter (ship_resolved t origin_site) flushed
-             end);
+            aside t origin_site ctx (fun sink ->
+                Site.dispatch origin_site.proto ctx.core sink
+                  (List.map (Hf_engine.Work_item.initial ctx.core.plan) stray));
             List.iter
               (fun dst ->
                 let credit = C.split ctx.detector ~dst in
@@ -1638,31 +1550,23 @@ module Make (D : Hf_termination.Detector.S) = struct
                   ~dst
                   (Wire (Scatter { query = oq.id; body; roots = dst_roots; credit })))
               sites;
-            (* force a pump cycle so stray pushes below the batch
-               threshold still flush *)
-            enqueue t origin_site ~tenant:origin (fun () -> (0.0, fun () -> ()));
+            (* stray pushes below the batch threshold still flush *)
+            pump_soon t origin_site ctx;
             maybe_drain t origin_site ctx ))
 
+  (* Remote seeds ride the same cache layer and per-site batcher as
+     spawned work, so concurrent submissions coalesce too. *)
   and seed_shipping t oq origin_site ctx initial =
-    let origin = origin_site.id in
-    enqueue t origin_site ~tenant:origin (fun () ->
-        let local, remote =
-          List.partition (fun oid -> Oid.birth_site oid = origin) initial
-        in
-        (* Remote seeds ride the same cache layer and per-site batcher
-           as spawned work, so concurrent submissions coalesce too. *)
-        let flushed, duration =
-          route_all t origin_site ctx (List.map (Hf_engine.Work_item.initial ctx.core.plan) remote)
-        in
-        Metrics.add_busy oq.metrics origin duration;
+    enqueue t origin_site ~tenant:origin_site.id (fun () ->
+        let sink, local, flushed = collect t origin_site ctx in
+        Site.dispatch origin_site.proto ctx.core sink
+          (List.map (Hf_engine.Work_item.initial ctx.core.plan) initial);
+        let flushed = List.rev !flushed in
+        let duration = send_cost t flushed in
+        Metrics.add_busy oq.metrics origin_site.id duration;
         ( duration,
           fun () ->
-            List.iter
-              (fun oid ->
-                Hf_util.Deque.push_back ctx.core.work
-                  (Hf_engine.Work_item.initial ctx.core.plan oid, Seeded);
-                enqueue t origin_site ~tenant:origin (process_one t origin_site ctx))
-              local;
+            bank t origin_site ctx Seeded (List.rev !local);
             List.iter (send_prepared t origin_site) flushed;
             drain_after t origin_site ctx flushed ))
 
@@ -1679,10 +1583,13 @@ module Make (D : Hf_termination.Detector.S) = struct
      the two accounts agree. *)
   let profile ?spans t (handle : handle) =
     let o = outcome_of t handle in
-    (* [?spans] lets a monitoring loop profiling many handles fetch (and
-       sort) the tracer's spans once instead of per handle *)
+    (* [?spans] lets a monitoring loop profiling many handles bucket the
+       tracer's spans once ([Hf_obs.Profile.by_query]) instead of
+       fetching and filtering all of them per handle *)
     let spans =
-      match spans with Some s -> s | None -> Hf_obs.Tracer.spans t.tracer
+      match spans with
+      | Some by_query -> by_query (qname handle.id)
+      | None -> Hf_obs.Tracer.spans t.tracer
     in
     let m = o.metrics in
     Hf_obs.Profile.of_spans ~query:(qname handle.id)
@@ -1803,13 +1710,8 @@ module Make (D : Hf_termination.Detector.S) = struct
            Metrics.add_busy oq.metrics origin duration;
            ( duration,
              fun () ->
-               let local_seeds = portion origin_site from in
-               List.iter
-                 (fun oid ->
-                   Hf_util.Deque.push_back ctx.core.work
-                     (Hf_engine.Work_item.initial ctx.core.plan oid, Seeded);
-                   enqueue t origin_site ~tenant:origin (process_one t origin_site ctx))
-                 local_seeds;
+               bank t origin_site ctx Seeded
+                 (List.map (Hf_engine.Work_item.initial ctx.core.plan) (portion origin_site from));
                List.iter
                  (fun dst ->
                    let tag = C.split ctx.detector ~dst in

@@ -1,7 +1,8 @@
-(* Per-query metrics collected by the cluster harness: message counts by
-   kind, byte estimates, per-site busy time.  These drive the
-   experiment tables (message-cost columns, mark-table ablation) and the
-   "queries ship ~40 bytes" accounting. *)
+(* The counters of a site's work: message counts by kind, byte
+   estimates, per-site busy time, and what Site counts as it routes.
+   One record per query in the simulator, where they drive the
+   experiment tables (message-cost columns, mark-table ablation) and
+   the "queries ship ~40 bytes" accounting; one per site on TCP. *)
 
 type t = {
   n_sites : int;

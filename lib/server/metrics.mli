@@ -1,4 +1,10 @@
-(** Per-query metrics collected by the cluster harness. *)
+(** The counters of a site's work: messages by kind, byte estimates,
+    busy time, and what [Site] counts as it routes — cache verdicts,
+    validations, fills, stitch fallbacks and planner choices.  The
+    simulator keeps one record per query, shared by every site the
+    query reaches; the socket engine keeps one per site, covering all
+    its queries, behind its [hf.net.*] counters (it has no per-site
+    busy time: [n_sites = 0]). *)
 
 type t = {
   n_sites : int;

@@ -1,8 +1,9 @@
-(* The per-site protocol decisions of Section 3.2, shared by the
-   simulator (Cluster) and the socket engine (Tcp_site), and every path
-   that moves termination credit, over any detector ([Termination]).
-   Nothing here reads a clock or touches a socket: the drivers pass the
-   clock in, and send what comes out. *)
+(* The per-site protocol of Section 3.2, shared by the simulator
+   (Cluster) and the socket engine (Tcp_site): the work path, the cache
+   layer and its counters, and every path that moves termination
+   credit, over any detector ([Termination]).  Nothing here reads a
+   clock or touches a socket: the drivers pass the clock in, and send
+   what comes out. *)
 
 module Oid = Hf_data.Oid
 module Message = Hf_proto.Message
@@ -103,7 +104,9 @@ type 'w ctx = {
   query : Message.query_id;
   plan : Hf_engine.Plan.t;
   origin : int;
+  n_sites : int;
   span : int;
+  metrics : Metrics.t;
   marks : Hf_engine.Mark_table.t;
   work : 'w Hf_util.Deque.t;
   stats : Hf_engine.Stats.t;
@@ -122,12 +125,14 @@ type 'w ctx = {
   mutable scatter : Hf_engine.Scatter.Stitch.t option;
 }
 
-let context ?marks ?final:answer ~query ~span program =
+let context ?marks ?final:answer ~metrics ~n_sites ~query ~span program =
   {
     query;
     plan = Hf_engine.Plan.make program;
     origin = query.Message.originator;
+    n_sites;
     span;
+    metrics;
     marks = (match marks with Some m -> m | None -> Hf_engine.Mark_table.create ());
     work = Hf_util.Deque.create ();
     stats = Hf_engine.Stats.create ();
@@ -146,31 +151,9 @@ let context ?marks ?final:answer ~query ~span program =
     scatter = None;
   }
 
-(* --- evaluation and results --- *)
-
-let eval t ctx item =
-  let emit ~target values =
-    let existing = match Hashtbl.find_opt ctx.bindings target with None -> [] | Some v -> v in
-    Hashtbl.replace ctx.bindings target (existing @ values)
-  in
-  Hf_engine.Eval.run_object ~plan:ctx.plan ~find:(Hf_data.Store.find t.store)
-    ~marks:ctx.marks ~stats:ctx.stats ~emit item
-
 let eval_domain t ctx ~roots =
   Hf_engine.Scatter.eval_site ~plan:ctx.plan ~find:(Hf_data.Store.find t.store)
     ~oids:(Hf_data.Store.oids t.store) ~roots ~stats:ctx.stats
-
-let record_answer t ctx item ~passed ~skipped =
-  let start = Work_item.start item and iters = Work_item.iters item in
-  if
-    Option.is_some t.cache && (not skipped) && t.id <> ctx.origin
-    && Remote_cache.cacheable ctx.plan ~start ~iters
-  then begin
-    let v = Hf_data.Store.version t.store in
-    if ctx.answers <> [] && ctx.answers_version <> v then ctx.answers <- [];
-    ctx.answers_version <- v;
-    ctx.answers <- { Message.oid = Work_item.oid item; start; iters; passed } :: ctx.answers
-  end
 
 let add_result t ctx oid =
   if not (Oid.Set.mem oid ctx.local_result_set) then begin
@@ -187,7 +170,7 @@ let ready ctx =
   | None -> true
   | Some stitch -> Hf_engine.Scatter.Stitch.outstanding stitch = 0
 
-(* --- cache routing --- *)
+(* --- the work path --- *)
 
 type route =
   | Ship
@@ -197,6 +180,12 @@ type route =
   | Parked
   | Validate
   | Dangling
+
+type sink = {
+  local : Work_item.t -> unit;
+  ship : int -> Work_item.t -> unit;
+  verdict : int -> route -> unit;
+}
 
 (* Order matters for credit safety: prune and hit happen before the
    item ever reaches a batcher, so their credit is never split. *)
@@ -227,42 +216,105 @@ let resolve t ctx ~dst ~version wi =
         | Remote_cache.Absent -> Miss { invalidated = false })
     | Some _ | None -> Ship
 
-let route t ctx ~n_sites ~dst wi =
-  match t.cache with
-  | _ when dst >= n_sites -> Dangling
-  | None -> Ship
-  | Some _ -> (
-      match Hashtbl.find_opt ctx.validated dst with
-      | Some version -> resolve t ctx ~dst ~version wi
-      | None ->
-        let waiting = match Hashtbl.find_opt ctx.parked dst with Some l -> l | None -> [] in
-        Hashtbl.replace ctx.parked dst (wi :: waiting);
-        ctx.parked_count <- ctx.parked_count + 1;
-        if Hashtbl.mem ctx.validating dst then Parked
-        else begin
-          Hashtbl.replace ctx.validating dst ();
-          Validate
-        end)
+(* Count the verdict, then hand the item on: a hit's verdict is
+   already in the results, exactly what the remote's reply would have
+   brought, minus the network. *)
+let settle ctx sink ~dst wi route =
+  let m = ctx.metrics in
+  (match route with
+   | Pruned -> m.cache_prunes <- m.cache_prunes + 1
+   | Hit _ -> m.cache_hits <- m.cache_hits + 1
+   | Miss { invalidated } ->
+     if invalidated then m.cache_invalidations <- m.cache_invalidations + 1;
+     m.cache_misses <- m.cache_misses + 1
+   | Validate -> m.cache_validations <- m.cache_validations + 1
+   | Ship | Parked | Dangling -> ());
+  sink.verdict dst route;
+  match route with
+  | Ship | Miss _ ->
+    ctx.buffered <- ctx.buffered + 1;
+    sink.ship dst wi
+  | Pruned | Hit _ | Parked | Validate | Dangling -> ()
+
+let route t ctx sink ~dst wi =
+  settle ctx sink ~dst wi
+    (match t.cache with
+     | _ when dst >= ctx.n_sites -> Dangling
+     | None -> Ship
+     | Some _ -> (
+         match Hashtbl.find_opt ctx.validated dst with
+         | Some version -> resolve t ctx ~dst ~version wi
+         | None ->
+           let waiting = match Hashtbl.find_opt ctx.parked dst with Some l -> l | None -> [] in
+           Hashtbl.replace ctx.parked dst (wi :: waiting);
+           ctx.parked_count <- ctx.parked_count + 1;
+           if Hashtbl.mem ctx.validating dst then Parked
+           else begin
+             Hashtbl.replace ctx.validating dst ();
+             Validate
+           end))
+
+(* [spawned]: the items come from an evaluation, so one the mark table
+   already holds is a redundant send. *)
+let rec spread t ctx sink ~spawned = function
+  | [] -> ()
+  | wi :: rest ->
+    let oid = Work_item.oid wi in
+    let dst = Oid.birth_site oid in
+    if dst = t.id then sink.local wi
+    else if
+      not
+        (spawned
+        && Hf_engine.Mark_table.mem ctx.marks oid (Work_item.start wi) ~iters:(Work_item.iters wi))
+    then route t ctx sink ~dst wi;
+    spread t ctx sink ~spawned rest
+
+let dispatch t ctx sink items = spread t ctx sink ~spawned:false items
+
+let record_answer t ctx item ~passed =
+  let start = Work_item.start item and iters = Work_item.iters item in
+  if Option.is_some t.cache && t.id <> ctx.origin && Remote_cache.cacheable ctx.plan ~start ~iters
+  then begin
+    let v = Hf_data.Store.version t.store in
+    if ctx.answers <> [] && ctx.answers_version <> v then ctx.answers <- [];
+    ctx.answers_version <- v;
+    ctx.answers <- { Message.oid = Work_item.oid item; start; iters; passed } :: ctx.answers
+  end
+
+let emit ctx ~target values =
+  let existing = match Hashtbl.find_opt ctx.bindings target with None -> [] | Some v -> v in
+  Hashtbl.replace ctx.bindings target (existing @ values)
+
+let step t ctx sink ~record item =
+  let r =
+    Hf_engine.Eval.run_object ~plan:ctx.plan ~find:(Hf_data.Store.find t.store) ~marks:ctx.marks
+      ~stats:ctx.stats ~emit:(emit ctx) item
+  in
+  spread t ctx sink ~spawned:true r.spawned;
+  if record && not r.skipped then record_answer t ctx item ~passed:r.passed;
+  if r.passed then add_result t ctx (Work_item.oid item);
+  r
 
 let drop_parked ctx =
   Hashtbl.reset ctx.parked;
   ctx.parked_count <- 0
 
-let release t ctx ~dst ~version =
+let unpark t ctx sink ~dst ~version =
   Hashtbl.remove ctx.validating dst;
   Option.iter (Hashtbl.replace ctx.validated dst) version;
   match Hashtbl.find_opt ctx.parked dst with
-  | None -> []
+  | None -> 0
   | Some waiting ->
     Hashtbl.remove ctx.parked dst;
     let items = List.rev waiting in
-    ctx.parked_count <- ctx.parked_count - List.length items;
-    List.map
+    let n = List.length items in
+    ctx.parked_count <- ctx.parked_count - n;
+    List.iter
       (fun wi ->
-        match version with
-        | None -> (wi, Ship)
-        | Some version -> (wi, resolve t ctx ~dst ~version wi))
-      items
+        settle ctx sink ~dst wi
+          (match version with None -> Ship | Some version -> resolve t ctx ~dst ~version wi))
+      items;
+    n
 
 (* --- the cache control plane --- *)
 
@@ -333,16 +385,16 @@ let learn t ~peer ~version ~epoch summary =
 let learned t ~peer = Hashtbl.find_opt t.summaries peer
 
 let fill t ctx ~src ~version (answers : Message.cache_answer list) =
-  match t.cache with
-  | None -> 0
-  | Some cache ->
-    let now = t.clock () in
-    List.iter
-      (fun ({ oid; start; iters; passed } : Message.cache_answer) ->
-        let key = Remote_cache.entry_key ~dst:src ~plan:ctx.plan ~start ~iters ~oid in
-        Remote_cache.put cache ~now ~key ~version ~passed)
-      answers;
-    List.length answers
+  Option.iter
+    (fun cache ->
+      let now = t.clock () in
+      List.iter
+        (fun ({ oid; start; iters; passed } : Message.cache_answer) ->
+          let key = Remote_cache.entry_key ~dst:src ~plan:ctx.plan ~start ~iters ~oid in
+          Remote_cache.put cache ~now ~key ~version ~passed)
+        answers;
+      ctx.metrics.cache_fills <- ctx.metrics.cache_fills + List.length answers)
+    t.cache
 
 (* --- planning --- *)
 
@@ -474,16 +526,23 @@ let decide t ~n_sites ~summary ~objects ~costs program initial =
     ~costs:(costs ~item_bytes ~p_local:(p_local t))
     ()
 
-let select exec ~scatter_ok decide =
+let select ctx exec ~scatter_ok decide =
   match exec with
   | Exec_ship -> (None, None)
   | (Exec_scatter | Exec_auto) as exec ->
     let d = decide () in
-    let scatter =
+    let m = ctx.metrics in
+    if
       scatter_ok && d.Hf_query.Plan.eligible && d.Hf_query.Plan.predicted <> []
       && (exec = Exec_scatter || Hf_query.Plan.equal_mode d.chosen Hf_query.Plan.Scatter)
-    in
-    (Some d, if scatter then Some d.predicted else None)
+    then begin
+      m.planner_scatter <- m.planner_scatter + 1;
+      (Some d, Some d.predicted)
+    end
+    else begin
+      m.planner_ship <- m.planner_ship + 1;
+      (Some d, None)
+    end
 
 (* A partial scatter leaves out a remote seed site whose summary rules
    out its seeds, so a seed born outside the scattered set ships
@@ -509,14 +568,17 @@ let scatter_seed t ctx ~sites initial =
          ~roots:(List.map (fun s -> (s, roots_of s)) members));
   (roots_of, List.rev !stray)
 
-let gather t ctx ~site nodes =
+let stitch t ctx sink ~site nodes =
   match ctx.scatter with
-  | None -> []
+  | None -> 0
   | Some stitch ->
     let outcome = Hf_engine.Scatter.Stitch.add_gather stitch ~site nodes in
     List.iter (add_result t ctx) outcome.passed;
     merge_bindings ctx.final.bindings outcome.bindings;
-    outcome.fallback
+    let n = List.length outcome.fallback in
+    ctx.metrics.scatter_fallbacks <- ctx.metrics.scatter_fallbacks + n;
+    dispatch t ctx sink outcome.fallback;
+    n
 
 let gather_lost ctx ~site =
   Option.iter (fun stitch -> ignore (Hf_engine.Scatter.Stitch.site_dead stitch ~site)) ctx.scatter
@@ -567,6 +629,11 @@ struct
     alone ctx elsewhere @ [ (ctx.origin, answer (P.back (List.map snd home))) ]
 
   let split det ~dst = P.work (D.on_send_work det ~dst)
+
+  let group ctx det ~dst items =
+    ctx.buffered <- ctx.buffered - List.length items;
+    { Message.query = ctx.query; body = Hf_engine.Plan.program ctx.plan; items; credit = split det ~dst }
+
   let deposit ctx det ~src work = (alone ctx (D.on_recv_work det ~src (P.tag work)), false)
   let poll ctx det = (alone ctx (D.on_poll det), false)
 

@@ -1,17 +1,18 @@
-(** The per-site protocol decisions of the paper's Section 3.2, written
-    once for both engines.
+(** The per-site protocol of the paper's Section 3.2, written once for
+    both engines.
 
     Every HyperFile site runs the identical algorithm.  This module
     holds what one site knows — its per-query contexts and its view of
     its peers (learned Bloom summaries, their Bloofi tree, summary
     epochs, the remote-answer cache) — and makes the decisions that
-    need no clock or socket, termination credit included
-    ({!Termination}, over any detector).  The simulator
-    ({!Hf_server.Cluster}) and the socket engine ([Hf_net.Tcp_site])
-    drive it and ship the same {!Hf_proto.Message.msg}; each keeps its
-    own batching, scheduling, threads and counters, and sends what
-    comes out.  Where the engines differ, the difference comes in as an
-    argument or goes out as a verdict the caller acts on ({!route}). *)
+    need no clock or socket: it evaluates work items, routes them
+    through the cache layer, counts every verdict into the context's
+    {!Metrics.t}, and moves termination credit ({!Termination}, over
+    any detector).  The simulator ({!Hf_server.Cluster}) and the socket
+    engine ([Hf_net.Tcp_site]) drive it and ship the same
+    {!Hf_proto.Message.msg}; each keeps its own batcher, scheduler,
+    costs, spans and wire form, and receives what must leave the site
+    through a {!sink}. *)
 
 module Oid = Hf_data.Oid
 
@@ -73,7 +74,11 @@ type 'w ctx = {
   query : Hf_proto.Message.query_id;
   plan : Hf_engine.Plan.t;
   origin : int;
+  n_sites : int;  (** the cluster is sites [0 .. n_sites - 1] *)
   span : int;  (** this site's evaluation span for the query *)
+  metrics : Metrics.t;
+      (** where this site counts the query's verdicts: the query's own
+          record in the simulator, the site's in the socket engine *)
   marks : Hf_engine.Mark_table.t;
   work : 'w Hf_util.Deque.t;
       (** the working set; each driver chooses what an entry carries *)
@@ -86,7 +91,7 @@ type 'w ctx = {
   mutable active : int;
       (** evaluation under way outside [work]: items popped but not
           settled, or drains still running *)
-  mutable buffered : int;  (** items in a batcher, not yet shipped *)
+  mutable buffered : int;  (** items handed to a batcher, not yet shipped *)
   validated : (int, int) Hashtbl.t;
       (** destination -> store version vouched for this query *)
   validating : (int, unit) Hashtbl.t;
@@ -107,6 +112,8 @@ type 'w ctx = {
 val context :
   ?marks:Hf_engine.Mark_table.t ->
   ?final:final ->
+  metrics:Metrics.t ->
+  n_sites:int ->
   query:Hf_proto.Message.query_id ->
   span:int ->
   Hf_query.Program.t ->
@@ -115,66 +122,73 @@ val context :
     shares the originator's under its global-marks ablation); [final]
     defaults to a fresh answer (the originator passes the query's). *)
 
-(** {1 Evaluation and results} *)
-
-val eval : t -> 'w ctx -> Hf_engine.Work_item.t -> Hf_engine.Eval.step_result
-(** One step of the per-object loop: {!Hf_engine.Eval.run_object}
-    against this site's store, emitting into [ctx.bindings]. *)
-
 val eval_domain : t -> 'w ctx -> roots:Oid.t list -> Hf_engine.Scatter.node list
 (** A scattered query's speculation domain here: [roots] plus every
     local object at every landing index ({!Hf_engine.Scatter.eval_site}). *)
-
-val record_answer :
-  t -> 'w ctx -> Hf_engine.Work_item.t -> passed:bool -> skipped:bool -> unit
-(** Keep the item's verdict for the originator's cache when the cache
-    is on, the item ran for real away from the originator, and its
-    reachable suffix is store-state-only.  Verdicts from an older
-    store version are dropped first. *)
-
-val add_result : t -> 'w ctx -> Oid.t -> unit
-(** A passing object: into the local result set, then the final answer
-    at the originator or the result buffer elsewhere.  Repeats are
-    ignored. *)
 
 val ready : 'w ctx -> bool
 (** The drain condition: no queued or active work, nothing buffered or
     parked, and no gather outstanding. *)
 
-(** {1 Cache routing (DESIGN.md §4g)} *)
+(** {1 The work path} *)
 
 type route =
-  | Ship  (** push to the batcher; the cache has nothing to say *)
+  | Ship  (** the cache has nothing to say: the item ships *)
   | Pruned  (** the destination's summary proves the item dies there *)
   | Hit of bool
       (** served from the cache; a passing verdict is already recorded *)
   | Miss of { invalidated : bool }
-      (** ship it; [invalidated] when a stale entry was evicted *)
+      (** it ships; [invalidated] when a stale entry was evicted *)
   | Parked  (** waiting behind a validation already in flight *)
-  | Validate  (** parked; the caller sends the [Cache_validate] *)
+  | Validate  (** parked; the driver sends the [Cache_validate] *)
   | Dangling
-      (** [dst] is outside the cluster: the pointer dangles, and the
-          caller drops the item as {!Hf_engine.Eval} drops a pointer to
-          an object its store lacks *)
+      (** the destination is outside the cluster: the pointer dangles,
+          and the item is dropped as {!Hf_engine.Eval} drops a pointer
+          to an object its store lacks *)
+(** Where the cache layer sends one item bound for another site.  With
+    the cache off every item ships.  At a vouched version it is pruned,
+    hit or missed — pruned and hit items never reach a batcher, so
+    their credit is never split.  Otherwise it parks until the
+    destination's version is known. *)
 
-val route : t -> 'w ctx -> n_sites:int -> dst:int -> Hf_engine.Work_item.t -> route
-(** Route one item bound for [dst] in a cluster of sites
-    [0 .. n_sites - 1].  Every remote-bound item passes here: spawns,
-    seeds, scatter strays and stitch fallbacks.  Outside the cluster:
-    [Dangling].  With the cache off: [Ship].  At a vouched version:
-    prune, hit or miss — pruned and hit items never reach a batcher,
-    so their credit is never split.  Otherwise the item parks until
-    the destination's version is known. *)
+type sink = {
+  local : Hf_engine.Work_item.t -> unit;  (** an item for this site's store *)
+  ship : int -> Hf_engine.Work_item.t -> unit;
+      (** an item for the batcher, bound for the site given; already
+          counted in [buffered] *)
+  verdict : int -> route -> unit;
+      (** every routing verdict, with its destination, before the item
+          moves on: the driver sends the [Cache_validate] a [Validate]
+          asks for, and may trace the rest *)
+}
+(** Where a driver takes what the work path hands it. *)
+
+val step : t -> 'w ctx -> sink -> record:bool -> Hf_engine.Work_item.t -> Hf_engine.Eval.step_result
+(** One item of the per-object loop: {!Hf_engine.Eval.run_object}
+    against this site's store, emitting into [ctx.bindings].  Spawns
+    for this store go to [local]; the rest are routed as {!dispatch}
+    routes them, except those the context's mark table already holds
+    (only a table shared across sites marks another site's objects).
+    With [record], the item's verdict is kept for the originator's
+    cache when the cache is on, the item ran for real away from the
+    originator and its reachable suffix is store-state-only (an older
+    store version's verdicts are dropped first).  A passing object
+    joins the local result set, then the answer at the originator or
+    the result buffer elsewhere; repeats are ignored. *)
+
+val dispatch : t -> 'w ctx -> sink -> Hf_engine.Work_item.t list -> unit
+(** Route items the driver holds — seeds, scatter strays — in order:
+    one for this store goes to [local], any other through the cache
+    layer ({!route}), counted into [ctx.metrics] once. *)
 
 val drop_parked : 'w ctx -> unit
 (** Forget every parked item: the query was cancelled or evicted. *)
 
-val release :
-  t -> 'w ctx -> dst:int -> version:int option -> (Hf_engine.Work_item.t * route) list
-(** Stop waiting on [dst] and release its parked items in arrival
-    order.  [Some version]: vouch for it and resolve each item as
-    {!route} would.  [None] (the validation round trip died): every
-    item ships. *)
+val unpark : t -> 'w ctx -> sink -> dst:int -> version:int option -> int
+(** Stop waiting on [dst] and route its parked items in arrival order;
+    how many there were.  [Some version]: vouch for it, and resolve
+    each item against it.  [None] (the validation round trip died):
+    every item ships. *)
 
 (** {1 The cache control plane} *)
 
@@ -203,10 +217,9 @@ val summary : t -> Hf_index.Bloom.t option
 (** This site's own summary at its current store version, memoized;
     [None] with the cache off.  Does not advance {!epoch}. *)
 
-val fill :
-  t -> 'w ctx -> src:int -> version:int -> Hf_proto.Message.cache_answer list -> int
-(** Install the verdicts [src] computed at [version]; the number
-    installed (0 with the cache off). *)
+val fill : t -> 'w ctx -> src:int -> version:int -> Hf_proto.Message.cache_answer list -> unit
+(** Install the verdicts [src] computed at [version], counting them as
+    fills (none with the cache off). *)
 
 (** {1 Planning (doc/execution_modes.md)} *)
 
@@ -245,14 +258,15 @@ val decide :
     unit costs. *)
 
 val select :
+  'w ctx ->
   exec_mode ->
   scatter_ok:bool ->
   (unit -> Hf_query.Plan.decision) ->
   Hf_query.Plan.decision option * int list option
 (** The planner's decision ([None] under [Exec_ship], where it never
-    runs) and the sites to scatter to, if the query scatters.
-    [scatter_ok] is whether the engine configuration allows scatter at
-    all. *)
+    runs) and the sites to scatter to, if the query scatters; a choice
+    is counted into [ctx.metrics].  [scatter_ok] is whether the engine
+    configuration allows scatter at all. *)
 
 val scatter_seed :
   t -> 'w ctx -> sites:int list -> Oid.t list -> (int -> Oid.t list) * Oid.t list
@@ -261,11 +275,12 @@ val scatter_seed :
     stray seeds (born outside that set, in seed order) that must
     ship classically. *)
 
-val gather : t -> 'w ctx -> site:int -> Hf_engine.Scatter.node list -> Hf_engine.Work_item.t list
+val stitch : t -> 'w ctx -> sink -> site:int -> Hf_engine.Scatter.node list -> int
 (** At the originator: stitch in [site]'s gather (the originator's own
     domain counts as one).  Newly activated passing nodes join the
     results and their bindings the answer; the chains that escaped the
-    scattered sites come back for the caller to ship. *)
+    scattered sites are counted as fallbacks and routed as {!dispatch}
+    routes them.  Returns how many escaped. *)
 
 val gather_lost : 'w ctx -> site:int -> unit
 (** [site] died before gathering: its slot closes empty, losing the
@@ -308,8 +323,12 @@ module Termination
   type out = (int * msg) list * bool
 
   val split : D.t -> dst:int -> P.work
-  (** The share one work message for [dst] carries (a batch group, a
-      scatter, a seed). *)
+  (** The share one work message for [dst] carries (a scatter, a
+      seed). *)
+
+  val group : 'w ctx -> D.t -> dst:int -> Hf_engine.Work_item.t list -> P.work Hf_proto.Message.batch_group
+  (** A batcher flushed [items] for [dst]: they leave [buffered], and
+      one share covers them all. *)
 
   val deposit : 'w ctx -> D.t -> src:int -> P.work -> out
   (** Work from [src] arrived with [work]. *)
@@ -320,7 +339,7 @@ module Termination
   val drain :
     ?payload:(Oid.t list -> Hf_proto.Message.result_payload) -> t -> 'w ctx -> D.t -> out
   (** The drain tail, once {!ready}: away from the originator the
-      cached verdicts recorded here ({!record_answer}) go home in
+      cached verdicts recorded here ({!step}) go home in
       capture order, then the buffered results (oldest first, as
       [payload] makes them, default [Items]) and emitted bindings, the
       controls for the originator aboard — or the controls alone.  At

@@ -1,6 +1,7 @@
-(* Shared differential-test harness: the random logical corpus, the
-   single-store oracle, the configuration cube {batching} x
-   {reliability} x {loss}, and the simulated-cluster / TCP loaders.
+(* Shared differential-test harness: the property-test runner, the
+   random logical corpus, the single-store oracle, the configuration
+   cube {batching} x {reliability} x {loss}, and the simulated-cluster /
+   TCP loaders.
    The server, cache, scatter, concurrency and bloofi suites all drive
    the same machinery from here — one copy instead of a near-identical
    block per suite. *)
@@ -10,6 +11,27 @@ module Tuple = Hf_data.Tuple
 module Store = Hf_data.Store
 module Cluster = Hf_server.Cluster
 module Tcp = Hf_net.Tcp_site
+
+(* --- Property tests ----------------------------------------------------- *)
+
+(* Every property runs from one fixed seed, so a failure fails again on
+   a rerun; [QCHECK_SEED=N] runs them from seed N instead (CI reruns the
+   property suites under a rotating one).  Each property draws from a
+   fresh state, and the seed is printed once per suite. *)
+let seed =
+  lazy
+    (let seed =
+       match Sys.getenv_opt "QCHECK_SEED" with
+       | None -> 1
+       | Some s -> (
+           match int_of_string_opt s with
+           | Some n -> n
+           | None -> invalid_arg ("QCHECK_SEED is not an integer: " ^ s))
+     in
+     Printf.printf "qcheck seed: %d\n%!" seed;
+     seed)
+
+let qtest t = QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| Lazy.force seed |]) t
 
 (* --- The random logical corpus -------------------------------------- *)
 

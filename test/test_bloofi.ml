@@ -37,7 +37,6 @@ let check_bool = Alcotest.(check bool)
 let parse = Hf_query.Parser.parse_body
 let compile q = Hf_query.Compile.compile (parse q)
 
-let qtest t = QCheck_alcotest.to_alcotest t
 
 (* --- (a) + (b): the tree against a model ---------------------------- *)
 

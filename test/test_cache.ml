@@ -28,7 +28,6 @@ let check_bool = Alcotest.(check bool)
 
 let parse = Hf_query.Parser.parse_body
 
-let qtest t = QCheck_alcotest.to_alcotest t
 
 (* --- Answer-cache keys -------------------------------------------------- *)
 
@@ -514,6 +513,108 @@ let test_tcp_cache_repeat () =
       check_bool "stale entries invalidated" true
         (tcp_counter sites.(0) "hf.net.cache_invalidations" >= 1))
 
+(* Every hf.net counter a site keeps in its metrics record, over one
+   scripted run on three sites with the cache, batching (K = 4),
+   scatter and reliability on.  Site 0 holds the root, pointing at a
+   "hot" and a cold object on site 1 and a cold one on site 2, whose
+   summary therefore rules "hot" out.  The script: a one-hop query with
+   a finite iterator (so it ships) three times — cold, warm, and after
+   site 1's store moved — then its scatter-eligible twin, whose chain
+   to site 2 falls back, then a frame site 2 already delivered,
+   replayed, then the shipped query again with site 2 dead.  The script
+   fixes every count but those timing decides: retransmits, duplicates
+   dropped and give-ups. *)
+let test_tcp_counters () =
+  let ds =
+    {
+      n = 4;
+      placement = [| 0; 1; 1; 2 |];
+      edges = [ (0, "R", 1); (0, "R", 2); (0, "R", 3) ];
+      hot = [| false; true; false; false |];
+    }
+  in
+  let reliability =
+    { Hf_proto.Reliable.ack_timeout = 0.05; backoff = 2.0; max_timeout = 0.2; max_retries = 5;
+      ack_delay = 0.01 }
+  in
+  with_tcp_sites ~cache:Rc.default ~batch:(Hf_proto.Batch.Flush_at 4) ~reliability
+    ~exec:Tcp.Exec_scatter 3 (fun sites ->
+      let oids = load_tcp sites ds in
+      let compile text = Hf_query.Compile.compile (parse text) in
+      let shipped = compile "(Pointer, \"R\", ?X) ^^X [ (Keyword, \"hot\", ?) ]^1" in
+      let scattered = compile "(Pointer, \"R\", ?X) ^^X (Keyword, \"hot\", ?)" in
+      let run program = Tcp.run_query sites.(0) program [ oids.(0) ] in
+      let results o = List.sort compare (logical_results oids o.Tcp.result_set) in
+      let complete what o expected =
+        check_bool (what ^ ": complete") true (o.Tcp.status = Tcp.Complete);
+        Alcotest.(check (list int)) (what ^ ": results") expected (results o)
+      in
+      complete "cold" (run shipped) [ 1 ];
+      complete "warm" (run shipped) [ 1 ];
+      ds.hot.(2) <- true;
+      Store.replace (Tcp.store sites.(1)) (Hf_data.Hobject.of_tuples oids.(2) (tuples_of ds oids 2));
+      complete "after the update" (run shipped) [ 1; 2 ];
+      let o = run scattered in
+      complete "scattered" o [ 1; 2 ];
+      check_bool "it scattered" true (o.Tcp.mode = Hf_query.Plan.Scatter);
+      (* a frame from site 2 with a sequence number site 0 has had *)
+      let replay = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+      Fun.protect
+        ~finally:(fun () -> Unix.close replay)
+        (fun () ->
+          Unix.connect replay (Tcp.address sites.(0));
+          let frame =
+            Hf_proto.Frame.frame
+              (Hf_proto.Codec.encode
+                 ~rel:{ Hf_proto.Codec.src = 2; seq = 1; ack = 0 }
+                 (Hf_proto.Message.Stats_report { src = 2; token = 0; stats = [] }))
+          in
+          ignore (Unix.write_substring replay frame 0 (String.length frame));
+          let deadline = Unix.gettimeofday () +. 5.0 in
+          while tcp_counter sites.(0) "hf.net.dup_drops" = 0 && Unix.gettimeofday () < deadline do
+            Thread.delay 0.01
+          done);
+      Tcp.shutdown sites.(2);
+      let o = run shipped in
+      check_bool "site 2 dead: partial" true (o.Tcp.status = Tcp.Partial [ 2 ]);
+      Alcotest.(check (list int)) "site 2 dead: site 1's results" [ 1; 2 ] (results o);
+      let pinned site expected =
+        Alcotest.(check (list (pair string int)))
+          (Printf.sprintf "site %d" site) expected
+          (List.map (fun (name, _) -> (name, tcp_counter sites.(site) ("hf.net." ^ name))) expected)
+      in
+      pinned 0
+        [
+          (* four ships validate each destination once, and the
+             fallback's validation of site 2 *)
+          ("cache_validations", 9);
+          (* warm: both; dead peer: both again, at the moved version *)
+          ("cache_hits", 4);
+          (* cold: both; after the update: both, each an invalidation *)
+          ("cache_misses", 4);
+          ("cache_invalidations", 2);
+          (* every item for site 2 but the one its give-up released *)
+          ("cache_prunes", 4);
+          (* site 1's verdicts, cold and after the update *)
+          ("cache_fills", 4);
+          ("scatter_messages", 1);
+          ("gather_messages", 1);
+          ("gather_nodes", 2);
+          ("scatter_fallbacks", 1);
+          ("planner_scatter", 1);
+          ("planner_ship", 4);
+        ];
+      pinned 1
+        [
+          ("cache_validations", 0); ("cache_hits", 0); ("cache_misses", 0);
+          ("cache_invalidations", 0); ("cache_prunes", 0); ("cache_fills", 0);
+          ("scatter_messages", 0); ("gather_messages", 0); ("gather_nodes", 0);
+          ("scatter_fallbacks", 0); ("planner_scatter", 0); ("planner_ship", 0);
+        ];
+      List.iter
+        (fun name -> check_bool (name ^ " at least once") true (tcp_counter sites.(0) name >= 1))
+        [ "hf.net.retransmits"; "hf.net.give_ups"; "hf.net.dup_drops" ])
+
 let () =
   Alcotest.run "hf_cache"
     [
@@ -547,6 +648,10 @@ let () =
           Alcotest.test_case "validate give-up yields explicit partial" `Quick
             test_validate_giveup_partial;
         ] );
-      ("tcp", [ Alcotest.test_case "repeat query over TCP with cache" `Quick test_tcp_cache_repeat ]);
+      ( "tcp",
+        [
+          Alcotest.test_case "repeat query over TCP with cache" `Quick test_tcp_cache_repeat;
+          Alcotest.test_case "every counter of a scripted three-site run" `Quick test_tcp_counters;
+        ] );
       ("keys", [ Alcotest.test_case "entry keys follow oid identity" `Quick test_entry_key_identity ]);
     ]

@@ -570,7 +570,6 @@ let test_ship_local_allocation () =
   let per_object = ship_local_words_per_object () in
   check_bool (Printf.sprintf "%.1f words per object, bound 340" per_object) true (per_object < 340.0)
 
-let qtest t = QCheck_alcotest.to_alcotest t
 
 let () =
   Alcotest.run "hf_engine"
@@ -583,7 +582,7 @@ let () =
           Alcotest.test_case "marks are per filter index" `Quick test_mark_table_per_filter_index;
           Alcotest.test_case "marks suppress duplicates" `Quick
             test_mark_table_suppresses_duplicates;
-          qtest prop_mark_table_matches_set;
+          Hf_test_harness.qtest prop_mark_table_matches_set;
         ] );
       ( "dereference",
         [
@@ -609,11 +608,11 @@ let () =
           Alcotest.test_case "depth 1 examines one hop" `Quick test_depth_one_examines_one_hop;
           Alcotest.test_case "nested finite terminate" `Quick test_nested_iterators_terminate;
           Alcotest.test_case "nested star terminate" `Quick test_nested_star_terminates;
-          qtest prop_star_closure;
-          qtest prop_depth_k;
+          Hf_test_harness.qtest prop_star_closure;
+          Hf_test_harness.qtest prop_depth_k;
         ] );
       ( "search order",
-        [ qtest prop_bfs_dfs_same_results ] );
+        [ Hf_test_harness.qtest prop_bfs_dfs_same_results ] );
       ( "misc",
         [
           Alcotest.test_case "empty initial set" `Quick test_empty_initial_set;

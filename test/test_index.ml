@@ -220,7 +220,6 @@ let test_indexed_fallback_general_query () =
   let answer = Indexed_eval.answer ~find:(Store.find store) ast [ oids.(0) ] in
   Alcotest.(check (list int)) "fallback works" [ 1 ] (logical_set oids answer)
 
-let qtest t = QCheck_alcotest.to_alcotest t
 
 let () =
   Alcotest.run "hf_index"
@@ -240,7 +239,7 @@ let () =
           Alcotest.test_case "deep chain (no stack overflow)" `Quick
             test_reach_deep_chain_no_overflow;
           Alcotest.test_case "unknown object" `Quick test_reach_unknown;
-          qtest prop_reach_matches_engine;
+          Hf_test_harness.qtest prop_reach_matches_engine;
         ] );
       ( "indexed eval",
         [
@@ -248,6 +247,6 @@ let () =
           Alcotest.test_case "wrong key scans" `Quick test_indexed_wrong_key_scans;
           Alcotest.test_case "fallback on general queries" `Quick
             test_indexed_fallback_general_query;
-          qtest prop_indexed_matches_engine;
+          Hf_test_harness.qtest prop_indexed_matches_engine;
         ] );
     ]

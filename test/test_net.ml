@@ -1701,9 +1701,9 @@ let () =
           Alcotest.test_case "repeated queries" `Quick test_many_queries_stress;
           Alcotest.test_case "thread inventory, shutdown while retransmitting" `Quick
             test_thread_inventory;
-          QCheck_alcotest.to_alcotest
+          Hf_test_harness.qtest
             (prop_tcp_matches_local "TCP = local engine on random datasets");
-          QCheck_alcotest.to_alcotest
+          Hf_test_harness.qtest
             (prop_tcp_matches_local ~reliability:fast_reliability
                "TCP = local engine on random datasets, reliability on");
           Alcotest.test_case "calls on a shut-down site return at once" `Quick

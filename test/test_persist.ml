@@ -183,7 +183,6 @@ let test_cluster_recovery () =
        after.Hf_server.Cluster.result_set);
   check_bool "terminated" true after.Hf_server.Cluster.terminated
 
-let qtest t = QCheck_alcotest.to_alcotest t
 
 let () =
   Alcotest.run "hf_persist"
@@ -202,6 +201,6 @@ let () =
           Alcotest.test_case "trailing bytes detected" `Quick test_trailing_bytes_detected;
           Alcotest.test_case "flipped frame byte" `Quick test_flipped_byte_detected;
           Alcotest.test_case "cluster crash recovery" `Quick test_cluster_recovery;
-          qtest prop_random_stores_roundtrip;
+          Hf_test_harness.qtest prop_random_stores_roundtrip;
         ] );
     ]

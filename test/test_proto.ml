@@ -312,15 +312,11 @@ let test_stats_under_envelopes () =
   | Error e -> Alcotest.fail e
 
 let test_stats_carry_no_query () =
-  (* pure control plane: charging one to a query is a programming error *)
+  (* pure control plane: no query is charged for one *)
   check_bool "stats_pull has no query" true
-    (match Message.query_of (Message.Stats_pull { src = 0; token = 0 }) with
-    | _ -> false
-    | exception Invalid_argument _ -> true);
+    (Option.is_none (Message.query_of (Message.Stats_pull { src = 0; token = 0 })));
   check_bool "stats_report has no query" true
-    (match Message.query_of sample_stats_report with
-    | _ -> false
-    | exception Invalid_argument _ -> true)
+    (Option.is_none (Message.query_of sample_stats_report))
 
 let test_cache_answers_empty_rejected () =
   (* An empty answer list must not encode... *)
@@ -1250,7 +1246,6 @@ let prop_frame_roundtrip_chunked =
       done;
       !collected = payloads)
 
-let qtest t = QCheck_alcotest.to_alcotest t
 
 let () =
   Alcotest.run "hf_proto"
@@ -1269,7 +1264,7 @@ let () =
           Alcotest.test_case "cache-version round-trip" `Quick test_roundtrip_cache_version;
           Alcotest.test_case "cache-version epoch under both envelopes" `Quick
             test_cache_version_epoch_under_envelopes;
-          qtest prop_cache_version_epoch_fuzz;
+          Hf_test_harness.qtest prop_cache_version_epoch_fuzz;
           Alcotest.test_case "cache-answers round-trip" `Quick test_roundtrip_cache_answers;
           Alcotest.test_case "query-done round-trip" `Quick test_roundtrip_query_done;
           Alcotest.test_case "scatter round-trip" `Quick test_roundtrip_scatter;
@@ -1291,14 +1286,14 @@ let () =
           Alcotest.test_case "~40-byte query messages" `Quick test_query_message_size_regime;
           Alcotest.test_case "an oid is two varints" `Quick test_oid_two_varints;
           Alcotest.test_case "credit atoms past the cap rejected" `Quick test_credit_atom_cap;
-          qtest prop_message_roundtrip;
-          qtest prop_truncation_rejected;
-          qtest prop_garbage_never_raises;
+          Hf_test_harness.qtest prop_message_roundtrip;
+          Hf_test_harness.qtest prop_truncation_rejected;
+          Hf_test_harness.qtest prop_garbage_never_raises;
           Alcotest.test_case "count 2^24 rejected before allocating" `Quick
             (test_huge_count (1 lsl 24));
           Alcotest.test_case "count 2^55 rejected before allocating" `Quick
             (test_huge_count (1 lsl 55));
-          qtest prop_body_memo_hit_equals_miss;
+          Hf_test_harness.qtest prop_body_memo_hit_equals_miss;
           Alcotest.test_case "encode_to appends encode's bytes" `Quick
             test_encode_to_matches_encode;
           Alcotest.test_case "decode allocation on a memo hit" `Quick
@@ -1317,7 +1312,7 @@ let () =
           Alcotest.test_case "oversize header split across feeds" `Quick
             test_frame_oversize_split_header;
           Alcotest.test_case "largest length accepted" `Quick test_frame_largest_length;
-          qtest prop_frame_roundtrip_chunked;
+          Hf_test_harness.qtest prop_frame_roundtrip_chunked;
         ] );
       ( "reliable link",
         [
@@ -1327,7 +1322,7 @@ let () =
           Alcotest.test_case "give-up at the retry cap" `Quick test_reliable_give_up;
           Alcotest.test_case "delayed standalone ack" `Quick test_reliable_delayed_ack;
           Alcotest.test_case "config validation" `Quick test_reliable_validate;
-          qtest prop_reliable_lossy_exactly_once;
+          Hf_test_harness.qtest prop_reliable_lossy_exactly_once;
         ] );
       ( "batch buffer",
         [

@@ -362,7 +362,6 @@ let test_program_ill_formed () =
     (Hf_query.Program.Ill_formed "iterator at 0 has body_start 3 beyond itself") (fun () ->
       ignore (Hf_query.Program.of_filters [ F.iter ~body_start:3 ~count:F.Star ]))
 
-let qtest t = QCheck_alcotest.to_alcotest t
 
 let () =
   Alcotest.run "hf_query"
@@ -383,7 +382,7 @@ let () =
           Alcotest.test_case "nested blocks" `Quick test_compile_nested_blocks;
           Alcotest.test_case "empty block rejected" `Quick test_compile_empty_block;
           Alcotest.test_case "decompile round-trip" `Quick test_decompile_roundtrip;
-          qtest prop_compile_decompile;
+          Hf_test_harness.qtest prop_compile_decompile;
         ] );
       ( "unroll",
         [
@@ -392,7 +391,7 @@ let () =
           Alcotest.test_case "nested" `Quick test_unroll_nested;
           Alcotest.test_case "star kept" `Quick test_unroll_star_kept;
           Alcotest.test_case "depth and variables" `Quick test_depth_and_variables;
-          qtest prop_unroll_idempotent_on_flat;
+          Hf_test_harness.qtest prop_unroll_idempotent_on_flat;
         ] );
       ( "parser",
         [
@@ -407,13 +406,13 @@ let () =
           Alcotest.test_case "string escapes" `Quick test_parse_string_escapes;
           Alcotest.test_case "error positions" `Quick test_parse_error_position;
           Alcotest.test_case "parse_body rejects source" `Quick test_parse_body_rejects_source;
-          qtest prop_parser_total;
+          Hf_test_harness.qtest prop_parser_total;
         ]
         @ test_parse_errors );
       ( "printer",
         [
           Alcotest.test_case "examples round-trip" `Quick test_printer_roundtrip_examples;
-          qtest prop_printer_roundtrip;
+          Hf_test_harness.qtest prop_printer_roundtrip;
         ] );
       ( "validate",
         [

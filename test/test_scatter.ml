@@ -289,7 +289,6 @@ let test_one_gather_per_site () =
       check_int (what ^ ": still one gather due") 1 (Stitch.outstanding stitch))
     [ ("a second gather", 0); ("a site outside the scatter", 2) ]
 
-let qtest t = QCheck_alcotest.to_alcotest t
 
 let () =
   Alcotest.run "hf_scatter"

@@ -792,7 +792,6 @@ let test_drop_metrics () =
     (List.length outcome.Cluster.results
     < List.length (fst (local_oracle ds closure_query [ 0 ])))
 
-let qtest t = QCheck_alcotest.to_alcotest t
 
 (* --- EXPLAIN ANALYZE reconciliation (DESIGN.md Â§4i) ---------------------
 

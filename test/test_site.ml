@@ -1,7 +1,8 @@
 (* Tests for Hf_server.Site on its own — no simulator, no sockets: the
-   cache control plane's learning rules, cache routing and the release
-   of items parked behind a validation, result bookkeeping, the drain
-   test, and the planner's inputs and scatter bookkeeping. *)
+   cache control plane's learning rules, the work path (one step, cache
+   routing, the release of items parked behind a validation, and the
+   counters it keeps), result bookkeeping, the drain test, and the
+   planner's inputs and scatter bookkeeping. *)
 
 module Oid = Hf_data.Oid
 module Store = Hf_data.Store
@@ -38,8 +39,54 @@ let peer_store site keywords =
    at filter 1 needs "hot". *)
 let program = Hf_query.Parser.parse_program "(Keyword, \"cold\", ?) (Keyword, \"hot\", ?)"
 
-let context () =
-  Site.context ~query:{ Hf_proto.Message.originator = 0; serial = 1 } ~span:0 program
+let query = { Hf_proto.Message.originator = 0; serial = 1 }
+
+let context ?(program = program) ?(n_sites = 2) () =
+  Site.context ~metrics:(Hf_server.Metrics.create ~n_sites) ~n_sites ~query ~span:0 program
+
+(* What the work path handed a driver, oldest first. *)
+type handed = {
+  mutable locals : Work_item.t list;
+  mutable shipped : (int * Work_item.t) list;
+  mutable verdicts : (int * Site.route) list;
+}
+
+let recorder () =
+  let h = { locals = []; shipped = []; verdicts = [] } in
+  ( h,
+    {
+      Site.local = (fun wi -> h.locals <- h.locals @ [ wi ]);
+      ship = (fun dst wi -> h.shipped <- h.shipped @ [ (dst, wi) ]);
+      verdict = (fun dst route -> h.verdicts <- h.verdicts @ [ (dst, route) ]);
+    } )
+
+(* The counters the work path keeps. *)
+let check_counts msg expected (m : Hf_server.Metrics.t) =
+  Alcotest.(check (list (pair string int)))
+    msg expected
+    [
+      ("hits", m.cache_hits);
+      ("misses", m.cache_misses);
+      ("invalidations", m.cache_invalidations);
+      ("prunes", m.cache_prunes);
+      ("validations", m.cache_validations);
+      ("fills", m.cache_fills);
+      ("fallbacks", m.scatter_fallbacks);
+    ]
+
+let counts ?(hits = 0) ?(misses = 0) ?(invalidations = 0) ?(prunes = 0) ?(validations = 0)
+    ?(fills = 0) ?(fallbacks = 0) () =
+  [
+    ("hits", hits);
+    ("misses", misses);
+    ("invalidations", invalidations);
+    ("prunes", prunes);
+    ("validations", validations);
+    ("fills", fills);
+    ("fallbacks", fallbacks);
+  ]
+
+let same_items = List.for_all2 Work_item.equal
 
 (* The credit paths over a detector, its payloads as they are (the
    simulator's instance). *)
@@ -86,10 +133,9 @@ let test_epoch_regression () =
   let oids2, summary2 = peer_store 2 [ "cold" ] in
   Site.learn site ~peer:1 ~version:3 ~epoch:2 (wire summary1);
   Site.learn site ~peer:2 ~version:5 ~epoch:1 (wire summary2);
-  check_int "verdicts from 1" 1
-    (Site.fill site ctx ~src:1 ~version:3 [ answer (List.hd oids1) true ]);
-  check_int "verdicts from 2" 1
-    (Site.fill site ctx ~src:2 ~version:5 [ answer (List.hd oids2) true ]);
+  Site.fill site ctx ~src:1 ~version:3 [ answer (List.hd oids1) true ];
+  Site.fill site ctx ~src:2 ~version:5 [ answer (List.hd oids2) true ];
+  check_int "verdicts from both counted" 2 ctx.metrics.cache_fills;
   check_bool "leaf 1 installed" true (leaf site 1);
   (* peer 1 restarted: same version number, older epoch *)
   Site.learn site ~peer:1 ~version:3 ~epoch:1 None;
@@ -132,10 +178,18 @@ let route_name = function
   | Site.Validate -> "validate"
   | Site.Dangling -> "dangling"
 
+(* The verdicts [h] saw since the last call, by name. *)
+let verdicts h =
+  let names = List.map (fun (_, route) -> route_name route) h.verdicts in
+  h.verdicts <- [];
+  names
+
+let check_names = Alcotest.(check (list string))
+
 (* Items bound for a destination whose version is not known yet park
    behind one validation; its reply releases them in arrival order, and
    each gets the verdict the summary and the answer cache give for the
-   same key. *)
+   same key, counted once. *)
 let test_parked_release () =
   let site = origin () in
   let ctx = context () in
@@ -145,10 +199,8 @@ let test_parked_release () =
   let hit, miss, stale, dead =
     match oids with [ a; b; c; d ] -> (a, b, c, d) | _ -> assert false
   in
-  check_int "fill at the current version" 1
-    (Site.fill site ctx ~src:1 ~version [ answer hit true ]);
-  check_int "fill at an older version" 1
-    (Site.fill site ctx ~src:1 ~version:(version - 1) [ answer stale false ]);
+  Site.fill site ctx ~src:1 ~version [ answer hit true ];
+  Site.fill site ctx ~src:1 ~version:(version - 1) [ answer stale false ];
   let items =
     [
       Work_item.initial ctx.plan hit;
@@ -176,33 +228,36 @@ let test_parked_release () =
           | Rc.Absent -> Site.Miss { invalidated = false })
       items
   in
-  Alcotest.(check (list string))
-    "the expectation covers prune, hit and both misses"
+  check_names "the expectation covers prune, hit and both misses"
     [ "hit true"; "miss invalidated=false"; "miss invalidated=true"; "pruned" ]
     (List.map route_name expected);
-  Alcotest.(check (list string))
-    "first item validates, the rest wait" [ "validate"; "parked"; "parked"; "parked" ]
-    (List.map (fun wi -> route_name (Site.route site ctx ~n_sites:2 ~dst:1 wi)) items);
+  let h, sink = recorder () in
+  Site.dispatch site ctx sink items;
+  check_names "first item validates, the rest wait" [ "validate"; "parked"; "parked"; "parked" ]
+    (verdicts h);
   check_int "parked" 4 ctx.parked_count;
-  Alcotest.(check string)
-    "a destination outside the cluster dangles, unparked" "dangling"
-    (route_name (Site.route site ctx ~n_sites:2 ~dst:9 (List.hd items)));
+  Site.dispatch site ctx sink [ Work_item.initial ctx.plan (Oid.make ~birth_site:9 ~serial:1) ];
+  check_names "a destination outside the cluster dangles, unparked" [ "dangling" ] (verdicts h);
   check_int "still parked" 4 ctx.parked_count;
   check_bool "not ready while parked" false (Site.ready ctx);
+  check_bool "nothing shipped yet" true (h.shipped = []);
   (* the Cache_version reply *)
   Site.learn site ~peer:1 ~version ~epoch:1 (wire summary);
-  let released = Site.release site ctx ~dst:1 ~version:(Some version) in
-  check_bool "arrival order" true
-    (List.for_all2 (fun wi (wj, _) -> Work_item.equal wi wj) items released);
-  Alcotest.(check (list string))
-    "verdicts match the summary and the cache" (List.map route_name expected)
-    (List.map (fun (_, route) -> route_name route) released);
+  check_int "all released" 4 (Site.unpark site ctx sink ~dst:1 ~version:(Some version));
+  check_names "verdicts in arrival order match the summary and the cache"
+    (List.map route_name expected) (verdicts h);
+  check_bool "the misses ship, in order" true
+    (List.for_all2
+       (fun (dst, wi) wj -> dst = 1 && Work_item.equal wi wj)
+       h.shipped [ List.nth items 1; List.nth items 2 ]);
+  check_int "what ships is buffered" 2 ctx.buffered;
   check_int "nothing parked" 0 ctx.parked_count;
-  check_bool "ready" true (Site.ready ctx);
   check_bool "the hit's result is recorded" true (Oid.Set.mem hit ctx.final.set);
-  Alcotest.(check (list string))
-    "the destination stays vouched for" [ "miss invalidated=false" ]
-    [ route_name (Site.route site ctx ~n_sites:2 ~dst:1 (Work_item.initial ctx.plan miss)) ]
+  check_counts "each verdict counted once"
+    (counts ~hits:1 ~misses:2 ~invalidations:1 ~prunes:1 ~validations:1 ~fills:2 ())
+    ctx.metrics;
+  Site.dispatch site ctx sink [ Work_item.initial ctx.plan miss ];
+  check_names "the destination stays vouched for" [ "miss invalidated=false" ] (verdicts h)
 
 (* A validation that died releases every parked item to ship plainly. *)
 let test_release_without_version () =
@@ -210,14 +265,16 @@ let test_release_without_version () =
   let ctx = context () in
   let oids, _ = peer_store 1 [ "cold"; "cold" ] in
   let items = List.map (Work_item.initial ctx.plan) oids in
-  List.iter (fun wi -> ignore (Site.route site ctx ~n_sites:2 ~dst:1 wi)) items;
-  Alcotest.(check (list string))
-    "all ship" [ "ship"; "ship" ]
-    (List.map (fun (_, r) -> route_name r) (Site.release site ctx ~dst:1 ~version:None));
+  let h, sink = recorder () in
+  Site.dispatch site ctx sink items;
+  ignore (verdicts h);
+  check_int "released" 2 (Site.unpark site ctx sink ~dst:1 ~version:None);
+  check_names "all ship" [ "ship"; "ship" ] (verdicts h);
+  check_bool "in arrival order" true (same_items items (List.map snd h.shipped));
   check_int "nothing parked" 0 ctx.parked_count;
-  Alcotest.(check (list string))
-    "the next item validates again" [ "validate" ]
-    [ route_name (Site.route site ctx ~n_sites:2 ~dst:1 (List.hd items)) ]
+  Site.dispatch site ctx sink [ List.hd items ];
+  check_names "the next item validates again" [ "validate" ] (verdicts h);
+  check_counts "one validation each time" (counts ~validations:2 ()) ctx.metrics
 
 (* The summary probes an item entering a one-filter keyword program
    makes. *)
@@ -235,12 +292,14 @@ let test_prune_needs_validated_version () =
   let item = Work_item.make ~oid:(List.hd oids) ~start:1 ~iters:[||] in
   let routed ~version =
     let ctx = context () in
-    ignore (Site.route site ctx ~n_sites:2 ~dst:1 item);
-    List.map (fun (_, r) -> route_name r) (Site.release site ctx ~dst:1 ~version:(Some version))
+    let h, sink = recorder () in
+    Site.dispatch site ctx sink [ item ];
+    ignore (verdicts h);
+    ignore (Site.unpark site ctx sink ~dst:1 ~version:(Some version));
+    verdicts h
   in
-  Alcotest.(check (list string)) "vouched at the learned version" [ "pruned" ] (routed ~version:3);
-  Alcotest.(check (list string))
-    "vouched at another version" [ "miss invalidated=false" ] (routed ~version:4)
+  check_names "vouched at the learned version" [ "pruned" ] (routed ~version:3);
+  check_names "vouched at another version" [ "miss invalidated=false" ] (routed ~version:4)
 
 (* With the cache off every item ships at once and the control plane
    is silent. *)
@@ -253,11 +312,14 @@ let test_cache_off () =
   let ctx = context () in
   let oids, _ = peer_store 1 [ "cold" ] in
   let wi = Work_item.initial ctx.plan (List.hd oids) in
-  Alcotest.(check string) "route" "ship" (route_name (Site.route site ctx ~n_sites:2 ~dst:1 wi));
+  let h, sink = recorder () in
+  Site.dispatch site ctx sink [ wi ];
+  check_names "route" [ "ship" ] (verdicts h);
+  check_bool "handed to the batcher" true (same_items [ wi ] (List.map snd h.shipped));
+  check_int "and counted as buffered" 1 ctx.buffered;
   check_int "nothing parked" 0 ctx.parked_count;
-  check_bool "ready" true (Site.ready ctx);
-  check_int "fill installs nothing" 0
-    (Site.fill site ctx ~src:1 ~version:1 [ answer (List.hd oids) true ]);
+  Site.fill site ctx ~src:1 ~version:1 [ answer (List.hd oids) true ];
+  check_counts "nothing counted" (counts ()) ctx.metrics;
   let version, bloom = Site.validate_reply site ~peer:1 in
   check_int "version-only reply" (Store.version store) version;
   check_bool "no summary aboard" true (Option.is_none bloom);
@@ -278,14 +340,16 @@ let test_hits_not_served () =
   let ctx = context () in
   let oids, summary = peer_store 1 [ "cold"; "cold" ] in
   let cached, other = match oids with [ a; b ] -> (a, b) | _ -> assert false in
-  check_int "fill" 1 (Site.fill site ctx ~src:1 ~version:2 [ answer cached true ]);
+  Site.fill site ctx ~src:1 ~version:2 [ answer cached true ];
   Site.learn site ~peer:1 ~version:2 ~epoch:1 (wire summary);
   let items = List.map (Work_item.initial ctx.plan) [ cached; other ] in
-  List.iter (fun wi -> ignore (Site.route site ctx ~n_sites:2 ~dst:1 wi)) items;
-  Alcotest.(check (list string))
-    "the hit ships, the miss misses" [ "ship"; "miss invalidated=false" ]
-    (List.map (fun (_, r) -> route_name r) (Site.release site ctx ~dst:1 ~version:(Some 2)));
-  check_bool "no result recorded" true (Oid.Set.is_empty ctx.final.set)
+  let h, sink = recorder () in
+  Site.dispatch site ctx sink items;
+  ignore (verdicts h);
+  ignore (Site.unpark site ctx sink ~dst:1 ~version:(Some 2));
+  check_names "the hit ships, the miss misses" [ "ship"; "miss invalidated=false" ] (verdicts h);
+  check_bool "no result recorded" true (Oid.Set.is_empty ctx.final.set);
+  check_counts "no hit counted" (counts ~misses:1 ~validations:1 ~fills:1 ()) ctx.metrics
 
 (* A validation reply carries this store's summary once per peer and
    version; only a rebuild advances the epoch. *)
@@ -323,34 +387,61 @@ let test_validate_reply () =
      | None -> false);
   check_int "reading the summary does not advance the epoch" 2 (Site.epoch site)
 
-let add_results site ctx oids = List.iter (Site.add_result site ctx) oids
+(* Site [id] over a store holding [n] "hot" objects, and their oids. *)
+let hot_site ?cache id n =
+  let store = Store.create ~site:id in
+  let oids =
+    List.init n (fun _ -> Hf_data.Hobject.oid (Store.create_object store [ Tuple.keyword "hot" ]))
+  in
+  ( Site.create ~id ~store ~clock:(fun () -> 0.0) ~cache ~serve_hits:true ~bloofi:false
+      ~bloofi_depth:(Hf_obs.Histogram.create ()),
+    oids )
+
+let hot = Hf_query.Parser.parse_program "(Keyword, \"hot\", ?)"
+
+let steps site ctx oids =
+  let _, sink = recorder () in
+  List.iter
+    (fun oid -> ignore (Site.step site ctx sink ~record:true (Work_item.initial ctx.Site.plan oid)))
+    oids
 
 (* At the originator a passing object goes straight into the answer,
    once. *)
 let test_results_at_origin () =
-  let site = origin () in
-  let ctx = context () in
-  let oids, _ = peer_store 1 [ "a"; "b" ] in
+  let site, oids = hot_site 0 2 in
+  let ctx = context ~program:hot () in
   let a, b = match oids with [ a; b ] -> (a, b) | _ -> assert false in
-  add_results site ctx [ a; b; a ];
+  steps site ctx [ a; b; a ];
   check_int "answer" 2 (List.length ctx.final.results);
   check_bool "newest first" true (List.for_all2 Oid.equal [ b; a ] ctx.final.results);
   check_int "local set" 2 (Oid.Set.cardinal ctx.local_result_set);
   check_bool "nothing buffered" true (ctx.result_buffer = []);
   check_bool "nothing to ship home" true (drain_sends ~self:0 site ctx = [])
 
+(* An object answered twice — here by cached verdicts for two entry
+   points — joins the answer once. *)
+let test_result_once () =
+  let site = origin () in
+  let ctx = context () in
+  let x = List.hd (fst (peer_store 1 [ "cold" ])) in
+  let at start = Work_item.make ~oid:x ~start ~iters:[||] in
+  Site.fill site ctx ~src:1 ~version:7
+    (List.map
+       (fun start -> { Hf_proto.Message.oid = x; start; iters = [||]; passed = true })
+       [ 0; 1 ]);
+  let _, sink = recorder () in
+  Site.dispatch site ctx sink [ at 0; at 1 ];
+  ignore (Site.unpark site ctx sink ~dst:1 ~version:(Some 7));
+  check_int "two hits" 2 ctx.metrics.cache_hits;
+  check_bool "one result" true (List.length ctx.final.results = 1 && Oid.Set.mem x ctx.final.set)
+
 (* Away from the originator results and bindings wait in the buffer
    until the drain tail ships them, oldest first. *)
 let test_results_away () =
-  let site =
-    Site.create ~id:1 ~store:(Store.create ~site:1)
-      ~clock:(fun () -> 0.0) ~cache:(Some Rc.default) ~serve_hits:true ~bloofi:false
-      ~bloofi_depth:(Hf_obs.Histogram.create ())
-  in
-  let ctx = context () in
-  let oids, _ = peer_store 1 [ "a"; "b" ] in
+  let site, oids = hot_site 1 2 in
+  let ctx = context ~program:hot () in
   let a, b = match oids with [ a; b ] -> (a, b) | _ -> assert false in
-  add_results site ctx [ a; b; a ];
+  steps site ctx [ a; b; a ];
   Hashtbl.replace ctx.bindings "title" [ Hf_data.Value.Str "x" ];
   (match drain_sends ~self:1 site ctx with
    | [ (0, Hf_proto.Message.Result { payload = Items results; bindings; _ }) ] ->
@@ -360,7 +451,7 @@ let test_results_away () =
    | _ -> Alcotest.fail "expected one Result for the originator");
   check_bool "the answer is the originator's" true (Oid.Set.is_empty ctx.final.set);
   check_bool "emptied" true (drain_sends ~self:1 site ctx = []);
-  add_results site ctx [ a ];
+  steps site ctx [ a ];
   check_bool "a repeat stays out of the buffer" true (drain_sends ~self:1 site ctx = [])
 
 (* Bindings append per target, both as results arrive at the
@@ -381,40 +472,127 @@ let test_bindings () =
     (Hashtbl.find ctx.final.bindings "t" = [ v "a"; v "c"; v "d"; v "e" ]);
   check_int "emitted bindings moved" 0 (Hashtbl.length ctx.bindings)
 
-(* One eval step runs the object against this site's store: a passing
-   retrieve emits into the context, a dereference spawns, and the mark
-   table suppresses a second entry. *)
-let test_eval_step () =
+(* One step runs the object against this site's store: a passing
+   retrieve emits into the context, a dereference spawns — a spawn for
+   this store goes to the driver as it is, one for another site is
+   routed, unless a mark table shared across sites already holds it —
+   and the mark table suppresses a second entry. *)
+let test_step () =
   let store = Store.create ~site:0 in
   let target = Oid.make ~birth_site:1 ~serial:7 in
+  let local = Oid.make ~birth_site:0 ~serial:99 in
   let obj =
     Store.create_object store
-      [ Tuple.string_ ~key:"Title" "x"; Tuple.pointer ~key:"R" target ]
+      [ Tuple.string_ ~key:"Title" "x"; Tuple.pointer ~key:"R" target; Tuple.pointer ~key:"R" local ]
   in
   let site =
     Site.create ~id:0 ~store ~clock:(fun () -> 0.0) ~cache:None
       ~serve_hits:true ~bloofi:false ~bloofi_depth:(Hf_obs.Histogram.create ())
   in
-  let ctx =
-    Site.context ~query:{ Hf_proto.Message.originator = 0; serial = 1 } ~span:0
-      (Hf_query.Parser.parse_program "(String, \"Title\", ->title) (Pointer, \"R\", ?X) ^^X")
-  in
+  let program = Hf_query.Parser.parse_program "(String, \"Title\", ->title) (Pointer, \"R\", ?X) ^^X" in
+  let ctx = context ~program () in
   let wi = Work_item.initial ctx.plan (Hf_data.Hobject.oid obj) in
-  let first = Site.eval site ctx wi in
+  let h, sink = recorder () in
+  let first = Site.step site ctx sink ~record:true wi in
   check_bool "passed" true first.passed;
   check_bool "not skipped" false first.skipped;
+  check_bool "in the answer" true (Oid.Set.mem (Hf_data.Hobject.oid obj) ctx.final.set);
   check_bool "emitted" true
     (Hashtbl.find_opt ctx.bindings "title" = Some [ Hf_data.Value.Str "x" ]);
+  let serials l = List.map (fun w -> Oid.serial (Work_item.oid w)) l in
   Alcotest.(check (list int))
-    "spawned the pointer target" [ Oid.serial target ]
-    (List.map (fun w -> Oid.serial (Work_item.oid w)) first.spawned);
+    "spawned both targets" [ 7; 99 ]
+    (List.sort Int.compare (serials first.spawned));
+  Alcotest.(check (list int)) "the local one is handed over" [ 99 ] (serials h.locals);
+  check_bool "the remote one ships to its birth site" true
+    (List.map fst h.shipped = [ 1 ] && serials (List.map snd h.shipped) = [ 7 ]);
+  check_names "one verdict" [ "ship" ] (verdicts h);
   check_int "processed" 1 ctx.stats.objects_processed;
-  let again = Site.eval site ctx wi in
+  let again = Site.step site ctx sink ~record:true wi in
   check_bool "second entry suppressed" true again.skipped;
-  check_bool "nothing spawned" true (again.spawned = [])
+  check_bool "nothing spawned" true (again.spawned = []);
+  check_int "nothing more shipped" 1 (List.length h.shipped);
+  (* a shared table that marked the remote spawn already *)
+  let marks = Hf_engine.Mark_table.create () in
+  let spawn = List.hd first.spawned in
+  Hf_engine.Mark_table.add marks target (Work_item.start spawn) ~iters:(Work_item.iters spawn);
+  let shared =
+    Site.context ~marks ~metrics:(Hf_server.Metrics.create ~n_sites:2) ~n_sites:2 ~query ~span:0
+      program
+  in
+  let h, sink = recorder () in
+  ignore (Site.step site shared sink ~record:true wi);
+  check_bool "a marked remote spawn is not sent" true (h.shipped = [] && h.verdicts = []);
+  Alcotest.(check (list int)) "the local one still is" [ 99 ] (serials h.locals)
 
-(* A site away from the originator keeps the cacheable verdicts it
-   computed, for one store version, and ships them home once. *)
+(* The step counts each routing verdict of its spawns once, in the
+   record of the context it runs in: validation, parking and dangling
+   as they are routed, and prune, hit and both misses as the parked
+   items are released. *)
+let test_step_counts () =
+  let oids1, summary1 = peer_store 1 [ "hot"; "hot"; "hot" ] in
+  let oids2, summary2 = peer_store 2 [ "cold" ] in
+  let hit, miss, stale = match oids1 with [ a; b; c ] -> (a, b, c) | _ -> assert false in
+  let pruned = List.hd oids2 in
+  let far = Oid.make ~birth_site:9 ~serial:1 in
+  let store = Store.create ~site:0 in
+  let obj =
+    Store.create_object store
+      (List.map (Tuple.pointer ~key:"R") [ hit; miss; stale; pruned; far ])
+  in
+  let site =
+    Site.create ~id:0 ~store ~clock:(fun () -> 0.0) ~cache:(Some Rc.default) ~serve_hits:true
+      ~bloofi:false ~bloofi_depth:(Hf_obs.Histogram.create ())
+  in
+  let program = Hf_query.Parser.parse_program "(Pointer, \"R\", ?X) ^^X (Keyword, \"hot\", ?)" in
+  let ctx = context ~program ~n_sites:3 () in
+  let other = context ~program ~n_sites:3 () in
+  let h, sink = recorder () in
+  let r = Site.step site ctx sink ~record:true (Work_item.initial ctx.plan (Hf_data.Hobject.oid obj)) in
+  check_int "five spawns" 5 (List.length r.spawned);
+  (* in the object's tuple order: the first item for each destination
+     validates, the rest park, and site 9 is outside the cluster *)
+  let dsts = List.map (fun w -> Oid.birth_site (Work_item.oid w)) r.spawned in
+  check_names "routed as they came"
+    (List.mapi
+       (fun i dst ->
+         if dst = 9 then "dangling"
+         else if List.mem dst (List.filteri (fun j _ -> j < i) dsts) then "parked"
+         else "validate")
+       dsts)
+    (verdicts h);
+  check_counts "validations counted" (counts ~validations:2 ()) ctx.metrics;
+  (* verdicts [1] computed at version 7: one current, one older *)
+  let entry = Work_item.start (List.hd r.spawned) in
+  let verdict oid passed = { Hf_proto.Message.oid; start = entry; iters = [||]; passed } in
+  Site.fill site ctx ~src:1 ~version:7 [ verdict hit true ];
+  Site.fill site ctx ~src:1 ~version:6 [ verdict stale true ];
+  Site.learn site ~peer:1 ~version:7 ~epoch:1 (wire summary1);
+  Site.learn site ~peer:2 ~version:3 ~epoch:1 (wire summary2);
+  check_int "three released at 1" 3 (Site.unpark site ctx sink ~dst:1 ~version:(Some 7));
+  check_int "one released at 2" 1 (Site.unpark site ctx sink ~dst:2 ~version:(Some 3));
+  let released oid =
+    if Oid.equal oid hit then "hit true"
+    else if Oid.equal oid miss then "miss invalidated=false"
+    else "miss invalidated=true"
+  in
+  check_names "released verdicts, in arrival order"
+    (List.filter_map
+       (fun w ->
+         let oid = Work_item.oid w in
+         if Oid.birth_site oid = 1 then Some (released oid) else None)
+       r.spawned
+    @ [ "pruned" ])
+    (verdicts h);
+  check_counts "each verdict counted once"
+    (counts ~hits:1 ~misses:2 ~invalidations:1 ~prunes:1 ~validations:2 ~fills:2 ())
+    ctx.metrics;
+  check_int "the misses are buffered" 2 ctx.buffered;
+  check_counts "another context's record is untouched" (counts ()) other.metrics
+
+(* A site away from the originator keeps the cacheable verdicts of the
+   items it ran for real, for one store version, and ships them home
+   once. *)
 let test_record_answers () =
   let store = Store.create ~site:1 in
   let site =
@@ -422,38 +600,44 @@ let test_record_answers () =
       ~cache:(Some Rc.default) ~serve_hits:true ~bloofi:false
       ~bloofi_depth:(Hf_obs.Histogram.create ())
   in
-  let ctx = context () in
-  let a = Hf_data.Hobject.oid (Store.create_object store [ Tuple.keyword "cold" ]) in
+  let a = Hf_data.Hobject.oid (Store.create_object store [ Tuple.keyword "cold"; Tuple.keyword "hot" ]) in
   let b = Hf_data.Hobject.oid (Store.create_object store [ Tuple.keyword "hot" ]) in
-  let item oid = Work_item.initial ctx.plan oid in
-  Site.record_answer site ctx (item a) ~passed:true ~skipped:false;
-  Site.record_answer site ctx (item b) ~passed:false ~skipped:false;
-  Site.record_answer site ctx (item a) ~passed:false ~skipped:true;
+  let _, sink = recorder () in
+  let step ?(record = true) ctx oid =
+    ignore (Site.step site ctx sink ~record (Work_item.initial ctx.Site.plan oid))
+  in
   (* the cache fill the drain tail sends home *)
-  let fill () =
+  let fill ctx =
     match drain_sends ~self:1 site ctx with
     | (0, Hf_proto.Message.Cache_answers { version; answers; _ }) :: _ -> Some (version, answers)
     | _ -> None
   in
-  let shipped = fill () in
-  check_bool "capture order at the store's version, skipped left out" true
-    (match shipped with
+  let ctx = context () in
+  step ctx a;
+  step ctx b;
+  step ctx a;
+  check_bool "capture order at the store's version, the skipped entry left out" true
+    (match fill ctx with
      | Some (v, [ x; y ]) ->
        v = Store.version store && Oid.equal x.oid a && x.passed && Oid.equal y.oid b
        && not y.passed
      | Some _ | None -> false);
-  check_bool "emptied" true (Option.is_none (fill ()));
-  Site.record_answer site ctx (item a) ~passed:true ~skipped:false;
+  check_bool "emptied" true (Option.is_none (fill ctx));
+  let ctx = context () in
+  step ctx a;
   ignore (Store.create_object store [ Tuple.keyword "warm" ]);
-  Site.record_answer site ctx (item b) ~passed:false ~skipped:false;
+  step ctx b;
   check_bool "a store change drops the older verdicts" true
-    (match fill () with
+    (match fill ctx with
      | Some (v, [ y ]) -> v = Store.version store && Oid.equal y.oid b
      | Some _ | None -> false);
+  let ctx = context () in
+  step ~record:false ctx a;
+  check_bool "nothing recorded unasked" true (ctx.answers = []);
   (* the originator computes its own verdicts; nothing to send home *)
   let home = origin () in
   let ctx = context () in
-  Site.record_answer home ctx (item a) ~passed:true ~skipped:false;
+  ignore (Site.step home ctx sink ~record:true (Work_item.initial ctx.plan a));
   check_bool "nothing recorded at the originator" true (ctx.answers = [])
 
 (* The drain test waits for queued, active, buffered and parked work
@@ -472,13 +656,14 @@ let test_ready () =
   check_bool "buffered items" false (Site.ready ctx);
   ctx.buffered <- 0;
   let oids, _ = peer_store 1 [ "cold" ] in
-  ignore (Site.route site ctx ~n_sites:2 ~dst:1 (Work_item.initial ctx.plan (List.hd oids)));
+  let _, sink = recorder () in
+  Site.dispatch site ctx sink [ Work_item.initial ctx.plan (List.hd oids) ];
   check_bool "parked items" false (Site.ready ctx);
   Site.drop_parked ctx;
   check_bool "parked items dropped" true (Site.ready ctx);
   ignore (Site.scatter_seed site ctx ~sites:[ 1 ] []);
   check_bool "gathers outstanding" false (Site.ready ctx);
-  ignore (Site.gather site ctx ~site:0 []);
+  ignore (Site.stitch site ctx sink ~site:0 []);
   check_bool "one gather outstanding" false (Site.ready ctx);
   Site.gather_lost ctx ~site:1;
   check_bool "the lost site's slot closed" true (Site.ready ctx)
@@ -502,8 +687,9 @@ let decision ~eligible ~predicted ~chosen : Hf_query.Plan.decision =
 let test_select () =
   let ran = ref 0 in
   let sites (_, s) = s in
+  let ctx = context () in
   let select exec ~scatter_ok d =
-    Site.select exec ~scatter_ok (fun () ->
+    Site.select ctx exec ~scatter_ok (fun () ->
         incr ran;
         d)
   in
@@ -533,7 +719,9 @@ let test_select () =
     (match select Site.Exec_auto ~scatter_ok:true ship with
      | Some d, _ -> d == ship
      | None, _ -> false);
-  check_int "the planner ran once per non-ship call" 7 !ran
+  check_int "the planner ran once per non-ship call" 7 !ran;
+  check_int "choices to scatter counted" 2 ctx.metrics.planner_scatter;
+  check_int "choices to ship counted" 5 ctx.metrics.planner_ship
 
 (* The Bloofi leaves follow the summaries the driver vouches for, and
    a descent answers for indexed sites only. *)
@@ -589,7 +777,7 @@ let test_scatter_seed () =
   | Some stitch -> check_int "one gather per member" 3 (Hf_engine.Scatter.Stitch.outstanding stitch)
 
 (* Gathers stitch into the originator's answer; a chain escaping the
-   scattered sites comes back to ship. *)
+   scattered sites is counted as a fallback and routed to ship. *)
 let test_gather () =
   let store0 = Store.create ~site:0 and store1 = Store.create ~site:1 in
   let b = Hf_data.Hobject.oid (Store.create_object store1 [ Tuple.keyword "hot" ]) in
@@ -604,21 +792,24 @@ let test_gather () =
   in
   let site0 = make 0 store0 and site1 = make 1 store1 in
   let program = Hf_query.Parser.parse_program "(Pointer, \"R\", ?X) ^X (Keyword, \"hot\", ?)" in
-  let query = { Hf_proto.Message.originator = 0; serial = 1 } in
-  let ctx0 = Site.context ~query ~span:0 program in
+  let ctx0 = context ~program ~n_sites:3 () in
   let roots, stray = Site.scatter_seed site0 ctx0 ~sites:[ 1 ] [ a ] in
   check_bool "no stray seed" true (stray = []);
-  let own = Site.gather site0 ctx0 ~site:0 (Site.eval_domain site0 ctx0 ~roots:(roots 0)) in
+  let h, sink = recorder () in
+  let own = Site.stitch site0 ctx0 sink ~site:0 (Site.eval_domain site0 ctx0 ~roots:(roots 0)) in
   check_bool "no result before site 1 gathers" true (Oid.Set.is_empty ctx0.final.set);
-  let ctx1 = Site.context ~query ~span:0 program in
-  let remote = Site.gather site0 ctx0 ~site:1 (Site.eval_domain site1 ctx1 ~roots:(roots 1)) in
+  let ctx1 = context ~program ~n_sites:3 () in
+  let remote = Site.stitch site0 ctx0 sink ~site:1 (Site.eval_domain site1 ctx1 ~roots:(roots 1)) in
   check_bool "site 1's object is the answer" true
     (Oid.Set.equal (Oid.Set.singleton b) ctx0.final.set);
+  check_int "one chain escaped" 1 (own + remote);
   Alcotest.(check (list (pair int int)))
     "the escaped chain ships" [ (2, 1) ]
-    (List.map (fun w -> (Oid.birth_site (Work_item.oid w), Oid.serial (Work_item.oid w)))
-       (own @ remote));
-  check_bool "drained" true (Site.ready ctx0)
+    (List.map (fun (dst, w) -> (dst, Oid.serial (Work_item.oid w))) h.shipped);
+  check_counts "counted as a fallback" (counts ~fallbacks:1 ()) ctx0.metrics;
+  check_bool "its batcher holds the drain" true (ctx0.buffered = 1 && not (Site.ready ctx0));
+  ctx0.buffered <- 0;
+  check_bool "drained once it ships" true (Site.ready ctx0)
 
 (* --- the credit paths, over Weighted and Dijkstra–Scholten --- *)
 
@@ -659,19 +850,17 @@ struct
      | _ -> Alcotest.fail "away, no results: expected one Credit_return home");
     check_bool "away: nothing held after the drain" false (K.holds d);
     let s, ctx, d = away () in
-    Site.add_result s ctx (Oid.make ~birth_site:1 ~serial:1);
+    ctx.result_buffer <- [ Oid.make ~birth_site:1 ~serial:1 ];
     (match C.drain s ctx d with
      | [ (0, Message.Result { payload = Items [ _ ]; credit; _ }) ], false ->
        check_bool "away, results: the controls aboard" true (one_control credit)
      | _ -> Alcotest.fail "away, results: expected one Result home");
     let o = det 0 and ctx = context () in
     D.on_seed o;
-    Site.add_result (site 0) ctx (Oid.make ~birth_site:0 ~serial:1);
     Hashtbl.replace ctx.bindings "t" [ Hf_data.Value.Str "x" ];
     check_bool "at the originator: nothing sent, termination known" true
       (C.drain (site 0) ctx o = ([], true));
-    check_int "its result is in the answer" 1 (List.length ctx.final.results);
-    check_bool "its bindings too" true (Hashtbl.mem ctx.final.bindings "t")
+    check_bool "its bindings join the answer" true (Hashtbl.mem ctx.final.bindings "t")
 
   (* An answer reaching [ctx], taken as both engines take it. *)
   let deliver ctx d ~src m =
@@ -713,7 +902,7 @@ struct
     D.on_seed o;
     ignore (Site.scatter_seed (site 0) octx ~sites:[ 1 ] []);
     let share = C.split o ~dst:1 in
-    ignore (Site.gather (site 0) octx ~site:0 []);
+    ignore (Site.stitch (site 0) octx (snd (recorder ())) ~site:0 []);
     check_bool "the scattered site's gather holds the drain" false (Site.ready octx);
     check_bool "noted at the originator, nothing sent" true
       (C.unwind (site 0) octx o ~dst:1 share = ([], false));
@@ -726,14 +915,16 @@ struct
     let s = origin () and ctx = context () and o = det 0 in
     D.on_seed o;
     let oids, _ = peer_store 1 [ "cold"; "hot" ] in
-    List.iter
-      (fun oid -> ignore (Site.route s ctx ~n_sites:2 ~dst:1 (Work_item.initial ctx.plan oid)))
-      oids;
+    let h, sink = recorder () in
+    Site.dispatch s ctx sink (List.map (Work_item.initial ctx.plan) oids);
     check_bool "the parked items hold the drain" false (Site.ready ctx);
-    check_bool "released to ship" true
-      (List.map snd (Site.release s ctx ~dst:1 ~version:None) = [ Site.Ship; Site.Ship ]);
+    ignore (Site.unpark s ctx sink ~dst:1 ~version:None);
+    check_bool "released to ship" true (List.map fst h.shipped = [ 1; 1 ]);
+    let group = C.group ctx o ~dst:1 (List.map snd h.shipped) in
+    check_bool "one group for both, out of the batcher" true
+      (List.length group.items = 2 && ctx.buffered = 0);
     check_bool "the group's share unwound, nothing sent" true
-      (C.unwind s ctx o ~dst:1 (C.split o ~dst:1) = ([], false));
+      (C.unwind s ctx o ~dst:1 group.credit = ([], false));
     check_bool "the drain terminates" true (snd (C.drain s ctx o));
     check_bool "partial" true (ctx.final.unreachable = [ 1 ])
 
@@ -837,9 +1028,11 @@ let () =
       ( "results",
         [
           Alcotest.test_case "at the originator" `Quick test_results_at_origin;
+          Alcotest.test_case "a result joins the answer once" `Quick test_result_once;
           Alcotest.test_case "away from the originator" `Quick test_results_away;
           Alcotest.test_case "bindings append per target" `Quick test_bindings;
-          Alcotest.test_case "one eval step" `Quick test_eval_step;
+          Alcotest.test_case "one eval step" `Quick test_step;
+          Alcotest.test_case "one step counts each verdict once" `Quick test_step_counts;
           Alcotest.test_case "cacheable verdicts for the originator" `Quick test_record_answers;
           Alcotest.test_case "drain test" `Quick test_ready;
         ] );

@@ -423,7 +423,6 @@ let test_fc_probe_reply () =
    | _ -> Alcotest.fail "expected one probe");
   check_int "one wave counted" 1 (F.waves origin)
 
-let qtest t = QCheck_alcotest.to_alcotest t
 
 let () =
   Alcotest.run "hf_termination"
@@ -440,26 +439,26 @@ let () =
           Alcotest.test_case "approximate value" `Quick test_credit_to_float;
           Alcotest.test_case "atoms past the cap refused" `Quick test_credit_cap;
           Alcotest.test_case "an atom at the cap costs its entry" `Quick test_credit_cap_words;
-          qtest prop_credit_random_splits;
-          qtest prop_credit_matches_model;
+          Hf_test_harness.qtest prop_credit_random_splits;
+          Hf_test_harness.qtest prop_credit_matches_model;
         ] );
       ( "weighted",
         [
           Alcotest.test_case "two-site scenario" `Quick test_weighted_two_site_scenario;
           Alcotest.test_case "instrumentation" `Quick test_weighted_instrumentation;
           Alcotest.test_case "empty query" `Quick test_weighted_empty_query;
-          qtest prop_weighted;
+          Hf_test_harness.qtest prop_weighted;
         ] );
       ( "dijkstra-scholten",
         [
           Alcotest.test_case "scenario" `Quick test_ds_scenario;
           Alcotest.test_case "second message acked" `Quick
             test_ds_second_message_acked_immediately;
-          qtest prop_ds;
+          Hf_test_harness.qtest prop_ds;
         ] );
       ( "four-counter",
         [
           Alcotest.test_case "probe/reply" `Quick test_fc_probe_reply;
-          qtest prop_fc;
+          Hf_test_harness.qtest prop_fc;
         ] );
     ]

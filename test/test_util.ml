@@ -355,7 +355,6 @@ let test_tabulate_alignment () =
   check_bool "right aligned" true
     (List.exists (fun line -> line = "x    7") (String.split_on_char '\n' out))
 
-let qtest t = QCheck_alcotest.to_alcotest t
 
 let () =
   Alcotest.run "hf_util"
@@ -379,8 +378,8 @@ let () =
           Alcotest.test_case "FIFO on ties" `Quick test_heap_fifo_ties;
           Alcotest.test_case "interleaved ops" `Quick test_heap_interleaved;
           Alcotest.test_case "clear" `Quick test_heap_clear;
-          qtest prop_heap_sorts;
-          qtest prop_heap_model;
+          Hf_test_harness.qtest prop_heap_sorts;
+          Hf_test_harness.qtest prop_heap_model;
         ] );
       ( "deque",
         [
@@ -389,8 +388,8 @@ let () =
           Alcotest.test_case "pop_back" `Quick test_deque_pop_back;
           Alcotest.test_case "mixed ends" `Quick test_deque_mixed_ends;
           Alcotest.test_case "clear" `Quick test_deque_clear;
-          qtest prop_deque_fifo_model;
-          qtest prop_deque_model;
+          Hf_test_harness.qtest prop_deque_fifo_model;
+          Hf_test_harness.qtest prop_deque_model;
         ] );
       ( "stats",
         [
